@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .composition import CheckReport, CompAlgebra, CompElt, _record, cd_double
-from .matops import mat, mat_eq, mat_mul, mat_star, mat_trace
+from .matops import mat, mat_add, mat_eq, mat_mul, mat_star, mat_trace, mat_transpose
 from .scalars import (
     AlgElem,
     CommAlgebra,
@@ -415,7 +415,7 @@ class Matrix3CNS(CNS):
 
     def transpose(self, x: CnsElt) -> CnsElt:
         m = self.to_matrix(x)
-        return self.from_matrix(tuple(tuple(m[j][i] for j in range(3)) for i in range(3)))
+        return self.from_matrix(mat_transpose(m))
 
     def base_change(self, new_base):
         return Matrix3CNS(new_base)
@@ -520,7 +520,7 @@ def _sym_triple(mx, my, mz):
     """x y z + z y x as matrices (Hermitian when x, y, z are)."""
     a = mat_mul(mat_mul(mx, my), mz)
     b = mat_mul(mat_mul(mz, my), mx)
-    return tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a, b))
+    return mat_add(a, b)
 
 
 def _tr_triple(a1: CompElt, a2: CompElt, a3: CompElt):
@@ -903,14 +903,6 @@ def cayley_u_construct(comp: CompAlgebra, gamma) -> CayleyUCNS:
 # ---------------------------------------------------------------------------
 
 
-def cns_norm(x: CnsElt):
-    return x.J.norm(x)
-
-
-def cns_adjoint(x: CnsElt) -> CnsElt:
-    return x.J.adjoint(x)
-
-
 def cns_cross(x: CnsElt, y: CnsElt) -> CnsElt:
     _same(x, y)
     return x.J.cross(x, y)
@@ -919,10 +911,6 @@ def cns_cross(x: CnsElt, y: CnsElt) -> CnsElt:
 def cns_pair(x: CnsElt, y: CnsElt):
     _same(x, y)
     return x.J.pair(x, y)
-
-
-def cns_trace(x: CnsElt):
-    return x.J.trace(x)
 
 
 def cns_U(x: CnsElt, y: CnsElt) -> CnsElt:

@@ -228,22 +228,6 @@ def cd_double(desc: CompAlgebra, gamma) -> CompAlgebra:
     return CompAlgebra(desc.gammas + (qq(gamma),), base=desc.base)
 
 
-def comp_mul(x: CompElt, y: CompElt) -> CompElt:
-    return x * y
-
-
-def comp_conj(x: CompElt) -> CompElt:
-    return x.conj()
-
-
-def comp_norm(x: CompElt):
-    return x.norm()
-
-
-def comp_trace(x: CompElt):
-    return x.trace()
-
-
 # -- named presets ----------------------------------------------------------
 
 _PRESETS = {

@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 
 from .cns import CNS, CnsElt, H3CNS
 from .composition import CompElt
-from .matops import mat, mat_mul, mat_star
+from .matops import mat_mul, mat_smul, mat_star, mat_sub, mat_transpose
 from .scalars import (
     BoundExceededError,
     DescriptorError,
@@ -202,16 +202,6 @@ class WSpace:
                 return False
         return True
 
-    def rank_le1_certificate(self, v: WElt) -> bool:
-        """Full certificate 3 t(v,v,x) = <x, v> v over every basis vector x."""
-        fv = self.flat(v)
-        for x in self.basis():
-            lhs = self.t_vvx(v, x, fv=fv) * 3
-            rhs = v * self.pair(x, v)
-            if not (lhs == rhs):
-                return False
-        return True
-
     def __eq__(self, other) -> bool:
         return isinstance(other, WSpace) and other.J == self.J
 
@@ -349,41 +339,26 @@ def m3c_inverse(J: H3CNS, m):
     from .scalars import linsolve
     d = comp.dim
     basis = comp.basis()
-    cols = []
-    for j in range(3):
-        for u in basis:
-            col = []
-            for i in range(3):
-                col.extend(_flat_comp(m[i][j] * u))
-            cols.append(col)
-    full = [[Fraction(0)] * (9 * d) for _ in range(9 * d)]
-    # unknown x: 3x3 over comp; m*x = 1. Build per column of x.
+    # unknown x: 3x3 over comp with m*x = 1; the system is the same for
+    # every column of x: row (i, k) is coordinate k of sum_j m[i][j] x[j]
+    flat = [[_flat_comp(m[i][j] * u) for j in range(3) for u in basis] for i in range(3)]
+    mat_rows = [[cell[k] for cell in flat[i]] for i in range(3) for k in range(d)]
     out_cols = []
     for target_col in range(3):
-        mat_rows = []
-        for i in range(3):
-            for k in range(d):
-                row = []
-                for j in range(3):
-                    for u in basis:
-                        row.append(_flat_comp(m[i][j] * u)[k])
-                mat_rows.append(row)
         rhs = []
         for i in range(3):
-            e = comp.one() if i == target_col else comp.zero()
-            rhs.extend(_flat_comp(e))
+            rhs.extend(_flat_comp(comp.one() if i == target_col else comp.zero()))
         sol = linsolve(mat_rows, rhs)
         if sol is None:
             raise PreconditionError("matrix is not invertible")
         col = []
         for j in range(3):
-            chunk = sol[j * d:(j + 1) * d]
             acc = comp.zero()
-            for cval, u in zip(chunk, basis):
+            for cval, u in zip(sol[j * d:(j + 1) * d], basis):
                 acc = acc + u * cval
             col.append(acc)
         out_cols.append(col)
-    return mat([[out_cols[j][i] for j in range(3)] for i in range(3)])
+    return mat_transpose(out_cols)
 
 
 def _flat_comp(x: CompElt) -> list[Fraction]:
@@ -441,24 +416,16 @@ def s_of_h3(W: WSpace, v: WElt):
     pbc = J.pair(b, c)
     sc = comp.from_scalar(pbc * HALF - (a * d) * HALF)
     off = [[sc if i == j else comp.zero() for j in range(3)] for i in range(3)]
-    s11 = _m3_sub(J.to_matrix(J.adjoint(b)), _m3_scale(mc, a))
-    s22 = _m3_sub(J.to_matrix(J.adjoint(c)), _m3_scale(mb, d))
-    s12 = _m3_sub(off, mat_mul(mc, mb))
-    s21 = _m3_sub(off, mat_mul(mb, mc))
+    s11 = mat_sub(J.to_matrix(J.adjoint(b)), mat_smul(mc, a))
+    s22 = mat_sub(J.to_matrix(J.adjoint(c)), mat_smul(mb, d))
+    s12 = mat_sub(off, mat_mul(mc, mb))
+    s21 = mat_sub(off, mat_mul(mb, mc))
     rows = []
     for i in range(3):
         rows.append(tuple(s11[i]) + tuple(s12[i]))
     for i in range(3):
         rows.append(tuple(s21[i]) + tuple(s22[i]))
     return tuple(rows)
-
-
-def _m3_scale(m, s):
-    return [[m[i][j] * s for j in range(3)] for i in range(3)]
-
-
-def _m3_sub(a, b):
-    return [[a[i][j] - b[i][j] for j in range(3)] for i in range(3)]
 
 
 def shriek_row(W: WSpace, ell) -> WElt:
@@ -599,14 +566,6 @@ def m2_j2(J: CNS):
 def m2_scalar(J: CNS, s):
     z = J.zero()
     return ((J.one() * s, z), (z, J.one() * s))
-
-
-def m2_add(g, h):
-    return tuple(tuple(g[i][j] + h[i][j] for j in range(2)) for i in range(2))
-
-
-def m2_smul(g, s):
-    return tuple(tuple(g[i][j] * s for j in range(2)) for i in range(2))
 
 
 # -- the unit-class invariant of rank-one elements ---------------------------

@@ -49,7 +49,19 @@ from .freudenthal import (
     shriek_col,
     shriek_row,
 )
-from .matops import mat, mat_mul, mat_star, mat_times_col, row_times_mat
+from .matops import (
+    mat_add,
+    mat_eq,
+    mat_mul,
+    mat_neg,
+    mat_smul,
+    mat_star,
+    mat_sub,
+    mat_times_col,
+    mat_transpose,
+    row_times_mat,
+    sum_prod,
+)
 from .scalars import (
     AlgElem,
     BoundExceededError,
@@ -64,6 +76,7 @@ from .scalars import (
     qq,
     quadratic_field,
     rational_sqrt,
+    rref,
 )
 
 
@@ -350,7 +363,7 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
     if cross_checks and isinstance(J, H3CNS) and J.comp.is_associative:
         sr = sr_maps(J, pd, check=False)
         # X = -(1/2)(A S(theta0) - B S(omega0)) - A theta0 + B omega0
-        mid = _hermitian_from_matrix(J, _mat_sub2(
+        mid = _hermitian_from_matrix(J, mat_sub(
             mat_mul(J.to_matrix(A), sr.images["theta0"]),
             mat_mul(J.to_matrix(B), sr.images["omega0"])))
         x0form = (_jt_scale(JT, mid, T.one()) * (-HALF)
@@ -361,10 +374,6 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
         y0 = JT.adjoint(zt) + JT.cross(zt, _jt_scale(JT, mid * 3, T.one()))
         res.require("Y0 = -3Y", y0 == Y * (-3))
     return res
-
-
-def _mat_sub2(m1, m2):
-    return tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(m1, m2))
 
 
 def _hermitian_from_matrix(J: H3CNS, m) -> CnsElt:
@@ -387,15 +396,7 @@ class SrMaps:
         one = self.images["one"]
         w, t = self.images["omega"], self.images["theta"]
         c0, c1, c2 = lam.coords
-        comp = self.J.comp
-
-        def sc(mm, s):
-            return tuple(tuple(e * s for e in row) for row in mm)
-
-        acc = sc(one, c0)
-        acc = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(acc, sc(w, c1)))
-        acc = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(acc, sc(t, c2)))
-        return acc
+        return mat_add(mat_add(mat_smul(one, c0), mat_smul(w, c1)), mat_smul(t, c2))
 
     def s_l(self, lam: AlgElem):
         return mat_star(self.s_r(lam), lambda e: e.conj())
@@ -409,7 +410,7 @@ def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
     a, b, c, d = pd.coeffs
     mA, mB = J.to_matrix(A), J.to_matrix(B)
     mAs, mBs = J.to_matrix(J.adjoint(A)), J.to_matrix(J.adjoint(B))
-    Sw = tuple(tuple(-e for e in row) for row in mat_mul(mAs, mB))
+    Sw = mat_neg(mat_mul(mAs, mB))
     St = mat_mul(mBs, mA)
     eye = tuple(tuple(comp.one() if i == j else comp.zero() for j in range(3))
                 for i in range(3))
@@ -417,8 +418,8 @@ def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
         "one": eye,
         "omega": Sw,
         "theta": St,
-        "omega0": _shift(Sw, eye, qq(b) / 3),
-        "theta0": _shift(St, eye, -qq(c) / 3),
+        "omega0": mat_add(Sw, mat_smul(eye, qq(b) / 3)),
+        "theta0": mat_add(St, mat_smul(eye, -qq(c) / 3)),
     }
     sr = SrMaps(J, pd, images)
     if check:
@@ -426,58 +427,40 @@ def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
         w, t = pd.omega, pd.theta
         for lam, mu in ((w, w), (w, t), (t, t)):
             prod = T.coerce(lam * mu)
-            if not _mat_eq2(mat_mul(sr.s_r(lam), sr.s_r(mu)), sr.s_r(prod)):
+            if not mat_eq(mat_mul(sr.s_r(lam), sr.s_r(mu)), sr.s_r(prod)):
                 raise IdentityError("S_r is not a ring map")
         # adjoint through the table: S_r(w#) = S_r(w)^2 - s1 S_r(w) + s2
         for lam in (w, t):
             s1, s2 = T.char_s1_s2(lam)
-            viaring = _mat_sub2(mat_mul(sr.s_r(lam), sr.s_r(lam)),
-                                _shift(_scale2(sr.s_r(lam), s1), eye, -s2))
-            if not _mat_eq2(sr.s_r(T.adjoint(lam)), viaring):
+            viaring = mat_sub(mat_mul(sr.s_r(lam), sr.s_r(lam)),
+                              mat_add(mat_smul(sr.s_r(lam), s1), mat_smul(eye, -s2)))
+            if not mat_eq(sr.s_r(T.adjoint(lam)), viaring):
                 raise IdentityError("S_r does not match the adjoint through the table")
     return sr
 
 
-def _shift(m, eye, s):
-    return tuple(tuple(x + e * s for x, e in zip(r1, r2)) for r1, r2 in zip(m, eye))
-
-
-def _scale2(m, s):
-    return tuple(tuple(e * s for e in row) for row in m)
-
-
-def _mat_eq2(m1, m2) -> bool:
-    return all(x == y for r1, r2 in zip(m1, m2) for x, y in zip(r1, r2))
-
-
 def eigen_checks(J: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> bool:
     """S_l(lam) X = lam X = X S_r(lam) and S_r(lam) Y = lam Y = Y S_l(lam)."""
-    JT = pd.JT
     compT = J.comp.base_change(pd.T)
     JT_h3 = H3CNS(compT)
 
     def as_mat(z: CnsElt):
         return JT_h3.to_matrix(CnsElt(JT_h3, z.coords))
 
-    def lift_mat(m):
-        return tuple(tuple(CompElt(compT, tuple(pd.T.scalar_mul_one(c) if isinstance(c, Fraction)
-                                                else c for c in e.coords))
-                           for e in row) for row in m)
-
     for lam in (pd.omega, pd.theta):
-        srm = lift_mat(sr.s_r(lam))
-        slm = lift_mat(sr.s_l(lam))
+        srm = _lift_to_T(compT, sr.s_r(lam))
+        slm = _lift_to_T(compT, sr.s_l(lam))
         mx = as_mat(X)
         my = as_mat(Y)
-        lam_mx = tuple(tuple(e * lam for e in row) for row in mx)
-        lam_my = tuple(tuple(e * lam for e in row) for row in my)
-        if not _mat_eq2(mat_mul(slm, mx), lam_mx):
+        lam_mx = mat_smul(mx, lam)
+        lam_my = mat_smul(my, lam)
+        if not mat_eq(mat_mul(slm, mx), lam_mx):
             return False
-        if not _mat_eq2(mat_mul(mx, srm), lam_mx):
+        if not mat_eq(mat_mul(mx, srm), lam_mx):
             return False
-        if not _mat_eq2(mat_mul(srm, my), lam_my):
+        if not mat_eq(mat_mul(srm, my), lam_my):
             return False
-        if not _mat_eq2(mat_mul(my, slm), lam_my):
+        if not mat_eq(mat_mul(my, slm), lam_my):
             return False
     return True
 
@@ -503,23 +486,20 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps,
                                  for k in range(3)]))
         eps = tuple(tuple(compT.zero() for _ in range(3)) for _ in range(3))
         for v_a, w_a in zip(basis, duals):
-            m = sr.s_r(v_a)
-            eps = tuple(tuple(eps[i][j] + _comp_to_T(compT, m[i][j]) * w_a
-                              for j in range(3)) for i in range(3))
+            eps = mat_add(eps, mat_smul(_lift_to_T(compT, sr.s_r(v_a)), w_a))
         return eps
 
     basis1 = T.basis()
     eps = build(basis1)
     if check_second_basis:
         basis2 = [T.one(), pd.omega + T.one(), pd.theta + pd.omega]
-        if not _mat_eq2(eps, build(basis2)):
+        if not mat_eq(eps, build(basis2)):
             raise IdentityError("eps depends on the basis")
     # S_r(x) eps = eps x
     for lam in (pd.omega, pd.theta):
         lam_m = _lift_to_T(compT, sr.s_r(lam))
         lhs = mat_mul(lam_m, eps)
-        rhs = tuple(tuple(e * lam for e in row) for row in eps)
-        if not _mat_eq2(lhs, rhs):
+        if not mat_eq(lhs, mat_smul(eps, lam)):
             raise IdentityError("S_r(x) eps != eps x")
     return eps
 
@@ -554,7 +534,7 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
         v = tuple(J.comp.random(rng) for _ in range(3))
     vT = tuple(_comp_to_T(compT, x) for x in v)
     veps = row_times_mat(vT, eps)
-    outer = tuple(tuple(veps[i].conj() * veps[j] for j in range(3)) for i in range(3))
+    outer = mat_mul(mat_star((veps,), lambda e: e.conj()), (veps,))
     lhs = H3T.from_matrix(outer) * pd.Q
     # (v Y v*) as a T-scalar
     ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
@@ -785,13 +765,12 @@ class QuotientTitsU(CNS):
                 ell = (e, B.zero()) if slot == 0 else (B.zero(), e)
                 img = self._ell_h(ell)
                 cols.append(B.flatten_elt(img[0]) + B.flatten_elt(img[1]))
-        matrix = [[cols[j][i] for j in range(2 * self._fdim)]
-                  for i in range(2 * self._fdim)]
-        ker = kernel(matrix)
+        ker = kernel(mat_transpose(cols))
         if len(ker) != self._fdim:
             raise IdentityError("I(v, omega) does not have B-corank one")
         self._ibasis_raw = ker
-        self._pivots, self._rref = _rref(ker)
+        self._pivots, reduced, _ = rref(ker)
+        self._reduced = reduced[:len(self._pivots)]
         self.dim = J.dim + 2 * self._fdim
         self.qdim = J.dim + self._fdim
         self.name = f"utildeQ({sk.kind})"
@@ -826,7 +805,7 @@ class QuotientTitsU(CNS):
 
     def canon_ell(self, ell):
         flat = self._flatten_ell(ell)
-        for pivot, row in zip(self._pivots, self._rref):
+        for pivot, row in zip(self._pivots, self._reduced):
             coef = flat[pivot]
             if coef != 0:
                 flat = [a - coef * b for a, b in zip(flat, row)]
@@ -880,7 +859,7 @@ class QuotientTitsU(CNS):
     # -- the structure maps (raw versions take (xj, ell) directly) -----------
 
     def norm_raw(self, xj: CnsElt, ell):
-        sk, J, B, K = self.sk, self.sk.J, self.sk.B, self.sk.K
+        sk, J, B = self.sk, self.sk.J, self.sk.B
         lh = self._ell_h(ell)
         lhl = B.mul(lh[0], sk.star(ell[0])) + B.mul(lh[1], sk.star(ell[1]))
         shr = shriek_row(self.WB, ell)
@@ -930,35 +909,6 @@ class QuotientTitsU(CNS):
 
     def _key(self):
         return (self.name, self.v.coords(), self.omega.coords)
-
-
-def _rref(rows: list[list[Fraction]]):
-    """Row-reduce; returns (pivot columns, reduced rows with unit pivots)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for rr in range(r, m):
-            if a[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for rr in range(m):
-            if rr != r and a[rr][c] != 0:
-                f = a[rr][c]
-                a[rr] = [x - f * y for x, y in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return pivots, a[:r]
 
 
 def utilde_cns(sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None) -> LiftResult:
@@ -1111,9 +1061,8 @@ def hermitian_rank1_decompose(J: H3CNS, Y: CnsElt, cap: int = 300, seed: int = 0
     base = J.base
     ym = J.to_matrix(Y)
     for w in iter_comp_rows(J.comp, 3, cap, seed):
-        wstar = tuple(x.conj() for x in w)
-        yw = mat_times_col(ym, wstar)
-        val = w[0] * yw[0] + w[1] * yw[1] + w[2] * yw[2]
+        yw = mat_times_col(ym, tuple(x.conj() for x in w))
+        val = sum_prod(w, yw)
         mu = val.coords[0]
         if not base.is_unit(mu):
             continue
@@ -1121,11 +1070,10 @@ def hermitian_rank1_decompose(J: H3CNS, Y: CnsElt, cap: int = 300, seed: int = 0
             raise IdentityError("w Y w* is not scalar")
         mu_inv = base.inv(mu)
         v0 = tuple(c * mu_inv for c in yw)
-        outer = tuple(tuple(v0[i] * v0[j].conj() * mu for j in range(3)) for i in range(3))
-        if not all(outer[i][j] == ym[i][j] for i in range(3) for j in range(3)):
+        col = mat_transpose((v0,))
+        if not mat_eq(mat_smul(mat_mul(col, mat_star(col, lambda e: e.conj())), mu), ym):
             raise IdentityError("rank-one decomposition failed to verify")
-        wv = w[0] * v0[0] + w[1] * v0[1] + w[2] * v0[2]
-        if not (wv == J.comp.one()):
+        if not (sum_prod(w, v0) == J.comp.one()):
             raise IdentityError("primitivity witness failed")
         return mu, v0, w
     raise BoundExceededError("rank-one decomposition search exhausted; raise cap")
@@ -1174,22 +1122,17 @@ def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResul
         raise PreconditionError("rank-2 input required")
     comp = J.comp
     S6 = s_of_h3(W, x)
-    negS = tuple(tuple(-e for e in row) for row in S6)
+    negS = mat_neg(S6)
     for w in iter_comp_rows(comp, 6, cap, seed):
-        wstar = tuple(e.conj() for e in w)
-        col = mat_times_col(negS, wstar)
-        val = w[0] * col[0]
-        for i in range(1, 6):
-            val = val + w[i] * col[i]
+        col = mat_times_col(negS, tuple(e.conj() for e in w))
+        val = sum_prod(w, col)
         mu = val.coords[0]
         if not W.base.is_unit(mu) or not (val == comp.from_scalar(mu)):
             continue
         mu_inv = W.base.inv(mu)
-        p = tuple(c * mu_inv for c in col)
-        outer = tuple(tuple(p[i] * p[j].conj() * mu for j in range(6)) for i in range(6))
-        if not all(outer[i][j] == negS[i][j] for i in range(6) for j in range(6)):
+        u = tuple((c * mu_inv).conj() for c in col)
+        if not mat_eq(mat_smul(mat_mul(mat_star((u,), lambda e: e.conj()), (u,)), mu), negS):
             continue
-        u = tuple(c.conj() for c in p)
         herm = sum_c(comp, [u[i] * u[3 + i].conj() for i in range(3)]) \
             - sum_c(comp, [u[3 + i] * u[i].conj() for i in range(3)])
         gamma = mu
@@ -1202,7 +1145,8 @@ def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResul
         res = LiftResult(extension=None, lifted=lifted,
                          data={"gamma": gamma, "u": u, "U": U})
         res.require("<u, u>_C = 0", herm.is_zero())
-        res.require("-S(x) = gamma u* u", True)  # verified by construction above
+        ustar_u = mat_mul(mat_star((u,), lambda e: e.conj()), (u,))
+        res.require("-S(x) = gamma u* u", mat_eq(mat_neg(S6), mat_smul(ustar_u, gamma)))
         res.require("x + u rank one in W_U(gamma)",
                     (not lifted.is_zero()) and WU.is_rank_le1(lifted))
         return res
@@ -1231,10 +1175,6 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
         raise PreconditionError("rank-3 input required")
     ops = []  # list of ("mat", M, Minv) and ("scale", s); applied left to right
     cur = x
-
-    def apply_op(op, y: WElt) -> WElt:
-        return h_apply(op, y)
-
     # step 1: make the a-slot a unit
     if not W.base.is_unit(cur.a):
         if W.base.is_unit(cur.d):
@@ -1333,14 +1273,10 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     res.require("S(x) = eta h# eta*",
                 all(lhs[i][j] == Sx[i][j] for i in range(2) for j in range(2)))
     res.require("x_flat / 2 = n(h) eta!",
-                w_coerce_same(WB, W.flat(x), sk) * HALF == shriek_col(WB, eta) * nh)
+                embed_w(sk, WB, W.flat(x)) * HALF == shriek_col(WB, eta) * nh)
     res.require("x + eta rank one in W_U(h)",
                 (not lifted.is_zero()) and WU.is_rank_le1(lifted))
     return res
-
-
-def w_coerce_same(WB: WSpace, v: WElt, sk: SecondKind) -> WElt:
-    return embed_w(sk, WB, v)
 
 
 def _z(v) -> bool:

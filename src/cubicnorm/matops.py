@@ -39,9 +39,9 @@ def mat_mul(a, b):
     return tuple(out)
 
 
-def mat_smul(s, a):
-    """Scalar times matrix, scalar applied on the left."""
-    return tuple(tuple(s * x for x in row) for row in a)
+def mat_smul(a, s):
+    """Matrix times scalar, scalar applied on the right."""
+    return tuple(tuple(x * s for x in row) for row in a)
 
 
 def mat_transpose(a):

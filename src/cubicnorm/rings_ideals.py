@@ -10,7 +10,7 @@ denominator-tracked so the field-level statements run on the same code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -28,6 +28,7 @@ from .freudenthal import (
     det6,
     iter_search_rows,
     norm_class_witness,
+    r_of,
     r_right,
     shriek_col,
     shriek_row,
@@ -45,7 +46,7 @@ from .lifting import (
     w_coerce,
     x_of,
 )
-from .matops import mat_times_col, row_times_mat
+from .matops import mat_mul, mat_star, mat_times_col, mat_transpose, row_times_mat
 from .scalars import (
     AlgElem,
     BoundExceededError,
@@ -158,7 +159,6 @@ def _w_integral(v: WElt) -> bool:
 def sa_norm_matrix(ideal: IdealSA):
     """g in M_2(A_F) with (b1, b2) = (tau, 1) g."""
     E, ring = ideal.E, ideal.ring
-    JE = ideal.basis[0].J
     J = ideal.J
     cols = []
     for b in ideal.basis:
@@ -231,12 +231,6 @@ def iter_ell_candidates(J: CNS, E: QuotientAlgebra, eps, cap: int, seed: int = 0
         yield tr_twist(ell1)
     for ell in iter_search_rows(J, cap, seed + 1):
         yield ell
-
-
-def cube_to_balanced_with_row(J: CNS, v: WElt, ell, cap: int = 200, seed: int = 0):
-    """cube_to_balanced computed with a prescribed row ell in A_F^2 (used by
-    the equivariance suite, where the data action also acts on the row)."""
-    return cube_to_balanced(J, v, cap=cap, seed=seed, ell=ell)
 
 
 def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
@@ -401,20 +395,17 @@ class IdealTC:
 def tc_norm_matrix(ideal: IdealTC):
     """m in M_3(C_F) with (b1, b2, b3) = (1, w, t) m."""
     comp = ideal.comp
-    d = comp.dim
     cols = []
     for b in ideal.basis:
         col = []
         for alpha in range(3):
             col.append(CompElt(comp, tuple(c.coords[alpha] for c in b.coords)))
         cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(3)) for i in range(3))
+    return mat_transpose(cols)
 
 
 def n6(J: H3CNS, m) -> Fraction:
     """The degree-6 norm N_6(m) = n(m m*) on M_3(C)."""
-    from .matops import mat_mul, mat_star
-
     mm = mat_mul(m, mat_star(m, lambda e: e.conj()))
     return J.norm(J.from_matrix(mm))
 
@@ -659,7 +650,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     ell, eta, lam, exact = pick
     ell_E = (_lift_elt(JE, E, ell[0]), _lift_elt(JE, E, ell[1]))
     mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
-    R = r_of_we(WE, vE)
+    R = r_of(WE, vE)
     u0, v0 = eta
     half = HALF
     ueta = (u0 * (omega * half) + (JE.mul(R[0][0], u0) + JE.mul(R[0][1], v0)) * half,
@@ -679,17 +670,11 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
         # n(x_wit) = conj(lambda) lambda = N(lambda) exactly
         out["norm_class_witness"] = x_wit
     else:
-        y = norm_class_witness(JE, JE.norm(x_wit) * 0 + mu * lamc,
+        y = norm_class_witness(JE, mu * lamc,
                                lam * E.conj(lam), cap)
         if y is not None:
             out["norm_class_witness"] = JE.mul(x_wit, y)
     return out
-
-
-def r_of_we(WE: WSpace, vE: WElt):
-    from .freudenthal import r_of
-
-    return r_of(WE, vE)
 
 
 def field_invariant_b2(J: H3CNS, A: CnsElt, B: CnsElt, cap: int = 300,

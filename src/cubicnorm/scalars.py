@@ -209,7 +209,13 @@ class AlgElem:
         return self.coords == o.coords
 
     def __hash__(self) -> int:
-        return hash((id(self.alg), self.coords))
+        # an element s * 1 equals the base scalar s, so it hashes as s
+        alg = self.alg
+        k = next(i for i, u in enumerate(alg.unit_coords) if u != 0)
+        s = self.coords[k] * (1 / alg.unit_coords[k])
+        if self.coords == alg.scalar_mul_one(s).coords:
+            return hash(s)
+        return hash((alg, self.coords))
 
     def __repr__(self) -> str:
         terms = ", ".join(repr(c) for c in self.coords)
@@ -342,26 +348,12 @@ class CommAlgebra:
         return u.is_zero()
 
     def inv(self, u: AlgElem) -> AlgElem:
-        """Exact inverse of a unit, by solving u*x = 1 over Q."""
-        n = self.flat_dim()
-        base_units = (self.base.basis() if isinstance(self.base, CommAlgebra)
-                      else [Fraction(1)])
-        full_cols = []
-        for j in range(self.dim):
-            for bu in base_units:
-                ej = [self.base.zero()] * self.dim
-                ej[j] = bu
-                img = AlgElem(self, self.mul_coords(u.coords, tuple(ej)))
-                full_cols.append(self.flatten(img))
-        mat = [[full_cols[j][i] for j in range(len(full_cols))] for i in range(n)]
-        rhs = self.flatten(self.one())
-        sol = linsolve(mat, rhs)
+        """Exact inverse of a unit, by solving u*x = 1 over Q (the solve
+        re-verifies its answer by substitution)."""
+        sol = MatrixQ([[AlgElem(self, u.coords)]]).solve([self.one()])
         if sol is None:
             raise ZeroDivisionError(f"{self.name}: not a unit")
-        x = self.unflatten(sol)
-        if not (u * x == self.one()):
-            raise IdentityError("inverse verification failed")
-        return x
+        return sol[0]
 
     def conj(self, u: AlgElem) -> AlgElem:
         """Conjugation on a quadratic algebra: u* = tr(u) - u."""
@@ -558,63 +550,59 @@ def det(m: Sequence[Sequence]) -> object:
     return total
 
 
-def det_fraction(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a rational matrix by exact Gaussian elimination."""
-    n = len(m)
-    a = [list(row) for row in m]
-    sign = 1
-    res = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if a[r][col] != 0:
-                piv = r
-                break
+def rref(rows: Sequence[Sequence[Fraction]]):
+    """Gauss-Jordan elimination over Q, the one elimination routine.
+
+    Column by column, the pivot is the first nonzero row at or below the
+    current row; it is swapped up, scaled to a unit pivot, and its column is
+    cleared in every other row.  Elimination stops once every row holds a
+    pivot.  Returns (pivot columns, reduced rows, determinant factor): the
+    pivot rows come first, and the factor is the product of the pivots times
+    the sign of the row swaps, which is the determinant of a square matrix
+    of full rank.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    pivots: list[int] = []
+    factor = Fraction(1)
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        p = a[col][col]
-        res *= p
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / p
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return res * sign
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            factor = -factor
+        pv = a[r][c]
+        factor *= pv
+        # entries left of column c are zero in the pivot row: skip them
+        tail = a[r][c:] = [x / pv for x in a[r][c:]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f != 0:
+                row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots, a, factor
+
+
+def det_fraction(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix, read off ``rref``."""
+    pivots, _, factor = rref(m)
+    return factor if len(pivots) == len(m) else Fraction(0)
 
 
 def linsolve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
     """Solve mat*x = rhs exactly over Q.  Returns one solution, or None if the
-    system is inconsistent (certified by elimination to an echelon form)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    a = [list(mat[r]) + [rhs[r]] for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if a[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for rr in range(rows):
-            if rr != r and a[rr][c] != 0:
-                f = a[rr][c]
-                a[rr] = [v - f * w for v, w in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for rr in range(r, rows):
-        if a[rr][cols] != 0:
-            return None
+    system is inconsistent (certified by a pivot in the right-hand column of
+    the reduced augmented matrix)."""
+    cols = len(mat[0]) if mat else 0
+    pivots, a, _ = rref([list(row) + [b] for row, b in zip(mat, rhs)])
+    if cols in pivots:
+        return None
     x = [Fraction(0)] * cols
     for i, c in enumerate(pivots):
         x[c] = a[i][cols]
@@ -622,34 +610,14 @@ def linsolve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Opti
 
 
 def kernel(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of a rational matrix."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    a = [list(row) for row in mat]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if a[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][c]
-        a[r] = [v / pv for v in a[r]]
-        for rr in range(rows):
-            if rr != r and a[rr][c] != 0:
-                f = a[rr][c]
-                a[rr] = [v - f * w for v, w in zip(a[rr], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    """Basis of the right kernel of a rational matrix, one vector per free
+    column of ``rref``."""
+    cols = len(mat[0]) if mat else 0
+    pivots, a, _ = rref(mat)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * cols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
@@ -757,10 +725,3 @@ class MatrixQ:
                 raise IdentityError("linsolve verification failed")
         return xs
 
-
-def linalg_solve(entries, rhs):
-    """Exact solve M*x = rhs over Q or over one quotient algebra.
-
-    Returns the solution vector, or None for a certified no-solution.
-    """
-    return MatrixQ(entries).solve(rhs)

@@ -64,7 +64,6 @@ from cubicnorm.rings_ideals import (
     balanced_to_cube,
     balanced_to_pair,
     cube_to_balanced,
-    cube_to_balanced_with_row,
     field_invariant_b2,
     pair_to_balanced,
 )
@@ -325,7 +324,7 @@ def test_criterion_7_orbit_round_trips():
             vg = gl2_act(W, g, v, "right")
             ellg = (J.mul(ell[0], g[0][0]) + J.mul(ell[1], g[1][0]),
                     J.mul(ell[0], g[0][1]) + J.mul(ell[1], g[1][1]))
-            _, ideal3, _ = cube_to_balanced_with_row(A, vg, ellg)
+            _, ideal3, _ = cube_to_balanced(A, vg, ell=ellg)
             E = ideal.E
             JE = ideal.basis[0].J
             gE = tuple(tuple(CnsElt(JE, tuple(E.from_rational(c) for c in e.coords))

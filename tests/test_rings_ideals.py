@@ -148,9 +148,7 @@ def test_cube_equivariance(rng):
                 J.mul(ell[0], g[0][1]) + J.mul(ell[1], g[1][1]))
         ring2, ideal2, cert2 = cube_to_balanced(A, vg, seed=0)
         # recompute with the transported row for exact data agreement
-        from cubicnorm.rings_ideals import cube_to_balanced_with_row
-
-        ring3, ideal3, cert3 = cube_to_balanced_with_row(A, vg, ellg)
+        ring3, ideal3, cert3 = cube_to_balanced(A, vg, ell=ellg)
         JE = ideal.basis[0].J
         gE = tuple(tuple(CnsElt(JE, tuple(ideal.E.from_rational(c) for c in e.coords))
                          for e in row) for row in g)
