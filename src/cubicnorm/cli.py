@@ -75,6 +75,17 @@ def _load_json(spec: str):
         raise UsageError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _structure(spec: str):
     """preset:NAME, comp:NAME, or an inline/loaded JSON descriptor."""
     if spec.startswith("preset:"):
@@ -287,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--structure", help="preset:NAME, comp:NAME, JSON, or @file")
         sp.add_argument("--input", help="JSON value, @file, file path, or - for stdin")
-        sp.add_argument("--trials", type=int, default=100)
+        sp.add_argument("--trials", type=_positive_int, default=100)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--bound", type=int, default=300,
+        sp.add_argument("--bound", type=_positive_int, default=300,
                         help="witness search cap (exit 3 when exceeded)")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
 

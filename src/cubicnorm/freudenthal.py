@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .cns import CNS, CnsElt, H3CNS
 from .composition import CompElt
@@ -22,9 +22,11 @@ from .scalars import (
     PreconditionError,
     RationalBase,
     qq,
+    rref,
 )
 
 HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
 
 
@@ -158,15 +160,47 @@ class WSpace:
         acc = f(x + y + z) - f(x + y) - f(x + z) - f(y + z) + f(x) + f(y) + f(z)
         return acc * SIXTH
 
-    def t_vvx(self, v: WElt, x: WElt, fv: Optional[WElt] = None,
-              f2v: Optional[WElt] = None) -> WElt:
-        """t(v, v, x) with optional cached flat(v), flat(2v)."""
-        f = self.flat
-        if fv is None:
-            fv = f(v)
-        if f2v is None:
-            f2v = fv * 8
-        return (f(v * 2 + x) - f2v - (f(v + x) * 2) + fv * 2 + f(x)) * SIXTH
+    def t_vvx(self, v: WElt, x: WElt) -> WElt:
+        """t(v, v, x) = d flat(v)[x] / 3, by the product rule on the four
+        components of flat with d(b#)[b'] = b x b' and dN(b)[b'] = (b#, b').
+        The terms of a zero component of x are skipped, so a basis vector
+        costs one of the four branches."""
+        J = self.J
+        a, b, c, d = v.a, v.b, v.c, v.d
+        bs, cs = J.adjoint(b), J.adjoint(c)
+        pbc = J.pair(b, c)
+        s = a * d - pbc
+        ta, td = self.base.zero(), self.base.zero()
+        tb, tc = J.zero(), J.zero()
+        if not _z(x.a):
+            p = x.a
+            ta = ta + p * (pbc - 2 * (a * d))
+            tb = tb + cs * (2 * p) - b * (p * d)
+            tc = tc + c * (p * d)
+            td = td + p * d * d
+        if not x.b.is_zero():
+            y = x.b
+            dp = J.pair(y, c)
+            bxy = J.cross(b, y)
+            ta = ta + a * dp - 2 * J.pair(bs, y)
+            tb = tb + b * dp - J.cross(c, bxy) * 2 - y * s
+            tc = tc + J.cross(y, cs) * 2 - bxy * (2 * d) - c * dp
+            td = td - d * dp
+        if not x.c.is_zero():
+            z = x.c
+            dp = J.pair(b, z)
+            cxz = J.cross(c, z)
+            ta = ta + a * dp
+            tb = tb + b * dp - J.cross(z, bs) * 2 + cxz * (2 * a)
+            tc = tc + J.cross(b, cxz) * 2 - c * dp + z * s
+            td = td + 2 * J.pair(cs, z) - d * dp
+        if not _z(x.d):
+            q = x.d
+            ta = ta - a * a * q
+            tb = tb - b * (a * q)
+            tc = tc + c * (a * q) - bs * (2 * q)
+            td = td + q * (2 * (a * d) - pbc)
+        return WElt(self, ta * THIRD, tb * THIRD, tc * THIRD, td * THIRD)
 
     # -- rank ------------------------------------------------------------------
 
@@ -194,10 +228,9 @@ class WSpace:
             return False
         if _unit(self.base, v.a) or _unit(self.base, v.d):
             return True
-        fv = self.flat(v)
         vc = v.coords()
         for x in self.basis():
-            t = self.t_vvx(v, x, fv=fv)
+            t = self.t_vvx(v, x)
             if not _proportional(self.base, t.coords(), vc):
                 return False
         return True
@@ -334,28 +367,27 @@ def _mgen_maps(W: WSpace, payload):
 
 def m3c_inverse(J: H3CNS, m):
     """Inverse of a 3x3 matrix over the associative composition algebra of J,
-    by exact linear algebra column by column."""
+    by one exact elimination of m x = 1 for all three columns of x."""
     comp = J.comp
-    from .scalars import linsolve
     d = comp.dim
+    n = 3 * d
     basis = comp.basis()
-    # unknown x: 3x3 over comp with m*x = 1; the system is the same for
-    # every column of x: row (i, k) is coordinate k of sum_j m[i][j] x[j]
+    one = _flat_comp(comp.one())
+    # unknown x: 3x3 over comp with m*x = 1; row (i, k) is coordinate k of
+    # sum_j m[i][j] x[j], augmented with coordinate k of column t of 1
     flat = [[_flat_comp(m[i][j] * u) for j in range(3) for u in basis] for i in range(3)]
-    mat_rows = [[cell[k] for cell in flat[i]] for i in range(3) for k in range(d)]
+    aug = [[cell[k] for cell in flat[i]] + [one[k] if i == t else 0 for t in range(3)]
+           for i in range(3) for k in range(d)]
+    pivots, red, _ = rref(aug)
+    if pivots != list(range(n)):
+        raise PreconditionError("matrix is not invertible")
     out_cols = []
-    for target_col in range(3):
-        rhs = []
-        for i in range(3):
-            rhs.extend(_flat_comp(comp.one() if i == target_col else comp.zero()))
-        sol = linsolve(mat_rows, rhs)
-        if sol is None:
-            raise PreconditionError("matrix is not invertible")
+    for t in range(3):
         col = []
         for j in range(3):
             acc = comp.zero()
-            for cval, u in zip(sol[j * d:(j + 1) * d], basis):
-                acc = acc + u * cval
+            for row, u in zip(red[j * d:(j + 1) * d], basis):
+                acc = acc + u * row[n + t]
             col.append(acc)
         out_cols.append(col)
     return mat_transpose(out_cols)
@@ -540,12 +572,18 @@ def gl2_act(W: WSpace, g, v: WElt, side: str = "left") -> WElt:
 
 
 def det6(W: WSpace, g, side: str = "left"):
-    """Degree-6 similitude of g in M_2(A): <g v0, g w0> for a symplectic pair
-    with <v0, w0> = 1.  Multiplicative, defined for singular g too."""
-    J = W.J
-    v0 = W.elem(1, J.zero(), J.zero(), 0)
-    w0 = W.elem(0, J.zero(), J.zero(), 1)
-    return W.pair(gl2_act(W, g, v0, side), gl2_act(W, g, w0, side))
+    """Degree-6 similitude of g in M_2(A): <g v0, g w0> for the symplectic
+    pair v0 = (1, 0)^t!, w0 = (0, 1)^t! (rows (1, 0)!, (0, 1)! on the right).
+    The action commutes with the shrieks, so this is the pairing of the
+    shrieks of g's columns (rows).  Multiplicative, defined for singular g too."""
+    if not W.J.has_mul:
+        raise DescriptorError("the GL_2 action needs associative coordinates")
+    (g00, g01), (g10, g11) = g
+    if side == "left":
+        return W.pair(shriek_col(W, (g00, g10)), shriek_col(W, (g01, g11)))
+    if side == "right":
+        return W.pair(shriek_row(W, (g00, g01)), shriek_row(W, (g10, g11)))
+    raise DescriptorError("side must be 'left' or 'right'")
 
 
 def m2_identity(J: CNS):

@@ -153,9 +153,8 @@ def lift_wj(W: WSpace, v: WElt) -> LiftResult:
     X = x_of(WE, vE, omega)
     Xbar = x_of(WE, vE, -omega)
     res = LiftResult(extension=E, lifted=X, data={"xbar": Xbar, "omega": omega, "space": WE})
-    fX = WE.flat(X)
     for x in WE.basis():
-        lhs = WE.t_vvx(X, x, fv=fX) * 3
+        lhs = WE.t_vvx(X, x) * 3
         rhs = X * WE.pair(x, X)
         res.require("3t(X,X,x) = <x,X>X", lhs == rhs)
     res.require("rank(X) = 1", not X.is_zero())

@@ -658,11 +658,12 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     s, t = ell_E
     x_wit = JE.mul(s, ueta[1]) - JE.mul(t, ueta[0])
     lamc = WE.pair(X, shriek_col(WE, eta))
-    if not (JE.norm(x_wit) == mu * lamc):
+    witness_ok = JE.norm(x_wit) == mu * lamc
+    if not witness_ok:
         raise IdentityError("witness identity n(ell J_2 U eta) failed")
     out = {
         "E": E, "omega": omega, "lambda": lam,
-        "witness_identity": True,
+        "witness_identity": witness_ok,
         "norm_class_witness": None,
         "value_set": [val for _, val in rows],
     }
@@ -698,7 +699,8 @@ def field_invariant_b2(J: H3CNS, A: CnsElt, B: CnsElt, cap: int = 300,
                     for i in range(3)) for alpha in range(3))
     n6m = n6(J, m)
     nmu = T.norm(mu)
-    if not (nmu * n6m == 1):
+    det_ok = nmu * n6m == 1
+    if not det_ok:
         raise IdentityError("determinant identity n(mu) N_6(m) = 1 failed")
     witness = None
     if J.comp.is_commutative:
@@ -714,7 +716,7 @@ def field_invariant_b2(J: H3CNS, A: CnsElt, B: CnsElt, cap: int = 300,
         witness = comp_norm_class_witness(J.comp, qq(1), nmu, cap)
     return {
         "ring": CubicRing(pd.coeffs), "T": T, "mu": mu,
-        "det_identity": True,
+        "det_identity": det_ok,
         "norm_witness": witness,
     }
 

@@ -29,6 +29,7 @@ from cubicnorm.freudenthal import (
     m2_j2,
     m2_mul,
     m2_scalar,
+    m3c_inverse,
     norm_class_witness,
     r_of,
     s_of,
@@ -37,7 +38,24 @@ from cubicnorm.freudenthal import (
     shriek_row,
 )
 from cubicnorm.freudenthal import _col_apply, _project_col  # test-only internals
-from cubicnorm.scalars import AlgElem, PreconditionError
+from cubicnorm.matops import mat_mul
+from cubicnorm.presets import CNS_SUITE, cns_preset
+from cubicnorm.scalars import AlgElem, PreconditionError, quadratic_field
+
+
+def det6_tensor_cube(W, g, side):
+    """Oracle: <g v0, g w0> through the symmetrized tensor-cube action."""
+    J = W.J
+    v0 = W.elem(1, J.zero(), J.zero(), 0)
+    w0 = W.elem(0, J.zero(), J.zero(), 1)
+    return W.pair(gl2_act(W, g, v0, side), gl2_act(W, g, w0, side))
+
+
+def t_vvx_polarized(W, v, x):
+    """Oracle: t(v, v, x) by polarizing flat, (f(2v+x) - 8f(v) - 2f(v+x)
+    + 2f(v) + f(x)) / 6."""
+    f = W.flat
+    return (f(v * 2 + x) - f(v) * 8 - f(v + x) * 2 + f(v) * 2 + f(x)) * F(1, 6)
 
 
 def spaces():
@@ -102,6 +120,19 @@ def test_trilinear_normalization(rng):
             lhs = W.trilinear(x + y, y, z)
             assert lhs == W.trilinear(x, y, z) + W.trilinear(y, y, z)
             assert W.pair(x, W.trilinear(x, x, x)) == 2 * W.quartic(x)
+
+
+def test_t_vvx_matches_polarization(rng):
+    """The product-rule t(v, v, x) equals the polarized flat on every basis
+    vector (one branch each) and on a dense x, over the eight presets and a
+    base change along Q(sqrt 7)."""
+    structures = [cns_preset(name) for name in CNS_SUITE]
+    structures.append(cns_preset("fxq").base_change(quadratic_field(7)))
+    for J in structures:
+        W = WSpace(J)
+        v = W.random(rng)
+        for x in W.basis() + [W.random(rng)]:
+            assert W.t_vvx(v, x) == t_vvx_polarized(W, v, x), (J.name, x)
 
 
 def test_rank_examples(rng):
@@ -295,6 +326,34 @@ def test_det6(rng):
         assert W.pair(gl2_act(W, g, v, "left"), gl2_act(W, g, w, "left")) == \
             det6(W, g) * W.pair(v, w)
         assert W.quartic(gl2_act(W, g, v, "left")) == det6(W, g) ** 2 * W.quartic(v)
+
+
+def test_det6_matches_tensor_cube(rng):
+    """The shriek closed form of det6 equals <g v0, g w0> through the
+    tensor-cube action, on both sides, over the associative presets and a
+    base change along Q(sqrt 7)."""
+    structures = associative_variants()
+    structures.append(ProductCNS(comp_preset("hamilton")).base_change(quadratic_field(7)))
+    for J in structures:
+        W = WSpace(J)
+        for side in ("left", "right"):
+            for _ in range(3):
+                g = tuple(tuple(J.random(rng) for _ in range(2)) for _ in range(2))
+                assert det6(W, g, side) == det6_tensor_cube(W, g, side), (J.name, side)
+
+
+def test_m3c_inverse(rng):
+    J = cns_preset("h3-quaternion")
+    comp = J.comp
+    one, zero = comp.one(), comp.zero()
+    ident = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    m = tuple(tuple(comp.random(rng, 1) + (one * 4 if i == j else zero) for j in range(3))
+              for i in range(3))
+    assert mat_mul(m, m3c_inverse(J, m)) == ident
+    assert mat_mul(m3c_inverse(J, m), m) == ident
+    singular = (m[0], m[1], tuple(a + b for a, b in zip(m[0], m[1])))
+    with pytest.raises(PreconditionError):
+        m3c_inverse(J, singular)
 
 
 def test_r_conjugation_equivariance(rng):

@@ -104,10 +104,28 @@ def test_cli_usage_errors():
 
 
 def test_cli_bound_exceeded(rng):
-    # an impossible witness bound: cap 0 forces exit 3 on the pair search
-    code, _ = run_cli(["pair", "--preset", "thm-diag", "--coeffs", "1",
-                       "--to", "ideals", "--bound", "0", "--json"])
+    # a witness bound too small to succeed: cap 1 forces exit 3 on the
+    # rank-one decomposition search
+    code, _ = run_cli(["invariant", "--kind", "b2", "--preset", "thm-diag",
+                       "--coeffs", "1", "--bound", "1", "--json"])
     assert code == 3
+
+
+def test_cli_rejects_nonpositive_counts(capsys):
+    """--trials and --bound below 1 are usage errors (exit 2), not a
+    vacuous pass or an empty search, and print no traceback."""
+    cases = [["verify", "--structure", "preset:trivial", "--trials", "-5"],
+             ["verify", "--structure", "preset:trivial", "--trials", "0"],
+             ["pair", "--preset", "thm-diag", "--coeffs", "1", "--to", "ideals",
+              "--bound", "0"],
+             ["lift", "--law", "wj", "--structure", "preset:fxf", "--bound", "-1"]]
+    for argv in cases:
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err and "at least 1" in err, argv
+    code, _ = run_cli(["verify", "--structure", "preset:trivial", "--trials", "1"])
+    assert code == 0
 
 
 def test_cli_cube_round_trip(tmp_path):
