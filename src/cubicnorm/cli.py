@@ -93,7 +93,7 @@ def _structure(spec: str):
     if spec.startswith("comp:"):
         return comp_preset(spec.split(":", 1)[1])
     data = _load_json(spec)
-    if "comp" in data and "cns" not in data:
+    if isinstance(data, dict) and "comp" in data and "cns" not in data:
         return ser.dec_comp_desc(data["comp"])
     return ser.dec_cns_desc(data)
 
@@ -142,8 +142,7 @@ def cmd_lift(args) -> int:
         if args.law == "second":
             res = second_lift(sk, v, cap=args.bound, seed=args.seed)
             payload = {
-                "certificate": [{"identity": e.name, "status": "pass" if e.ok else "fail"}
-                                for e in res.certificate],
+                "certificate": res.to_json()["certificate"],
                 "lambda": ser.enc_base_elt(res.lam),
                 "S": [ser.enc_base_elt(c) for c in res.S.coords],
                 "ok": res.ok(),
@@ -195,6 +194,8 @@ def _pair_input(args):
         if not isinstance(J, H3CNS):
             raise UsageError("the pair commands need a Hermitian structure")
         coeffs = [qq(c) for c in args.coeffs.split(",")] if args.coeffs else [1, 0, -1, 0]
+        if len(coeffs) != 4:
+            raise UsageError(f"--coeffs needs four values a,b,c,d, got {len(coeffs)}")
         A, B = bhargava_pair(J, *coeffs)
         return J, A, B
     if args.preset == "thm-diag":

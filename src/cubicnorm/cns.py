@@ -96,7 +96,7 @@ class CnsElt:
         return f"CnsElt({self.J.name}, {list(self.coords)})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 if isinstance(c, Fraction) else c.is_zero() for c in self.coords)
+        return all(map(self.J.base.is_zero, self.coords))
 
     def norm(self):
         return self.J.norm(self)
@@ -163,11 +163,6 @@ class CNS:
             out.append(CnsElt(self, tuple(coords)))
         return out
 
-    def scal(self, s) -> CnsElt:
-        """The scalar s embedded as s * 1."""
-        return self.one() * self.base.coerce(s) if not isinstance(s, (int, Fraction)) \
-            else self.one() * s
-
     def cross(self, x: CnsElt, y: CnsElt) -> CnsElt:
         return self.adjoint(x + y) - self.adjoint(x) - self.adjoint(y)
 
@@ -187,8 +182,7 @@ class CNS:
             return 0
         if self.adjoint(x).is_zero():
             return 1
-        n = self.norm(x)
-        if (n == 0 if isinstance(n, Fraction) else n.is_zero()):
+        if self.base.is_zero(self.norm(x)):
             return 2
         return 3
 
@@ -197,18 +191,12 @@ class CNS:
                                   for _ in range(self.dim)))
 
     def flatten_elt(self, x: CnsElt) -> list[Fraction]:
-        out: list[Fraction] = []
-        for c in x.coords:
-            out.extend([c] if isinstance(c, Fraction) else c.alg.flatten(c))
-        return out
+        return [f for c in x.coords for f in self.base.flatten(c)]
 
     def unflatten_elt(self, coords: Sequence[Fraction]) -> CnsElt:
-        step = 1 if isinstance(self.base, RationalBase) else self.base.flat_dim()
-        cs = []
-        for i in range(self.dim):
-            chunk = list(coords[i * step:(i + 1) * step])
-            cs.append(chunk[0] if step == 1 else self.base.unflatten(chunk))
-        return CnsElt(self, tuple(cs))
+        step = self.base.flat_dim()
+        return CnsElt(self, tuple(self.base.unflatten(list(coords[i * step:(i + 1) * step]))
+                                  for i in range(self.dim)))
 
     def special_combo(self, x: CnsElt, y: CnsElt, z: CnsElt) -> Optional[CnsElt]:
         """x y z + z y x computed in a special embedding, or None when the
@@ -643,9 +631,6 @@ class SecondKind:
                 out.append(CnsElt(self.B, tuple(coords)))
         return out
 
-    def flatten_b(self, b: CnsElt) -> list[Fraction]:
-        return self.B.flatten_elt(b)
-
     def base_change(self, new_base) -> "SecondKind":
         Knew = self.K.base_change(new_base)
         if self.kind == "matrix":
@@ -927,10 +912,6 @@ def _same(x: CnsElt, y: CnsElt) -> None:
         raise DescriptorError("cubic-norm-structure descriptor mismatch")
 
 
-def _is0(v) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero()
-
-
 def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
                      check_nondegenerate: bool = True) -> CheckReport:
     """Randomized verification of the cubic-norm-structure laws on J.
@@ -942,7 +923,7 @@ def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
     rng = random.Random(seed)
     report = CheckReport(structure=J.name, trials=trials, seed=seed, passes={}, failures={})
     one = J.one()
-    _record(report, "N(1) = 1", J.norm(one) == _as_base(J, 1), one)
+    _record(report, "N(1) = 1", J.norm(one) == J.base.one(), one)
     _record(report, "1# = 1", J.adjoint(one) == one, one)
     if check_nondegenerate and isinstance(J.base, RationalBase):
         basis = J.basis()
@@ -987,10 +968,6 @@ def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
             _record(report, "U_x y = xyx", J.u_op(x, y) == J.mul(J.mul(x, y), x), (x, y))
             _record(report, "x x# = N(x)", J.mul(x, xs) == one * nx, x)
     return report
-
-
-def _as_base(J: CNS, v):
-    return J.base.coerce(qq(v)) if not isinstance(J.base, RationalBase) else qq(v)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ class CompElt:
         return self.coords[0] + self.coords[0]
 
     def is_zero(self) -> bool:
-        return all(c == 0 if isinstance(c, Fraction) else c.is_zero() for c in self.coords)
+        return all(map(self.alg.base.is_zero, self.coords))
 
     def is_unit(self) -> bool:
         return self.alg.base.is_unit(self.norm())

@@ -20,8 +20,6 @@ from .scalars import (
     BoundExceededError,
     DescriptorError,
     PreconditionError,
-    RationalBase,
-    qq,
     rref,
 )
 
@@ -75,18 +73,11 @@ class WElt:
         return f"WElt(a={self.a}, b={list(self.b.coords)}, c={list(self.c.coords)}, d={self.d})"
 
     def is_zero(self) -> bool:
-        return (_z(self.a) and self.b.is_zero() and self.c.is_zero() and _z(self.d))
+        is0 = self.W.base.is_zero
+        return is0(self.a) and self.b.is_zero() and self.c.is_zero() and is0(self.d)
 
     def coords(self) -> tuple:
         return (self.a,) + self.b.coords + self.c.coords + (self.d,)
-
-
-def _z(v) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero()
-
-
-def _unit(base, v) -> bool:
-    return base.is_unit(v)
 
 
 class WSpace:
@@ -125,7 +116,7 @@ class WSpace:
     def random_rank4(self, rng, height: int = 2, integral: bool = True) -> WElt:
         for _ in range(1000):
             v = self.random(rng, height, integral)
-            if _unit(self.base, self.quartic(v)):
+            if self.base.is_unit(self.quartic(v)):
                 return v
         raise BoundExceededError("no rank-4 element found")
 
@@ -172,7 +163,8 @@ class WSpace:
         s = a * d - pbc
         ta, td = self.base.zero(), self.base.zero()
         tb, tc = J.zero(), J.zero()
-        if not _z(x.a):
+        is0 = self.base.is_zero
+        if not is0(x.a):
             p = x.a
             ta = ta + p * (pbc - 2 * (a * d))
             tb = tb + cs * (2 * p) - b * (p * d)
@@ -194,7 +186,7 @@ class WSpace:
             tb = tb + b * dp - J.cross(z, bs) * 2 + cxz * (2 * a)
             tc = tc + J.cross(b, cxz) * 2 - c * dp + z * s
             td = td + 2 * J.pair(cs, z) - d * dp
-        if not _z(x.d):
+        if not is0(x.d):
             q = x.d
             ta = ta - a * a * q
             tb = tb - b * (a * q)
@@ -211,7 +203,7 @@ class WSpace:
             return 1
         if self.flat(v).is_zero():
             return 2
-        if _z(self.quartic(v)):
+        if self.base.is_zero(self.quartic(v)):
             return 3
         return 4
 
@@ -226,7 +218,7 @@ class WSpace:
             return False
         if not (J.pair(v.b, v.c) == 3 * (v.a * v.d)):
             return False
-        if _unit(self.base, v.a) or _unit(self.base, v.d):
+        if self.base.is_unit(v.a) or self.base.is_unit(v.d):
             return True
         vc = v.coords()
         for x in self.basis():
@@ -249,8 +241,8 @@ def _proportional(base, t: tuple, v: tuple) -> bool:
     """t in (base) * v, decided coordinatewise (2x2 minors when no coordinate
     of v is a unit; exact over fields, componentwise over etale bases)."""
     for i, vi in enumerate(v):
-        if _unit(base, vi):
-            lam = t[i] * base.inv(vi) if not isinstance(vi, Fraction) else t[i] / vi
+        if base.is_unit(vi):
+            lam = t[i] * base.inv(vi)
             return all(tj == vj * lam for tj, vj in zip(t, v))
     n = len(v)
     for i in range(n):
@@ -280,7 +272,7 @@ class HOperator:
 
     def similitude(self, W: WSpace):
         if self.kind in ("nj", "nbarj", "wj"):
-            return qq(1) if isinstance(W.base, RationalBase) else W.base.coerce(1)
+            return W.base.coerce(1)
         if self.kind == "m":
             return self.payload[0]
         if self.kind == "mgen":
@@ -310,8 +302,7 @@ def h_apply(op: HOperator, v: WElt) -> WElt:
                     d)
     if op.kind == "m":
         (lam,) = op.payload
-        lam_inv = W.base.inv(W.base.coerce(lam)) if not isinstance(lam, (int, Fraction)) \
-            else 1 / qq(lam)
+        lam_inv = W.base.inv(W.base.coerce(lam))
         return WElt(W, a * lam * lam, b * lam, c, d * lam_inv)
     if op.kind == "wj":
         return WElt(W, d, -c, b, -a)
@@ -330,7 +321,7 @@ def _mgen_maps(W: WSpace, payload):
         if not J.has_mul:
             raise PreconditionError("L(u, v) needs an associative instance")
         nu, nv = J.norm(u), J.norm(vv)
-        if not (_unit(W.base, nu) and _unit(W.base, nv)):
+        if not (W.base.is_unit(nu) and W.base.is_unit(nv)):
             raise PreconditionError("L(u, v) needs invertible u, v")
         us, vs = J.adjoint(u), J.adjoint(vv)
 
@@ -348,12 +339,12 @@ def _mgen_maps(W: WSpace, payload):
                                     "with associative coordinates")
         mstar = mat_star(m, lambda e: e.conj())
         nm = J.norm(J.from_matrix(mat_mul(m, mstar)))
-        if not _unit(W.base, nm):
+        if not W.base.is_unit(nm):
             raise PreconditionError("m must be invertible")
         minv = m3c_inverse(J, m)
         minv_star = mat_star(minv, lambda e: e.conj())
-        nm_inv = W.base.inv(nm) if not isinstance(nm, Fraction) else 1 / nm
-        mu_q = qq(mu) if isinstance(mu, (int, Fraction)) else mu
+        nm_inv = W.base.inv(nm)
+        mu_q = W.base.coerce(mu)
 
         def t(b):
             return J.from_matrix(mat_mul(mat_mul(m, J.to_matrix(b)), mstar)) * mu_q
@@ -367,16 +358,23 @@ def _mgen_maps(W: WSpace, payload):
 
 def m3c_inverse(J: H3CNS, m):
     """Inverse of a 3x3 matrix over the associative composition algebra of J,
-    by one exact elimination of m x = 1 for all three columns of x."""
+    by one exact elimination of m x = 1 for all three columns of x.  The
+    unknowns are the rational coordinates of x along the products of the
+    C-basis with the base's Q-basis, so base-changed coordinates solve too."""
     comp = J.comp
-    d = comp.dim
+    base = comp.base
+    units = [u * b for u in comp.basis() for b in base.basis()]
+    d = len(units)
     n = 3 * d
-    basis = comp.basis()
-    one = _flat_comp(comp.one())
-    # unknown x: 3x3 over comp with m*x = 1; row (i, k) is coordinate k of
+
+    def flat(x: CompElt) -> list[Fraction]:
+        return [f for c in x.coords for f in base.flatten(c)]
+
+    one = flat(comp.one())
+    # unknown x: 3x3 over comp with m*x = 1; row (i, k) is Q-coordinate k of
     # sum_j m[i][j] x[j], augmented with coordinate k of column t of 1
-    flat = [[_flat_comp(m[i][j] * u) for j in range(3) for u in basis] for i in range(3)]
-    aug = [[cell[k] for cell in flat[i]] + [one[k] if i == t else 0 for t in range(3)]
+    cells = [[flat(m[i][j] * u) for j in range(3) for u in units] for i in range(3)]
+    aug = [[cell[k] for cell in cells[i]] + [one[k] if i == t else 0 for t in range(3)]
            for i in range(3) for k in range(d)]
     pivots, red, _ = rref(aug)
     if pivots != list(range(n)):
@@ -386,18 +384,11 @@ def m3c_inverse(J: H3CNS, m):
         col = []
         for j in range(3):
             acc = comp.zero()
-            for row, u in zip(red[j * d:(j + 1) * d], basis):
+            for row, u in zip(red[j * d:(j + 1) * d], units):
                 acc = acc + u * row[n + t]
             col.append(acc)
         out_cols.append(col)
     return mat_transpose(out_cols)
-
-
-def _flat_comp(x: CompElt) -> list[Fraction]:
-    out = []
-    for c in x.coords:
-        out.extend([c] if isinstance(c, Fraction) else c.alg.flatten(c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +628,7 @@ def lambda_invariant(W: WSpace, v: WElt, cap: int = 200, seed: int = 0):
         raise PreconditionError("lambda invariant needs a rank-one element")
     for ell in iter_search_rows(W.J, cap, seed):
         val = W.pair(shriek_row(W, ell), v)
-        if _unit(W.base, val):
+        if W.base.is_unit(val):
             return val
     raise BoundExceededError("lambda search bound exceeded; raise cap")
 

@@ -34,7 +34,7 @@ from .cns import (
     cubic_ring_algebra,
     tensor_cross,
 )
-from .composition import CompAlgebra, CompElt
+from .composition import CompAlgebra
 from .freudenthal import (
     HALF,
     HOperator,
@@ -177,9 +177,9 @@ def lift_wa_refined(W: WSpace, v: WElt, eta=None, ell=None,
     q = W.quartic(v)
     if not W.base.is_unit(q):
         raise PreconditionError("lift needs q(v) != 0")
-    E = quadratic_field(q) if isinstance(W.base, RationalBase) else None
-    if E is None:
+    if not isinstance(W.base, RationalBase):
         raise PreconditionError("refined law starts from the ground field")
+    E = quadratic_field(q)
     JE = W.J.base_change(E)
     WE = WSpace(JE)
     vE = w_coerce(WE, v)
@@ -229,7 +229,7 @@ def unique_lift_recover(W: WSpace, v1: WElt, v2: WElt, omega_sq):
     t = None
     for a, b in zip(fc, vc):
         if W.base.is_unit(a):
-            t = b * (W.base.inv(a) if not isinstance(a, Fraction) else 1 / a)
+            t = b * W.base.inv(a)
             break
     if t is None:
         return None
@@ -503,14 +503,8 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps,
     return eps
 
 
-def _comp_to_T(compT: CompAlgebra, e: CompElt) -> CompElt:
-    T = compT.base
-    return CompElt(compT, tuple(T.scalar_mul_one(c) if isinstance(c, Fraction) else c
-                                for c in e.coords))
-
-
 def _lift_to_T(compT: CompAlgebra, m):
-    return tuple(tuple(_comp_to_T(compT, e) for e in row) for row in m)
+    return tuple(tuple(compT.elem(e.coords) for e in row) for row in m)
 
 
 def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
@@ -531,7 +525,7 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
         rng = random.Random(0)
     if v is None:
         v = tuple(J.comp.random(rng) for _ in range(3))
-    vT = tuple(_comp_to_T(compT, x) for x in v)
+    vT = tuple(compT.elem(x.coords) for x in v)
     veps = row_times_mat(vT, eps)
     outer = mat_mul(mat_star((veps,), lambda e: e.conj()), (veps,))
     lhs = H3T.from_matrix(outer) * pd.Q
@@ -600,22 +594,16 @@ def herm_pair_B(sk: SecondKind, eta1, eta2) -> CnsElt:
     return B.mul(sk.star(x), y2) - B.mul(sk.star(y), x2)
 
 
-@dataclass
-class SecondLift:
+@dataclass(kw_only=True)
+class SecondLift(LiftResult):
+    """The second lift's certificate together with its Tits data."""
+
     sk: SecondKind
     omega: AlgElem
     lam: AlgElem
     eta: tuple
-    S: CnsElt
-    U: TitsUCNS
-    lifted: WElt
-    certificate: list = field(default_factory=list)
-
-    def check(self, name: str, ok: bool) -> None:
-        self.certificate.append(CertEntry(name, ok))
-
-    def ok(self) -> bool:
-        return all(e.ok for e in self.certificate)
+    S: Optional[CnsElt] = None
+    U: Optional[TitsUCNS] = None
 
 
 def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> SecondLift:
@@ -648,7 +636,7 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
             break
     if eta is None:
         raise BoundExceededError("eta search bound exceeded; raise cap")
-    res = SecondLift(sk, omega, lam, eta, None, None, None)  # type: ignore[arg-type]
+    res = SecondLift(extension=None, lifted=None, sk=sk, omega=omega, lam=lam, eta=eta)
     res.check("lambda eta! = X(-omega, v)", shriek_col(WB, eta) * lam == Xbar)
     hb = herm_pair_B(sk, eta, eta)
     res.check("<eta,eta>_B is *-antisymmetric", sk.star(hb) == -hb)
@@ -1202,9 +1190,9 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
         cur = cur * lam
         ops.append(("scale", lam))
     # step 4: if d = 0 and tr(c#) = 0, move to tr(c#) != 0
-    if _z(cur.d):
+    if W.base.is_zero(cur.d):
         cs = J.adjoint(cur.c)
-        if _z(J.trace(cs)):
+        if W.base.is_zero(J.trace(cs)):
             moved = False
             for y in iter_elements(J, cap, seed + 1):
                 ny = J.norm(y)
@@ -1213,7 +1201,7 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
                 y2 = J.cross(y, y) * HALF  # y^2 via cross for non-mul instances
                 if J.has_mul:
                     y2 = J.mul(y, y)
-                if _z(J.pair(y2, cs)):
+                if W.base.is_zero(J.pair(y2, cs)):
                     continue
                 # diag(y^{-1}, y) in G, then rescale by n(y)
                 cur2 = _diag_apply(sk, W, y, cur)
@@ -1229,7 +1217,7 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     # construction at (1, 0, c, d)
     c, d = cur.c, cur.d
     if W.base.is_unit(d):
-        d_inv = W.base.inv(d) if not isinstance(d, Fraction) else 1 / d
+        d_inv = W.base.inv(d)
         h = J.adjoint(c) * (-2 * d_inv)
         eta = (B.one(), sk.embed(h))
     else:
@@ -1244,7 +1232,7 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     for kind, *payload in reversed(ops):
         if kind == "scale":
             s = payload[0]
-            h = h * (W.base.inv(s) if not isinstance(s, Fraction) else 1 / s)
+            h = h * W.base.inv(s)
         else:
             _, minv = payload
             eta = (B.mul(minv[0][0], eta[0]) + B.mul(minv[0][1], eta[1]),
@@ -1256,7 +1244,7 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     WB = WSpace(B)
     xB = embed_w(sk, WB, x)
     res_data = {"h": h, "eta": eta}
-    lam = K.from_rational(nh) if isinstance(nh, Fraction) else K.scalar_mul_one(nh)
+    lam = K.coerce(nh)
     U = TitsUCNS(sk, J.adjoint(h), lam)
     WU = WSpace(U)
     lifted = WU.elem(x.a, U.join(x.b, -eta[0]), U.join(x.c, eta[1]), x.d)
@@ -1276,10 +1264,6 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     res.require("x + eta rank one in W_U(h)",
                 (not lifted.is_zero()) and WU.is_rank_le1(lifted))
     return res
-
-
-def _z(v) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero()
 
 
 def _m2b(sk: SecondKind, kind: str, X: Optional[CnsElt] = None):

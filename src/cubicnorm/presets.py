@@ -19,6 +19,7 @@ from .cns import (
     tits_construct,
 )
 from .composition import CompAlgebra, comp_preset
+from .lifting import disc_binary_cubic
 from .scalars import DescriptorError, qq
 
 
@@ -45,6 +46,9 @@ def cns_preset(name: str) -> CNS:
             coeffs = [qq(c) for c in name.split(":", 1)[1].split(",")]
         else:
             coeffs = [qq(1), qq(0), qq(0), qq(1)]  # x^3 + y^3
+        if len(coeffs) != 4 or disc_binary_cubic(*coeffs) == 0:
+            raise DescriptorError("etale-cubic needs four coefficients a,b,c,d "
+                                  "of nonzero discriminant")
         return CubicRingCNS(cubic_ring_algebra(*coeffs))
     if name == "matrix3":
         return Matrix3CNS()

@@ -262,11 +262,8 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     Rr = r_right(W, v)
     omega_inv = E.inv(omega)
     # eps = (w + R_r(v)) / (2w), entries over A_E
-    def lift_elt(x: CnsElt) -> CnsElt:
-        return CnsElt(JE, tuple(E.from_rational(c) for c in x.coords))
-
     half_oinv = omega_inv * HALF
-    eps = tuple(tuple((lift_elt(Rr[i][j]) + (JE.one() if i == j else JE.zero()) * omega)
+    eps = tuple(tuple((JE.elem(Rr[i][j].coords) + (JE.one() if i == j else JE.zero()) * omega)
                       * half_oinv for j in range(2)) for i in range(2))
     # Omega = (D + R_r)/2 integral: the S-action on column vectors
     Omega = tuple(tuple((Rr[i][j] + (J.one() if i == j else J.zero()) * D) * HALF
@@ -277,7 +274,7 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     found = None
     candidates = [ell] if ell is not None else iter_ell_candidates(J, E, eps, cap, seed)
     for cand in candidates:
-        ell_E = (lift_elt(cand[0]), lift_elt(cand[1]))
+        ell_E = (JE.elem(cand[0].coords), JE.elem(cand[1].coords))
         beta = WE.pair(shriek_row(WE, ell_E), Xbar) * E.inv(omega * omega * omega)
         if E.is_unit(beta):
             found = (cand, beta)
@@ -285,7 +282,7 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     if found is None:
         raise BoundExceededError("ell search bound exceeded; raise cap")
     ell, beta = found
-    ell_E = (lift_elt(ell[0]), lift_elt(ell[1]))
+    ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
     b = row_times_mat(ell_E, eps)
     ideal = IdealSA(ring, J, E, tuple(b), beta)
     res.data["ideal"] = ideal
@@ -298,14 +295,14 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
         res.require(name, ok)
     # S-stability: tau b = b Omega_tau with integral Omega_tau = (Omega as tau-action)
     tau_b = tuple(x * tau for x in b)
-    b_Om = tuple(_row_entry(JE, b, Omega, j, lift_elt) for j in range(2))
+    b_Om = tuple(_row_entry(JE, b, Omega, j) for j in range(2))
     res.require("tau b = b Omega (S-stability with integral action)",
                 all(x == y for x, y in zip(tau_b, b_Om)))
     return ring, ideal, res
 
 
-def _row_entry(JE, b, M, j, lift_elt):
-    return JE.mul(b[0], lift_elt(M[0][j])) + JE.mul(b[1], lift_elt(M[1][j]))
+def _row_entry(JE, b, M, j):
+    return JE.mul(b[0], JE.elem(M[0][j].coords)) + JE.mul(b[1], JE.elem(M[1][j].coords))
 
 
 def balanced_to_cube(ideal: IdealSA) -> tuple:
@@ -461,17 +458,13 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     H3T = H3CNS(compT)
     ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
 
-    def to_T(x: CompElt) -> CompElt:
-        return CompElt(compT, tuple(T.scalar_mul_one(c) if isinstance(c, Fraction) else c
-                                    for c in x.coords))
-
     found = None
     if v0 is not None:
         cands = [v0]
     else:
         cands = iter_comp_rows(J.comp, 3, cap, seed)
     for cand in cands:
-        vT = tuple(to_T(x) for x in cand)
+        vT = tuple(compT.elem(x.coords) for x in cand)
         yv = mat_times_col(ymat, tuple(x.conj() for x in vT))
         val = vT[0] * yv[0] + vT[1] * yv[1] + vT[2] * yv[2]
         scalar = val.coords[0]
@@ -481,8 +474,8 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     if found is None:
         raise BoundExceededError("v0 search bound exceeded; raise cap")
     v0, vyv = found
-    beta = vyv * qq(1) / pd.Q if isinstance(vyv, Fraction) else vyv * (1 / pd.Q)
-    vT = tuple(to_T(x) for x in v0)
+    beta = vyv * (1 / pd.Q)
+    vT = tuple(compT.elem(x.coords) for x in v0)
     b = row_times_mat(vT, eps)
     ring = CubicRing(pd.coeffs)
     ideal = IdealTC(ring, J.comp, T, tuple(b), beta)
@@ -495,7 +488,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B
     omega = pd.omega
     wb = tuple(x * omega for x in b)
-    srw = tuple(tuple(to_T(e) for e in row) for row in sr.images["omega"])
+    srw = tuple(tuple(compT.elem(e.coords) for e in row) for row in sr.images["omega"])
     bsr = row_times_mat(b, srw)
     res.require("w b = b S_r(w) (T-stability with integral action)",
                 all(x == y for x, y in zip(wb, bsr))
@@ -589,18 +582,13 @@ def lambda_value_set(J: CNS, WE: WSpace, X: WElt, cap: int = 60, seed: int = 0):
     E = WE.base
     out = []
     for ell in iter_search_rows(J, cap, seed):
-        ell_E = (_lift_elt(JE, E, ell[0]), _lift_elt(JE, E, ell[1]))
+        ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
         val = WE.pair(shriek_row(WE, ell_E), X)
         if E.is_unit(val):
             out.append((ell, val))
             if len(out) >= 24:
                 break
     return out
-
-
-def _lift_elt(JE: CNS, E: QuotientAlgebra, x: CnsElt) -> CnsElt:
-    return CnsElt(JE, tuple(E.from_rational(c) if isinstance(c, Fraction) else c
-                            for c in x.coords))
 
 
 def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
@@ -626,7 +614,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     rows = lambda_value_set(J, WE, X, cap, seed)
     cols = []
     for eta in iter_search_rows(J, cap, seed + 1):
-        eta_E = (_lift_elt(JE, E, eta[0]), _lift_elt(JE, E, eta[1]))
+        eta_E = (JE.elem(eta[0].coords), JE.elem(eta[1].coords))
         val = WE.pair(X, shriek_col(WE, eta_E))
         if E.is_unit(val):
             cols.append((eta_E, val))
@@ -648,7 +636,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
         eta, lamc = cols[0]
         pick = (ell, eta, lamc, False)
     ell, eta, lam, exact = pick
-    ell_E = (_lift_elt(JE, E, ell[0]), _lift_elt(JE, E, ell[1]))
+    ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
     mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
     R = r_of(WE, vE)
     u0, v0 = eta

@@ -9,6 +9,7 @@ floating point appears anywhere.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -98,8 +99,9 @@ class RationalBase:
             raise DescriptorError("cannot coerce an algebra element into QQ")
         return Fraction(x)
 
-    def is_zero(self, x: Fraction) -> bool:
-        return x == 0
+    # a C-level callable, not a method: mul_coords asks it about every
+    # coordinate of every product
+    is_zero = staticmethod(operator.not_)
 
     def is_unit(self, x: Fraction) -> bool:
         return x != 0
@@ -107,7 +109,7 @@ class RationalBase:
     def inv(self, x: Fraction) -> Fraction:
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / x
+        return Fraction(1) / x
 
     def norm(self, x: Fraction) -> Fraction:
         return x
@@ -124,6 +126,9 @@ class RationalBase:
 
     def flat_dim(self) -> int:
         return 1
+
+    def basis(self) -> list[Fraction]:
+        return [Fraction(1)]
 
     def random(self, rng, height: int = 3, integral: bool = True) -> Fraction:
         num = rng.randint(-height, height)
@@ -222,8 +227,7 @@ class AlgElem:
         return f"{self.alg.name}({terms})"
 
     def is_zero(self) -> bool:
-        return all(c == 0 if isinstance(c, Fraction) else c.is_zero()
-                   for c in self.coords)
+        return all(map(self.alg.base.is_zero, self.coords))
 
     def norm(self):
         return self.alg.norm(self)
@@ -301,27 +305,16 @@ class CommAlgebra:
     # -- arithmetic ---------------------------------------------------------
 
     def mul_coords(self, a, b):
-        dim = self.dim
-        out = [self.base.zero()] * dim
-        for i in range(dim):
-            ai = a[i]
-            if isinstance(ai, Fraction):
-                if ai == 0:
-                    continue
-            elif ai.is_zero():
+        is0 = self.base.is_zero
+        out = [self.base.zero()] * self.dim
+        for ai, row in zip(a, self.table):
+            if is0(ai):
                 continue
-            row = self.table[i]
-            for j in range(dim):
-                bj = b[j]
-                if isinstance(bj, Fraction):
-                    if bj == 0:
-                        continue
-                elif bj.is_zero():
+            for bj, cell in zip(b, row):
+                if is0(bj):
                     continue
                 prod = ai * bj
-                cell = row[j]
-                for k in range(dim):
-                    c = cell[k]
+                for k, c in enumerate(cell):
                     if c:
                         out[k] = out[k] + prod * c
         return tuple(out)
@@ -390,24 +383,15 @@ class CommAlgebra:
     # -- flattening to Q (for exact linear algebra) --------------------------
 
     def flat_dim(self) -> int:
-        return self.dim * (self.base.flat_dim() if not isinstance(self.base, RationalBase) else 1)
+        return self.dim * self.base.flat_dim()
 
     def flatten(self, u: AlgElem) -> list[Fraction]:
-        out: list[Fraction] = []
-        for c in u.coords:
-            if isinstance(c, Fraction):
-                out.append(c)
-            else:
-                out.extend(c.alg.flatten(c))
-        return out
+        return [f for c in u.coords for f in self.base.flatten(c)]
 
     def unflatten(self, coords: Sequence[Fraction]) -> AlgElem:
-        step = self.base.flat_dim() if not isinstance(self.base, RationalBase) else 1
-        cs = []
-        for i in range(self.dim):
-            chunk = coords[i * step:(i + 1) * step]
-            cs.append(chunk[0] if step == 1 else self.base.unflatten(chunk))
-        return AlgElem(self, tuple(cs))
+        step = self.base.flat_dim()
+        return AlgElem(self, tuple(self.base.unflatten(coords[i * step:(i + 1) * step])
+                                   for i in range(self.dim)))
 
     def random(self, rng, height: int = 3, integral: bool = True) -> AlgElem:
         return AlgElem(self, tuple(self.base.random(rng, height, integral)
@@ -664,16 +648,11 @@ class MatrixQ:
                     [qq(x) for x in rhs])
         alg = self._alg
         n = alg.flat_dim()
-        mat = []
-        basis_b = alg.basis() if isinstance(alg.base, RationalBase) else None
+        units = [AlgElem(alg, tuple(b if k == i else alg.base.zero()
+                                    for k in range(alg.dim)))
+                 for i in range(alg.dim) for b in alg.base.basis()]
         cols = []
         for j in range(self.cols):
-            if basis_b is not None:
-                units = basis_b
-            else:
-                units = [AlgElem(alg, tuple(b if k == i else alg.base.zero()
-                                            for k in range(alg.dim)))
-                         for i in range(alg.dim) for b in alg.base.basis()]
             for u in units:
                 col = []
                 for i in range(self.rows):

@@ -31,6 +31,7 @@ from .scalars import (
     CommAlgebra,
     DescriptorError,
     QuotientAlgebra,
+    det_fraction,
     qq,
     scalar_from_str,
     scalar_to_str,
@@ -42,9 +43,33 @@ def enc_scalar(x: Fraction) -> str:
 
 
 def dec_scalar(s) -> Fraction:
-    if isinstance(s, int):
-        return qq(s)
-    return scalar_from_str(s)
+    if not isinstance(s, (int, float, str)):
+        raise DescriptorError(f"a scalar must be a \"p/q\" string, got {type(s).__name__}")
+    try:
+        return qq(s) if isinstance(s, int) else scalar_from_str(s)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise DescriptorError(f"malformed scalar {s!r}") from None
+
+
+def _as(kind: type, data, what: str, length: Optional[int] = None):
+    """data, checked to have decoded from JSON as a ``kind`` (an object or an
+    array, the array of the given length when one is given)."""
+    if not isinstance(data, kind):
+        raise DescriptorError(f"{what}: expected a JSON {'object' if kind is dict else 'array'}, "
+                              f"got {type(data).__name__}")
+    if length is not None and len(data) != length:
+        raise DescriptorError(f"{what}: expected {length} entries, got {len(data)}")
+    return data
+
+
+def _at(data, *keys):
+    """data[k0][k1]..., each level checked to be a JSON object."""
+    for key in keys:
+        if not isinstance(data, dict):
+            raise DescriptorError(f"expected a JSON object with key {key!r}, "
+                                  f"got {type(data).__name__}")
+        data = data[key]
+    return data
 
 
 def enc_base_elt(x) -> object:
@@ -57,7 +82,7 @@ def enc_base_elt(x) -> object:
 
 def dec_base_elt(base, data):
     if isinstance(base, CommAlgebra):
-        return base.elem([dec_base_elt(base.base, d) for d in data])
+        return base.elem([dec_base_elt(base.base, d) for d in _as(list, data, "algebra element")])
     return dec_scalar(data)
 
 
@@ -66,7 +91,7 @@ def enc_comp_desc(comp: CompAlgebra) -> dict:
 
 
 def dec_comp_desc(data: dict) -> CompAlgebra:
-    return CompAlgebra(tuple(dec_scalar(g) for g in data["gammas"]))
+    return CompAlgebra(tuple(dec_scalar(g) for g in _as(list, _at(data, "gammas"), "gammas")))
 
 
 def enc_comp_elt(x: CompElt) -> dict:
@@ -74,8 +99,8 @@ def enc_comp_elt(x: CompElt) -> dict:
 
 
 def dec_comp_elt(data: dict) -> CompElt:
-    comp = dec_comp_desc(data["comp"])
-    return comp.elem([dec_scalar(c) for c in data["coords"]])
+    comp = dec_comp_desc(_at(data, "comp"))
+    return comp.elem([dec_scalar(c) for c in _as(list, data["coords"], "coords")])
 
 
 def enc_cns_desc(J: CNS) -> dict:
@@ -104,19 +129,24 @@ def enc_cns_desc(J: CNS) -> dict:
 
 
 def dec_cns_desc(data: dict) -> CNS:
-    d = data["cns"] if "cns" in data else data
-    variant = d["variant"]
+    d = _at(data, "cns") if "cns" in _as(dict, data, "structure") else data
+    variant = _at(d, "variant")
     if variant == "trivial":
         J = TrivialCNS()
     elif variant == "fxc":
         J = ProductCNS(dec_comp_desc(d["comp"]))
     elif variant == "cubic":
         if "table" in d:
-            table = tuple(tuple(tuple(dec_scalar(x) for x in cell) for cell in row)
-                          for row in d["table"])
+            table = tuple(tuple(tuple(dec_scalar(x) for x in _as(list, cell, "table", 3))
+                                for cell in _as(list, row, "table", 3))
+                          for row in _as(list, d["table"], "table", 3))
             J = CubicRingCNS(CommAlgebra("T", table))
         else:
-            J = CubicRingCNS(cubic_ring_algebra(*[dec_scalar(c) for c in d["coeffs"]]))
+            coeffs = _as(list, d["coeffs"], "coeffs", 4)
+            J = CubicRingCNS(cubic_ring_algebra(*[dec_scalar(c) for c in coeffs]))
+        if det_fraction([[J.pair(x, y) for y in J.basis()] for x in J.basis()]) == 0:
+            raise DescriptorError("a cubic descriptor needs an etale cubic algebra "
+                                  "(a trace form of nonzero determinant)")
     elif variant == "matrix3":
         J = Matrix3CNS()
     elif variant == "h3":
@@ -126,7 +156,8 @@ def dec_cns_desc(data: dict) -> CNS:
     else:
         raise DescriptorError(f"unknown cns variant {variant!r}")
     if "base" in d:
-        J = J.base_change(QuotientAlgebra([dec_scalar(c) for c in d["base"]["modulus"]]))
+        modulus = _as(list, _at(d, "base", "modulus"), "modulus")
+        J = J.base_change(QuotientAlgebra([dec_scalar(c) for c in modulus]))
     return J
 
 
@@ -139,7 +170,7 @@ def enc_cns_elt(x: CnsElt) -> dict:
 def dec_cns_elt(data: dict, J: Optional[CNS] = None) -> CnsElt:
     if J is None:
         J = dec_cns_desc(data)
-    return CnsElt(J, tuple(dec_base_elt(J.base, c) for c in data["coords"]))
+    return J.elem([dec_base_elt(J.base, c) for c in _as(list, _at(data, "coords"), "coords")])
 
 
 def enc_w_elt(v: WElt) -> dict:
@@ -154,11 +185,11 @@ def enc_w_elt(v: WElt) -> dict:
 def dec_w_elt(data: dict, W: WSpace) -> WElt:
     J = W.J
     base = W.base
-    if "cube" in data:
-        return cube_to_w(data["cube"], W)
+    if "cube" in _as(dict, data, "W element"):
+        return cube_to_w(_as(list, data["cube"], "cube"), W)
     return W.elem(dec_base_elt(base, data["a"]),
-                  CnsElt(J, tuple(dec_base_elt(base, c) for c in data["b"])),
-                  CnsElt(J, tuple(dec_base_elt(base, c) for c in data["c"])),
+                  J.elem([dec_base_elt(base, c) for c in _as(list, data["b"], "b")]),
+                  J.elem([dec_base_elt(base, c) for c in _as(list, data["c"], "c")]),
                   dec_base_elt(base, data["d"]))
 
 
@@ -172,6 +203,8 @@ def cube_to_w(cube, W: Optional[WSpace] = None) -> WElt:
     using the primitive idempotents of the split cubic ring."""
     if W is None:
         W = cube_space()
+    elif W != cube_space():
+        raise DescriptorError("a cube lives in the cube space (structure preset:cubic-split)")
     if len(cube) != 8:
         raise DescriptorError("a cube needs exactly 8 integers")
     a, b1, b2, b3, c1, c2, c3, d = [dec_scalar(x) for x in cube]
@@ -212,13 +245,13 @@ def enc_ideal_sa(ideal) -> dict:
 def dec_ideal_sa(data: dict):
     from .rings_ideals import IdealSA, quad_ring
 
-    ring = quad_ring(dec_scalar(data["ring"]["quad"]["D"]))
+    ring = quad_ring(dec_scalar(_at(data, "ring", "quad", "D")))
     J = dec_cns_desc(data["structure"])
     E = ring.field()
     JE = J.base_change(E)
-    basis = tuple(CnsElt(JE, tuple(dec_base_elt(E, c) for c in b)) for b in data["basis"])
-    beta = dec_base_elt(E, data["beta"])
-    return IdealSA(ring, J, E, basis, beta)
+    basis = tuple(JE.elem([dec_base_elt(E, c) for c in _as(list, b, "basis element")])
+                  for b in _as(list, data["basis"], "basis", 2))
+    return IdealSA(ring, J, E, basis, _dec_unit(E, data["beta"]))
 
 
 def enc_ideal_tc(ideal) -> dict:
@@ -233,12 +266,19 @@ def enc_ideal_tc(ideal) -> dict:
 def dec_ideal_tc(data: dict):
     from .rings_ideals import CubicRing, IdealTC
 
-    coeffs = tuple(dec_scalar(c) for c in data["ring"]["cubic"]["coeffs"])
-    ring = CubicRing(coeffs)
+    coeffs = _as(list, _at(data, "ring", "cubic", "coeffs"), "coeffs", 4)
+    ring = CubicRing(tuple(dec_scalar(c) for c in coeffs))
     comp = dec_comp_desc(data["comp"])
     T = ring.algebra()
     compT = comp.base_change(T)
-    basis = tuple(CompElt(compT, tuple(dec_base_elt(T, c) for c in b))
-                  for b in data["basis"])
-    beta = dec_base_elt(T, data["beta"])
-    return IdealTC(ring, comp, T, basis, beta)
+    basis = tuple(compT.elem([dec_base_elt(T, c) for c in _as(list, b, "basis element")])
+                  for b in _as(list, data["basis"], "basis", 3))
+    return IdealTC(ring, comp, T, basis, _dec_unit(T, data["beta"]))
+
+
+def _dec_unit(alg: CommAlgebra, data) -> AlgElem:
+    """An element of alg that must be a unit (an ideal's scale beta)."""
+    beta = dec_base_elt(alg, data)
+    if not alg.is_unit(beta):
+        raise DescriptorError("beta must be a unit")
+    return beta

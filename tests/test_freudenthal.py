@@ -354,6 +354,16 @@ def test_m3c_inverse(rng):
     singular = (m[0], m[1], tuple(a + b for a, b in zip(m[0], m[1])))
     with pytest.raises(PreconditionError):
         m3c_inverse(J, singular)
+    # base-changed coordinates: the unipotent [[1, sqrt7, 0], [0, 1, 0], [0, 0, 1]]
+    E = quadratic_field(7)
+    JE = H3CNS(comp_preset("hamilton").base_change(E))
+    compE = JE.comp
+    one, zero = compE.one(), compE.zero()
+    identE = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    u = ((one, compE.from_scalar(E.gen()), zero), (zero, one, zero), (zero, zero, one))
+    inv = m3c_inverse(JE, u)
+    assert inv[0][1] == compE.from_scalar(-E.gen())
+    assert mat_mul(u, inv) == identE and mat_mul(inv, u) == identE
 
 
 def test_r_conjugation_equivariance(rng):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicnorm.scalars import (
+    QQ_BASE,
     DescriptorError,
     MatrixQ,
     QuotientAlgebra,
@@ -125,6 +126,15 @@ def test_rational_sqrt():
     assert rational_sqrt(F(49, 4)) == F(7, 2)
     assert rational_sqrt(F(2)) is None
     assert rational_sqrt(F(-4)) is None
+
+
+def test_rational_base_inv_is_exact():
+    for x, inv in [(3, F(1, 3)), (-4, F(-1, 4)), (F(2, 5), F(5, 2))]:
+        got = QQ_BASE.inv(x)
+        assert type(got) is F and got == inv
+    for zero in (0, F(0)):
+        with pytest.raises(ZeroDivisionError):
+            QQ_BASE.inv(zero)
 
 
 def test_poly_discriminant():

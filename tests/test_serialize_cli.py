@@ -2,8 +2,12 @@
 
 import io
 import json
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicnorm import serialize as ser
 from cubicnorm.cli import main
@@ -186,3 +190,65 @@ def test_cli_second_lift(rng):
                          "--input", data, "--json"])
     assert code == 0
     assert json.loads(out)["ok"]
+
+
+MALFORMED = [
+    ["lift", "--structure", "preset:fxf", "--input",
+     '{"a": "1/0", "b": ["1", "0"], "c": ["0", "0"], "d": "1"}'],
+    ["lift", "--structure", "preset:fxf", "--input", "[1, 2]"],
+    ["lift", "--structure", "preset:fxf", "--input", '{"a": "1", "b": 5, "c": [], "d": "0"}'],
+    ["lift", "--structure", "preset:fxf", "--input", '{"cube": [1, 0, 1, 1, 0, 1, 1, -2]}'],
+    ["verify", "--structure", '{"cns": "nope"}'],
+    ["verify", "--structure", "[1]"],
+    ["verify", "--structure", "preset:etale-cubic:1,0,0,0"],
+    ["verify", "--structure", '{"cns": {"variant": "cubic", "coeffs": [1, 0, 0, 0]}}'],
+    ["pair", "--preset", "bhargava-a1b1", "--coeffs", "1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=[
+    "scalar-1/0", "w-not-object", "b-not-array", "cube-outside-cube-space",
+    "cns-not-object", "structure-not-object", "etale-cubic-disc-0", "cubic-json-disc-0",
+    "two-coeffs"])
+def test_cli_malformed_input_is_usage_error(argv, capsys):
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 2, argv
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["1", "-2/3", "1/0", "x", "", "1e3", "nan"]) | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["a", "b", "c", "d", "cube"]), inner,
+                                     max_size=5)),
+    max_leaves=10)
+
+
+@st.composite
+def mangled_w_inputs(draw):
+    """A valid fxf element of W with one part replaced, dropped or garbled."""
+    data = {"a": "1", "b": ["1", "0"], "c": ["0", "1"], "d": "2"}
+    how = draw(st.sampled_from(["whole", "value", "coordinate", "drop"]))
+    if how == "whole":
+        return draw(JSON_VALUES)
+    key = draw(st.sampled_from(sorted(data)))
+    if how == "drop":
+        del data[key]
+    elif how == "coordinate" and key in ("b", "c"):
+        data[key][draw(st.integers(0, 1))] = draw(JSON_VALUES)
+    else:
+        data[key] = draw(JSON_VALUES)
+    return data
+
+
+@settings(max_examples=60, deadline=None)
+@given(mangled_w_inputs())
+def test_cli_mangled_input_never_crashes(data):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(["lift", "--law", "wj", "--structure", "preset:fxf",
+                           "--input", json.dumps(data)])
+    assert code in (0, 2, 3), (data, err.getvalue())
+    assert "Traceback" not in err.getvalue()
