@@ -193,11 +193,6 @@ class CNS:
     def flatten_elt(self, x: CnsElt) -> list[Fraction]:
         return [f for c in x.coords for f in self.base.flatten(c)]
 
-    def unflatten_elt(self, coords: Sequence[Fraction]) -> CnsElt:
-        step = self.base.flat_dim()
-        return CnsElt(self, tuple(self.base.unflatten(list(coords[i * step:(i + 1) * step]))
-                                  for i in range(self.dim)))
-
     def special_combo(self, x: CnsElt, y: CnsElt, z: CnsElt) -> Optional[CnsElt]:
         """x y z + z y x computed in a special embedding, or None when the
         instance has no concrete ambient associative algebra."""

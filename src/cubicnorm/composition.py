@@ -198,6 +198,9 @@ class CompElt:
         return self.coords == o.coords
 
     def __hash__(self) -> int:
+        # an element s * 1 equals the base scalar s, so it hashes as s
+        if all(map(self.alg.base.is_zero, self.coords[1:])):
+            return hash(self.coords[0])
         return hash(("comp", self.coords))
 
     def __repr__(self) -> str:

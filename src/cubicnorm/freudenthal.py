@@ -11,16 +11,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
 from .cns import CNS, CnsElt, H3CNS
 from .composition import CompElt
 from .matops import mat_mul, mat_smul, mat_star, mat_sub, mat_transpose
 from .scalars import (
-    BoundExceededError,
     DescriptorError,
     PreconditionError,
     rref,
+    witness_search,
 )
 
 HALF = Fraction(1, 2)
@@ -112,13 +113,6 @@ class WSpace:
                     self.J.random(rng, height, integral),
                     self.J.random(rng, height, integral),
                     self.base.random(rng, height, integral))
-
-    def random_rank4(self, rng, height: int = 2, integral: bool = True) -> WElt:
-        for _ in range(1000):
-            v = self.random(rng, height, integral)
-            if self.base.is_unit(self.quartic(v)):
-                return v
-        raise BoundExceededError("no rank-4 element found")
 
     # -- the four basic forms -------------------------------------------------
 
@@ -626,32 +620,35 @@ def lambda_invariant(W: WSpace, v: WElt, cap: int = 200, seed: int = 0):
     the stream is exhausted (raise cap)."""
     if W.rank(v) != 1:
         raise PreconditionError("lambda invariant needs a rank-one element")
-    for ell in iter_search_rows(W.J, cap, seed):
-        val = W.pair(shriek_row(W, ell), v)
-        if W.base.is_unit(val):
-            return val
-    raise BoundExceededError("lambda search bound exceeded; raise cap")
+    return witness_search(
+        (W.pair(shriek_row(W, ell), v) for ell in iter_search_rows(W.J, cap, seed)),
+        lambda val: val if W.base.is_unit(val) else None,
+        "lambda search bound exceeded; raise cap")
 
 
 def norm_class_witness(J: CNS, lam1, lam2, cap: int = 400, seed: int = 0):
     """Semi-decision for lam1 = lam2 in units / n(A^x): a witness x with
-    n(x) lam1 = lam2, or None for "unknown"."""
-    rng = random.Random(seed)
+    n(x) lam1 = lam2, or None for "unknown".  The cap candidates are the
+    basis and its sums and differences, then those scaled by 1/k and k for
+    k = 2, 3, 4, 6, then seeded random elements, drawn lazily."""
     basis = J.basis()
-    cands: list[CnsElt] = list(basis)
-    for e in basis:
-        for f in basis:
-            cands.append(e + f)
-            cands.append(e - f)
-    scaled = []
-    for x in cands:
-        for k in (2, 3, 4, 6):
-            scaled.append(x * Fraction(1, k))
-            scaled.append(x * Fraction(k))
-    cands.extend(scaled)
-    while len(cands) < cap:
-        cands.append(J.random(rng, 3, integral=False))
-    for x in cands[:cap]:
-        if J.norm(x) * lam1 == lam2:
-            return x
-    return None
+
+    def small():
+        yield from basis
+        for e in basis:
+            for f in basis:
+                yield e + f
+                yield e - f
+
+    def candidates():
+        yield from small()
+        for x in small():
+            for k in (2, 3, 4, 6):
+                yield x * Fraction(1, k)
+                yield x * Fraction(k)
+        rng = random.Random(seed)
+        while True:
+            yield J.random(rng, 3, integral=False)
+
+    return witness_search(islice(candidates(), cap),
+                          lambda x: x if J.norm(x) * lam1 == lam2 else None)

@@ -64,7 +64,6 @@ from .matops import (
 )
 from .scalars import (
     AlgElem,
-    BoundExceededError,
     CommAlgebra,
     DescriptorError,
     IdentityError,
@@ -77,6 +76,7 @@ from .scalars import (
     quadratic_field,
     rational_sqrt,
     rref,
+    witness_search,
 )
 
 
@@ -624,18 +624,13 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
     Xbar = x_of(WB, vB, -omega)
     R = r_of(WB, vB)
     half_omega = omega * HALF
-    eta = None
-    lam = None
-    for cand in iter_search_rows(B, cap, seed):
-        val = WB.pair(X, shriek_col(WB, cand))
-        if K.is_unit(val):
-            u0, v0 = cand
-            eta = (u0 * half_omega + (B.mul(R[0][0], u0) + B.mul(R[0][1], v0)) * HALF,
-                   v0 * half_omega + (B.mul(R[1][0], u0) + B.mul(R[1][1], v0)) * HALF)
-            lam = K.inv(val)
-            break
-    if eta is None:
-        raise BoundExceededError("eta search bound exceeded; raise cap")
+    (u0, v0), val = witness_search(
+        ((cand, WB.pair(X, shriek_col(WB, cand))) for cand in iter_search_rows(B, cap, seed)),
+        lambda hit: hit if K.is_unit(hit[1]) else None,
+        "eta search bound exceeded; raise cap")
+    eta = (u0 * half_omega + (B.mul(R[0][0], u0) + B.mul(R[0][1], v0)) * HALF,
+           v0 * half_omega + (B.mul(R[1][0], u0) + B.mul(R[1][1], v0)) * HALF)
+    lam = K.inv(val)
     res = SecondLift(extension=None, lifted=None, sk=sk, omega=omega, lam=lam, eta=eta)
     res.check("lambda eta! = X(-omega, v)", shriek_col(WB, eta) * lam == Xbar)
     hb = herm_pair_B(sk, eta, eta)
@@ -797,10 +792,6 @@ class QuotientTitsU(CNS):
             if coef != 0:
                 flat = [a - coef * b for a, b in zip(flat, row)]
         return self._unflatten_ell(flat)
-
-    def in_ideal(self, ell) -> bool:
-        c = self.canon_ell(ell)
-        return c[0].is_zero() and c[1].is_zero()
 
     def split(self, x: CnsElt):
         J = self.sk.J
@@ -1045,25 +1036,40 @@ def hermitian_rank1_decompose(J: H3CNS, Y: CnsElt, cap: int = 300, seed: int = 0
         raise PreconditionError("decomposition needs associative coordinates")
     if Y.is_zero() or not J.adjoint(Y).is_zero():
         raise PreconditionError("decomposition needs a rank-one element")
-    base = J.base
-    ym = J.to_matrix(Y)
-    for w in iter_comp_rows(J.comp, 3, cap, seed):
-        yw = mat_times_col(ym, tuple(x.conj() for x in w))
-        val = sum_prod(w, yw)
+    return unit_scalar_row(J.comp, J.to_matrix(Y), iter_comp_rows(J.comp, 3, cap, seed),
+                           "rank-one decomposition search exhausted; raise cap")
+
+
+def unit_scalar_row(comp: CompAlgebra, m, rows, message: str, lift=None):
+    """The first of ``rows`` (mapped into comp^n by ``lift``, when given)
+    with w m w* = mu a unit scalar, for a Hermitian m of rank one over comp.
+
+    Returns (mu, v0, w) with m = mu v0 v0* and w v0 = 1, where w is the row
+    as drawn; the search raises BoundExceededError with ``message`` when the
+    rows run out.  A unit mu whose w m w* is not scalar, or whose
+    decomposition does not verify, raises IdentityError."""
+    base = comp.base
+
+    def test(row):
+        w = lift(row) if lift else row
+        mw = mat_times_col(m, tuple(x.conj() for x in w))
+        val = sum_prod(w, mw)
         mu = val.coords[0]
         if not base.is_unit(mu):
-            continue
-        if not (val == J.comp.from_scalar(mu)):
+            return None
+        if not (val == comp.from_scalar(mu)):
             raise IdentityError("w Y w* is not scalar")
         mu_inv = base.inv(mu)
-        v0 = tuple(c * mu_inv for c in yw)
-        col = mat_transpose((v0,))
-        if not mat_eq(mat_smul(mat_mul(col, mat_star(col, lambda e: e.conj())), mu), ym):
+        v0 = tuple(c * mu_inv for c in mw)
+        # m = mu v0 v0*, where mu v0 = m w*
+        if not mat_eq(mat_mul(mat_transpose((mw,)),
+                              mat_star(mat_transpose((v0,)), lambda e: e.conj())), m):
             raise IdentityError("rank-one decomposition failed to verify")
-        if not (sum_prod(w, v0) == J.comp.one()):
+        if not (sum_prod(w, v0) == comp.one()):
             raise IdentityError("primitivity witness failed")
-        return mu, v0, w
-    raise BoundExceededError("rank-one decomposition search exhausted; raise cap")
+        return mu, v0, row
+
+    return witness_search(rows, test, message)
 
 
 def rank2_h3_lift(J: H3CNS, X: CnsElt, cap: int = 300, seed: int = 0) -> LiftResult:
@@ -1093,10 +1099,8 @@ def rank2_h3_lift(J: H3CNS, X: CnsElt, cap: int = 300, seed: int = 0) -> LiftRes
 
 def comp_norm_class_witness(comp: CompAlgebra, g1, g2, cap: int = 300, seed: int = 0):
     """Semi-decision for g1 = g2 in F^x / n(C^x): x with n(x) g1 = g2."""
-    for (x,) in iter_comp_rows(comp, 1, cap, seed):
-        if x.norm() * g1 == g2:
-            return x
-    return None
+    return witness_search(iter_comp_rows(comp, 1, cap, seed),
+                          lambda row: row[0] if row[0].norm() * g1 == g2 else None)
 
 
 def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResult:
@@ -1109,35 +1113,26 @@ def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResul
         raise PreconditionError("rank-2 input required")
     comp = J.comp
     S6 = s_of_h3(W, x)
-    negS = mat_neg(S6)
-    for w in iter_comp_rows(comp, 6, cap, seed):
-        col = mat_times_col(negS, tuple(e.conj() for e in w))
-        val = sum_prod(w, col)
-        mu = val.coords[0]
-        if not W.base.is_unit(mu) or not (val == comp.from_scalar(mu)):
-            continue
-        mu_inv = W.base.inv(mu)
-        u = tuple((c * mu_inv).conj() for c in col)
-        if not mat_eq(mat_smul(mat_mul(mat_star((u,), lambda e: e.conj()), (u,)), mu), negS):
-            continue
-        herm = sum_c(comp, [u[i] * u[3 + i].conj() for i in range(3)]) \
-            - sum_c(comp, [u[3 + i] * u[i].conj() for i in range(3)])
-        gamma = mu
-        U = CayleyUCNS(comp, gamma)
-        WU = WSpace(U)
-        vpart = u[:3]
-        wpart = u[3:]
-        lifted = WU.elem(x.a, U.join(x.b, tuple(-e for e in vpart)),
-                         U.join(x.c, wpart), x.d)
-        res = LiftResult(extension=None, lifted=lifted,
-                         data={"gamma": gamma, "u": u, "U": U})
-        res.require("<u, u>_C = 0", herm.is_zero())
-        ustar_u = mat_mul(mat_star((u,), lambda e: e.conj()), (u,))
-        res.require("-S(x) = gamma u* u", mat_eq(mat_neg(S6), mat_smul(ustar_u, gamma)))
-        res.require("x + u rank one in W_U(gamma)",
-                    (not lifted.is_zero()) and WU.is_rank_le1(lifted))
-        return res
-    raise BoundExceededError("rank-2 lift search exhausted; raise cap")
+    # -S(x) = gamma v0 v0*, and u = v0* is the row that lifts x
+    gamma, v0, _ = unit_scalar_row(comp, mat_neg(S6), iter_comp_rows(comp, 6, cap, seed),
+                                   "rank-2 lift search exhausted; raise cap")
+    u = tuple(c.conj() for c in v0)
+    herm = sum_c(comp, [u[i] * u[3 + i].conj() for i in range(3)]) \
+        - sum_c(comp, [u[3 + i] * u[i].conj() for i in range(3)])
+    U = CayleyUCNS(comp, gamma)
+    WU = WSpace(U)
+    vpart = u[:3]
+    wpart = u[3:]
+    lifted = WU.elem(x.a, U.join(x.b, tuple(-e for e in vpart)),
+                     U.join(x.c, wpart), x.d)
+    res = LiftResult(extension=None, lifted=lifted,
+                     data={"gamma": gamma, "u": u, "U": U})
+    res.require("<u, u>_C = 0", herm.is_zero())
+    ustar_u = mat_mul(mat_star((u,), lambda e: e.conj()), (u,))
+    res.require("-S(x) = gamma u* u", mat_eq(mat_neg(S6), mat_smul(ustar_u, gamma)))
+    res.require("x + u rank one in W_U(gamma)",
+                (not lifted.is_zero()) and WU.is_rank_le1(lifted))
+    return res
 
 
 def sum_c(comp: CompAlgebra, xs):
@@ -1168,16 +1163,11 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
             cur = h_apply(HOperator("wj"), cur)
             ops.append(("mat", _m2b(sk, "j2"), _m2b(sk, "j2inv")))
         else:
-            found = False
-            for Y in iter_elements(J, cap, seed):
-                cand = h_apply(HOperator("nbarj", (Y,)), cur)
-                if W.base.is_unit(cand.a):
-                    cur = cand
-                    ops.append(("mat", _m2b(sk, "upper", Y), _m2b(sk, "upper", -Y)))
-                    found = True
-                    break
-            if not found:
-                raise BoundExceededError("normalization search exhausted")
+            Y, cur = witness_search(
+                ((Y, h_apply(HOperator("nbarj", (Y,)), cur)) for Y in iter_elements(J, cap, seed)),
+                lambda hit: hit if W.base.is_unit(hit[1].a) else None,
+                "normalization search exhausted")
+            ops.append(("mat", _m2b(sk, "upper", Y), _m2b(sk, "upper", -Y)))
     # step 2: kill the b-slot
     a_inv = W.base.inv(cur.a)
     Xop = cur.b * (-a_inv)
@@ -1193,27 +1183,24 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     if W.base.is_zero(cur.d):
         cs = J.adjoint(cur.c)
         if W.base.is_zero(J.trace(cs)):
-            moved = False
-            for y in iter_elements(J, cap, seed + 1):
+            def moves(y):
                 ny = J.norm(y)
                 if not W.base.is_unit(ny):
-                    continue
+                    return None
                 y2 = J.cross(y, y) * HALF  # y^2 via cross for non-mul instances
                 if J.has_mul:
                     y2 = J.mul(y, y)
-                if W.base.is_zero(J.pair(y2, cs)):
-                    continue
-                # diag(y^{-1}, y) in G, then rescale by n(y)
-                cur2 = _diag_apply(sk, W, y, cur)
-                y_B = sk.embed(y)
-                yinv_B = _b_inverse(B, y_B)
-                ops.append(("mat", _m2b_diag(sk, yinv_B, y_B), _m2b_diag(sk, y_B, yinv_B)))
-                cur = cur2 * ny
-                ops.append(("scale", ny))
-                moved = True
-                break
-            if not moved:
-                raise BoundExceededError("trace normalization search exhausted")
+                return None if W.base.is_zero(J.pair(y2, cs)) else (y, ny)
+
+            y, ny = witness_search(iter_elements(J, cap, seed + 1), moves,
+                                   "trace normalization search exhausted")
+            # diag(y^{-1}, y) in G, then rescale by n(y)
+            cur2 = _diag_apply(sk, W, y, cur)
+            y_B = sk.embed(y)
+            yinv_B = _b_inverse(B, y_B)
+            ops.append(("mat", _m2b_diag(sk, yinv_B, y_B), _m2b_diag(sk, y_B, yinv_B)))
+            cur = cur2 * ny
+            ops.append(("scale", ny))
     # construction at (1, 0, c, d)
     c, d = cur.c, cur.d
     if W.base.is_unit(d):

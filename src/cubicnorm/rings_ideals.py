@@ -9,16 +9,16 @@ denominator-tracked so the field-level statements run on the same code.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-
+from itertools import product
 
 from .cns import (
     CNS,
     CnsElt,
     H3CNS,
     cubic_ring_algebra,
+    tensor_cross,
 )
 from .composition import CompAlgebra, CompElt
 from .freudenthal import (
@@ -36,29 +36,34 @@ from .freudenthal import (
 from .lifting import (
     LiftResult,
     PairData,
+    comp_norm_class_witness,
     disc_binary_cubic,
     epsilon_element,
     gram_of_basis,
     hermitian_rank1_decompose,
+    iter_comp_rows,
     pair_cubic,
     pair_lift,
     sr_maps,
+    unit_scalar_row,
     w_coerce,
     x_of,
 )
-from .matops import mat_mul, mat_star, mat_times_col, mat_transpose, row_times_mat
+from .matops import mat_mul, mat_star, mat_transpose, row_times_mat
 from .scalars import (
     AlgElem,
-    BoundExceededError,
     CommAlgebra,
     IdentityError,
     PreconditionError,
     QuotientAlgebra,
     RationalBase,
+    det,
+    det_fraction,
     is_integral,
     linsolve,
     qq,
     quadratic_field,
+    witness_search,
 )
 
 
@@ -123,8 +128,6 @@ def cubic_ring(a, b, c, d) -> CubicRing:
 
 
 def det_gram(T: CommAlgebra) -> Fraction:
-    from .scalars import det_fraction
-
     return det_fraction(gram_of_basis(T))
 
 
@@ -271,17 +274,14 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     res.require("Omega = (D + R_r)/2 integral",
                 all(all(is_integral(c) for c in Omega[i][j].coords)
                     for i in range(2) for j in range(2)))
-    found = None
-    candidates = [ell] if ell is not None else iter_ell_candidates(J, E, eps, cap, seed)
-    for cand in candidates:
+
+    def unit_beta(cand):
         ell_E = (JE.elem(cand[0].coords), JE.elem(cand[1].coords))
         beta = WE.pair(shriek_row(WE, ell_E), Xbar) * E.inv(omega * omega * omega)
-        if E.is_unit(beta):
-            found = (cand, beta)
-            break
-    if found is None:
-        raise BoundExceededError("ell search bound exceeded; raise cap")
-    ell, beta = found
+        return (cand, beta) if E.is_unit(beta) else None
+
+    candidates = [ell] if ell is not None else iter_ell_candidates(J, E, eps, cap, seed)
+    ell, beta = witness_search(candidates, unit_beta, "ell search bound exceeded; raise cap")
     ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
     b = row_times_mat(ell_E, eps)
     ideal = IdealSA(ring, J, E, tuple(b), beta)
@@ -444,8 +444,6 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     integral pair to a balanced based T (x) C ideal.
 
     Returns (CubicRing, IdealTC, certificate)."""
-    from .lifting import iter_comp_rows
-
     base_lift = pair_lift(J, A, B, cross_checks=False)
     pd: PairData = base_lift.data["pair"]
     if pd.Q == 0:
@@ -458,25 +456,14 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     H3T = H3CNS(compT)
     ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
 
-    found = None
-    if v0 is not None:
-        cands = [v0]
-    else:
-        cands = iter_comp_rows(J.comp, 3, cap, seed)
-    for cand in cands:
-        vT = tuple(compT.elem(x.coords) for x in cand)
-        yv = mat_times_col(ymat, tuple(x.conj() for x in vT))
-        val = vT[0] * yv[0] + vT[1] * yv[1] + vT[2] * yv[2]
-        scalar = val.coords[0]
-        if T.is_unit(scalar) and val == compT.from_scalar(scalar):
-            found = (cand, scalar)
-            break
-    if found is None:
-        raise BoundExceededError("v0 search bound exceeded; raise cap")
-    v0, vyv = found
+    def to_T(row):
+        return tuple(compT.elem(x.coords) for x in row)
+
+    rows = [v0] if v0 is not None else iter_comp_rows(J.comp, 3, cap, seed)
+    vyv, _, v0 = unit_scalar_row(compT, ymat, rows, "v0 search bound exceeded; raise cap",
+                                 lift=to_T)
     beta = vyv * (1 / pd.Q)
-    vT = tuple(compT.elem(x.coords) for x in v0)
-    b = row_times_mat(vT, eps)
+    b = row_times_mat(to_T(v0), eps)
     ring = CubicRing(pd.coeffs)
     ideal = IdealTC(ring, J.comp, T, tuple(b), beta)
     res = LiftResult(extension=T, lifted=X, data={"ideal": ideal, "v0": v0, "Y": Y,
@@ -515,8 +502,6 @@ def balanced_to_pair(ideal: IdealTC):
     Dpart, Bpart, Tpart = comps     # X = D + B w + (X_theta) t
     A = -Tpart
     B = Bpart
-    from .cns import tensor_cross
-
     Y = tensor_cross(JT, J, XJT, XJT) * HALF
     disc = det_gram(T)
     if not (JT.pair(XJT, Y) == T.from_rational(disc)):
@@ -579,16 +564,12 @@ def lambda_value_set(J: CNS, WE: WSpace, X: WElt, cap: int = 60, seed: int = 0):
     """Unit values <ell!, X> over rational rows ell, with the rows; all of
     them represent the same class in E^x / n(A_E^x)."""
     JE = WE.J
-    E = WE.base
-    out = []
-    for ell in iter_search_rows(J, cap, seed):
-        ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
-        val = WE.pair(shriek_row(WE, ell_E), X)
-        if E.is_unit(val):
-            out.append((ell, val))
-            if len(out) >= 24:
-                break
-    return out
+
+    def unit_value(ell):
+        val = WE.pair(shriek_row(WE, (JE.elem(ell[0].coords), JE.elem(ell[1].coords))), X)
+        return (ell, val) if WE.base.is_unit(val) else None
+
+    return witness_search(iter_search_rows(J, cap, seed), unit_value, limit=24)
 
 
 def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
@@ -612,30 +593,18 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     X = x_of(WE, vE, omega)
     Xbar = x_of(WE, vE, -omega)
     rows = lambda_value_set(J, WE, X, cap, seed)
-    cols = []
-    for eta in iter_search_rows(J, cap, seed + 1):
+
+    def unit_value(eta):
         eta_E = (JE.elem(eta[0].coords), JE.elem(eta[1].coords))
         val = WE.pair(X, shriek_col(WE, eta_E))
-        if E.is_unit(val):
-            cols.append((eta_E, val))
-            if len(cols) >= 24:
-                break
-    if not rows or not cols:
-        raise BoundExceededError("witness search bound exceeded")
-    # prefer an exact coincidence of row and column values
-    pick = None
-    for ell, nu in rows:
-        for eta, lamc in cols:
-            if nu == lamc:
-                pick = (ell, eta, nu, True)
-                break
-        if pick:
-            break
-    if pick is None:
-        ell, nu = rows[0]
-        eta, lamc = cols[0]
-        pick = (ell, eta, lamc, False)
-    ell, eta, lam, exact = pick
+        return (eta_E, val) if E.is_unit(val) else None
+
+    cols = witness_search(iter_search_rows(J, cap, seed + 1), unit_value, limit=24)
+    # prefer the first exact coincidence of a row and a column value, else the first pair
+    pairs = list(product(rows, cols))
+    (ell, nu), (eta, lam) = witness_search([p for p in pairs if p[0][1] == p[1][1]] + pairs,
+                                           lambda p: p, "witness search bound exceeded")
+    exact = nu == lam
     ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
     mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
     R = r_of(WE, vE)
@@ -693,14 +662,10 @@ def field_invariant_b2(J: H3CNS, A: CnsElt, B: CnsElt, cap: int = 300,
     witness = None
     if J.comp.is_commutative:
         # N_6(m) = n_C(det_C m) for commutative C
-        from .scalars import det as gdet
-
-        detm = gdet(m)
+        detm = det(m)
         if detm.norm() == n6m:
             witness = detm.inv()
     else:
-        from .lifting import comp_norm_class_witness
-
         witness = comp_norm_class_witness(J.comp, qq(1), nmu, cap)
     return {
         "ring": CubicRing(pd.coeffs), "T": T, "mu": mu,

@@ -34,6 +34,31 @@ class IdentityError(AssertionError):
     """An identity that is mathematically guaranteed failed to verify.  A bug."""
 
 
+def witness_search(candidates, test, message: Optional[str] = None,
+                   limit: Optional[int] = None):
+    """The one bounded witness search.
+
+    Draws candidates in order and applies ``test`` to each: None is a miss,
+    anything else is the witness to report.  Without ``limit`` the search
+    stops at the first witness and returns it; with ``limit`` it stops after
+    that many and returns them as a list.  When no witness turns up, a
+    ``message`` raises BoundExceededError(message); without one the search
+    is a semi-decision and returns None (or the empty list) for "unknown".
+    """
+    hits = []
+    for cand in candidates:
+        hit = test(cand)
+        if hit is not None:
+            hits.append(hit)
+            if len(hits) == (limit or 1):
+                break
+    if not hits and message is not None:
+        raise BoundExceededError(message)
+    if limit is not None:
+        return hits
+    return hits[0] if hits else None
+
+
 def qq(x: ScalarLike) -> Fraction:
     """Coerce an int, string, or Fraction to an exact rational."""
     if isinstance(x, Fraction):
@@ -613,8 +638,8 @@ def kernel(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
 class MatrixQ:
     """Small dense matrix with entries over Q or over a quotient algebra.
 
-    Exact determinant / solve / kernel; solve certifies its answer by
-    substitution.  Mixed bases raise a descriptor error.
+    Exact solve / kernel; solve certifies its answer by substitution.  Mixed
+    bases raise a descriptor error.
     """
 
     def __init__(self, entries: Sequence[Sequence]):
@@ -636,11 +661,6 @@ class MatrixQ:
                     self._alg = e.alg
         if self._alg is not None:
             self.entries = [[self._alg.coerce(e) for e in row] for row in self.entries]
-
-    def det(self):
-        if self._alg is None:
-            return det_fraction(self.entries)
-        return det(self.entries)
 
     def _flatten_system(self, rhs):
         if self._alg is None:

@@ -43,7 +43,7 @@ def enc_scalar(x: Fraction) -> str:
 
 
 def dec_scalar(s) -> Fraction:
-    if not isinstance(s, (int, float, str)):
+    if not isinstance(s, (int, float, str)) or isinstance(s, bool):
         raise DescriptorError(f"a scalar must be a \"p/q\" string, got {type(s).__name__}")
     try:
         return qq(s) if isinstance(s, int) else scalar_from_str(s)
@@ -140,7 +140,13 @@ def dec_cns_desc(data: dict) -> CNS:
             table = tuple(tuple(tuple(dec_scalar(x) for x in _as(list, cell, "table", 3))
                                 for cell in _as(list, row, "table", 3))
                           for row in _as(list, d["table"], "table", 3))
-            J = CubicRingCNS(CommAlgebra("T", table))
+            alg = CommAlgebra("T", table)
+            e = alg.basis()
+            if not all(e[0] * x == x and x * y == y * x and (x * y) * z == x * (y * z)
+                       for x in e for y in e for z in e):
+                raise DescriptorError("a cubic table must define a commutative associative "
+                                      "algebra with unit e_0")
+            J = CubicRingCNS(alg)
         else:
             coeffs = _as(list, d["coeffs"], "coeffs", 4)
             J = CubicRingCNS(cubic_ring_algebra(*[dec_scalar(c) for c in coeffs]))

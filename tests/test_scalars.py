@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicnorm.composition import comp_preset
 from cubicnorm.scalars import (
     QQ_BASE,
+    BoundExceededError,
     DescriptorError,
     MatrixQ,
     QuotientAlgebra,
@@ -17,6 +19,7 @@ from cubicnorm.scalars import (
     rational_sqrt,
     scalar_from_str,
     scalar_to_str,
+    witness_search,
 )
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -168,8 +171,38 @@ def test_algelem_hash_agrees_with_eq(a, b, q):
                (E1.elem([q, 0]), E2.from_rational(q)), (E1.elem([a[0], 0]), a[0]),
                (K.from_rational(q), q), (K.scalar_mul_one(y), x),
                (K.elem([E2.elem(a), E2.elem(b)]), E1.elem(a))]
+    # composition-algebra elements, over Q and over Q(sqrt 5)
+    H = comp_preset("hamilton")
+    HE = H.base_change(E1)
+    checked += [(H.from_scalar(q), q), (H.elem([a[0], a[1], 0, 0]), a[0]),
+                (H.elem([q, 0, 0, 0]), comp_preset("hamilton").from_scalar(q)),
+                (HE.from_scalar(q), q), (HE.from_scalar(y), x), (HE.elem([y, 0, 0, 0]), E1.elem(b)),
+                (HE.elem([y, x, 0, 0]), y), (HE.from_scalar(E1.from_rational(q)), q)]
     for lhs, rhs in checked:
         if lhs == rhs:
             assert hash(lhs) == hash(rhs)
     assert E1.from_rational(q) == q and K.from_rational(q) == q
     assert K.scalar_mul_one(y) == x
+    assert H.from_scalar(q) == q and len({H.from_scalar(q), q}) == 1
+    assert HE.from_scalar(y) == x and len({HE.from_scalar(y), x}) == 1
+
+
+def test_witness_search_policy():
+    drawn = []
+
+    def stream(values):
+        for v in values:
+            drawn.append(v)
+            yield v
+
+    def odd(n):
+        return n if n % 2 else None
+
+    assert witness_search(stream([2, 4, 5, 7]), odd) == 5 and drawn == [2, 4, 5]
+    assert witness_search([2, 3, 5, 7, 9], odd, limit=2) == [3, 5]
+    assert witness_search([1, 2], odd, limit=3) == [1]
+    assert witness_search([2, 4], odd) is None and witness_search([2, 4], odd, limit=3) == []
+    with pytest.raises(BoundExceededError, match="^none odd; raise cap$"):
+        witness_search([2, 4], odd, "none odd; raise cap")
+    with pytest.raises(BoundExceededError):
+        witness_search([], odd, "empty", limit=2)

@@ -107,12 +107,14 @@ def test_cli_usage_errors():
     assert code == 2
 
 
-def test_cli_bound_exceeded(rng):
+def test_cli_bound_exceeded(rng, capsys):
     # a witness bound too small to succeed: cap 1 forces exit 3 on the
     # rank-one decomposition search
     code, _ = run_cli(["invariant", "--kind", "b2", "--preset", "thm-diag",
                        "--coeffs", "1", "--bound", "1", "--json"])
     assert code == 3
+    assert capsys.readouterr().err == ("bound exceeded: rank-one decomposition search "
+                                       "exhausted; raise cap\n")
 
 
 def test_cli_rejects_nonpositive_counts(capsys):
@@ -203,13 +205,18 @@ MALFORMED = [
     ["verify", "--structure", "preset:etale-cubic:1,0,0,0"],
     ["verify", "--structure", '{"cns": {"variant": "cubic", "coeffs": [1, 0, 0, 0]}}'],
     ["pair", "--preset", "bhargava-a1b1", "--coeffs", "1,2"],
+    ["verify", "--structure", json.dumps({"cns": {"variant": "cubic", "table": [
+        [["1", "0", "0"], ["0", "-3", "0"], ["0", "0", "1"]],
+        [["0", "1", "0"], ["0", "0", "1"], ["-1", "0", "0"]],
+        [["0", "0", "1"], ["-1", "0", "0"], ["0", "-1", "0"]]]}})],
+    ["verify", "--structure", '{"cns": {"variant": "h3", "comp": {"gammas": [true]}}}'],
 ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=[
     "scalar-1/0", "w-not-object", "b-not-array", "cube-outside-cube-space",
     "cns-not-object", "structure-not-object", "etale-cubic-disc-0", "cubic-json-disc-0",
-    "two-coeffs"])
+    "two-coeffs", "cubic-table-not-unital", "scalar-bool"])
 def test_cli_malformed_input_is_usage_error(argv, capsys):
     code, out = run_cli(argv)
     err = capsys.readouterr().err
@@ -243,12 +250,75 @@ def mangled_w_inputs(draw):
     return data
 
 
+STRUCTURES = [
+    {"cns": {"variant": "trivial"}},
+    {"cns": {"variant": "fxc", "comp": {"gammas": ["-1", "-1"]}}},
+    {"cns": {"variant": "cubic", "table": [[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                                          [["0", "1", "0"], ["0", "0", "1"], ["-1", "0", "0"]],
+                                          [["0", "0", "1"], ["-1", "0", "0"], ["0", "-1", "0"]]]}},
+    {"cns": {"variant": "cubic", "coeffs": ["1", "0", "-2", "1"]}},
+    {"cns": {"variant": "matrix3"}},
+    {"cns": {"variant": "h3", "comp": {"gammas": ["-1"]}}},
+    {"cns": {"variant": "cayleyu", "comp": {"gammas": ["-1", "-1"]}, "gamma": "2"}},
+    {"cns": {"variant": "fxc", "comp": {"gammas": []}, "base": {"modulus": ["-5", "0", "1"]}}},
+    {"comp": {"gammas": ["-1", "-1"]}},
+]
+
+DESCRIPTOR_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from(["0", "1", "-1", "1/0", "x", "", "nan", "h3", "cubic", "cayleyu", "fxc"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["cns", "variant", "comp", "gammas", "gamma",
+                                                      "table", "coeffs", "base", "modulus"]),
+                                     inner, max_size=4)),
+    max_leaves=8)
+
+
+def _paths(data, prefix=()):
+    """Every path of keys and indices into nested JSON, the empty one first."""
+    yield prefix
+    if isinstance(data, (dict, list)):
+        for key in (data if isinstance(data, dict) else range(len(data))):
+            yield from _paths(data[key], prefix + (key,))
+
+
+def _at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+@st.composite
+def mangled_structures(draw):
+    """A valid structure descriptor replaced whole, with one entry dropped
+    or replaced, or with one scalar leaf changed (another scalar keeps it
+    well-formed but may break the algebra it describes)."""
+    data = json.loads(json.dumps(draw(st.sampled_from(STRUCTURES))))
+    how = draw(st.sampled_from(["whole", "drop", "entry", "leaf"]))
+    if how == "whole":
+        return draw(DESCRIPTOR_VALUES)
+    paths = [p for p in _paths(data) if p]
+    if how == "leaf":
+        paths = [p for p in paths if isinstance(_at(data, p), str)]
+    path = draw(st.sampled_from(paths))
+    parent = _at(data, path[:-1])
+    if how == "drop":
+        del parent[path[-1]]
+    elif how == "leaf":
+        parent[path[-1]] = draw(st.sampled_from(["0", "1", "-1", "2", "1/2", "-3"])
+                                | DESCRIPTOR_VALUES)
+    else:
+        parent[path[-1]] = draw(DESCRIPTOR_VALUES)
+    return data
+
+
 @settings(max_examples=60, deadline=None)
-@given(mangled_w_inputs())
-def test_cli_mangled_input_never_crashes(data):
-    err = io.StringIO()
-    with redirect_stderr(err):
-        code, _ = run_cli(["lift", "--law", "wj", "--structure", "preset:fxf",
-                           "--input", json.dumps(data)])
-    assert code in (0, 2, 3), (data, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+@given(mangled_w_inputs(), mangled_structures())
+def test_cli_mangled_input_never_crashes(data, structure):
+    for argv in (["lift", "--law", "wj", "--structure", "preset:fxf", "--input", json.dumps(data)],
+                 ["verify", "--structure", json.dumps(structure), "--trials", "2"]):
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code, _ = run_cli(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
