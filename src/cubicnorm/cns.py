@@ -29,74 +29,27 @@ from .matops import mat, mat_add, mat_eq, mat_mul, mat_star, mat_trace, mat_tran
 from .scalars import (
     AlgElem,
     CommAlgebra,
+    CoordSpace,
     DescriptorError,
     PreconditionError,
     QQ_BASE,
     QuotientAlgebra,
     RationalBase,
+    Vec,
     det_fraction,
     qq,
 )
 
 
-class CnsElt:
-    """Element of a cubic norm structure: a coordinate vector over the base."""
+class CnsElt(Vec):
+    """Element of a cubic norm structure: a coordinate vector over the base.
+    A bare scalar is never an element (a CNS has no unit coordinates)."""
 
-    __slots__ = ("J", "coords")
-
-    def __init__(self, J: "CNS", coords):
-        self.J = J
-        self.coords = tuple(coords)
-
-    def _co(self, other):
-        if isinstance(other, CnsElt):
-            return other if other.J == self.J else None
-        return None
-
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return CnsElt(self.J, tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return CnsElt(self.J, tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __neg__(self):
-        return CnsElt(self.J, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, CnsElt):
-            if other.J != self.J:
-                raise DescriptorError("cubic-norm-structure descriptor mismatch")
-            return self.J.mul(self, other)
-        if isinstance(other, (int, Fraction, AlgElem)):
-            s = other if isinstance(other, (int, Fraction)) else self.J.base.coerce(other)
-            return CnsElt(self.J, tuple(a * s for a in self.coords))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, AlgElem)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self.coords == o.coords
-
-    def __hash__(self) -> int:
-        return hash(("cns", self.coords))
+    __slots__ = ()
+    J = Vec.space
 
     def __repr__(self) -> str:
         return f"CnsElt({self.J.name}, {list(self.coords)})"
-
-    def is_zero(self) -> bool:
-        return all(map(self.J.base.is_zero, self.coords))
 
     def norm(self):
         return self.J.norm(self)
@@ -108,13 +61,15 @@ class CnsElt:
         return self.J.star(self)
 
 
-class CNS:
+class CNS(CoordSpace):
     """Abstract cubic norm structure over a base ring.
 
     Subclasses provide norm, adjoint, pairing, the unit, and (when the
     instance is an algebra) multiplication; everything else is derived.
     """
 
+    element = CnsElt
+    random_height = 2
     name = "cns"
     base = QQ_BASE
     dim = 0
@@ -146,23 +101,6 @@ class CNS:
 
     # -- generic layer -------------------------------------------------------
 
-    def elem(self, coords) -> CnsElt:
-        cs = tuple(self.base.coerce(c) for c in coords)
-        if len(cs) != self.dim:
-            raise DescriptorError(f"{self.name}: expected {self.dim} coordinates, got {len(cs)}")
-        return CnsElt(self, cs)
-
-    def zero(self) -> CnsElt:
-        return CnsElt(self, (self.base.zero(),) * self.dim)
-
-    def basis(self) -> list[CnsElt]:
-        out = []
-        for i in range(self.dim):
-            coords = [self.base.zero()] * self.dim
-            coords[i] = self.base.one()
-            out.append(CnsElt(self, tuple(coords)))
-        return out
-
     def cross(self, x: CnsElt, y: CnsElt) -> CnsElt:
         return self.adjoint(x + y) - self.adjoint(x) - self.adjoint(y)
 
@@ -185,13 +123,6 @@ class CNS:
         if self.base.is_zero(self.norm(x)):
             return 2
         return 3
-
-    def random(self, rng, height: int = 2, integral: bool = True) -> CnsElt:
-        return CnsElt(self, tuple(self.base.random(rng, height, integral)
-                                  for _ in range(self.dim)))
-
-    def flatten_elt(self, x: CnsElt) -> list[Fraction]:
-        return [f for c in x.coords for f in self.base.flatten(c)]
 
     def special_combo(self, x: CnsElt, y: CnsElt, z: CnsElt) -> Optional[CnsElt]:
         """x y z + z y x computed in a special embedding, or None when the
@@ -616,16 +547,6 @@ class SecondKind:
             return self.J.join(cs, (drop(m[1][2]), drop(m[2][0]), drop(m[0][1])))
         return CnsElt(self.J, tuple(c.coords[0] for c in b.coords))
 
-    def b_basis(self) -> list[CnsElt]:
-        """F-basis of B (K-basis coordinates times the K-basis)."""
-        out = []
-        for i in range(self.B.dim):
-            for ku in self.K.basis():
-                coords = [self.K.zero()] * self.B.dim
-                coords[i] = ku
-                out.append(CnsElt(self.B, tuple(coords)))
-        return out
-
     def base_change(self, new_base) -> "SecondKind":
         Knew = self.K.base_change(new_base)
         if self.kind == "matrix":
@@ -883,30 +804,6 @@ def cayley_u_construct(comp: CompAlgebra, gamma) -> CayleyUCNS:
 # ---------------------------------------------------------------------------
 
 
-def cns_cross(x: CnsElt, y: CnsElt) -> CnsElt:
-    _same(x, y)
-    return x.J.cross(x, y)
-
-
-def cns_pair(x: CnsElt, y: CnsElt):
-    _same(x, y)
-    return x.J.pair(x, y)
-
-
-def cns_U(x: CnsElt, y: CnsElt) -> CnsElt:
-    _same(x, y)
-    return x.J.u_op(x, y)
-
-
-def cns_rank(x: CnsElt) -> int:
-    return x.J.rank(x)
-
-
-def _same(x: CnsElt, y: CnsElt) -> None:
-    if x.J != y.J:
-        raise DescriptorError("cubic-norm-structure descriptor mismatch")
-
-
 def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
                      check_nondegenerate: bool = True) -> CheckReport:
     """Randomized verification of the cubic-norm-structure laws on J.
@@ -1007,10 +904,8 @@ def tensor_cross(JT: CNS, JF: CNS, x: CnsElt, y: CnsElt) -> CnsElt:
     return out
 
 
-def _scale_by_alg(JT: CNS, jf_elt: CnsElt, t: AlgElem) -> CnsElt:
-    """(U over F) tensor (t in T) as an element of J (x) T."""
+def _scale_by_alg(JT: CNS, x: CnsElt, t: AlgElem) -> CnsElt:
+    """(x over F) tensor (t in T) as an element of J (x) T."""
     alg = JT.base
-    coords = []
-    for c in jf_elt.coords:
-        coords.append(AlgElem(alg, tuple(c * tc for tc in t.coords)))
-    return CnsElt(JT, tuple(coords))
+    return CnsElt(JT, tuple(AlgElem(alg, tuple(c * tc for tc in t.coords))
+                            for c in x.coords))

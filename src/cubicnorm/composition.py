@@ -16,15 +16,44 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import (
-    AlgElem,
+    CoordSpace,
     DescriptorError,
     QQ_BASE,
+    Vec,
     qq,
 )
 
 
-class CompAlgebra:
+class CompElt(Vec):
+    """Element of a composition algebra; immutable coordinate vector."""
+
+    __slots__ = ()
+    alg = Vec.space
+
+    def __repr__(self) -> str:
+        return f"CompElt{self.coords}"
+
+    def conj(self) -> "CompElt":
+        return CompElt(self.alg, self.alg.conj_coords(self.coords))
+
+    def norm(self):
+        return self.alg.norm_coords(self.coords)
+
+    def trace(self):
+        return self.coords[0] + self.coords[0]
+
+    def is_unit(self) -> bool:
+        return self.alg.base.is_unit(self.norm())
+
+    def inv(self) -> "CompElt":
+        n = self.norm()
+        return self.conj() * self.alg.base.inv(n)
+
+
+class CompAlgebra(CoordSpace):
     """A composition algebra over a base ring, from a Cayley-Dickson chain."""
+
+    element = CompElt
 
     def __init__(self, gammas: Sequence = (), base=QQ_BASE):
         gs = tuple(qq(g) for g in gammas)
@@ -36,6 +65,8 @@ class CompAlgebra:
         self.gammas = gs
         self.base = base
         self.dim = 2 ** len(gs)
+        self.name = f"comp({','.join(str(g) for g in gs)})"
+        self.unit_coords = (Fraction(1),) + (Fraction(0),) * (self.dim - 1)
 
     @property
     def is_associative(self) -> bool:
@@ -44,33 +75,6 @@ class CompAlgebra:
     @property
     def is_commutative(self) -> bool:
         return len(self.gammas) <= 1
-
-    def elem(self, coords) -> "CompElt":
-        cs = tuple(self.base.coerce(c) for c in coords)
-        if len(cs) != self.dim:
-            raise DescriptorError(f"expected {self.dim} coordinates, got {len(cs)}")
-        return CompElt(self, cs)
-
-    def zero(self) -> "CompElt":
-        return CompElt(self, (self.base.zero(),) * self.dim)
-
-    def one(self) -> "CompElt":
-        coords = [self.base.zero()] * self.dim
-        coords[0] = self.base.one()
-        return CompElt(self, tuple(coords))
-
-    def from_scalar(self, s) -> "CompElt":
-        coords = [self.base.zero()] * self.dim
-        coords[0] = self.base.coerce(s)
-        return CompElt(self, tuple(coords))
-
-    def basis(self) -> list["CompElt"]:
-        out = []
-        for i in range(self.dim):
-            coords = [self.base.zero()] * self.dim
-            coords[i] = self.base.one()
-            out.append(CompElt(self, tuple(coords)))
-        return out
 
     def coerce(self, x) -> "CompElt":
         if isinstance(x, CompElt):
@@ -115,10 +119,6 @@ class CompAlgebra:
         g = self.gammas[level - 1]
         return self.norm_coords(a[:h], level - 1) - g * self.norm_coords(a[h:2 * h], level - 1)
 
-    def random(self, rng, height: int = 3, integral: bool = True) -> "CompElt":
-        return CompElt(self, tuple(self.base.random(rng, height, integral)
-                                   for _ in range(self.dim)))
-
     def base_change(self, new_base) -> "CompAlgebra":
         return CompAlgebra(self.gammas, base=new_base)
 
@@ -132,98 +132,6 @@ class CompAlgebra:
     def __repr__(self) -> str:
         gs = ",".join(str(g) for g in self.gammas)
         return f"CompAlgebra(({gs}), base={self.base!r})"
-
-
-class CompElt:
-    """Element of a composition algebra; immutable coordinate vector."""
-
-    __slots__ = ("alg", "coords")
-
-    def __init__(self, alg: CompAlgebra, coords):
-        self.alg = alg
-        self.coords = tuple(coords)
-
-    def _co(self, other) -> Optional["CompElt"]:
-        if isinstance(other, CompElt):
-            return other if other.alg == self.alg else None
-        if isinstance(other, (int, Fraction, AlgElem)):
-            try:
-                return self.alg.from_scalar(other)
-            except DescriptorError:
-                return None
-        return None
-
-    def __add__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return CompElt(self.alg, tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return CompElt(self.alg, tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __rsub__(self, other):
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return CompElt(self.alg, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, CompElt):
-            if other.alg != self.alg:
-                raise DescriptorError("composition-algebra descriptor mismatch")
-            return CompElt(self.alg, self.alg.mul_coords(self.coords, other.coords))
-        if isinstance(other, (int, Fraction, AlgElem)):
-            s = self.alg.base.coerce(other) if isinstance(other, AlgElem) else qq(other)
-            return CompElt(self.alg, tuple(a * s for a in self.coords))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, AlgElem)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        o = self._co(other)
-        if o is None:
-            return NotImplemented
-        return self.coords == o.coords
-
-    def __hash__(self) -> int:
-        # an element s * 1 equals the base scalar s, so it hashes as s
-        if all(map(self.alg.base.is_zero, self.coords[1:])):
-            return hash(self.coords[0])
-        return hash(("comp", self.coords))
-
-    def __repr__(self) -> str:
-        return f"CompElt{self.coords}"
-
-    def conj(self) -> "CompElt":
-        return CompElt(self.alg, self.alg.conj_coords(self.coords))
-
-    def norm(self):
-        return self.alg.norm_coords(self.coords)
-
-    def trace(self):
-        return self.coords[0] + self.coords[0]
-
-    def is_zero(self) -> bool:
-        return all(map(self.alg.base.is_zero, self.coords))
-
-    def is_unit(self) -> bool:
-        return self.alg.base.is_unit(self.norm())
-
-    def inv(self) -> "CompElt":
-        n = self.norm()
-        return self.conj() * self.alg.base.inv(n)
 
 
 def cd_double(desc: CompAlgebra, gamma) -> CompAlgebra:

@@ -15,7 +15,6 @@ from itertools import islice
 from typing import Iterator
 
 from .cns import CNS, CnsElt, H3CNS
-from .composition import CompElt
 from .matops import mat_mul, mat_smul, mat_star, mat_sub, mat_transpose
 from .scalars import (
     DescriptorError,
@@ -356,18 +355,14 @@ def m3c_inverse(J: H3CNS, m):
     unknowns are the rational coordinates of x along the products of the
     C-basis with the base's Q-basis, so base-changed coordinates solve too."""
     comp = J.comp
-    base = comp.base
-    units = [u * b for u in comp.basis() for b in base.basis()]
+    units = comp.flat_basis()
     d = len(units)
     n = 3 * d
 
-    def flat(x: CompElt) -> list[Fraction]:
-        return [f for c in x.coords for f in base.flatten(c)]
-
-    one = flat(comp.one())
+    one = comp.flatten(comp.one())
     # unknown x: 3x3 over comp with m*x = 1; row (i, k) is Q-coordinate k of
     # sum_j m[i][j] x[j], augmented with coordinate k of column t of 1
-    cells = [[flat(m[i][j] * u) for j in range(3) for u in units] for i in range(3)]
+    cells = [[comp.flatten(m[i][j] * u) for j in range(3) for u in units] for i in range(3)]
     aug = [[cell[k] for cell in cells[i]] + [one[k] if i == t else 0 for t in range(3)]
            for i in range(3) for k in range(d)]
     pivots, red, _ = rref(aug)

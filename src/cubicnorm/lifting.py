@@ -31,6 +31,7 @@ from .cns import (
     H3CNS,
     SecondKind,
     TitsUCNS,
+    _scale_by_alg,
     cubic_ring_algebra,
     tensor_cross,
 )
@@ -327,13 +328,6 @@ def pair_cubic(J: CNS, A: CnsElt, B: CnsElt) -> PairData:
     return PairData(J, A, B, (a, b, c, d), T, J.base_change(T), Q)
 
 
-def _jt_scale(JT: CNS, x: CnsElt, t: AlgElem) -> CnsElt:
-    """(x over F) tensor (t in T) inside J (x) T."""
-    alg = JT.base
-    return CnsElt(JT, tuple(AlgElem(alg, tuple(c * tc for tc in t.coords))
-                            for c in x.coords))
-
-
 def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftResult:
     """X = -A theta + B omega + A# x B# in J_T and Y = (1/2) X x_T X, with
 
@@ -344,8 +338,8 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
     pd = pair_cubic(J, A, B)
     T, JT = pd.T, pd.JT
     a, b, c, d = pd.coeffs
-    X = (_jt_scale(JT, -A, pd.theta) + _jt_scale(JT, B, pd.omega)
-         + _jt_scale(JT, J.cross(J.adjoint(A), J.adjoint(B)), T.one()))
+    X = (_scale_by_alg(JT, -A, pd.theta) + _scale_by_alg(JT, B, pd.omega)
+         + _scale_by_alg(JT, J.cross(J.adjoint(A), J.adjoint(B)), T.one()))
     Y = tensor_cross(JT, J, X, X) * HALF
     res = LiftResult(extension=T, lifted=X, data={"pair": pd, "Y": Y})
     res.require("X# = 0", JT.adjoint(X).is_zero())
@@ -355,9 +349,9 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
     # closed form for Y
     AxB = J.cross(A, B)
     As, Bs = J.adjoint(A), J.adjoint(B)
-    yc = (_jt_scale(JT, As, T.elem([-c * c + b * d, -3 * d, c]))
-          + _jt_scale(JT, AxB, T.elem([b * c - 3 * a * d, c, -b]))
-          + _jt_scale(JT, Bs, T.elem([-b * b + a * c, -b, 3 * a])))
+    yc = (_scale_by_alg(JT, As, T.elem([-c * c + b * d, -3 * d, c]))
+          + _scale_by_alg(JT, AxB, T.elem([b * c - 3 * a * d, c, -b]))
+          + _scale_by_alg(JT, Bs, T.elem([-b * b + a * c, -b, 3 * a])))
     res.require("Y closed form", Y == yc)
     if cross_checks and isinstance(J, H3CNS) and J.comp.is_associative:
         sr = sr_maps(J, pd, check=False)
@@ -365,12 +359,12 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
         mid = _hermitian_from_matrix(J, mat_sub(
             mat_mul(J.to_matrix(A), sr.images["theta0"]),
             mat_mul(J.to_matrix(B), sr.images["omega0"])))
-        x0form = (_jt_scale(JT, mid, T.one()) * (-HALF)
-                  + _jt_scale(JT, -A, pd.theta0) + _jt_scale(JT, B, pd.omega0))
+        x0form = (_scale_by_alg(JT, mid, T.one()) * (-HALF)
+                  + _scale_by_alg(JT, -A, pd.theta0) + _scale_by_alg(JT, B, pd.omega0))
         res.require("X via trace-zero basis", X == x0form)
         # Y0 = (3(A theta0 - B omega0))# + (3(A theta0 - B omega0)) x (3 mid) = -3Y
-        zt = _jt_scale(JT, A, pd.theta0 * 3) - _jt_scale(JT, B, pd.omega0 * 3)
-        y0 = JT.adjoint(zt) + JT.cross(zt, _jt_scale(JT, mid * 3, T.one()))
+        zt = _scale_by_alg(JT, A, pd.theta0 * 3) - _scale_by_alg(JT, B, pd.omega0 * 3)
+        y0 = JT.adjoint(zt) + JT.cross(zt, _scale_by_alg(JT, mid * 3, T.one()))
         res.require("Y0 = -3Y", y0 == Y * (-3))
     return res
 
@@ -738,7 +732,7 @@ class QuotientTitsU(CNS):
         one_B = B.one()
         self.h = ((Sv[0][0], Sv[0][1] - one_B * half_omega),
                   (Sv[1][0] + one_B * half_omega, Sv[1][1]))
-        self._bbasis = sk.b_basis()
+        self._bbasis = B.flat_basis()
         self._fdim = len(self._bbasis)
         # I(v, omega) = left kernel of h
         cols = []
@@ -746,7 +740,7 @@ class QuotientTitsU(CNS):
             for e in self._bbasis:
                 ell = (e, B.zero()) if slot == 0 else (B.zero(), e)
                 img = self._ell_h(ell)
-                cols.append(B.flatten_elt(img[0]) + B.flatten_elt(img[1]))
+                cols.append(B.flatten(img[0]) + B.flatten(img[1]))
         ker = kernel(mat_transpose(cols))
         if len(ker) != self._fdim:
             raise IdentityError("I(v, omega) does not have B-corank one")
@@ -769,21 +763,11 @@ class QuotientTitsU(CNS):
 
     def _flatten_ell(self, ell) -> list[Fraction]:
         B = self.sk.B
-        return B.flatten_elt(ell[0]) + B.flatten_elt(ell[1])
+        return B.flatten(ell[0]) + B.flatten(ell[1])
 
     def _unflatten_ell(self, coords):
-        B = self.sk.B
-        n = self._fdim
-        kd = self.sk.K.dim
-        bd = self.sk.B.dim
-
-        def part(chunk):
-            out = []
-            for i in range(bd):
-                out.append(AlgElem(self.sk.K, tuple(chunk[i * kd:(i + 1) * kd])))
-            return CnsElt(B, tuple(out))
-
-        return (part(coords[:n]), part(coords[n:]))
+        B, n = self.sk.B, self._fdim
+        return (B.unflatten(coords[:n]), B.unflatten(coords[n:]))
 
     def canon_ell(self, ell):
         flat = self._flatten_ell(ell)

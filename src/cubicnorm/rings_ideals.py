@@ -342,29 +342,15 @@ def sa_data_equivalent(i1: IdealSA, i2: IdealSA, cap: int = 200):
     JE = i1.basis[0].J
     E = i1.E
     # solve x b = b' over A_E, coordinates over Q
-    bas = []
-    for i in range(JE.dim):
-        for ku in E.basis():
-            coords = [E.zero()] * JE.dim
-            coords[i] = ku
-            bas.append(CnsElt(JE, tuple(coords)))
-    cols = []
-    for xb in bas:
-        img = JE.mul(xb, i1.basis[0]).coords + JE.mul(xb, i1.basis[1]).coords
-        flat = []
-        for c in img:
-            flat.extend(c.coords)
-        cols.append([qq(t) for t in flat])
-    rhs = []
-    for c in i2.basis[0].coords + i2.basis[1].coords:
-        rhs.extend(c.coords)
+    bas = JE.flat_basis()
+    cols = [JE.flatten(JE.mul(xb, i1.basis[0])) + JE.flatten(JE.mul(xb, i1.basis[1]))
+            for xb in bas]
+    rhs = JE.flatten(i2.basis[0]) + JE.flatten(i2.basis[1])
     mat = [[cols[j][i] for j in range(len(bas))] for i in range(len(rhs))]
-    sol = linsolve(mat, [qq(t) for t in rhs])
+    sol = linsolve(mat, rhs)
     if sol is None:
         return "unknown"
-    x = JE.zero()
-    for coef, xb in zip(sol, bas):
-        x = x + xb * coef
+    x = JE.unflatten(sol)
     if not E.is_unit(JE.norm(x)):
         return "unknown"
     if not (JE.norm(x) * i1.beta == i2.beta):
@@ -524,30 +510,14 @@ def tc_data_equivalent(i1: IdealTC, i2: IdealTC):
         return "not-equivalent"
     compT = i1.basis[0].alg
     T = i1.T
-    bas = []
-    for i in range(compT.dim):
-        for tu in T.basis():
-            coords = [T.zero()] * compT.dim
-            coords[i] = tu
-            bas.append(CompElt(compT, tuple(coords)))
-    cols = []
-    for xb in bas:
-        flat = []
-        for b in i1.basis:
-            for c in (xb * b).coords:
-                flat.extend(c.coords)
-        cols.append(flat)
-    rhs = []
-    for b in i2.basis:
-        for c in b.coords:
-            rhs.extend(c.coords)
+    bas = compT.flat_basis()
+    cols = [[f for b in i1.basis for f in compT.flatten(xb * b)] for xb in bas]
+    rhs = [f for b in i2.basis for f in compT.flatten(b)]
     mat = [[cols[j][i] for j in range(len(bas))] for i in range(len(rhs))]
     sol = linsolve(mat, rhs)
     if sol is None:
         return "unknown"
-    x = compT.zero()
-    for coef, xb in zip(sol, bas):
-        x = x + xb * coef
+    x = compT.unflatten(sol)
     if not T.is_unit(x.norm()):
         return "unknown"
     if not (i1.beta * x.norm() == i2.beta):

@@ -175,84 +175,186 @@ class RationalBase:
 QQ_BASE = RationalBase()
 
 
-class AlgElem:
-    """Element of a CommAlgebra: a coordinate vector over the algebra's base."""
+class Vec:
+    """An element of a free module over a base: its structure ``space`` and
+    its coordinate tuple.
 
-    __slots__ = ("alg", "coords")
+    Sum, difference, negation, scaling by a base scalar, equality and hash
+    are defined here once; the product is ``space.mul``, and a subclass adds
+    only its repr and its own maps.  This is the one place that reads a bare
+    operand -- an int, a Fraction or an element of the base algebra -- as a
+    scalar s: ``*`` scales by it, and where the structure has unit
+    coordinates, +, - and == read it as s * 1.
+    """
 
-    def __init__(self, alg: "CommAlgebra", coords: Sequence):
-        self.alg = alg
+    __slots__ = ("space", "coords")
+
+    def __init__(self, space, coords: Sequence):
+        self.space = space
         self.coords = tuple(coords)
 
-    def _coerce_other(self, other):
-        if isinstance(other, AlgElem):
-            if other.alg is self.alg or other.alg == self.alg:
-                return other
-            if other.alg is self.alg.base or other.alg == self.alg.base:
-                return self.alg.scalar_mul_one(other)
+    def _peer(self, other):
+        """The coordinates of ``other`` as an element of this structure, or
+        None: an element of an equal structure as it is, a bare operand s as
+        s * 1."""
+        space = self.space
+        if isinstance(other, Vec):
+            if other.space is space or other.space == space:
+                return other.coords
+            if not isinstance(other, AlgElem):
+                return None
+        elif not isinstance(other, (int, Fraction)):
             return None
-        if isinstance(other, (int, Fraction)):
-            return self.alg.from_rational(qq(other))
-        return None
+        if space.unit_coords is None:
+            return None
+        try:
+            return space.from_scalar(other).coords
+        except DescriptorError:
+            return None
 
     def __add__(self, other):
-        o = self._coerce_other(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.alg, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        return type(self)(self.space, tuple(a + b for a, b in zip(self.coords, o)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce_other(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
-        return AlgElem(self.alg, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        return type(self)(self.space, tuple(a - b for a, b in zip(self.coords, o)))
 
     def __rsub__(self, other):
-        o = self._coerce_other(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return type(self)(self.space, tuple(b - a for a, b in zip(self.coords, o)))
 
     def __neg__(self):
-        return AlgElem(self.alg, tuple(-a for a in self.coords))
+        return type(self)(self.space, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, AlgElem):
-            if other.alg is self.alg or other.alg == self.alg:
-                return AlgElem(self.alg, self.alg.mul_coords(self.coords, other.coords))
-            if other.alg is self.alg.base or other.alg == self.alg.base:
-                return AlgElem(self.alg, tuple(a * other for a in self.coords))
+        space = self.space
+        if isinstance(other, Vec):
+            if other.space is space or other.space == space:
+                return space.mul(self, other)
+            if isinstance(other, AlgElem):
+                try:
+                    other = space.base.coerce(other)
+                except DescriptorError:
+                    if isinstance(self, AlgElem):
+                        # this algebra may be the base of the other one, whose
+                        # reflected operation then reads self as its scalar
+                        return NotImplemented
+                    raise
+            elif type(other) is type(self):
+                raise DescriptorError(f"descriptor mismatch: {space!r} and {other.space!r}")
+            else:
+                return NotImplemented
+        elif not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            q = qq(other)
-            return AlgElem(self.alg, tuple(a * q for a in self.coords))
-        return NotImplemented
+        return type(self)(space, tuple(a * other for a in self.coords))
 
+    # only a scalar reaches here: a product of two elements is taken by the
+    # left operand
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        o = self._coerce_other(other)
+        o = self._peer(other)
         if o is None:
             return NotImplemented
-        return self.coords == o.coords
+        return self.coords == o
 
     def __hash__(self) -> int:
-        # an element s * 1 equals the base scalar s, so it hashes as s
-        alg = self.alg
-        k = next(i for i, u in enumerate(alg.unit_coords) if u != 0)
-        s = self.coords[k] * (1 / alg.unit_coords[k])
-        if self.coords == alg.scalar_mul_one(s).coords:
-            return hash(s)
-        return hash((alg, self.coords))
+        # an element s * 1 equals the base scalar s, so it hashes as s; s is
+        # read off by an exact rational division
+        unit = self.space.unit_coords
+        if unit is not None:
+            k = next(i for i, u in enumerate(unit) if u != 0)
+            s = self.coords[k] * (Fraction(1) / unit[k])
+            if self.coords == tuple(s * u for u in unit):
+                return hash(s)
+        return hash(self.coords)
+
+    def is_zero(self) -> bool:
+        return all(map(self.space.base.is_zero, self.coords))
+
+
+class CoordSpace:
+    """A structure whose elements are ``element`` coordinate vectors of
+    length ``dim`` over ``base``: the one set of coordinate helpers.
+
+    A subclass sets ``dim``, ``base``, ``name`` and ``element``.  An algebra
+    also sets ``unit_coords``, the rational coordinates of 1 (with them a
+    bare scalar s is the element s * 1), and ``mul_coords``, its product on
+    coordinate tuples.
+    """
+
+    unit_coords: Optional[tuple] = None
+    random_height = 3
+
+    def elem(self, coords):
+        cs = tuple(self.base.coerce(c) for c in coords)
+        if len(cs) != self.dim:
+            raise DescriptorError(f"{self.name}: expected {self.dim} coordinates, got {len(cs)}")
+        return self.element(self, cs)
+
+    def zero(self):
+        return self.element(self, (self.base.zero(),) * self.dim)
+
+    def one(self):
+        return self.elem(self.unit_coords)
+
+    def from_scalar(self, s):
+        """s * 1 for a base scalar s (or an int or a Fraction)."""
+        s = self.base.coerce(s)
+        return self.element(self, tuple(s * u for u in self.unit_coords))
+
+    def basis(self) -> list:
+        z, o = self.base.zero(), self.base.one()
+        return [self.element(self, tuple(o if k == i else z for k in range(self.dim)))
+                for i in range(self.dim)]
+
+    def flat_basis(self) -> list:
+        """The basis that ``flatten`` reads coordinates along: each basis
+        element times each basis element of the base."""
+        z = self.base.zero()
+        return [self.element(self, tuple(b if k == i else z for k in range(self.dim)))
+                for i in range(self.dim) for b in self.base.basis()]
+
+    def mul(self, x, y):
+        return self.element(self, self.mul_coords(x.coords, y.coords))
+
+    def random(self, rng, height: Optional[int] = None, integral: bool = True):
+        h = self.random_height if height is None else height
+        return self.element(self, tuple(self.base.random(rng, h, integral)
+                                        for _ in range(self.dim)))
+
+    # -- flattening to Q (for exact linear algebra) --------------------------
+
+    def flat_dim(self) -> int:
+        return self.dim * self.base.flat_dim()
+
+    def flatten(self, x) -> list[Fraction]:
+        return [f for c in x.coords for f in self.base.flatten(c)]
+
+    def unflatten(self, coords: Sequence[Fraction]):
+        step = self.base.flat_dim()
+        return self.element(self, tuple(self.base.unflatten(coords[i * step:(i + 1) * step])
+                                        for i in range(self.dim)))
+
+
+class AlgElem(Vec):
+    """Element of a CommAlgebra: a coordinate vector over the algebra's base."""
+
+    __slots__ = ()
+    alg = Vec.space
 
     def __repr__(self) -> str:
         terms = ", ".join(repr(c) for c in self.coords)
         return f"{self.alg.name}({terms})"
-
-    def is_zero(self) -> bool:
-        return all(map(self.alg.base.is_zero, self.coords))
 
     def norm(self):
         return self.alg.norm(self)
@@ -267,7 +369,7 @@ class AlgElem:
         return self.alg.conj(self)
 
 
-class CommAlgebra:
+class CommAlgebra(CoordSpace):
     """Finite commutative unital algebra over a base, given by rational
     structure constants.
 
@@ -277,6 +379,8 @@ class CommAlgebra:
     Norm and trace come from the regular representation; an element is a
     unit iff its norm is a unit (correct for the etale instances used here).
     """
+
+    element = AlgElem
 
     def __init__(self, name: str, table, base=QQ_BASE, unit_coords=None):
         self.name = name
@@ -289,21 +393,7 @@ class CommAlgebra:
 
     # -- construction -------------------------------------------------------
 
-    def elem(self, coords) -> AlgElem:
-        cs = tuple(self.base.coerce(c) for c in coords)
-        if len(cs) != self.dim:
-            raise DescriptorError(f"{self.name}: expected {self.dim} coordinates, got {len(cs)}")
-        return AlgElem(self, cs)
-
-    def zero(self) -> AlgElem:
-        return AlgElem(self, tuple(self.base.zero() for _ in range(self.dim)))
-
-    def one(self) -> AlgElem:
-        return self.elem(self.unit_coords)
-
-    def from_rational(self, x) -> AlgElem:
-        q = qq(x)
-        return AlgElem(self, tuple(self.base.coerce(u * q) for u in self.unit_coords))
+    from_rational = CoordSpace.from_scalar
 
     def coerce(self, x):
         if isinstance(x, AlgElem):
@@ -318,14 +408,6 @@ class CommAlgebra:
 
     def scalar_mul_one(self, s) -> AlgElem:
         return AlgElem(self, tuple(s * u for u in self.unit_coords))
-
-    def basis(self) -> list[AlgElem]:
-        out = []
-        for i in range(self.dim):
-            coords = [self.base.zero()] * self.dim
-            coords[i] = self.base.one()
-            out.append(AlgElem(self, tuple(coords)))
-        return out
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -404,23 +486,6 @@ class CommAlgebra:
 
     def cross(self, u: AlgElem, v: AlgElem) -> AlgElem:
         return self.adjoint(u + v) - self.adjoint(u) - self.adjoint(v)
-
-    # -- flattening to Q (for exact linear algebra) --------------------------
-
-    def flat_dim(self) -> int:
-        return self.dim * self.base.flat_dim()
-
-    def flatten(self, u: AlgElem) -> list[Fraction]:
-        return [f for c in u.coords for f in self.base.flatten(c)]
-
-    def unflatten(self, coords: Sequence[Fraction]) -> AlgElem:
-        step = self.base.flat_dim()
-        return AlgElem(self, tuple(self.base.unflatten(coords[i * step:(i + 1) * step])
-                                   for i in range(self.dim)))
-
-    def random(self, rng, height: int = 3, integral: bool = True) -> AlgElem:
-        return AlgElem(self, tuple(self.base.random(rng, height, integral)
-                                   for _ in range(self.dim)))
 
     def base_change(self, new_base) -> "CommAlgebra":
         return CommAlgebra(self.name, self.table, base=new_base, unit_coords=self.unit_coords)
@@ -668,9 +733,7 @@ class MatrixQ:
                     [qq(x) for x in rhs])
         alg = self._alg
         n = alg.flat_dim()
-        units = [AlgElem(alg, tuple(b if k == i else alg.base.zero()
-                                    for k in range(alg.dim)))
-                 for i in range(alg.dim) for b in alg.base.basis()]
+        units = alg.flat_basis()
         cols = []
         for j in range(self.cols):
             for u in units:

@@ -43,11 +43,12 @@ def enc_scalar(x: Fraction) -> str:
 
 
 def dec_scalar(s) -> Fraction:
-    if not isinstance(s, (int, float, str)) or isinstance(s, bool):
-        raise DescriptorError(f"a scalar must be a \"p/q\" string, got {type(s).__name__}")
+    # a JSON float is inexact, so it is no scalar
+    if not isinstance(s, (int, str)) or isinstance(s, bool):
+        raise DescriptorError(f"a scalar is a \"p/q\" string or an integer, got {type(s).__name__}")
     try:
         return qq(s) if isinstance(s, int) else scalar_from_str(s)
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (ValueError, ZeroDivisionError):
         raise DescriptorError(f"malformed scalar {s!r}") from None
 
 

@@ -1,7 +1,7 @@
-"""Independent oracles for three core formulas: the quartic form on the
+"""Independent oracles for four core formulas: the quartic form on the
 cube space against Bhargava's cube discriminant, the discriminant of a
-binary cubic, and the cubic norm of H_3(C) over a commutative C against a
-determinant.  Each oracle is computed by sympy, from its textbook
+binary cubic, the cubic norm of H_3(C) over a commutative C against a
+determinant, and the norm of F[x]/(f) against a resultant.  Each oracle is computed by sympy, from its textbook
 definition, never from this package's own formulas; the file is skipped
 where sympy is missing."""
 
@@ -13,6 +13,7 @@ import pytest
 from cubicnorm.cns import H3CNS
 from cubicnorm.composition import CompAlgebra
 from cubicnorm.lifting import disc_binary_cubic
+from cubicnorm.scalars import QuotientAlgebra
 from cubicnorm.serialize import cube_space, cube_to_w
 
 sympy = pytest.importorskip("sympy")
@@ -81,3 +82,17 @@ def test_h3_norm_is_a_determinant(gammas):
         if gammas:
             det = sympy.rem(det, s ** 2 - to_sympy(gammas[0]), s)
         assert J.norm(X) == from_sympy(det)
+
+
+@pytest.mark.parametrize("modulus", [(-5, 0, 1), (1, 1, 1), (F(3, 2), F(-1, 3), 1),
+                                     (-2, 0, 0, 1), (1, -1, 2, 1), (F(1, 2), 3, F(-2, 5), 1)])
+def test_quotient_norm_is_a_resultant(modulus):
+    """For a monic f, the norm of u in F[x]/(f) is the product of u over the
+    roots of f, which is the resultant Res(f, u(x))."""
+    A = QuotientAlgebra(modulus)
+    f = sum(to_sympy(c) * x ** i for i, c in enumerate(modulus))
+    rng = random.Random(len(modulus))
+    for _ in range(20):
+        u = A.random(rng, 4, integral=False)
+        g = sum(to_sympy(c) * x ** i for i, c in enumerate(u.coords))
+        assert A.norm(u) == from_sympy(sympy.resultant(f, g, x)), u

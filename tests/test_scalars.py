@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicnorm.cns import H3CNS, Matrix3CNS, TrivialCNS
 from cubicnorm.composition import comp_preset
 from cubicnorm.scalars import (
     QQ_BASE,
@@ -185,6 +186,85 @@ def test_algelem_hash_agrees_with_eq(a, b, q):
     assert K.scalar_mul_one(y) == x
     assert H.from_scalar(q) == q and len({H.from_scalar(q), q}) == 1
     assert HE.from_scalar(y) == x and len({HE.from_scalar(y), x}) == 1
+    # cubic-norm-structure elements: twin structures agree, a scalar is never equal
+    M, ME1, ME2 = Matrix3CNS(), Matrix3CNS(E1), Matrix3CNS(E2)
+    checked = [(M.one() * q, Matrix3CNS().one() * q), (M.elem([q] + [0] * 8), q),
+               (M.elem([a[0], a[1]] + [0] * 7), Matrix3CNS().elem([a[0], a[1]] + [0] * 7)),
+               (ME1.one() * x, ME2.one() * y), (ME1.one() * x, M.one() * a[0]),
+               (ME1.elem([x] * 9), ME2.elem([E2.elem(b)] * 9))]
+    for lhs, rhs in checked:
+        if lhs == rhs:
+            assert hash(lhs) == hash(rhs)
+    assert ME1.one() * x == ME2.one() * y and len({ME1.one() * x, ME2.one() * y}) == 1
+    assert not (M.one() * q == q) and len({M.one() * q, q}) == 2
+
+
+E5, E5_TWIN = quadratic_field(5), quadratic_field(5)
+
+
+def _dispatch_rows():
+    """(label, x = 2*1, another element, 2*1 of an equal but distinct
+    structure, 2*1 of a foreign structure of the same kind) per element type."""
+    def alg(S, twin, foreign):
+        return S.from_rational(2), S.gen(), twin.from_rational(2), foreign.from_rational(2)
+
+    yield "AlgElem/Q", alg(qalg_make([1, 0, 1]), qalg_make([1, 0, 1]), qalg_make([-2, 0, 1]))
+    yield "AlgElem/E", alg(QuotientAlgebra([1, 0, 1], base=E5),
+                           QuotientAlgebra([1, 0, 1], base=E5_TWIN),
+                           QuotientAlgebra([-2, 0, 1], base=E5))
+    H, H2, S = comp_preset("hamilton"), comp_preset("hamilton"), comp_preset("split-quaternion")
+    yield "CompElt/Q", (H.from_scalar(2), H.basis()[1], H2.from_scalar(2), S.from_scalar(2))
+    H, H2, S = H.base_change(E5), H2.base_change(E5_TWIN), S.base_change(E5)
+    yield "CompElt/E", (H.from_scalar(2), H.basis()[1], H2.from_scalar(2), S.from_scalar(2))
+    for label, (M, M2, foreign) in (
+            ("CnsElt/Q", (Matrix3CNS(), Matrix3CNS(), H3CNS(comp_preset("rational")))),
+            ("CnsElt/E", (Matrix3CNS(E5), Matrix3CNS(E5_TWIN), TrivialCNS(E5)))):
+        yield label, (M.one() * 2, M.basis()[1], M2.one() * 2, foreign.one() * 2)
+
+
+DISPATCH_OPS = [lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y,
+                lambda x, y: y - x, lambda x, y: x * y, lambda x, y: y * x,
+                lambda x, y: x == y, lambda x, y: y == x]
+
+# per operand, the outcome of x+y, y+x, x-y, y-x, x*y, y*x, x==y, y==x:
+# "x" an element of x's structure, "1"/"0" the truth of ==, "T" TypeError,
+# "D" DescriptorError.  "E" is 2*1 in Q(sqrt 5), the base of the "/E" rows.
+DISPATCH = {
+    "AlgElem/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
+                  "Fraction": "xxxxxx11", "E": "TTTTTT00", "foreign": "TTTTTT00"},
+    "AlgElem/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
+                  "Fraction": "xxxxxx11", "E": "xTxTxT11", "foreign": "TTTTTT00"},
+    "CompElt/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
+                  "Fraction": "xxxxxx11", "E": "TTTTDD00", "foreign": "TTTTDD00"},
+    "CompElt/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
+                  "Fraction": "xxxxxx11", "E": "xxxxxx11", "foreign": "TTTTDD00"},
+    "CnsElt/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "TTTTxx00",
+                 "Fraction": "TTTTxx00", "E": "TTTTDD00", "foreign": "TTTTDD00"},
+    "CnsElt/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "TTTTxx00",
+                 "Fraction": "TTTTxx00", "E": "TTTTxx00", "foreign": "TTTTDD00"},
+}
+
+
+def _dispatch_code(x, op, y) -> str:
+    try:
+        r = op(x, y)
+    except (TypeError, DescriptorError) as exc:
+        return "D" if isinstance(exc, DescriptorError) else "T"
+    if isinstance(r, bool):
+        return str(int(r))
+    assert type(r) is type(x) and len(r.coords) == len(x.coords)
+    return "x"
+
+
+def test_operand_dispatch_table():
+    for label, (x, same, twin, foreign) in _dispatch_rows():
+        operands = {"same": same, "twin": twin, "int": 2, "Fraction": F(2),
+                    "E": E5.from_rational(2), "foreign": foreign}
+        got = {k: "".join(_dispatch_code(x, op, y) for op in DISPATCH_OPS)
+               for k, y in operands.items()}
+        assert got == DISPATCH[label], label
+        # a successful sum with 2*1 doubles x; a scaling by 2 agrees with it
+        assert x + twin == x * 2 == 2 * x
 
 
 def test_witness_search_policy():

@@ -210,13 +210,15 @@ MALFORMED = [
         [["0", "1", "0"], ["0", "0", "1"], ["-1", "0", "0"]],
         [["0", "0", "1"], ["-1", "0", "0"], ["0", "-1", "0"]]]}})],
     ["verify", "--structure", '{"cns": {"variant": "h3", "comp": {"gammas": [true]}}}'],
+    ["invariant", "--kind", "b1", "--structure", "preset:fxf", "--input",
+     '{"a": 1, "b": [0.1, 0], "c": [0, 1], "d": 1}'],
 ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=[
     "scalar-1/0", "w-not-object", "b-not-array", "cube-outside-cube-space",
     "cns-not-object", "structure-not-object", "etale-cubic-disc-0", "cubic-json-disc-0",
-    "two-coeffs", "cubic-table-not-unital", "scalar-bool"])
+    "two-coeffs", "cubic-table-not-unital", "scalar-bool", "scalar-float"])
 def test_cli_malformed_input_is_usage_error(argv, capsys):
     code, out = run_cli(argv)
     err = capsys.readouterr().err
