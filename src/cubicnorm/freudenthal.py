@@ -15,7 +15,15 @@ from itertools import islice
 from typing import Iterator
 
 from .cns import CNS, CnsElt, H3CNS
-from .matops import mat_mul, mat_smul, mat_star, mat_sub, mat_transpose
+from .matops import (
+    mat_mul,
+    mat_smul,
+    mat_star,
+    mat_sub,
+    mat_times_col,
+    mat_transpose,
+    row_times_mat,
+)
 from .scalars import (
     DescriptorError,
     PreconditionError,
@@ -454,19 +462,9 @@ def shriek_col(W: WSpace, eta) -> WElt:
     return WElt(W, J.norm(u), J.mul(v, J.adjoint(u)), J.mul(u, J.adjoint(v)), J.norm(v))
 
 
-def _col_apply(J: CNS, g, x):
-    u, w = x
-    return (J.mul(g[0][0], u) + J.mul(g[0][1], w),
-            J.mul(g[1][0], u) + J.mul(g[1][1], w))
-
-
-def _row_apply(J: CNS, x, g):
-    s, t = x
-    return (J.mul(s, g[0][0]) + J.mul(t, g[1][0]),
-            J.mul(s, g[0][1]) + J.mul(t, g[1][1]))
-
-
-def _terms(W: WSpace, v: WElt, side: str):
+def _terms(W: WSpace, v: WElt):
+    """v as a sum of eight symmetrized tensor cubes (coef, (x1, x2, x3)) of
+    pairs over J; coef None stands for 1."""
     J = W.J
     z = J.zero()
     one = J.one()
@@ -482,8 +480,12 @@ def _terms(W: WSpace, v: WElt, side: str):
     ]
 
 
-def _project_col(W: WSpace, terms) -> WElt:
+def _project(W: WSpace, terms, side: str) -> WElt:
+    """The element of W_J that a sum of symmetrized tensor cubes of column
+    pairs (side "left") or row pairs (side "right") represents; a row pair
+    multiplies in the reverse order."""
     J = W.J
+    mul = J.mul if side == "left" else (lambda x, y: J.mul(y, x))
     a = W.base.zero()
     d = W.base.zero()
     b = J.zero()
@@ -494,36 +496,10 @@ def _project_col(W: WSpace, terms) -> WElt:
         u3, w3 = x3
         al = J.pair(J.cross(u1, u2), u3)
         de = J.pair(J.cross(w1, w2), w3)
-        be = (J.mul(w1, J.cross(u2, u3)) + J.mul(w2, J.cross(u3, u1))
-              + J.mul(w3, J.cross(u1, u2)))
-        ga = (J.mul(u1, J.cross(w2, w3)) + J.mul(u2, J.cross(w3, w1))
-              + J.mul(u3, J.cross(w1, w2)))
-        if coef is not None:
-            al, de = al * coef, de * coef
-            be, ga = be * coef, ga * coef
-        a = a + al * SIXTH
-        d = d + de * SIXTH
-        b = b + be * SIXTH
-        c = c + ga * SIXTH
-    return WElt(W, a, b, c, d)
-
-
-def _project_row(W: WSpace, terms) -> WElt:
-    J = W.J
-    a = W.base.zero()
-    d = W.base.zero()
-    b = J.zero()
-    c = J.zero()
-    for coef, (x1, x2, x3) in terms:
-        s1, t1 = x1
-        s2, t2 = x2
-        s3, t3 = x3
-        al = J.pair(J.cross(s1, s2), s3)
-        de = J.pair(J.cross(t1, t2), t3)
-        be = (J.mul(J.cross(s2, s3), t1) + J.mul(J.cross(s3, s1), t2)
-              + J.mul(J.cross(s1, s2), t3))
-        ga = (J.mul(J.cross(t2, t3), s1) + J.mul(J.cross(t3, t1), s2)
-              + J.mul(J.cross(t1, t2), s3))
+        be = (mul(w1, J.cross(u2, u3)) + mul(w2, J.cross(u3, u1))
+              + mul(w3, J.cross(u1, u2)))
+        ga = (mul(u1, J.cross(w2, w3)) + mul(u2, J.cross(w3, w1))
+              + mul(u3, J.cross(w1, w2)))
         if coef is not None:
             al, de = al * coef, de * coef
             be, ga = be * coef, ga * coef
@@ -538,17 +514,16 @@ def gl2_act(W: WSpace, g, v: WElt, side: str = "left") -> WElt:
     """Action of a 2x2 matrix over A on W_A, defined for all of M_2(A) via
     the symmetrized-tensor model; agrees with the generator formulas on
     triangular, diagonal, and Weyl elements."""
-    J = W.J
-    if not J.has_mul:
+    if not W.J.has_mul:
         raise DescriptorError("the GL_2 action needs associative coordinates")
-    terms = _terms(W, v, side)
+    terms = _terms(W, v)
     if side == "left":
-        moved = [(coef, tuple(_col_apply(J, g, x) for x in xs)) for coef, xs in terms]
-        return _project_col(W, moved)
-    if side == "right":
-        moved = [(coef, tuple(_row_apply(J, x, g) for x in xs)) for coef, xs in terms]
-        return _project_row(W, moved)
-    raise DescriptorError("side must be 'left' or 'right'")
+        moved = [(coef, tuple(mat_times_col(g, x) for x in xs)) for coef, xs in terms]
+    elif side == "right":
+        moved = [(coef, tuple(row_times_mat(x, g) for x in xs)) for coef, xs in terms]
+    else:
+        raise DescriptorError("side must be 'left' or 'right'")
+    return _project(W, moved, side)
 
 
 def det6(W: WSpace, g, side: str = "left"):
@@ -572,8 +547,7 @@ def m2_identity(J: CNS):
 
 
 def m2_mul(J: CNS, g, h):
-    return tuple(tuple(J.mul(g[i][0], h[0][j]) + J.mul(g[i][1], h[1][j])
-                       for j in range(2)) for i in range(2))
+    return mat_mul(g, h)
 
 
 def m2_j2(J: CNS):

@@ -41,8 +41,10 @@ from .freudenthal import (
     HOperator,
     WElt,
     WSpace,
+    _terms,
     h_apply,
     iter_search_rows,
+    m2_j2,
     r_of,
     r_right,
     s_of,
@@ -133,6 +135,13 @@ def x_of(WE: WSpace, vE: WElt, omega) -> WElt:
     return (vE * omega + WE.flat(vE)) * HALF
 
 
+def u_apply(R, omega, x, side: str = "left"):
+    """U x = (omega + R) x / 2 for a column pair x (side "left"), or
+    x (omega + R) / 2 for a row pair x (side "right")."""
+    rx = mat_times_col(R, x) if side == "left" else row_times_mat(x, R)
+    return tuple((xi * omega + yi) * HALF for xi, yi in zip(x, rx))
+
+
 # ---------------------------------------------------------------------------
 # Rank-one lifts along a quadratic extension: any cubic norm structure.
 # ---------------------------------------------------------------------------
@@ -197,22 +206,11 @@ def lift_wa_refined(W: WSpace, v: WElt, eta=None, ell=None,
         ell = (JE.random(rng), JE.random(rng))
     res = LiftResult(extension=E, lifted=X,
                      data={"xbar": Xbar, "omega": omega, "space": WE, "R": R})
-    half_omega = omega * HALF
-
-    def halfsum(m, x):
-        u, w = x
-        return (u * half_omega + (JE.mul(m[0][0], u) + JE.mul(m[0][1], w)) * HALF,
-                w * half_omega + (JE.mul(m[1][0], u) + JE.mul(m[1][1], w)) * HALF)
-
-    ueta = halfsum(R, eta)
-    lhs = shriek_col(WE, ueta)
+    lhs = shriek_col(WE, u_apply(R, omega, eta))
     rhs = Xbar * WE.pair(X, shriek_col(WE, eta))
     res.require("((w+R(v))/2 eta)! = <X, eta!> Xbar", lhs == rhs)
 
-    s, t = ell
-    lrow = (s * half_omega + (JE.mul(s, Rr[0][0]) + JE.mul(t, Rr[1][0])) * HALF,
-            t * half_omega + (JE.mul(s, Rr[0][1]) + JE.mul(t, Rr[1][1])) * HALF)
-    lhs2 = shriek_row(WE, lrow)
+    lhs2 = shriek_row(WE, u_apply(Rr, omega, ell, "right"))
     rhs2 = X * WE.pair(shriek_row(WE, ell), Xbar)
     res.require("(ell (w+R_r(v))/2)! = <ell!, Xbar> X", lhs2 == rhs2)
     return res
@@ -458,11 +456,11 @@ def eigen_checks(J: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> bo
     return True
 
 
-def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps,
-                    check_second_basis: bool = True):
+def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
     """The separability element eps = sum S_r(v_a) (x) w_a in M_3(C) (x) L,
     for a basis {v_a} of T and its trace-dual {w_a}; independent of the
-    basis, and S_r(x) eps = eps x for every x."""
+    basis (checked against a second basis), and S_r(x) eps = eps x for
+    every x."""
     T = pd.T
     if pd.Q == 0:
         raise PreconditionError("eps needs disc(1, w, t) != 0")
@@ -484,10 +482,9 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps,
 
     basis1 = T.basis()
     eps = build(basis1)
-    if check_second_basis:
-        basis2 = [T.one(), pd.omega + T.one(), pd.theta + pd.omega]
-        if not mat_eq(eps, build(basis2)):
-            raise IdentityError("eps depends on the basis")
+    basis2 = [T.one(), pd.omega + T.one(), pd.theta + pd.omega]
+    if not mat_eq(eps, build(basis2)):
+        raise IdentityError("eps depends on the basis")
     # S_r(x) eps = eps x
     for lam in (pd.omega, pd.theta):
         lam_m = _lift_to_T(compT, sr.s_r(lam))
@@ -497,8 +494,9 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps,
     return eps
 
 
-def _lift_to_T(compT: CompAlgebra, m):
-    return tuple(tuple(compT.elem(e.coords) for e in row) for row in m)
+def _lift_to_T(space, m):
+    """The matrix m with its entries read in the base-changed ``space``."""
+    return tuple(tuple(space.elem(e.coords) for e in row) for row in m)
 
 
 def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
@@ -526,7 +524,7 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
     # (v Y v*) as a T-scalar
     ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
     yv = mat_times_col(ymat, tuple(x.conj() for x in vT))
-    vyv = vT[0] * yv[0] + vT[1] * yv[1] + vT[2] * yv[2]
+    vyv = sum_prod(vT, yv)
     rhs = CnsElt(H3T, tuple(c * vyv.coords[0] for c in X.coords))
     res = LiftResult(extension=pd.T, lifted=X, data={"pair": pd, "Y": Y, "eps": eps})
     res.require("Q (v eps)*(v eps) = (v Y v*) X",
@@ -617,13 +615,11 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
     X = x_of(WB, vB, omega)
     Xbar = x_of(WB, vB, -omega)
     R = r_of(WB, vB)
-    half_omega = omega * HALF
-    (u0, v0), val = witness_search(
+    col, val = witness_search(
         ((cand, WB.pair(X, shriek_col(WB, cand))) for cand in iter_search_rows(B, cap, seed)),
         lambda hit: hit if K.is_unit(hit[1]) else None,
         "eta search bound exceeded; raise cap")
-    eta = (u0 * half_omega + (B.mul(R[0][0], u0) + B.mul(R[0][1], v0)) * HALF,
-           v0 * half_omega + (B.mul(R[1][0], u0) + B.mul(R[1][1], v0)) * HALF)
+    eta = u_apply(R, omega, col)
     lam = K.inv(val)
     res = SecondLift(extension=None, lifted=None, sk=sk, omega=omega, lam=lam, eta=eta)
     res.check("lambda eta! = X(-omega, v)", shriek_col(WB, eta) * lam == Xbar)
@@ -640,49 +636,36 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
     U = TitsUCNS(sk, S, lam)
     res.U = U
     WU = WSpace(U)
-    u0, v0 = eta
-    lifted = WU.elem(v.a, U.join(v.b, -u0), U.join(v.c, v0), v.d)
+    lifted = WU.elem(v.a, U.join(v.b, -eta[0]), U.join(v.c, eta[1]), v.d)
     res.lifted = lifted
     res.check("v + eta rank one in W_U",
               (not lifted.is_zero()) and WU.is_rank_le1(lifted))
-    # eta S eta* = S(v) - (omega/2) J_2
-    Sv = s_of(WB, vB)
-    star = sk.star
-    lhs = ((B.mul(B.mul(u0, S_B), star(u0)), B.mul(B.mul(u0, S_B), star(v0))),
-           (B.mul(B.mul(v0, S_B), star(u0)), B.mul(B.mul(v0, S_B), star(v0))))
-    one_B = B.one()
-    rhs = ((Sv[0][0], Sv[0][1] - one_B * half_omega),
-           (Sv[1][0] + one_B * half_omega, Sv[1][1]))
     res.check("eta S eta* = S(v) - (omega/2) J_2",
-              all(lhs[i][j] == rhs[i][j] for i in range(2) for j in range(2)))
+              mat_eq(_eta_s_eta_star(sk, eta, S_B), _tits_h(WB, vB, omega)))
     return res
+
+
+def _eta_s_eta_star(sk: SecondKind, eta, S_B: CnsElt):
+    """eta S eta* in M_2(B) for a column pair eta over B and S in B."""
+    col = mat_transpose((eta,))
+    return mat_mul(mat_smul(col, S_B), mat_star(col, sk.star))
+
+
+def _tits_h(WB: WSpace, vB: WElt, omega: AlgElem):
+    """h = S(v) - (omega/2) J_2 in M_2(B)."""
+    return mat_sub(s_of(WB, vB), mat_smul(m2_j2(WB.J), omega * HALF))
 
 
 def w_hermitian_K(sk: SecondKind, x: WElt, y: WElt) -> AlgElem:
     """The K-valued Hermitian form on W_B induced from the B-valued symplectic
     form on columns, through the symmetrized tensor-cube model."""
     B, K = sk.B, sk.K
-
-    def terms(v: WElt):
-        one, z = B.one(), B.zero()
-        e = (one, z)
-        f = (z, one)
-        return [
-            (v.a, (e, e, e)),
-            (None, ((z, v.b), e, e)), (None, (e, (z, v.b), e)), (None, (e, e, (z, v.b))),
-            (None, ((v.c, z), f, f)), (None, (f, (v.c, z), f)), (None, (f, f, (v.c, z))),
-            (v.d, (f, f, f)),
-        ]
-
-    def pair_cols(c1, c2) -> CnsElt:
-        return herm_pair_B(sk, c1, c2)
-
     acc = K.zero()
-    for coef1, t1 in terms(x):
-        for coef2, t2 in terms(y):
-            p1 = pair_cols(t1[0], t2[0])
-            p2 = pair_cols(t1[1], t2[1])
-            p3 = pair_cols(t1[2], t2[2])
+    for coef1, t1 in _terms(x.W, x):
+        for coef2, t2 in _terms(y.W, y):
+            p1 = herm_pair_B(sk, t1[0], t2[0])
+            p2 = herm_pair_B(sk, t1[1], t2[1])
+            p3 = herm_pair_B(sk, t1[2], t2[2])
             val = B.pair(B.cross(p1, p2), p3)
             if coef1 is not None:
                 val = val * sk.conj_K(coef1)
@@ -727,11 +710,7 @@ class QuotientTitsU(CNS):
         self.WB = WSpace(B)
         self.vB = embed_w(sk, self.WB, v)
         self.Xbar = x_of(self.WB, self.vB, -omega)
-        Sv = s_of(self.WB, self.vB)
-        half_omega = omega * HALF
-        one_B = B.one()
-        self.h = ((Sv[0][0], Sv[0][1] - one_B * half_omega),
-                  (Sv[1][0] + one_B * half_omega, Sv[1][1]))
+        self.h = _tits_h(self.WB, self.vB, omega)
         self._bbasis = B.flat_basis()
         self._fdim = len(self._bbasis)
         # I(v, omega) = left kernel of h
@@ -739,7 +718,7 @@ class QuotientTitsU(CNS):
         for slot in range(2):
             for e in self._bbasis:
                 ell = (e, B.zero()) if slot == 0 else (B.zero(), e)
-                img = self._ell_h(ell)
+                img = row_times_mat(ell, self.h)
                 cols.append(B.flatten(img[0]) + B.flatten(img[1]))
         ker = kernel(mat_transpose(cols))
         if len(ker) != self._fdim:
@@ -755,11 +734,9 @@ class QuotientTitsU(CNS):
 
     # -- plumbing ------------------------------------------------------------
 
-    def _ell_h(self, ell):
-        B = self.sk.B
-        u, w = ell
-        return (B.mul(u, self.h[0][0]) + B.mul(w, self.h[1][0]),
-                B.mul(u, self.h[0][1]) + B.mul(w, self.h[1][1]))
+    def _lhl(self, e1, e2) -> CnsElt:
+        """l1 h l2* in B for row pairs l1, l2."""
+        return sum_prod(row_times_mat(e1, self.h), tuple(self.sk.star(x) for x in e2))
 
     def _flatten_ell(self, ell) -> list[Fraction]:
         B = self.sk.B
@@ -821,20 +798,16 @@ class QuotientTitsU(CNS):
     # -- the structure maps (raw versions take (xj, ell) directly) -----------
 
     def norm_raw(self, xj: CnsElt, ell):
-        sk, J, B = self.sk, self.sk.J, self.sk.B
-        lh = self._ell_h(ell)
-        lhl = B.mul(lh[0], sk.star(ell[0])) + B.mul(lh[1], sk.star(ell[1]))
+        sk, J = self.sk, self.sk.J
         shr = shriek_row(self.WB, ell)
         # J_2^{-1} acts on W_B as (a,b,c,d) -> (-d, c, -b, a)
         jinv = WElt(self.WB, -shr.d, shr.c, -shr.b, shr.a)
-        return (J.norm(xj) - J.pair(xj, sk.project(lhl))
+        return (J.norm(xj) - J.pair(xj, sk.project(self._lhl(ell, ell)))
                 + sk.tr_KF(self.WB.pair(self.Xbar, jinv)))
 
     def adjoint_raw(self, xj: CnsElt, ell):
         sk, J, B = self.sk, self.sk.J, self.sk.B
-        lh = self._ell_h(ell)
-        lhl = B.mul(lh[0], sk.star(ell[0])) + B.mul(lh[1], sk.star(ell[1]))
-        first = J.adjoint(xj) - sk.project(lhl)
+        first = J.adjoint(xj) - sk.project(self._lhl(ell, ell))
         u, w = ell
         a, b, c, d = self.vB.a, self.vB.b, self.vB.c, self.vB.d
         us, ws = B.adjoint(u), B.adjoint(w)
@@ -845,12 +818,8 @@ class QuotientTitsU(CNS):
         return first, second
 
     def pair_raw(self, x1: CnsElt, e1, x2: CnsElt, e2):
-        sk, J, B = self.sk, self.sk.J, self.sk.B
-        lh = self._ell_h(e1)
-        z = B.mul(lh[0], sk.star(e2[0])) + B.mul(lh[1], sk.star(e2[1]))
-        lh2 = self._ell_h(e2)
-        z = z + B.mul(lh2[0], sk.star(e1[0])) + B.mul(lh2[1], sk.star(e1[1]))
-        return J.pair(x1, x2) + J.trace(sk.project(z))
+        sk, J = self.sk, self.sk.J
+        return J.pair(x1, x2) + J.trace(sk.project(self._lhl(e1, e2) + self._lhl(e2, e1)))
 
     def norm(self, x: CnsElt):
         xj, ell = self.split(x)
@@ -938,9 +907,8 @@ class GanSavinU(CNS):
         return self.join(self.A.one(), (self.A.zero(), self.A.zero()))
 
     def _lsl(self, e1, e2) -> CnsElt:
-        A, S = self.A, self.S
-        return (A.mul(e1[0], A.mul(S[0][0], e2[0])) + A.mul(e1[0], A.mul(S[0][1], e2[1]))
-                + A.mul(e1[1], A.mul(S[1][0], e2[0])) + A.mul(e1[1], A.mul(S[1][1], e2[1])))
+        """l1 S(v) l2^t in A for row pairs l1, l2."""
+        return sum_prod(row_times_mat(e1, self.S), e2)
 
     def norm(self, x: CnsElt):
         A = self.A
@@ -1101,8 +1069,8 @@ def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResul
     gamma, v0, _ = unit_scalar_row(comp, mat_neg(S6), iter_comp_rows(comp, 6, cap, seed),
                                    "rank-2 lift search exhausted; raise cap")
     u = tuple(c.conj() for c in v0)
-    herm = sum_c(comp, [u[i] * u[3 + i].conj() for i in range(3)]) \
-        - sum_c(comp, [u[3 + i] * u[i].conj() for i in range(3)])
+    # <u, u>_C = u_1 u_2* - u_2 u_1* for the halves of u, where u* = v0
+    herm = sum_prod(u[:3], v0[3:]) - sum_prod(u[3:], v0[:3])
     U = CayleyUCNS(comp, gamma)
     WU = WSpace(U)
     vpart = u[:3]
@@ -1119,13 +1087,6 @@ def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResul
     return res
 
 
-def sum_c(comp: CompAlgebra, xs):
-    acc = comp.zero()
-    for x in xs:
-        acc = acc + x
-    return acc
-
-
 def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> LiftResult:
     """Lift a rank-3 element of W_J to a rank-one element of W_{U(h)} for the
     Tits structure with (S, lambda) = (h#, n(h)):
@@ -1139,25 +1100,26 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     W = WSpace(J)
     if W.rank(x) != 3:
         raise PreconditionError("rank-3 input required")
-    ops = []  # list of ("mat", M, Minv) and ("scale", s); applied left to right
+    one, zero = B.one(), B.zero()
+    ops = []  # ("mat", M^{-1}) and ("scale", s), one per step, applied left to right
     cur = x
     # step 1: make the a-slot a unit
     if not W.base.is_unit(cur.a):
         if W.base.is_unit(cur.d):
             cur = h_apply(HOperator("wj"), cur)
-            ops.append(("mat", _m2b(sk, "j2"), _m2b(sk, "j2inv")))
+            ops.append(("mat", mat_neg(m2_j2(B))))
         else:
             Y, cur = witness_search(
                 ((Y, h_apply(HOperator("nbarj", (Y,)), cur)) for Y in iter_elements(J, cap, seed)),
                 lambda hit: hit if W.base.is_unit(hit[1].a) else None,
                 "normalization search exhausted")
-            ops.append(("mat", _m2b(sk, "upper", Y), _m2b(sk, "upper", -Y)))
+            ops.append(("mat", ((one, sk.embed(-Y)), (zero, one))))
     # step 2: kill the b-slot
     a_inv = W.base.inv(cur.a)
     Xop = cur.b * (-a_inv)
     if not Xop.is_zero():
         cur = h_apply(HOperator("nj", (Xop,)), cur)
-        ops.append(("mat", _m2b(sk, "lower", Xop), _m2b(sk, "lower", -Xop)))
+        ops.append(("mat", ((one, zero), (sk.embed(-Xop), one))))
     # step 3: scale to a = 1; the recorded payload is the factor applied
     if not (cur.a == W.base.coerce(1)):
         lam = W.base.inv(cur.a)
@@ -1179,18 +1141,16 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
             y, ny = witness_search(iter_elements(J, cap, seed + 1), moves,
                                    "trace normalization search exhausted")
             # diag(y^{-1}, y) in G, then rescale by n(y)
-            cur2 = _diag_apply(sk, W, y, cur)
+            cur = _diag_apply(sk, W, y, cur) * ny
             y_B = sk.embed(y)
-            yinv_B = _b_inverse(B, y_B)
-            ops.append(("mat", _m2b_diag(sk, yinv_B, y_B), _m2b_diag(sk, y_B, yinv_B)))
-            cur = cur2 * ny
+            ops.append(("mat", ((y_B, zero), (zero, _b_inverse(B, y_B)))))
             ops.append(("scale", ny))
     # construction at (1, 0, c, d)
     c, d = cur.c, cur.d
     if W.base.is_unit(d):
         d_inv = W.base.inv(d)
         h = J.adjoint(c) * (-2 * d_inv)
-        eta = (B.one(), sk.embed(h))
+        eta = (one, sk.embed(h))
     else:
         cs = J.adjoint(c)
         tr = J.trace(cs)
@@ -1200,14 +1160,11 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
         u_B = sk.embed(u)
         eta = (u_B, B.mul(B.adjoint(sk.star(u_B)), sk.embed(h)))
     # transport back through the word
-    for kind, *payload in reversed(ops):
+    for kind, payload in reversed(ops):
         if kind == "scale":
-            s = payload[0]
-            h = h * W.base.inv(s)
+            h = h * W.base.inv(payload)
         else:
-            _, minv = payload
-            eta = (B.mul(minv[0][0], eta[0]) + B.mul(minv[0][1], eta[1]),
-                   B.mul(minv[1][0], eta[0]) + B.mul(minv[1][1], eta[1]))
+            eta = mat_times_col(payload, eta)
     # certify Lift(x, h) on the original element
     nh = J.norm(h)
     if not W.base.is_unit(nh):
@@ -1222,38 +1179,13 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
     res = LiftResult(extension=None, lifted=lifted, data={**res_data, "U": U})
     herm = herm_pair_B(sk, eta, eta)
     res.require("<eta, eta>_B = 0", herm.is_zero())
-    hs_B = sk.embed(J.adjoint(h))
-    Sx = s_of(WB, xB)
-    star = sk.star
-    u0, v0 = eta
-    lhs = ((B.mul(B.mul(u0, hs_B), star(u0)), B.mul(B.mul(u0, hs_B), star(v0))),
-           (B.mul(B.mul(v0, hs_B), star(u0)), B.mul(B.mul(v0, hs_B), star(v0))))
     res.require("S(x) = eta h# eta*",
-                all(lhs[i][j] == Sx[i][j] for i in range(2) for j in range(2)))
+                mat_eq(_eta_s_eta_star(sk, eta, sk.embed(J.adjoint(h))), s_of(WB, xB)))
     res.require("x_flat / 2 = n(h) eta!",
                 embed_w(sk, WB, W.flat(x)) * HALF == shriek_col(WB, eta) * nh)
     res.require("x + eta rank one in W_U(h)",
                 (not lifted.is_zero()) and WU.is_rank_le1(lifted))
     return res
-
-
-def _m2b(sk: SecondKind, kind: str, X: Optional[CnsElt] = None):
-    B = sk.B
-    one, zero = B.one(), B.zero()
-    if kind == "j2":
-        return ((zero, one), (-one, zero))
-    if kind == "j2inv":
-        return ((zero, -one), (one, zero))
-    if kind == "lower":
-        return ((one, zero), (sk.embed(X), one))
-    if kind == "upper":
-        return ((one, sk.embed(X)), (zero, one))
-    raise DescriptorError(kind)
-
-
-def _m2b_diag(sk: SecondKind, top: CnsElt, bottom: CnsElt):
-    zero = sk.B.zero()
-    return ((top, zero), (zero, bottom))
 
 
 def _diag_apply(sk: SecondKind, W: WSpace, y: CnsElt, v: WElt) -> WElt:

@@ -27,6 +27,7 @@ from .freudenthal import (
     WSpace,
     det6,
     iter_search_rows,
+    m2_scalar,
     norm_class_witness,
     r_of,
     r_right,
@@ -36,6 +37,7 @@ from .freudenthal import (
 from .lifting import (
     LiftResult,
     PairData,
+    _lift_to_T,
     comp_norm_class_witness,
     disc_binary_cubic,
     epsilon_element,
@@ -45,11 +47,12 @@ from .lifting import (
     pair_cubic,
     pair_lift,
     sr_maps,
+    u_apply,
     unit_scalar_row,
     w_coerce,
     x_of,
 )
-from .matops import mat_mul, mat_star, mat_transpose, row_times_mat
+from .matops import mat_add, mat_mul, mat_smul, mat_star, mat_transpose, row_times_mat
 from .scalars import (
     AlgElem,
     CommAlgebra,
@@ -172,7 +175,7 @@ def sa_norm_matrix(ideal: IdealSA):
             ones.append(p)
             taus.append(q)
         cols.append((CnsElt(J, tuple(taus)), CnsElt(J, tuple(ones))))
-    return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
+    return mat_transpose(cols)
 
 
 def ideal_norm_sa(ideal: IdealSA):
@@ -263,17 +266,12 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     vprime = (W.flat(v) - v * D) * HALF
     res.require("X = tau v + (v_flat - Dv)/2 with integral parts", _w_integral(vprime))
     Rr = r_right(W, v)
-    omega_inv = E.inv(omega)
     # eps = (w + R_r(v)) / (2w), entries over A_E
-    half_oinv = omega_inv * HALF
-    eps = tuple(tuple((JE.elem(Rr[i][j].coords) + (JE.one() if i == j else JE.zero()) * omega)
-                      * half_oinv for j in range(2)) for i in range(2))
+    eps = mat_smul(mat_add(_lift_to_T(JE, Rr), m2_scalar(JE, omega)), E.inv(omega) * HALF)
     # Omega = (D + R_r)/2 integral: the S-action on column vectors
-    Omega = tuple(tuple((Rr[i][j] + (J.one() if i == j else J.zero()) * D) * HALF
-                        for j in range(2)) for i in range(2))
+    Omega = mat_smul(mat_add(Rr, m2_scalar(J, D)), HALF)
     res.require("Omega = (D + R_r)/2 integral",
-                all(all(is_integral(c) for c in Omega[i][j].coords)
-                    for i in range(2) for j in range(2)))
+                all(is_integral(c) for row in Omega for x in row for c in x.coords))
 
     def unit_beta(cand):
         ell_E = (JE.elem(cand[0].coords), JE.elem(cand[1].coords))
@@ -295,14 +293,10 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
         res.require(name, ok)
     # S-stability: tau b = b Omega_tau with integral Omega_tau = (Omega as tau-action)
     tau_b = tuple(x * tau for x in b)
-    b_Om = tuple(_row_entry(JE, b, Omega, j) for j in range(2))
+    b_Om = row_times_mat(b, _lift_to_T(JE, Omega))
     res.require("tau b = b Omega (S-stability with integral action)",
                 all(x == y for x, y in zip(tau_b, b_Om)))
     return ring, ideal, res
-
-
-def _row_entry(JE, b, M, j):
-    return JE.mul(b[0], JE.elem(M[0][j].coords)) + JE.mul(b[1], JE.elem(M[1][j].coords))
 
 
 def balanced_to_cube(ideal: IdealSA) -> tuple:
@@ -329,7 +323,7 @@ def balanced_to_cube(ideal: IdealSA) -> tuple:
     return v, X
 
 
-def sa_data_equivalent(i1: IdealSA, i2: IdealSA, cap: int = 200):
+def sa_data_equivalent(i1: IdealSA, i2: IdealSA):
     """Equivalence test: X-elements agree iff there is x in A_E^x with
     b' = x b, beta' = n(x) beta.  Returns the witness, "not-equivalent",
     or "unknown" (solver found no unit witness)."""
@@ -577,11 +571,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     exact = nu == lam
     ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
     mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
-    R = r_of(WE, vE)
-    u0, v0 = eta
-    half = HALF
-    ueta = (u0 * (omega * half) + (JE.mul(R[0][0], u0) + JE.mul(R[0][1], v0)) * half,
-            v0 * (omega * half) + (JE.mul(R[1][0], u0) + JE.mul(R[1][1], v0)) * half)
+    ueta = u_apply(r_of(WE, vE), omega, eta)
     s, t = ell_E
     x_wit = JE.mul(s, ueta[1]) - JE.mul(t, ueta[0])
     lamc = WE.pair(X, shriek_col(WE, eta))

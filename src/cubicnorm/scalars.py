@@ -184,7 +184,9 @@ class Vec:
     only its repr and its own maps.  This is the one place that reads a bare
     operand -- an int, a Fraction or an element of the base algebra -- as a
     scalar s: ``*`` scales by it, and where the structure has unit
-    coordinates, +, - and == read it as s * 1.
+    coordinates, +, - and == read it as s * 1.  An operand over a structure
+    whose base is this element's structure carries out +, - and * itself,
+    also where Python tries no reflected method (two ``AlgElem``).
     """
 
     __slots__ = ("space", "coords")
@@ -212,10 +214,13 @@ class Vec:
         except DescriptorError:
             return None
 
+    def _is_base_of(self, other) -> bool:
+        return isinstance(other, Vec) and other.space.base == self.space
+
     def __add__(self, other):
         o = self._peer(other)
         if o is None:
-            return NotImplemented
+            return other.__radd__(self) if self._is_base_of(other) else NotImplemented
         return type(self)(self.space, tuple(a + b for a, b in zip(self.coords, o)))
 
     __radd__ = __add__
@@ -223,7 +228,7 @@ class Vec:
     def __sub__(self, other):
         o = self._peer(other)
         if o is None:
-            return NotImplemented
+            return other.__rsub__(self) if self._is_base_of(other) else NotImplemented
         return type(self)(self.space, tuple(a - b for a, b in zip(self.coords, o)))
 
     def __rsub__(self, other):
@@ -244,9 +249,9 @@ class Vec:
                 try:
                     other = space.base.coerce(other)
                 except DescriptorError:
+                    if self._is_base_of(other):
+                        return other.__rmul__(self)
                     if isinstance(self, AlgElem):
-                        # this algebra may be the base of the other one, whose
-                        # reflected operation then reads self as its scalar
                         return NotImplemented
                     raise
             elif type(other) is type(self):

@@ -37,8 +37,8 @@ from cubicnorm.freudenthal import (
     shriek_col,
     shriek_row,
 )
-from cubicnorm.freudenthal import _col_apply, _project_col  # test-only internals
-from cubicnorm.matops import mat_mul
+from cubicnorm.freudenthal import _project  # test-only internal
+from cubicnorm.matops import mat_mul, mat_times_col, row_times_mat
 from cubicnorm.presets import CNS_SUITE, cns_preset
 from cubicnorm.scalars import AlgElem, PreconditionError, quadratic_field
 
@@ -306,8 +306,18 @@ def test_gl2_shriek_equivariance(rng):
         W = WSpace(J)
         eta = (J.random(rng), J.random(rng))
         g = tuple(tuple(J.random(rng) for _ in range(2)) for _ in range(2))
-        assert shriek_col(W, _col_apply(J, g, eta)) == \
+        assert shriek_col(W, mat_times_col(g, eta)) == \
             gl2_act(W, g, shriek_col(W, eta), "left")
+
+
+def test_gl2_shriek_equivariance_rows(rng):
+    """(ell g)! = ell! g on the right, over noncommutative coordinates too."""
+    for J in associative_variants():
+        W = WSpace(J)
+        ell = (J.random(rng), J.random(rng))
+        g = tuple(tuple(J.random(rng) for _ in range(2)) for _ in range(2))
+        assert shriek_row(W, row_times_mat(ell, g)) == \
+            gl2_act(W, g, shriek_row(W, ell), "right"), J.name
 
 
 def test_det6(rng):
@@ -408,8 +418,8 @@ def test_tensor_relations(rng):
             xa = (J.mul(x[0], a), J.mul(x[1], a))
             ya = (J.mul(y[0], a), J.mul(y[1], a))
             zas = (J.mul(z[0], J.adjoint(a)), J.mul(z[1], J.adjoint(a)))
-            lhs = _project_col(W, [(None, (xa, ya, z))])
-            rhs = _project_col(W, [(None, (x, y, zas))])
+            lhs = _project(W, [(None, (xa, ya, z))], "left")
+            rhs = _project(W, [(None, (x, y, zas))], "left")
             assert lhs == rhs
 
 

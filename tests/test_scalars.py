@@ -233,7 +233,7 @@ DISPATCH = {
     "AlgElem/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
                   "Fraction": "xxxxxx11", "E": "TTTTTT00", "foreign": "TTTTTT00"},
     "AlgElem/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
-                  "Fraction": "xxxxxx11", "E": "xTxTxT11", "foreign": "TTTTTT00"},
+                  "Fraction": "xxxxxx11", "E": "xxxxxx11", "foreign": "TTTTTT00"},
     "CompElt/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
                   "Fraction": "xxxxxx11", "E": "TTTTDD00", "foreign": "TTTTDD00"},
     "CompElt/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
