@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .composition import CheckReport, CompAlgebra, CompElt, _record, cd_double
@@ -449,13 +448,12 @@ def cubic_ring_table(a, b, c, d) -> tuple:
         w t = -ad,   w^2 = -ac + a t - b w,   t^2 = -bd + c t - d w.
     """
     a, b, c, d = qq(a), qq(b), qq(c), qq(d)
-    zero, one = Fraction(0), Fraction(1)
-    wt = (-a * d, zero, zero)
+    wt = (-a * d, 0, 0)
     ww = (-a * c, -b, a)
     tt = (-b * d, -d, c)
-    e0 = ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-    e1 = ((zero, one, zero), ww, wt)
-    e2 = ((zero, zero, one), wt, tt)
+    e0 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    e1 = ((0, 1, 0), ww, wt)
+    e2 = ((0, 0, 1), wt, tt)
     return (e0, e1, e2)
 
 

@@ -12,7 +12,6 @@ length <= 1 commutative.  Norm, trace, and conjugation come with the doubling:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import (
@@ -66,7 +65,7 @@ class CompAlgebra(CoordSpace):
         self.base = base
         self.dim = 2 ** len(gs)
         self.name = f"comp({','.join(str(g) for g in gs)})"
-        self.unit_coords = (Fraction(1),) + (Fraction(0),) * (self.dim - 1)
+        self.unit_coords = (1,) + (0,) * (self.dim - 1)
 
     @property
     def is_associative(self) -> bool:

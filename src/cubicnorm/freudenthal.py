@@ -25,14 +25,14 @@ from .matops import (
     row_times_mat,
 )
 from .scalars import (
+    HALF,
+    THIRD,
     DescriptorError,
     PreconditionError,
     rref,
     witness_search,
 )
 
-HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
 SIXTH = Fraction(1, 6)
 
 
@@ -614,7 +614,7 @@ def norm_class_witness(J: CNS, lam1, lam2, cap: int = 400, seed: int = 0):
         for x in small():
             for k in (2, 3, 4, 6):
                 yield x * Fraction(1, k)
-                yield x * Fraction(k)
+                yield x * k
         rng = random.Random(seed)
         while True:
             yield J.random(rng, 3, integral=False)

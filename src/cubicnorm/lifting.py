@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional
 
 from .cns import (
@@ -37,7 +36,6 @@ from .cns import (
 )
 from .composition import CompAlgebra
 from .freudenthal import (
-    HALF,
     HOperator,
     WElt,
     WSpace,
@@ -66,12 +64,16 @@ from .matops import (
     sum_prod,
 )
 from .scalars import (
+    HALF,
+    QQ_BASE,
+    THIRD,
     AlgElem,
     CommAlgebra,
     DescriptorError,
     IdentityError,
     PreconditionError,
     RationalBase,
+    Scalar,
     det_fraction,
     linsolve,
     kernel,
@@ -274,7 +276,7 @@ class PairData:
     coeffs: tuple
     T: CommAlgebra
     JT: CNS
-    Q: Fraction
+    Q: Scalar
 
     @property
     def omega(self) -> AlgElem:
@@ -287,21 +289,21 @@ class PairData:
     @property
     def omega0(self) -> AlgElem:
         b = self.coeffs[1]
-        return self.T.elem([qq(b) / 3, 1, 0])
+        return self.T.elem([qq(b) * THIRD, 1, 0])
 
     @property
     def theta0(self) -> AlgElem:
         c = self.coeffs[2]
-        return self.T.elem([-qq(c) / 3, 0, 1])
+        return self.T.elem([-qq(c) * THIRD, 0, 1])
 
 
-def disc_binary_cubic(a, b, c, d) -> Fraction:
+def disc_binary_cubic(a, b, c, d) -> Scalar:
     a, b, c, d = qq(a), qq(b), qq(c), qq(d)
     return (-27 * a * a * d * d + 18 * a * d * b * c + b * b * c * c
             - 4 * a * c ** 3 - 4 * d * b ** 3)
 
 
-def gram_of_basis(T: CommAlgebra, basis=None) -> list[list[Fraction]]:
+def gram_of_basis(T: CommAlgebra, basis=None) -> list[list[Scalar]]:
     bs = basis if basis is not None else T.basis()
     return [[T.trace(x * y) for y in bs] for x in bs]
 
@@ -318,9 +320,10 @@ def pair_cubic(J: CNS, A: CnsElt, B: CnsElt) -> PairData:
     if det_fraction(gram_of_basis(T)) != Q:
         raise IdentityError("disc(1, w, t) != Q(f)")
     # shifted basis table: w0 t0 = (b/3) t0 - (c/3) w0 + (bc/9 - ad)
-    w0 = T.elem([b / 3, 1, 0])
-    t0 = T.elem([-c / 3, 0, 1])
-    expected = t0 * (b / 3) - w0 * (c / 3) + T.from_rational(b * c / 9 - a * d)
+    b3, c3 = b * THIRD, c * THIRD
+    w0 = T.elem([b3, 1, 0])
+    t0 = T.elem([-c3, 0, 1])
+    expected = t0 * b3 - w0 * c3 + T.from_rational(b3 * c3 - a * d)
     if not (w0 * t0 == expected):
         raise IdentityError("shifted good-basis table failed")
     return PairData(J, A, B, (a, b, c, d), T, J.base_change(T), Q)
@@ -409,8 +412,8 @@ def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
         "one": eye,
         "omega": Sw,
         "theta": St,
-        "omega0": mat_add(Sw, mat_smul(eye, qq(b) / 3)),
-        "theta0": mat_add(St, mat_smul(eye, -qq(c) / 3)),
+        "omega0": mat_add(Sw, mat_smul(eye, qq(b) * THIRD)),
+        "theta0": mat_add(St, mat_smul(eye, -qq(c) * THIRD)),
     }
     sr = SrMaps(J, pd, images)
     if check:
@@ -471,7 +474,7 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
         n = len(basis)
         duals = []
         for i in range(n):
-            rhs = [Fraction(1) if k == i else Fraction(0) for k in range(n)]
+            rhs = [1 if k == i else 0 for k in range(n)]
             sol = linsolve(V, rhs)
             duals.append(T.elem([sum(sol[j] * basis[j].coords[k] for j in range(n))
                                  for k in range(3)]))
@@ -494,9 +497,14 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
     return eps
 
 
+def _lift_row(space, row):
+    """The row (or column) with its entries read in the base-changed ``space``."""
+    return tuple(space.elem(e.coords) for e in row)
+
+
 def _lift_to_T(space, m):
     """The matrix m with its entries read in the base-changed ``space``."""
-    return tuple(tuple(space.elem(e.coords) for e in row) for row in m)
+    return tuple(_lift_row(space, row) for row in m)
 
 
 def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
@@ -517,7 +525,7 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
         rng = random.Random(0)
     if v is None:
         v = tuple(J.comp.random(rng) for _ in range(3))
-    vT = tuple(compT.elem(x.coords) for x in v)
+    vT = _lift_row(compT, v)
     veps = row_times_mat(vT, eps)
     outer = mat_mul(mat_star((veps,), lambda e: e.conj()), (veps,))
     lhs = H3T.from_matrix(outer) * pd.Q
@@ -560,7 +568,7 @@ def find_antisymmetric_omega(sk: SecondKind, qv) -> AlgElem:
     that q(v)/D is a square."""
     K = sk.K
     D = -K.modulus[0]
-    ratio = qq(qv) / qq(D)
+    ratio = qq(qv) * QQ_BASE.inv(D)
     t = rational_sqrt(ratio)
     if t is None:
         raise NoLiftError("q(v) is not omega^2 for any omega in K with omega* = -omega")
@@ -657,8 +665,9 @@ def _tits_h(WB: WSpace, vB: WElt, omega: AlgElem):
 
 
 def w_hermitian_K(sk: SecondKind, x: WElt, y: WElt) -> AlgElem:
-    """The K-valued Hermitian form on W_B induced from the B-valued symplectic
-    form on columns, through the symmetrized tensor-cube model."""
+    """The K-valued skew-Hermitian form h on W_B, h(y, x) = -conj_K(h(x, y)),
+    induced from the skew pairing ``herm_pair_B`` on columns, through the
+    symmetrized tensor-cube model."""
     B, K = sk.B, sk.K
     acc = K.zero()
     for coef1, t1 in _terms(x.W, x):
@@ -738,7 +747,7 @@ class QuotientTitsU(CNS):
         """l1 h l2* in B for row pairs l1, l2."""
         return sum_prod(row_times_mat(e1, self.h), tuple(self.sk.star(x) for x in e2))
 
-    def _flatten_ell(self, ell) -> list[Fraction]:
+    def _flatten_ell(self, ell) -> list[Scalar]:
         B = self.sk.B
         return B.flatten(ell[0]) + B.flatten(ell[1])
 
@@ -785,8 +794,8 @@ class QuotientTitsU(CNS):
             out.append(self.join(e, zero_ell))
         free = [j for j in range(2 * self._fdim) if j not in self._pivots]
         for j in free:
-            flat = [Fraction(0)] * (2 * self._fdim)
-            flat[j] = Fraction(1)
+            flat = [0] * (2 * self._fdim)
+            flat[j] = 1
             out.append(self.join(J.zero(), self._unflatten_ell(flat)))
         return out
 

@@ -10,7 +10,6 @@ denominator-tracked so the field-level statements run on the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .cns import (
@@ -22,7 +21,6 @@ from .cns import (
 )
 from .composition import CompAlgebra, CompElt
 from .freudenthal import (
-    HALF,
     WElt,
     WSpace,
     det6,
@@ -37,6 +35,7 @@ from .freudenthal import (
 from .lifting import (
     LiftResult,
     PairData,
+    _lift_row,
     _lift_to_T,
     comp_norm_class_witness,
     disc_binary_cubic,
@@ -54,12 +53,16 @@ from .lifting import (
 )
 from .matops import mat_add, mat_mul, mat_smul, mat_star, mat_transpose, row_times_mat
 from .scalars import (
+    HALF,
+    QQ_BASE,
+    THIRD,
     AlgElem,
     CommAlgebra,
     IdentityError,
     PreconditionError,
     QuotientAlgebra,
     RationalBase,
+    Scalar,
     det,
     det_fraction,
     is_integral,
@@ -79,7 +82,7 @@ from .scalars import (
 class QuadRing:
     """S_D = Z[tau]/(tau^2 - D tau + (D^2 - D)/4) for D a square mod 4."""
 
-    D: Fraction
+    D: Scalar
 
     def __post_init__(self):
         if not is_integral(self.D):
@@ -88,8 +91,8 @@ class QuadRing:
             raise PreconditionError("D must be a square modulo 4Z")
 
     @property
-    def co(self) -> Fraction:
-        return (self.D * self.D - self.D) / 4
+    def co(self) -> Scalar:
+        return (self.D * self.D - self.D) * QQ_BASE.inv(4)
 
     def field(self) -> QuotientAlgebra:
         """E = F[w]/(w^2 - D), with tau = (D + w)/2."""
@@ -118,7 +121,7 @@ class CubicRing:
         return cubic_ring_algebra(*self.coeffs)
 
     @property
-    def disc(self) -> Fraction:
+    def disc(self) -> Scalar:
         return disc_binary_cubic(*self.coeffs)
 
 
@@ -130,7 +133,7 @@ def cubic_ring(a, b, c, d) -> CubicRing:
     return ring
 
 
-def det_gram(T: CommAlgebra) -> Fraction:
+def det_gram(T: CommAlgebra) -> Scalar:
     return det_fraction(gram_of_basis(T))
 
 
@@ -274,14 +277,12 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
                 all(is_integral(c) for row in Omega for x in row for c in x.coords))
 
     def unit_beta(cand):
-        ell_E = (JE.elem(cand[0].coords), JE.elem(cand[1].coords))
-        beta = WE.pair(shriek_row(WE, ell_E), Xbar) * E.inv(omega * omega * omega)
+        beta = WE.pair(shriek_row(WE, _lift_row(JE, cand)), Xbar) * E.inv(omega * omega * omega)
         return (cand, beta) if E.is_unit(beta) else None
 
     candidates = [ell] if ell is not None else iter_ell_candidates(J, E, eps, cap, seed)
     ell, beta = witness_search(candidates, unit_beta, "ell search bound exceeded; raise cap")
-    ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
-    b = row_times_mat(ell_E, eps)
+    b = row_times_mat(_lift_row(JE, ell), eps)
     ideal = IdealSA(ring, J, E, tuple(b), beta)
     res.data["ideal"] = ideal
     res.data["ell"] = ell
@@ -381,13 +382,13 @@ def tc_norm_matrix(ideal: IdealTC):
     return mat_transpose(cols)
 
 
-def n6(J: H3CNS, m) -> Fraction:
+def n6(J: H3CNS, m) -> Scalar:
     """The degree-6 norm N_6(m) = n(m m*) on M_3(C)."""
     mm = mat_mul(m, mat_star(m, lambda e: e.conj()))
     return J.norm(J.from_matrix(mm))
 
 
-def ideal_norm_tc(ideal: IdealTC) -> Fraction:
+def ideal_norm_tc(ideal: IdealTC) -> Scalar:
     J = H3CNS(ideal.comp)
     return n6(J, tc_norm_matrix(ideal))
 
@@ -436,14 +437,11 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     H3T = H3CNS(compT)
     ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
 
-    def to_T(row):
-        return tuple(compT.elem(x.coords) for x in row)
-
     rows = [v0] if v0 is not None else iter_comp_rows(J.comp, 3, cap, seed)
     vyv, _, v0 = unit_scalar_row(compT, ymat, rows, "v0 search bound exceeded; raise cap",
-                                 lift=to_T)
-    beta = vyv * (1 / pd.Q)
-    b = row_times_mat(to_T(v0), eps)
+                                 lift=lambda row: _lift_row(compT, row))
+    beta = vyv * QQ_BASE.inv(pd.Q)
+    b = row_times_mat(_lift_row(compT, v0), eps)
     ring = CubicRing(pd.coeffs)
     ideal = IdealTC(ring, J.comp, T, tuple(b), beta)
     res = LiftResult(extension=T, lifted=X, data={"ideal": ideal, "v0": v0, "Y": Y,
@@ -455,7 +453,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B
     omega = pd.omega
     wb = tuple(x * omega for x in b)
-    srw = tuple(tuple(compT.elem(e.coords) for e in row) for row in sr.images["omega"])
+    srw = _lift_to_T(compT, sr.images["omega"])
     bsr = row_times_mat(b, srw)
     res.require("w b = b S_r(w) (T-stability with integral action)",
                 all(x == y for x, y in zip(wb, bsr))
@@ -530,7 +528,7 @@ def lambda_value_set(J: CNS, WE: WSpace, X: WElt, cap: int = 60, seed: int = 0):
     JE = WE.J
 
     def unit_value(ell):
-        val = WE.pair(shriek_row(WE, (JE.elem(ell[0].coords), JE.elem(ell[1].coords))), X)
+        val = WE.pair(shriek_row(WE, _lift_row(JE, ell)), X)
         return (ell, val) if WE.base.is_unit(val) else None
 
     return witness_search(iter_search_rows(J, cap, seed), unit_value, limit=24)
@@ -559,7 +557,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     rows = lambda_value_set(J, WE, X, cap, seed)
 
     def unit_value(eta):
-        eta_E = (JE.elem(eta[0].coords), JE.elem(eta[1].coords))
+        eta_E = _lift_row(JE, eta)
         val = WE.pair(X, shriek_col(WE, eta_E))
         return (eta_E, val) if E.is_unit(val) else None
 
@@ -569,7 +567,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     (ell, nu), (eta, lam) = witness_search([p for p in pairs if p[0][1] == p[1][1]] + pairs,
                                            lambda p: p, "witness search bound exceeded")
     exact = nu == lam
-    ell_E = (JE.elem(ell[0].coords), JE.elem(ell[1].coords))
+    ell_E = _lift_row(JE, ell)
     mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
     ueta = u_apply(r_of(WE, vE), omega, eta)
     s, t = ell_E
@@ -649,7 +647,7 @@ def cubic_basis_change(ring: CubicRing, g):
     if detg == 0:
         raise PreconditionError("basis change needs an invertible matrix")
     a, b, c, d = ring.coeffs
-    dinv = 1 / detg
+    dinv = QQ_BASE.inv(detg)
     # f'(x, y) = det^{-1} f(px + ry, qx + sy)
     a2 = dinv * (a * p ** 3 + b * p * p * q + c * p * q * q + d * q ** 3)
     b2 = dinv * (3 * a * p * p * r + b * (p * p * s + 2 * p * q * r)
@@ -660,8 +658,8 @@ def cubic_basis_change(ring: CubicRing, g):
     new = CubicRing((a2, b2, c2, d2))
     # w0' = p w0 + q t0, t0' = r w0 + s t0; shift to the good basis
     # (w = w0 - b/3, t = t0 + c/3)
-    col_w = (p * b / 3 - q * c / 3 - b2 / 3, p, q)
-    col_t = (r * b / 3 - s * c / 3 + c2 / 3, r, s)
+    col_w = ((p * b - q * c - b2) * THIRD, p, q)
+    col_t = ((r * b - s * c + c2) * THIRD, r, s)
     M = ((qq(1), col_w[0], col_t[0]),
          (qq(0), col_w[1], col_t[1]),
          (qq(0), col_w[2], col_t[2]))

@@ -1,9 +1,10 @@
 """Exact scalar arithmetic: arbitrary-precision rationals, finite commutative
 quotient algebras F[x]/(f), and small dense exact linear algebra.
 
-Everything in this package is computed over Q (``fractions.Fraction``) or over
-a finite-dimensional commutative Q-algebra given by structure constants; no
-floating point appears anywhere.
+Everything in this package is computed over Q or over a finite-dimensional
+commutative Q-algebra given by structure constants.  A rational scalar is an
+``int`` when it is integral and a ``fractions.Fraction`` otherwise; no floating
+point appears anywhere, and a float offered as a scalar is refused.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ import operator
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-Scalar = Fraction
+Scalar = Union[int, Fraction]
 
 ScalarLike = Union[Fraction, int, str]
+
+# exact factors for the divisions the formulas need: a rational divided
+# by an int is written as a product with one of these, never with ``/``
+HALF = Fraction(1, 2)
+THIRD = Fraction(1, 3)
 
 
 class DescriptorError(ValueError):
@@ -59,36 +65,47 @@ def witness_search(candidates, test, message: Optional[str] = None,
     return hits[0] if hits else None
 
 
-def qq(x: ScalarLike) -> Fraction:
-    """Coerce an int, string, or Fraction to an exact rational."""
-    if isinstance(x, Fraction):
+def qq(x: ScalarLike) -> Scalar:
+    """Coerce an int, string, or Fraction to an exact rational: an int when
+    it is integral, a Fraction otherwise.  A float is inexact and refused."""
+    if type(x) is int:
         return x
-    return Fraction(x)
+    if isinstance(x, float):
+        raise DescriptorError(f"a float is not an exact scalar: {x!r}")
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
-def scalar_to_str(x: Fraction) -> str:
+def is_rational(x) -> bool:
+    """Whether x is a rational scalar as this package stores one: an int (not
+    a bool) or a Fraction."""
+    return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def scalar_to_str(x: Scalar) -> str:
     """Canonical serialization: "p/q" in lowest terms, "p" when q = 1."""
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
 
-def scalar_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def scalar_from_str(s: str) -> Scalar:
+    return qq(s)
 
 
-def rational_sqrt(x: Fraction) -> Optional[Fraction]:
+def rational_sqrt(x: Scalar) -> Optional[Scalar]:
     """Exact square root of a rational, or None if x is not a square."""
     if x < 0:
         return None
     num, den = x.numerator, x.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
+        return qq(Fraction(rn, rd))
     return None
 
 
-def is_integral(x: Fraction) -> bool:
+def is_integral(x: Scalar) -> bool:
     return x.denominator == 1
 
 
@@ -104,63 +121,61 @@ def is_integral(x: Fraction) -> bool:
 
 
 class RationalBase:
-    """The rational field as a base ring.  Elements are plain Fractions."""
+    """The rational field as a base ring, and the one place that decides what
+    a rational scalar is: an int when integral, a Fraction otherwise (see
+    ``qq``)."""
 
     dim = 1
     name = "QQ"
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def zero(self) -> int:
+        return 0
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def one(self) -> int:
+        return 1
 
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+    def coerce(self, x) -> Scalar:
         if isinstance(x, AlgElem):
             raise DescriptorError("cannot coerce an algebra element into QQ")
-        return Fraction(x)
+        return qq(x)
 
     # a C-level callable, not a method: mul_coords asks it about every
     # coordinate of every product
     is_zero = staticmethod(operator.not_)
 
-    def is_unit(self, x: Fraction) -> bool:
+    def is_unit(self, x: Scalar) -> bool:
         return x != 0
 
-    def inv(self, x: Fraction) -> Fraction:
+    def inv(self, x: Scalar) -> Scalar:
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
-        return Fraction(1) / x
+        return qq(Fraction(x.denominator, x.numerator))
 
-    def norm(self, x: Fraction) -> Fraction:
+    def norm(self, x: Scalar) -> Scalar:
         return x
 
-    def trace(self, x: Fraction) -> Fraction:
+    def trace(self, x: Scalar) -> Scalar:
         return x
 
-    def flatten(self, x: Fraction) -> list[Fraction]:
+    def flatten(self, x: Scalar) -> list[Scalar]:
         return [x]
 
-    def unflatten(self, coords: Sequence[Fraction]) -> Fraction:
+    def unflatten(self, coords: Sequence[Scalar]) -> Scalar:
         (x,) = coords
         return x
 
     def flat_dim(self) -> int:
         return 1
 
-    def basis(self) -> list[Fraction]:
-        return [Fraction(1)]
+    def basis(self) -> list[int]:
+        return [1]
 
-    def random(self, rng, height: int = 3, integral: bool = True) -> Fraction:
+    def random(self, rng, height: int = 3, integral: bool = True) -> Scalar:
         num = rng.randint(-height, height)
         if integral:
-            return Fraction(num)
+            return num
         den = rng.choice((1, 1, 2, 3))
-        return Fraction(num, den)
+        return qq(Fraction(num, den))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalBase)
@@ -278,7 +293,7 @@ class Vec:
         unit = self.space.unit_coords
         if unit is not None:
             k = next(i for i, u in enumerate(unit) if u != 0)
-            s = self.coords[k] * (Fraction(1) / unit[k])
+            s = self.coords[k] * QQ_BASE.inv(unit[k])
             if self.coords == tuple(s * u for u in unit):
                 return hash(s)
         return hash(self.coords)
@@ -342,10 +357,10 @@ class CoordSpace:
     def flat_dim(self) -> int:
         return self.dim * self.base.flat_dim()
 
-    def flatten(self, x) -> list[Fraction]:
+    def flatten(self, x) -> list[Scalar]:
         return [f for c in x.coords for f in self.base.flatten(c)]
 
-    def unflatten(self, coords: Sequence[Fraction]):
+    def unflatten(self, coords: Sequence[Scalar]):
         step = self.base.flat_dim()
         return self.element(self, tuple(self.base.unflatten(coords[i * step:(i + 1) * step])
                                         for i in range(self.dim)))
@@ -379,10 +394,12 @@ class CommAlgebra(CoordSpace):
     structure constants.
 
     ``table[i][j]`` holds the coordinates of e_i * e_j as a tuple of
-    Fractions; coordinates of elements live in ``base`` (Q by default), so
+    rationals; coordinates of elements live in ``base`` (Q by default), so
     the same table serves the algebra and all of its base changes.
-    Norm and trace come from the regular representation; an element is a
-    unit iff its norm is a unit (correct for the etale instances used here).
+    The norm comes from the regular representation.  The trace is linear, so
+    it is a dot product with the trace vector tr(e_i) = sum_k table[i][k][k],
+    computed once.  An element is a unit iff its norm is a unit (correct for
+    the etale instances used here).
     """
 
     element = AlgElem
@@ -395,6 +412,11 @@ class CommAlgebra(CoordSpace):
         if unit_coords is None:
             unit_coords = (1,) + (0,) * (self.dim - 1)
         self.unit_coords = tuple(qq(c) for c in unit_coords)
+        self.trace_vector = tuple(sum(row[k][k] for k in range(self.dim)) for row in self.table)
+        # the nonzero constants of each cell as (k, c) pairs, for mul_coords
+        self._cells = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
+                            for row in self.table)
+        self._basis_coords = tuple(c.coords for c in self.basis())
 
     # -- construction -------------------------------------------------------
 
@@ -419,32 +441,34 @@ class CommAlgebra(CoordSpace):
     def mul_coords(self, a, b):
         is0 = self.base.is_zero
         out = [self.base.zero()] * self.dim
-        for ai, row in zip(a, self.table):
+        for ai, row in zip(a, self._cells):
             if is0(ai):
                 continue
             for bj, cell in zip(b, row):
                 if is0(bj):
                     continue
                 prod = ai * bj
-                for k, c in enumerate(cell):
-                    if c:
-                        out[k] = out[k] + prod * c
+                for k, c in cell:
+                    out[k] = out[k] + (prod if c == 1 else prod * c)
         return tuple(out)
 
     def regular_matrix(self, u: AlgElem) -> list[list]:
         """Matrix of multiplication-by-u on the basis, columns = images."""
-        cols = [self.mul_coords(u.coords, b.coords) for b in self.basis()]
+        cols = [self.mul_coords(u.coords, b) for b in self._basis_coords]
         return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
 
     def norm(self, u: AlgElem):
         return det(self.regular_matrix(u))
 
-    def trace(self, u: AlgElem):
-        m = self.regular_matrix(u)
+    def _trace_coords(self, coords):
         t = self.base.zero()
-        for i in range(self.dim):
-            t = t + m[i][i]
+        for c, tc in zip(coords, self.trace_vector):
+            if tc:
+                t = t + c * tc
         return t
+
+    def trace(self, u: AlgElem):
+        return self._trace_coords(u.coords)
 
     def is_unit(self, u: AlgElem) -> bool:
         return self.base.is_unit(self.norm(u))
@@ -464,30 +488,28 @@ class CommAlgebra(CoordSpace):
         """Conjugation on a quadratic algebra: u* = tr(u) - u."""
         if self.dim != 2:
             raise DescriptorError("conjugation is only defined on quadratic algebras")
-        return self.scalar_mul_one(self.trace(u)) - u
+        t = self._trace_coords(u.coords)
+        return AlgElem(self, tuple(t * e - c for e, c in zip(self.unit_coords, u.coords)))
 
     # -- charpoly helpers (for the adjoint of cubic algebras) ----------------
 
+    def _char_s1_s2(self, coords, square):
+        s1 = self._trace_coords(coords)
+        return s1, (s1 * s1 - self._trace_coords(square)) * HALF
+
     def char_s1_s2(self, u: AlgElem):
-        m = self.regular_matrix(u)
-        s1 = self.base.zero()
-        for i in range(self.dim):
-            s1 = s1 + m[i][i]
-        m2diag = self.base.zero()
-        for i in range(self.dim):
-            acc = self.base.zero()
-            for k in range(self.dim):
-                acc = acc + m[i][k] * m[k][i]
-            m2diag = m2diag + acc
-        s2 = (s1 * s1 - m2diag) * Fraction(1, 2)
-        return s1, s2
+        """s1 = tr(u) and s2 = (tr(u)^2 - tr(u^2))/2, the first two
+        coefficients of the characteristic polynomial of u."""
+        return self._char_s1_s2(u.coords, self.mul_coords(u.coords, u.coords))
 
     def adjoint(self, u: AlgElem) -> AlgElem:
         """u^# with u*u^# = norm(u), for a cubic algebra: u^2 - s1*u + s2."""
         if self.dim != 3:
             raise DescriptorError("algebra adjoint implemented for cubic algebras only")
-        s1, s2 = self.char_s1_s2(u)
-        return u * u - u * s1 + self.scalar_mul_one(s2)
+        square = self.mul_coords(u.coords, u.coords)
+        s1, s2 = self._char_s1_s2(u.coords, square)
+        return AlgElem(self, tuple(q - c * s1 + s2 * e
+                                   for q, c, e in zip(square, u.coords, self.unit_coords)))
 
     def cross(self, u: AlgElem, v: AlgElem) -> AlgElem:
         return self.adjoint(u + v) - self.adjoint(u) - self.adjoint(v)
@@ -546,13 +568,13 @@ class QuotientAlgebra(CommAlgebra):
 
 def _power_coords(k: int, deg: int, red) -> tuple:
     """Coordinates of x^k in F[x]/(f), using x^deg = red (a coord vector)."""
-    coords = [Fraction(0)] * deg
+    coords = [0] * deg
     if k < deg:
-        coords[k] = Fraction(1)
+        coords[k] = 1
         return tuple(coords)
     prev = _power_coords(k - 1, deg, red)
     # multiply by x: shift up, reduce the overflow
-    shifted = [Fraction(0)] + list(prev[:-1])
+    shifted = [0] + list(prev[:-1])
     top = prev[-1]
     return tuple(s + top * r for s, r in zip(shifted, red))
 
@@ -571,7 +593,7 @@ def _poly_str(mod) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def poly_discriminant(mod) -> Fraction:
+def poly_discriminant(mod) -> Scalar:
     """Discriminant of a monic polynomial of degree 2 or 3 (low-first coeffs)."""
     deg = len(mod) - 1
     if deg == 2:
@@ -609,7 +631,7 @@ def det(m: Sequence[Sequence]) -> object:
     small fixed dimensions used here)."""
     n = len(m)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
         return m[0][0]
     if n == 2:
@@ -629,7 +651,7 @@ def det(m: Sequence[Sequence]) -> object:
     return total
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
+def rref(rows: Sequence[Sequence[Scalar]]):
     """Gauss-Jordan elimination over Q, the one elimination routine.
 
     Column by column, the pivot is the first nonzero row at or below the
@@ -644,7 +666,7 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     m = len(a)
     n = len(a[0]) if m else 0
     pivots: list[int] = []
-    factor = Fraction(1)
+    factor = 1
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if a[i][c] != 0), None)
@@ -655,8 +677,9 @@ def rref(rows: Sequence[Sequence[Fraction]]):
             factor = -factor
         pv = a[r][c]
         factor *= pv
+        ipv = QQ_BASE.inv(pv)
         # entries left of column c are zero in the pivot row: skip them
-        tail = a[r][c:] = [x / pv for x in a[r][c:]]
+        tail = a[r][c:] = [x * ipv for x in a[r][c:]]
         for i, row in enumerate(a):
             f = row[c]
             if i != r and f != 0:
@@ -668,13 +691,13 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     return pivots, a, factor
 
 
-def det_fraction(m: Sequence[Sequence[Fraction]]) -> Fraction:
+def det_fraction(m: Sequence[Sequence[Scalar]]) -> Scalar:
     """Determinant of a square rational matrix, read off ``rref``."""
     pivots, _, factor = rref(m)
-    return factor if len(pivots) == len(m) else Fraction(0)
+    return qq(factor) if len(pivots) == len(m) else 0
 
 
-def linsolve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def linsolve(mat: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional[list[Scalar]]:
     """Solve mat*x = rhs exactly over Q.  Returns one solution, or None if the
     system is inconsistent (certified by a pivot in the right-hand column of
     the reduced augmented matrix)."""
@@ -682,13 +705,13 @@ def linsolve(mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Opti
     pivots, a, _ = rref([list(row) + [b] for row, b in zip(mat, rhs)])
     if cols in pivots:
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for i, c in enumerate(pivots):
         x[c] = a[i][cols]
     return x
 
 
-def kernel(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+def kernel(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Basis of the right kernel of a rational matrix, one vector per free
     column of ``rref``."""
     cols = len(mat[0]) if mat else 0
@@ -697,8 +720,8 @@ def kernel(mat: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     for fc in range(cols):
         if fc in pivots:
             continue
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
+        v = [0] * cols
+        v[fc] = 1
         for i, pc in enumerate(pivots):
             v[pc] = -a[i][fc]
         basis.append(v)
@@ -775,7 +798,7 @@ class MatrixQ:
         if self._alg is None:
             xs = sol
             for i in range(self.rows):
-                acc = Fraction(0)
+                acc = 0
                 for j in range(self.cols):
                     acc += qq(self.entries[i][j]) * xs[j]
                 if acc != qq(rhs[i]):

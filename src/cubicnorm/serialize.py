@@ -8,7 +8,6 @@ integers mapped onto W over the split cubic coordinates."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional
 
 from .cns import (
@@ -31,18 +30,20 @@ from .scalars import (
     CommAlgebra,
     DescriptorError,
     QuotientAlgebra,
+    Scalar,
     det_fraction,
+    is_rational,
     qq,
     scalar_from_str,
     scalar_to_str,
 )
 
 
-def enc_scalar(x: Fraction) -> str:
+def enc_scalar(x: Scalar) -> str:
     return scalar_to_str(x)
 
 
-def dec_scalar(s) -> Fraction:
+def dec_scalar(s) -> Scalar:
     # a JSON float is inexact, so it is no scalar
     if not isinstance(s, (int, str)) or isinstance(s, bool):
         raise DescriptorError(f"a scalar is a \"p/q\" string or an integer, got {type(s).__name__}")
@@ -74,7 +75,7 @@ def _at(data, *keys):
 
 
 def enc_base_elt(x) -> object:
-    if isinstance(x, Fraction):
+    if is_rational(x):
         return enc_scalar(x)
     if isinstance(x, AlgElem):
         return [enc_base_elt(c) for c in x.coords]

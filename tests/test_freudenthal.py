@@ -159,7 +159,7 @@ def test_operator_formulas(rng):
     J = W.J
     v = W.random(rng)
     assert h_apply(HOperator("wj"), v) == W.elem(v.d, -v.c, v.b, -v.a)
-    assert h_apply(HOperator("m", (F(2),)), v) == W.elem(4 * v.a, v.b * 2, v.c, v.d / 2)
+    assert h_apply(HOperator("m", (F(2),)), v) == W.elem(4 * v.a, v.b * 2, v.c, v.d * F(1, 2))
     assert h_apply(HOperator("nj", (J.zero(),)), v) == v
 
 

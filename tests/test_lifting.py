@@ -268,6 +268,7 @@ def test_hermitian_form_identity(rng):
     for _ in range(3):
         x, y = WB.random(rng, 1), WB.random(rng, 1)
         assert w_hermitian_K(sk, x, y) == WB.pair(w_star(sk, x), y) * 6
+        assert w_hermitian_K(sk, y, x) == -sk.conj_K(w_hermitian_K(sk, x, y))
 
 
 def test_utilde(rng):

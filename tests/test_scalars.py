@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicnorm.cns import H3CNS, Matrix3CNS, TrivialCNS
-from cubicnorm.composition import comp_preset
+from cubicnorm.cns import CnsElt
+from cubicnorm.composition import CompElt, comp_preset
+from cubicnorm.presets import cns_preset, second_kind_preset
 from cubicnorm.scalars import (
     QQ_BASE,
+    AlgElem,
     BoundExceededError,
     DescriptorError,
     MatrixQ,
@@ -286,3 +289,80 @@ def test_witness_search_policy():
         witness_search([2, 4], odd, "none odd; raise cap")
     with pytest.raises(BoundExceededError):
         witness_search([], odd, "empty", limit=2)
+
+
+def test_rational_scalars_are_int_when_integral():
+    with pytest.raises(DescriptorError):
+        QQ_BASE.coerce(0.5)
+    with pytest.raises(DescriptorError):
+        QQ_BASE.coerce(2.0)
+    two = QQ_BASE.coerce(F(4, 2))
+    assert type(two) is int and two == 2
+    assert QQ_BASE.inv(2) == F(1, 2)
+    assert type(QQ_BASE.inv(F(1, 3))) is int and QQ_BASE.inv(F(1, 3)) == 3
+    for x in (QQ_BASE.zero(), QQ_BASE.one(), *QQ_BASE.basis(), QQ_BASE.coerce("6/3")):
+        assert type(x) is int
+    assert type(QQ_BASE.coerce(F(1, 2))) is F
+
+
+def test_rational_random_draws_are_unchanged():
+    """The same rng calls and the same values as a Fraction-valued draw:
+    randint(-h, h), then, for a non-integral draw, choice((1, 1, 2, 3))."""
+    import random
+
+    rng, ref = random.Random(11), random.Random(11)
+    for k in range(300):
+        h, integral = k % 5, k % 3 != 0
+        got = QQ_BASE.random(rng, h, integral)
+        num = ref.randint(-h, h)
+        want = F(num) if integral else F(num, ref.choice((1, 1, 2, 3)))
+        assert got == want and type(got) is (F if want.denominator != 1 else int)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_int_and_fraction_coordinates_agree():
+    """An element with int coordinates and one with equal Fraction
+    coordinates (kept as Fractions by the raw constructor) are equal and
+    hash alike."""
+    E = quadratic_field(5)
+    H, M = comp_preset("hamilton"), cns_preset("matrix3")
+    for space, coords in ((E, (2, -1)), (H, (1, 0, 3, -2)), (M, tuple(range(9)))):
+        ints = space.elem(coords)
+        fracs = type(ints)(space, tuple(F(c * 2, 2) for c in coords))
+        assert all(type(c) is int for c in ints.coords)
+        assert all(type(c) is F for c in fracs.coords)
+        assert ints == fracs and fracs == ints and hash(ints) == hash(fracs)
+        assert len({ints, fracs}) == 1
+    # s * 1 equals and hashes as the scalar s in either representation
+    for x in (AlgElem(E, (F(3), F(0))), CompElt(H, (F(3), F(0), F(0), F(0)))):
+        assert x == 3 and hash(x) == hash(3) == hash(F(3))
+    assert not (CnsElt(M, (F(1),) * 9) == 1)
+
+
+def _trace_algebras():
+    """Every quotient algebra the presets build, the cubic rings of the
+    cubic presets, and one base change of each kind to Q(sqrt 7)."""
+    E7 = quadratic_field(7)
+    algs = [second_kind_preset(name).K for name in ("matrix", "matrix:5", "tensor", "tensor:-3")]
+    algs += [cns_preset(name).alg for name in ("etale-cubic", "etale-cubic:1,2,3,4", "cubic-split")]
+    algs += [qalg_make([-2, 0, 0, 1])]
+    return algs + [algs[0].base_change(E7), algs[4].base_change(E7)]
+
+
+def test_cached_trace_matches_regular_matrix(rng):
+    """trace, conj and char_s1_s2 from the cached trace vector against the
+    regular-matrix formulas they replace."""
+    for alg in _trace_algebras():
+        zero = alg.base.zero()
+        for _ in range(20):
+            u = alg.random(rng, 3, integral=False)
+            m = alg.regular_matrix(u)
+            n = alg.dim
+            tr = sum((m[i][i] for i in range(n)), zero)
+            assert alg.trace(u) == tr
+            if n == 2:
+                assert alg.conj(u) == alg.scalar_mul_one(tr) - u
+            m2 = sum((m[i][k] * m[k][i] for i in range(n) for k in range(n)), zero)
+            assert alg.char_s1_s2(u) == (tr, (tr * tr - m2) * F(1, 2))
+            if n == 3:
+                assert u * alg.adjoint(u) == alg.scalar_mul_one(alg.norm(u))

@@ -26,7 +26,7 @@ from cubicnorm.freudenthal import WElt, WSpace, lambda_invariant, norm_class_wit
 from cubicnorm.lifting import hermitian_rank1_decompose, rank2_w_lift, rank3_w_lift, second_lift
 from cubicnorm.presets import bhargava_pair, cns_preset
 from cubicnorm.rings_ideals import cube_to_balanced, field_invariant_b1, pair_to_balanced
-from cubicnorm.scalars import scalar_to_str
+from cubicnorm.scalars import is_rational, scalar_to_str
 from cubicnorm.serialize import cube_to_w
 
 
@@ -34,7 +34,7 @@ def enc(x):
     """Scalars as "p/q" strings, everything else as nested coordinate lists."""
     if x is None:
         return None
-    if isinstance(x, F):
+    if is_rational(x):
         return scalar_to_str(x)
     if isinstance(x, (tuple, list)):
         return [enc(c) for c in x]
