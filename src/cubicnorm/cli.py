@@ -86,16 +86,20 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _structure(spec: str):
-    """preset:NAME, comp:NAME, or an inline/loaded JSON descriptor."""
+def _structure(spec: str, allow_comp: bool = False):
+    """preset:NAME, comp:NAME, or an inline/loaded JSON descriptor; a
+    composition algebra (comp:NAME or {"comp": ...}) only if ``allow_comp``."""
     if spec.startswith("preset:"):
         return cns_preset(spec.split(":", 1)[1])
     if spec.startswith("comp:"):
-        return comp_preset(spec.split(":", 1)[1])
-    data = _load_json(spec)
-    if isinstance(data, dict) and "comp" in data and "cns" not in data:
-        return ser.dec_comp_desc(data["comp"])
-    return ser.dec_cns_desc(data)
+        struct = comp_preset(spec.split(":", 1)[1])
+    else:
+        data = _load_json(spec)
+        comp = isinstance(data, dict) and "comp" in data and "cns" not in data
+        struct = ser.dec_comp_desc(data["comp"]) if comp else ser.dec_cns_desc(data)
+    if isinstance(struct, CompAlgebra) and not allow_comp:
+        raise UsageError("a composition-algebra structure is accepted by verify only")
+    return struct
 
 
 def _emit(payload: dict, as_json: bool) -> None:
@@ -120,11 +124,17 @@ def _report_exit(ok: bool) -> int:
     return EXIT_OK if ok else EXIT_IDENTITY
 
 
+def _emit_certified(fields: dict, res, as_json: bool) -> int:
+    """Emit ``fields`` with the certificate of ``res``, and exit on it."""
+    _emit({**fields, "certificate": res.to_json()["certificate"], "ok": res.ok()}, as_json)
+    return _report_exit(res.ok())
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_verify(args) -> int:
-    struct = _structure(args.structure)
+    struct = _structure(args.structure, allow_comp=True)
     if isinstance(struct, CompAlgebra):
         report = comp_axioms_check(struct, trials=args.trials, seed=args.seed)
     else:
@@ -141,14 +151,9 @@ def cmd_lift(args) -> int:
         v = ser.dec_w_elt(_load_json(args.input), W)
         if args.law == "second":
             res = second_lift(sk, v, cap=args.bound, seed=args.seed)
-            payload = {
-                "certificate": res.to_json()["certificate"],
-                "lambda": ser.enc_base_elt(res.lam),
-                "S": [ser.enc_base_elt(c) for c in res.S.coords],
-                "ok": res.ok(),
-            }
-            _emit(payload, args.json)
-            return _report_exit(res.ok())
+            return _emit_certified({"lambda": ser.enc_base_elt(res.lam),
+                                    "S": [ser.enc_base_elt(c) for c in res.S.coords]},
+                                   res, args.json)
         res = utilde_cns(sk, v)
         _emit(res.to_json(), args.json)
         return _report_exit(res.ok())
@@ -172,13 +177,7 @@ def cmd_cube(args) -> int:
     if args.to == "ideals":
         v = ser.dec_w_elt(_load_json(args.input), W)
         ring, ideal, cert = cube_to_balanced(W.J, v, cap=args.bound, seed=args.seed)
-        payload = {
-            "ideal": ser.enc_ideal_sa(ideal),
-            "certificate": cert.to_json()["certificate"],
-            "ok": cert.ok(),
-        }
-        _emit(payload, args.json)
-        return _report_exit(cert.ok())
+        return _emit_certified({"ideal": ser.enc_ideal_sa(ideal)}, cert, args.json)
     if args.to == "cube":
         ideal = ser.dec_ideal_sa(_load_json(args.input))
         v, _ = balanced_to_cube(ideal)
@@ -189,26 +188,25 @@ def cmd_cube(args) -> int:
 
 
 def _pair_input(args):
-    if args.preset == "bhargava-a1b1":
-        J = _structure(args.structure) if args.structure else cns_preset("h3-rational")
-        if not isinstance(J, H3CNS):
-            raise UsageError("the pair commands need a Hermitian structure")
+    if not args.preset:
+        J = _structure(args.structure)
+        data = _load_json(args.input)
+        A = ser.dec_cns_elt(ser._at(data, "A"), J)
+        B = ser.dec_cns_elt(ser._at(data, "B"), J)
+        return J, A, B
+    if args.preset not in ("bhargava-a1b1", "thm-diag"):
+        raise UsageError(f"unknown pair preset {args.preset!r}")
+    J = _structure(args.structure) if args.structure else cns_preset("h3-rational")
+    if not isinstance(J, H3CNS):
+        raise UsageError("the pair commands need a Hermitian structure")
+    if args.preset == "thm-diag":
+        d = qq(args.coeffs) if args.coeffs else qq(1)
+        A, B = thm_diag_pair(J, d)
+    else:
         coeffs = [qq(c) for c in args.coeffs.split(",")] if args.coeffs else [1, 0, -1, 0]
         if len(coeffs) != 4:
             raise UsageError(f"--coeffs needs four values a,b,c,d, got {len(coeffs)}")
         A, B = bhargava_pair(J, *coeffs)
-        return J, A, B
-    if args.preset == "thm-diag":
-        J = _structure(args.structure) if args.structure else cns_preset("h3-rational")
-        d = qq(args.coeffs) if args.coeffs else qq(1)
-        A, B = thm_diag_pair(J, d)
-        return J, A, B
-    if args.preset:
-        raise UsageError(f"unknown pair preset {args.preset!r}")
-    J = _structure(args.structure)
-    data = _load_json(args.input)
-    A = ser.dec_cns_elt(data["A"], J)
-    B = ser.dec_cns_elt(data["B"], J)
     return J, A, B
 
 
@@ -223,29 +221,28 @@ def cmd_pair(args) -> int:
         }
         _emit(payload, args.json)
         return EXIT_OK
-    J, A, B = _pair_input(args)
     if args.invariant:
-        out = field_invariant_b2(J, A, B, cap=args.bound, seed=args.seed)
-        payload = {
-            "mu": ser.enc_base_elt(out["mu"]),
-            "det_identity": out["det_identity"],
-            "norm_witness_found": out["norm_witness"] is not None,
-            "cubic": [ser.enc_scalar(c) for c in out["ring"].coeffs],
-        }
-        _emit(payload, args.json)
-        return EXIT_OK
+        return _invariant_b2(args)
+    J, A, B = _pair_input(args)
     if args.to == "ideals":
         ring, ideal, cert = pair_to_balanced(J, A, B, cap=args.bound, seed=args.seed)
-        payload = {
-            "ideal": ser.enc_ideal_tc(ideal),
-            "certificate": cert.to_json()["certificate"],
-            "ok": cert.ok(),
-        }
-        _emit(payload, args.json)
-        return _report_exit(cert.ok())
+        return _emit_certified({"ideal": ser.enc_ideal_tc(ideal)}, cert, args.json)
     res = pair_lift(J, A, B)
     _emit(res.to_json(), args.json)
     return _report_exit(res.ok())
+
+
+def _invariant_b2(args) -> int:
+    J, A, B = _pair_input(args)
+    out = field_invariant_b2(J, A, B, cap=args.bound, seed=args.seed)
+    payload = {
+        "mu": ser.enc_base_elt(out["mu"]),
+        "det_identity": out["det_identity"],
+        "norm_witness_found": out["norm_witness"] is not None,
+        "cubic": [ser.enc_scalar(c) for c in out["ring"].coeffs],
+    }
+    _emit(payload, args.json)
+    return EXIT_OK
 
 
 def cmd_invariant(args) -> int:
@@ -263,9 +260,7 @@ def cmd_invariant(args) -> int:
         _emit(payload, args.json)
         return EXIT_OK
     if args.kind == "b2":
-        args.to = None
-        args.invariant = True
-        return cmd_pair(args)
+        return _invariant_b2(args)
     raise UsageError("--kind must be b1 or b2")
 
 

@@ -122,16 +122,6 @@ class LiftResult:
         }
 
 
-def w_coerce(WE: WSpace, v: WElt) -> WElt:
-    """Coerce an element of W_J into W_{J (x) E}."""
-    JE = WE.J
-    base = WE.base
-    return WElt(WE, base.coerce(v.a),
-                CnsElt(JE, tuple(base.coerce(c) for c in v.b.coords)),
-                CnsElt(JE, tuple(base.coerce(c) for c in v.c.coords)),
-                base.coerce(v.d))
-
-
 def x_of(WE: WSpace, vE: WElt, omega) -> WElt:
     """X(v, omega) = (omega v + v_flat) / 2."""
     return (vE * omega + WE.flat(vE)) * HALF
@@ -144,6 +134,33 @@ def u_apply(R, omega, x, side: str = "left"):
     return tuple((xi * omega + yi) * HALF for xi, yi in zip(x, rx))
 
 
+def first_law(W: WSpace, v: WElt) -> LiftResult:
+    """The first lifting law, uncertified: over E = F[w]/(w^2 - q(v)) the
+    lift X(v) = (w v + v_flat)/2 of a rank-4 v over the ground field, with
+    data ``omega`` (w), ``xbar`` (X(v, -w)), ``space`` (W_{J (x) E}),
+    ``vE`` (v read in that space) and ``q`` (q(v))."""
+    if not isinstance(W.base, RationalBase):
+        raise PreconditionError("lift starts from the ground field")
+    q = W.quartic(v)
+    if q == 0:
+        raise PreconditionError("lift needs q(v) != 0")
+    E = quadratic_field(q)
+    WE = WSpace(W.J.base_change(E))
+    vE = WE.elem(v.a, v.b.coords, v.c.coords, v.d)
+    omega = E.gen()
+    return LiftResult(extension=E, lifted=x_of(WE, vE, omega),
+                      data={"omega": omega, "xbar": x_of(WE, vE, -omega), "space": WE,
+                            "vE": vE, "q": q})
+
+
+def w_u_lift(U: CNS, v: WElt, ell) -> tuple[WElt, bool]:
+    """The lift (a, b + ell_1, c + ell_2, d) of v = (a, b, c, d) into W_U, for
+    U = J + (the summand of ell_1, ell_2), and whether it is rank one."""
+    WU = WSpace(U)
+    lifted = WU.elem(v.a, U.join(v.b, ell[0]), U.join(v.c, ell[1]), v.d)
+    return lifted, (not lifted.is_zero()) and WU.is_rank_le1(lifted)
+
+
 # ---------------------------------------------------------------------------
 # Rank-one lifts along a quadratic extension: any cubic norm structure.
 # ---------------------------------------------------------------------------
@@ -153,24 +170,15 @@ def lift_wj(W: WSpace, v: WElt) -> LiftResult:
     """Rank-one lift of a rank-4 element: E = F[w]/(w^2 - q(v)),
     X = (w v + v_flat)/2, certified by 3 t(X, X, x) = <x, X> X on every
     basis vector x, plus <X, Xbar> = w q(v)."""
-    q = W.quartic(v)
-    if not W.base.is_unit(q):
-        raise PreconditionError("lift needs q(v) != 0")
-    if not isinstance(W.base, RationalBase):
-        raise PreconditionError("lift_wj starts from the ground field")
-    E = quadratic_field(q)
-    WE = WSpace(W.J.base_change(E))
-    vE = w_coerce(WE, v)
-    omega = E.gen()
-    X = x_of(WE, vE, omega)
-    Xbar = x_of(WE, vE, -omega)
-    res = LiftResult(extension=E, lifted=X, data={"xbar": Xbar, "omega": omega, "space": WE})
+    res = first_law(W, v)
+    X, WE, omega = res.lifted, res.data["space"], res.data["omega"]
     for x in WE.basis():
         lhs = WE.t_vvx(X, x) * 3
         rhs = X * WE.pair(x, X)
         res.require("3t(X,X,x) = <x,X>X", lhs == rhs)
     res.require("rank(X) = 1", not X.is_zero())
-    res.require("<X, Xbar> = w q(v)", WE.pair(X, Xbar) == omega * E.from_rational(q))
+    res.require("<X, Xbar> = w q(v)",
+                WE.pair(X, res.data["xbar"]) == omega * res.extension.from_rational(res.data["q"]))
     return res
 
 
@@ -186,19 +194,11 @@ def lift_wa_refined(W: WSpace, v: WElt, eta=None, ell=None,
     an internal error."""
     if not W.J.has_mul:
         raise PreconditionError("refined law needs associative coordinates")
-    q = W.quartic(v)
-    if not W.base.is_unit(q):
-        raise PreconditionError("lift needs q(v) != 0")
-    if not isinstance(W.base, RationalBase):
-        raise PreconditionError("refined law starts from the ground field")
-    E = quadratic_field(q)
-    JE = W.J.base_change(E)
-    WE = WSpace(JE)
-    vE = w_coerce(WE, v)
-    omega = E.gen()
-    X = x_of(WE, vE, omega)
-    Xbar = x_of(WE, vE, -omega)
-    R = r_of(WE, vE)
+    res = first_law(W, v)
+    X, Xbar, omega = res.lifted, res.data["xbar"], res.data["omega"]
+    WE, vE = res.data["space"], res.data["vE"]
+    JE = WE.J
+    R = res.data["R"] = r_of(WE, vE)
     Rr = r_right(WE, vE)
     if rng is None:
         rng = random.Random(0)
@@ -206,8 +206,6 @@ def lift_wa_refined(W: WSpace, v: WElt, eta=None, ell=None,
         eta = (JE.random(rng), JE.random(rng))
     if ell is None:
         ell = (JE.random(rng), JE.random(rng))
-    res = LiftResult(extension=E, lifted=X,
-                     data={"xbar": Xbar, "omega": omega, "space": WE, "R": R})
     lhs = shriek_col(WE, u_apply(R, omega, eta))
     rhs = Xbar * WE.pair(X, shriek_col(WE, eta))
     res.require("((w+R(v))/2 eta)! = <X, eta!> Xbar", lhs == rhs)
@@ -311,6 +309,8 @@ def gram_of_basis(T: CommAlgebra, basis=None) -> list[list[Scalar]]:
 def pair_cubic(J: CNS, A: CnsElt, B: CnsElt) -> PairData:
     """The binary cubic of (A, B) and its cubic ring with good basis,
     checking disc(1, w, t) = Q(f) and the trace-zero shifted table."""
+    if not isinstance(J.base, RationalBase):
+        raise PreconditionError("the pair law starts from the ground field")
     a = J.norm(A)
     b = J.pair(J.adjoint(A), B)
     c = J.pair(A, J.adjoint(B))
@@ -433,13 +433,13 @@ def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
     return sr
 
 
-def eigen_checks(J: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> bool:
-    """S_l(lam) X = lam X = X S_r(lam) and S_r(lam) Y = lam Y = Y S_l(lam)."""
-    compT = J.comp.base_change(pd.T)
-    JT_h3 = H3CNS(compT)
+def eigen_checks(H3T: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> bool:
+    """S_l(lam) X = lam X = X S_r(lam) and S_r(lam) Y = lam Y = Y S_l(lam),
+    with H3T = H_3(C (x) T)."""
+    compT = H3T.comp
 
     def as_mat(z: CnsElt):
-        return JT_h3.to_matrix(CnsElt(JT_h3, z.coords))
+        return H3T.to_matrix(CnsElt(H3T, z.coords))
 
     for lam in (pd.omega, pd.theta):
         srm = _lift_to_T(compT, sr.s_r(lam))
@@ -507,20 +507,30 @@ def _lift_to_T(space, m):
     return tuple(_lift_row(space, row) for row in m)
 
 
+def hermitian_pair(J: CNS, A: CnsElt, B: CnsElt) -> LiftResult:
+    """``pair_lift`` without its cross-checks, for a nondegenerate pair over
+    Hermitian associative J, with data ``H3T`` = H_3(C (x) T) added."""
+    if not (isinstance(J, H3CNS) and J.comp.is_associative):
+        raise PreconditionError("needs Hermitian associative coordinates")
+    res = pair_lift(J, A, B, cross_checks=False)
+    pd: PairData = res.data["pair"]
+    if pd.Q == 0:
+        raise PreconditionError("needs Q((A,B)) != 0")
+    res.data["H3T"] = H3CNS(J.comp.base_change(pd.T))
+    return res
+
+
 def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
                       rng: Optional[random.Random] = None) -> LiftResult:
     """The refined identity over Hermitian coordinates:
 
         Q((A,B)) (v eps)* (v eps) = (v Y v*) X   in H_3(C) (x) L."""
-    base_lift = pair_lift(J, A, B, cross_checks=False)
+    base_lift = hermitian_pair(J, A, B)
     pd: PairData = base_lift.data["pair"]
-    if pd.Q == 0:
-        raise PreconditionError("refined identity needs Q((A,B)) != 0")
-    X, Y = base_lift.lifted, base_lift.data["Y"]
+    X, Y, H3T = base_lift.lifted, base_lift.data["Y"], base_lift.data["H3T"]
+    compT = H3T.comp
     sr = sr_maps(J, pd)
     eps = epsilon_element(J, pd, sr)
-    compT = J.comp.base_change(pd.T)
-    H3T = H3CNS(compT)
     if rng is None:
         rng = random.Random(0)
     if v is None:
@@ -537,7 +547,7 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
     res = LiftResult(extension=pd.T, lifted=X, data={"pair": pd, "Y": Y, "eps": eps})
     res.require("Q (v eps)*(v eps) = (v Y v*) X",
                 all(a == b for a, b in zip(lhs.coords, rhs.coords)))
-    res.require("eigenvector identities", eigen_checks(J, pd, X, Y, sr))
+    res.require("eigenvector identities", eigen_checks(H3T, pd, X, Y, sr))
     return res
 
 
@@ -641,13 +651,9 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
     S = sk.project(S_B)
     res.S = S
     res.check("n(S) = lambda lambda*", J.norm(S) == K.norm(lam))
-    U = TitsUCNS(sk, S, lam)
-    res.U = U
-    WU = WSpace(U)
-    lifted = WU.elem(v.a, U.join(v.b, -eta[0]), U.join(v.c, eta[1]), v.d)
-    res.lifted = lifted
-    res.check("v + eta rank one in W_U",
-              (not lifted.is_zero()) and WU.is_rank_le1(lifted))
+    res.U = TitsUCNS(sk, S, lam)
+    res.lifted, rank_one = w_u_lift(res.U, v, (-eta[0], eta[1]))
+    res.check("v + eta rank one in W_U", rank_one)
     res.check("eta S eta* = S(v) - (omega/2) J_2",
               mat_eq(_eta_s_eta_star(sk, eta, S_B), _tits_h(WB, vB, omega)))
     return res
@@ -693,6 +699,22 @@ def w_star(sk: SecondKind, x: WElt) -> WElt:
 # -- the choice-free quotient model U = Utilde / I(v, omega) -----------------
 
 
+def _delta(A: CNS, v: WElt, ell) -> tuple:
+    """delta(ell; v) over A for a row pair ell = (u, w) and v with
+    coordinates in A."""
+    u, w = ell
+    us, ws = A.adjoint(u), A.adjoint(w)
+    delta1 = us * v.a + A.cross(u, A.mul(w, v.b)) + A.mul(v.c, ws)
+    delta2 = A.mul(v.b, us) + A.cross(A.mul(u, v.c), w) + ws * v.d
+    return delta1, delta2
+
+
+def _j2_inv_shriek(W: WSpace, ell) -> WElt:
+    """J_2^{-1} ell!, where J_2^{-1} acts on W as (a, b, c, d) -> (-d, c, -b, a)."""
+    shr = shriek_row(W, ell)
+    return WElt(W, -shr.d, shr.c, -shr.b, shr.a)
+
+
 class QuotientTitsU(CNS):
     """The cubic norm structure on (J + B^2) / I(v, omega) for a rank-4
     v in W_J and omega in K with omega* = -omega, omega^2 = q(v).
@@ -709,10 +731,10 @@ class QuotientTitsU(CNS):
         self.omega = omega
         J, B, K = sk.J, sk.B, sk.K
         self.base = J.base
-        W = WSpace(J)
-        if not W.base.is_unit(W.quartic(v)):
+        q = WSpace(J).quartic(v)
+        if not J.base.is_unit(q):
             raise PreconditionError("quotient model needs a rank-4 element")
-        if not (omega * omega == K.from_rational(W.quartic(v))):
+        if not (omega * omega == K.from_rational(q)):
             raise PreconditionError("omega^2 must equal q(v)")
         if not (sk.conj_K(omega) == -omega):
             raise PreconditionError("omega must be *-antisymmetric")
@@ -808,22 +830,15 @@ class QuotientTitsU(CNS):
 
     def norm_raw(self, xj: CnsElt, ell):
         sk, J = self.sk, self.sk.J
-        shr = shriek_row(self.WB, ell)
-        # J_2^{-1} acts on W_B as (a,b,c,d) -> (-d, c, -b, a)
-        jinv = WElt(self.WB, -shr.d, shr.c, -shr.b, shr.a)
         return (J.norm(xj) - J.pair(xj, sk.project(self._lhl(ell, ell)))
-                + sk.tr_KF(self.WB.pair(self.Xbar, jinv)))
+                + sk.tr_KF(self.WB.pair(self.Xbar, _j2_inv_shriek(self.WB, ell))))
 
     def adjoint_raw(self, xj: CnsElt, ell):
         sk, J, B = self.sk, self.sk.J, self.sk.B
         first = J.adjoint(xj) - sk.project(self._lhl(ell, ell))
-        u, w = ell
-        a, b, c, d = self.vB.a, self.vB.b, self.vB.c, self.vB.d
-        us, ws = B.adjoint(u), B.adjoint(w)
-        delta1 = us * a + B.cross(u, B.mul(w, b)) + B.mul(c, ws)
-        delta2 = B.mul(b, us) + B.cross(B.mul(u, c), w) + ws * d
+        delta1, delta2 = _delta(B, self.vB, ell)
         xb = sk.embed(xj)
-        second = ((-B.mul(xb, u)) - sk.star(delta2), (-B.mul(xb, w)) + sk.star(delta1))
+        second = ((-B.mul(xb, ell[0])) - sk.star(delta2), (-B.mul(xb, ell[1])) + sk.star(delta1))
         return first, second
 
     def pair_raw(self, x1: CnsElt, e1, x2: CnsElt, e2):
@@ -859,16 +874,11 @@ def utilde_cns(sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None) -> Lift
     if omega is None:
         omega = find_antisymmetric_omega(sk, W.quartic(v))
     U = QuotientTitsU(sk, v, omega)
-    B = sk.B
-    WU = WSpace(U)
-    lifted = WU.elem(v.a,
-                     U.join(v.b, (-B.one(), B.zero())),
-                     U.join(v.c, (B.zero(), B.one())),
-                     v.d)
+    one, zero = sk.B.one(), sk.B.zero()
+    lifted, rank_one = w_u_lift(U, v, ((-one, zero), (zero, one)))
     res = LiftResult(extension=None, lifted=lifted, data={"U": U, "omega": omega})
     res.require("I(v, omega) has B-corank one", U.qdim == J.dim + U._fdim)
-    res.require("image of v + 1_2 is rank one",
-                (not lifted.is_zero()) and WU.is_rank_le1(lifted))
+    res.require("image of v + 1_2 is rank one", rank_one)
     return res
 
 
@@ -922,21 +932,15 @@ class GanSavinU(CNS):
     def norm(self, x: CnsElt):
         A = self.A
         xa, ell = self.split(x)
-        shr = shriek_row(self.W, ell)
-        jinv = WElt(self.W, -shr.d, shr.c, -shr.b, shr.a)
         return (A.norm(xa) - A.pair(xa, self._lsl(ell, ell))
-                + self.W.pair(self.vflat, jinv))
+                + self.W.pair(self.vflat, _j2_inv_shriek(self.W, ell)))
 
     def adjoint(self, x: CnsElt) -> CnsElt:
         A = self.A
         xa, ell = self.split(x)
         first = A.adjoint(xa) - self._lsl(ell, ell)
-        u, w = ell
-        a, b, c, d = self.v.a, self.v.b, self.v.c, self.v.d
-        us, ws = A.adjoint(u), A.adjoint(w)
-        delta1 = us * a + A.cross(u, A.mul(w, b)) + A.mul(c, ws)
-        delta2 = A.mul(b, us) + A.cross(A.mul(u, c), w) + ws * d
-        second = ((-A.mul(xa, u)) - delta2, (-A.mul(xa, w)) + delta1)
+        delta1, delta2 = _delta(A, self.v, ell)
+        second = ((-A.mul(xa, ell[0])) - delta2, (-A.mul(xa, ell[1])) + delta1)
         return self.join(first, second)
 
     def pair(self, x: CnsElt, y: CnsElt):
@@ -957,12 +961,10 @@ def gan_savin_cns(A: CNS, v: WElt) -> LiftResult:
     v over commutative associative A, with the rank-one lift
     (a, (b, -e1), (c, e2), d) certified."""
     U = GanSavinU(A, v)
-    WU = WSpace(U)
     z, one = A.zero(), A.one()
-    lifted = WU.elem(v.a, U.join(v.b, (-one, z)), U.join(v.c, (z, one)), v.d)
+    lifted, rank_one = w_u_lift(U, v, ((-one, z), (z, one)))
     res = LiftResult(extension=None, lifted=lifted, data={"U": U})
-    res.require("lifted element is rank one",
-                (not lifted.is_zero()) and WU.is_rank_le1(lifted))
+    res.require("lifted element is rank one", rank_one)
     return res
 
 
@@ -1036,6 +1038,8 @@ def unit_scalar_row(comp: CompAlgebra, m, rows, message: str, lift=None):
 def rank2_h3_lift(J: H3CNS, X: CnsElt, cap: int = 300, seed: int = 0) -> LiftResult:
     """Lift a rank-2 Hermitian element to a rank-one element of
     U(gamma) = H_3(C(gamma)): X# = -gamma v* v, v X = 0, (X, v) rank one."""
+    if not isinstance(J, H3CNS):
+        raise PreconditionError("the rank-2 Hermitian lift needs a Hermitian structure")
     if J.rank(X) != 2:
         raise PreconditionError("rank-2 input required")
     mu, v0, w = hermitian_rank1_decompose(J, J.adjoint(X), cap, seed)
@@ -1081,18 +1085,13 @@ def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResul
     # <u, u>_C = u_1 u_2* - u_2 u_1* for the halves of u, where u* = v0
     herm = sum_prod(u[:3], v0[3:]) - sum_prod(u[3:], v0[:3])
     U = CayleyUCNS(comp, gamma)
-    WU = WSpace(U)
-    vpart = u[:3]
-    wpart = u[3:]
-    lifted = WU.elem(x.a, U.join(x.b, tuple(-e for e in vpart)),
-                     U.join(x.c, wpart), x.d)
+    lifted, rank_one = w_u_lift(U, x, (tuple(-e for e in u[:3]), u[3:]))
     res = LiftResult(extension=None, lifted=lifted,
                      data={"gamma": gamma, "u": u, "U": U})
     res.require("<u, u>_C = 0", herm.is_zero())
     ustar_u = mat_mul(mat_star((u,), lambda e: e.conj()), (u,))
     res.require("-S(x) = gamma u* u", mat_eq(mat_neg(S6), mat_smul(ustar_u, gamma)))
-    res.require("x + u rank one in W_U(gamma)",
-                (not lifted.is_zero()) and WU.is_rank_le1(lifted))
+    res.require("x + u rank one in W_U(gamma)", rank_one)
     return res
 
 
@@ -1180,20 +1179,16 @@ def rank3_w_lift(sk: SecondKind, x: WElt, cap: int = 300, seed: int = 0) -> Lift
         raise IdentityError("constructed h is not invertible")
     WB = WSpace(B)
     xB = embed_w(sk, WB, x)
-    res_data = {"h": h, "eta": eta}
-    lam = K.coerce(nh)
-    U = TitsUCNS(sk, J.adjoint(h), lam)
-    WU = WSpace(U)
-    lifted = WU.elem(x.a, U.join(x.b, -eta[0]), U.join(x.c, eta[1]), x.d)
-    res = LiftResult(extension=None, lifted=lifted, data={**res_data, "U": U})
+    U = TitsUCNS(sk, J.adjoint(h), K.coerce(nh))
+    lifted, rank_one = w_u_lift(U, x, (-eta[0], eta[1]))
+    res = LiftResult(extension=None, lifted=lifted, data={"h": h, "eta": eta, "U": U})
     herm = herm_pair_B(sk, eta, eta)
     res.require("<eta, eta>_B = 0", herm.is_zero())
     res.require("S(x) = eta h# eta*",
                 mat_eq(_eta_s_eta_star(sk, eta, sk.embed(J.adjoint(h))), s_of(WB, xB)))
     res.require("x_flat / 2 = n(h) eta!",
                 embed_w(sk, WB, W.flat(x)) * HALF == shriek_col(WB, eta) * nh)
-    res.require("x + eta rank one in W_U(h)",
-                (not lifted.is_zero()) and WU.is_rank_le1(lifted))
+    res.require("x + eta rank one in W_U(h)", rank_one)
     return res
 
 

@@ -17,6 +17,7 @@ from .cns import (
     CnsElt,
     H3CNS,
     cubic_ring_algebra,
+    decompose_over_base,
     tensor_cross,
 )
 from .composition import CompAlgebra, CompElt
@@ -40,16 +41,15 @@ from .lifting import (
     comp_norm_class_witness,
     disc_binary_cubic,
     epsilon_element,
+    first_law,
     gram_of_basis,
+    hermitian_pair,
     hermitian_rank1_decompose,
     iter_comp_rows,
     pair_cubic,
-    pair_lift,
     sr_maps,
     u_apply,
     unit_scalar_row,
-    w_coerce,
-    x_of,
 )
 from .matops import mat_add, mat_mul, mat_smul, mat_star, mat_transpose, row_times_mat
 from .scalars import (
@@ -61,7 +61,6 @@ from .scalars import (
     IdentityError,
     PreconditionError,
     QuotientAlgebra,
-    RationalBase,
     Scalar,
     det,
     det_fraction,
@@ -248,23 +247,14 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
 
     Returns (QuadRing, IdealSA, LiftResult-certificate)."""
     W = WSpace(J)
-    if not isinstance(W.base, RationalBase):
-        raise PreconditionError("integral correspondence runs over the ground field")
+    res = first_law(W, v)
     if not _w_integral(v):
         raise PreconditionError("integral correspondence needs integral coordinates")
-    D = W.quartic(v)
-    if D == 0:
-        raise PreconditionError("needs q(v) != 0")
+    E, X, D = res.extension, res.lifted, res.data["q"]
+    WE, omega, Xbar = res.data["space"], res.data["omega"], res.data["xbar"]
+    JE = WE.J
     ring = quad_ring(D)
-    E = ring.field()
-    omega = E.gen()
-    tau = ring.tau(E)
-    JE = J.base_change(E)
-    WE = WSpace(JE)
-    vE = w_coerce(WE, v)
-    X = x_of(WE, vE, omega)
-    Xbar = x_of(WE, vE, -omega)
-    res = LiftResult(extension=E, lifted=X, data={"omega": omega, "tau": tau})
+    tau = res.data["tau"] = ring.tau(E)
     # integrality of the tau-form (automatic over Z since x^2 + x in 2Z)
     vprime = (W.flat(v) - v * D) * HALF
     res.require("X = tau v + (v_flat - Dv)/2 with integral parts", _w_integral(vprime))
@@ -370,16 +360,11 @@ class IdealTC:
     beta: AlgElem
 
 
-def tc_norm_matrix(ideal: IdealTC):
-    """m in M_3(C_F) with (b1, b2, b3) = (1, w, t) m."""
-    comp = ideal.comp
-    cols = []
-    for b in ideal.basis:
-        col = []
-        for alpha in range(3):
-            col.append(CompElt(comp, tuple(c.coords[alpha] for c in b.coords)))
-        cols.append(col)
-    return mat_transpose(cols)
+def tc_norm_matrix(comp: CompAlgebra, row):
+    """m in M_3(C_F) with row = (1, w, t) m, for a row over C_T, such as
+    the basis (b1, b2, b3) of a T (x) C ideal."""
+    return tuple(tuple(CompElt(comp, tuple(c.coords[alpha] for c in x.coords)) for x in row)
+                 for alpha in range(3))
 
 
 def n6(J: H3CNS, m) -> Scalar:
@@ -390,7 +375,7 @@ def n6(J: H3CNS, m) -> Scalar:
 
 def ideal_norm_tc(ideal: IdealTC) -> Scalar:
     J = H3CNS(ideal.comp)
-    return n6(J, tc_norm_matrix(ideal))
+    return n6(J, tc_norm_matrix(ideal.comp, ideal.basis))
 
 
 def x_of_ideal_tc(ideal: IdealTC) -> CnsElt:
@@ -425,16 +410,14 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     integral pair to a balanced based T (x) C ideal.
 
     Returns (CubicRing, IdealTC, certificate)."""
-    base_lift = pair_lift(J, A, B, cross_checks=False)
+    base_lift = hermitian_pair(J, A, B)
+    if not all(is_integral(c) for x in (A, B) for c in x.coords):
+        raise PreconditionError("integral correspondence needs integral coordinates")
     pd: PairData = base_lift.data["pair"]
-    if pd.Q == 0:
-        raise PreconditionError("needs Q((A,B)) != 0")
-    X, Y = base_lift.lifted, base_lift.data["Y"]
-    T = pd.T
+    X, Y, H3T = base_lift.lifted, base_lift.data["Y"], base_lift.data["H3T"]
+    T, compT = pd.T, H3T.comp
     sr = sr_maps(J, pd, check=True)
     eps = epsilon_element(J, pd, sr)
-    compT = J.comp.base_change(T)
-    H3T = H3CNS(compT)
     ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
 
     rows = [v0] if v0 is not None else iter_comp_rows(J.comp, 3, cap, seed)
@@ -474,10 +457,7 @@ def balanced_to_pair(ideal: IdealTC):
     JT = J.base_change(T)
     X = x_of_ideal_tc(ideal)
     XJT = CnsElt(JT, X.coords)
-    comps = []
-    for alpha in range(3):
-        comps.append(CnsElt(J, tuple(c.coords[alpha] for c in X.coords)))
-    Dpart, Bpart, Tpart = comps     # X = D + B w + (X_theta) t
+    Dpart, Bpart, Tpart = decompose_over_base(JT, J, XJT)     # X = D + B w + (X_theta) t
     A = -Tpart
     B = Bpart
     Y = tensor_cross(JT, J, XJT, XJT) * HALF
@@ -541,19 +521,12 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     exactly; when a rational row and a rational column hit the same value
     lambda, the witness has norm exactly N(lambda) (the membership
     N(lambda) in n(A_E^x) is then fully certified, otherwise semi-decided)."""
-    W = v.W
     if not J.has_mul:
         raise PreconditionError("invariant needs associative coordinates")
-    q = W.quartic(v)
-    if q == 0:
-        raise PreconditionError("needs q(v) != 0")
-    E = quadratic_field(q)
-    JE = J.base_change(E)
-    WE = WSpace(JE)
-    vE = w_coerce(WE, v)
-    omega = E.gen()
-    X = x_of(WE, vE, omega)
-    Xbar = x_of(WE, vE, -omega)
+    first = first_law(v.W, v)
+    E, X, omega, Xbar = first.extension, first.lifted, first.data["omega"], first.data["xbar"]
+    WE, vE = first.data["space"], first.data["vE"]
+    JE = WE.J
     rows = lambda_value_set(J, WE, X, cap, seed)
 
     def unit_value(eta):
@@ -572,8 +545,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     ueta = u_apply(r_of(WE, vE), omega, eta)
     s, t = ell_E
     x_wit = JE.mul(s, ueta[1]) - JE.mul(t, ueta[0])
-    lamc = WE.pair(X, shriek_col(WE, eta))
-    witness_ok = JE.norm(x_wit) == mu * lamc
+    witness_ok = JE.norm(x_wit) == mu * lam
     if not witness_ok:
         raise IdentityError("witness identity n(ell J_2 U eta) failed")
     out = {
@@ -586,7 +558,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
         # n(x_wit) = conj(lambda) lambda = N(lambda) exactly
         out["norm_class_witness"] = x_wit
     else:
-        y = norm_class_witness(JE, mu * lamc,
+        y = norm_class_witness(JE, mu * lam,
                                lam * E.conj(lam), cap)
         if y is not None:
             out["norm_class_witness"] = JE.mul(x_wit, y)
@@ -599,19 +571,11 @@ def field_invariant_b2(J: H3CNS, A: CnsElt, B: CnsElt, cap: int = 300,
     the determinant identity n_{L/F}(mu) N_6(m) = 1 checked exactly and the
     norm-class membership n_{L/F}(mu) in n(C^x) witnessed (exactly for
     commutative C, semi-decided for quaternion coordinates)."""
-    base_lift = pair_lift(J, A, B, cross_checks=False)
-    pd: PairData = base_lift.data["pair"]
-    if pd.Q == 0:
-        raise PreconditionError("needs Q((A,B)) != 0")
-    X = base_lift.lifted
-    T = pd.T
-    compT = J.comp.base_change(T)
-    H3T = H3CNS(compT)
-    XT = CnsElt(H3T, X.coords)
+    base_lift = hermitian_pair(J, A, B)
+    T, H3T = base_lift.extension, base_lift.data["H3T"]
+    XT = CnsElt(H3T, base_lift.lifted.coords)
     mu, v0, wit = hermitian_rank1_decompose(H3T, XT, cap, seed)
-    # v0* = (1, w, t) m  =>  m[alpha][i] are the T-coordinates of v0_i*
-    m = tuple(tuple(CompElt(J.comp, tuple(c.coords[alpha] for c in v0[i].conj().coords))
-                    for i in range(3)) for alpha in range(3))
+    m = tc_norm_matrix(J.comp, tuple(x.conj() for x in v0))   # v0* = (1, w, t) m
     n6m = n6(J, m)
     nmu = T.norm(mu)
     det_ok = nmu * n6m == 1
@@ -626,7 +590,7 @@ def field_invariant_b2(J: H3CNS, A: CnsElt, B: CnsElt, cap: int = 300,
     else:
         witness = comp_norm_class_witness(J.comp, qq(1), nmu, cap)
     return {
-        "ring": CubicRing(pd.coeffs), "T": T, "mu": mu,
+        "ring": CubicRing(base_lift.data["pair"].coeffs), "T": T, "mu": mu,
         "det_identity": det_ok,
         "norm_witness": witness,
     }

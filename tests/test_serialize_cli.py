@@ -212,18 +212,48 @@ MALFORMED = [
     ["verify", "--structure", '{"cns": {"variant": "h3", "comp": {"gammas": [true]}}}'],
     ["invariant", "--kind", "b1", "--structure", "preset:fxf", "--input",
      '{"a": 1, "b": [0.1, 0], "c": [0, 1], "d": 1}'],
+    ["pair", "--preset", "thm-diag", "--structure", "preset:etale-cubic"],
+    ["pair", "--structure", "preset:etale-cubic", "--invariant", "--input",
+     '{"A":{"coords":[1,0,0]},"B":{"coords":[0,1,0]}}'],
+    ["pair", "--structure", "comp:hamilton", "--input",
+     '{"A":{"coords":[1,0,0,0]},"B":{"coords":[0,1,0,0]}}'],
+    ["lowrank", "--kind", "h3-rank2", "--structure", "comp:hamilton", "--input",
+     '{"coords":[1,0,0,0]}'],
+    ["invariant", "--kind", "b1", "--structure",
+     '{"cns": {"variant": "fxc", "comp": {"gammas": []}, "base": {"modulus": ["-5", "0", "1"]}}}',
+     "--input", '{"a": [1, 0], "b": [[0, 0], [0, 0]], "c": [[0, 0], [0, 0]], "d": [1, 0]}'],
+    ["lowrank", "--kind", "h3-rank2", "--structure", "preset:etale-cubic", "--input",
+     '{"coords":[1,1,0]}'],
+    ["pair", "--structure", "preset:h3-rational", "--input", "[1]"],
+    ["pair", "--preset", "thm-diag", "--coeffs", "1/2", "--to", "ideals"],
+    ["pair", "--structure", json.dumps({"cns": {"variant": "h3", "comp": {"gammas": ["-1"]},
+                                                "base": {"modulus": ["-5", "0", "1"]}}}),
+     "--input", json.dumps({"A": {"coords": [[1, 0]] + [[0, 0]] * 8},
+                            "B": {"coords": [[0, 0], [1, 0]] + [[0, 0]] * 7}})],
 ]
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=[
     "scalar-1/0", "w-not-object", "b-not-array", "cube-outside-cube-space",
     "cns-not-object", "structure-not-object", "etale-cubic-disc-0", "cubic-json-disc-0",
-    "two-coeffs", "cubic-table-not-unital", "scalar-bool", "scalar-float"])
+    "two-coeffs", "cubic-table-not-unital", "scalar-bool", "scalar-float",
+    "pair-preset-not-hermitian", "pair-invariant-not-hermitian", "pair-comp-structure",
+    "lowrank-comp-structure", "b1-off-ground-field", "lowrank-rank2-not-hermitian",
+    "pair-input-not-object", "pair-ideals-not-integral", "pair-off-ground-field"])
 def test_cli_malformed_input_is_usage_error(argv, capsys):
     code, out = run_cli(argv)
     err = capsys.readouterr().err
     assert code == 2, argv
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_structure_kinds_still_accepted():
+    """verify takes a composition algebra in both spellings, and the pair
+    presets still run over any Hermitian structure."""
+    for argv in (["verify", "--structure", "comp:octonion", "--trials", "2"],
+                 ["verify", "--structure", '{"comp": {"gammas": ["-1", "-1"]}}', "--trials", "2"],
+                 ["pair", "--preset", "thm-diag", "--structure", "preset:h3-octonion"]):
+        assert run_cli(argv)[0] == 0, argv
 
 
 JSON_VALUES = st.recursive(
