@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from . import serialize as ser
 from .cns import H3CNS, cns_axioms_check
@@ -58,17 +59,19 @@ class UsageError(Exception):
     pass
 
 
-def _load_json(spec: str):
-    if spec == "-":
-        text = sys.stdin.read()
-    elif spec.startswith("@"):
-        with open(spec[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif spec.lstrip().startswith(("{", "[")):
-        text = spec
-    else:
-        with open(spec, "r", encoding="utf-8") as fh:
-            text = fh.read()
+def _load_json(spec: Optional[str]):
+    if spec is None:
+        raise UsageError("--input is required")
+    try:
+        if spec == "-":
+            text = sys.stdin.read()
+        elif spec.lstrip().startswith(("{", "[")):
+            text = spec
+        else:
+            with open(spec.removeprefix("@"), "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {spec!r}: {exc.strerror or exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -86,9 +89,11 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _structure(spec: str, allow_comp: bool = False):
+def _structure(spec: Optional[str], allow_comp: bool = False):
     """preset:NAME, comp:NAME, or an inline/loaded JSON descriptor; a
     composition algebra (comp:NAME or {"comp": ...}) only if ``allow_comp``."""
+    if spec is None:
+        raise UsageError("--structure is required")
     if spec.startswith("preset:"):
         return cns_preset(spec.split(":", 1)[1])
     if spec.startswith("comp:"):
@@ -96,7 +101,8 @@ def _structure(spec: str, allow_comp: bool = False):
     else:
         data = _load_json(spec)
         comp = isinstance(data, dict) and "comp" in data and "cns" not in data
-        struct = ser.dec_comp_desc(data["comp"]) if comp else ser.dec_cns_desc(data)
+        struct = (ser.dec_comp_desc(ser._at(data, "comp", what="structure")) if comp
+                  else ser.dec_cns_desc(data))
     if isinstance(struct, CompAlgebra) and not allow_comp:
         raise UsageError("a composition-algebra structure is accepted by verify only")
     return struct
@@ -191,8 +197,8 @@ def _pair_input(args):
     if not args.preset:
         J = _structure(args.structure)
         data = _load_json(args.input)
-        A = ser.dec_cns_elt(ser._at(data, "A"), J)
-        B = ser.dec_cns_elt(ser._at(data, "B"), J)
+        A = ser.dec_cns_elt(ser._at(data, "A", what="pair"), J)
+        B = ser.dec_cns_elt(ser._at(data, "B", what="pair"), J)
         return J, A, B
     if args.preset not in ("bhargava-a1b1", "thm-diag"):
         raise UsageError(f"unknown pair preset {args.preset!r}")
@@ -351,8 +357,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DescriptorError, PreconditionError, NoLiftError, FileNotFoundError,
-            KeyError, ValueError) as exc:
+    except (DescriptorError, PreconditionError, NoLiftError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BoundExceededError as exc:

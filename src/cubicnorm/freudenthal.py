@@ -8,10 +8,10 @@ the degree-6 determinant, and the unit-class invariant of rank-one elements.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import partial
+from itertools import chain, islice, product, repeat
 from typing import Iterator
 
 from .cns import CNS, CnsElt, H3CNS
@@ -30,6 +30,7 @@ from .scalars import (
     DescriptorError,
     PreconditionError,
     rref,
+    search_stream,
     witness_search,
 )
 
@@ -565,20 +566,14 @@ def m2_scalar(J: CNS, s):
 
 def iter_search_rows(J: CNS, cap: int, seed: int = 0) -> Iterator[tuple]:
     """Deterministic height-ordered stream of candidate row pairs over J:
-    basis singletons first, then basis pairs, then seeded random small rows."""
+    basis singletons first, then basis pairs, then seeded random small rows,
+    cap of them at each height 1, 2 and 3."""
     basis = J.basis()
     z = J.zero()
-    for e in basis:
-        yield (e, z)
-        yield (z, e)
-    for e in basis:
-        for f in basis:
-            yield (e, f)
-    rng = random.Random(seed)
-    for height in range(1, 4):
-        for _ in range(cap):
-            yield (J.random(rng, height), J.random(rng, height))
-    return
+    yield from search_stream(
+        chain((row for e in basis for row in ((e, z), (z, e))), product(basis, repeat=2)),
+        lambda rng, h: (J.random(rng, h), J.random(rng, h)),
+        (h for h in (1, 2, 3) for _ in range(cap)), seed)
 
 
 def lambda_invariant(W: WSpace, v: WElt, cap: int = 200, seed: int = 0):
@@ -603,21 +598,10 @@ def norm_class_witness(J: CNS, lam1, lam2, cap: int = 400, seed: int = 0):
     basis = J.basis()
 
     def small():
-        yield from basis
-        for e in basis:
-            for f in basis:
-                yield e + f
-                yield e - f
+        return chain(basis, (x for e in basis for f in basis for x in (e + f, e - f)))
 
-    def candidates():
-        yield from small()
-        for x in small():
-            for k in (2, 3, 4, 6):
-                yield x * Fraction(1, k)
-                yield x * k
-        rng = random.Random(seed)
-        while True:
-            yield J.random(rng, 3, integral=False)
-
-    return witness_search(islice(candidates(), cap),
+    scaled = (x * s for x in small() for k in (2, 3, 4, 6) for s in (Fraction(1, k), k))
+    candidates = search_stream(chain(small(), scaled), partial(J.random, integral=False),
+                               repeat(3), seed)
+    return witness_search(islice(candidates, cap),
                           lambda x: x if J.norm(x) * lam1 == lam2 else None)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain, combinations, repeat
 from typing import Iterator, Optional
 
 from .cns import (
@@ -81,6 +82,7 @@ from .scalars import (
     quadratic_field,
     rational_sqrt,
     rref,
+    search_stream,
     witness_search,
 )
 
@@ -558,18 +560,13 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
 
 def iter_elements(J: CNS, cap: int, seed: int = 0) -> Iterator[CnsElt]:
     """Deterministic candidate stream of single elements: the unit, basis
-    vectors, pairwise sums, then seeded random small elements."""
-    yield J.one()
+    vectors, pairwise sums, then cap seeded random elements of height 2."""
+    one = J.one()
     basis = J.basis()
-    for e in basis:
-        yield e
-        yield J.one() + e
-    for e in basis:
-        for f in basis:
-            yield e + f
-    rng = random.Random(seed)
-    for _ in range(cap):
-        yield J.random(rng, 2)
+    yield from search_stream(
+        chain([one], (x for e in basis for x in (e, one + e)),
+              (e + f for e in basis for f in basis)),
+        J.random, repeat(2, cap), seed)
 
 
 def find_antisymmetric_omega(sk: SecondKind, qv) -> AlgElem:
@@ -974,20 +971,19 @@ def gan_savin_cns(A: CNS, v: WElt) -> LiftResult:
 
 
 def iter_comp_rows(comp: CompAlgebra, n: int, cap: int, seed: int = 0) -> Iterator[tuple]:
-    """Candidate rows in C^n: basis placements, pair sums, seeded randoms."""
+    """Candidate rows in C^n: basis placements, pair sums, then cap seeded
+    random rows of height 2."""
     basis = comp.basis()
     zero = comp.zero()
-    for i in range(n):
-        for e in basis:
-            yield tuple(e if k == i else zero for k in range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for e in basis:
-                for f in basis:
-                    yield tuple(e if k == i else (f if k == j else zero) for k in range(n))
-    rng = random.Random(seed)
-    for _ in range(cap):
-        yield tuple(comp.random(rng, 2) for _ in range(n))
+
+    def row(at: dict) -> tuple:
+        return tuple(at.get(k, zero) for k in range(n))
+
+    yield from search_stream(
+        chain((row({i: e}) for i in range(n) for e in basis),
+              (row({i: e, j: f}) for i, j in combinations(range(n), 2)
+               for e in basis for f in basis)),
+        lambda rng, h: tuple(comp.random(rng, h) for _ in range(n)), repeat(2, cap), seed)
 
 
 def hermitian_rank1_decompose(J: H3CNS, Y: CnsElt, cap: int = 300, seed: int = 0):

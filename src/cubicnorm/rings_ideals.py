@@ -226,19 +226,12 @@ def iter_ell_candidates(J: CNS, E: QuotientAlgebra, eps, cap: int, seed: int = 0
     """Rows ell in A_F^2: first tr_{E/F}(ell_1 eps) for ell_1 over the
     canonical basis of A_E^2 (the constructive recipe), then plain basis rows
     and seeded random rows."""
-    JE = eps[0][0].J
-
     def tr_twist(ell1):
-        row = row_times_mat(ell1, eps)
-        out = []
-        for entry in row:
-            out.append(CnsElt(J, tuple(E.trace(c) for c in entry.coords)))
-        return tuple(out)
+        return tuple(CnsElt(J, tuple(E.trace(c) for c in entry.coords))
+                     for entry in row_times_mat(ell1, eps))
 
-    for ell1 in iter_search_rows(JE, max(8, cap // 4), seed):
-        yield tr_twist(ell1)
-    for ell in iter_search_rows(J, cap, seed + 1):
-        yield ell
+    yield from map(tr_twist, iter_search_rows(eps[0][0].J, max(8, cap // 4), seed))
+    yield from iter_search_rows(J, cap, seed + 1)
 
 
 def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -63,6 +64,20 @@ def witness_search(candidates, test, message: Optional[str] = None,
     if limit is not None:
         return hits
     return hits[0] if hits else None
+
+
+def search_stream(prefix: Iterable, draw, heights: Iterable[int], seed: int) -> Iterator:
+    """The one witness-search candidate stream.
+
+    Yields the deterministic ``prefix`` lazily, then ``draw(rng, h)`` once for
+    each height ``h`` in ``heights``, every draw from one
+    ``random.Random(seed)``.  A search's order, and so the witness it
+    reports, is fixed by the prefix, the sampler, the heights and the seed.
+    """
+    yield from prefix
+    rng = random.Random(seed)
+    for h in heights:
+        yield draw(rng, h)
 
 
 def qq(x: ScalarLike) -> Scalar:

@@ -64,12 +64,15 @@ def _as(kind: type, data, what: str, length: Optional[int] = None):
     return data
 
 
-def _at(data, *keys):
-    """data[k0][k1]..., each level checked to be a JSON object."""
+def _at(data, *keys, what: str):
+    """data[k0][k1]..., each level checked to be a JSON object that has the
+    key; ``what`` names the value being decoded in the error."""
     for key in keys:
         if not isinstance(data, dict):
-            raise DescriptorError(f"expected a JSON object with key {key!r}, "
+            raise DescriptorError(f"{what}: expected a JSON object with key {key!r}, "
                                   f"got {type(data).__name__}")
+        if key not in data:
+            raise DescriptorError(f"{what}: missing key {key!r}")
         data = data[key]
     return data
 
@@ -93,7 +96,8 @@ def enc_comp_desc(comp: CompAlgebra) -> dict:
 
 
 def dec_comp_desc(data: dict) -> CompAlgebra:
-    return CompAlgebra(tuple(dec_scalar(g) for g in _as(list, _at(data, "gammas"), "gammas")))
+    gammas = _at(data, "gammas", what="composition algebra")
+    return CompAlgebra(tuple(dec_scalar(g) for g in _as(list, gammas, "gammas")))
 
 
 def enc_comp_elt(x: CompElt) -> dict:
@@ -101,8 +105,9 @@ def enc_comp_elt(x: CompElt) -> dict:
 
 
 def dec_comp_elt(data: dict) -> CompElt:
-    comp = dec_comp_desc(_at(data, "comp"))
-    return comp.elem([dec_scalar(c) for c in _as(list, data["coords"], "coords")])
+    comp = dec_comp_desc(_at(data, "comp", what="composition element"))
+    coords = _at(data, "coords", what="composition element")
+    return comp.elem([dec_scalar(c) for c in _as(list, coords, "coords")])
 
 
 def enc_cns_desc(J: CNS) -> dict:
@@ -131,12 +136,12 @@ def enc_cns_desc(J: CNS) -> dict:
 
 
 def dec_cns_desc(data: dict) -> CNS:
-    d = _at(data, "cns") if "cns" in _as(dict, data, "structure") else data
-    variant = _at(d, "variant")
+    d = _at(data, "cns", what="structure") if "cns" in _as(dict, data, "structure") else data
+    variant = _at(d, "variant", what="structure")
     if variant == "trivial":
         J = TrivialCNS()
     elif variant == "fxc":
-        J = ProductCNS(dec_comp_desc(d["comp"]))
+        J = ProductCNS(dec_comp_desc(_at(d, "comp", what="structure")))
     elif variant == "cubic":
         if "table" in d:
             table = tuple(tuple(tuple(dec_scalar(x) for x in _as(list, cell, "table", 3))
@@ -150,7 +155,7 @@ def dec_cns_desc(data: dict) -> CNS:
                                       "algebra with unit e_0")
             J = CubicRingCNS(alg)
         else:
-            coeffs = _as(list, d["coeffs"], "coeffs", 4)
+            coeffs = _as(list, _at(d, "coeffs", what="structure"), "coeffs", 4)
             J = CubicRingCNS(cubic_ring_algebra(*[dec_scalar(c) for c in coeffs]))
         if det_fraction([[J.pair(x, y) for y in J.basis()] for x in J.basis()]) == 0:
             raise DescriptorError("a cubic descriptor needs an etale cubic algebra "
@@ -158,13 +163,14 @@ def dec_cns_desc(data: dict) -> CNS:
     elif variant == "matrix3":
         J = Matrix3CNS()
     elif variant == "h3":
-        J = H3CNS(dec_comp_desc(d["comp"]))
+        J = H3CNS(dec_comp_desc(_at(d, "comp", what="structure")))
     elif variant == "cayleyu":
-        J = CayleyUCNS(dec_comp_desc(d["comp"]), dec_scalar(d["gamma"]))
+        J = CayleyUCNS(dec_comp_desc(_at(d, "comp", what="structure")),
+                       dec_scalar(_at(d, "gamma", what="structure")))
     else:
         raise DescriptorError(f"unknown cns variant {variant!r}")
     if "base" in d:
-        modulus = _as(list, _at(d, "base", "modulus"), "modulus")
+        modulus = _as(list, _at(d, "base", "modulus", what="structure"), "modulus")
         J = J.base_change(QuotientAlgebra([dec_scalar(c) for c in modulus]))
     return J
 
@@ -178,7 +184,8 @@ def enc_cns_elt(x: CnsElt) -> dict:
 def dec_cns_elt(data: dict, J: Optional[CNS] = None) -> CnsElt:
     if J is None:
         J = dec_cns_desc(data)
-    return J.elem([dec_base_elt(J.base, c) for c in _as(list, _at(data, "coords"), "coords")])
+    coords = _at(data, "coords", what="J element")
+    return J.elem([dec_base_elt(J.base, c) for c in _as(list, coords, "coords")])
 
 
 def enc_w_elt(v: WElt) -> dict:
@@ -194,11 +201,12 @@ def dec_w_elt(data: dict, W: WSpace) -> WElt:
     J = W.J
     base = W.base
     if "cube" in _as(dict, data, "W element"):
-        return cube_to_w(_as(list, data["cube"], "cube"), W)
-    return W.elem(dec_base_elt(base, data["a"]),
-                  J.elem([dec_base_elt(base, c) for c in _as(list, data["b"], "b")]),
-                  J.elem([dec_base_elt(base, c) for c in _as(list, data["c"], "c")]),
-                  dec_base_elt(base, data["d"]))
+        return cube_to_w(_as(list, _at(data, "cube", what="W element"), "cube"), W)
+    a, b, c, d = (_at(data, key, what="W element") for key in "abcd")
+    return W.elem(dec_base_elt(base, a),
+                  J.elem([dec_base_elt(base, x) for x in _as(list, b, "b")]),
+                  J.elem([dec_base_elt(base, x) for x in _as(list, c, "c")]),
+                  dec_base_elt(base, d))
 
 
 def cube_space() -> WSpace:
@@ -253,13 +261,13 @@ def enc_ideal_sa(ideal) -> dict:
 def dec_ideal_sa(data: dict):
     from .rings_ideals import IdealSA, quad_ring
 
-    ring = quad_ring(dec_scalar(_at(data, "ring", "quad", "D")))
-    J = dec_cns_desc(data["structure"])
+    ring = quad_ring(dec_scalar(_at(data, "ring", "quad", "D", what="ideal")))
+    J = dec_cns_desc(_at(data, "structure", what="ideal"))
     E = ring.field()
     JE = J.base_change(E)
     basis = tuple(JE.elem([dec_base_elt(E, c) for c in _as(list, b, "basis element")])
-                  for b in _as(list, data["basis"], "basis", 2))
-    return IdealSA(ring, J, E, basis, _dec_unit(E, data["beta"]))
+                  for b in _as(list, _at(data, "basis", what="ideal"), "basis", 2))
+    return IdealSA(ring, J, E, basis, _dec_unit(E, _at(data, "beta", what="ideal")))
 
 
 def enc_ideal_tc(ideal) -> dict:
@@ -274,14 +282,14 @@ def enc_ideal_tc(ideal) -> dict:
 def dec_ideal_tc(data: dict):
     from .rings_ideals import CubicRing, IdealTC
 
-    coeffs = _as(list, _at(data, "ring", "cubic", "coeffs"), "coeffs", 4)
+    coeffs = _as(list, _at(data, "ring", "cubic", "coeffs", what="ideal"), "coeffs", 4)
     ring = CubicRing(tuple(dec_scalar(c) for c in coeffs))
-    comp = dec_comp_desc(data["comp"])
+    comp = dec_comp_desc(_at(data, "comp", what="ideal"))
     T = ring.algebra()
     compT = comp.base_change(T)
     basis = tuple(compT.elem([dec_base_elt(T, c) for c in _as(list, b, "basis element")])
-                  for b in _as(list, data["basis"], "basis", 3))
-    return IdealTC(ring, comp, T, basis, _dec_unit(T, data["beta"]))
+                  for b in _as(list, _at(data, "basis", what="ideal"), "basis", 3))
+    return IdealTC(ring, comp, T, basis, _dec_unit(T, _at(data, "beta", what="ideal")))
 
 
 def _dec_unit(alg: CommAlgebra, data) -> AlgElem:

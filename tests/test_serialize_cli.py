@@ -230,6 +230,18 @@ MALFORMED = [
                                                 "base": {"modulus": ["-5", "0", "1"]}}}),
      "--input", json.dumps({"A": {"coords": [[1, 0]] + [[0, 0]] * 8},
                             "B": {"coords": [[0, 0], [1, 0]] + [[0, 0]] * 7}})],
+    ["verify"],
+    ["cube", "--to", "cube"],
+    ["cube", "--to", "ideals"],
+    ["pair", "--to", "pair"],
+    ["pair", "--to", "ideals"],
+    ["lift", "--structure", "preset:fxf"],
+    ["lowrank", "--kind", "h3-rank2", "--input", "{}"],
+    ["invariant", "--kind", "b1", "--structure", "preset:fxf"],
+    ["invariant", "--kind", "b2"],
+    ["lift", "--structure", "preset:fxf", "--input", "{dir}"],
+    ["verify", "--structure", "@{dir}"],
+    ["lift", "--structure", "preset:fxf", "--input", '{"a": 1}'],
 ]
 
 
@@ -239,12 +251,37 @@ MALFORMED = [
     "two-coeffs", "cubic-table-not-unital", "scalar-bool", "scalar-float",
     "pair-preset-not-hermitian", "pair-invariant-not-hermitian", "pair-comp-structure",
     "lowrank-comp-structure", "b1-off-ground-field", "lowrank-rank2-not-hermitian",
-    "pair-input-not-object", "pair-ideals-not-integral", "pair-off-ground-field"])
-def test_cli_malformed_input_is_usage_error(argv, capsys):
-    code, out = run_cli(argv)
+    "pair-input-not-object", "pair-ideals-not-integral", "pair-off-ground-field",
+    "verify-no-structure", "cube-no-input", "cube-ideals-no-input", "pair-to-pair-no-input",
+    "pair-to-ideals-no-structure", "lift-no-input", "lowrank-no-structure",
+    "b1-no-input", "b2-no-structure", "input-is-directory", "structure-is-directory",
+    "w-missing-key"])
+def test_cli_malformed_input_is_usage_error(argv, capsys, tmp_path):
+    # "{dir}" stands for a path that exists but is a directory, not a file
+    code, out = run_cli([arg.replace("{dir}", str(tmp_path)) for arg in argv])
     err = capsys.readouterr().err
     assert code == 2, argv
     assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify"], "--structure is required"),
+    (["lift", "--structure", "preset:fxf"], "--input is required"),
+    (["lift", "--structure", "preset:fxf", "--input", '{"a": 1}'], "W element: missing key 'b'"),
+    (["cube", "--to", "cube", "--input", '{"ring": {"quad": {"D": "5"}}}'],
+     "ideal: missing key 'structure'"),
+    (["pair", "--to", "pair", "--input", '{"ring": {"cubic": {"coeffs": [1, 0, 0, 1]}}}'],
+     "ideal: missing key 'comp'"),
+    (["verify", "--structure", '{"cns": {"variant": "h3"}}'], "structure: missing key 'comp'"),
+    (["pair", "--structure", "preset:h3-rational", "--input", '{"B": {"coords": []}}'],
+     "pair: missing key 'A'"),
+], ids=["no-structure", "no-input", "w-element", "ideal-sa", "ideal-tc", "structure", "pair"])
+def test_cli_missing_key_or_option_is_named(argv, message, capsys):
+    """A missing option or JSON key is reported by name, with what was being
+    decoded, not as a bare KeyError or a traceback."""
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_structure_kinds_still_accepted():
