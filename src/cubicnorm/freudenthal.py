@@ -28,8 +28,9 @@ from .scalars import (
     HALF,
     THIRD,
     DescriptorError,
+    DirectSum,
     PreconditionError,
-    rref,
+    map_solve,
     search_stream,
     witness_search,
 )
@@ -359,34 +360,18 @@ def _mgen_maps(W: WSpace, payload):
 
 
 def m3c_inverse(J: H3CNS, m):
-    """Inverse of a 3x3 matrix over the associative composition algebra of J,
-    by one exact elimination of m x = 1 for all three columns of x.  The
-    unknowns are the rational coordinates of x along the products of the
-    C-basis with the base's Q-basis, so base-changed coordinates solve too."""
+    """Inverse of a 3x3 matrix over the associative composition algebra of J:
+    column t of the inverse solves m x = e_t over Q.  The unknowns are the
+    rational coordinates of x along the products of the C-basis with the
+    base's Q-basis, so base-changed coordinates solve too."""
     comp = J.comp
-    units = comp.flat_basis()
-    d = len(units)
-    n = 3 * d
-
-    one = comp.flatten(comp.one())
-    # unknown x: 3x3 over comp with m*x = 1; row (i, k) is Q-coordinate k of
-    # sum_j m[i][j] x[j], augmented with coordinate k of column t of 1
-    cells = [[comp.flatten(m[i][j] * u) for j in range(3) for u in units] for i in range(3)]
-    aug = [[cell[k] for cell in cells[i]] + [one[k] if i == t else 0 for t in range(3)]
-           for i in range(3) for k in range(d)]
-    pivots, red, _ = rref(aug)
-    if pivots != list(range(n)):
+    C3 = DirectSum(comp, comp, comp)
+    cols = [map_solve(partial(mat_times_col, m), C3, C3,
+                      tuple(comp.one() if i == t else comp.zero() for i in range(3)))
+            for t in range(3)]
+    if None in cols:
         raise PreconditionError("matrix is not invertible")
-    out_cols = []
-    for t in range(3):
-        col = []
-        for j in range(3):
-            acc = comp.zero()
-            for row, u in zip(red[j * d:(j + 1) * d], units):
-                acc = acc + u * row[n + t]
-            col.append(acc)
-        out_cols.append(col)
-    return mat_transpose(out_cols)
+    return mat_transpose(cols)
 
 
 # ---------------------------------------------------------------------------

@@ -71,13 +71,15 @@ from .scalars import (
     AlgElem,
     CommAlgebra,
     DescriptorError,
+    DirectSum,
     IdentityError,
     PreconditionError,
     RationalBase,
     Scalar,
     det_fraction,
-    linsolve,
     kernel,
+    map_matrix,
+    map_solve,
     qq,
     quadratic_field,
     rational_sqrt,
@@ -472,14 +474,14 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
     compT = J.comp.base_change(T)
 
     def build(basis):
-        V = gram_of_basis(T, basis)
         n = len(basis)
-        duals = []
-        for i in range(n):
-            rhs = [1 if k == i else 0 for k in range(n)]
-            sol = linsolve(V, rhs)
-            duals.append(T.elem([sum(sol[j] * basis[j].coords[k] for j in range(n))
-                                 for k in range(3)]))
+        Qn = DirectSum(*[QQ_BASE] * n)
+
+        def traces(x):
+            return tuple(T.trace(x * b) for b in basis)
+
+        duals = [map_solve(traces, T, Qn, tuple(1 if k == i else 0 for k in range(n)))
+                 for i in range(n)]
         eps = tuple(tuple(compT.zero() for _ in range(3)) for _ in range(3))
         for v_a, w_a in zip(basis, duals):
             eps = mat_add(eps, mat_smul(_lift_to_T(compT, sr.s_r(v_a)), w_a))
@@ -739,19 +741,12 @@ class QuotientTitsU(CNS):
         self.vB = embed_w(sk, self.WB, v)
         self.Xbar = x_of(self.WB, self.vB, -omega)
         self.h = _tits_h(self.WB, self.vB, omega)
-        self._bbasis = B.flat_basis()
-        self._fdim = len(self._bbasis)
+        self.B2 = DirectSum(B, B)
+        self._fdim = B.flat_dim()
         # I(v, omega) = left kernel of h
-        cols = []
-        for slot in range(2):
-            for e in self._bbasis:
-                ell = (e, B.zero()) if slot == 0 else (B.zero(), e)
-                img = row_times_mat(ell, self.h)
-                cols.append(B.flatten(img[0]) + B.flatten(img[1]))
-        ker = kernel(mat_transpose(cols))
+        ker = kernel(map_matrix(lambda ell: row_times_mat(ell, self.h), self.B2, self.B2))
         if len(ker) != self._fdim:
             raise IdentityError("I(v, omega) does not have B-corank one")
-        self._ibasis_raw = ker
         self._pivots, reduced, _ = rref(ker)
         self._reduced = reduced[:len(self._pivots)]
         self.dim = J.dim + 2 * self._fdim
@@ -766,37 +761,29 @@ class QuotientTitsU(CNS):
         """l1 h l2* in B for row pairs l1, l2."""
         return sum_prod(row_times_mat(e1, self.h), tuple(self.sk.star(x) for x in e2))
 
-    def _flatten_ell(self, ell) -> list[Scalar]:
-        B = self.sk.B
-        return B.flatten(ell[0]) + B.flatten(ell[1])
-
-    def _unflatten_ell(self, coords):
-        B, n = self.sk.B, self._fdim
-        return (B.unflatten(coords[:n]), B.unflatten(coords[n:]))
-
     def canon_ell(self, ell):
-        flat = self._flatten_ell(ell)
+        flat = self.B2.flatten(ell)
         for pivot, row in zip(self._pivots, self._reduced):
             coef = flat[pivot]
             if coef != 0:
                 flat = [a - coef * b for a, b in zip(flat, row)]
-        return self._unflatten_ell(flat)
+        return self.B2.unflatten(flat)
 
     def split(self, x: CnsElt):
         J = self.sk.J
         xj = CnsElt(J, x.coords[:J.dim])
-        ell = self._unflatten_ell(list(x.coords[J.dim:]))
+        ell = self.B2.unflatten(list(x.coords[J.dim:]))
         return xj, ell
 
     def join(self, xj: CnsElt, ell) -> CnsElt:
         ell = self.canon_ell(ell)
-        return CnsElt(self, tuple(xj.coords) + tuple(self._flatten_ell(ell)))
+        return CnsElt(self, tuple(xj.coords) + tuple(self.B2.flatten(ell)))
 
     def elem(self, coords) -> CnsElt:
         J = self.sk.J
         cs = list(coords)
         xj = CnsElt(J, tuple(self.base.coerce(c) for c in cs[:J.dim]))
-        ell = self._unflatten_ell([qq(c) for c in cs[J.dim:]])
+        ell = self.B2.unflatten([qq(c) for c in cs[J.dim:]])
         return self.join(xj, ell)
 
     def one(self) -> CnsElt:
@@ -815,7 +802,7 @@ class QuotientTitsU(CNS):
         for j in free:
             flat = [0] * (2 * self._fdim)
             flat[j] = 1
-            out.append(self.join(J.zero(), self._unflatten_ell(flat)))
+            out.append(self.join(J.zero(), self.B2.unflatten(flat)))
         return out
 
     def random(self, rng, height: int = 2, integral: bool = True) -> CnsElt:

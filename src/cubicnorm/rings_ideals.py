@@ -58,6 +58,7 @@ from .scalars import (
     THIRD,
     AlgElem,
     CommAlgebra,
+    DirectSum,
     IdentityError,
     PreconditionError,
     QuotientAlgebra,
@@ -65,7 +66,7 @@ from .scalars import (
     det,
     det_fraction,
     is_integral,
-    linsolve,
+    map_solve,
     qq,
     quadratic_field,
     witness_search,
@@ -320,15 +321,10 @@ def sa_data_equivalent(i1: IdealSA, i2: IdealSA):
     JE = i1.basis[0].J
     E = i1.E
     # solve x b = b' over A_E, coordinates over Q
-    bas = JE.flat_basis()
-    cols = [JE.flatten(JE.mul(xb, i1.basis[0])) + JE.flatten(JE.mul(xb, i1.basis[1]))
-            for xb in bas]
-    rhs = JE.flatten(i2.basis[0]) + JE.flatten(i2.basis[1])
-    mat = [[cols[j][i] for j in range(len(bas))] for i in range(len(rhs))]
-    sol = linsolve(mat, rhs)
-    if sol is None:
+    x = map_solve(lambda y: tuple(JE.mul(y, b) for b in i1.basis), JE, DirectSum(JE, JE),
+                  i2.basis)
+    if x is None:
         return "unknown"
-    x = JE.unflatten(sol)
     if not E.is_unit(JE.norm(x)):
         return "unknown"
     if not (JE.norm(x) * i1.beta == i2.beta):
@@ -475,14 +471,10 @@ def tc_data_equivalent(i1: IdealTC, i2: IdealTC):
         return "not-equivalent"
     compT = i1.basis[0].alg
     T = i1.T
-    bas = compT.flat_basis()
-    cols = [[f for b in i1.basis for f in compT.flatten(xb * b)] for xb in bas]
-    rhs = [f for b in i2.basis for f in compT.flatten(b)]
-    mat = [[cols[j][i] for j in range(len(bas))] for i in range(len(rhs))]
-    sol = linsolve(mat, rhs)
-    if sol is None:
+    x = map_solve(lambda y: tuple(y * b for b in i1.basis), compT,
+                  DirectSum(compT, compT, compT), i2.basis)
+    if x is None:
         return "unknown"
-    x = compT.unflatten(sol)
     if not T.is_unit(x.norm()):
         return "unknown"
     if not (i1.beta * x.norm() == i2.beta):

@@ -82,13 +82,17 @@ def search_stream(prefix: Iterable, draw, heights: Iterable[int], seed: int) -> 
 
 def qq(x: ScalarLike) -> Scalar:
     """Coerce an int, string, or Fraction to an exact rational: an int when
-    it is integral, a Fraction otherwise.  A float is inexact and refused."""
+    it is integral, a Fraction otherwise.  A float is inexact and refused,
+    and so is a string that is no rational, such as "1/0"."""
     if type(x) is int:
         return x
     if isinstance(x, float):
         raise DescriptorError(f"a float is not an exact scalar: {x!r}")
     if not isinstance(x, Fraction):
-        x = Fraction(x)
+        try:
+            x = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise DescriptorError(f"malformed scalar {x!r}") from None
     return x.numerator if x.denominator == 1 else x
 
 
@@ -184,6 +188,8 @@ class RationalBase:
 
     def basis(self) -> list[int]:
         return [1]
+
+    flat_basis = basis
 
     def random(self, rng, height: int = 3, integral: bool = True) -> Scalar:
         num = rng.randint(-height, height)
@@ -494,10 +500,10 @@ class CommAlgebra(CoordSpace):
     def inv(self, u: AlgElem) -> AlgElem:
         """Exact inverse of a unit, by solving u*x = 1 over Q (the solve
         re-verifies its answer by substitution)."""
-        sol = MatrixQ([[AlgElem(self, u.coords)]]).solve([self.one()])
-        if sol is None:
+        x = map_solve(lambda y: self.mul(u, y), self, self, self.one())
+        if x is None:
             raise ZeroDivisionError(f"{self.name}: not a unit")
-        return sol[0]
+        return x
 
     def conj(self, u: AlgElem) -> AlgElem:
         """Conjugation on a quadratic algebra: u* = tr(u) - u."""
@@ -743,90 +749,53 @@ def kernel(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return basis
 
 
-class MatrixQ:
-    """Small dense matrix with entries over Q or over a quotient algebra.
+class DirectSum:
+    """The direct sum of spaces, such as B^2, C^3 or Q^n: an element is a
+    tuple with one entry per slot, and it flattens slot first, then along
+    the slot's Q-basis."""
 
-    Exact solve / kernel; solve certifies its answer by substitution.  Mixed
-    bases raise a descriptor error.
-    """
+    def __init__(self, *spaces):
+        self.spaces = spaces
 
-    def __init__(self, entries: Sequence[Sequence]):
-        self.entries = [list(row) for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        bases = set()
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise DescriptorError("ragged matrix")
-            for e in row:
-                bases.add(id(e.alg) if isinstance(e, AlgElem) else "QQ")
-        if len(bases) > 1:
-            raise DescriptorError("mixed base rings in one matrix")
-        self._alg = None
-        for row in self.entries:
-            for e in row:
-                if isinstance(e, AlgElem):
-                    self._alg = e.alg
-        if self._alg is not None:
-            self.entries = [[self._alg.coerce(e) for e in row] for row in self.entries]
+    def zero(self) -> tuple:
+        return tuple(s.zero() for s in self.spaces)
 
-    def _flatten_system(self, rhs):
-        if self._alg is None:
-            return ([list(map(qq, row)) for row in self.entries],
-                    [qq(x) for x in rhs])
-        alg = self._alg
-        n = alg.flat_dim()
-        units = alg.flat_basis()
-        cols = []
-        for j in range(self.cols):
-            for u in units:
-                col = []
-                for i in range(self.rows):
-                    col.extend(alg.flatten(self.entries[i][j] * u))
-                cols.append(col)
-        height = self.rows * n
-        mat = [[cols[j][i] for j in range(len(cols))] for i in range(height)]
-        flat_rhs = []
-        for x in rhs:
-            flat_rhs.extend(alg.flatten(alg.coerce(x)))
-        return mat, flat_rhs
+    def flat_dim(self) -> int:
+        return sum(s.flat_dim() for s in self.spaces)
 
-    def kernel(self):
-        """Basis of the right kernel, as vectors over the entry ring."""
-        mat, _ = self._flatten_system([0] * self.rows if self._alg is None
-                                      else [self._alg.zero()] * self.rows)
-        basis = kernel(mat)
-        if self._alg is None:
-            return basis
-        alg = self._alg
-        n = alg.flat_dim()
-        return [[alg.unflatten(vec[j * n:(j + 1) * n]) for j in range(self.cols)]
-                for vec in basis]
+    def flat_basis(self) -> list[tuple]:
+        zero = self.zero()
+        return [zero[:i] + (b,) + zero[i + 1:]
+                for i, s in enumerate(self.spaces) for b in s.flat_basis()]
 
-    def solve(self, rhs):
-        """Solve self*x = rhs; returns the solution vector or None (certified
-        no-solution).  The solution is re-verified by substitution."""
-        mat, flat_rhs = self._flatten_system(rhs)
-        sol = linsolve(mat, flat_rhs)
-        if sol is None:
-            return None
-        if self._alg is None:
-            xs = sol
-            for i in range(self.rows):
-                acc = 0
-                for j in range(self.cols):
-                    acc += qq(self.entries[i][j]) * xs[j]
-                if acc != qq(rhs[i]):
-                    raise IdentityError("linsolve verification failed")
-            return xs
-        alg = self._alg
-        n = alg.flat_dim()
-        xs = [alg.unflatten(sol[j * n:(j + 1) * n]) for j in range(self.cols)]
-        for i in range(self.rows):
-            acc = alg.zero()
-            for j in range(self.cols):
-                acc = acc + self.entries[i][j] * xs[j]
-            if not (acc == alg.coerce(rhs[i])):
-                raise IdentityError("linsolve verification failed")
-        return xs
+    def flatten(self, x) -> list[Scalar]:
+        return [f for s, c in zip(self.spaces, x) for f in s.flatten(c)]
 
+    def unflatten(self, coords: Sequence[Scalar]) -> tuple:
+        out, at = [], 0
+        for s in self.spaces:
+            n = s.flat_dim()
+            out.append(s.unflatten(coords[at:at + n]))
+            at += n
+        return tuple(out)
+
+
+def map_matrix(f, dom, cod) -> list[tuple[Scalar, ...]]:
+    """The rational matrix of a Q-linear map f from dom to cod (each a space
+    with ``flat_basis``, ``flatten`` and ``unflatten``): column j is the
+    flattened image of the j-th element of ``dom.flat_basis()``.  Every
+    solve and kernel over a structure is read off this matrix."""
+    return list(zip(*(cod.flatten(f(e)) for e in dom.flat_basis())))
+
+
+def map_solve(f, dom, cod, y):
+    """One x in dom with f(x) = y, or None when there is none (certified by
+    ``linsolve``).  The answer is re-checked by substitution."""
+    rhs = cod.flatten(y)
+    sol = linsolve(map_matrix(f, dom, cod), rhs)
+    if sol is None:
+        return None
+    x = dom.unflatten(sol)
+    if cod.flatten(f(x)) != rhs:
+        raise IdentityError("linear solve failed its substitution check")
+    return x

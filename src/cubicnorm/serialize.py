@@ -34,7 +34,6 @@ from .scalars import (
     det_fraction,
     is_rational,
     qq,
-    scalar_from_str,
     scalar_to_str,
 )
 
@@ -47,10 +46,7 @@ def dec_scalar(s) -> Scalar:
     # a JSON float is inexact, so it is no scalar
     if not isinstance(s, (int, str)) or isinstance(s, bool):
         raise DescriptorError(f"a scalar is a \"p/q\" string or an integer, got {type(s).__name__}")
-    try:
-        return qq(s) if isinstance(s, int) else scalar_from_str(s)
-    except (ValueError, ZeroDivisionError):
-        raise DescriptorError(f"malformed scalar {s!r}") from None
+    return qq(s)
 
 
 def _as(kind: type, data, what: str, length: Optional[int] = None):

@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 from cubicnorm.cns import H3CNS, Matrix3CNS, TrivialCNS
 from cubicnorm.cns import CnsElt
 from cubicnorm.composition import CompElt, comp_preset
+from cubicnorm.matops import sum_prod
 from cubicnorm.presets import cns_preset, second_kind_preset
 from cubicnorm.scalars import (
     QQ_BASE,
     AlgElem,
     BoundExceededError,
     DescriptorError,
-    MatrixQ,
+    DirectSum,
+    IdentityError,
     QuotientAlgebra,
+    kernel,
+    map_matrix,
+    map_solve,
     poly_discriminant,
     qalg_make,
     quadratic_field,
@@ -94,39 +99,69 @@ def test_cubic_adjoint_identity(rng):
         assert u * L.adjoint(u) == L.from_rational(u.norm())
 
 
+def _matrix_map(rows, base=QQ_BASE):
+    """The map x -> rows x, from base^n to base^m, with its two spaces."""
+    dom = DirectSum(*[base] * len(rows[0]))
+    cod = DirectSum(*[base] * len(rows))
+    return (lambda x: tuple(sum_prod(row, x) for row in rows)), dom, cod
+
+
 def test_linalg_solve_examples():
-    assert MatrixQ([[F(1), F(0)], [F(0), F(1)]]).solve([F(7), F(-2)]) == [F(7), F(-2)]
-    assert MatrixQ([[F(1), F(1)], [F(1), F(-1)]]).solve([F(2), F(0)]) == [F(1), F(1)]
-    assert MatrixQ([[F(1), F(1)], [F(2), F(2)]]).solve([F(1), F(3)]) is None
+    def solve(rows, rhs):
+        return map_solve(*_matrix_map(rows), tuple(rhs))
+
+    assert solve([[F(1), F(0)], [F(0), F(1)]], [F(7), F(-2)]) == (F(7), F(-2))
+    assert solve([[F(1), F(1)], [F(1), F(-1)]], [F(2), F(0)]) == (F(1), F(1))
+    assert solve([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
 
 
 def test_linalg_over_quotient_algebra():
     E = qalg_make([-5, 0, 1])
-    m = MatrixQ([[E.one(), E.gen()], [E.gen(), E.one()]])
-    sol = m.solve([E.elem([1, 1]), E.zero()])
+    f, dom, cod = _matrix_map([[E.one(), E.gen()], [E.gen(), E.one()]], E)
+    sol = map_solve(f, dom, cod, (E.elem([1, 1]), E.zero()))
     assert sol is not None
-    assert m.solve([E.one(), E.gen() * 0]) is not None
+    assert f(sol) == (E.elem([1, 1]), E.zero())
+    assert map_solve(f, dom, cod, (E.one(), E.gen() * 0)) is not None
 
 
-def test_matrixq_kernel():
-    m = MatrixQ([[F(1), F(2), F(3)], [F(2), F(4), F(6)]])
-    ker = m.kernel()
+def test_linalg_kernels():
+    f, dom, cod = _matrix_map([[F(1), F(2), F(3)], [F(2), F(4), F(6)]])
+    ker = [dom.unflatten(v) for v in kernel(map_matrix(f, dom, cod))]
     assert len(ker) == 2
     for v in ker:
         assert v[0] + 2 * v[1] + 3 * v[2] == 0
     E = qalg_make([-5, 0, 1])
-    m2 = MatrixQ([[E.one(), E.gen()]])
-    ker2 = m2.kernel()
+    f2, dom2, cod2 = _matrix_map([[E.one(), E.gen()]], E)
+    ker2 = [dom2.unflatten(v) for v in kernel(map_matrix(f2, dom2, cod2))]
     assert len(ker2) == 2
     for v in ker2:
         assert (v[0] + E.gen() * v[1]).is_zero()
 
 
-def test_matrixq_rejects_mixed_bases():
-    E = qalg_make([-5, 0, 1])
-    E2 = qalg_make([-7, 0, 1])
-    with pytest.raises(DescriptorError):
-        MatrixQ([[E.one(), E2.one()]])
+def test_direct_sum_flat_basis_and_round_trip(rng):
+    """B^2 flattens slot first, then along B's Q-basis, and unflatten
+    inverts flatten."""
+    B = second_kind_preset("matrix:-1").B
+    B2 = DirectSum(B, B)
+    n = B.flat_dim()
+    assert B2.flat_dim() == 2 * n
+    fb = B2.flat_basis()
+    assert fb == [(e, B.zero()) for e in B.flat_basis()] + [(B.zero(), e) for e in B.flat_basis()]
+    for k, ell in enumerate(fb):
+        assert B2.flatten(ell) == [1 if j == k else 0 for j in range(2 * n)]
+    for _ in range(5):
+        ell = (B.random(rng, 3, integral=False), B.random(rng, 3, integral=False))
+        flat = B2.flatten(ell)
+        assert flat == B.flatten(ell[0]) + B.flatten(ell[1])
+        assert B2.unflatten(flat) == ell
+
+
+def test_map_solve_rechecks_by_substitution():
+    """A map that is not linear gets a wrong answer from its matrix, and the
+    substitution re-check reports that as a failed identity."""
+    Q1 = DirectSum(QQ_BASE)
+    with pytest.raises(IdentityError):
+        map_solve(lambda x: (x[0] * x[0] + 1,), Q1, Q1, (F(5),))
 
 
 def test_rational_sqrt():

@@ -242,6 +242,9 @@ MALFORMED = [
     ["lift", "--structure", "preset:fxf", "--input", "{dir}"],
     ["verify", "--structure", "@{dir}"],
     ["lift", "--structure", "preset:fxf", "--input", '{"a": 1}'],
+    ["pair", "--preset", "thm-diag", "--coeffs", "1/0"],
+    ["pair", "--preset", "bhargava-a1b1", "--coeffs", "1/0,2,3,4"],
+    ["lift", "--law", "second", "--second-kind", "matrix:1/0", "--input", "{}"],
 ]
 
 
@@ -255,7 +258,7 @@ MALFORMED = [
     "verify-no-structure", "cube-no-input", "cube-ideals-no-input", "pair-to-pair-no-input",
     "pair-to-ideals-no-structure", "lift-no-input", "lowrank-no-structure",
     "b1-no-input", "b2-no-structure", "input-is-directory", "structure-is-directory",
-    "w-missing-key"])
+    "w-missing-key", "thm-diag-coeff-1/0", "bhargava-coeff-1/0", "second-kind-D-1/0"])
 def test_cli_malformed_input_is_usage_error(argv, capsys, tmp_path):
     # "{dir}" stands for a path that exists but is a directory, not a file
     code, out = run_cli([arg.replace("{dir}", str(tmp_path)) for arg in argv])
@@ -282,6 +285,15 @@ def test_cli_missing_key_or_option_is_named(argv, message, capsys):
     code, out = run_cli(argv)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [argv for argv in MALFORMED if "1/0" in "".join(argv)],
+                         ids=["json-input", "thm-diag-coeffs", "bhargava-coeffs", "second-kind"])
+def test_cli_malformed_scalar_is_named(argv, capsys):
+    """A scalar that is no rational is named, whether it comes from a JSON
+    input, from --coeffs or from --second-kind."""
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == "error: malformed scalar '1/0'\n"
 
 
 def test_cli_structure_kinds_still_accepted():
