@@ -43,6 +43,7 @@ from .rings_ideals import (
 )
 from .scalars import (
     BoundExceededError,
+    Certificate,
     DescriptorError,
     IdentityError,
     PreconditionError,
@@ -126,14 +127,11 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key}: {val}")
 
 
-def _report_exit(ok: bool) -> int:
-    return EXIT_OK if ok else EXIT_IDENTITY
-
-
-def _emit_certified(fields: dict, res, as_json: bool) -> int:
-    """Emit ``fields`` with the certificate of ``res``, and exit on it."""
-    _emit({**fields, "certificate": res.to_json()["certificate"], "ok": res.ok()}, as_json)
-    return _report_exit(res.ok())
+def _emit_certified(cert: Certificate, as_json: bool, fields: Optional[dict] = None) -> int:
+    """Emit the JSON of ``cert``, or ``fields`` with its bare certificate
+    entries and verdict, and exit on the verdict."""
+    _emit(cert.to_json() if fields is None else {**fields, **Certificate.to_json(cert)}, as_json)
+    return EXIT_OK if cert.ok() else EXIT_IDENTITY
 
 
 # -- subcommands --------------------------------------------------------------
@@ -145,9 +143,7 @@ def cmd_verify(args) -> int:
         report = comp_axioms_check(struct, trials=args.trials, seed=args.seed)
     else:
         report = cns_axioms_check(struct, trials=args.trials, seed=args.seed)
-    payload = report.to_json()
-    _emit(payload, args.json)
-    return _report_exit(report.ok())
+    return _emit_certified(report, args.json)
 
 
 def cmd_lift(args) -> int:
@@ -157,12 +153,10 @@ def cmd_lift(args) -> int:
         v = ser.dec_w_elt(_load_json(args.input), W)
         if args.law == "second":
             res = second_lift(sk, v, cap=args.bound, seed=args.seed)
-            return _emit_certified({"lambda": ser.enc_base_elt(res.lam),
-                                    "S": [ser.enc_base_elt(c) for c in res.S.coords]},
-                                   res, args.json)
-        res = utilde_cns(sk, v)
-        _emit(res.to_json(), args.json)
-        return _report_exit(res.ok())
+            return _emit_certified(res, args.json,
+                                   {"lambda": ser.enc_base_elt(res.lam),
+                                    "S": [ser.enc_base_elt(c) for c in res.S.coords]})
+        return _emit_certified(utilde_cns(sk, v), args.json)
     J = _structure(args.structure)
     W = WSpace(J)
     v = ser.dec_w_elt(_load_json(args.input), W)
@@ -172,8 +166,7 @@ def cmd_lift(args) -> int:
         res = lift_wa_refined(W, v)
     else:
         res = gan_savin_cns(J, v)
-    _emit(res.to_json(), args.json)
-    return _report_exit(res.ok())
+    return _emit_certified(res, args.json)
 
 
 def cmd_cube(args) -> int:
@@ -181,11 +174,11 @@ def cmd_cube(args) -> int:
     if args.to == "ideals":
         v = ser.dec_w_elt(_load_json(args.input), W)
         ring, ideal, cert = cube_to_balanced(W.J, v, cap=args.bound, seed=args.seed)
-        return _emit_certified({"ideal": ser.enc_ideal_sa(ideal)}, cert, args.json)
+        return _emit_certified(cert, args.json, {"ideal": ser.enc_ideal_sa(ideal)})
     ideal = ser.dec_ideal_sa(_load_json(args.input))
     v, _ = balanced_to_cube(ideal)
-    payload = {"cube": ser.w_to_cube(v), "checks": balanced_check_sa(ideal)}
-    _emit(payload, args.json)
+    checks = {e.name: e.ok for e in balanced_check_sa(ideal).certificate}
+    _emit({"cube": ser.w_to_cube(v), "checks": checks}, args.json)
     return EXIT_OK
 
 
@@ -219,7 +212,7 @@ def cmd_pair(args) -> int:
         payload = {
             "A": [ser.enc_base_elt(c) for c in A.coords],
             "B": [ser.enc_base_elt(c) for c in B.coords],
-            "checks": balanced_check_tc(ideal),
+            "checks": {e.name: e.ok for e in balanced_check_tc(ideal).certificate},
         }
         _emit(payload, args.json)
         return EXIT_OK
@@ -228,10 +221,8 @@ def cmd_pair(args) -> int:
     J, A, B = _pair_input(args)
     if args.to == "ideals":
         ring, ideal, cert = pair_to_balanced(J, A, B, cap=args.bound, seed=args.seed)
-        return _emit_certified({"ideal": ser.enc_ideal_tc(ideal)}, cert, args.json)
-    res = pair_lift(J, A, B)
-    _emit(res.to_json(), args.json)
-    return _report_exit(res.ok())
+        return _emit_certified(cert, args.json, {"ideal": ser.enc_ideal_tc(ideal)})
+    return _emit_certified(pair_lift(J, A, B), args.json)
 
 
 def _invariant_b2(args) -> int:
@@ -279,8 +270,7 @@ def cmd_lowrank(args) -> int:
         W = WSpace(sk.J)
         x = ser.dec_w_elt(_load_json(args.input), W)
         res = rank3_w_lift(sk, x, cap=args.bound, seed=args.seed)
-    _emit(res.to_json(), args.json)
-    return _report_exit(res.ok())
+    return _emit_certified(res, args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,8 +23,18 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .composition import CheckReport, CompAlgebra, CompElt, _record, cd_double
-from .matops import mat, mat_add, mat_eq, mat_mul, mat_star, mat_trace, mat_transpose
+from .composition import CheckReport, CompAlgebra, CompElt, cd_double
+from .matops import (
+    mat,
+    mat_add,
+    mat_eq,
+    mat_mul,
+    mat_star,
+    mat_trace,
+    mat_transpose,
+    row_times_mat,
+    sum_prod,
+)
 from .scalars import (
     AlgElem,
     CommAlgebra,
@@ -662,11 +672,6 @@ class TitsUCNS(CNS):
         return (self.name, self.S.coords, self.lam.coords, self.base, self.sk.K.table)
 
 
-def tits_construct(sk: SecondKind, S: CnsElt, lam: AlgElem) -> TitsUCNS:
-    """U(S, lambda) on J + B; raises if n(S) != lambda lambda*."""
-    return TitsUCNS(sk, S, lam)
-
-
 # ---------------------------------------------------------------------------
 # U(gamma) = H_3(C) + C^3 and its identification with H_3(C(gamma)).
 # ---------------------------------------------------------------------------
@@ -679,7 +684,8 @@ class CayleyUCNS(CNS):
         (X, v)#        = (X# + gamma v* v, -v X)
         <(X,v),(Y,w)>  = (X, Y) - gamma (v, w).
 
-    Isomorphic to H_3(C(gamma)) via a_i -> (a_i(X), v_i).
+    Isomorphic to H_3(C(gamma)) via a_i -> (a_i(X), v_i), available as
+    ``iso_to_doubled`` and ``iso_from_doubled``.
     """
 
     def __init__(self, comp: CompAlgebra, gamma):
@@ -711,12 +717,8 @@ class CayleyUCNS(CNS):
 
     def _vxv(self, v, X: CnsElt):
         """v X v* as a base scalar."""
-        m = self.H.to_matrix(X)
-        row = tuple(_dotrow(v, m, j) for j in range(3))
-        acc = row[0] * v[0].conj()
-        for i in (1, 2):
-            acc = acc + row[i] * v[i].conj()
-        return acc.coords[0]
+        row = row_times_mat(v, self.H.to_matrix(X))
+        return sum_prod(row, tuple(vi.conj() for vi in v)).coords[0]
 
     def norm(self, x):
         X, v = self.split(x)
@@ -726,8 +728,7 @@ class CayleyUCNS(CNS):
         X, v = self.split(x)
         vstarv = self._outer(v)
         first = self.H.adjoint(X) + vstarv * self.gamma
-        m = self.H.to_matrix(X)
-        mv = tuple(-_dotrow(v, m, j) for j in range(3))
+        mv = tuple(-x for x in row_times_mat(v, self.H.to_matrix(X)))
         return self.join(first, mv)
 
     def _outer(self, v) -> CnsElt:
@@ -783,20 +784,6 @@ class CayleyUCNS(CNS):
         return (self.comp.gammas, self.gamma, self.base)
 
 
-def _dotrow(v, m, j):
-    """(v m)_j for a row triple v over C and 3x3 matrix m over C."""
-    acc = v[0] * m[0][j]
-    acc = acc + v[1] * m[1][j]
-    acc = acc + v[2] * m[2][j]
-    return acc
-
-
-def cayley_u_construct(comp: CompAlgebra, gamma) -> CayleyUCNS:
-    """U(gamma) together with its identification with H_3(C(gamma))
-    (available as .iso_to_doubled / .iso_from_doubled)."""
-    return CayleyUCNS(comp, gamma)
-
-
 # ---------------------------------------------------------------------------
 # Named operation layer and the axiom suite.
 # ---------------------------------------------------------------------------
@@ -811,14 +798,14 @@ def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
     concrete special embedding exists.
     """
     rng = random.Random(seed)
-    report = CheckReport(structure=J.name, trials=trials, seed=seed, passes={}, failures={})
+    report = CheckReport(structure=J.name, trials=trials, seed=seed)
     one = J.one()
-    _record(report, "N(1) = 1", J.norm(one) == J.base.one(), one)
-    _record(report, "1# = 1", J.adjoint(one) == one, one)
+    report.check("N(1) = 1", J.norm(one) == J.base.one(), one)
+    report.check("1# = 1", J.adjoint(one) == one, one)
     if check_nondegenerate and isinstance(J.base, RationalBase):
         basis = J.basis()
         gram = [[J.pair(a, b) for b in basis] for a in basis]
-        _record(report, "pairing nondegenerate", det_fraction(gram) != 0, None)
+        report.check("pairing nondegenerate", det_fraction(gram) != 0, None)
     for _ in range(trials):
         x = J.random(rng)
         y = J.random(rng)
@@ -826,37 +813,37 @@ def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
         xs = J.adjoint(x)
         ys = J.adjoint(y)
         nx = J.norm(x)
-        _record(report, "(x#)# = N(x) x", J.adjoint(xs) == x * nx, x)
-        _record(report, "1 x x = (1,x) - x",
-                J.cross(one, x) == one * J.trace(x) - x, x)
-        _record(report, "N(x+y) polarization",
-                J.norm(x + y) == nx + J.pair(xs, y) + J.pair(x, ys) + J.norm(y), (x, y))
-        _record(report, "(x, x#) = 3N(x)", J.pair(x, xs) == 3 * nx, x)
-        _record(report, "pairing symmetric", J.pair(x, y) == J.pair(y, x), (x, y))
+        report.check("(x#)# = N(x) x", J.adjoint(xs) == x * nx, x)
+        report.check("1 x x = (1,x) - x",
+                     J.cross(one, x) == one * J.trace(x) - x, x)
+        report.check("N(x+y) polarization",
+                     J.norm(x + y) == nx + J.pair(xs, y) + J.pair(x, ys) + J.norm(y), (x, y))
+        report.check("(x, x#) = 3N(x)", J.pair(x, xs) == 3 * nx, x)
+        report.check("pairing symmetric", J.pair(x, y) == J.pair(y, x), (x, y))
         t1 = J.pair(x, J.cross(y, z))
-        _record(report, "(x, y x z) symmetric",
-                t1 == J.pair(y, J.cross(x, z)) and t1 == J.pair(z, J.cross(x, y)),
-                (x, y, z))
-        _record(report, "N(U_x y) = N(x)^2 N(y)",
-                J.norm(J.u_op(x, y)) == nx * nx * J.norm(y), (x, y))
-        _record(report, "(x,y) = tr(x)tr(y) - (1,x,y)",
-                J.pair(x, y) == J.trace(x) * J.trace(y) - J.trilinear(one, x, y), (x, y))
-        _record(report, "x x (x# x y) = n(x)y + (x,y)x#",
-                J.cross(x, J.cross(xs, y)) == y * nx + xs * J.pair(x, y), (x, y))
-        _record(report, "x# x (x x y) = n(x)y + (x#,y)x",
-                J.cross(xs, J.cross(x, y)) == y * nx + x * J.pair(xs, y), (x, y))
-        _record(report, "(x x y)# + x# x y# = (x,y#)x + (x#,y)y",
-                J.adjoint(J.cross(x, y)) + J.cross(xs, ys)
-                == x * J.pair(x, ys) + y * J.pair(xs, y), (x, y))
+        report.check("(x, y x z) symmetric",
+                     t1 == J.pair(y, J.cross(x, z)) and t1 == J.pair(z, J.cross(x, y)),
+                     (x, y, z))
+        report.check("N(U_x y) = N(x)^2 N(y)",
+                     J.norm(J.u_op(x, y)) == nx * nx * J.norm(y), (x, y))
+        report.check("(x,y) = tr(x)tr(y) - (1,x,y)",
+                     J.pair(x, y) == J.trace(x) * J.trace(y) - J.trilinear(one, x, y), (x, y))
+        report.check("x x (x# x y) = n(x)y + (x,y)x#",
+                     J.cross(x, J.cross(xs, y)) == y * nx + xs * J.pair(x, y), (x, y))
+        report.check("x# x (x x y) = n(x)y + (x#,y)x",
+                     J.cross(xs, J.cross(x, y)) == y * nx + x * J.pair(xs, y), (x, y))
+        report.check("(x x y)# + x# x y# = (x,y#)x + (x#,y)y",
+                     J.adjoint(J.cross(x, y)) + J.cross(xs, ys)
+                     == x * J.pair(x, ys) + y * J.pair(xs, y), (x, y))
         if J.is_special:
             combo = J.special_combo(y, x, z)
             if combo is not None:
-                _record(report, "x x (y x z) five-term",
-                        J.cross(x, J.cross(y, z))
-                        == z * J.pair(x, y) + y * J.pair(x, z) - combo, (x, y, z))
+                report.check("x x (y x z) five-term",
+                             J.cross(x, J.cross(y, z))
+                             == z * J.pair(x, y) + y * J.pair(x, z) - combo, (x, y, z))
         if J.has_mul:
-            _record(report, "U_x y = xyx", J.u_op(x, y) == J.mul(J.mul(x, y), x), (x, y))
-            _record(report, "x x# = N(x)", J.mul(x, xs) == one * nx, x)
+            report.check("U_x y = xyx", J.u_op(x, y) == J.mul(J.mul(x, y), x), (x, y))
+            report.check("x x# = N(x)", J.mul(x, xs) == one * nx, x)
     return report
 
 

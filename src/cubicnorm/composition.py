@@ -11,10 +11,11 @@ length <= 1 commutative.  Norm, trace, and conjugation come with the doubling:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .scalars import (
+    Certificate,
     CoordSpace,
     DescriptorError,
     QQ_BASE,
@@ -169,18 +170,22 @@ def comp_preset(name: str) -> CompAlgebra:
 
 
 @dataclass
-class CheckReport:
+class CheckReport(Certificate):
     """Outcome of a randomized identity suite: pass counts per identity and
-    the first counterexample for any identity that failed."""
+    the first failing entry of each identity that failed."""
 
     structure: str
     trials: int
     seed: int
-    passes: dict
-    failures: dict
+    passes: dict = field(default_factory=dict)
 
-    def ok(self) -> bool:
-        return not self.failures
+    def check(self, name: str, ok: bool, witness=None) -> None:
+        """Count a pass, and record only the first failure of an identity,
+        so the report does not grow with the number of trials."""
+        if ok:
+            self.passes[name] = self.passes.get(name, 0) + 1
+        elif name not in self.failures:
+            super().check(name, ok, witness)
 
     def to_json(self) -> dict:
         return {
@@ -193,13 +198,6 @@ class CheckReport:
         }
 
 
-def _record(report: CheckReport, name: str, holds: bool, witness) -> None:
-    if holds:
-        report.passes[name] = report.passes.get(name, 0) + 1
-    elif name not in report.failures:
-        report.failures[name] = witness
-
-
 def comp_axioms_check(desc: CompAlgebra, trials: int = 100, seed: int = 0) -> CheckReport:
     """Check the composition-algebra laws on seeded random elements:
     norm multiplicativity, conjugation anti-automorphism, scalar trace,
@@ -208,31 +206,30 @@ def comp_axioms_check(desc: CompAlgebra, trials: int = 100, seed: int = 0) -> Ch
     import random
 
     rng = random.Random(seed)
-    report = CheckReport(structure=repr(desc), trials=trials, seed=seed,
-                        passes={}, failures={})
+    report = CheckReport(structure=repr(desc), trials=trials, seed=seed)
     one = desc.one()
     for _ in range(trials):
         x = desc.random(rng)
         y = desc.random(rng)
         z = desc.random(rng)
-        _record(report, "n(xy) = n(x)n(y)",
-                (x * y).norm() == x.norm() * y.norm(), (x, y))
-        _record(report, "(xy)* = y*x*",
-                (x * y).conj() == y.conj() * x.conj(), (x, y))
+        report.check("n(xy) = n(x)n(y)",
+                     (x * y).norm() == x.norm() * y.norm(), (x, y))
+        report.check("(xy)* = y*x*",
+                     (x * y).conj() == y.conj() * x.conj(), (x, y))
         tr = x + x.conj()
-        _record(report, "x + x* is scalar",
-                tr == desc.from_scalar(x.trace()), x)
-        _record(report, "n(x) = x x*",
-                x * x.conj() == desc.from_scalar(x.norm()), x)
+        report.check("x + x* is scalar",
+                     tr == desc.from_scalar(x.trace()), x)
+        report.check("n(x) = x x*",
+                     x * x.conj() == desc.from_scalar(x.norm()), x)
         lhs = (x * y) * z
         rhs = x * (y * z)
-        _record(report, "tr(a(bc)) = tr((ab)c)",
-                rhs.trace() == lhs.trace(), (x, y, z))
+        report.check("tr(a(bc)) = tr((ab)c)",
+                     rhs.trace() == lhs.trace(), (x, y, z))
         if desc.is_associative:
-            _record(report, "associativity", lhs == rhs, (x, y, z))
+            report.check("associativity", lhs == rhs, (x, y, z))
         if desc.is_commutative:
-            _record(report, "commutativity", x * y == y * x, (x, y))
-        _record(report, "x*1 = x", x * one == x, x)
+            report.check("commutativity", x * y == y * x, (x, y))
+        report.check("x*1 = x", x * one == x, x)
     return report
 
 

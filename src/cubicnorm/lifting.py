@@ -1,9 +1,10 @@
 """Lifting constructions and their verifiers.
 
-Every construction returns an object carrying a certificate: a list of named
-identities, each re-checked exactly.  Identities that are mathematically
-guaranteed raise IdentityError on failure instead of reporting, since a
-failure there is a bug, not an input problem.
+Every construction returns a LiftResult, a ``scalars.Certificate``: the list
+of named identities it was checked against, each re-checked exactly.
+Identities that are mathematically guaranteed are recorded with ``require``
+and raise IdentityError on failure instead of reporting, since a failure
+there is a bug, not an input problem.
 
 Contents:
   * rank-one lifts of rank-4 elements of W_J along a quadratic extension,
@@ -69,6 +70,7 @@ from .scalars import (
     QQ_BASE,
     THIRD,
     AlgElem,
+    Certificate,
     CommAlgebra,
     DescriptorError,
     DirectSum,
@@ -94,36 +96,16 @@ class NoLiftError(PreconditionError):
 
 
 @dataclass
-class CertEntry:
-    name: str
-    ok: bool
+class LiftResult(Certificate):
+    """A certified lift: its extension, the lifted element and its data."""
 
-
-@dataclass
-class LiftResult:
     extension: Optional[CommAlgebra]
     lifted: object
-    certificate: list[CertEntry] = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
-    def check(self, name: str, ok: bool) -> None:
-        self.certificate.append(CertEntry(name, ok))
-
-    def require(self, name: str, ok: bool) -> None:
-        self.certificate.append(CertEntry(name, ok))
-        if not ok:
-            raise IdentityError(f"guaranteed identity failed: {name}")
-
-    def ok(self) -> bool:
-        return all(e.ok for e in self.certificate)
-
     def to_json(self) -> dict:
-        return {
-            "extension": None if self.extension is None else self.extension.name,
-            "certificate": [{"identity": e.name, "status": "pass" if e.ok else "fail"}
-                            for e in self.certificate],
-            "ok": self.ok(),
-        }
+        return {"extension": None if self.extension is None else self.extension.name,
+                **super().to_json()}
 
 
 def x_of(WE: WSpace, vE: WElt, omega) -> WElt:

@@ -11,12 +11,12 @@ from .cns import (
     Matrix3CNS,
     ProductCNS,
     SecondKind,
+    TitsUCNS,
     TrivialCNS,
     cubic_ring_algebra,
     second_kind_matrix,
     second_kind_tensor,
     split_cubic_algebra,
-    tits_construct,
 )
 from .composition import CompAlgebra, comp_preset
 from .lifting import disc_binary_cubic
@@ -70,11 +70,11 @@ def cns_preset(name: str) -> CNS:
     if name.startswith("titsu-matrix"):
         D = qq(name.split(":", 1)[1]) if ":" in name else qq(-1)
         sk = second_kind_matrix(D)
-        return tits_construct(sk, sk.J.one(), sk.K.one())
+        return TitsUCNS(sk, sk.J.one(), sk.K.one())
     if name.startswith("titsu-tensor"):
         D = qq(name.split(":", 1)[1]) if ":" in name else qq(5)
         sk = second_kind_tensor(CubicRingCNS(split_cubic_algebra()), D)
-        return tits_construct(sk, sk.J.one(), sk.K.one())
+        return TitsUCNS(sk, sk.J.one(), sk.K.one())
     if name.startswith("cayleyu-comm"):
         g = qq(name.split(":", 1)[1]) if ":" in name else qq(3)
         return CayleyUCNS(comp_preset("gaussian"), g)

@@ -57,6 +57,7 @@ from .scalars import (
     QQ_BASE,
     THIRD,
     AlgElem,
+    Certificate,
     CommAlgebra,
     DirectSum,
     IdentityError,
@@ -194,7 +195,7 @@ def x_of_ideal_sa(ideal: IdealSA) -> WElt:
     return shriek_row(WE, ideal.basis) * binv
 
 
-def balanced_check_sa(ideal: IdealSA) -> dict:
+def balanced_check_sa(ideal: IdealSA) -> Certificate:
     """The balanced condition: beta^{-1} (b1, b2)! in W_A (x) S (sufficient
     for all pairs from the ideal), the norm equality, and the
     determinant identity <X, Xbar> = w^3 det_6(g) / N(beta)."""
@@ -212,11 +213,11 @@ def balanced_check_sa(ideal: IdealSA) -> dict:
     Xbar = WElt(WE, E.conj(X.a), _conj_cns(E, X.b), _conj_cns(E, X.c), E.conj(X.d))
     omega = E.gen()
     lemma = WE.pair(X, Xbar) * nbeta == omega * omega * omega * nrm
-    return {
-        "integrality (beta^{-1} b! in W (x) S)": integral,
-        "norm (det_6(g) = N(beta))": nrm == nbeta,
-        "<X, Xbar> N(beta) = w^3 det_6(g)": lemma,
-    }
+    cert = Certificate()
+    cert.check("integrality (beta^{-1} b! in W (x) S)", integral)
+    cert.check("norm (det_6(g) = N(beta))", nrm == nbeta)
+    cert.check("<X, Xbar> N(beta) = w^3 det_6(g)", lemma)
+    return cert
 
 
 def _conj_cns(E: QuotientAlgebra, x: CnsElt) -> CnsElt:
@@ -273,9 +274,8 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     res.require("beta^{-1} b! = X(v)", x_of_ideal_sa(ideal) == X)
     res.require("<X, Xbar> = w^3",
                 WE.pair(X, Xbar) == omega * omega * omega)
-    checks = balanced_check_sa(ideal)
-    for name, ok in checks.items():
-        res.require(name, ok)
+    for e in balanced_check_sa(ideal).certificate:
+        res.require(e.name, e.ok)
     # S-stability: tau b = b Omega_tau with integral Omega_tau = (Omega as tau-action)
     tau_b = tuple(x * tau for x in b)
     b_Om = row_times_mat(b, _lift_to_T(JE, Omega))
@@ -287,10 +287,8 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
 def balanced_to_cube(ideal: IdealSA) -> tuple:
     """The inverse direction: a balanced based ideal to its rank-4 element,
     with q(v) = D verified.  Raises on unbalanced input, naming the clause."""
-    checks = balanced_check_sa(ideal)
-    for name, ok in checks.items():
-        if not ok:
-            raise PreconditionError(f"unbalanced data: {name}")
+    for name in balanced_check_sa(ideal).failures:
+        raise PreconditionError(f"unbalanced data: {name}")
     E, ring, J = ideal.E, ideal.ring, ideal.J
     X = x_of_ideal_sa(ideal)
     W = WSpace(J)
@@ -378,15 +376,16 @@ def x_of_ideal_tc(ideal: IdealTC) -> CnsElt:
     return H3T.from_matrix(outer)
 
 
-def balanced_check_tc(ideal: IdealTC) -> dict:
+def balanced_check_tc(ideal: IdealTC) -> Certificate:
+    """The balanced condition: beta^{-1} b* b integral, and N_6(m) = N(beta)."""
     X = x_of_ideal_tc(ideal)
     integral = all(all(is_integral(t) for t in c.coords) for c in X.coords)
     nrm = ideal_norm_tc(ideal)
     nbeta = ideal.T.norm(ideal.beta)
-    return {
-        "integrality (beta^{-1} y* x in C (x) T)": integral,
-        "norm (N_6(m) = N(beta))": nrm == nbeta,
-    }
+    cert = Certificate()
+    cert.check("integrality (beta^{-1} y* x in C (x) T)", integral)
+    cert.check("norm (N_6(m) = N(beta))", nrm == nbeta)
+    return cert
 
 
 def _comp_integral(c: CompElt) -> bool:
@@ -420,8 +419,8 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
                                                   "pair": pd})
     res.require("beta^{-1} b* b = X(A,B)",
                 all(a == bb for a, bb in zip(x_of_ideal_tc(ideal).coords, X.coords)))
-    for name, ok in balanced_check_tc(ideal).items():
-        res.require(name, ok)
+    for e in balanced_check_tc(ideal).certificate:
+        res.require(e.name, e.ok)
     # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B
     omega = pd.omega
     wb = tuple(x * omega for x in b)
@@ -434,13 +433,14 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
 
 
 def balanced_to_pair(ideal: IdealTC):
-    """Inverse direction: a balanced based T (x) C ideal to its pair (A, B),
-    with nondegeneracy via (X, Y) = disc(1, w, t)."""
-    checks = balanced_check_tc(ideal)
-    for name, ok in checks.items():
-        if not ok:
-            raise PreconditionError(f"unbalanced data: {name}")
+    """Inverse direction: a balanced based T (x) C ideal over a nondegenerate
+    cubic ring to its pair (A, B), with nondegeneracy via (X, Y) = disc(1, w, t)."""
+    for name in balanced_check_tc(ideal).failures:
+        raise PreconditionError(f"unbalanced data: {name}")
     T = ideal.T
+    disc = det_gram(T)
+    if disc == 0:
+        raise PreconditionError("degenerate cubic ring: disc(1, w, t) = 0")
     comp = ideal.comp
     J = H3CNS(comp)
     JT = J.base_change(T)
@@ -450,7 +450,6 @@ def balanced_to_pair(ideal: IdealTC):
     A = -Tpart
     B = Bpart
     Y = tensor_cross(JT, J, XJT, XJT) * HALF
-    disc = det_gram(T)
     if not (JT.pair(XJT, Y) == T.from_rational(disc)):
         raise PreconditionError("unbalanced data: (X, Y) != disc(1, w, t)")
     pd = pair_cubic(J, A, B)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import operator
 import random
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -39,6 +40,51 @@ class BoundExceededError(RuntimeError):
 
 class IdentityError(AssertionError):
     """An identity that is mathematically guaranteed failed to verify.  A bug."""
+
+
+class Entry(NamedTuple):
+    """An identity, whether it held, and the witness it failed on (or None)."""
+
+    name: str
+    ok: bool
+    witness: object = None
+
+
+@dataclass
+class Certificate:
+    """The one certificate type: the ordered identities a result was checked
+    against, each re-checked exactly.  ``check`` records an identity;
+    ``require`` records one that is guaranteed and raises IdentityError when
+    it fails, since that failure is a bug, not an input problem."""
+
+    certificate: list[Entry] = field(default_factory=list, kw_only=True)
+
+    def check(self, name: str, ok: bool, witness=None) -> None:
+        self.certificate.append(Entry(name, ok, None if ok else witness))
+
+    def require(self, name: str, ok: bool) -> None:
+        self.check(name, ok)
+        if not ok:
+            raise IdentityError(f"guaranteed identity failed: {name}")
+
+    def ok(self) -> bool:
+        return all(e.ok for e in self.certificate)
+
+    @property
+    def failures(self) -> dict:
+        """The first witness of each failing identity, by name, in order."""
+        out = {}
+        for e in self.certificate:
+            if not e.ok:
+                out.setdefault(e.name, e.witness)
+        return out
+
+    def to_json(self) -> dict:
+        return {
+            "certificate": [{"identity": e.name, "status": "pass" if e.ok else "fail"}
+                            for e in self.certificate],
+            "ok": self.ok(),
+        }
 
 
 def witness_search(candidates, test, message: Optional[str] = None,
@@ -107,10 +153,6 @@ def scalar_to_str(x: Scalar) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def scalar_from_str(s: str) -> Scalar:
-    return qq(s)
 
 
 def rational_sqrt(x: Scalar) -> Optional[Scalar]:

@@ -7,12 +7,14 @@ import pytest
 from conftest import associative_variants, hermitian_variants
 
 from cubicnorm.cns import (
+    CayleyUCNS,
+    CnsElt,
     CubicRingCNS,
     H3CNS,
     Matrix3CNS,
     ProductCNS,
+    TitsUCNS,
     TrivialCNS,
-    cayley_u_construct,
     cns_axioms_check,
     compose_over_base,
     cubic_ring_algebra,
@@ -20,7 +22,6 @@ from cubicnorm.cns import (
     second_kind_tensor,
     split_cubic_algebra,
     tensor_cross,
-    tits_construct,
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.scalars import DescriptorError, PreconditionError, det, quadratic_field
@@ -91,6 +92,61 @@ def test_axiom_suites(builder, trials):
     assert r.ok(), r.failures
 
 
+class WrongAdjointCNS(TrivialCNS):
+    """The trivial structure with x# = 2x^2 in place of x^2: not a CNS."""
+
+    def adjoint(self, x):
+        (a,) = x.coords
+        return CnsElt(self, (2 * a * a,))
+
+
+def test_axiom_suite_reports_a_wrong_cns():
+    """The suite counts only passing trials, and keeps the first witness of
+    each failing identity (trials 1 and 3 fail at x = -1 and x = 1)."""
+    report = cns_axioms_check(WrongAdjointCNS(), trials=3, seed=1)
+    assert report.to_json() == {"structure": "trivial", "trials": 3, "seed": 1, "passes": {
+        "(x x y)# + x# x y# = (x,y#)x + (x#,y)y": 1,
+        "(x#)# = N(x) x": 1,
+        "(x, x#) = 3N(x)": 1,
+        "(x, y x z) symmetric": 3,
+        "(x,y) = tr(x)tr(y) - (1,x,y)": 1,
+        "1 x x = (1,x) - x": 1,
+        "N(1) = 1": 1,
+        "N(U_x y) = N(x)^2 N(y)": 1,
+        "N(x+y) polarization": 1,
+        "U_x y = xyx": 1,
+        "pairing nondegenerate": 1,
+        "pairing symmetric": 3,
+        "x x (x# x y) = n(x)y + (x,y)x#": 1,
+        "x x (y x z) five-term": 1,
+        "x x# = N(x)": 1,
+        "x# x (x x y) = n(x)y + (x#,y)x": 1,
+    }, "failures": {
+        "(x x y)# + x# x y# = (x,y#)x + (x#,y)y": "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]))",
+        "(x#)# = N(x) x": "CnsElt(trivial, [-1])",
+        "(x, x#) = 3N(x)": "CnsElt(trivial, [-1])",
+        "(x,y) = tr(x)tr(y) - (1,x,y)": "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]))",
+        "1 x x = (1,x) - x": "CnsElt(trivial, [-1])",
+        "1# = 1": "CnsElt(trivial, [1])",
+        "N(U_x y) = N(x)^2 N(y)": "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]))",
+        "N(x+y) polarization": "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]))",
+        "U_x y = xyx": "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]))",
+        "x x (x# x y) = n(x)y + (x,y)x#": "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]))",
+        "x x (y x z) five-term":
+            "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]), CnsElt(trivial, [-2]))",
+        "x x# = N(x)": "CnsElt(trivial, [-1])",
+        "x# x (x x y) = n(x)y + (x#,y)x": "(CnsElt(trivial, [-1]), CnsElt(trivial, [2]))",
+    }, "ok": False}
+
+
+
+def test_axiom_suite_keeps_one_entry_per_failing_identity():
+    """Passing trials are counted, not stored, so the report does not grow
+    with the number of trials."""
+    report = cns_axioms_check(WrongAdjointCNS(), trials=40, seed=1)
+    assert [e.name for e in report.certificate] == list(report.failures)
+    assert not any(e.ok for e in report.certificate)
+
 def test_axiom_suites_base_changed():
     E = quadratic_field(5)
     for J in [ProductCNS(CompAlgebra(())), Matrix3CNS(), H3CNS(comp_preset("gaussian"))]:
@@ -100,7 +156,7 @@ def test_axiom_suites_base_changed():
 
 def test_tits_construction():
     sk = second_kind_matrix(1)  # split K: the A x A^opp shape with A = M_3
-    U = tits_construct(sk, sk.J.one(), sk.K.one())
+    U = TitsUCNS(sk, sk.J.one(), sk.K.one())
     assert U.dim == 27
     r = cns_axioms_check(U, trials=15, seed=5)
     assert r.ok(), r.failures
@@ -108,7 +164,7 @@ def test_tits_construction():
 
 def test_tits_formula_specializations(rng):
     sk = second_kind_matrix(-1)
-    U = tits_construct(sk, sk.J.one(), sk.K.one())
+    U = TitsUCNS(sk, sk.J.one(), sk.K.one())
     X = sk.J.random(rng)
     z = U.join(X, sk.B.zero())
     first, second = U.split(U.adjoint(z))
@@ -122,18 +178,18 @@ def test_tits_formula_specializations(rng):
 def test_tits_precondition():
     sk = second_kind_matrix(-1)
     with pytest.raises(PreconditionError):
-        tits_construct(sk, sk.J.one() * 2, sk.K.one())  # n(S) = 8 != 1
+        TitsUCNS(sk, sk.J.one() * 2, sk.K.one())  # n(S) = 8 != 1
 
 
 def test_tits_tensor_special_identities():
     sk = second_kind_tensor(CubicRingCNS(split_cubic_algebra()), 5)
-    U = tits_construct(sk, sk.J.one(), sk.K.one())
+    U = TitsUCNS(sk, sk.J.one(), sk.K.one())
     r = cns_axioms_check(U, trials=25, seed=6)
     assert r.ok(), r.failures
 
 
 def test_cayley_u_iso(rng):
-    U = cayley_u_construct(comp_preset("hamilton"), 2)
+    U = CayleyUCNS(comp_preset("hamilton"), 2)
     for _ in range(100):
         x = U.random(rng)
         assert U.norm(x) == U.doubled.norm(U.iso_to_doubled(x))
@@ -142,7 +198,7 @@ def test_cayley_u_iso(rng):
 
 
 def test_cayley_u_embedding_and_adjoint(rng):
-    U = cayley_u_construct(comp_preset("gaussian"), 3)
+    U = CayleyUCNS(comp_preset("gaussian"), 3)
     X = U.H.random(rng)
     z = U.join(X, (U.comp.zero(),) * 3)
     img = U.iso_to_doubled(z)
@@ -157,9 +213,9 @@ def test_cayley_u_embedding_and_adjoint(rng):
 
 def test_cayley_u_rejects_octonions():
     with pytest.raises(DescriptorError):
-        cayley_u_construct(comp_preset("octonion"), 1)
+        CayleyUCNS(comp_preset("octonion"), 1)
     with pytest.raises(DescriptorError):
-        cayley_u_construct(comp_preset("hamilton"), 0)
+        CayleyUCNS(comp_preset("hamilton"), 0)
 
 
 def test_rank_invariant_under_u_operator(rng):

@@ -29,6 +29,7 @@ from cubicnorm.cns import (
 from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import HALF, HOperator, WSpace, h_apply
 from cubicnorm.lifting import (
+    LiftResult,
     NoLiftError,
     QuotientTitsU,
     admissible_scale,
@@ -52,7 +53,20 @@ from cubicnorm.lifting import (
     w_star,
 )
 from cubicnorm.presets import bhargava_pair, thm_diag_pair
-from cubicnorm.scalars import PreconditionError, rational_sqrt
+from cubicnorm.scalars import IdentityError, PreconditionError, rational_sqrt
+
+
+def test_failing_require_records_then_raises():
+    """A guaranteed identity that fails is entered in the certificate before
+    IdentityError is raised."""
+    res = LiftResult(extension=None, lifted=None)
+    res.check("holds", True)
+    with pytest.raises(IdentityError, match="guaranteed identity failed: broken"):
+        res.require("broken", False)
+    assert [(e.name, e.ok) for e in res.certificate] == [("holds", True), ("broken", False)]
+    assert not res.ok()
+    assert res.to_json() == {"extension": None, "ok": False, "certificate": [
+        {"identity": "holds", "status": "pass"}, {"identity": "broken", "status": "fail"}]}
 
 
 def test_lift_wj_diagonal():

@@ -15,6 +15,7 @@ from cubicnorm.scalars import (
     QQ_BASE,
     AlgElem,
     BoundExceededError,
+    Certificate,
     DescriptorError,
     DirectSum,
     IdentityError,
@@ -24,9 +25,9 @@ from cubicnorm.scalars import (
     map_solve,
     poly_discriminant,
     qalg_make,
+    qq,
     quadratic_field,
     rational_sqrt,
-    scalar_from_str,
     scalar_to_str,
     witness_search,
 )
@@ -36,7 +37,7 @@ rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**
 
 @given(rationals)
 def test_scalar_string_roundtrip(x):
-    assert scalar_from_str(scalar_to_str(x)) == x
+    assert qq(scalar_to_str(x)) == x
 
 
 def test_scalar_string_forms():
@@ -324,6 +325,24 @@ def test_witness_search_policy():
         witness_search([2, 4], odd, "none odd; raise cap")
     with pytest.raises(BoundExceededError):
         witness_search([], odd, "empty", limit=2)
+
+
+def test_certificate_entries_and_failures():
+    cert = Certificate()
+    cert.check("a", True, witness="dropped")
+    cert.check("b", False, witness=1)
+    cert.check("c", True)
+    cert.check("b", False, witness=2)
+    assert cert.certificate == [("a", True, None), ("b", False, 1), ("c", True, None),
+                                ("b", False, 2)]
+    assert cert.failures == {"b": 1} and not cert.ok()
+    assert cert.to_json() == {"ok": False, "certificate": [
+        {"identity": n, "status": st} for n, st in
+        [("a", "pass"), ("b", "fail"), ("c", "pass"), ("b", "fail")]]}
+    with pytest.raises(IdentityError, match="^guaranteed identity failed: d$"):
+        cert.require("d", False)
+    assert cert.certificate[-1] == ("d", False, None)
+    assert Certificate().ok() and Certificate().to_json() == {"certificate": [], "ok": True}
 
 
 def test_rational_scalars_are_int_when_integral():

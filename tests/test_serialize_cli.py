@@ -245,6 +245,14 @@ MALFORMED = [
     ["pair", "--preset", "thm-diag", "--coeffs", "1/0"],
     ["pair", "--preset", "bhargava-a1b1", "--coeffs", "1/0,2,3,4"],
     ["lift", "--law", "second", "--second-kind", "matrix:1/0", "--input", "{}"],
+    ["pair", "--to", "pair", "--input", json.dumps({
+        "ring": {"cubic": {"coeffs": ["0", "0", "0", "0"]}}, "comp": {"gammas": []},
+        "basis": [[["1", "0", "0"]], [["0", "1", "0"]], [["0", "0", "1"]]],
+        "beta": ["1", "0", "0"]})],
+    ["pair", "--to", "pair", "--input", json.dumps({
+        "ring": {"cubic": {"coeffs": ["1", "0", "0", "0"]}}, "comp": {"gammas": []},
+        "basis": [[["1", "0", "0"]], [["0", "1", "0"]], [["0", "0", "1"]]],
+        "beta": ["1", "0", "0"]})],
 ]
 
 
@@ -258,7 +266,8 @@ MALFORMED = [
     "verify-no-structure", "cube-no-input", "cube-ideals-no-input", "pair-to-pair-no-input",
     "pair-to-ideals-no-structure", "lift-no-input", "lowrank-no-structure",
     "b1-no-input", "b2-no-structure", "input-is-directory", "structure-is-directory",
-    "w-missing-key", "thm-diag-coeff-1/0", "bhargava-coeff-1/0", "second-kind-D-1/0"])
+    "w-missing-key", "thm-diag-coeff-1/0", "bhargava-coeff-1/0", "second-kind-D-1/0",
+    "pair-to-pair-ring-zero", "pair-to-pair-ring-disc-0"])
 def test_cli_malformed_input_is_usage_error(argv, capsys, tmp_path):
     # "{dir}" stands for a path that exists but is a directory, not a file
     code, out = run_cli([arg.replace("{dir}", str(tmp_path)) for arg in argv])
