@@ -176,8 +176,9 @@ def cmd_cube(args) -> int:
         ring, ideal, cert = cube_to_balanced(W.J, v, cap=args.bound, seed=args.seed)
         return _emit_certified(cert, args.json, {"ideal": ser.enc_ideal_sa(ideal)})
     ideal = ser.dec_ideal_sa(_load_json(args.input))
-    v, _ = balanced_to_cube(ideal)
-    checks = {e.name: e.ok for e in balanced_check_sa(ideal).certificate}
+    cert = balanced_check_sa(ideal)
+    v, _ = balanced_to_cube(ideal, cert)
+    checks = {e.name: e.ok for e in cert.certificate}
     _emit({"cube": ser.w_to_cube(v), "checks": checks}, args.json)
     return EXIT_OK
 
@@ -208,11 +209,12 @@ def _pair_input(args):
 def cmd_pair(args) -> int:
     if args.to == "pair":
         ideal = ser.dec_ideal_tc(_load_json(args.input))
-        A, B = balanced_to_pair(ideal)
+        cert = balanced_check_tc(ideal)
+        A, B = balanced_to_pair(ideal, cert)
         payload = {
             "A": [ser.enc_base_elt(c) for c in A.coords],
             "B": [ser.enc_base_elt(c) for c in B.coords],
-            "checks": {e.name: e.ok for e in balanced_check_tc(ideal).certificate},
+            "checks": {e.name: e.ok for e in cert.certificate},
         }
         _emit(payload, args.json)
         return EXIT_OK

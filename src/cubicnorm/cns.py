@@ -30,7 +30,6 @@ from .matops import (
     mat_eq,
     mat_mul,
     mat_star,
-    mat_trace,
     mat_transpose,
     row_times_mat,
     sum_prod,
@@ -327,7 +326,9 @@ class Matrix3CNS(CNS):
         return self.from_matrix(mat(adj))
 
     def pair(self, x, y):
-        return mat_trace(mat_mul(self.to_matrix(x), self.to_matrix(y)))
+        """tr(xy) = sum of x_ij y_ji over i, j."""
+        a, b = x.coords, y.coords
+        return sum_prod(a, (b[0], b[3], b[6], b[1], b[4], b[7], b[2], b[5], b[8]))
 
     def one(self):
         z, o = self.base.zero(), self.base.one()

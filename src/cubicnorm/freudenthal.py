@@ -550,16 +550,59 @@ def m2_scalar(J: CNS, s):
 # -- the unit-class invariant of rank-one elements ---------------------------
 
 
+def _search_prefix(basis, z):
+    """The deterministic prefix of ``iter_search_rows``: basis singletons
+    (e, 0), (0, e), then basis pairs (e, f)."""
+    return chain((row for e in basis for row in ((e, z), (z, e))), product(basis, repeat=2))
+
+
 def iter_search_rows(J: CNS, cap: int, seed: int = 0) -> Iterator[tuple]:
     """Deterministic height-ordered stream of candidate row pairs over J:
     basis singletons first, then basis pairs, then seeded random small rows,
     cap of them at each height 1, 2 and 3."""
-    basis = J.basis()
-    z = J.zero()
     yield from search_stream(
-        chain((row for e in basis for row in ((e, z), (z, e))), product(basis, repeat=2)),
+        _search_prefix(J.basis(), J.zero()),
         lambda rng, h: (J.random(rng, h), J.random(rng, h)),
         (h for h in (1, 2, 3) for _ in range(cap)), seed)
+
+
+def dead_search_rows(J: CNS) -> frozenset:
+    """The prefix rows of ``iter_search_rows`` over J whose row and column
+    shrieks (``shriek_row``, ``shriek_col``) are both zero, each as its
+    flattened coordinates ``DirectSum(J, J).flatten(row)``, a tuple.  Such a
+    row pairs to zero with every element on either side, so it is never a
+    witness.  Decided once per structure, on first use, from the basis norms
+    and adjoints."""
+    dead = getattr(J, "_dead_search_rows", None)
+    if dead is None:
+        basis = J.basis()
+        n = len(basis)
+        elems = basis + [J.zero()]      # the prefix is read over indices, n for zero
+        null = [J.base.is_zero(J.norm(e)) for e in elems]
+        adj = [J.adjoint(e) for e in elems]
+
+        def kills(i, j):
+            # the b and c slots of the shrieks: s# t, t# s for a row, t s#, s t# for a column
+            return adj[i].is_zero() or (J.mul(adj[i], elems[j]).is_zero()
+                                        and J.mul(elems[j], adj[i]).is_zero())
+
+        flatten = DirectSum(J, J).flatten
+        dead = J._dead_search_rows = frozenset(
+            tuple(flatten((elems[i], elems[j]))) for i, j in _search_prefix(range(n), n)
+            if null[i] and null[j] and kills(i, j) and kills(j, i))
+    return dead
+
+
+def skip_dead_rows(J: CNS, test):
+    """``test`` for a witness search over rows or columns of J, with a miss
+    (None) at once for a row in ``dead_search_rows(J)``.  The search still
+    draws the row, so its stream and its counts do not change."""
+    dead = dead_search_rows(J)
+    if not dead:
+        return test
+    # flattened coordinates hash far faster than elements over a quotient base
+    flatten = DirectSum(J, J).flatten
+    return lambda row: None if tuple(flatten(row)) in dead else test(row)
 
 
 def lambda_invariant(W: WSpace, v: WElt, cap: int = 200, seed: int = 0):
@@ -570,10 +613,14 @@ def lambda_invariant(W: WSpace, v: WElt, cap: int = 200, seed: int = 0):
     the stream is exhausted (raise cap)."""
     if W.rank(v) != 1:
         raise PreconditionError("lambda invariant needs a rank-one element")
-    return witness_search(
-        (W.pair(shriek_row(W, ell), v) for ell in iter_search_rows(W.J, cap, seed)),
-        lambda val: val if W.base.is_unit(val) else None,
-        "lambda search bound exceeded; raise cap")
+
+    def unit_value(ell):
+        val = W.pair(shriek_row(W, ell), v)
+        return val if W.base.is_unit(val) else None
+
+    return witness_search(iter_search_rows(W.J, cap, seed),
+                          skip_dead_rows(W.J, unit_value),
+                          "lambda search bound exceeded; raise cap")
 
 
 def norm_class_witness(J: CNS, lam1, lam2, cap: int = 400, seed: int = 0):

@@ -51,6 +51,7 @@ from .freudenthal import (
     s_of_h3,
     shriek_col,
     shriek_row,
+    skip_dead_rows,
 )
 from .matops import (
     mat_add,
@@ -614,10 +615,13 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
     X = x_of(WB, vB, omega)
     Xbar = x_of(WB, vB, -omega)
     R = r_of(WB, vB)
-    col, val = witness_search(
-        ((cand, WB.pair(X, shriek_col(WB, cand))) for cand in iter_search_rows(B, cap, seed)),
-        lambda hit: hit if K.is_unit(hit[1]) else None,
-        "eta search bound exceeded; raise cap")
+
+    def unit_value(cand):
+        val = WB.pair(X, shriek_col(WB, cand))
+        return (cand, val) if K.is_unit(val) else None
+
+    col, val = witness_search(iter_search_rows(B, cap, seed), skip_dead_rows(B, unit_value),
+                              "eta search bound exceeded; raise cap")
     eta = u_apply(R, omega, col)
     lam = K.inv(val)
     res = SecondLift(extension=None, lifted=None, sk=sk, omega=omega, lam=lam, eta=eta)

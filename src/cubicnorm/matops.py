@@ -7,6 +7,8 @@ cubic-norm-structure elements.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 
 def mat(rows):
     return tuple(tuple(row) for row in rows)
@@ -57,13 +59,6 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def mat_trace(a):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
 def row_times_mat(row, a):
     return tuple(sum_prod(row, tuple(a[t][j] for t in range(len(a)))) for j in range(len(a[0])))
 
@@ -72,8 +67,16 @@ def mat_times_col(a, col):
     return tuple(sum_prod(tuple(a[i][t] for t in range(len(col))), col) for i in range(len(a)))
 
 
+def _is_zero(x) -> bool:
+    return not x if type(x) is int or type(x) is Fraction else x.is_zero()
+
+
 def sum_prod(xs, ys):
-    acc = xs[0] * ys[0]
-    for x, y in zip(xs[1:], ys[1:]):
-        acc = acc + x * y
-    return acc
+    """x_1 y_1 + ... + x_n y_n, skipping the terms whose left factor is zero
+    (basis rows and matrix units are mostly zeros); an all-zero xs gives
+    x_1 y_1, the zero of the products' type."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if not _is_zero(x):
+            acc = x * y if acc is None else acc + x * y
+    return xs[0] * ys[0] if acc is None else acc

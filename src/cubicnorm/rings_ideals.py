@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
 
 from .cns import (
     CNS,
@@ -32,6 +33,7 @@ from .freudenthal import (
     r_right,
     shriek_col,
     shriek_row,
+    skip_dead_rows,
 )
 from .lifting import (
     LiftResult,
@@ -266,7 +268,8 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
         return (cand, beta) if E.is_unit(beta) else None
 
     candidates = [ell] if ell is not None else iter_ell_candidates(J, E, eps, cap, seed)
-    ell, beta = witness_search(candidates, unit_beta, "ell search bound exceeded; raise cap")
+    ell, beta = witness_search(candidates, skip_dead_rows(J, unit_beta),
+                               "ell search bound exceeded; raise cap")
     b = row_times_mat(_lift_row(JE, ell), eps)
     ideal = IdealSA(ring, J, E, tuple(b), beta)
     res.data["ideal"] = ideal
@@ -284,10 +287,13 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     return ring, ideal, res
 
 
-def balanced_to_cube(ideal: IdealSA) -> tuple:
+def balanced_to_cube(ideal: IdealSA, checks: Optional[Certificate] = None) -> tuple:
     """The inverse direction: a balanced based ideal to its rank-4 element,
-    with q(v) = D verified.  Raises on unbalanced input, naming the clause."""
-    for name in balanced_check_sa(ideal).failures:
+    with q(v) = D verified.  Raises on unbalanced input, naming the clause;
+    ``checks`` is ``balanced_check_sa(ideal)`` when the caller has it."""
+    if checks is None:
+        checks = balanced_check_sa(ideal)
+    for name in checks.failures:
         raise PreconditionError(f"unbalanced data: {name}")
     E, ring, J = ideal.E, ideal.ring, ideal.J
     X = x_of_ideal_sa(ideal)
@@ -432,10 +438,13 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     return ring, ideal, res
 
 
-def balanced_to_pair(ideal: IdealTC):
+def balanced_to_pair(ideal: IdealTC, checks: Optional[Certificate] = None):
     """Inverse direction: a balanced based T (x) C ideal over a nondegenerate
-    cubic ring to its pair (A, B), with nondegeneracy via (X, Y) = disc(1, w, t)."""
-    for name in balanced_check_tc(ideal).failures:
+    cubic ring to its pair (A, B), with nondegeneracy via (X, Y) = disc(1, w, t);
+    ``checks`` is ``balanced_check_tc(ideal)`` when the caller has it."""
+    if checks is None:
+        checks = balanced_check_tc(ideal)
+    for name in checks.failures:
         raise PreconditionError(f"unbalanced data: {name}")
     T = ideal.T
     disc = det_gram(T)
@@ -495,7 +504,7 @@ def lambda_value_set(J: CNS, WE: WSpace, X: WElt, cap: int = 60, seed: int = 0):
         val = WE.pair(shriek_row(WE, _lift_row(JE, ell)), X)
         return (ell, val) if WE.base.is_unit(val) else None
 
-    return witness_search(iter_search_rows(J, cap, seed), unit_value, limit=24)
+    return witness_search(iter_search_rows(J, cap, seed), skip_dead_rows(J, unit_value), limit=24)
 
 
 def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
@@ -518,7 +527,8 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
         val = WE.pair(X, shriek_col(WE, eta_E))
         return (eta_E, val) if E.is_unit(val) else None
 
-    cols = witness_search(iter_search_rows(J, cap, seed + 1), unit_value, limit=24)
+    cols = witness_search(iter_search_rows(J, cap, seed + 1), skip_dead_rows(J, unit_value),
+                          limit=24)
     # prefer the first exact coincidence of a row and a column value, else the first pair
     pairs = list(product(rows, cols))
     (ell, nu), (eta, lam) = witness_search([p for p in pairs if p[0][1] == p[1][1]] + pairs,

@@ -1,5 +1,6 @@
 """Cubic norm structures: instances, axioms, constructions, base change."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -275,3 +276,17 @@ def test_tensor_cross_identity_fails_generically():
 def test_descriptor_mismatch():
     with pytest.raises(DescriptorError):
         Matrix3CNS().one() * TrivialCNS().one()
+
+
+@pytest.mark.parametrize("base", [None, quadratic_field(-1)], ids=["QQ", "Q(i)"])
+def test_matrix3_pair_is_the_trace_of_the_product(base):
+    """(x, y) = sum of x_ij y_ji equals tr(xy), on non-symmetric matrices
+    with some zero entries."""
+    J = Matrix3CNS() if base is None else Matrix3CNS(base)
+    rng = random.Random(5)
+    for _ in range(20):
+        x, y = J.random(rng), J.random(rng)
+        x = J.elem([J.base.zero() if rng.random() < 0.3 else c for c in x.coords])
+        assert x != J.transpose(x) or y != J.transpose(y)
+        xy = J.mul(x, y).coords
+        assert J.pair(x, y) == xy[0] + xy[4] + xy[8]

@@ -9,6 +9,7 @@ from conftest import associative_variants, rand_rank4
 
 from cubicnorm.cns import (
     CnsElt,
+    second_kind_matrix,
     CubicRingCNS,
     H3CNS,
     Matrix3CNS,
@@ -21,9 +22,11 @@ from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import (
     HOperator,
     WSpace,
+    dead_search_rows,
     det6,
     gl2_act,
     h_apply,
+    iter_search_rows,
     lambda_invariant,
     m2_identity,
     m2_j2,
@@ -39,7 +42,7 @@ from cubicnorm.freudenthal import (
 from cubicnorm.freudenthal import _project  # test-only internal
 from cubicnorm.matops import mat_mul, mat_times_col, row_times_mat
 from cubicnorm.presets import CNS_SUITE, cns_preset
-from cubicnorm.scalars import AlgElem, PreconditionError, quadratic_field
+from cubicnorm.scalars import AlgElem, DirectSum, PreconditionError, quadratic_field
 
 
 def det6_tensor_cube(W, g, side):
@@ -435,3 +438,49 @@ def test_lambda_invariant(rng):
     assert norm_class_witness(J, lam_eta, F(1)) is not None
     with pytest.raises(PreconditionError):
         lambda_invariant(W, rand_rank4(W, rng))
+
+
+def zero_shriek_rows(J):
+    """Oracle: the prefix of iter_search_rows (cap 0), and the flattened
+    prefix rows whose row shriek, and whose column shriek, is zero."""
+    W = WSpace(J)
+    flatten = DirectSum(J, J).flatten
+    prefix = list(iter_search_rows(J, 0))
+    return prefix, *({tuple(flatten(ell)) for ell in prefix if shriek(W, ell).is_zero()}
+                     for shriek in (shriek_row, shriek_col))
+
+
+@pytest.mark.parametrize("make, dead, total", [
+    (lambda: cns_preset("trivial"), 0, 3),
+    (lambda: cns_preset("fxf"), 6, 8),
+    (lambda: cns_preset("etale-cubic"), 0, 15),
+    (lambda: cns_preset("fxq"), 27, 35),
+    (lambda: cns_preset("matrix3"), 99, 99),
+    (lambda: second_kind_matrix(1).B, 99, 99),
+    (lambda: second_kind_matrix(-1).B, 99, 99),
+], ids=["trivial", "fxf", "etale-cubic", "fxq", "matrix3", "B(1)", "B(-1)"])
+def test_dead_search_rows_are_the_prefix_rows_with_zero_shriek(make, dead, total):
+    J = make()
+    prefix, zero_row, zero_col = zero_shriek_rows(J)
+    assert len(prefix) == total
+    rows = dead_search_rows(J)
+    assert len(rows) == dead
+    assert rows == zero_row == zero_col
+    assert dead_search_rows(J) is rows
+
+
+def test_dead_search_rows_need_both_shrieks_zero():
+    """Over a basis of M_3 with e = E11 + E22 (e# = E33) and f = E13, the
+    row (e, f) has row shriek (0, e# f, f# e, 0) = 0 but column shriek
+    (0, f e#, e f#, 0) != 0, so it is live for a column search."""
+    class SkewBasis(Matrix3CNS):
+        def basis(self):
+            units = Matrix3CNS.basis(self)
+            return [units[0] + units[4]] + units[1:]
+
+    J = SkewBasis()
+    e, f = J.basis()[0], J.basis()[2]
+    _, zero_row, zero_col = zero_shriek_rows(J)
+    flat = tuple(DirectSum(J, J).flatten((e, f)))
+    assert flat in zero_row and flat not in zero_col
+    assert dead_search_rows(J) == zero_row & zero_col

@@ -1,5 +1,6 @@
 """Lifting constructions and their certificates."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from cubicnorm.cns import (
     second_kind_tensor,
     split_cubic_algebra,
 )
+from cubicnorm import lifting
 from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import HALF, HOperator, WSpace, h_apply
 from cubicnorm.lifting import (
@@ -262,6 +264,27 @@ def test_second_lift_matrix(rng):
         v = rank4_with_antisym_omega(sk, rng)
         res = second_lift(sk, v)
         assert res.ok(), (D, [e.name for e in res.certificate if not e.ok])
+
+
+def test_second_lift_draws_the_dead_rows_it_skips(monkeypatch):
+    """Over B = M_3(K) all 99 prefix rows have zero shriek and are not
+    paired, but the eta search still draws each of them before the first
+    random row, as it did before they were skipped."""
+    draws = []
+
+    def counted(*args, **kwargs):
+        for row in search_rows(*args, **kwargs):
+            draws.append(row)
+            yield row
+
+    search_rows = lifting.iter_search_rows
+    monkeypatch.setattr(lifting, "iter_search_rows", counted)
+    for D in (-1, 1):
+        sk = second_kind_matrix(D)
+        draws.clear()
+        res = second_lift(sk, rank4_with_antisym_omega(sk, random.Random(0)))
+        assert res.ok()
+        assert len(draws) == 100
 
 
 def test_second_lift_no_lift(rng):

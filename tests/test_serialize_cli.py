@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubicnorm import cli, rings_ideals
 from cubicnorm import serialize as ser
 from cubicnorm.cli import main
 from cubicnorm.cns import Matrix3CNS
@@ -146,6 +147,34 @@ def test_cli_cube_round_trip(tmp_path):
     code, out = run_cli(["cube", "--input", str(f2), "--to", "cube", "--json"])
     assert code == 0
     assert json.loads(out)["cube"] == ["1", "0", "1", "1", "0", "1", "1", "-2"]
+
+
+@pytest.mark.parametrize("kind, make, check", [
+    ("cube", ["cube", "--input", json.dumps({"cube": [1, 0, 1, 1, 0, 1, 1, -2]})],
+     "balanced_check_sa"),
+    ("pair", ["pair", "--preset", "bhargava-a1b1", "--coeffs", "1,2,3,4"],
+     "balanced_check_tc"),
+])
+def test_cli_back_direction_checks_balance_once(kind, make, check, monkeypatch):
+    """--to cube and --to pair reject unbalanced input and report the checks
+    from one balanced check."""
+    code, out = run_cli(make + ["--to", "ideals", "--json"])
+    assert code == 0
+    ideal = json.dumps(json.loads(out)["ideal"])
+    calls = []
+    original = getattr(rings_ideals, check)
+
+    def counted(arg):
+        calls.append(arg)
+        return original(arg)
+
+    for module in (cli, rings_ideals):
+        monkeypatch.setattr(module, check, counted)
+    code, out = run_cli([kind, "--input", ideal, "--to", kind, "--json"])
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["checks"] == {e.name: e.ok for e in original(calls[0]).certificate}
+    assert all(json.loads(out)["checks"].values())
 
 
 def test_cli_pair_invariant():
