@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, product, repeat
-from typing import Iterator
+from typing import Iterator, Optional
 
 from .cns import CNS, CnsElt, H3CNS
 from .matops import (
@@ -90,6 +90,26 @@ class WElt:
         return (self.a,) + self.b.coords + self.c.coords + (self.d,)
 
 
+class _VvPart:
+    """The part of x -> t(v, v, x) that depends on v alone: b#, c#, (b, c),
+    s = ad - (b, c), b## and c##."""
+
+    __slots__ = ("J", "bs", "cs", "bss", "css", "pbc", "s")
+
+    def __init__(self, J: CNS, v: WElt):
+        self.J = J
+        self.bs, self.cs = J.adjoint(v.b), J.adjoint(v.c)
+        self.bss, self.css = J.adjoint(self.bs), J.adjoint(self.cs)
+        self.pbc = J.pair(v.b, v.c)
+        self.s = v.a * v.d - self.pbc
+
+    def cross(self, y: CnsElt, ys: CnsElt, z: CnsElt, zs: Optional[CnsElt] = None) -> CnsElt:
+        """y x z = (y + z)# - y# - z# from the known y# (and z#, computed
+        when not given): one adjoint, or two."""
+        J = self.J
+        return J.adjoint(y + z) - ys - (J.adjoint(z) if zs is None else zs)
+
+
 class WSpace:
     """W_J for a cubic norm structure J (possibly base-changed)."""
 
@@ -154,16 +174,19 @@ class WSpace:
         acc = f(x + y + z) - f(x + y) - f(x + z) - f(y + z) + f(x) + f(y) + f(z)
         return acc * SIXTH
 
-    def t_vvx(self, v: WElt, x: WElt) -> WElt:
+    def t_vvx(self, v: WElt, x: WElt, part: Optional[_VvPart] = None,
+              adjoints: tuple = (None, None)) -> WElt:
         """t(v, v, x) = d flat(v)[x] / 3, by the product rule on the four
         components of flat with d(b#)[b'] = b x b' and dN(b)[b'] = (b#, b').
         The terms of a zero component of x are skipped, so a basis vector
-        costs one of the four branches."""
+        costs one of the four branches.  Every cross is (y + z)# - y# - z#
+        with the adjoints that depend on v alone read off ``part`` (built
+        here when not given; ``t_vv_basis`` builds it once per v), and
+        ``adjoints`` may hold x.b# and x.c# where they are known."""
         J = self.J
         a, b, c, d = v.a, v.b, v.c, v.d
-        bs, cs = J.adjoint(b), J.adjoint(c)
-        pbc = J.pair(b, c)
-        s = a * d - pbc
+        vv = _VvPart(J, v) if part is None else part
+        bs, cs, pbc, s = vv.bs, vv.cs, vv.pbc, vv.s
         ta, td = self.base.zero(), self.base.zero()
         tb, tc = J.zero(), J.zero()
         is0 = self.base.is_zero
@@ -175,19 +198,21 @@ class WSpace:
             td = td + p * d * d
         if not x.b.is_zero():
             y = x.b
+            ys = J.adjoint(y) if adjoints[0] is None else adjoints[0]
             dp = J.pair(y, c)
-            bxy = J.cross(b, y)
+            bxy = vv.cross(b, bs, y, ys)
             ta = ta + a * dp - 2 * J.pair(bs, y)
-            tb = tb + b * dp - J.cross(c, bxy) * 2 - y * s
-            tc = tc + J.cross(y, cs) * 2 - bxy * (2 * d) - c * dp
+            tb = tb + b * dp - vv.cross(c, cs, bxy) * 2 - y * s
+            tc = tc + vv.cross(y, ys, cs, vv.css) * 2 - bxy * (2 * d) - c * dp
             td = td - d * dp
         if not x.c.is_zero():
             z = x.c
+            zs = J.adjoint(z) if adjoints[1] is None else adjoints[1]
             dp = J.pair(b, z)
-            cxz = J.cross(c, z)
+            cxz = vv.cross(c, cs, z, zs)
             ta = ta + a * dp
-            tb = tb + b * dp - J.cross(z, bs) * 2 + cxz * (2 * a)
-            tc = tc + J.cross(b, cxz) * 2 - c * dp + z * s
+            tb = tb + b * dp - vv.cross(z, zs, bs, vv.bss) * 2 + cxz * (2 * a)
+            tc = tc + vv.cross(b, bs, cxz) * 2 - c * dp + z * s
             td = td + 2 * J.pair(cs, z) - d * dp
         if not is0(x.d):
             q = x.d
@@ -196,6 +221,19 @@ class WSpace:
             tc = tc + c * (a * q) - bs * (2 * q)
             td = td + q * (2 * (a * d) - pbc)
         return WElt(self, ta * THIRD, tb * THIRD, tc * THIRD, td * THIRD)
+
+    def t_vv_basis(self, v: WElt) -> Iterator[tuple[WElt, WElt]]:
+        """(x, t(v, v, x)) for x along ``basis()``, lazily.  The part of t
+        that depends on v alone and the adjoints of J's basis are built
+        once, so a direction along J costs four adjoints."""
+        part = _VvPart(self.J, v)
+        basis = self.basis()
+        n = (len(basis) - 2) // 2
+        adj = [self.J.adjoint(x.b) for x in basis[1:1 + n]]
+        known = ([(None, None)] + [(es, None) for es in adj]
+                 + [(None, es) for es in adj] + [(None, None)])
+        for x, adjoints in zip(basis, known):
+            yield x, self.t_vvx(v, x, part, adjoints)
 
     # -- rank ------------------------------------------------------------------
 
@@ -224,11 +262,7 @@ class WSpace:
         if self.base.is_unit(v.a) or self.base.is_unit(v.d):
             return True
         vc = v.coords()
-        for x in self.basis():
-            t = self.t_vvx(v, x)
-            if not _proportional(self.base, t.coords(), vc):
-                return False
-        return True
+        return all(_proportional(self.base, t.coords(), vc) for _, t in self.t_vv_basis(v))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WSpace) and other.J == self.J

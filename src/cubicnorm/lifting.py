@@ -159,8 +159,8 @@ def lift_wj(W: WSpace, v: WElt) -> LiftResult:
     basis vector x, plus <X, Xbar> = w q(v)."""
     res = first_law(W, v)
     X, WE, omega = res.lifted, res.data["space"], res.data["omega"]
-    for x in WE.basis():
-        lhs = WE.t_vvx(X, x) * 3
+    for x, t in WE.t_vv_basis(X):
+        lhs = t * 3
         rhs = X * WE.pair(x, X)
         res.require("3t(X,X,x) = <x,X>X", lhs == rhs)
     res.require("rank(X) = 1", not X.is_zero())

@@ -14,6 +14,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -352,13 +353,16 @@ class Vec:
 
     def __hash__(self) -> int:
         # an element s * 1 equals the base scalar s, so it hashes as s; s is
-        # read off by an exact rational division
-        unit = self.space.unit_coords
-        if unit is not None:
-            k = next(i for i, u in enumerate(unit) if u != 0)
-            s = self.coords[k] * QQ_BASE.inv(unit[k])
-            if self.coords == tuple(s * u for u in unit):
-                return hash(s)
+        # read off the unit's first nonzero coordinate k
+        pivot = self.space.unit_pivot
+        if pivot is not None:
+            k, inv, support, outside = pivot
+            coords = self.coords
+            is0 = self.space.base.is_zero
+            if all(is0(coords[j]) for j in outside):
+                s = coords[k] if inv == 1 else coords[k] * inv
+                if all(coords[j] == s * u for j, u in support):
+                    return hash(s)
         return hash(self.coords)
 
     def is_zero(self) -> bool:
@@ -377,6 +381,19 @@ class CoordSpace:
 
     unit_coords: Optional[tuple] = None
     random_height = 3
+
+    @cached_property
+    def unit_pivot(self) -> Optional[tuple]:
+        """What ``Vec.__hash__`` reads off the unit coordinates u, once: the
+        first index k with u_k != 0, 1 / u_k, the pairs (j, u_j) of the rest
+        of the support, and the indices with u_j = 0; None without them."""
+        unit = self.unit_coords
+        if unit is None:
+            return None
+        k = next(i for i, u in enumerate(unit) if u != 0)
+        return (k, QQ_BASE.inv(unit[k]),
+                tuple((j, u) for j, u in enumerate(unit) if u != 0 and j != k),
+                tuple(j for j, u in enumerate(unit) if u == 0))
 
     def elem(self, coords):
         cs = tuple(self.base.coerce(c) for c in coords)
@@ -718,40 +735,65 @@ def rref(rows: Sequence[Sequence[Scalar]]):
     """Gauss-Jordan elimination over Q, the one elimination routine.
 
     Column by column, the pivot is the first nonzero row at or below the
-    current row; it is swapped up, scaled to a unit pivot, and its column is
-    cleared in every other row.  Elimination stops once every row holds a
-    pivot.  Returns (pivot columns, reduced rows, determinant factor): the
-    pivot rows come first, and the factor is the product of the pivots times
-    the sign of the row swaps, which is the determinant of a square matrix
-    of full rank.
+    current row; it is swapped up and its column is cleared in every other
+    row.  Elimination stops once every row holds a pivot.  Returns (pivot
+    columns, reduced rows, determinant factor): the pivot rows come first,
+    scaled to a unit pivot, and the factor is the product of the pivots
+    times the sign of the row swaps, which is the determinant of a square
+    matrix of full rank.
+
+    The work is fraction-free (Bareiss 1968; Cohen, GTM 138, ch. 2): each
+    row is cleared of denominators once and held as integers over a
+    rational scale, a row is cleared as p * row - f * pivot_row and divided
+    by its content, and only the pivots and the reduced rows are divided
+    out at the end.
     """
-    a = [list(row) for row in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a: list[list[int]] = []
+    scale: list[Fraction] = []        # row i of the matrix is scale[i] * a[i]
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = math.gcd(*ints)
+        a.append([x // g for x in ints] if g > 1 else ints)
+        scale.append(Fraction(g, den))
     pivots: list[int] = []
-    factor = 1
+    factor = Fraction(1)
     r = 0
     for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
+        piv = next((i for i in range(r, m) if a[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
+            scale[r], scale[piv] = scale[piv], scale[r]
             factor = -factor
-        pv = a[r][c]
-        factor *= pv
-        ipv = QQ_BASE.inv(pv)
-        # entries left of column c are zero in the pivot row: skip them
-        tail = a[r][c:] = [x * ipv for x in a[r][c:]]
+        prow = a[r]
+        p = prow[c]
+        factor *= scale[r] * p
         for i, row in enumerate(a):
             f = row[c]
-            if i != r and f != 0:
-                row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+            if i == r or not f:
+                continue
+            g = math.gcd(p, f)
+            pp, ff = p // g, f // g
+            new = [pp * x - ff * y for x, y in zip(row, prow)]
+            content = math.gcd(*new)
+            a[i] = [x // content for x in new] if content > 1 else new
+            if i > r:   # the scale of a row matters only until it holds a pivot
+                scale[i] = scale[i] * (g * content) / p
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return pivots, a, factor
+    # a pivot row divided by its pivot; every row below the pivots is zero
+    reduced = []
+    for row, c in zip(a, pivots):
+        p = row[c]
+        reduced.append([x // p if x % p == 0 else Fraction(x, p) for x in row])
+    reduced += [[0] * n for _ in range(r, m)]
+    return pivots, reduced, qq(factor)
 
 
 def det_fraction(m: Sequence[Sequence[Scalar]]) -> Scalar:

@@ -15,6 +15,7 @@ from cubicnorm.cns import (
     Matrix3CNS,
     ProductCNS,
     TrivialCNS,
+    second_kind_tensor,
     split_cubic_algebra,
     split_cubic_idempotents,
 )
@@ -40,6 +41,7 @@ from cubicnorm.freudenthal import (
     shriek_row,
 )
 from cubicnorm.freudenthal import _project  # test-only internal
+from cubicnorm.lifting import first_law, utilde_cns
 from cubicnorm.matops import mat_mul, mat_times_col, row_times_mat
 from cubicnorm.presets import CNS_SUITE, cns_preset
 from cubicnorm.scalars import AlgElem, DirectSum, PreconditionError, quadratic_field
@@ -135,6 +137,34 @@ def test_t_vvx_matches_polarization(rng):
         v = W.random(rng)
         for x in W.basis() + [W.random(rng)]:
             assert W.t_vvx(v, x) == t_vvx_polarized(W, v, x), (J.name, x)
+
+
+def test_t_vv_basis_matches_polarization(rng):
+    """t(v, v, .) with its part that depends on v built once equals the
+    polarized flat on every W basis vector: over each preset at a random v,
+    over J (x) E at the lift X(v) that ``lift_wj`` certifies (for the
+    presets up to dimension 9; over E the polarization of a 27-dimensional
+    one takes up to a minute), and over the second Tits construction and
+    its quotient model, whose ``basis()`` is shorter than its coordinates."""
+    cases = []
+    for name in CNS_SUITE:
+        W = WSpace(cns_preset(name))
+        cases.append((name, W, W.random(rng)))
+        if W.J.dim <= 9:
+            res = first_law(W, rand_rank4(W, rng, height=1, integral=False))
+            cases.append((name + " (x) E", res.data["space"], res.lifted))
+    A = TrivialCNS()
+    v = rand_rank4(WSpace(A), rng, unit_corner=True)
+    U = utilde_cns(second_kind_tensor(A, WSpace(A).quartic(v)), v).data["U"]
+    assert len(U.basis()) < U.dim
+    for name, J in [("titsu-tensor", cns_preset("titsu-tensor")), ("quotient", U)]:
+        W = WSpace(J)
+        cases.append((name, W, W.random(rng, 1)))
+    for name, W, v in cases:
+        got = list(W.t_vv_basis(v))
+        assert [x for x, _ in got] == W.basis(), name
+        for x, t in got:
+            assert t == t_vvx_polarized(W, v, x), (name, x)
 
 
 def test_rank_examples(rng):

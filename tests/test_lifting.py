@@ -441,6 +441,18 @@ def test_rank3_w_lift_tensor(rng):
         assert res.ok(), [e.name for e in res.certificate if not e.ok]
 
 
+def test_rank3_w_lift_a_slot_input():
+    """x = (0, 0, 1_J, 0) has neither a nor d a unit, so the rank-one test
+    of the lift in W_U(h) runs t(v, v, .) over every basis vector."""
+    sk = second_kind_matrix(-1)
+    J = sk.J
+    x = WSpace(J).elem(0, J.zero(), J.one(), 0)
+    res = rank3_w_lift(sk, x)
+    assert res.ok(), [e.name for e in res.certificate if not e.ok]
+    lifted = res.lifted
+    assert not (lifted.W.base.is_unit(lifted.a) or lifted.W.base.is_unit(lifted.d))
+
+
 def test_rank3_case2_explicit():
     """d = 0 with tr(c#) != 0: the S = c - c# construction."""
     sk = second_kind_matrix(-1)

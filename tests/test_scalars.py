@@ -16,6 +16,7 @@ from cubicnorm.scalars import (
     AlgElem,
     BoundExceededError,
     Certificate,
+    CommAlgebra,
     DescriptorError,
     DirectSum,
     IdentityError,
@@ -236,6 +237,58 @@ def test_algelem_hash_agrees_with_eq(a, b, q):
             assert hash(lhs) == hash(rhs)
     assert ME1.one() * x == ME2.one() * y and len({ME1.one() * x, ME2.one() * y}) == 1
     assert not (M.one() * q == q) and len({M.one() * q, q}) == 2
+
+
+def hash_by_division(x) -> int:
+    """Oracle: the hash of an element read off its unit coordinates u by an
+    exact division, s = x_k / u_k at the first k with u_k != 0."""
+    unit = x.space.unit_coords
+    if unit is not None:
+        k = next(i for i, u in enumerate(unit) if u != 0)
+        s = x.coords[k] * QQ_BASE.inv(unit[k])
+        if x.coords == tuple(s * u for u in unit):
+            return hash(s)
+    return hash(x.coords)
+
+
+def _unit_layouts():
+    """Algebras whose unit coordinates are (1, 0), (1, 0, 0, 0), (1, 1)
+    (F x F on its idempotents) and (0, 1/2) (Q(sqrt 3) on x and 2), plus a
+    quadratic field over a quadratic field and quaternions over Q(sqrt 5)."""
+    E = quadratic_field(5)
+    idempotents = CommAlgebra("FxF", [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], unit_coords=(1, 1))
+    halved = CommAlgebra("Q(sqrt 3) on (x, 2)", [[(0, F(3, 2)), (2, 0)], [(2, 0), (0, 2)]],
+                         unit_coords=(0, F(1, 2)))
+    return [E, idempotents, halved, QuotientAlgebra([1, 0, 1], base=E),
+            comp_preset("hamilton").base_change(E)]
+
+
+@given(st.lists(small, min_size=8, max_size=8), small)
+@settings(max_examples=60)
+def test_hash_reads_the_unit_pivot_once(coords, s):
+    """The hash of an element over a unit with a cached pivot equals the
+    hash by exact division, s * 1 hashes as s for an int or a Fraction s,
+    and equal elements hash equal."""
+    for A in _unit_layouts():
+        assert A.unit_pivot is A.unit_pivot
+        base = A.base
+        lift = (lambda c: c) if base is QQ_BASE else (lambda c: base.from_scalar(c))
+        xs = [A.elem([lift(c) for c in coords[:A.dim]]), A.from_scalar(s),
+              A.from_scalar(qq(s.numerator)), A.elem([lift(0)] * A.dim)]
+        for x in xs:
+            assert hash(x) == hash_by_division(x)
+        for t in (s, qq(s.numerator), qq(s)):
+            assert A.from_scalar(t) == t and hash(A.from_scalar(t)) == hash(t)
+        if base is not QQ_BASE:
+            y = base.from_scalar(s)
+            assert A.from_scalar(y) == y and hash(A.from_scalar(y)) == hash(y)
+        twin = A.elem(list(xs[0].coords))
+        assert twin == xs[0] and hash(twin) == hash(xs[0])
+    E, idempotents, halved = _unit_layouts()[:3]
+    assert E.unit_pivot == (0, 1, (), (1,))
+    assert idempotents.unit_pivot == (0, 1, ((1, 1),), ())
+    assert halved.unit_pivot == (1, 2, (), (0,))
+    assert Matrix3CNS().unit_pivot is None
 
 
 E5, E5_TWIN = quadratic_field(5), quadratic_field(5)
