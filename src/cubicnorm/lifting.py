@@ -54,6 +54,7 @@ from .freudenthal import (
     skip_dead_rows,
 )
 from .matops import (
+    mat,
     mat_add,
     mat_eq,
     mat_mul,
@@ -730,7 +731,7 @@ class QuotientTitsU(CNS):
         self.B2 = DirectSum(B, B)
         self._fdim = B.flat_dim()
         # I(v, omega) = left kernel of h
-        ker = kernel(map_matrix(lambda ell: row_times_mat(ell, self.h), self.B2, self.B2))
+        ker = kernel(map_matrix(self._times_h, self.B2, self.B2))
         if len(ker) != self._fdim:
             raise IdentityError("I(v, omega) does not have B-corank one")
         self._pivots, reduced, _ = rref(ker)
@@ -742,6 +743,26 @@ class QuotientTitsU(CNS):
         self.has_mul = False
 
     # -- plumbing ------------------------------------------------------------
+
+    def _times_h(self, ell):
+        """The row pair ell h.  Over B = M_3(K) it is read off the rows of
+        h: an entry beta at (i, j) of ell_s adds beta times row j of h_{s,t}
+        to row i of (ell h)_t, so a flat basis row, which has one such entry,
+        costs six products over K."""
+        if self.sk.kind != "matrix":
+            return row_times_mat(ell, self.h)
+        B = self.sk.B
+        out = []
+        for t in range(2):
+            rows = [[B.base.zero()] * 3 for _ in range(3)]
+            for s in range(2):
+                hrows = B.to_matrix(self.h[s][t])
+                for k, beta in enumerate(ell[s].coords):
+                    if not beta.is_zero():
+                        i, j = divmod(k, 3)
+                        rows[i] = [a + beta * b for a, b in zip(rows[i], hrows[j])]
+            out.append(B.from_matrix(mat(rows)))
+        return tuple(out)
 
     def _lhl(self, e1, e2) -> CnsElt:
         """l1 h l2* in B for row pairs l1, l2."""

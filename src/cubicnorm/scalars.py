@@ -265,7 +265,9 @@ class Vec:
     scalar s: ``*`` scales by it, and where the structure has unit
     coordinates, +, - and == read it as s * 1.  An operand over a structure
     whose base is this element's structure carries out +, - and * itself,
-    also where Python tries no reflected method (two ``AlgElem``).
+    also where Python tries no reflected method (two ``AlgElem``).  An
+    ``AlgElem`` over Q runs the operations within its algebra, and scaling
+    by an int or a Fraction, on integers and falls back here for the rest.
     """
 
     __slots__ = ("space", "coords")
@@ -438,6 +440,8 @@ class CoordSpace:
         return self.dim * self.base.flat_dim()
 
     def flatten(self, x) -> list[Scalar]:
+        if self.base is QQ_BASE:
+            return list(x.coords)
         return [f for c in x.coords for f in self.base.flatten(c)]
 
     def unflatten(self, coords: Sequence[Scalar]):
@@ -447,10 +451,96 @@ class CoordSpace:
 
 
 class AlgElem(Vec):
-    """Element of a CommAlgebra: a coordinate vector over the algebra's base."""
+    """Element of a CommAlgebra: a coordinate vector over the algebra's base.
 
-    __slots__ = ()
+    Over Q an element is held as integers over one denominator (Cohen,
+    GTM 138, 4.2): ``num``, a tuple of ints, over ``den`` > 0 with
+    gcd(den, num) = 1, so two elements of one algebra are equal exactly when
+    their (num, den) are.  Sums, differences, negation, scaling by an int or
+    a Fraction, products, ``is_zero`` and equality within one algebra run on
+    these integers, and each result is reduced by one gcd.  ``coords`` -- an
+    int where integral, a Fraction otherwise -- is read off on first use; an
+    element built from coordinates keeps them as its ``coords``.  Over any
+    other base an element has only ``coords`` and takes the generic path of
+    ``Vec``.
+    """
+
+    __slots__ = ("num", "den")
     alg = Vec.space
+    # the storage of Vec's coords slot, which the coords property fills
+    _coords = Vec.coords
+
+    def __init__(self, space, coords: Sequence):
+        self.space = space
+        self._coords = coords = tuple(coords)
+        if space.rational:
+            self.num, self.den = _over_one_denominator(coords)
+
+    @property
+    def coords(self) -> tuple:
+        try:
+            return self._coords
+        except AttributeError:
+            den = self.den
+            self._coords = coords = tuple(_ratio(n, den) for n in self.num)
+            return coords
+
+    def __add__(self, other):
+        space = self.space
+        if type(other) is AlgElem and other.space is space and space.rational:
+            a, b = self.den, other.den
+            if a == b:
+                return _reduced(space, tuple(map(operator.add, self.num, other.num)), a)
+            return _reduced(space, tuple(x * b + y * a for x, y in zip(self.num, other.num)),
+                            a * b)
+        return Vec.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        space = self.space
+        if type(other) is AlgElem and other.space is space and space.rational:
+            a, b = self.den, other.den
+            if a == b:
+                return _reduced(space, tuple(map(operator.sub, self.num, other.num)), a)
+            return _reduced(space, tuple(x * b - y * a for x, y in zip(self.num, other.num)),
+                            a * b)
+        return Vec.__sub__(self, other)
+
+    def __neg__(self):
+        space = self.space
+        if space.rational:
+            return _reduced(space, tuple(map(operator.neg, self.num)), self.den, False)
+        return Vec.__neg__(self)
+
+    def __mul__(self, other):
+        space = self.space
+        kind = type(other)
+        if kind is AlgElem:
+            if other.space is space:
+                return space.mul(self, other)
+        elif kind is int and space.rational:
+            return _reduced(space, tuple(n * other for n in self.num), self.den)
+        elif kind is Fraction and space.rational:
+            p = other.numerator
+            return _reduced(space, tuple(n * p for n in self.num), self.den * other.denominator)
+        return Vec.__mul__(self, other)
+
+    # only a scalar, or an element of another algebra, reaches here
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        space = self.space
+        if type(other) is AlgElem and other.space is space and space.rational:
+            return self.den == other.den and self.num == other.num
+        return Vec.__eq__(self, other)
+
+    __hash__ = Vec.__hash__
+
+    def is_zero(self) -> bool:
+        if self.space.rational:
+            return not any(self.num)
+        return Vec.is_zero(self)
 
     def __repr__(self) -> str:
         terms = ", ".join(repr(c) for c in self.coords)
@@ -469,17 +559,56 @@ class AlgElem(Vec):
         return self.alg.conj(self)
 
 
+_new = object.__new__
+
+
+def _reduced(space, num: tuple, den: int, reduce: bool = True) -> AlgElem:
+    """The element num / den of an algebra over Q, brought to lowest terms
+    by one gcd unless den is 1 or the caller knows it is (``reduce``)."""
+    if reduce and den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
+    x = _new(AlgElem)
+    x.space = space
+    x.num = num
+    x.den = den
+    if den == 1:
+        x._coords = num
+    return x
+
+
+def _over_one_denominator(coords: tuple) -> tuple[tuple, int]:
+    """(num, den) for rational coordinates: integers over their least
+    common denominator, which is in lowest terms."""
+    if Fraction not in map(type, coords):
+        return coords, 1
+    den = math.lcm(*[c.denominator for c in coords])
+    return tuple(c.numerator * (den // c.denominator) for c in coords), den
+
+
+def _ratio(n: int, d: int) -> Scalar:
+    """n / d for d > 0 as a rational scalar: an int when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 class CommAlgebra(CoordSpace):
     """Finite commutative unital algebra over a base, given by rational
     structure constants.
 
     ``table[i][j]`` holds the coordinates of e_i * e_j as a tuple of
     rationals; coordinates of elements live in ``base`` (Q by default), so
-    the same table serves the algebra and all of its base changes.
-    The norm comes from the regular representation.  The trace is linear, so
-    it is a dot product with the trace vector tr(e_i) = sum_k table[i][k][k],
-    computed once.  An element is a unit iff its norm is a unit (correct for
-    the etale instances used here).
+    the same table serves the algebra and all of its base changes.  The
+    table is also kept as ``int_table`` over one denominator ``table_den``,
+    and every formula works on numerators over an int denominator: an
+    element over Q is its ``num`` over its ``den`` (``rational``), one over
+    any other base its coordinates over 1, and only the final division
+    differs.  The norm comes from the regular representation.  The trace is
+    linear, so it is a dot product with the trace vector
+    tr(e_i) = sum_k table[i][k][k], computed once.  An element is a unit iff
+    its norm is a unit (correct for the etale instances used here).
     """
 
     element = AlgElem
@@ -489,13 +618,21 @@ class CommAlgebra(CoordSpace):
         self.table = tuple(tuple(tuple(qq(c) for c in cell) for cell in row) for row in table)
         self.dim = len(self.table)
         self.base = base
+        self.rational = isinstance(base, RationalBase)
+        self._zero = base.zero()
         if unit_coords is None:
             unit_coords = (1,) + (0,) * (self.dim - 1)
         self.unit_coords = tuple(qq(c) for c in unit_coords)
-        self.trace_vector = tuple(sum(row[k][k] for k in range(self.dim)) for row in self.table)
+        self._unit_num, self._unit_den = _over_one_denominator(self.unit_coords)
+        # the structure constants over one denominator: table = int_table / table_den
+        den = self.table_den = math.lcm(*(c.denominator for row in self.table
+                                          for cell in row for c in cell))
+        self.int_table = tuple(tuple(tuple(c.numerator * (den // c.denominator) for c in cell)
+                                     for cell in row) for row in self.table)
+        self._int_trace = tuple(sum(row[k][k] for k in range(self.dim)) for row in self.int_table)
         # the nonzero constants of each cell as (k, c) pairs, for mul_coords
         self._cells = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
-                            for row in self.table)
+                            for row in self.int_table)
         self._basis_coords = tuple(c.coords for c in self.basis())
 
     # -- construction -------------------------------------------------------
@@ -516,11 +653,34 @@ class CommAlgebra(CoordSpace):
     def scalar_mul_one(self, s) -> AlgElem:
         return AlgElem(self, tuple(s * u for u in self.unit_coords))
 
+    # -- numerators over an int denominator ----------------------------------
+
+    def _fraction(self, u: AlgElem) -> tuple:
+        """u as (numerators, denominator)."""
+        return (u.num, u.den) if self.rational else (u.coords, 1)
+
+    def _element(self, num, den: int) -> AlgElem:
+        """The element num / den."""
+        if self.rational:
+            return _reduced(self, num, den)
+        if den != 1:
+            num = tuple(c * Fraction(1, den) for c in num)
+        return AlgElem(self, num)
+
+    def _scalar(self, n, d: int):
+        """The base scalar n / d."""
+        if self.rational:
+            return _ratio(n, d)
+        return n if d == 1 else n * Fraction(1, d)
+
     # -- arithmetic ---------------------------------------------------------
 
     def mul_coords(self, a, b):
+        """The one product kernel: the numerators of a b over table_den,
+        as sum a_i b_j c_ijk e_k over the nonzero integer constants c_ijk
+        of ``_cells``."""
         is0 = self.base.is_zero
-        out = [self.base.zero()] * self.dim
+        out = [self._zero] * self.dim
         for ai, row in zip(a, self._cells):
             if is0(ai):
                 continue
@@ -532,23 +692,33 @@ class CommAlgebra(CoordSpace):
                     out[k] = out[k] + (prod if c == 1 else prod * c)
         return tuple(out)
 
+    def mul(self, x: AlgElem, y: AlgElem) -> AlgElem:
+        if self.rational:
+            return _reduced(self, self.mul_coords(x.num, y.num), x.den * y.den * self.table_den)
+        return self._element(self.mul_coords(x.coords, y.coords), self.table_den)
+
+    def _regular_columns(self, u: AlgElem):
+        """The numerators of the images of the basis under multiplication
+        by u, and the denominator they are over."""
+        num, den = self._fraction(u)
+        return [self.mul_coords(num, b) for b in self._basis_coords], den * self.table_den
+
     def regular_matrix(self, u: AlgElem) -> list[list]:
         """Matrix of multiplication-by-u on the basis, columns = images."""
-        cols = [self.mul_coords(u.coords, b) for b in self._basis_coords]
-        return [[cols[j][i] for j in range(self.dim)] for i in range(self.dim)]
+        cols, d = self._regular_columns(u)
+        return [[self._scalar(cols[j][i], d) for j in range(self.dim)] for i in range(self.dim)]
 
     def norm(self, u: AlgElem):
-        return det(self.regular_matrix(u))
+        cols, d = self._regular_columns(u)
+        return self._scalar(det(cols), d ** self.dim)
 
-    def _trace_coords(self, coords):
-        t = self.base.zero()
-        for c, tc in zip(coords, self.trace_vector):
-            if tc:
-                t = t + c * tc
-        return t
+    def _trace_num(self, num):
+        """table_den * tr(num), a dot product with the integer trace vector."""
+        return sum(map(operator.mul, num, self._int_trace), self._zero)
 
     def trace(self, u: AlgElem):
-        return self._trace_coords(u.coords)
+        num, den = self._fraction(u)
+        return self._scalar(self._trace_num(num), den * self.table_den)
 
     def is_unit(self, u: AlgElem) -> bool:
         return self.base.is_unit(self.norm(u))
@@ -568,28 +738,37 @@ class CommAlgebra(CoordSpace):
         """Conjugation on a quadratic algebra: u* = tr(u) - u."""
         if self.dim != 2:
             raise DescriptorError("conjugation is only defined on quadratic algebras")
-        t = self._trace_coords(u.coords)
-        return AlgElem(self, tuple(t * e - c for e, c in zip(self.unit_coords, u.coords)))
+        # tr(u) = t / (den * table_den) and 1 = unit_num / unit_den
+        num, den = self._fraction(u)
+        t, k = self._trace_num(num), self.table_den * self._unit_den
+        return self._element(tuple(t * e - c * k for e, c in zip(self._unit_num, num)), den * k)
 
     # -- charpoly helpers (for the adjoint of cubic algebras) ----------------
 
-    def _char_s1_s2(self, coords, square):
-        s1 = self._trace_coords(coords)
-        return s1, (s1 * s1 - self._trace_coords(square)) * HALF
+    def _char(self, u: AlgElem):
+        """(num, d, square, t1, t2): the numerators of u over den and of u^2
+        over den^2 * table_den, d = den * table_den, and t1, t2 with
+        tr(u) = t1 / d and tr(u^2) = t2 / d^2."""
+        num, den = self._fraction(u)
+        square = self.mul_coords(num, num)
+        return num, den * self.table_den, square, self._trace_num(num), self._trace_num(square)
 
     def char_s1_s2(self, u: AlgElem):
         """s1 = tr(u) and s2 = (tr(u)^2 - tr(u^2))/2, the first two
         coefficients of the characteristic polynomial of u."""
-        return self._char_s1_s2(u.coords, self.mul_coords(u.coords, u.coords))
+        _, d, _, t1, t2 = self._char(u)
+        return self._scalar(t1, d), self._scalar(t1 * t1 - t2, 2 * d * d)
 
     def adjoint(self, u: AlgElem) -> AlgElem:
         """u^# with u*u^# = norm(u), for a cubic algebra: u^2 - s1*u + s2."""
         if self.dim != 3:
             raise DescriptorError("algebra adjoint implemented for cubic algebras only")
-        square = self.mul_coords(u.coords, u.coords)
-        s1, s2 = self._char_s1_s2(u.coords, square)
-        return AlgElem(self, tuple(q - c * s1 + s2 * e
-                                   for q, c, e in zip(square, u.coords, self.unit_coords)))
+        # every term over 2 * d^2 * unit_den
+        num, d, square, t1, t2 = self._char(u)
+        k, s2 = 2 * self.table_den * self._unit_den, t1 * t1 - t2
+        return self._element(tuple((q - c * t1) * k + s2 * e for q, c, e
+                                   in zip(square, num, self._unit_num)),
+                             2 * d * d * self._unit_den)
 
     def cross(self, u: AlgElem, v: AlgElem) -> AlgElem:
         return self.adjoint(u + v) - self.adjoint(u) - self.adjoint(v)

@@ -37,6 +37,7 @@ from cubicnorm.lifting import (
     admissible_scale,
     disc_binary_cubic,
     epsilon_element,
+    find_antisymmetric_omega,
     gan_savin_cns,
     hermitian_rank1_decompose,
     lift_wa_refined,
@@ -54,8 +55,10 @@ from cubicnorm.lifting import (
     w_hermitian_K,
     w_star,
 )
+from cubicnorm.matops import row_times_mat
 from cubicnorm.presets import bhargava_pair, thm_diag_pair
-from cubicnorm.scalars import IdentityError, PreconditionError, rational_sqrt
+from cubicnorm.scalars import (IdentityError, PreconditionError, kernel, map_matrix,
+                               rational_sqrt, rref)
 
 
 def test_failing_require_records_then_raises():
@@ -321,6 +324,21 @@ def test_utilde(rng):
     assert r.ok(), r.failures
     # corank check: dim I = dim_F B
     assert U.qdim == sk.J.dim + U._fdim
+
+
+def test_utilde_left_kernel_reads_rows_of_h():
+    """ell -> ell h read off the rows of h has the matrix of the dense
+    row_times_mat product, so I(v, omega) keeps its pivots and reduced rows,
+    on the pinned second-law inputs over M_3(K) for D = -1 and 1."""
+    for D in (-1, 1):
+        sk = second_kind_matrix(D)
+        for k in range(2):
+            v = rank4_with_antisym_omega(sk, random.Random(k))
+            U = QuotientTitsU(sk, v, find_antisymmetric_omega(sk, WSpace(sk.J).quartic(v)))
+            dense = map_matrix(lambda ell: row_times_mat(ell, U.h), U.B2, U.B2)
+            assert map_matrix(U._times_h, U.B2, U.B2) == dense
+            pivots, reduced, _ = rref(kernel(dense))
+            assert U._pivots == pivots and U._reduced == reduced[:len(pivots)]
 
 
 def test_utilde_equivariance(rng):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubicnorm.cns import H3CNS, Matrix3CNS, TrivialCNS
-from cubicnorm.cns import CnsElt
+from cubicnorm.cns import CnsElt, cubic_ring_table
 from cubicnorm.composition import CompElt, comp_preset
 from cubicnorm.matops import sum_prod
 from cubicnorm.presets import cns_preset, second_kind_preset
@@ -21,6 +21,7 @@ from cubicnorm.scalars import (
     DirectSum,
     IdentityError,
     QuotientAlgebra,
+    is_rational,
     kernel,
     map_matrix,
     map_solve,
@@ -448,12 +449,18 @@ def test_int_and_fraction_coordinates_agree():
 
 def _trace_algebras():
     """Every quotient algebra the presets build, the cubic rings of the
-    cubic presets, and one base change of each kind to Q(sqrt 7)."""
+    cubic presets, and one base change of each kind to Q(sqrt 7); then
+    algebras with non-integral structure constants or unit coordinates."""
     E7 = quadratic_field(7)
     algs = [second_kind_preset(name).K for name in ("matrix", "matrix:5", "tensor", "tensor:-3")]
     algs += [cns_preset(name).alg for name in ("etale-cubic", "etale-cubic:1,2,3,4", "cubic-split")]
     algs += [qalg_make([-2, 0, 0, 1])]
-    return algs + [algs[0].base_change(E7), algs[4].base_change(E7)]
+    # Q x Q x Q on the basis 2 e_i, whose unit is (1/2, 1/2, 1/2)
+    doubled = CommAlgebra("QxQxQ on 2e_i", [[tuple(2 * (i == j == k) for k in range(3))
+                                             for j in range(3)] for i in range(3)],
+                          unit_coords=(F(1, 2),) * 3)
+    return (algs + [algs[0].base_change(E7), algs[4].base_change(E7)]
+            + ONE_DEN_ALGEBRAS + [_unit_layouts()[2], doubled])
 
 
 def test_cached_trace_matches_regular_matrix(rng):
@@ -473,3 +480,116 @@ def test_cached_trace_matches_regular_matrix(rng):
             assert alg.char_s1_s2(u) == (tr, (tr * tr - m2) * F(1, 2))
             if n == 3:
                 assert u * alg.adjoint(u) == alg.scalar_mul_one(alg.norm(u))
+
+
+# -- integers over one denominator, against the Fraction loop they replace ---
+
+
+def _tree(x):
+    """An element as a tree of Fractions: its rational coordinates, or the
+    trees of its coordinates over a base algebra."""
+    return F(x) if is_rational(x) else tuple(_tree(c) for c in x.coords)
+
+
+def _from_tree(S, t):
+    """The element with the coordinates of tree t, kept as Fractions."""
+    if S.base is QQ_BASE:
+        return AlgElem(S, t)
+    return AlgElem(S, tuple(_from_tree(S.base, c) for c in t))
+
+
+def _flat(t) -> list:
+    return [t] if isinstance(t, F) else [f for c in t for f in _flat(c)]
+
+
+def _o_zero(S):
+    return F(0) if S is QQ_BASE else (_o_zero(S.base),) * S.dim
+
+
+def _o_add(S, a, b):
+    return a + b if S is QQ_BASE else tuple(_o_add(S.base, x, y) for x, y in zip(a, b))
+
+
+def _o_scale(S, a, s):
+    return a * s if S is QQ_BASE else tuple(_o_scale(S.base, x, s) for x in a)
+
+
+def _o_mul(S, a, b):
+    """Oracle: the generic mul_coords loop on Fraction coordinates over the
+    rational structure constants, recursing into a base algebra."""
+    if S is QQ_BASE:
+        return a * b
+    out = [_o_zero(S.base)] * S.dim
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod = _o_mul(S.base, ai, bj)
+            for k, c in enumerate(S.table[i][j]):
+                if c:
+                    out[k] = _o_add(S.base, out[k], _o_scale(S.base, prod, F(c)))
+    return tuple(out)
+
+
+def _types_ok(x) -> bool:
+    """Every rational coordinate is an int exactly when it is integral."""
+    return all(type(c) is (int if c.denominator == 1 else F) if is_rational(c) else _types_ok(c)
+               for c in x.coords)
+
+
+def _one_denominator_algebras():
+    """A quadratic field with a non-integral table, a cubic quotient algebra,
+    a cubic ring whose table carries halves, and that ring base-changed to
+    the quadratic field."""
+    E = quadratic_field(F(3, 4))
+    T = CommAlgebra("T(1/2,1,-3/2,2)", cubic_ring_table(F(1, 2), 1, F(-3, 2), 2))
+    return [E, QuotientAlgebra([F(1, 2), F(-3, 2), 0, 1]), T, T.base_change(E)]
+
+
+ONE_DEN_ALGEBRAS = _one_denominator_algebras()
+
+
+def _element(S, fracs):
+    if S.base is QQ_BASE:
+        return S.elem(fracs[:S.dim])
+    step = S.base.dim
+    return S.elem([_element(S.base, fracs[i * step:]) for i in range(S.dim)])
+
+
+@given(st.lists(small, min_size=6, max_size=6), st.lists(small, min_size=6, max_size=6),
+       small, st.integers(-6, 6))
+@settings(max_examples=60)
+def test_one_denominator_matches_fraction_loop(a, b, q, n):
+    """+, -, negation, *, scaling by an int or a Fraction, ==, hash,
+    is_zero, coords and flatten/unflatten against Fraction arithmetic; and
+    s * 1 equals and hashes as s."""
+    for S in ONE_DEN_ALGEBRAS:
+        x, y = _element(S, a), _element(S, b)
+        tx, ty = _tree(x), _tree(y)
+        results = [(x + y, _o_add(S, tx, ty)), (x - y, _o_add(S, tx, _o_scale(S, ty, F(-1)))),
+                   (-x, _o_scale(S, tx, F(-1))), (x * y, _o_mul(S, tx, ty)),
+                   (y * x, _o_mul(S, ty, tx)), (x - x, _o_zero(S))]
+        for s in (q, qq(q), n):
+            results += [(x * s, _o_scale(S, tx, F(s))), (s * y, _o_scale(S, ty, F(s)))]
+        for z, want in results:
+            assert _tree(z) == want and _types_ok(z)
+            twin = _from_tree(S, want)
+            assert z == twin and twin == z and hash(z) == hash(twin)
+            assert (z == x) == (want == tx) and (z != y) == (want != ty)
+            assert z.is_zero() == (want == _o_zero(S))
+            assert S.flatten(z) == _flat(want) and S.unflatten(S.flatten(z)) == z
+        for s in (q, qq(q), n):
+            for one_s in (S.one() * s, s * S.one(), S.from_scalar(s)):
+                assert one_s == s and s == one_s and hash(one_s) == hash(s)
+
+
+def test_integral_results_have_int_coordinates():
+    """A sum, difference, product, conjugate or scaling of non-integral
+    elements whose value is integral has int coordinates, not Fractions."""
+    E = quadratic_field(5)
+    tau, x = E.elem([F(1, 2), F(1, 2)]), E.elem([F(1, 2), F(-1, 2)])
+    T = CommAlgebra("T(1/2,1,-3/2,2)", cubic_ring_table(F(1, 2), 1, F(-3, 2), 2))
+    w = T.elem([0, F(1, 2), 0])
+    for z, want in ((tau + x, (1, 0)), (tau - x, (0, 1)), (tau * x, (-1, 0)),
+                    (tau * tau - tau, (1, 0)), (tau * E.conj(tau), (-1, 0)), (x * 2, (1, -1)),
+                    (tau * F(4, 3) * F(3, 2), (1, 1)), (E.conj(tau) + tau, (1, 0)),
+                    (w * 2, (0, 1, 0)), (w * w * 16, (3, -4, 2)), (w + w, (0, 1, 0))):
+        assert z.coords == want and all(type(c) is int for c in z.coords)
