@@ -7,12 +7,21 @@ length <= 1 commutative.  Norm, trace, and conjugation come with the doubling:
 
     (x1, y1)(x2, y2) = (x1 x2 + gamma y2* y1,  y2 x1 + y1 x2*)
     (x, y)* = (x*, -y),   n((x, y)) = n(x) - gamma n(y).
+
+Unrolled on the basis, the doubling is a product table: e_i e_j = c_ij e_k
+with k = i xor j and c_ij a signed product of gammas (Schafer, An
+Introduction to Nonassociative Algebras, III.4; Baez, "The Octonions",
+2.2).  Conjugation negates the coordinates 1..n-1, and the norm is
+sum n_i a_i^2 with n_i the product of -gamma_l over the bits l of i.  The
+table depends on the chain alone, so it is built once per chain and shared
+by every base change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cache
+from typing import Sequence
 
 from .scalars import (
     Certificate,
@@ -67,6 +76,8 @@ class CompAlgebra(CoordSpace):
         self.dim = 2 ** len(gs)
         self.name = f"comp({','.join(str(g) for g in gs)})"
         self.unit_coords = (1,) + (0,) * (self.dim - 1)
+        self._zero = base.zero()
+        self.table, self.norm_weights = _cd_table(gs)
 
     @property
     def is_associative(self) -> bool:
@@ -83,41 +94,35 @@ class CompAlgebra(CoordSpace):
             raise DescriptorError("composition-algebra descriptor mismatch")
         return self.from_scalar(x)
 
-    # -- core kernels (recursive over the chain) -----------------------------
+    # -- core kernels (one pass over the product table) -----------------------
 
-    def mul_coords(self, a, b, level: Optional[int] = None):
-        if level is None:
-            level = len(self.gammas)
-        if level == 0:
-            return (a[0] * b[0],)
-        h = 2 ** (level - 1)
-        g = self.gammas[level - 1]
-        x1, y1 = a[:h], a[h:2 * h]
-        x2, y2 = b[:h], b[h:2 * h]
-        y2c = self.conj_coords(y2, level - 1)
-        x2c = self.conj_coords(x2, level - 1)
-        left = tuple(p + g * q for p, q in zip(self.mul_coords(x1, x2, level - 1),
-                                               self.mul_coords(y2c, y1, level - 1)))
-        right = tuple(p + q for p, q in zip(self.mul_coords(y2, x1, level - 1),
-                                            self.mul_coords(y1, x2c, level - 1)))
-        return left + right
+    def mul_coords(self, a, b):
+        """sum a_i b_j c_ij e_k(i,j) over the nonzero coordinates, adding or
+        subtracting a product when c_ij = +-1."""
+        is0 = self.base.is_zero
+        out = [self._zero] * self.dim
+        for ai, row in zip(a, self.table):
+            if is0(ai):
+                continue
+            for bj, (k, c) in zip(b, row):
+                if is0(bj):
+                    continue
+                if c == 1:
+                    out[k] = out[k] + ai * bj
+                elif c == -1:
+                    out[k] = out[k] - ai * bj
+                else:
+                    out[k] = out[k] + ai * bj * c
+        return tuple(out)
 
-    def conj_coords(self, a, level: Optional[int] = None):
-        if level is None:
-            level = len(self.gammas)
-        if level == 0:
-            return (a[0],)
-        h = 2 ** (level - 1)
-        return self.conj_coords(a[:h], level - 1) + tuple(-c for c in a[h:2 * h])
+    def conj_coords(self, a):
+        return a[:1] + tuple(-c for c in a[1:])
 
-    def norm_coords(self, a, level: Optional[int] = None):
-        if level is None:
-            level = len(self.gammas)
-        if level == 0:
-            return a[0] * a[0]
-        h = 2 ** (level - 1)
-        g = self.gammas[level - 1]
-        return self.norm_coords(a[:h], level - 1) - g * self.norm_coords(a[h:2 * h], level - 1)
+    def norm_coords(self, a):
+        acc = a[0] * a[0]
+        for ai, n in zip(a[1:], self.norm_weights[1:]):
+            acc = acc + ai * ai * n
+        return acc
 
     def base_change(self, new_base) -> "CompAlgebra":
         return CompAlgebra(self.gammas, base=new_base)
@@ -132,6 +137,35 @@ class CompAlgebra(CoordSpace):
     def __repr__(self) -> str:
         gs = ",".join(str(g) for g in self.gammas)
         return f"CompAlgebra(({gs}), base={self.base!r})"
+
+
+@cache
+def _cd_table(gammas: tuple):
+    """The product table of the Cayley-Dickson chain ``gammas``: rows i of
+    pairs (k, c) with e_i e_j = c e_k; and the norm weights n_i.  One
+    doubling step by gamma, with h the old dimension, reads off the doubling
+    formula on basis vectors (e_b* = +-e_b, + for b = 0 only):
+
+        e_a e_(h+b) = e_(h + k(b,a)) * c_ba,
+        e_(h+a) e_b = e_(h + k(a,b)) * c_ab * (+-1),
+        e_(h+a) e_(h+b) = e_k(b,a) * gamma * c_ba * (+-1).
+    """
+    table = {(0, 0): (0, 1)}
+    weights = [1]
+    for g in gammas:
+        h = len(weights)
+        star = [1] + [-1] * (h - 1)
+        for a in range(h):
+            for b in range(h):
+                kab, cab = table[a, b]
+                kba, cba = table[b, a]
+                table[a, h + b] = (h + kba, cba)
+                table[h + a, b] = (h + kab, cab * star[b])
+                table[h + a, h + b] = (kba, qq(g * cba * star[b]))
+        weights += [-g * n for n in weights]
+    dim = len(weights)
+    rows = tuple(tuple(table[i, j] for j in range(dim)) for i in range(dim))
+    return rows, tuple(qq(n) for n in weights)
 
 
 def cd_double(desc: CompAlgebra, gamma) -> CompAlgebra:
@@ -161,8 +195,10 @@ def comp_preset(name: str) -> CompAlgebra:
     if name.startswith("quadratic:"):
         return CompAlgebra((qq(name.split(":", 1)[1]),))
     if name.startswith("quaternion:"):
-        a, b = name.split(":", 1)[1].split(",")
-        return CompAlgebra((qq(a), qq(b)))
+        parts = name.split(":", 1)[1].split(",")
+        if len(parts) != 2:
+            raise DescriptorError(f"bad composition preset {name!r}: expected quaternion:a,b")
+        return CompAlgebra(tuple(qq(c) for c in parts))
     raise DescriptorError(f"unknown composition preset {name!r}")
 
 

@@ -588,6 +588,15 @@ def _over_one_denominator(coords: tuple) -> tuple[tuple, int]:
     return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
 
+def _matrix_over_one_denominator(m) -> tuple[list, int]:
+    """(rows of numerator tuples, den) for a matrix of elements of one
+    algebra over Q: every entry as integers over the least common
+    denominator of its entries."""
+    den = math.lcm(*[x.den for row in m for x in row])
+    return [[x.num if x.den == den else tuple(n * (den // x.den) for n in x.num) for x in row]
+            for row in m], den
+
+
 def _ratio(n: int, d: int) -> Scalar:
     """n / d for d > 0 as a rational scalar: an int when d divides n."""
     q, r = divmod(n, d)
@@ -630,7 +639,7 @@ class CommAlgebra(CoordSpace):
         self.int_table = tuple(tuple(tuple(c.numerator * (den // c.denominator) for c in cell)
                                      for cell in row) for row in self.table)
         self._int_trace = tuple(sum(row[k][k] for k in range(self.dim)) for row in self.int_table)
-        # the nonzero constants of each cell as (k, c) pairs, for mul_coords
+        # the nonzero constants of each cell as (k, c) pairs, for mul_coords and mat_mul
         self._cells = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
                             for row in self.int_table)
         self._basis_coords = tuple(c.coords for c in self.basis())
@@ -676,9 +685,10 @@ class CommAlgebra(CoordSpace):
     # -- arithmetic ---------------------------------------------------------
 
     def mul_coords(self, a, b):
-        """The one product kernel: the numerators of a b over table_den,
-        as sum a_i b_j c_ijk e_k over the nonzero integer constants c_ijk
-        of ``_cells``."""
+        """The product kernel of two elements: the numerators of a b over
+        table_den, as sum a_i b_j c_ijk e_k over the nonzero integer
+        constants c_ijk of ``_cells`` (``mat_mul`` inlines it for a matrix
+        product)."""
         is0 = self.base.is_zero
         out = [self._zero] * self.dim
         for ai, row in zip(a, self._cells):
@@ -696,6 +706,34 @@ class CommAlgebra(CoordSpace):
         if self.rational:
             return _reduced(self, self.mul_coords(x.num, y.num), x.den * y.den * self.table_den)
         return self._element(self.mul_coords(x.coords, y.coords), self.table_den)
+
+    def mat_mul(self, a, b):
+        """The matrix product a b for matrices (tuples of rows) whose entries
+        all lie in this algebra over Q: each operand over one common
+        denominator, the integer numerators of every entry accumulated over
+        ``_cells``, and one reduction per entry of the product."""
+        a, da = _matrix_over_one_denominator(a)
+        b, db = _matrix_over_one_denominator(b)
+        cells, dim, den = self._cells, self.dim, da * db * self.table_den
+        cols = tuple(zip(*b))
+        out = []
+        for arow in a:
+            row = []
+            for col in cols:
+                acc = [0] * dim
+                for x, y in zip(arow, col):
+                    for xi, crow in zip(x, cells):
+                        if not xi:
+                            continue
+                        for yj, cell in zip(y, crow):
+                            if not yj:
+                                continue
+                            prod = xi * yj
+                            for k, c in cell:
+                                acc[k] += prod if c == 1 else prod * c
+                row.append(_reduced(self, tuple(acc), den))
+            out.append(tuple(row))
+        return tuple(out)
 
     def _regular_columns(self, u: AlgElem):
         """The numerators of the images of the basis under multiplication

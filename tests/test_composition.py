@@ -13,9 +13,93 @@ from cubicnorm.composition import (
     comp_preset,
     find_nonassociative_triple,
 )
-from cubicnorm.scalars import DescriptorError, quadratic_field
+from cubicnorm.scalars import DescriptorError, qalg_make, quadratic_field
 
 small = st.integers(-6, 6)
+
+
+# -- oracle: the Cayley-Dickson recursion, level by level --------------------
+#
+#     (x1, y1)(x2, y2) = (x1 x2 + gamma y2* y1,  y2 x1 + y1 x2*)
+#     (x, y)* = (x*, -y),   n((x, y)) = n(x) - gamma n(y)
+
+
+def cd_mul(gammas, a, b):
+    if not gammas:
+        return (a[0] * b[0],)
+    *rest, g = gammas
+    h = len(a) // 2
+    x1, y1, x2, y2 = a[:h], a[h:], b[:h], b[h:]
+    left = tuple(p + g * q for p, q in zip(cd_mul(rest, x1, x2),
+                                           cd_mul(rest, cd_conj(rest, y2), y1)))
+    right = tuple(p + q for p, q in zip(cd_mul(rest, y2, x1),
+                                        cd_mul(rest, y1, cd_conj(rest, x2))))
+    return left + right
+
+
+def cd_conj(gammas, a):
+    if not gammas:
+        return (a[0],)
+    h = len(a) // 2
+    return cd_conj(gammas[:-1], a[:h]) + tuple(-c for c in a[h:])
+
+
+def cd_norm(gammas, a):
+    if not gammas:
+        return a[0] * a[0]
+    h = len(a) // 2
+    return cd_norm(gammas[:-1], a[:h]) - gammas[-1] * cd_norm(gammas[:-1], a[h:])
+
+
+rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=4))
+# the named chains, among them non-integral ones, and random chains of length 0-3
+NAMED_CHAINS = [(), (-1,), (F(1, 2),), (-1, -1), (1, 1), (F(1, 2), -3), (-1, -1, -1),
+                (1, 1, 1), (2, F(-1, 3), 5)]
+gamma_chains = st.one_of(st.sampled_from(NAMED_CHAINS),
+                         st.lists(rationals.filter(lambda g: g != 0), max_size=3))
+
+
+def coordinates(C, draw_scalar):
+    return st.lists(draw_scalar, min_size=C.dim, max_size=C.dim).map(
+        lambda cs: C.elem(cs).coords)
+
+
+def assert_matches_the_recursion(C, data, scalar):
+    a = data.draw(coordinates(C, scalar))
+    b = data.draw(coordinates(C, scalar))
+    assert C.mul_coords(a, b) == cd_mul(C.gammas, a, b)
+    assert C.conj_coords(a) == cd_conj(C.gammas, a)
+    assert C.norm_coords(a) == cd_norm(C.gammas, a)
+
+
+@given(gamma_chains, st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_matches_the_recursion_over_q(gammas, data):
+    assert_matches_the_recursion(CompAlgebra(gammas), data, rationals)
+
+
+@given(st.lists(st.sampled_from([-3, -1, 1, 2]), max_size=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_integral_inputs_give_int_coordinates(gammas, data):
+    C = CompAlgebra(gammas)
+    a = data.draw(coordinates(C, small))
+    b = data.draw(coordinates(C, small))
+    assert all(type(c) is int for c in C.mul_coords(a, b) + C.conj_coords(a))
+    assert type(C.norm_coords(a)) is int
+
+
+@pytest.mark.parametrize("K", [quadratic_field(5), qalg_make([1, -1, 0, 1])],
+                         ids=["quadratic", "cubic"])
+@given(gammas=gamma_chains, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_table_matches_the_recursion_over_a_quotient_base(K, gammas, data):
+    entry = st.lists(rationals, min_size=K.dim, max_size=K.dim).map(K.elem)
+    assert_matches_the_recursion(CompAlgebra(gammas).base_change(K), data, entry)
+
+
+def test_table_is_built_once_per_chain():
+    H, HE = comp_preset("hamilton"), comp_preset("hamilton").base_change(quadratic_field(5))
+    assert H.table is HE.table and H.norm_weights is HE.norm_weights
 
 
 def test_double_twice_gives_quaternions():
@@ -97,3 +181,6 @@ def test_presets_parse():
     assert comp_preset("quaternion:1,-3").gammas == (F(1), F(-3))
     with pytest.raises(DescriptorError):
         comp_preset("nope")
+    for bad in ("quaternion:1", "quaternion:1,2,3"):
+        with pytest.raises(DescriptorError, match="quaternion:a,b"):
+            comp_preset(bad)

@@ -1,6 +1,8 @@
 """The matrix helpers: the sparse sum of products against a dense oracle,
-over rationals and over quaternions, where the factor order matters."""
+over rationals and over quaternions, where the factor order matters, and
+the fused product over one algebra over Q against the entrywise product."""
 
+import math
 import random
 from fractions import Fraction as F
 from functools import reduce
@@ -9,7 +11,8 @@ from operator import add
 import pytest
 
 from cubicnorm.composition import comp_preset
-from cubicnorm.matops import mat_times_col, row_times_mat, sum_prod
+from cubicnorm.matops import mat_mul, mat_times_col, row_times_mat, sum_prod
+from cubicnorm.scalars import CommAlgebra, qalg_make, quadratic_field
 
 
 def dense_sum_prod(xs, ys):
@@ -57,3 +60,76 @@ def test_all_zero_left_factors_give_the_zero_of_the_product_type():
     assert type(sum_prod((0, 0), (x, x))) is type(x)
     assert sum_prod((H.zero(),) * 3, (x,) * 3) == H.zero()
     assert sum_prod((0, 0, 0), (F(1, 2), 3, 4)) == 0
+
+
+# -- the fused product over one algebra over Q --------------------------------
+
+
+def entrywise(a, b):
+    """Oracle: the dense entry-by-entry product, one element product a time."""
+    return tuple(tuple(dense_sum_prod(row, tuple(b[t][j] for t in range(len(b))))
+                       for j in range(len(b[0]))) for row in a)
+
+
+def algebra_entry(K, rng):
+    r = rng.random()
+    if r < 0.25:
+        return K.zero()
+    return K.random(rng, 4, integral=r < 0.6)
+
+
+def assert_same_entries(got, want):
+    assert got == want
+    for row_g, row_w in zip(got, want):
+        for x, y in zip(row_g, row_w):
+            assert type(x) is type(y) and x.space is y.space
+            # lowest terms, so == and hash agree with the entrywise product
+            assert x.den > 0 and math.gcd(x.den, *x.num) == 1
+            assert (x.num, x.den, x.coords) == (y.num, y.den, y.coords)
+            assert hash(x) == hash(y)
+
+
+@pytest.mark.parametrize("K", [quadratic_field(-1), quadratic_field(F(5, 4)),
+                               qalg_make([1, -1, 0, 1])],
+                         ids=["gaussian", "quadratic-5/4", "cubic"])
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 1, 3), (2, 2, 2)])
+def test_fused_product_matches_the_entrywise_product(K, shape):
+    rng = random.Random(29)
+    n, k, m = shape
+    for trial in range(30):
+        a = tuple(tuple(algebra_entry(K, rng) for _ in range(k)) for _ in range(n))
+        b = tuple(tuple(algebra_entry(K, rng) for _ in range(m)) for _ in range(k))
+        if trial == 0:
+            a = tuple((K.zero(),) * k for _ in range(n))
+        want = entrywise(a, b)
+        assert_same_entries(K.mat_mul(a, b), want)
+        assert_same_entries(mat_mul(a, b), want)
+
+
+def test_products_outside_one_rational_algebra_take_the_entrywise_loop(monkeypatch):
+    rng = random.Random(31)
+    K, E = quadratic_field(-1), quadratic_field(5)
+    KE = K.base_change(E)
+    twin = quadratic_field(-1)
+    assert twin == K and twin is not K
+    cases = [
+        # E scales K (x) E: two different algebras
+        (tuple(tuple(algebra_entry(E, rng) for _ in range(3)) for _ in range(3)),
+         tuple(tuple(KE.random(rng) for _ in range(3)) for _ in range(3))),
+        # a base-changed tower on both sides
+        (tuple(tuple(KE.random(rng) for _ in range(2)) for _ in range(2)),
+         tuple(tuple(KE.random(rng) for _ in range(2)) for _ in range(2))),
+        # an equal algebra held as another object
+        (tuple(tuple(algebra_entry(K, rng) for _ in range(3)) for _ in range(3)),
+         tuple(tuple(algebra_entry(twin, rng) for _ in range(3)) for _ in range(3))),
+        # rational entries mixed in
+        (((K.one(), 2), (F(1, 2), K.gen())), ((K.gen(), K.one()), (K.one(), 0))),
+    ]
+    wants = [entrywise(a, b) for a, b in cases]
+
+    def refuse(self, a, b):
+        raise AssertionError("fused product taken outside one algebra over Q")
+
+    monkeypatch.setattr(CommAlgebra, "mat_mul", refuse)
+    for (a, b), want in zip(cases, wants):
+        assert mat_mul(a, b) == want

@@ -305,6 +305,16 @@ def test_cli_malformed_input_is_usage_error(argv, capsys, tmp_path):
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("preset", ["quaternion:1", "quaternion:1,2,3"])
+def test_cli_quaternion_preset_needs_two_gammas(preset, capsys):
+    """A quaternion preset with other than two gammas is a descriptor error
+    that names the expected form, not a tuple-unpacking ValueError."""
+    code, out = run_cli(["verify", "--structure", f"comp:{preset}"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: bad composition preset {preset!r}: expected quaternion:a,b\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify"], "--structure is required"),
     (["lift", "--structure", "preset:fxf"], "--input is required"),
