@@ -51,9 +51,6 @@ class CompElt(Vec):
     def trace(self):
         return self.coords[0] + self.coords[0]
 
-    def is_unit(self) -> bool:
-        return self.alg.base.is_unit(self.norm())
-
     def inv(self) -> "CompElt":
         n = self.norm()
         return self.conj() * self.alg.base.inv(n)
@@ -86,13 +83,6 @@ class CompAlgebra(CoordSpace):
     @property
     def is_commutative(self) -> bool:
         return len(self.gammas) <= 1
-
-    def coerce(self, x) -> "CompElt":
-        if isinstance(x, CompElt):
-            if x.alg == self:
-                return x
-            raise DescriptorError("composition-algebra descriptor mismatch")
-        return self.from_scalar(x)
 
     # -- core kernels (one pass over the product table) -----------------------
 

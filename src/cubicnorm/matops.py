@@ -9,8 +9,6 @@ integer product, ``CommAlgebra.mat_mul``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import AlgElem
 
 
@@ -89,16 +87,12 @@ def mat_times_col(a, col):
     return tuple(sum_prod(tuple(a[i][t] for t in range(len(col))), col) for i in range(len(a)))
 
 
-def _is_zero(x) -> bool:
-    return not x if type(x) is int or type(x) is Fraction else x.is_zero()
-
-
 def sum_prod(xs, ys):
     """x_1 y_1 + ... + x_n y_n, skipping the terms whose left factor is zero
     (basis rows and matrix units are mostly zeros); an all-zero xs gives
     x_1 y_1, the zero of the products' type."""
     acc = None
     for x, y in zip(xs, ys):
-        if not _is_zero(x):
+        if x:
             acc = x * y if acc is None else acc + x * y
     return xs[0] * ys[0] if acc is None else acc

@@ -4,7 +4,9 @@ quotient algebras F[x]/(f), and small dense exact linear algebra.
 Everything in this package is computed over Q or over a finite-dimensional
 commutative Q-algebra given by structure constants.  A rational scalar is an
 ``int`` when it is integral and a ``fractions.Fraction`` otherwise; no floating
-point appears anywhere, and a float offered as a scalar is refused.
+point appears anywhere, and a float offered as a scalar is refused.  An
+algebra element is numerators over an int denominator on every base: integers
+over one denominator over Q, its coordinates over 1 over any other base.
 """
 
 from __future__ import annotations
@@ -178,7 +180,8 @@ def is_integral(x: Scalar) -> bool:
 # structures, Freudenthal spaces) is parametrized by a "base": either Q
 # itself or a CommAlgebra.  Elements of a base support +, -, *, so generic
 # formula code is written once and extends coefficient-wise under base
-# change.
+# change.  A base also divides exactly by a nonzero int (``ratio``), and
+# its zero, and only its zero, is falsy (``is_zero`` is ``operator.not_``).
 # ---------------------------------------------------------------------------
 
 
@@ -201,8 +204,8 @@ class RationalBase:
             raise DescriptorError("cannot coerce an algebra element into QQ")
         return qq(x)
 
-    # a C-level callable, not a method: mul_coords asks it about every
-    # coordinate of every product
+    # a C-level callable, not a method: a composition product asks it about
+    # every coordinate
     is_zero = staticmethod(operator.not_)
 
     def is_unit(self, x: Scalar) -> bool:
@@ -213,11 +216,11 @@ class RationalBase:
             raise ZeroDivisionError("inverse of 0")
         return qq(Fraction(x.denominator, x.numerator))
 
-    def norm(self, x: Scalar) -> Scalar:
-        return x
-
-    def trace(self, x: Scalar) -> Scalar:
-        return x
+    @staticmethod
+    def ratio(n: int, d: int) -> Scalar:
+        """n / d for a nonzero int d as a rational scalar: an int when d divides n."""
+        q, r = divmod(n, d)
+        return Fraction(n, d) if r else q
 
     def flatten(self, x: Scalar) -> list[Scalar]:
         return [x]
@@ -266,8 +269,8 @@ class Vec:
     coordinates, +, - and == read it as s * 1.  An operand over a structure
     whose base is this element's structure carries out +, - and * itself,
     also where Python tries no reflected method (two ``AlgElem``).  An
-    ``AlgElem`` over Q runs the operations within its algebra, and scaling
-    by an int or a Fraction, on integers and falls back here for the rest.
+    ``AlgElem`` runs the operations within its algebra, and scaling by an
+    int or a Fraction, on its numerators and falls back here for the rest.
     """
 
     __slots__ = ("space", "coords")
@@ -367,8 +370,12 @@ class Vec:
                     return hash(s)
         return hash(self.coords)
 
+    def __bool__(self) -> bool:
+        """Only the zero element is falsy, as only 0 is among scalars."""
+        return any(self.coords)
+
     def is_zero(self) -> bool:
-        return all(map(self.space.base.is_zero, self.coords))
+        return not self
 
 
 class CoordSpace:
@@ -451,18 +458,18 @@ class CoordSpace:
 
 
 class AlgElem(Vec):
-    """Element of a CommAlgebra: a coordinate vector over the algebra's base.
+    """Element of a CommAlgebra: numerators ``num`` over an int denominator
+    ``den`` > 0, on every base.
 
-    Over Q an element is held as integers over one denominator (Cohen,
-    GTM 138, 4.2): ``num``, a tuple of ints, over ``den`` > 0 with
-    gcd(den, num) = 1, so two elements of one algebra are equal exactly when
-    their (num, den) are.  Sums, differences, negation, scaling by an int or
-    a Fraction, products, ``is_zero`` and equality within one algebra run on
-    these integers, and each result is reduced by one gcd.  ``coords`` -- an
-    int where integral, a Fraction otherwise -- is read off on first use; an
-    element built from coordinates keeps them as its ``coords``.  Over any
-    other base an element has only ``coords`` and takes the generic path of
-    ``Vec``.
+    Over Q ``num`` is a tuple of ints with gcd(den, num) = 1, integers over
+    one denominator (Cohen, GTM 138, 4.2); over any other base ``num`` is
+    the coordinates and ``den`` is 1.  So two elements of one algebra are
+    equal exactly when their (num, den) are.  Sums, differences, negation,
+    scaling by an int or a Fraction, products, the zero test and equality
+    within one algebra run on the numerators, and ``_reduced`` brings each
+    result back to this form.  ``coords`` -- over Q an int where integral,
+    a Fraction otherwise -- is read off on first use; an element built from
+    coordinates keeps them as its ``coords``.
     """
 
     __slots__ = ("num", "den")
@@ -473,21 +480,20 @@ class AlgElem(Vec):
     def __init__(self, space, coords: Sequence):
         self.space = space
         self._coords = coords = tuple(coords)
-        if space.rational:
-            self.num, self.den = _over_one_denominator(coords)
+        self.num, self.den = _over_one_denominator(coords) if space.rational else (coords, 1)
 
     @property
     def coords(self) -> tuple:
         try:
             return self._coords
         except AttributeError:
-            den = self.den
-            self._coords = coords = tuple(_ratio(n, den) for n in self.num)
+            ratio, den = self.space.base.ratio, self.den
+            self._coords = coords = tuple(ratio(n, den) for n in self.num)
             return coords
 
     def __add__(self, other):
         space = self.space
-        if type(other) is AlgElem and other.space is space and space.rational:
+        if type(other) is AlgElem and other.space is space:
             a, b = self.den, other.den
             if a == b:
                 return _reduced(space, tuple(map(operator.add, self.num, other.num)), a)
@@ -499,7 +505,7 @@ class AlgElem(Vec):
 
     def __sub__(self, other):
         space = self.space
-        if type(other) is AlgElem and other.space is space and space.rational:
+        if type(other) is AlgElem and other.space is space:
             a, b = self.den, other.den
             if a == b:
                 return _reduced(space, tuple(map(operator.sub, self.num, other.num)), a)
@@ -508,10 +514,7 @@ class AlgElem(Vec):
         return Vec.__sub__(self, other)
 
     def __neg__(self):
-        space = self.space
-        if space.rational:
-            return _reduced(space, tuple(map(operator.neg, self.num)), self.den, False)
-        return Vec.__neg__(self)
+        return _reduced(self.space, tuple(map(operator.neg, self.num)), self.den, False)
 
     def __mul__(self, other):
         space = self.space
@@ -519,9 +522,9 @@ class AlgElem(Vec):
         if kind is AlgElem:
             if other.space is space:
                 return space.mul(self, other)
-        elif kind is int and space.rational:
+        elif kind is int:
             return _reduced(space, tuple(n * other for n in self.num), self.den)
-        elif kind is Fraction and space.rational:
+        elif kind is Fraction:
             p = other.numerator
             return _reduced(space, tuple(n * p for n in self.num), self.den * other.denominator)
         return Vec.__mul__(self, other)
@@ -530,17 +533,17 @@ class AlgElem(Vec):
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        space = self.space
-        if type(other) is AlgElem and other.space is space and space.rational:
+        if type(other) is AlgElem and other.space is self.space:
             return self.den == other.den and self.num == other.num
         return Vec.__eq__(self, other)
 
     __hash__ = Vec.__hash__
 
+    def __bool__(self) -> bool:
+        return any(self.num)
+
     def is_zero(self) -> bool:
-        if self.space.rational:
-            return not any(self.num)
-        return Vec.is_zero(self)
+        return not any(self.num)
 
     def __repr__(self) -> str:
         terms = ", ".join(repr(c) for c in self.coords)
@@ -563,13 +566,19 @@ _new = object.__new__
 
 
 def _reduced(space, num: tuple, den: int, reduce: bool = True) -> AlgElem:
-    """The element num / den of an algebra over Q, brought to lowest terms
-    by one gcd unless den is 1 or the caller knows it is (``reduce``)."""
-    if reduce and den != 1:
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = tuple(n // g for n in num)
-            den //= g
+    """The element num / den of an algebra, for an int den > 0.  Over Q it
+    is brought to lowest terms by one gcd unless den is 1 or the caller
+    knows it is (``reduce``); over any other base each numerator is divided
+    by den in the base (``ratio``), so den becomes 1."""
+    if den != 1:
+        if not space.rational:
+            ratio = space.base.ratio
+            num, den = tuple(ratio(n, den) for n in num), 1
+        elif reduce:
+            g = math.gcd(den, *num)
+            if g != 1:
+                num = tuple(n // g for n in num)
+                den //= g
     x = _new(AlgElem)
     x.space = space
     x.num = num
@@ -597,12 +606,6 @@ def _matrix_over_one_denominator(m) -> tuple[list, int]:
             for row in m], den
 
 
-def _ratio(n: int, d: int) -> Scalar:
-    """n / d for d > 0 as a rational scalar: an int when d divides n."""
-    q, r = divmod(n, d)
-    return Fraction(n, d) if r else q
-
-
 class CommAlgebra(CoordSpace):
     """Finite commutative unital algebra over a base, given by rational
     structure constants.
@@ -611,13 +614,14 @@ class CommAlgebra(CoordSpace):
     rationals; coordinates of elements live in ``base`` (Q by default), so
     the same table serves the algebra and all of its base changes.  The
     table is also kept as ``int_table`` over one denominator ``table_den``,
-    and every formula works on numerators over an int denominator: an
-    element over Q is its ``num`` over its ``den`` (``rational``), one over
-    any other base its coordinates over 1, and only the final division
-    differs.  The norm comes from the regular representation.  The trace is
-    linear, so it is a dot product with the trace vector
-    tr(e_i) = sum_k table[i][k][k], computed once.  An element is a unit iff
-    its norm is a unit (correct for the etale instances used here).
+    and every formula works on an element's ``num`` over its ``den`` and
+    ends in one exact division: ``_reduced`` for an element, the base's
+    ``ratio`` for a base scalar.  As a base, the algebra divides by an int
+    (``ratio``) and has a falsy zero (``is_zero``).  The norm comes from the
+    regular representation.  The trace is linear, so it is a dot product
+    with the trace vector tr(e_i) = sum_k table[i][k][k], computed once.  An
+    element is a unit iff its norm is a unit (correct for the etale
+    instances used here).
     """
 
     element = AlgElem
@@ -646,41 +650,22 @@ class CommAlgebra(CoordSpace):
 
     # -- construction -------------------------------------------------------
 
-    from_rational = CoordSpace.from_scalar
+    from_rational = scalar_mul_one = CoordSpace.from_scalar
 
     def coerce(self, x):
         if isinstance(x, AlgElem):
             if x.alg is self or x.alg == self:
                 return x
             if x.alg == self.base:
-                return self.scalar_mul_one(x)
+                return self.from_scalar(x)
             raise DescriptorError(f"element of {x.alg.name} used in {self.name}")
         if isinstance(x, (int, Fraction, str)):
             return self.from_rational(qq(x))
         raise DescriptorError(f"cannot coerce {type(x).__name__} into {self.name}")
 
-    def scalar_mul_one(self, s) -> AlgElem:
-        return AlgElem(self, tuple(s * u for u in self.unit_coords))
-
-    # -- numerators over an int denominator ----------------------------------
-
-    def _fraction(self, u: AlgElem) -> tuple:
-        """u as (numerators, denominator)."""
-        return (u.num, u.den) if self.rational else (u.coords, 1)
-
-    def _element(self, num, den: int) -> AlgElem:
-        """The element num / den."""
-        if self.rational:
-            return _reduced(self, num, den)
-        if den != 1:
-            num = tuple(c * Fraction(1, den) for c in num)
-        return AlgElem(self, num)
-
-    def _scalar(self, n, d: int):
-        """The base scalar n / d."""
-        if self.rational:
-            return _ratio(n, d)
-        return n if d == 1 else n * Fraction(1, d)
+    def ratio(self, u: AlgElem, d: int) -> AlgElem:
+        """u / d for a nonzero int d."""
+        return _reduced(self, u.num, u.den * d) if d > 0 else self.ratio(-u, -d)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -689,13 +674,12 @@ class CommAlgebra(CoordSpace):
         table_den, as sum a_i b_j c_ijk e_k over the nonzero integer
         constants c_ijk of ``_cells`` (``mat_mul`` inlines it for a matrix
         product)."""
-        is0 = self.base.is_zero
         out = [self._zero] * self.dim
         for ai, row in zip(a, self._cells):
-            if is0(ai):
+            if not ai:
                 continue
             for bj, cell in zip(b, row):
-                if is0(bj):
+                if not bj:
                     continue
                 prod = ai * bj
                 for k, c in cell:
@@ -703,9 +687,7 @@ class CommAlgebra(CoordSpace):
         return tuple(out)
 
     def mul(self, x: AlgElem, y: AlgElem) -> AlgElem:
-        if self.rational:
-            return _reduced(self, self.mul_coords(x.num, y.num), x.den * y.den * self.table_den)
-        return self._element(self.mul_coords(x.coords, y.coords), self.table_den)
+        return _reduced(self, self.mul_coords(x.num, y.num), x.den * y.den * self.table_den)
 
     def mat_mul(self, a, b):
         """The matrix product a b for matrices (tuples of rows) whose entries
@@ -738,31 +720,29 @@ class CommAlgebra(CoordSpace):
     def _regular_columns(self, u: AlgElem):
         """The numerators of the images of the basis under multiplication
         by u, and the denominator they are over."""
-        num, den = self._fraction(u)
-        return [self.mul_coords(num, b) for b in self._basis_coords], den * self.table_den
+        return [self.mul_coords(u.num, b) for b in self._basis_coords], u.den * self.table_den
 
     def regular_matrix(self, u: AlgElem) -> list[list]:
         """Matrix of multiplication-by-u on the basis, columns = images."""
         cols, d = self._regular_columns(u)
-        return [[self._scalar(cols[j][i], d) for j in range(self.dim)] for i in range(self.dim)]
+        ratio = self.base.ratio
+        return [[ratio(cols[j][i], d) for j in range(self.dim)] for i in range(self.dim)]
 
     def norm(self, u: AlgElem):
         cols, d = self._regular_columns(u)
-        return self._scalar(det(cols), d ** self.dim)
+        return self.base.ratio(det(cols), d ** self.dim)
 
     def _trace_num(self, num):
         """table_den * tr(num), a dot product with the integer trace vector."""
         return sum(map(operator.mul, num, self._int_trace), self._zero)
 
     def trace(self, u: AlgElem):
-        num, den = self._fraction(u)
-        return self._scalar(self._trace_num(num), den * self.table_den)
+        return self.base.ratio(self._trace_num(u.num), u.den * self.table_den)
 
     def is_unit(self, u: AlgElem) -> bool:
         return self.base.is_unit(self.norm(u))
 
-    def is_zero(self, u: AlgElem) -> bool:
-        return u.is_zero()
+    is_zero = staticmethod(operator.not_)
 
     def inv(self, u: AlgElem) -> AlgElem:
         """Exact inverse of a unit, by solving u*x = 1 over Q (the solve
@@ -777,9 +757,8 @@ class CommAlgebra(CoordSpace):
         if self.dim != 2:
             raise DescriptorError("conjugation is only defined on quadratic algebras")
         # tr(u) = t / (den * table_den) and 1 = unit_num / unit_den
-        num, den = self._fraction(u)
-        t, k = self._trace_num(num), self.table_den * self._unit_den
-        return self._element(tuple(t * e - c * k for e, c in zip(self._unit_num, num)), den * k)
+        num, t, k = u.num, self._trace_num(u.num), self.table_den * self._unit_den
+        return _reduced(self, tuple(t * e - c * k for e, c in zip(self._unit_num, num)), u.den * k)
 
     # -- charpoly helpers (for the adjoint of cubic algebras) ----------------
 
@@ -787,15 +766,16 @@ class CommAlgebra(CoordSpace):
         """(num, d, square, t1, t2): the numerators of u over den and of u^2
         over den^2 * table_den, d = den * table_den, and t1, t2 with
         tr(u) = t1 / d and tr(u^2) = t2 / d^2."""
-        num, den = self._fraction(u)
+        num = u.num
         square = self.mul_coords(num, num)
-        return num, den * self.table_den, square, self._trace_num(num), self._trace_num(square)
+        return num, u.den * self.table_den, square, self._trace_num(num), self._trace_num(square)
 
     def char_s1_s2(self, u: AlgElem):
         """s1 = tr(u) and s2 = (tr(u)^2 - tr(u^2))/2, the first two
         coefficients of the characteristic polynomial of u."""
         _, d, _, t1, t2 = self._char(u)
-        return self._scalar(t1, d), self._scalar(t1 * t1 - t2, 2 * d * d)
+        ratio = self.base.ratio
+        return ratio(t1, d), ratio(t1 * t1 - t2, 2 * d * d)
 
     def adjoint(self, u: AlgElem) -> AlgElem:
         """u^# with u*u^# = norm(u), for a cubic algebra: u^2 - s1*u + s2."""
@@ -804,9 +784,9 @@ class CommAlgebra(CoordSpace):
         # every term over 2 * d^2 * unit_den
         num, d, square, t1, t2 = self._char(u)
         k, s2 = 2 * self.table_den * self._unit_den, t1 * t1 - t2
-        return self._element(tuple((q - c * t1) * k + s2 * e for q, c, e
-                                   in zip(square, num, self._unit_num)),
-                             2 * d * d * self._unit_den)
+        return _reduced(self, tuple((q - c * t1) * k + s2 * e for q, c, e
+                                    in zip(square, num, self._unit_num)),
+                        2 * d * d * self._unit_den)
 
     def cross(self, u: AlgElem, v: AlgElem) -> AlgElem:
         return self.adjoint(u + v) - self.adjoint(u) - self.adjoint(v)

@@ -25,6 +25,7 @@ from cubicnorm.cns import (
     tensor_cross,
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
+from cubicnorm.presets import cns_preset
 from cubicnorm.scalars import DescriptorError, PreconditionError, det, quadratic_field
 
 
@@ -87,6 +88,7 @@ def test_trivial_structure_symbolic():
     (lambda: H3CNS(comp_preset("hamilton")), 25),
     (lambda: H3CNS(comp_preset("octonion")), 12),
     (lambda: H3CNS(comp_preset("split-octonion")), 12),
+    pytest.param(lambda: CayleyUCNS(comp_preset("gaussian"), 3), 25, id="cayleyu-comm-25"),
 ])
 def test_axiom_suites(builder, trials):
     r = cns_axioms_check(builder(), trials=trials, seed=3)
@@ -150,7 +152,8 @@ def test_axiom_suite_keeps_one_entry_per_failing_identity():
 
 def test_axiom_suites_base_changed():
     E = quadratic_field(5)
-    for J in [ProductCNS(CompAlgebra(())), Matrix3CNS(), H3CNS(comp_preset("gaussian"))]:
+    for J in [ProductCNS(CompAlgebra(())), Matrix3CNS(), H3CNS(comp_preset("gaussian")),
+              cns_preset("titsu-tensor"), cns_preset("cayleyu-comm")]:
         r = cns_axioms_check(J.base_change(E), trials=10, seed=4)
         assert r.ok(), (J.name, r.failures)
 

@@ -56,7 +56,7 @@ from cubicnorm.lifting import (
     w_star,
 )
 from cubicnorm.matops import row_times_mat
-from cubicnorm.presets import bhargava_pair, thm_diag_pair
+from cubicnorm.presets import bhargava_pair, cns_preset, thm_diag_pair
 from cubicnorm.scalars import (IdentityError, PreconditionError, kernel, map_matrix,
                                rational_sqrt, rref)
 
@@ -87,7 +87,8 @@ def test_lift_wj_diagonal():
 
 
 def test_lift_wj_variants(rng):
-    for J in associative_variants() + [H3CNS(comp_preset("gaussian"))]:
+    for J in associative_variants() + [H3CNS(comp_preset("gaussian")),
+                                       cns_preset("titsu-tensor"), cns_preset("cayleyu-comm")]:
         W = WSpace(J)
         v = rand_rank4(W, rng)
         res = lift_wj(W, v)

@@ -581,6 +581,101 @@ def test_one_denominator_matches_fraction_loop(a, b, q, n):
                 assert one_s == s and s == one_s and hash(one_s) == hash(s)
 
 
+def _o_one(S, s):
+    """The tree of s * 1 for a tree s over the base of S."""
+    return tuple(_o_scale(S.base, s, F(u)) for u in S.unit_coords)
+
+
+def _o_unit(S):
+    return F(1) if S is QQ_BASE else _o_one(S, _o_unit(S.base))
+
+
+def _o_trace(S, a):
+    """tr(a) as the coordinates weighted by tr(e_i) = sum_k table[i][k][k]."""
+    out = _o_zero(S.base)
+    for ai, row in zip(a, S.table):
+        out = _o_add(S.base, out, _o_scale(S.base, ai, F(sum(row[k][k] for k in range(S.dim)))))
+    return out
+
+
+def _o_det(R, m):
+    """Laplace expansion along the first row over R."""
+    if len(m) == 1:
+        return m[0][0]
+    out = _o_zero(R)
+    for j, x in enumerate(m[0]):
+        term = _o_mul(R, x, _o_det(R, [row[:j] + row[j + 1:] for row in m[1:]]))
+        out = _o_add(R, out, term if j % 2 == 0 else _o_scale(R, term, F(-1)))
+    return out
+
+
+def _o_norm(S, a):
+    """The determinant of the regular matrix, whose columns are a e_j."""
+    units = [tuple(_o_unit(S.base) if k == j else _o_zero(S.base) for k in range(S.dim))
+             for j in range(S.dim)]
+    return _o_det(S.base, list(zip(*(_o_mul(S, a, e) for e in units))))
+
+
+def _o_char(S, a):
+    """s1 = tr(a) and s2 = (tr(a)^2 - tr(a^2)) / 2."""
+    s1 = _o_trace(S, a)
+    minus = _o_scale(S.base, _o_trace(S, _o_mul(S, a, a)), F(-1))
+    return s1, _o_scale(S.base, _o_add(S.base, _o_mul(S.base, s1, s1), minus), F(1, 2))
+
+
+def _o_conj_or_adjoint(S, a):
+    """tr(a) - a on a quadratic algebra, a^2 - s1 a + s2 on a cubic one."""
+    s1, s2 = _o_char(S, a)
+    if S.dim == 2:
+        return _o_add(S, _o_one(S, s1), _o_scale(S, a, F(-1)))
+    s1a = tuple(_o_mul(S.base, s1, x) for x in a)
+    return _o_add(S, _o_add(S, _o_mul(S, a, a), _o_scale(S, s1a, F(-1))), _o_one(S, s2))
+
+
+def _non_rational_path_algebras():
+    """Q(sqrt 5), whose elements are the coordinates of the next two; the
+    quadratic field x^2 - 3/4 over it; and the cubic ring with a halved
+    table over Q(sqrt 7): non-integral tables over a base other than Q."""
+    E = quadratic_field(5)
+    K = QuotientAlgebra([F(-3, 4), 0, 1], base=E)
+    T = CommAlgebra("T(1/2,1,-3/2,2)", cubic_ring_table(F(1, 2), 1, F(-3, 2), 2))
+    return [E, K, T.base_change(quadratic_field(7))]
+
+
+NON_RATIONAL_PATH_ALGEBRAS = _non_rational_path_algebras()
+
+
+@given(st.lists(small, min_size=6, max_size=6), st.lists(small, min_size=6, max_size=6),
+       small, st.integers(-6, 6), st.integers(1, 6))
+@settings(max_examples=40)
+def test_numerators_over_any_base_match_coordinate_oracle(a, b, q, n, d):
+    """Over Q and over a base algebra, +, -, negation, *, scaling by an int
+    or a Fraction on either side, ==, hash, bool, is_zero, coords,
+    flatten/unflatten, trace, norm, conj or adjoint, char_s1_s2 and ratio
+    against a coordinatewise oracle on Fraction trees."""
+    for S in NON_RATIONAL_PATH_ALGEBRAS:
+        x, y = _element(S, a), _element(S, b)
+        tx, ty = _tree(x), _tree(y)
+        zero = _o_zero(S)
+        results = [(x + y, _o_add(S, tx, ty)), (x - y, _o_add(S, tx, _o_scale(S, ty, F(-1)))),
+                   (-x, _o_scale(S, tx, F(-1))), (x * y, _o_mul(S, tx, ty)),
+                   (y * x, _o_mul(S, ty, tx)), (x - x, zero), (x * 0, zero),
+                   (S.ratio(x, d), _o_scale(S, tx, F(1, d))),
+                   (S.ratio(x, -d), _o_scale(S, tx, F(-1, d))),
+                   (S.adjoint(x) if S.dim == 3 else S.conj(x), _o_conj_or_adjoint(S, tx))]
+        for s in (q, qq(q), n):
+            results += [(x * s, _o_scale(S, tx, F(s))), (s * y, _o_scale(S, ty, F(s)))]
+        for z, want in results:
+            assert _tree(z) == want and _types_ok(z)
+            twin = _from_tree(S, want)
+            assert z == twin and twin == z and hash(z) == hash(twin)
+            assert (z == x) == (want == tx) and (z != y) == (want != ty)
+            assert bool(z) == (want != zero) and z.is_zero() == S.is_zero(z) == (want == zero)
+            assert S.flatten(z) == _flat(want) and S.unflatten(S.flatten(z)) == z
+        assert _tree(S.trace(x)) == _o_trace(S, tx) and _tree(S.norm(x)) == _o_norm(S, tx)
+        assert tuple(map(_tree, S.char_s1_s2(x))) == _o_char(S, tx)
+
+
 def test_integral_results_have_int_coordinates():
     """A sum, difference, product, conjugate or scaling of non-integral
     elements whose value is integral has int coordinates, not Fractions."""
