@@ -19,7 +19,6 @@ from .cns import H3CNS, cns_axioms_check
 from .composition import CompAlgebra, comp_axioms_check, comp_preset
 from .freudenthal import WSpace
 from .lifting import (
-    NoLiftError,
     gan_savin_cns,
     lift_wa_refined,
     lift_wj,
@@ -338,10 +337,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DescriptorError, PreconditionError, NoLiftError, KeyError, ValueError) as exc:
+    # bad input raises one of these typed errors (NoLiftError is a
+    # PreconditionError); a bare KeyError or ValueError is a bug and
+    # propagates with its traceback
+    except (UsageError, DescriptorError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BoundExceededError as exc:

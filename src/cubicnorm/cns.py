@@ -81,7 +81,6 @@ class CNS(CoordSpace):
     name = "cns"
     base = QQ_BASE
     dim = 0
-    is_special = False
     has_mul = False
 
     # -- subclass surface ----------------------------------------------------
@@ -160,7 +159,6 @@ class CNS(CoordSpace):
 class TrivialCNS(CNS):
     """J = F with N(x) = x^3, x# = x^2, (x, y) = 3xy."""
 
-    is_special = True
     has_mul = True
 
     def __init__(self, base=QQ_BASE):
@@ -199,7 +197,6 @@ class ProductCNS(CNS):
     C = F gives the split rank-two structure with N(a, x) = a x^2.
     """
 
-    is_special = True
     has_mul = True
 
     def __init__(self, comp: CompAlgebra):
@@ -250,7 +247,6 @@ class CubicRingCNS(CNS):
     """A commutative cubic algebra as a cubic norm structure: N is the norm
     of the regular representation, x# = x^2 - s1 x + s2, (x, y) = tr(xy)."""
 
-    is_special = True
     has_mul = True
 
     def __init__(self, alg: CommAlgebra):
@@ -292,7 +288,6 @@ class CubicRingCNS(CNS):
 class Matrix3CNS(CNS):
     """M_3 over the base with N = det, # = adjugate, (x, y) = tr(xy)."""
 
-    is_special = True
     has_mul = True
 
     def __init__(self, base=QQ_BASE):
@@ -365,7 +360,6 @@ class H3CNS(CNS):
         self.base = comp.base
         self.dim = 3 + 3 * comp.dim
         self.name = f"h3({','.join(str(g) for g in comp.gammas)})"
-        self.is_special = comp.is_associative
         self.has_mul = False
 
     def split(self, x: CnsElt):
@@ -508,12 +502,6 @@ class SecondKind:
     J: CNS
     kind: str
 
-    def conj_K(self, k: AlgElem) -> AlgElem:
-        return self.K.conj(k)
-
-    def tr_KF(self, k: AlgElem):
-        return self.K.trace(k)
-
     def star(self, b: CnsElt) -> CnsElt:
         if self.kind == "matrix":
             m = self.B.to_matrix(b)
@@ -521,39 +509,20 @@ class SecondKind:
         return CnsElt(self.B, tuple(c.conj() for c in b.coords))
 
     def embed(self, j: CnsElt) -> CnsElt:
+        """J into B: the Hermitian picture of j read in M_3(K) for the
+        matrix kind, 1 (x) j for the tensor kind."""
+        K = self.K
         if self.kind == "matrix":
-            (c1, c2, c3), (a1, a2, a3) = self.J.split(j)
-
-            def lift(ce: CompElt) -> AlgElem:
-                return AlgElem(self.K, ce.coords)
-
-            def lifts(s) -> AlgElem:
-                return self.K.scalar_mul_one(s)
-
-            m = mat([
-                (lifts(c1), lift(a3), lift(a2.conj())),
-                (lift(a3.conj()), lifts(c2), lift(a1)),
-                (lift(a2), lift(a1.conj()), lifts(c3)),
-            ])
-            return self.B.from_matrix(m)
-        return CnsElt(self.B, tuple(self.K.scalar_mul_one(c) for c in j.coords))
+            m = self.J.to_matrix(j)
+            return self.B.from_matrix(mat([AlgElem(K, e.coords) for e in row] for row in m))
+        return CnsElt(self.B, tuple(K.scalar_mul_one(c) for c in j.coords))
 
     def project(self, b: CnsElt) -> CnsElt:
         """Inverse of embed on star-fixed elements."""
         if not (self.star(b) == b):
             raise PreconditionError("element is not fixed by the involution")
         if self.kind == "matrix":
-            m = self.B.to_matrix(b)
-            comp = self.J.comp
-
-            def drop(k: AlgElem) -> CompElt:
-                return CompElt(comp, k.coords)
-
-            def drops(k: AlgElem):
-                return k.coords[0]
-
-            cs = (drops(m[0][0]), drops(m[1][1]), drops(m[2][2]))
-            return self.J.join(cs, (drop(m[1][2]), drop(m[2][0]), drop(m[0][1])))
+            return self.J.from_matrix(self.B.to_matrix(b))
         return CnsElt(self.J, tuple(c.coords[0] for c in b.coords))
 
     def base_change(self, new_base) -> "SecondKind":
@@ -609,27 +578,19 @@ class TitsUCNS(CNS):
         self.Ssharp_B = sk.embed(sk.J.adjoint(S))
         self.dim = sk.J.dim + sk.B.dim * sk.K.dim
         self.name = f"titsU({sk.kind})"
-        self.is_special = sk.kind == "tensor"
         self.has_mul = False
 
     # coordinate plumbing ----------------------------------------------------
 
     def split(self, x: CnsElt):
-        jdim = self.sk.J.dim
-        X = CnsElt(self.sk.J, x.coords[:jdim])
-        rest = x.coords[jdim:]
-        kd = self.sk.K.dim
-        bcoords = []
-        for i in range(self.sk.B.dim):
-            bcoords.append(AlgElem(self.sk.K, rest[i * kd:(i + 1) * kd]))
-        alpha = CnsElt(self.sk.B, tuple(bcoords))
-        return X, alpha
+        J, K = self.sk.J, self.sk.K
+        rest = iter(x.coords[J.dim:])
+        # each K-coordinate of B is the next K.dim base coordinates
+        alpha = CnsElt(self.sk.B, tuple(AlgElem(K, c) for c in zip(*[rest] * K.dim)))
+        return CnsElt(J, x.coords[:J.dim]), alpha
 
     def join(self, X: CnsElt, alpha: CnsElt) -> CnsElt:
-        flat = []
-        for c in alpha.coords:
-            flat.extend(c.coords)
-        return CnsElt(self, X.coords + tuple(flat))
+        return CnsElt(self, X.coords + tuple(f for c in alpha.coords for f in c.coords))
 
     # the three structure maps ------------------------------------------------
 
@@ -643,7 +604,7 @@ class TitsUCNS(CNS):
         J, sk = self.sk.J, self.sk
         aSa = sk.project(self._asa(alpha, alpha))
         return (J.norm(X) - J.pair(X, aSa)
-                + sk.tr_KF(self.lam * sk.B.norm(alpha)))
+                + sk.K.trace(self.lam * sk.B.norm(alpha)))
 
     def adjoint(self, x):
         X, alpha = self.split(x)
@@ -702,7 +663,6 @@ class CayleyUCNS(CNS):
         self.dim = self.H.dim + 3 * comp.dim
         self.name = f"cayleyU({','.join(str(x) for x in comp.gammas)};{g})"
         self.doubled = H3CNS(cd_double(comp, g))
-        self.is_special = self.doubled.comp.is_associative
         self.has_mul = False
 
     def split(self, x: CnsElt):
@@ -772,7 +732,8 @@ class CayleyUCNS(CNS):
         return self.join(X, v)
 
     def special_combo(self, x, y, z):
-        if not self.is_special:
+        # an octonion H_3 has no special embedding: build no images for it
+        if not self.doubled.comp.is_associative:
             return None
         c = self.doubled.special_combo(self.iso_to_doubled(x), self.iso_to_doubled(y),
                                        self.iso_to_doubled(z))
@@ -836,12 +797,11 @@ def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
         report.check("(x x y)# + x# x y# = (x,y#)x + (x#,y)y",
                      J.adjoint(J.cross(x, y)) + J.cross(xs, ys)
                      == x * J.pair(x, ys) + y * J.pair(xs, y), (x, y))
-        if J.is_special:
-            combo = J.special_combo(y, x, z)
-            if combo is not None:
-                report.check("x x (y x z) five-term",
-                             J.cross(x, J.cross(y, z))
-                             == z * J.pair(x, y) + y * J.pair(x, z) - combo, (x, y, z))
+        combo = J.special_combo(y, x, z)
+        if combo is not None:
+            report.check("x x (y x z) five-term",
+                         J.cross(x, J.cross(y, z))
+                         == z * J.pair(x, y) + y * J.pair(x, z) - combo, (x, y, z))
         if J.has_mul:
             report.check("U_x y = xyx", J.u_op(x, y) == J.mul(J.mul(x, y), x), (x, y))
             report.check("x x# = N(x)", J.mul(x, xs) == one * nx, x)

@@ -30,6 +30,7 @@ from .scalars import (
     QQ_BASE,
     Vec,
     qq,
+    table_mul,
 )
 
 
@@ -74,7 +75,9 @@ class CompAlgebra(CoordSpace):
         self.name = f"comp({','.join(str(g) for g in gs)})"
         self.unit_coords = (1,) + (0,) * (self.dim - 1)
         self._zero = base.zero()
+        # the product table, which table_mul reads as _cells
         self.table, self.norm_weights = _cd_table(gs)
+        self._cells = self.table
 
     @property
     def is_associative(self) -> bool:
@@ -86,24 +89,7 @@ class CompAlgebra(CoordSpace):
 
     # -- core kernels (one pass over the product table) -----------------------
 
-    def mul_coords(self, a, b):
-        """sum a_i b_j c_ij e_k(i,j) over the nonzero coordinates, adding or
-        subtracting a product when c_ij = +-1."""
-        is0 = self.base.is_zero
-        out = [self._zero] * self.dim
-        for ai, row in zip(a, self.table):
-            if is0(ai):
-                continue
-            for bj, (k, c) in zip(b, row):
-                if is0(bj):
-                    continue
-                if c == 1:
-                    out[k] = out[k] + ai * bj
-                elif c == -1:
-                    out[k] = out[k] - ai * bj
-                else:
-                    out[k] = out[k] + ai * bj * c
-        return tuple(out)
+    mul_coords = table_mul
 
     def conj_coords(self, a):
         return a[:1] + tuple(-c for c in a[1:])
@@ -132,9 +118,10 @@ class CompAlgebra(CoordSpace):
 @cache
 def _cd_table(gammas: tuple):
     """The product table of the Cayley-Dickson chain ``gammas``: rows i of
-    pairs (k, c) with e_i e_j = c e_k; and the norm weights n_i.  One
-    doubling step by gamma, with h the old dimension, reads off the doubling
-    formula on basis vectors (e_b* = +-e_b, + for b = 0 only):
+    cells ((k, c),) with e_i e_j = c e_k, the shape ``table_mul`` reads;
+    and the norm weights n_i.  One doubling step by gamma, with h the old
+    dimension, reads off the doubling formula on basis vectors (e_b* =
+    +-e_b, + for b = 0 only):
 
         e_a e_(h+b) = e_(h + k(b,a)) * c_ba,
         e_(h+a) e_b = e_(h + k(a,b)) * c_ab * (+-1),
@@ -154,7 +141,7 @@ def _cd_table(gammas: tuple):
                 table[h + a, h + b] = (kba, qq(g * cba * star[b]))
         weights += [-g * n for n in weights]
     dim = len(weights)
-    rows = tuple(tuple(table[i, j] for j in range(dim)) for i in range(dim))
+    rows = tuple(tuple((table[i, j],) for j in range(dim)) for i in range(dim))
     return rows, tuple(qq(n) for n in weights)
 
 

@@ -632,7 +632,7 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
     s_inv = hb * K.inv(omega)
     nS_inv = B.norm(s_inv)
     res.check("n(<eta,eta>_B / omega) = (lambda lambda*)^{-1}",
-              nS_inv == K.inv(lam * sk.conj_K(lam)))
+              nS_inv == K.inv(lam * K.conj(lam)))
     S_B = _b_inverse(B, s_inv)
     S = sk.project(S_B)
     res.S = S
@@ -657,7 +657,7 @@ def _tits_h(WB: WSpace, vB: WElt, omega: AlgElem):
 
 
 def w_hermitian_K(sk: SecondKind, x: WElt, y: WElt) -> AlgElem:
-    """The K-valued skew-Hermitian form h on W_B, h(y, x) = -conj_K(h(x, y)),
+    """The K-valued skew-Hermitian form h on W_B, h(y, x) = -h(x, y)*,
     induced from the skew pairing ``herm_pair_B`` on columns, through the
     symmetrized tensor-cube model."""
     B, K = sk.B, sk.K
@@ -669,7 +669,7 @@ def w_hermitian_K(sk: SecondKind, x: WElt, y: WElt) -> AlgElem:
             p3 = herm_pair_B(sk, t1[2], t2[2])
             val = B.pair(B.cross(p1, p2), p3)
             if coef1 is not None:
-                val = val * sk.conj_K(coef1)
+                val = val * K.conj(coef1)
             if coef2 is not None:
                 val = val * coef2
             acc = acc + val
@@ -679,7 +679,8 @@ def w_hermitian_K(sk: SecondKind, x: WElt, y: WElt) -> AlgElem:
 def w_star(sk: SecondKind, x: WElt) -> WElt:
     """The involution on W_B: conjugate every component."""
     WB = x.W
-    return WElt(WB, sk.conj_K(x.a), sk.star(x.b), sk.star(x.c), sk.conj_K(x.d))
+    conj = sk.K.conj
+    return WElt(WB, conj(x.a), sk.star(x.b), sk.star(x.c), conj(x.d))
 
 
 # -- the choice-free quotient model U = Utilde / I(v, omega) -----------------
@@ -705,10 +706,11 @@ class QuotientTitsU(CNS):
     """The cubic norm structure on (J + B^2) / I(v, omega) for a rank-4
     v in W_J and omega in K with omega* = -omega, omega^2 = q(v).
 
-    Elements are stored as J-coordinates plus a canonical representative of
-    the row pair in B^2 (the representative has zero coordinates along the
-    pivots of I(v, omega)); operations canonicalize their results, so
-    equality of elements is equality of coordinates.
+    Coordinates are J's coordinates, then the canonical representative of
+    the row pair ell in B^2 read off the free (non-pivot) columns of
+    I(v, omega): ell reduced by the pivot rows has zero pivot coordinates,
+    which are not stored.  So dim = dim J + dim_F B, and equality of
+    elements is equality of coordinates.
     """
 
     def __init__(self, sk: SecondKind, v: WElt, omega: AlgElem):
@@ -722,7 +724,7 @@ class QuotientTitsU(CNS):
             raise PreconditionError("quotient model needs a rank-4 element")
         if not (omega * omega == K.from_rational(q)):
             raise PreconditionError("omega^2 must equal q(v)")
-        if not (sk.conj_K(omega) == -omega):
+        if not (K.conj(omega) == -omega):
             raise PreconditionError("omega must be *-antisymmetric")
         self.WB = WSpace(B)
         self.vB = embed_w(sk, self.WB, v)
@@ -736,10 +738,9 @@ class QuotientTitsU(CNS):
             raise IdentityError("I(v, omega) does not have B-corank one")
         self._pivots, reduced, _ = rref(ker)
         self._reduced = reduced[:len(self._pivots)]
-        self.dim = J.dim + 2 * self._fdim
-        self.qdim = J.dim + self._fdim
+        self._free = [j for j in range(2 * self._fdim) if j not in self._pivots]
+        self.dim = J.dim + len(self._free)
         self.name = f"utildeQ({sk.kind})"
-        self.is_special = False
         self.has_mul = False
 
     # -- plumbing ------------------------------------------------------------
@@ -768,49 +769,25 @@ class QuotientTitsU(CNS):
         """l1 h l2* in B for row pairs l1, l2."""
         return sum_prod(row_times_mat(e1, self.h), tuple(self.sk.star(x) for x in e2))
 
-    def canon_ell(self, ell):
+    def split(self, x: CnsElt):
+        J = self.sk.J
+        flat = [0] * (2 * self._fdim)
+        for j, c in zip(self._free, x.coords[J.dim:]):
+            flat[j] = c
+        return CnsElt(J, x.coords[:J.dim]), self.B2.unflatten(flat)
+
+    def join(self, xj: CnsElt, ell) -> CnsElt:
+        """The class of (xj, ell): ell is reduced along the pivot rows of
+        I(v, omega), and its free columns are read off."""
         flat = self.B2.flatten(ell)
         for pivot, row in zip(self._pivots, self._reduced):
             coef = flat[pivot]
             if coef != 0:
                 flat = [a - coef * b for a, b in zip(flat, row)]
-        return self.B2.unflatten(flat)
-
-    def split(self, x: CnsElt):
-        J = self.sk.J
-        xj = CnsElt(J, x.coords[:J.dim])
-        ell = self.B2.unflatten(list(x.coords[J.dim:]))
-        return xj, ell
-
-    def join(self, xj: CnsElt, ell) -> CnsElt:
-        ell = self.canon_ell(ell)
-        return CnsElt(self, tuple(xj.coords) + tuple(self.B2.flatten(ell)))
-
-    def elem(self, coords) -> CnsElt:
-        J = self.sk.J
-        cs = list(coords)
-        xj = CnsElt(J, tuple(self.base.coerce(c) for c in cs[:J.dim]))
-        ell = self.B2.unflatten([qq(c) for c in cs[J.dim:]])
-        return self.join(xj, ell)
+        return CnsElt(self, tuple(xj.coords) + tuple(flat[j] for j in self._free))
 
     def one(self) -> CnsElt:
         return self.join(self.sk.J.one(), (self.sk.B.zero(), self.sk.B.zero()))
-
-    def zero(self) -> CnsElt:
-        return self.join(self.sk.J.zero(), (self.sk.B.zero(), self.sk.B.zero()))
-
-    def basis(self) -> list[CnsElt]:
-        J = self.sk.J
-        out = []
-        zero_ell = (self.sk.B.zero(), self.sk.B.zero())
-        for e in J.basis():
-            out.append(self.join(e, zero_ell))
-        free = [j for j in range(2 * self._fdim) if j not in self._pivots]
-        for j in free:
-            flat = [0] * (2 * self._fdim)
-            flat[j] = 1
-            out.append(self.join(J.zero(), self.B2.unflatten(flat)))
-        return out
 
     def random(self, rng, height: int = 2, integral: bool = True) -> CnsElt:
         J, B = self.sk.J, self.sk.B
@@ -822,7 +799,7 @@ class QuotientTitsU(CNS):
     def norm_raw(self, xj: CnsElt, ell):
         sk, J = self.sk, self.sk.J
         return (J.norm(xj) - J.pair(xj, sk.project(self._lhl(ell, ell)))
-                + sk.tr_KF(self.WB.pair(self.Xbar, _j2_inv_shriek(self.WB, ell))))
+                + sk.K.trace(self.WB.pair(self.Xbar, _j2_inv_shriek(self.WB, ell))))
 
     def adjoint_raw(self, xj: CnsElt, ell):
         sk, J, B = self.sk, self.sk.J, self.sk.B
@@ -868,7 +845,7 @@ def utilde_cns(sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None) -> Lift
     one, zero = sk.B.one(), sk.B.zero()
     lifted, rank_one = w_u_lift(U, v, ((-one, zero), (zero, one)))
     res = LiftResult(extension=None, lifted=lifted, data={"U": U, "omega": omega})
-    res.require("I(v, omega) has B-corank one", U.qdim == J.dim + U._fdim)
+    res.require("I(v, omega) has B-corank one", U.dim == J.dim + sk.B.flat_dim())
     res.require("image of v + 1_2 is rank one", rank_one)
     return res
 
@@ -902,7 +879,6 @@ class GanSavinU(CNS):
         self.base = A.base
         self.dim = 3 * A.dim
         self.name = f"gansavinU({A.name})"
-        self.is_special = False
         self.has_mul = False
 
     def split(self, x: CnsElt):

@@ -606,6 +606,30 @@ def _matrix_over_one_denominator(m) -> tuple[list, int]:
             for row in m], den
 
 
+def table_mul(space, a, b):
+    """The product kernel of a structure given by a product table: sum
+    a_i b_j c e_k over the cells ``space._cells[i][j]`` of (k, c) pairs,
+    skipping zero coordinates, adding or subtracting a product when
+    c = +-1.  It is the ``mul_coords`` of ``CommAlgebra`` and of
+    ``composition.CompAlgebra``."""
+    out = [space._zero] * space.dim
+    for ai, row in zip(a, space._cells):
+        if not ai:
+            continue
+        for bj, cell in zip(b, row):
+            if not bj:
+                continue
+            prod = ai * bj
+            for k, c in cell:
+                if c == 1:
+                    out[k] = out[k] + prod
+                elif c == -1:
+                    out[k] = out[k] - prod
+                else:
+                    out[k] = out[k] + prod * c
+    return tuple(out)
+
+
 class CommAlgebra(CoordSpace):
     """Finite commutative unital algebra over a base, given by rational
     structure constants.
@@ -664,27 +688,16 @@ class CommAlgebra(CoordSpace):
         raise DescriptorError(f"cannot coerce {type(x).__name__} into {self.name}")
 
     def ratio(self, u: AlgElem, d: int) -> AlgElem:
-        """u / d for a nonzero int d."""
+        """u / d for a nonzero int d; u itself when d is 1."""
+        if d == 1:
+            return u
         return _reduced(self, u.num, u.den * d) if d > 0 else self.ratio(-u, -d)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def mul_coords(self, a, b):
-        """The product kernel of two elements: the numerators of a b over
-        table_den, as sum a_i b_j c_ijk e_k over the nonzero integer
-        constants c_ijk of ``_cells`` (``mat_mul`` inlines it for a matrix
-        product)."""
-        out = [self._zero] * self.dim
-        for ai, row in zip(a, self._cells):
-            if not ai:
-                continue
-            for bj, cell in zip(b, row):
-                if not bj:
-                    continue
-                prod = ai * bj
-                for k, c in cell:
-                    out[k] = out[k] + (prod if c == 1 else prod * c)
-        return tuple(out)
+    # the numerators of a b over table_den (``mat_mul`` inlines it for a
+    # matrix product)
+    mul_coords = table_mul
 
     def mul(self, x: AlgElem, y: AlgElem) -> AlgElem:
         return _reduced(self, self.mul_coords(x.num, y.num), x.den * y.den * self.table_den)

@@ -25,7 +25,7 @@ from cubicnorm.cns import (
     tensor_cross,
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
-from cubicnorm.presets import cns_preset
+from cubicnorm.presets import cns_preset, second_kind_preset
 from cubicnorm.scalars import DescriptorError, PreconditionError, det, quadratic_field
 
 
@@ -176,7 +176,25 @@ def test_tits_formula_specializations(rng):
     assert second.is_zero()
     alpha = sk.B.random(rng)
     za = U.join(sk.J.zero(), alpha)
-    assert U.norm(za) == sk.tr_KF(sk.K.one() * sk.B.norm(alpha))
+    assert U.norm(za) == sk.K.trace(sk.K.one() * sk.B.norm(alpha))
+
+
+@pytest.mark.parametrize("name", ["matrix:-1", "matrix:1", "tensor:5"])
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])
+def test_second_kind_embed_round_trips(name, over, rng):
+    """embed is additive, sends 1 to 1 and lands in the star-fixed part,
+    and project undoes it, for both kinds over Q and over Q(sqrt 5)."""
+    sk = second_kind_preset(name)
+    if over != "Q":
+        sk = sk.base_change(quadratic_field(5))
+    J, B = sk.J, sk.B
+    assert sk.embed(J.one()) == B.one()
+    for _ in range(3):
+        j, k = J.random(rng), J.random(rng)
+        b = sk.embed(j)
+        assert sk.project(b) == j
+        assert sk.star(b) == b
+        assert sk.embed(j + k) == b + sk.embed(k)
 
 
 def test_tits_precondition():

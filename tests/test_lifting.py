@@ -309,7 +309,7 @@ def test_hermitian_form_identity(rng):
     for _ in range(3):
         x, y = WB.random(rng, 1), WB.random(rng, 1)
         assert w_hermitian_K(sk, x, y) == WB.pair(w_star(sk, x), y) * 6
-        assert w_hermitian_K(sk, y, x) == -sk.conj_K(w_hermitian_K(sk, x, y))
+        assert w_hermitian_K(sk, y, x) == -sk.K.conj(w_hermitian_K(sk, x, y))
 
 
 def test_utilde(rng):
@@ -324,7 +324,30 @@ def test_utilde(rng):
     r = cns_axioms_check(U, trials=8, seed=5)
     assert r.ok(), r.failures
     # corank check: dim I = dim_F B
-    assert U.qdim == sk.J.dim + U._fdim
+    assert U.dim == sk.J.dim + U._fdim
+
+
+def test_utilde_is_a_coordinate_space(rng):
+    """The quotient model has one coordinate per dimension, dim J + dim_F B
+    of them, read off the free columns of I(v, omega): elem, zero, basis,
+    split and join agree on its classes, and adding a row of I(v, omega) to
+    the row pair does not change the class."""
+    A = TrivialCNS()
+    va = rand_rank4(WSpace(A), rng, unit_corner=True)
+    skm = second_kind_matrix(-1)
+    for sk, v in ((second_kind_tensor(A, WSpace(A).quartic(va)), va),
+                  (skm, rank4_with_antisym_omega(skm, random.Random(0)))):
+        U = utilde_cns(sk, v).data["U"]
+        J, B = sk.J, sk.B
+        assert len(U.basis()) == U.dim == J.dim + B.flat_dim()
+        assert U.zero() == U.join(J.zero(), (B.zero(), B.zero()))
+        row = U.B2.unflatten(U._reduced[0])
+        for x in [U.random(rng, 1), U.one()] + U.basis()[-2:]:
+            assert U.elem(x.coords) == x
+            xj, ell = U.split(x)
+            assert U.join(xj, ell) == x
+            assert U.join(xj, (ell[0] + row[0], ell[1] + row[1])) == x
+    assert U.dim == 27
 
 
 def test_utilde_left_kernel_reads_rows_of_h():

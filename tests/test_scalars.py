@@ -676,6 +676,18 @@ def test_numerators_over_any_base_match_coordinate_oracle(a, b, q, n, d):
         assert tuple(map(_tree, S.char_s1_s2(x))) == _o_char(S, tx)
 
 
+def test_ratio_by_one_is_the_element_itself():
+    """u / 1 is u itself, not a rebuilt copy: over Q for an element with
+    den > 1, and over a quadratic field over Q(sqrt 5)."""
+    E = quadratic_field(5)
+    L, K = quadratic_field(F(3, 4)), QuotientAlgebra([F(-3, 4), 0, 1], base=E)
+    u = L.elem([F(1, 2), F(1, 3)])
+    w = K.elem([E.elem([F(1, 2), 1]), E.elem([0, F(1, 3)])])
+    assert u.den > 1
+    for S, x in ((L, u), (K, w)):
+        assert S.ratio(x, 1) is x
+
+
 def test_integral_results_have_int_coordinates():
     """A sum, difference, product, conjugate or scaling of non-integral
     elements whose value is integral has int coordinates, not Fractions."""

@@ -451,3 +451,89 @@ def test_cli_mangled_input_never_crashes(data, structure):
             code, _ = run_cli(argv)
         assert code in (0, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+_FXF_W = {"a": "1", "b": ["1", "0"], "c": ["0", "1"], "d": "2"}
+_H3_PAIR = {"A": {"coords": ["0", "-1", "-3", "0", "1", "0"]},
+            "B": {"coords": ["0", "-2", "-4", "0", "0", "-1"]}}
+_H3 = ["--structure", "preset:h3-rational"]
+_FXF = ["--structure", "preset:fxf"]
+_MATRIX = ["--second-kind", "matrix:-1"]
+# one command line per input decoder, each with a valid --input it certifies
+_COMMANDS = [
+    (["cube", "--to", "ideals"], {"cube": [1, 0, 1, 1, 0, 1, 1, -2]}),
+    (["cube", "--to", "cube"], {
+        "basis": [[["1/2", "1/12"], ["0", "-1/12"], ["0", "0"]],
+                  [["0", "1/6"], ["0", "1/12"], ["0", "0"]]],
+        "beta": ["1/12", "1/36"], "ring": {"quad": {"D": "12"}},
+        "structure": {"cns": {"variant": "cubic", "table": [
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            [["0", "1", "0"], ["0", "-1", "0"], ["0", "0", "0"]],
+            [["0", "0", "1"], ["0", "0", "0"], ["0", "0", "1"]]]}}}),
+    (["pair"] + _H3, _H3_PAIR),
+    (["pair", "--to", "ideals"] + _H3, _H3_PAIR),
+    (["pair", "--invariant"] + _H3, _H3_PAIR),
+    (["pair", "--to", "pair"], {
+        "basis": [[["13/20", "1/4", "-3/20"]], [["3/20", "-3/20", "-1/4"]],
+                  [["-1/5", "-3/5", "-1/5"]]],
+        "beta": ["71/200", "11/100", "-13/200"], "comp": {"gammas": []},
+        "ring": {"cubic": {"coeffs": ["1", "2", "3", "4"]}}}),
+    (["invariant", "--kind", "b1"] + _FXF, _FXF_W),
+    (["invariant", "--kind", "b2"] + _H3, _H3_PAIR),
+    (["lowrank", "--kind", "h3-rank2"] + _H3, {"coords": ["1", "1", "0", "0", "0", "0"]}),
+    (["lowrank", "--kind", "w-rank2"] + _H3,
+     {"a": "1", "b": ["0"] * 6, "c": ["1"] + ["0"] * 5, "d": "0"}),
+    (["lowrank", "--kind", "w-rank3"] + _MATRIX,
+     {"a": "1", "b": ["0"] * 9, "c": ["1", "1"] + ["0"] * 7, "d": "0"}),
+] + [(["lift", "--law", law] + _FXF, _FXF_W) for law in ("wj", "wa", "gansavin")] + [
+    (["lift", "--law", law] + _MATRIX, {
+        "a": "-13/2", "b": ["0", "27/4", "3/2", "-19/2", "3", "-13/2", "-15/2", "-13/4", "13/4"],
+        "c": ["51/4", "16", "13/4", "-15/2", "1", "-10", "-14", "-55/4", "35/4"],
+        "d": "-159/4"}) for law in ("second", "utilde")]
+
+
+@st.composite
+def mangled_commands(draw):
+    """A command line of ``_COMMANDS`` with its valid input replaced whole,
+    with one entry dropped or with one entry replaced."""
+    argv, data = draw(st.sampled_from(_COMMANDS))
+    data = json.loads(json.dumps(data))
+    how = draw(st.sampled_from(["whole", "drop", "entry"]))
+    if how == "whole":
+        data = draw(JSON_VALUES)
+    else:
+        path = draw(st.sampled_from([p for p in _paths(data) if p]))
+        parent = _at(data, path[:-1])
+        if how == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON_VALUES)
+    return argv + ["--bound", "20", "--input", json.dumps(data)]
+
+
+def test_cli_valid_inputs_of_the_mangled_commands_pass():
+    for argv, data in _COMMANDS:
+        assert run_cli(argv + ["--input", json.dumps(data)])[0] == 0, argv
+
+
+@settings(max_examples=80, deadline=None)
+@given(mangled_commands())
+def test_cli_mangled_input_exits_as_documented(argv):
+    """Every input decoder turns mangled input into an exit code the CLI
+    documents: 0, a usage error (2) or an exceeded bound (3); any other
+    exception propagates out of main."""
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, _ = run_cli(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+
+
+def test_cli_reports_an_unexpected_error_as_a_bug(monkeypatch):
+    """A KeyError from inside a construction is a bug, not a usage error:
+    main lets it propagate instead of returning 2."""
+    def broken(W, v):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "lift_wj", broken)
+    with pytest.raises(KeyError):
+        main(["lift", "--law", "wj", "--structure", "preset:fxf", "--input", json.dumps(_FXF_W)])
