@@ -138,12 +138,6 @@ class CNS(CoordSpace):
             return self.mul(self.mul(x, y), z) + self.mul(self.mul(z, y), x)
         return None
 
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._key()))
-
     def _key(self):
         return (self.name, self.base)
 
@@ -208,7 +202,7 @@ class ProductCNS(CNS):
         self.name = f"FxC({','.join(str(g) for g in comp.gammas)})"
 
     def _split(self, x):
-        return x.coords[0], CompElt(self.comp, x.coords[1:])
+        return x.coords[0], x.block(self.comp, 1)
 
     def _join(self, a, c: CompElt) -> CnsElt:
         return CnsElt(self, (a,) + c.coords)
@@ -363,12 +357,8 @@ class H3CNS(CNS):
         self.has_mul = False
 
     def split(self, x: CnsElt):
-        d = self.comp.dim
-        c1, c2, c3 = x.coords[0], x.coords[1], x.coords[2]
-        a1 = CompElt(self.comp, x.coords[3:3 + d])
-        a2 = CompElt(self.comp, x.coords[3 + d:3 + 2 * d])
-        a3 = CompElt(self.comp, x.coords[3 + 2 * d:3 + 3 * d])
-        return (c1, c2, c3), (a1, a2, a3)
+        C = self.comp
+        return x.coords[:3], (x.block(C, 3), x.block(C, 3 + C.dim), x.block(C, 3 + 2 * C.dim))
 
     def join(self, cs, As) -> CnsElt:
         diag = tuple(self.base.coerce(c) for c in cs)
@@ -515,7 +505,7 @@ class SecondKind:
         if self.kind == "matrix":
             m = self.J.to_matrix(j)
             return self.B.from_matrix(mat([AlgElem(K, e.coords) for e in row] for row in m))
-        return CnsElt(self.B, tuple(K.scalar_mul_one(c) for c in j.coords))
+        return CnsElt(self.B, tuple(K.from_scalar(c) for c in j.coords))
 
     def project(self, b: CnsElt) -> CnsElt:
         """Inverse of embed on star-fixed elements."""
@@ -587,7 +577,7 @@ class TitsUCNS(CNS):
         rest = iter(x.coords[J.dim:])
         # each K-coordinate of B is the next K.dim base coordinates
         alpha = CnsElt(self.sk.B, tuple(AlgElem(K, c) for c in zip(*[rest] * K.dim)))
-        return CnsElt(J, x.coords[:J.dim]), alpha
+        return x.block(J), alpha
 
     def join(self, X: CnsElt, alpha: CnsElt) -> CnsElt:
         return CnsElt(self, X.coords + tuple(f for c in alpha.coords for f in c.coords))
@@ -666,12 +656,8 @@ class CayleyUCNS(CNS):
         self.has_mul = False
 
     def split(self, x: CnsElt):
-        hd = self.H.dim
-        X = CnsElt(self.H, x.coords[:hd])
-        rest = x.coords[hd:]
-        d = self.comp.dim
-        v = tuple(CompElt(self.comp, rest[i * d:(i + 1) * d]) for i in range(3))
-        return X, v
+        hd, d = self.H.dim, self.comp.dim
+        return x.block(self.H), tuple(x.block(self.comp, hd + i * d) for i in range(3))
 
     def join(self, X: CnsElt, v) -> CnsElt:
         return CnsElt(self, X.coords + v[0].coords + v[1].coords + v[2].coords)
@@ -723,13 +709,10 @@ class CayleyUCNS(CNS):
         return self.doubled.join((c1, c2, c3), (b1, b2, b3))
 
     def iso_from_doubled(self, y: CnsElt) -> CnsElt:
-        (c1, c2, c3), (b1, b2, b3) = self.doubled.split(y)
-        d = self.comp.dim
-        X = self.H.join((c1, c2, c3), (CompElt(self.comp, b1.coords[:d]),
-                                       CompElt(self.comp, b2.coords[:d]),
-                                       CompElt(self.comp, b3.coords[:d])))
-        v = tuple(CompElt(self.comp, b.coords[d:]) for b in (b1, b2, b3))
-        return self.join(X, v)
+        cs, bs = self.doubled.split(y)
+        C = self.comp
+        X = self.H.join(cs, tuple(b.block(C) for b in bs))
+        return self.join(X, tuple(b.block(C, C.dim) for b in bs))
 
     def special_combo(self, x, y, z):
         # an octonion H_3 has no special embedding: build no images for it

@@ -11,14 +11,17 @@ length <= 1 commutative.  Norm, trace, and conjugation come with the doubling:
 Unrolled on the basis, the doubling is a product table: e_i e_j = c_ij e_k
 with k = i xor j and c_ij a signed product of gammas (Schafer, An
 Introduction to Nonassociative Algebras, III.4; Baez, "The Octonions",
-2.2).  Conjugation negates the coordinates 1..n-1, and the norm is
-sum n_i a_i^2 with n_i the product of -gamma_l over the bits l of i.  The
-table depends on the chain alone, so it is built once per chain and shared
-by every base change.
+2.2).  The cells c_ij are held as integers over one ``table_den``, so an
+element, numerators over a denominator like every ``Vec``, multiplies
+through ``CoordSpace.mul`` as a quotient-algebra element does.  Conjugation
+negates the coordinates 1..n-1, and the norm is sum n_i a_i^2 with n_i the
+product of -gamma_l over the bits l of i.  The table depends on the chain
+alone, so it is built once per chain and shared by every base change.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence
@@ -29,13 +32,15 @@ from .scalars import (
     DescriptorError,
     QQ_BASE,
     Vec,
+    _reduced,
     qq,
     table_mul,
 )
 
 
 class CompElt(Vec):
-    """Element of a composition algebra; immutable coordinate vector."""
+    """Element of a composition algebra: a ``Vec`` with conjugation, norm,
+    trace and inverse, each read off the numerators."""
 
     __slots__ = ()
     alg = Vec.space
@@ -44,13 +49,15 @@ class CompElt(Vec):
         return f"CompElt{self.coords}"
 
     def conj(self) -> "CompElt":
-        return CompElt(self.alg, self.alg.conj_coords(self.coords))
+        return _reduced(self.alg, self.alg.conj_coords(self.num), self.den, False)
 
     def norm(self):
-        return self.alg.norm_coords(self.coords)
+        n, d = self.alg.norm_coords(self.num), self.den
+        return n if d == 1 else self.alg.base.ratio(n, d * d)
 
     def trace(self):
-        return self.coords[0] + self.coords[0]
+        t, d = self.num[0] * 2, self.den
+        return t if d == 1 else self.alg.base.ratio(t, d)
 
     def inv(self) -> "CompElt":
         n = self.norm()
@@ -58,7 +65,9 @@ class CompElt(Vec):
 
 
 class CompAlgebra(CoordSpace):
-    """A composition algebra over a base ring, from a Cayley-Dickson chain."""
+    """A composition algebra over a base ring, from a Cayley-Dickson chain:
+    its product table ``_cells`` over ``table_den`` and its norm weights,
+    shared by every base change of the chain."""
 
     element = CompElt
 
@@ -75,9 +84,7 @@ class CompAlgebra(CoordSpace):
         self.name = f"comp({','.join(str(g) for g in gs)})"
         self.unit_coords = (1,) + (0,) * (self.dim - 1)
         self._zero = base.zero()
-        # the product table, which table_mul reads as _cells
-        self.table, self.norm_weights = _cd_table(gs)
-        self._cells = self.table
+        self._cells, self.table_den, self.norm_weights = _cd_table(gs)
 
     @property
     def is_associative(self) -> bool:
@@ -103,12 +110,8 @@ class CompAlgebra(CoordSpace):
     def base_change(self, new_base) -> "CompAlgebra":
         return CompAlgebra(self.gammas, base=new_base)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CompAlgebra) and self.gammas == other.gammas
-                and self.base == other.base)
-
-    def __hash__(self) -> int:
-        return hash((self.gammas, "comp"))
+    def _key(self):
+        return (self.gammas, self.base)
 
     def __repr__(self) -> str:
         gs = ",".join(str(g) for g in self.gammas)
@@ -118,10 +121,10 @@ class CompAlgebra(CoordSpace):
 @cache
 def _cd_table(gammas: tuple):
     """The product table of the Cayley-Dickson chain ``gammas``: rows i of
-    cells ((k, c),) with e_i e_j = c e_k, the shape ``table_mul`` reads;
-    and the norm weights n_i.  One doubling step by gamma, with h the old
-    dimension, reads off the doubling formula on basis vectors (e_b* =
-    +-e_b, + for b = 0 only):
+    cells ((k, c),) with e_i e_j = c / den e_k for an int c, the shape
+    ``table_mul`` reads; the one denominator den; and the norm weights
+    n_i.  One doubling step by gamma, with h the old dimension, reads off
+    the doubling formula on basis vectors (e_b* = +-e_b, + for b = 0 only):
 
         e_a e_(h+b) = e_(h + k(b,a)) * c_ba,
         e_(h+a) e_b = e_(h + k(a,b)) * c_ab * (+-1),
@@ -141,8 +144,10 @@ def _cd_table(gammas: tuple):
                 table[h + a, h + b] = (kba, qq(g * cba * star[b]))
         weights += [-g * n for n in weights]
     dim = len(weights)
-    rows = tuple(tuple((table[i, j],) for j in range(dim)) for i in range(dim))
-    return rows, tuple(qq(n) for n in weights)
+    den = math.lcm(*(c.denominator for _, c in table.values()))
+    rows = tuple(tuple(((k, qq(c * den)),) for k, c in (table[i, j] for j in range(dim)))
+                 for i in range(dim))
+    return rows, den, tuple(qq(n) for n in weights)
 
 
 def cd_double(desc: CompAlgebra, gamma) -> CompAlgebra:

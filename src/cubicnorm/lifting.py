@@ -570,8 +570,8 @@ def find_antisymmetric_omega(sk: SecondKind, qv) -> AlgElem:
 
 def embed_w(sk: SecondKind, WB: WSpace, v: WElt) -> WElt:
     K = sk.K
-    return WElt(WB, K.scalar_mul_one(v.a), sk.embed(v.b), sk.embed(v.c),
-                K.scalar_mul_one(v.d))
+    return WElt(WB, K.from_scalar(v.a), sk.embed(v.b), sk.embed(v.c),
+                K.from_scalar(v.d))
 
 
 def _b_inverse(B: CNS, x: CnsElt) -> CnsElt:
@@ -774,7 +774,7 @@ class QuotientTitsU(CNS):
         flat = [0] * (2 * self._fdim)
         for j, c in zip(self._free, x.coords[J.dim:]):
             flat[j] = c
-        return CnsElt(J, x.coords[:J.dim]), self.B2.unflatten(flat)
+        return x.block(J), self.B2.unflatten(flat)
 
     def join(self, xj: CnsElt, ell) -> CnsElt:
         """The class of (xj, ell): ell is reduced along the pivot rows of
@@ -883,8 +883,7 @@ class GanSavinU(CNS):
 
     def split(self, x: CnsElt):
         A = self.A
-        return (CnsElt(A, x.coords[:A.dim]),
-                (CnsElt(A, x.coords[A.dim:2 * A.dim]), CnsElt(A, x.coords[2 * A.dim:])))
+        return x.block(A), (x.block(A, A.dim), x.block(A, 2 * A.dim))
 
     def join(self, xa: CnsElt, ell) -> CnsElt:
         return CnsElt(self, tuple(xa.coords) + tuple(ell[0].coords) + tuple(ell[1].coords))

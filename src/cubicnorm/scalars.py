@@ -4,9 +4,10 @@ quotient algebras F[x]/(f), and small dense exact linear algebra.
 Everything in this package is computed over Q or over a finite-dimensional
 commutative Q-algebra given by structure constants.  A rational scalar is an
 ``int`` when it is integral and a ``fractions.Fraction`` otherwise; no floating
-point appears anywhere, and a float offered as a scalar is refused.  An
-algebra element is numerators over an int denominator on every base: integers
-over one denominator over Q, its coordinates over 1 over any other base.
+point appears anywhere, and a float offered as a scalar is refused.  Every
+element of every structure is a ``Vec``: numerators over an int denominator
+on every base (integers over one denominator over Q, its coordinates over 1
+over any other base), with one element arithmetic on the numerators.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -259,34 +261,55 @@ QQ_BASE = RationalBase()
 
 class Vec:
     """An element of a free module over a base: its structure ``space`` and
-    its coordinate tuple.
+    numerators ``num`` over an int denominator ``den`` > 0.
 
-    Sum, difference, negation, scaling by a base scalar, equality and hash
-    are defined here once; the product is ``space.mul``, and a subclass adds
-    only its repr and its own maps.  This is the one place that reads a bare
-    operand -- an int, a Fraction or an element of the base algebra -- as a
-    scalar s: ``*`` scales by it, and where the structure has unit
-    coordinates, +, - and == read it as s * 1.  An operand over a structure
-    whose base is this element's structure carries out +, - and * itself,
-    also where Python tries no reflected method (two ``AlgElem``).  An
-    ``AlgElem`` runs the operations within its algebra, and scaling by an
-    int or a Fraction, on its numerators and falls back here for the rest.
+    Over Q ``num`` is a tuple of ints with gcd(den, num) = 1, integers over
+    one denominator (Cohen, GTM 138, 4.2); over any other base ``num`` is
+    the coordinates and ``den`` is 1.  So two elements of one structure are
+    equal exactly when their (num, den) are.  ``coords`` -- over Q an int
+    where integral, a Fraction otherwise -- is read off on first use; an
+    element built from coordinates keeps them as its ``coords``.
+
+    Sum, difference, negation, scaling by a base scalar, equality, hash and
+    the zero test are defined here once, for every element type, on the
+    numerators, and ``_reduced`` brings each result back to this form; the
+    product is ``space.mul``, and a subclass adds only its repr and its own
+    maps.  This is the one place that reads a bare operand -- an int, a
+    Fraction or an element of the base algebra -- as a scalar s: ``*``
+    scales by it, and where the structure has unit coordinates, +, - and ==
+    read it as s * 1.  An operand over a structure whose base is this
+    element's structure carries out +, - and * itself, also where Python
+    tries no reflected method (two ``AlgElem``).
     """
 
-    __slots__ = ("space", "coords")
+    __slots__ = ("space", "num", "den", "_coords")
 
     def __init__(self, space, coords: Sequence):
         self.space = space
-        self.coords = tuple(coords)
+        self._coords = coords = tuple(coords)
+        if space.rational and Fraction in map(type, coords):
+            self.num, self.den = _over_one_denominator(coords)
+        else:
+            self.num, self.den = coords, 1
+
+    @property
+    def coords(self) -> tuple:
+        try:
+            return self._coords
+        except AttributeError:
+            # only an element over Q lacks them: over any other base den is 1
+            ratio, den = QQ_BASE.ratio, self.den
+            self._coords = coords = tuple(ratio(n, den) for n in self.num)
+            return coords
 
     def _peer(self, other):
-        """The coordinates of ``other`` as an element of this structure, or
-        None: an element of an equal structure as it is, a bare operand s as
-        s * 1."""
+        """``other`` as an element with the (num, den) it has in this
+        structure, or None: an element of an equal structure as it is, a
+        bare operand s as s * 1."""
         space = self.space
         if isinstance(other, Vec):
             if other.space is space or other.space == space:
-                return other.coords
+                return other
             if not isinstance(other, AlgElem):
                 return None
         elif not isinstance(other, (int, Fraction)):
@@ -294,102 +317,124 @@ class Vec:
         if space.unit_coords is None:
             return None
         try:
-            return space.from_scalar(other).coords
+            return space.from_scalar(other)
         except DescriptorError:
             return None
 
     def _is_base_of(self, other) -> bool:
         return isinstance(other, Vec) and other.space.base == self.space
 
+    # each operation takes an element of its own structure, the common
+    # case, without the call to _peer
+
     def __add__(self, other):
-        o = self._peer(other)
+        o = other if type(other) is type(self) and other.space is self.space else self._peer(other)
         if o is None:
             return other.__radd__(self) if self._is_base_of(other) else NotImplemented
-        return type(self)(self.space, tuple(a + b for a, b in zip(self.coords, o)))
+        return _combine(self.space, operator.add, self, o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._peer(other)
+        o = other if type(other) is type(self) and other.space is self.space else self._peer(other)
         if o is None:
             return other.__rsub__(self) if self._is_base_of(other) else NotImplemented
-        return type(self)(self.space, tuple(a - b for a, b in zip(self.coords, o)))
+        return _combine(self.space, operator.sub, self, o)
 
     def __rsub__(self, other):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        return type(self)(self.space, tuple(b - a for a, b in zip(self.coords, o)))
+        return _combine(self.space, operator.sub, o, self)
 
     def __neg__(self):
-        return type(self)(self.space, tuple(-a for a in self.coords))
+        return _reduced(self.space, tuple(map(operator.neg, self.num)), self.den, False)
 
     def __mul__(self, other):
         space = self.space
-        if isinstance(other, Vec):
-            if other.space is space or other.space == space:
-                return space.mul(self, other)
-            if isinstance(other, AlgElem):
-                try:
-                    other = space.base.coerce(other)
-                except DescriptorError:
-                    if self._is_base_of(other):
-                        return other.__rmul__(self)
-                    if isinstance(self, AlgElem):
-                        return NotImplemented
-                    raise
-            elif type(other) is type(self):
-                raise DescriptorError(f"descriptor mismatch: {space!r} and {other.space!r}")
-            else:
+        if type(other) is type(self) and other.space is space:
+            return space.mul(self, other)
+        if type(other) is not int:
+            if isinstance(other, Vec):
+                if other.space is space or other.space == space:
+                    return space.mul(self, other)
+                if isinstance(other, AlgElem):
+                    try:
+                        other = space.base.coerce(other)
+                    except DescriptorError:
+                        if self._is_base_of(other):
+                            return other.__rmul__(self)
+                        if isinstance(self, AlgElem):
+                            return NotImplemented
+                        raise
+                elif type(other) is type(self):
+                    raise DescriptorError(f"descriptor mismatch: {space!r} and {other.space!r}")
+                else:
+                    return NotImplemented
+            elif isinstance(other, Fraction):
+                return _reduced(space, tuple(map(operator.mul, self.num, repeat(other.numerator))),
+                                self.den * other.denominator)
+            elif not isinstance(other, int):
                 return NotImplemented
-        elif not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return type(self)(space, tuple(a * other for a in self.coords))
+        # an int, or an element of the base algebra (over which den is 1)
+        return _reduced(space, tuple(map(operator.mul, self.num, repeat(other))), self.den)
 
-    # only a scalar reaches here: a product of two elements is taken by the
-    # left operand
+    # only a scalar, or an element over another structure, reaches here: a
+    # product of two elements of one structure is taken by the left operand
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        o = self._peer(other)
+        o = other if type(other) is type(self) and other.space is self.space else self._peer(other)
         if o is None:
             return NotImplemented
-        return self.coords == o
+        return self.den == o.den and self.num == o.num
 
     def __hash__(self) -> int:
         # an element s * 1 equals the base scalar s, so it hashes as s; s is
         # read off the unit's first nonzero coordinate k
         pivot = self.space.unit_pivot
+        coords = self.coords
         if pivot is not None:
             k, inv, support, outside = pivot
-            coords = self.coords
             is0 = self.space.base.is_zero
             if all(is0(coords[j]) for j in outside):
                 s = coords[k] if inv == 1 else coords[k] * inv
                 if all(coords[j] == s * u for j, u in support):
                     return hash(s)
-        return hash(self.coords)
+        return hash(coords)
 
     def __bool__(self) -> bool:
         """Only the zero element is falsy, as only 0 is among scalars."""
-        return any(self.coords)
+        return any(self.num)
 
     def is_zero(self) -> bool:
-        return not self
+        return not any(self.num)
+
+    def block(self, space, start: int = 0) -> "Vec":
+        """The element of ``space``, over this element's base, whose
+        coordinates are this element's from ``start`` on: its numerators
+        there over its denominator, so none is read off or scanned again."""
+        return _reduced(space, self.num[start:start + space.dim], self.den)
 
 
 class CoordSpace:
     """A structure whose elements are ``element`` coordinate vectors of
     length ``dim`` over ``base``: the one set of coordinate helpers.
 
-    A subclass sets ``dim``, ``base``, ``name`` and ``element``.  An algebra
-    also sets ``unit_coords``, the rational coordinates of 1 (with them a
-    bare scalar s is the element s * 1), and ``mul_coords``, its product on
-    coordinate tuples.
+    A subclass sets ``dim``, ``base``, ``name`` and ``element``, and ``_key``
+    for equality.  An algebra given by a product table also sets
+    ``unit_coords``, the rational coordinates of 1 (with them a bare scalar
+    s is the element s * 1), and ``mul_coords`` and ``table_den``, its
+    product on numerators and the denominator that product is over.
     """
 
     unit_coords: Optional[tuple] = None
     random_height = 3
+
+    @cached_property
+    def rational(self) -> bool:
+        """Whether the base is Q, so elements hold ints over a denominator."""
+        return isinstance(self.base, RationalBase)
 
     @cached_property
     def unit_pivot(self) -> Optional[tuple]:
@@ -434,7 +479,9 @@ class CoordSpace:
                 for i in range(self.dim) for b in self.base.basis()]
 
     def mul(self, x, y):
-        return self.element(self, self.mul_coords(x.coords, y.coords))
+        """The one table product: ``mul_coords`` on the numerators, over
+        x.den * y.den * table_den."""
+        return _reduced(self, self.mul_coords(x.num, y.num), x.den * y.den * self.table_den)
 
     def random(self, rng, height: Optional[int] = None, integral: bool = True):
         h = self.random_height if height is None else height
@@ -456,94 +503,18 @@ class CoordSpace:
         return self.element(self, tuple(self.base.unflatten(coords[i * step:(i + 1) * step])
                                         for i in range(self.dim)))
 
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, self._key()))
+
 
 class AlgElem(Vec):
-    """Element of a CommAlgebra: numerators ``num`` over an int denominator
-    ``den`` > 0, on every base.
+    """Element of a CommAlgebra: a ``Vec`` with the algebra's maps."""
 
-    Over Q ``num`` is a tuple of ints with gcd(den, num) = 1, integers over
-    one denominator (Cohen, GTM 138, 4.2); over any other base ``num`` is
-    the coordinates and ``den`` is 1.  So two elements of one algebra are
-    equal exactly when their (num, den) are.  Sums, differences, negation,
-    scaling by an int or a Fraction, products, the zero test and equality
-    within one algebra run on the numerators, and ``_reduced`` brings each
-    result back to this form.  ``coords`` -- over Q an int where integral,
-    a Fraction otherwise -- is read off on first use; an element built from
-    coordinates keeps them as its ``coords``.
-    """
-
-    __slots__ = ("num", "den")
+    __slots__ = ()
     alg = Vec.space
-    # the storage of Vec's coords slot, which the coords property fills
-    _coords = Vec.coords
-
-    def __init__(self, space, coords: Sequence):
-        self.space = space
-        self._coords = coords = tuple(coords)
-        self.num, self.den = _over_one_denominator(coords) if space.rational else (coords, 1)
-
-    @property
-    def coords(self) -> tuple:
-        try:
-            return self._coords
-        except AttributeError:
-            ratio, den = self.space.base.ratio, self.den
-            self._coords = coords = tuple(ratio(n, den) for n in self.num)
-            return coords
-
-    def __add__(self, other):
-        space = self.space
-        if type(other) is AlgElem and other.space is space:
-            a, b = self.den, other.den
-            if a == b:
-                return _reduced(space, tuple(map(operator.add, self.num, other.num)), a)
-            return _reduced(space, tuple(x * b + y * a for x, y in zip(self.num, other.num)),
-                            a * b)
-        return Vec.__add__(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        space = self.space
-        if type(other) is AlgElem and other.space is space:
-            a, b = self.den, other.den
-            if a == b:
-                return _reduced(space, tuple(map(operator.sub, self.num, other.num)), a)
-            return _reduced(space, tuple(x * b - y * a for x, y in zip(self.num, other.num)),
-                            a * b)
-        return Vec.__sub__(self, other)
-
-    def __neg__(self):
-        return _reduced(self.space, tuple(map(operator.neg, self.num)), self.den, False)
-
-    def __mul__(self, other):
-        space = self.space
-        kind = type(other)
-        if kind is AlgElem:
-            if other.space is space:
-                return space.mul(self, other)
-        elif kind is int:
-            return _reduced(space, tuple(n * other for n in self.num), self.den)
-        elif kind is Fraction:
-            p = other.numerator
-            return _reduced(space, tuple(n * p for n in self.num), self.den * other.denominator)
-        return Vec.__mul__(self, other)
-
-    # only a scalar, or an element of another algebra, reaches here
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if type(other) is AlgElem and other.space is self.space:
-            return self.den == other.den and self.num == other.num
-        return Vec.__eq__(self, other)
-
-    __hash__ = Vec.__hash__
-
-    def __bool__(self) -> bool:
-        return any(self.num)
-
-    def is_zero(self) -> bool:
-        return not any(self.num)
 
     def __repr__(self) -> str:
         terms = ", ".join(repr(c) for c in self.coords)
@@ -565,8 +536,8 @@ class AlgElem(Vec):
 _new = object.__new__
 
 
-def _reduced(space, num: tuple, den: int, reduce: bool = True) -> AlgElem:
-    """The element num / den of an algebra, for an int den > 0.  Over Q it
+def _reduced(space, num: tuple, den: int, reduce: bool = True) -> Vec:
+    """The element num / den of a structure, for an int den > 0.  Over Q it
     is brought to lowest terms by one gcd unless den is 1 or the caller
     knows it is (``reduce``); over any other base each numerator is divided
     by den in the base (``ratio``), so den becomes 1."""
@@ -579,7 +550,7 @@ def _reduced(space, num: tuple, den: int, reduce: bool = True) -> AlgElem:
             if g != 1:
                 num = tuple(n // g for n in num)
                 den //= g
-    x = _new(AlgElem)
+    x = _new(space.element)
     x.space = space
     x.num = num
     x.den = den
@@ -588,11 +559,19 @@ def _reduced(space, num: tuple, den: int, reduce: bool = True) -> AlgElem:
     return x
 
 
+def _combine(space, op, x: Vec, y: Vec) -> Vec:
+    """The element x op y of a structure, for op + or -, on numerators over
+    the product of the two denominators when they differ."""
+    a, b = x.den, y.den
+    if a == b:
+        return _reduced(space, tuple(map(op, x.num, y.num)), a)
+    return _reduced(space, tuple(map(op, map(operator.mul, x.num, repeat(b)),
+                                     map(operator.mul, y.num, repeat(a)))), a * b)
+
+
 def _over_one_denominator(coords: tuple) -> tuple[tuple, int]:
     """(num, den) for rational coordinates: integers over their least
     common denominator, which is in lowest terms."""
-    if Fraction not in map(type, coords):
-        return coords, 1
     den = math.lcm(*[c.denominator for c in coords])
     return tuple(c.numerator * (den // c.denominator) for c in coords), den
 
@@ -655,7 +634,6 @@ class CommAlgebra(CoordSpace):
         self.table = tuple(tuple(tuple(qq(c) for c in cell) for cell in row) for row in table)
         self.dim = len(self.table)
         self.base = base
-        self.rational = isinstance(base, RationalBase)
         self._zero = base.zero()
         if unit_coords is None:
             unit_coords = (1,) + (0,) * (self.dim - 1)
@@ -674,7 +652,7 @@ class CommAlgebra(CoordSpace):
 
     # -- construction -------------------------------------------------------
 
-    from_rational = scalar_mul_one = CoordSpace.from_scalar
+    from_rational = CoordSpace.from_scalar
 
     def coerce(self, x):
         if isinstance(x, AlgElem):
@@ -698,9 +676,6 @@ class CommAlgebra(CoordSpace):
     # the numerators of a b over table_den (``mat_mul`` inlines it for a
     # matrix product)
     mul_coords = table_mul
-
-    def mul(self, x: AlgElem, y: AlgElem) -> AlgElem:
-        return _reduced(self, self.mul_coords(x.num, y.num), x.den * y.den * self.table_den)
 
     def mat_mul(self, a, b):
         """The matrix product a b for matrices (tuples of rows) whose entries

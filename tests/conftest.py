@@ -44,6 +44,39 @@ def hermitian_variants():
             H3CNS(comp_preset("hamilton"))]
 
 
+# -- oracle: the Cayley-Dickson recursion, level by level --------------------
+#
+#     (x1, y1)(x2, y2) = (x1 x2 + gamma y2* y1,  y2 x1 + y1 x2*)
+#     (x, y)* = (x*, -y),   n((x, y)) = n(x) - gamma n(y)
+
+
+def cd_mul(gammas, a, b):
+    if not gammas:
+        return (a[0] * b[0],)
+    *rest, g = gammas
+    h = len(a) // 2
+    x1, y1, x2, y2 = a[:h], a[h:], b[:h], b[h:]
+    left = tuple(p + g * q for p, q in zip(cd_mul(rest, x1, x2),
+                                           cd_mul(rest, cd_conj(rest, y2), y1)))
+    right = tuple(p + q for p, q in zip(cd_mul(rest, y2, x1),
+                                        cd_mul(rest, y1, cd_conj(rest, x2))))
+    return left + right
+
+
+def cd_conj(gammas, a):
+    if not gammas:
+        return (a[0],)
+    h = len(a) // 2
+    return cd_conj(gammas[:-1], a[:h]) + tuple(-c for c in a[h:])
+
+
+def cd_norm(gammas, a):
+    if not gammas:
+        return a[0] * a[0]
+    h = len(a) // 2
+    return cd_norm(gammas[:-1], a[:h]) - gammas[-1] * cd_norm(gammas[:-1], a[h:])
+
+
 def rand_rank4(W, rng, height=2, integral=True, unit_corner=False):
     for _ in range(2000):
         v = W.random(rng, height, integral)

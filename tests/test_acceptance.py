@@ -386,7 +386,7 @@ def test_criterion_7_orbit_round_trips():
 def CompElt_onto(compT, T, e):
     from cubicnorm.composition import CompElt
 
-    return CompElt(compT, tuple(T.scalar_mul_one(c) for c in e.coords))
+    return CompElt(compT, tuple(T.from_scalar(c) for c in e.coords))
 
 
 def test_criterion_8_known_invariants():

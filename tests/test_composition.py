@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cd_conj, cd_mul, cd_norm
 from cubicnorm.composition import (
     CompAlgebra,
     cd_double,
@@ -16,39 +17,6 @@ from cubicnorm.composition import (
 from cubicnorm.scalars import DescriptorError, qalg_make, quadratic_field
 
 small = st.integers(-6, 6)
-
-
-# -- oracle: the Cayley-Dickson recursion, level by level --------------------
-#
-#     (x1, y1)(x2, y2) = (x1 x2 + gamma y2* y1,  y2 x1 + y1 x2*)
-#     (x, y)* = (x*, -y),   n((x, y)) = n(x) - gamma n(y)
-
-
-def cd_mul(gammas, a, b):
-    if not gammas:
-        return (a[0] * b[0],)
-    *rest, g = gammas
-    h = len(a) // 2
-    x1, y1, x2, y2 = a[:h], a[h:], b[:h], b[h:]
-    left = tuple(p + g * q for p, q in zip(cd_mul(rest, x1, x2),
-                                           cd_mul(rest, cd_conj(rest, y2), y1)))
-    right = tuple(p + q for p, q in zip(cd_mul(rest, y2, x1),
-                                        cd_mul(rest, y1, cd_conj(rest, x2))))
-    return left + right
-
-
-def cd_conj(gammas, a):
-    if not gammas:
-        return (a[0],)
-    h = len(a) // 2
-    return cd_conj(gammas[:-1], a[:h]) + tuple(-c for c in a[h:])
-
-
-def cd_norm(gammas, a):
-    if not gammas:
-        return a[0] * a[0]
-    h = len(a) // 2
-    return cd_norm(gammas[:-1], a[:h]) - gammas[-1] * cd_norm(gammas[:-1], a[h:])
 
 
 rationals = st.one_of(small, st.fractions(min_value=-4, max_value=4, max_denominator=4))
@@ -67,7 +35,8 @@ def coordinates(C, draw_scalar):
 def assert_matches_the_recursion(C, data, scalar):
     a = data.draw(coordinates(C, scalar))
     b = data.draw(coordinates(C, scalar))
-    assert C.mul_coords(a, b) == cd_mul(C.gammas, a, b)
+    # the table holds integers over table_den, so its product is scaled by it
+    assert C.mul_coords(a, b) == tuple(c * C.table_den for c in cd_mul(C.gammas, a, b))
     assert C.conj_coords(a) == cd_conj(C.gammas, a)
     assert C.norm_coords(a) == cd_norm(C.gammas, a)
 
@@ -99,7 +68,7 @@ def test_table_matches_the_recursion_over_a_quotient_base(K, gammas, data):
 
 def test_table_is_built_once_per_chain():
     H, HE = comp_preset("hamilton"), comp_preset("hamilton").base_change(quadratic_field(5))
-    assert H.table is HE.table and H.norm_weights is HE.norm_weights
+    assert H._cells is HE._cells and H.norm_weights is HE.norm_weights
 
 
 def test_double_twice_gives_quaternions():

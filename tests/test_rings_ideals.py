@@ -235,7 +235,7 @@ def test_pair_equivariance_m_only(rng):
         ring2, ideal2, cert2 = pair_to_balanced(J, Am, Bm, v0=v0m)
         assert ring2 == ring
         compT = ideal.basis[0].alg
-        mT = tuple(tuple(CompElt(compT, tuple(ideal.T.scalar_mul_one(c)
+        mT = tuple(tuple(CompElt(compT, tuple(ideal.T.from_scalar(c)
                                               for c in e.coords)) for e in row)
                    for row in m)
         bm = row_times_mat(ideal.basis, mT)

@@ -3,12 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import cd_conj, cd_mul, cd_norm
 from cubicnorm.cns import H3CNS, Matrix3CNS, TrivialCNS
 from cubicnorm.cns import CnsElt, cubic_ring_table
-from cubicnorm.composition import CompElt, comp_preset
+from cubicnorm.composition import CompAlgebra, CompElt, comp_preset
 from cubicnorm.matops import sum_prod
 from cubicnorm.presets import cns_preset, second_kind_preset
 from cubicnorm.scalars import (
@@ -19,6 +20,7 @@ from cubicnorm.scalars import (
     CommAlgebra,
     DescriptorError,
     DirectSum,
+    HALF,
     IdentityError,
     QuotientAlgebra,
     is_rational,
@@ -211,7 +213,7 @@ def test_algelem_hash_agrees_with_eq(a, b, q):
     assert x == y and hash(x) == hash(y) and len({x, y}) == 1
     checked = [(x, y), (E1.elem(a), E2.elem(b)), (E1.from_rational(q), q),
                (E1.elem([q, 0]), E2.from_rational(q)), (E1.elem([a[0], 0]), a[0]),
-               (K.from_rational(q), q), (K.scalar_mul_one(y), x),
+               (K.from_rational(q), q), (K.from_scalar(y), x),
                (K.elem([E2.elem(a), E2.elem(b)]), E1.elem(a))]
     # composition-algebra elements, over Q and over Q(sqrt 5)
     H = comp_preset("hamilton")
@@ -224,7 +226,7 @@ def test_algelem_hash_agrees_with_eq(a, b, q):
         if lhs == rhs:
             assert hash(lhs) == hash(rhs)
     assert E1.from_rational(q) == q and K.from_rational(q) == q
-    assert K.scalar_mul_one(y) == x
+    assert K.from_scalar(y) == x
     assert H.from_scalar(q) == q and len({H.from_scalar(q), q}) == 1
     assert HE.from_scalar(y) == x and len({HE.from_scalar(y), x}) == 1
     # cubic-norm-structure elements: twin structures agree, a scalar is never equal
@@ -321,20 +323,27 @@ DISPATCH_OPS = [lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y,
 
 # per operand, the outcome of x+y, y+x, x-y, y-x, x*y, y*x, x==y, y==x:
 # "x" an element of x's structure, "1"/"0" the truth of ==, "T" TypeError,
-# "D" DescriptorError.  "E" is 2*1 in Q(sqrt 5), the base of the "/E" rows.
+# "D" DescriptorError.  "E" is 2*1 in Q(sqrt 5), the base of the "/E" rows;
+# a float is no exact scalar, so every operation refuses it.
 DISPATCH = {
     "AlgElem/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
-                  "Fraction": "xxxxxx11", "E": "TTTTTT00", "foreign": "TTTTTT00"},
+                  "Fraction": "xxxxxx11", "E": "TTTTTT00", "foreign": "TTTTTT00",
+                 "float": "TTTTTT00"},
     "AlgElem/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
-                  "Fraction": "xxxxxx11", "E": "xxxxxx11", "foreign": "TTTTTT00"},
+                  "Fraction": "xxxxxx11", "E": "xxxxxx11", "foreign": "TTTTTT00",
+                  "float": "TTTTTT00"},
     "CompElt/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
-                  "Fraction": "xxxxxx11", "E": "TTTTDD00", "foreign": "TTTTDD00"},
+                  "Fraction": "xxxxxx11", "E": "TTTTDD00", "foreign": "TTTTDD00",
+                  "float": "TTTTTT00"},
     "CompElt/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "xxxxxx11",
-                  "Fraction": "xxxxxx11", "E": "xxxxxx11", "foreign": "TTTTDD00"},
+                  "Fraction": "xxxxxx11", "E": "xxxxxx11", "foreign": "TTTTDD00",
+                  "float": "TTTTTT00"},
     "CnsElt/Q": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "TTTTxx00",
-                 "Fraction": "TTTTxx00", "E": "TTTTDD00", "foreign": "TTTTDD00"},
+                 "Fraction": "TTTTxx00", "E": "TTTTDD00", "foreign": "TTTTDD00",
+                 "float": "TTTTTT00"},
     "CnsElt/E": {"same": "xxxxxx00", "twin": "xxxxxx11", "int": "TTTTxx00",
-                 "Fraction": "TTTTxx00", "E": "TTTTxx00", "foreign": "TTTTDD00"},
+                 "Fraction": "TTTTxx00", "E": "TTTTxx00", "foreign": "TTTTDD00",
+                 "float": "TTTTTT00"},
 }
 
 
@@ -352,7 +361,7 @@ def _dispatch_code(x, op, y) -> str:
 def test_operand_dispatch_table():
     for label, (x, same, twin, foreign) in _dispatch_rows():
         operands = {"same": same, "twin": twin, "int": 2, "Fraction": F(2),
-                    "E": E5.from_rational(2), "foreign": foreign}
+                    "E": E5.from_rational(2), "foreign": foreign, "float": 2.0}
         got = {k: "".join(_dispatch_code(x, op, y) for op in DISPATCH_OPS)
                for k, y in operands.items()}
         assert got == DISPATCH[label], label
@@ -447,6 +456,16 @@ def test_int_and_fraction_coordinates_agree():
     assert not (CnsElt(M, (F(1),) * 9) == 1)
 
 
+def test_coordinates_over_a_base_algebra_are_the_numerators():
+    """Over a base other than Q the constructor keeps its coordinates, even
+    rational ones, as the numerators over 1; such an element equals and
+    adds like the one with coerced coordinates."""
+    HE = comp_preset("hamilton").base_change(quadratic_field(5))
+    raw, x = CompElt(HE, (F(1, 2), 0, F(-3, 2), 1)), HE.elem([F(1, 2), 0, F(-3, 2), 1])
+    assert raw.den == 1 and raw.num == raw.coords == (F(1, 2), 0, F(-3, 2), 1)
+    assert raw == x and x == raw and raw + raw == x * 2 and raw - x == HE.zero()
+
+
 def _trace_algebras():
     """Every quotient algebra the presets build, the cubic rings of the
     cubic presets, and one base change of each kind to Q(sqrt 7); then
@@ -475,11 +494,11 @@ def test_cached_trace_matches_regular_matrix(rng):
             tr = sum((m[i][i] for i in range(n)), zero)
             assert alg.trace(u) == tr
             if n == 2:
-                assert alg.conj(u) == alg.scalar_mul_one(tr) - u
+                assert alg.conj(u) == alg.from_scalar(tr) - u
             m2 = sum((m[i][k] * m[k][i] for i in range(n) for k in range(n)), zero)
             assert alg.char_s1_s2(u) == (tr, (tr * tr - m2) * F(1, 2))
             if n == 3:
-                assert u * alg.adjoint(u) == alg.scalar_mul_one(alg.norm(u))
+                assert u * alg.adjoint(u) == alg.from_scalar(alg.norm(u))
 
 
 # -- integers over one denominator, against the Fraction loop they replace ---
@@ -494,8 +513,8 @@ def _tree(x):
 def _from_tree(S, t):
     """The element with the coordinates of tree t, kept as Fractions."""
     if S.base is QQ_BASE:
-        return AlgElem(S, t)
-    return AlgElem(S, tuple(_from_tree(S.base, c) for c in t))
+        return S.element(S, t)
+    return S.element(S, tuple(_from_tree(S.base, c) for c in t))
 
 
 def _flat(t) -> list:
@@ -529,6 +548,49 @@ def _o_mul(S, a, b):
     return tuple(out)
 
 
+class _Over:
+    """A Fraction tree of an element of the algebra R, with the oracle's
+    +, -, negation, product and scaling, so that ``cd_mul`` runs over R."""
+
+    def __init__(self, R, t):
+        self.R, self.t = R, t
+
+    def __add__(self, other):
+        return _Over(self.R, _o_add(self.R, self.t, other.t))
+
+    def __neg__(self):
+        return _Over(self.R, _o_scale(self.R, self.t, F(-1)))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, _Over):
+            return _Over(self.R, _o_mul(self.R, self.t, other.t))
+        return _Over(self.R, _o_scale(self.R, self.t, F(other)))
+
+    __rmul__ = __mul__
+
+
+def _o_cd(S, f, *trees):
+    """The Cayley-Dickson recursion f (``cd_mul``, ``cd_conj`` or
+    ``cd_norm``) of a composition algebra S on Fraction trees."""
+    if S.base is QQ_BASE:
+        return f(S.gammas, *trees)
+    out = f(S.gammas, *([_Over(S.base, c) for c in t] for t in trees))
+    return out.t if isinstance(out, _Over) else tuple(c.t for c in out)
+
+
+def _o_product(S):
+    """The oracle of the table product of S on Fraction trees, or None when
+    S is a cubic norm structure, whose product is its own."""
+    if isinstance(S, CommAlgebra):
+        return _o_mul
+    if isinstance(S, CompAlgebra):
+        return lambda S, a, b: _o_cd(S, cd_mul, a, b)
+    return None
+
+
 def _types_ok(x) -> bool:
     """Every rational coordinate is an int exactly when it is integral."""
     return all(type(c) is (int if c.denominator == 1 else F) if is_rational(c) else _types_ok(c)
@@ -545,6 +607,9 @@ def _one_denominator_algebras():
 
 
 ONE_DEN_ALGEBRAS = _one_denominator_algebras()
+# composition algebras with non-integral tables, and cubic norm structures
+VEC_SPACES_OVER_Q = [CompAlgebra((F(1, 2), -3)), CompAlgebra((2, F(-1, 3), 5)), Matrix3CNS(),
+                     H3CNS(comp_preset("hamilton"))]
 
 
 def _element(S, fracs):
@@ -554,28 +619,57 @@ def _element(S, fracs):
     return S.elem([_element(S.base, fracs[i * step:]) for i in range(S.dim)])
 
 
-@given(st.lists(small, min_size=6, max_size=6), st.lists(small, min_size=6, max_size=6),
+def _linear_results(S, x, y, q, n) -> list:
+    """x + y, x - y, -x, x - x, x * 0, the product where S has one, and the
+    scalings of x and y by q, qq(q) and n on either side, each with the
+    Fraction tree it should have."""
+    tx, ty, zero = _tree(x), _tree(y), _o_zero(S)
+    results = [(x + y, _o_add(S, tx, ty)), (x - y, _o_add(S, tx, _o_scale(S, ty, F(-1)))),
+               (-x, _o_scale(S, tx, F(-1))), (x - x, zero), (x * 0, zero)]
+    mul = _o_product(S)
+    if mul is not None:
+        results += [(x * y, mul(S, tx, ty)), (y * x, mul(S, ty, tx))]
+    for s in (q, qq(q), n):
+        results += [(x * s, _o_scale(S, tx, F(s))), (s * y, _o_scale(S, ty, F(s)))]
+        if S.unit_coords is not None:
+            # a bare scalar on the left of - is s * 1
+            results.append((s - x, _o_add(S, _o_scalar(S, s), _o_scale(S, tx, F(-1)))))
+    if isinstance(S, CompAlgebra):
+        results.append((x.conj(), _o_cd(S, cd_conj, tx)))
+    return results
+
+
+def _assert_results(S, x, y, results) -> None:
+    """Each result against its tree: coordinates and their types, == and
+    hash with a twin built from the tree, bool, is_zero and the flatten
+    round trip; and a composition algebra's norm and trace."""
+    tx, ty, zero = _tree(x), _tree(y), _o_zero(S)
+    for z, want in results:
+        assert _tree(z) == want and _types_ok(z)
+        twin = _from_tree(S, want)
+        assert z == twin and twin == z and hash(z) == hash(twin)
+        assert (z == x) == (want == tx) and (z != y) == (want != ty)
+        assert bool(z) == (want != zero) and z.is_zero() == (want == zero)
+        assert S.flatten(z) == _flat(want) and S.unflatten(S.flatten(z)) == z
+    if isinstance(S, CompAlgebra):
+        assert _tree(x.norm()) == _o_cd(S, cd_norm, tx)
+        assert _tree(x.trace()) == _o_scale(S.base, tx[0], F(2))
+
+
+@given(st.lists(small, min_size=16, max_size=16), st.lists(small, min_size=16, max_size=16),
        small, st.integers(-6, 6))
+@example([F(1, 2)] * 16, [F(-3, 2), 1] * 8, F(1, 2), 2)   # every element over den = 2
 @settings(max_examples=60)
 def test_one_denominator_matches_fraction_loop(a, b, q, n):
-    """+, -, negation, *, scaling by an int or a Fraction, ==, hash,
-    is_zero, coords and flatten/unflatten against Fraction arithmetic; and
-    s * 1 equals and hashes as s."""
-    for S in ONE_DEN_ALGEBRAS:
+    """+, -, negation, *, scaling by an int or a Fraction, ==, hash, bool,
+    is_zero, coords and flatten/unflatten against Fraction arithmetic, over
+    quotient algebras, composition algebras (with conj, norm and trace) and
+    cubic norm structures; and s * 1 equals and hashes as s."""
+    for S in ONE_DEN_ALGEBRAS + VEC_SPACES_OVER_Q:
         x, y = _element(S, a), _element(S, b)
-        tx, ty = _tree(x), _tree(y)
-        results = [(x + y, _o_add(S, tx, ty)), (x - y, _o_add(S, tx, _o_scale(S, ty, F(-1)))),
-                   (-x, _o_scale(S, tx, F(-1))), (x * y, _o_mul(S, tx, ty)),
-                   (y * x, _o_mul(S, ty, tx)), (x - x, _o_zero(S))]
-        for s in (q, qq(q), n):
-            results += [(x * s, _o_scale(S, tx, F(s))), (s * y, _o_scale(S, ty, F(s)))]
-        for z, want in results:
-            assert _tree(z) == want and _types_ok(z)
-            twin = _from_tree(S, want)
-            assert z == twin and twin == z and hash(z) == hash(twin)
-            assert (z == x) == (want == tx) and (z != y) == (want != ty)
-            assert z.is_zero() == (want == _o_zero(S))
-            assert S.flatten(z) == _flat(want) and S.unflatten(S.flatten(z)) == z
+        _assert_results(S, x, y, _linear_results(S, x, y, q, n))
+        if S.unit_coords is None:
+            continue
         for s in (q, qq(q), n):
             for one_s in (S.one() * s, s * S.one(), S.from_scalar(s)):
                 assert one_s == s and s == one_s and hash(one_s) == hash(s)
@@ -584,6 +678,11 @@ def test_one_denominator_matches_fraction_loop(a, b, q, n):
 def _o_one(S, s):
     """The tree of s * 1 for a tree s over the base of S."""
     return tuple(_o_scale(S.base, s, F(u)) for u in S.unit_coords)
+
+
+def _o_scalar(S, s):
+    """The tree of s * 1 for a rational s."""
+    return _o_one(S, F(s) if S.base is QQ_BASE else _o_scalar(S.base, s))
 
 
 def _o_unit(S):
@@ -643,37 +742,34 @@ def _non_rational_path_algebras():
 
 
 NON_RATIONAL_PATH_ALGEBRAS = _non_rational_path_algebras()
+# the composition algebras of VEC_SPACES_OVER_Q over Q(sqrt 5)
+COMP_OVER_E5 = [S.base_change(NON_RATIONAL_PATH_ALGEBRAS[0]) for S in VEC_SPACES_OVER_Q[:2]]
 
 
-@given(st.lists(small, min_size=6, max_size=6), st.lists(small, min_size=6, max_size=6),
+@given(st.lists(small, min_size=16, max_size=16), st.lists(small, min_size=16, max_size=16),
        small, st.integers(-6, 6), st.integers(1, 6))
 @settings(max_examples=40)
 def test_numerators_over_any_base_match_coordinate_oracle(a, b, q, n, d):
     """Over Q and over a base algebra, +, -, negation, *, scaling by an int
     or a Fraction on either side, ==, hash, bool, is_zero, coords,
     flatten/unflatten, trace, norm, conj or adjoint, char_s1_s2 and ratio
-    against a coordinatewise oracle on Fraction trees."""
+    against a coordinatewise oracle on Fraction trees; and the same for
+    composition algebras over Q(sqrt 5), whose product, conj and norm are
+    checked against the Cayley-Dickson recursion."""
     for S in NON_RATIONAL_PATH_ALGEBRAS:
         x, y = _element(S, a), _element(S, b)
-        tx, ty = _tree(x), _tree(y)
-        zero = _o_zero(S)
-        results = [(x + y, _o_add(S, tx, ty)), (x - y, _o_add(S, tx, _o_scale(S, ty, F(-1)))),
-                   (-x, _o_scale(S, tx, F(-1))), (x * y, _o_mul(S, tx, ty)),
-                   (y * x, _o_mul(S, ty, tx)), (x - x, zero), (x * 0, zero),
-                   (S.ratio(x, d), _o_scale(S, tx, F(1, d))),
-                   (S.ratio(x, -d), _o_scale(S, tx, F(-1, d))),
-                   (S.adjoint(x) if S.dim == 3 else S.conj(x), _o_conj_or_adjoint(S, tx))]
-        for s in (q, qq(q), n):
-            results += [(x * s, _o_scale(S, tx, F(s))), (s * y, _o_scale(S, ty, F(s)))]
-        for z, want in results:
-            assert _tree(z) == want and _types_ok(z)
-            twin = _from_tree(S, want)
-            assert z == twin and twin == z and hash(z) == hash(twin)
-            assert (z == x) == (want == tx) and (z != y) == (want != ty)
-            assert bool(z) == (want != zero) and z.is_zero() == S.is_zero(z) == (want == zero)
-            assert S.flatten(z) == _flat(want) and S.unflatten(S.flatten(z)) == z
+        tx = _tree(x)
+        results = _linear_results(S, x, y, q, n) + [
+            (S.ratio(x, d), _o_scale(S, tx, F(1, d))),
+            (S.ratio(x, -d), _o_scale(S, tx, F(-1, d))),
+            (S.adjoint(x) if S.dim == 3 else S.conj(x), _o_conj_or_adjoint(S, tx))]
+        _assert_results(S, x, y, results)
+        assert all(z.is_zero() == S.is_zero(z) for z, _ in results)
         assert _tree(S.trace(x)) == _o_trace(S, tx) and _tree(S.norm(x)) == _o_norm(S, tx)
         assert tuple(map(_tree, S.char_s1_s2(x))) == _o_char(S, tx)
+    for S in COMP_OVER_E5:
+        x, y = _element(S, a), _element(S, b)
+        _assert_results(S, x, y, _linear_results(S, x, y, q, n))
 
 
 def test_ratio_by_one_is_the_element_itself():
@@ -695,8 +791,16 @@ def test_integral_results_have_int_coordinates():
     tau, x = E.elem([F(1, 2), F(1, 2)]), E.elem([F(1, 2), F(-1, 2)])
     T = CommAlgebra("T(1/2,1,-3/2,2)", cubic_ring_table(F(1, 2), 1, F(-3, 2), 2))
     w = T.elem([0, F(1, 2), 0])
+    C = CompAlgebra((F(1, 2), -3))
+    h, g = C.elem([F(1, 2), F(1, 2), 0, 1]), C.elem([F(-1, 2), F(1, 2), 0, 0])
+    M, H = Matrix3CNS(), H3CNS(comp_preset("hamilton"))
+    m, k = M.elem(range(9)), H.elem([F(1, 2)] * 3 + [1, F(-3, 2), 0, 0] + [0] * 8)
     for z, want in ((tau + x, (1, 0)), (tau - x, (0, 1)), (tau * x, (-1, 0)),
                     (tau * tau - tau, (1, 0)), (tau * E.conj(tau), (-1, 0)), (x * 2, (1, -1)),
                     (tau * F(4, 3) * F(3, 2), (1, 1)), (E.conj(tau) + tau, (1, 0)),
-                    (w * 2, (0, 1, 0)), (w * w * 16, (3, -4, 2)), (w + w, (0, 1, 0))):
+                    (w * 2, (0, 1, 0)), (w * w * 16, (3, -4, 2)), (w + w, (0, 1, 0)),
+                    (h * 2, (1, 1, 0, 2)), (h - g, (1, 0, 0, 1)), (h.conj() + h, (1, 0, 0, 0)),
+                    (h * F(4, 3) * F(3, 2), (1, 1, 0, 2)), (h * C.elem([2, 0, 0, 0]), (1, 1, 0, 2)),
+                    (m * HALF * 2, tuple(range(9))), (m * HALF + m * HALF, tuple(range(9))),
+                    (k * 2, (1, 1, 1, 2, -3) + (0,) * 10), (-k - k, (-1, -1, -1, -2, 3) + (0,) * 10)):
         assert z.coords == want and all(type(c) is int for c in z.coords)
