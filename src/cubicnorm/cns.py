@@ -204,16 +204,13 @@ class ProductCNS(CNS):
     def _split(self, x):
         return x.coords[0], x.block(self.comp, 1)
 
-    def _join(self, a, c: CompElt) -> CnsElt:
-        return CnsElt(self, (a,) + c.coords)
-
     def norm(self, x):
         a, c = self._split(x)
         return a * c.norm()
 
     def adjoint(self, x):
         a, c = self._split(x)
-        return self._join(c.norm(), c.conj() * a)
+        return self.concat(c.norm(), c.conj() * a)
 
     def pair(self, x, y):
         # (a, x), (b, y) -> ab + tr(xy); the plain product (no conjugate)
@@ -223,12 +220,12 @@ class ProductCNS(CNS):
         return a * b + (c * d).trace()
 
     def one(self):
-        return self._join(self.base.one(), self.comp.one())
+        return self.concat(self.base.one(), self.comp.one())
 
     def mul(self, x, y):
         a, c = self._split(x)
         b, d = self._split(y)
-        return self._join(a * b, c * d)
+        return self.concat(a * b, c * d)
 
     def base_change(self, new_base):
         return ProductCNS(self.comp.base_change(new_base))
@@ -252,10 +249,10 @@ class CubicRingCNS(CNS):
         self.name = f"cubicring({alg.name})"
 
     def _wrap(self, u: AlgElem) -> CnsElt:
-        return CnsElt(self, u.coords)
+        return u.block(self)
 
     def _unwrap(self, x: CnsElt) -> AlgElem:
-        return AlgElem(self.alg, x.coords)
+        return x.block(self.alg)
 
     def norm(self, x):
         return self.alg.norm(self._unwrap(x))
@@ -361,8 +358,7 @@ class H3CNS(CNS):
         return x.coords[:3], (x.block(C, 3), x.block(C, 3 + C.dim), x.block(C, 3 + 2 * C.dim))
 
     def join(self, cs, As) -> CnsElt:
-        diag = tuple(self.base.coerce(c) for c in cs)
-        return CnsElt(self, diag + As[0].coords + As[1].coords + As[2].coords)
+        return self.concat(*cs, *As)
 
     def norm(self, x):
         (c1, c2, c3), (a1, a2, a3) = self.split(x)
@@ -504,7 +500,7 @@ class SecondKind:
         K = self.K
         if self.kind == "matrix":
             m = self.J.to_matrix(j)
-            return self.B.from_matrix(mat([AlgElem(K, e.coords) for e in row] for row in m))
+            return self.B.from_matrix(mat([e.block(K) for e in row] for row in m))
         return CnsElt(self.B, tuple(K.from_scalar(c) for c in j.coords))
 
     def project(self, b: CnsElt) -> CnsElt:
@@ -574,13 +570,12 @@ class TitsUCNS(CNS):
 
     def split(self, x: CnsElt):
         J, K = self.sk.J, self.sk.K
-        rest = iter(x.coords[J.dim:])
         # each K-coordinate of B is the next K.dim base coordinates
-        alpha = CnsElt(self.sk.B, tuple(AlgElem(K, c) for c in zip(*[rest] * K.dim)))
+        alpha = CnsElt(self.sk.B, tuple(x.block(K, i) for i in range(J.dim, self.dim, K.dim)))
         return x.block(J), alpha
 
     def join(self, X: CnsElt, alpha: CnsElt) -> CnsElt:
-        return CnsElt(self, X.coords + tuple(f for c in alpha.coords for f in c.coords))
+        return self.concat(X, *alpha.num)
 
     # the three structure maps ------------------------------------------------
 
@@ -660,7 +655,7 @@ class CayleyUCNS(CNS):
         return x.block(self.H), tuple(x.block(self.comp, hd + i * d) for i in range(3))
 
     def join(self, X: CnsElt, v) -> CnsElt:
-        return CnsElt(self, X.coords + v[0].coords + v[1].coords + v[2].coords)
+        return self.concat(X, *v)
 
     def _vxv(self, v, X: CnsElt):
         """v X v* as a base scalar."""
@@ -703,10 +698,7 @@ class CayleyUCNS(CNS):
         X, v = self.split(x)
         (c1, c2, c3), (a1, a2, a3) = self.H.split(X)
         D = self.doubled.comp
-        b1 = CompElt(D, a1.coords + v[0].coords)
-        b2 = CompElt(D, a2.coords + v[1].coords)
-        b3 = CompElt(D, a3.coords + v[2].coords)
-        return self.doubled.join((c1, c2, c3), (b1, b2, b3))
+        return self.doubled.join((c1, c2, c3), tuple(map(D.concat, (a1, a2, a3), v)))
 
     def iso_from_doubled(self, y: CnsElt) -> CnsElt:
         cs, bs = self.doubled.split(y)

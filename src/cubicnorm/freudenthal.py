@@ -26,10 +26,13 @@ from .matops import (
 )
 from .scalars import (
     HALF,
+    QQ_BASE,
     THIRD,
+    CoordSpace,
     DescriptorError,
     DirectSum,
     PreconditionError,
+    Vec,
     map_solve,
     search_stream,
     witness_search,
@@ -38,56 +41,34 @@ from .scalars import (
 SIXTH = Fraction(1, 6)
 
 
-class WElt:
-    """Element (a, b, c, d) of W_J with a, d base scalars and b, c in J."""
+class WElt(Vec):
+    """Element (a, b, c, d) of W_J with a, d base scalars and b, c in J: a
+    coordinate vector over the base, a, then b's and c's coordinates in J,
+    then d, so its arithmetic is ``Vec``'s.  The parts are read off the
+    numerators; ``WSpace.concat`` assembles an element from them."""
 
-    __slots__ = ("W", "a", "b", "c", "d")
+    __slots__ = ()
+    W = Vec.space
 
-    def __init__(self, W: "WSpace", a, b: CnsElt, c: CnsElt, d):
-        self.W = W
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+    @property
+    def a(self):
+        return self.num[0] if self.den == 1 else QQ_BASE.ratio(self.num[0], self.den)
 
-    def __add__(self, other: "WElt") -> "WElt":
-        if not isinstance(other, WElt) or other.W != self.W:
-            return NotImplemented
-        return WElt(self.W, self.a + other.a, self.b + other.b,
-                    self.c + other.c, self.d + other.d)
+    @property
+    def b(self) -> CnsElt:
+        return self.block(self.space.J, 1)
 
-    def __sub__(self, other: "WElt") -> "WElt":
-        if not isinstance(other, WElt) or other.W != self.W:
-            return NotImplemented
-        return WElt(self.W, self.a - other.a, self.b - other.b,
-                    self.c - other.c, self.d - other.d)
+    @property
+    def c(self) -> CnsElt:
+        J = self.space.J
+        return self.block(J, 1 + J.dim)
 
-    def __neg__(self) -> "WElt":
-        return WElt(self.W, -self.a, -self.b, -self.c, -self.d)
-
-    def __mul__(self, s) -> "WElt":
-        return WElt(self.W, self.a * s, self.b * s, self.c * s, self.d * s)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WElt) or other.W != self.W:
-            return NotImplemented
-        return (self.a == other.a and self.b == other.b
-                and self.c == other.c and self.d == other.d)
-
-    def __hash__(self) -> int:
-        return hash(("w", self.a, self.b.coords, self.c.coords, self.d))
+    @property
+    def d(self):
+        return self.num[-1] if self.den == 1 else QQ_BASE.ratio(self.num[-1], self.den)
 
     def __repr__(self) -> str:
         return f"WElt(a={self.a}, b={list(self.b.coords)}, c={list(self.c.coords)}, d={self.d})"
-
-    def is_zero(self) -> bool:
-        is0 = self.W.base.is_zero
-        return is0(self.a) and self.b.is_zero() and self.c.is_zero() and is0(self.d)
-
-    def coords(self) -> tuple:
-        return (self.a,) + self.b.coords + self.c.coords + (self.d,)
 
 
 class _VvPart:
@@ -98,9 +79,10 @@ class _VvPart:
 
     def __init__(self, J: CNS, v: WElt):
         self.J = J
-        self.bs, self.cs = J.adjoint(v.b), J.adjoint(v.c)
+        b, c = v.b, v.c
+        self.bs, self.cs = J.adjoint(b), J.adjoint(c)
         self.bss, self.css = J.adjoint(self.bs), J.adjoint(self.cs)
-        self.pbc = J.pair(v.b, v.c)
+        self.pbc = J.pair(b, c)
         self.s = v.a * v.d - self.pbc
 
     def cross(self, y: CnsElt, ys: CnsElt, z: CnsElt, zs: Optional[CnsElt] = None) -> CnsElt:
@@ -110,38 +92,30 @@ class _VvPart:
         return J.adjoint(y + z) - ys - (J.adjoint(z) if zs is None else zs)
 
 
-class WSpace:
-    """W_J for a cubic norm structure J (possibly base-changed)."""
+class WSpace(CoordSpace):
+    """W_J = F + J + J + F for a cubic norm structure J (possibly
+    base-changed), as the coordinate space of dimension 2 + 2 dim J over
+    J's base: zero, basis and random draws are ``CoordSpace``'s, in the
+    order a, b, c, d."""
+
+    element = WElt
+    random_height = 2
 
     def __init__(self, J: CNS):
         self.J = J
         self.base = J.base
         self.dim = 2 + 2 * J.dim
+        self.name = f"W({J.name})"
+
+    def _key(self):
+        return self.J
 
     def elem(self, a, b, c, d) -> WElt:
         bb = b if isinstance(b, CnsElt) else self.J.elem(b)
         cc = c if isinstance(c, CnsElt) else self.J.elem(c)
         if bb.J != self.J or cc.J != self.J:
             raise DescriptorError("W element components from a different structure")
-        return WElt(self, self.base.coerce(a), bb, cc, self.base.coerce(d))
-
-    def zero(self) -> WElt:
-        return self.elem(0, self.J.zero(), self.J.zero(), 0)
-
-    def basis(self) -> list[WElt]:
-        out = [self.elem(1, self.J.zero(), self.J.zero(), 0)]
-        for e in self.J.basis():
-            out.append(self.elem(0, e, self.J.zero(), 0))
-        for e in self.J.basis():
-            out.append(self.elem(0, self.J.zero(), e, 0))
-        out.append(self.elem(0, self.J.zero(), self.J.zero(), 1))
-        return out
-
-    def random(self, rng, height: int = 2, integral: bool = True) -> WElt:
-        return WElt(self, self.base.random(rng, height, integral),
-                    self.J.random(rng, height, integral),
-                    self.J.random(rng, height, integral),
-                    self.base.random(rng, height, integral))
+        return self.concat(self.base.coerce(a), bb, cc, self.base.coerce(d))
 
     # -- the four basic forms -------------------------------------------------
 
@@ -151,9 +125,10 @@ class WSpace:
 
     def quartic(self, v: WElt):
         J = self.J
-        s = v.a * v.d - J.pair(v.b, v.c)
-        return (s * s + 4 * (v.a * J.norm(v.c)) + 4 * (v.d * J.norm(v.b))
-                - 4 * J.pair(J.adjoint(v.b), J.adjoint(v.c)))
+        a, b, c, d = v.a, v.b, v.c, v.d
+        s = a * d - J.pair(b, c)
+        return (s * s + 4 * (a * J.norm(c)) + 4 * (d * J.norm(b))
+                - 4 * J.pair(J.adjoint(b), J.adjoint(c)))
 
     def flat(self, v: WElt) -> WElt:
         J = self.J
@@ -165,7 +140,7 @@ class WSpace:
         fb = J.cross(c, bs) * (-2) + cs * (2 * a) - b * s
         fc = J.cross(b, cs) * 2 - bs * (2 * d) + c * s
         fd = a * d * d - d * pbc + 2 * J.norm(c)
-        return WElt(self, fa, fb, fc, fd)
+        return self.concat(fa, fb, fc, fd)
 
     def trilinear(self, x: WElt, y: WElt, z: WElt) -> WElt:
         """t(x, y, z): symmetric, t(v,v,v) = flat(v), computed by exact
@@ -190,14 +165,13 @@ class WSpace:
         ta, td = self.base.zero(), self.base.zero()
         tb, tc = J.zero(), J.zero()
         is0 = self.base.is_zero
-        if not is0(x.a):
-            p = x.a
+        p, y, z, q = x.a, x.b, x.c, x.d
+        if not is0(p):
             ta = ta + p * (pbc - 2 * (a * d))
             tb = tb + cs * (2 * p) - b * (p * d)
             tc = tc + c * (p * d)
             td = td + p * d * d
-        if not x.b.is_zero():
-            y = x.b
+        if not y.is_zero():
             ys = J.adjoint(y) if adjoints[0] is None else adjoints[0]
             dp = J.pair(y, c)
             bxy = vv.cross(b, bs, y, ys)
@@ -205,8 +179,7 @@ class WSpace:
             tb = tb + b * dp - vv.cross(c, cs, bxy) * 2 - y * s
             tc = tc + vv.cross(y, ys, cs, vv.css) * 2 - bxy * (2 * d) - c * dp
             td = td - d * dp
-        if not x.c.is_zero():
-            z = x.c
+        if not z.is_zero():
             zs = J.adjoint(z) if adjoints[1] is None else adjoints[1]
             dp = J.pair(b, z)
             cxz = vv.cross(c, cs, z, zs)
@@ -214,25 +187,22 @@ class WSpace:
             tb = tb + b * dp - vv.cross(z, zs, bs, vv.bss) * 2 + cxz * (2 * a)
             tc = tc + vv.cross(b, bs, cxz) * 2 - c * dp + z * s
             td = td + 2 * J.pair(cs, z) - d * dp
-        if not is0(x.d):
-            q = x.d
+        if not is0(q):
             ta = ta - a * a * q
             tb = tb - b * (a * q)
             tc = tc + c * (a * q) - bs * (2 * q)
             td = td + q * (2 * (a * d) - pbc)
-        return WElt(self, ta * THIRD, tb * THIRD, tc * THIRD, td * THIRD)
+        return self.concat(ta, tb, tc, td) * THIRD
 
     def t_vv_basis(self, v: WElt) -> Iterator[tuple[WElt, WElt]]:
         """(x, t(v, v, x)) for x along ``basis()``, lazily.  The part of t
         that depends on v alone and the adjoints of J's basis are built
         once, so a direction along J costs four adjoints."""
         part = _VvPart(self.J, v)
-        basis = self.basis()
-        n = (len(basis) - 2) // 2
-        adj = [self.J.adjoint(x.b) for x in basis[1:1 + n]]
+        adj = [self.J.adjoint(e) for e in self.J.basis()]
         known = ([(None, None)] + [(es, None) for es in adj]
                  + [(None, es) for es in adj] + [(None, None)])
-        for x, adjoints in zip(basis, known):
+        for x, adjoints in zip(self.basis(), known):
             yield x, self.t_vvx(v, x, part, adjoints)
 
     # -- rank ------------------------------------------------------------------
@@ -253,22 +223,17 @@ class WSpace:
         reject fast; they are sufficient when a or d is a unit, and the full
         t(v,v,w) proportionality test decides the rest."""
         J = self.J
-        if not (J.adjoint(v.b) == v.c * v.a):
+        a, b, c, d = v.a, v.b, v.c, v.d
+        if not (J.adjoint(b) == c * a):
             return False
-        if not (J.adjoint(v.c) == v.b * v.d):
+        if not (J.adjoint(c) == b * d):
             return False
-        if not (J.pair(v.b, v.c) == 3 * (v.a * v.d)):
+        if not (J.pair(b, c) == 3 * (a * d)):
             return False
-        if self.base.is_unit(v.a) or self.base.is_unit(v.d):
+        if self.base.is_unit(a) or self.base.is_unit(d):
             return True
-        vc = v.coords()
-        return all(_proportional(self.base, t.coords(), vc) for _, t in self.t_vv_basis(v))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WSpace) and other.J == self.J
-
-    def __hash__(self) -> int:
-        return hash(("W", self.J))
+        vc = v.coords
+        return all(_proportional(self.base, t.coords, vc) for _, t in self.t_vv_basis(v))
 
     def __repr__(self) -> str:
         return f"WSpace({self.J.name})"
@@ -325,27 +290,26 @@ def h_apply(op: HOperator, v: WElt) -> WElt:
     if op.kind == "nj":
         (X,) = op.payload
         Xs = J.adjoint(X)
-        return WElt(W, a,
-                    b + X * a,
-                    c + J.cross(b, X) + Xs * a,
-                    d + J.pair(c, X) + J.pair(b, Xs) + a * J.norm(X))
+        return W.concat(a,
+                        b + X * a,
+                        c + J.cross(b, X) + Xs * a,
+                        d + J.pair(c, X) + J.pair(b, Xs) + a * J.norm(X))
     if op.kind == "nbarj":
         (Y,) = op.payload
         Ys = J.adjoint(Y)
-        return WElt(W,
-                    a + J.pair(b, Y) + J.pair(c, Ys) + d * J.norm(Y),
-                    b + J.cross(c, Y) + Ys * d,
-                    c + Y * d,
-                    d)
+        return W.concat(a + J.pair(b, Y) + J.pair(c, Ys) + d * J.norm(Y),
+                        b + J.cross(c, Y) + Ys * d,
+                        c + Y * d,
+                        d)
     if op.kind == "m":
         (lam,) = op.payload
         lam_inv = W.base.inv(W.base.coerce(lam))
-        return WElt(W, a * lam * lam, b * lam, c, d * lam_inv)
+        return W.concat(a * lam * lam, b * lam, c, d * lam_inv)
     if op.kind == "wj":
-        return WElt(W, d, -c, b, -a)
+        return W.concat(d, -c, b, -a)
     if op.kind == "mgen":
         alpha, t, t_dual, delta = _mgen_maps(W, op.payload)
-        return WElt(W, a * alpha, t(b), t_dual(c), d * delta)
+        return W.concat(a * alpha, t(b), t_dual(c), d * delta)
     raise DescriptorError(f"unknown operator kind {op.kind!r}")
 
 
@@ -472,14 +436,14 @@ def shriek_row(W: WSpace, ell) -> WElt:
     """(s, t)! = (n(s), s# t, t# s, n(t)) for a row pair over associative A."""
     J = W.J
     s, t = ell
-    return WElt(W, J.norm(s), J.mul(J.adjoint(s), t), J.mul(J.adjoint(t), s), J.norm(t))
+    return W.concat(J.norm(s), J.mul(J.adjoint(s), t), J.mul(J.adjoint(t), s), J.norm(t))
 
 
 def shriek_col(W: WSpace, eta) -> WElt:
     """(u, v)^t ! = (n(u), v u#, u v#, n(v)) for a column pair."""
     J = W.J
     u, v = eta
-    return WElt(W, J.norm(u), J.mul(v, J.adjoint(u)), J.mul(u, J.adjoint(v)), J.norm(v))
+    return W.concat(J.norm(u), J.mul(v, J.adjoint(u)), J.mul(u, J.adjoint(v)), J.norm(v))
 
 
 def _terms(W: WSpace, v: WElt):
@@ -527,7 +491,7 @@ def _project(W: WSpace, terms, side: str) -> WElt:
         d = d + de * SIXTH
         b = b + be * SIXTH
         c = c + ga * SIXTH
-    return WElt(W, a, b, c, d)
+    return W.concat(a, b, c, d)
 
 
 def gl2_act(W: WSpace, g, v: WElt, side: str = "left") -> WElt:

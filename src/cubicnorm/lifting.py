@@ -134,7 +134,7 @@ def first_law(W: WSpace, v: WElt) -> LiftResult:
         raise PreconditionError("lift needs q(v) != 0")
     E = quadratic_field(q)
     WE = WSpace(W.J.base_change(E))
-    vE = WE.elem(v.a, v.b.coords, v.c.coords, v.d)
+    vE = WE.concat(*v.coords)
     omega = E.gen()
     return LiftResult(extension=E, lifted=x_of(WE, vE, omega),
                       data={"omega": omega, "xbar": x_of(WE, vE, -omega), "space": WE,
@@ -145,7 +145,7 @@ def w_u_lift(U: CNS, v: WElt, ell) -> tuple[WElt, bool]:
     """The lift (a, b + ell_1, c + ell_2, d) of v = (a, b, c, d) into W_U, for
     U = J + (the summand of ell_1, ell_2), and whether it is rank one."""
     WU = WSpace(U)
-    lifted = WU.elem(v.a, U.join(v.b, ell[0]), U.join(v.c, ell[1]), v.d)
+    lifted = WU.concat(v.a, U.join(v.b, ell[0]), U.join(v.c, ell[1]), v.d)
     return lifted, (not lifted.is_zero()) and WU.is_rank_le1(lifted)
 
 
@@ -211,8 +211,8 @@ def unique_lift_recover(W: WSpace, v1: WElt, v2: WElt, omega_sq):
     if not W.base.is_unit(q1):
         raise PreconditionError("needs q(v1) != 0")
     f = W.flat(v1)
-    fc = f.coords()
-    vc = v2.coords()
+    fc = f.coords
+    vc = v2.coords
     t = None
     for a, b in zip(fc, vc):
         if W.base.is_unit(a):
@@ -427,7 +427,7 @@ def eigen_checks(H3T: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> 
     compT = H3T.comp
 
     def as_mat(z: CnsElt):
-        return H3T.to_matrix(CnsElt(H3T, z.coords))
+        return H3T.to_matrix(z.block(H3T))
 
     for lam in (pd.omega, pd.theta):
         srm = _lift_to_T(compT, sr.s_r(lam))
@@ -528,7 +528,7 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
     outer = mat_mul(mat_star((veps,), lambda e: e.conj()), (veps,))
     lhs = H3T.from_matrix(outer) * pd.Q
     # (v Y v*) as a T-scalar
-    ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
+    ymat = H3T.to_matrix(Y.block(H3T))
     yv = mat_times_col(ymat, tuple(x.conj() for x in vT))
     vyv = sum_prod(vT, yv)
     rhs = CnsElt(H3T, tuple(c * vyv.coords[0] for c in X.coords))
@@ -570,8 +570,7 @@ def find_antisymmetric_omega(sk: SecondKind, qv) -> AlgElem:
 
 def embed_w(sk: SecondKind, WB: WSpace, v: WElt) -> WElt:
     K = sk.K
-    return WElt(WB, K.from_scalar(v.a), sk.embed(v.b), sk.embed(v.c),
-                K.from_scalar(v.d))
+    return WB.concat(K.from_scalar(v.a), sk.embed(v.b), sk.embed(v.c), K.from_scalar(v.d))
 
 
 def _b_inverse(B: CNS, x: CnsElt) -> CnsElt:
@@ -680,7 +679,7 @@ def w_star(sk: SecondKind, x: WElt) -> WElt:
     """The involution on W_B: conjugate every component."""
     WB = x.W
     conj = sk.K.conj
-    return WElt(WB, conj(x.a), sk.star(x.b), sk.star(x.c), conj(x.d))
+    return WB.concat(conj(x.a), sk.star(x.b), sk.star(x.c), conj(x.d))
 
 
 # -- the choice-free quotient model U = Utilde / I(v, omega) -----------------
@@ -699,7 +698,7 @@ def _delta(A: CNS, v: WElt, ell) -> tuple:
 def _j2_inv_shriek(W: WSpace, ell) -> WElt:
     """J_2^{-1} ell!, where J_2^{-1} acts on W as (a, b, c, d) -> (-d, c, -b, a)."""
     shr = shriek_row(W, ell)
-    return WElt(W, -shr.d, shr.c, -shr.b, shr.a)
+    return W.concat(-shr.d, shr.c, -shr.b, shr.a)
 
 
 class QuotientTitsU(CNS):
@@ -784,7 +783,7 @@ class QuotientTitsU(CNS):
             coef = flat[pivot]
             if coef != 0:
                 flat = [a - coef * b for a, b in zip(flat, row)]
-        return CnsElt(self, tuple(xj.coords) + tuple(flat[j] for j in self._free))
+        return self.concat(xj, *(flat[j] for j in self._free))
 
     def one(self) -> CnsElt:
         return self.join(self.sk.J.one(), (self.sk.B.zero(), self.sk.B.zero()))
@@ -831,7 +830,7 @@ class QuotientTitsU(CNS):
         raise DescriptorError("quotient model is constructed over the ground field")
 
     def _key(self):
-        return (self.name, self.v.coords(), self.omega.coords)
+        return (self.name, self.v.coords, self.omega.coords)
 
 
 def utilde_cns(sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None) -> LiftResult:
@@ -886,7 +885,7 @@ class GanSavinU(CNS):
         return x.block(A), (x.block(A, A.dim), x.block(A, 2 * A.dim))
 
     def join(self, xa: CnsElt, ell) -> CnsElt:
-        return CnsElt(self, tuple(xa.coords) + tuple(ell[0].coords) + tuple(ell[1].coords))
+        return self.concat(xa, *ell)
 
     def one(self) -> CnsElt:
         return self.join(self.A.one(), (self.A.zero(), self.A.zero()))
@@ -919,7 +918,7 @@ class GanSavinU(CNS):
         raise DescriptorError("constructed over the ground field")
 
     def _key(self):
-        return (self.name, self.v.coords())
+        return (self.name, self.v.coords)
 
 
 def gan_savin_cns(A: CNS, v: WElt) -> LiftResult:
@@ -1168,4 +1167,4 @@ def _diag_apply(sk: SecondKind, W: WSpace, y: CnsElt, v: WElt) -> WElt:
     yinv_B = _b_inverse(B, y_B)
     b_new = sk.project(B.mul(B.mul(y_B, sk.embed(v.b)), y_B)) * ny_inv
     c_new = sk.project(B.mul(B.mul(yinv_B, sk.embed(v.c)), ys_B))
-    return WElt(W, v.a * ny_inv, b_new, c_new, v.d * ny)
+    return W.concat(v.a * ny_inv, b_new, c_new, v.d * ny)

@@ -165,7 +165,7 @@ def _decompose_tau(E: QuotientAlgebra, ring: QuadRing, val: AlgElem):
 
 
 def _w_integral(v: WElt) -> bool:
-    return all(is_integral(c) for c in v.coords())
+    return all(is_integral(c) for c in v.coords)
 
 
 def sa_norm_matrix(ideal: IdealSA):
@@ -204,7 +204,7 @@ def balanced_check_sa(ideal: IdealSA) -> Certificate:
     E, ring = ideal.E, ideal.ring
     X = x_of_ideal_sa(ideal)
     integral = True
-    for coord in X.coords():
+    for coord in X.coords:
         p, q = _decompose_tau(E, ring, coord)
         if not (is_integral(p) and is_integral(q)):
             integral = False
@@ -212,7 +212,7 @@ def balanced_check_sa(ideal: IdealSA) -> Certificate:
     nrm = ideal_norm_sa(ideal)
     nbeta = E.norm(ideal.beta)
     WE = X.W
-    Xbar = WElt(WE, E.conj(X.a), _conj_cns(E, X.b), _conj_cns(E, X.c), E.conj(X.d))
+    Xbar = WE.concat(*map(E.conj, X.coords))
     omega = E.gen()
     lemma = WE.pair(X, Xbar) * nbeta == omega * omega * omega * nrm
     cert = Certificate()
@@ -220,10 +220,6 @@ def balanced_check_sa(ideal: IdealSA) -> Certificate:
     cert.check("norm (det_6(g) = N(beta))", nrm == nbeta)
     cert.check("<X, Xbar> N(beta) = w^3 det_6(g)", lemma)
     return cert
-
-
-def _conj_cns(E: QuotientAlgebra, x: CnsElt) -> CnsElt:
-    return CnsElt(x.J, tuple(E.conj(c) for c in x.coords))
 
 
 def iter_ell_candidates(J: CNS, E: QuotientAlgebra, eps, cap: int, seed: int = 0):
@@ -300,13 +296,11 @@ def balanced_to_cube(ideal: IdealSA, checks: Optional[Certificate] = None) -> tu
     W = WSpace(J)
     vparts = []
     vprime = []
-    for coord in X.coords():
+    for coord in X.coords:
         p, q = _decompose_tau(E, ring, coord)
         vparts.append(q)
         vprime.append(p)
-    dimj = J.dim
-    v = WElt(W, vparts[0], CnsElt(J, tuple(vparts[1:1 + dimj])),
-             CnsElt(J, tuple(vparts[1 + dimj:1 + 2 * dimj])), vparts[-1])
+    v = W.concat(*vparts)
     if W.quartic(v) != ring.D:
         raise IdentityError("recovered element has the wrong discriminant")
     return v, X
@@ -412,7 +406,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     T, compT = pd.T, H3T.comp
     sr = sr_maps(J, pd, check=True)
     eps = epsilon_element(J, pd, sr)
-    ymat = H3T.to_matrix(CnsElt(H3T, Y.coords))
+    ymat = H3T.to_matrix(Y.block(H3T))
 
     rows = [v0] if v0 is not None else iter_comp_rows(J.comp, 3, cap, seed)
     vyv, _, v0 = unit_scalar_row(compT, ymat, rows, "v0 search bound exceeded; raise cap",
@@ -454,7 +448,7 @@ def balanced_to_pair(ideal: IdealTC, checks: Optional[Certificate] = None):
     J = H3CNS(comp)
     JT = J.base_change(T)
     X = x_of_ideal_tc(ideal)
-    XJT = CnsElt(JT, X.coords)
+    XJT = X.block(JT)
     Dpart, Bpart, Tpart = decompose_over_base(JT, J, XJT)     # X = D + B w + (X_theta) t
     A = -Tpart
     B = Bpart
@@ -567,7 +561,7 @@ def field_invariant_b2(J: H3CNS, A: CnsElt, B: CnsElt, cap: int = 300,
     commutative C, semi-decided for quaternion coordinates)."""
     base_lift = hermitian_pair(J, A, B)
     T, H3T = base_lift.extension, base_lift.data["H3T"]
-    XT = CnsElt(H3T, base_lift.lifted.coords)
+    XT = base_lift.lifted.block(H3T)
     mu, v0, wit = hermitian_rank1_decompose(H3T, XT, cap, seed)
     m = tc_norm_matrix(J.comp, tuple(x.conj() for x in v0))   # v0* = (1, w, t) m
     n6m = n6(J, m)

@@ -413,13 +413,15 @@ class Vec:
     def block(self, space, start: int = 0) -> "Vec":
         """The element of ``space``, over this element's base, whose
         coordinates are this element's from ``start`` on: its numerators
-        there over its denominator, so none is read off or scanned again."""
+        there over its denominator, so none is read off or scanned again.
+        ``CoordSpace.concat`` is its inverse."""
         return _reduced(space, self.num[start:start + space.dim], self.den)
 
 
 class CoordSpace:
     """A structure whose elements are ``element`` coordinate vectors of
-    length ``dim`` over ``base``: the one set of coordinate helpers.
+    length ``dim`` over ``base``: the one set of coordinate helpers, and
+    with ``concat`` the one way to assemble an element from blocks.
 
     A subclass sets ``dim``, ``base``, ``name`` and ``element``, and ``_key``
     for equality.  An algebra given by a product table also sets
@@ -477,6 +479,47 @@ class CoordSpace:
         z = self.base.zero()
         return [self.element(self, tuple(b if k == i else z for k in range(self.dim)))
                 for i in range(self.dim) for b in self.base.basis()]
+
+    def concat(self, *parts):
+        """The element whose coordinates are the parts' in turn, the inverse
+        of ``Vec.block``: S.concat(x.block(A), x.block(B, A.dim)) == x.
+
+        A part is a base scalar, one coordinate (over a base algebra K an
+        element of K, or a rational read as one), or an element over the
+        same base, its coordinates.  Over Q the parts are brought over the
+        least common denominator of their denominators as they come, which
+        leaves the numerators in lowest terms, so no coordinate is read off
+        or scanned and no gcd of the numerators is taken."""
+        num = []
+        if self.rational:
+            den = 1
+            for p in parts:
+                if type(p) is int:
+                    num.append(p * den)
+                    continue
+                pn, pd = (p.num, p.den) if isinstance(p, Vec) else ((p.numerator,), p.denominator)
+                if pd != den:
+                    g = math.gcd(den, pd)
+                    if g != pd:
+                        # pd does not divide den: the parts so far go over the lcm
+                        k = pd // g
+                        num = [n * k for n in num]
+                        den *= k
+                    k = den // pd
+                    pn = [n * k for n in pn]
+                num.extend(pn)
+            return _reduced(self, tuple(num), den, False)
+        base = self.base
+        for p in parts:
+            if isinstance(p, Vec):
+                if p.space is base:
+                    num.append(p)
+                    continue
+                if p.space.base is base or p.space.base == base:
+                    num.extend(p.num)
+                    continue
+            num.append(base.coerce(p))
+        return _reduced(self, tuple(num), 1)
 
     def mul(self, x, y):
         """The one table product: ``mul_coords`` on the numerators, over
@@ -666,9 +709,13 @@ class CommAlgebra(CoordSpace):
         raise DescriptorError(f"cannot coerce {type(x).__name__} into {self.name}")
 
     def ratio(self, u: AlgElem, d: int) -> AlgElem:
-        """u / d for a nonzero int d; u itself when d is 1."""
+        """u / d for a nonzero int d; u itself when d is 1.  A rational u, a
+        coordinate of an element built from rational coordinates, is read
+        as u * 1."""
         if d == 1:
             return u
+        if not isinstance(u, AlgElem):
+            u = self.from_scalar(u)
         return _reduced(self, u.num, u.den * d) if d > 0 else self.ratio(-u, -d)
 
     # -- arithmetic ---------------------------------------------------------

@@ -225,7 +225,7 @@ def cube_to_w(cube, W: Optional[WSpace] = None) -> WElt:
     e1, e2, e3 = split_cubic_idempotents(alg)
     b = e1 * b1 + e2 * b2 + e3 * b3
     c = e1 * c1 + e2 * c2 + e3 * c3
-    return W.elem(a, CnsElt(J, b.coords), CnsElt(J, c.coords), d)
+    return W.elem(a, b.block(J), c.block(J), d)
 
 
 def w_to_cube(v: WElt) -> list:
@@ -237,7 +237,7 @@ def w_to_cube(v: WElt) -> list:
     # the idempotents are orthogonal with trace 1, so tr(u e_i) reads off
     # the i-th component
     def comps(x: CnsElt):
-        u = AlgElem(alg, x.coords)
+        u = x.block(alg)
         return [alg.trace(u * e) for e in (e1, e2, e3)]
 
     b = comps(v.b)

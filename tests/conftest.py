@@ -77,6 +77,44 @@ def cd_norm(gammas, a):
     return cd_norm(gammas[:-1], a[:h]) - gammas[-1] * cd_norm(gammas[:-1], a[h:])
 
 
+# -- oracle: W_J arithmetic part by part ------------------------------------
+#
+#     (a, b, c, d) +- (a', b', c', d') = (a +- a', b +- b', c +- c', d +- d'),
+#     s (a, b, c, d) = (s a, s b, s c, s d),
+#
+# with a, d added and scaled in the base and b, c in J, and equality and the
+# zero test read part by part.
+
+
+def w_parts(v):
+    return (v.a, v.b, v.c, v.d)
+
+
+def w_add(x, y):
+    return tuple(p + q for p, q in zip(x, y))
+
+
+def w_sub(x, y):
+    return tuple(p - q for p, q in zip(x, y))
+
+
+def w_neg(x):
+    return tuple(-p for p in x)
+
+
+def w_scale(x, s):
+    return tuple(p * s for p in x)
+
+
+def w_eq(x, y):
+    return all(p == q for p, q in zip(x, y))
+
+
+def w_is_zero(base, x):
+    a, b, c, d = x
+    return base.is_zero(a) and b.is_zero() and c.is_zero() and base.is_zero(d)
+
+
 def rand_rank4(W, rng, height=2, integral=True, unit_corner=False):
     for _ in range(2000):
         v = W.random(rng, height, integral)

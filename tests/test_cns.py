@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import associative_variants, hermitian_variants
+from conftest import associative_variants, hermitian_variants, rand_rank4, rank4_with_antisym_omega
 
 from cubicnorm.cns import (
     CayleyUCNS,
@@ -25,6 +25,8 @@ from cubicnorm.cns import (
     tensor_cross,
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
+from cubicnorm.freudenthal import WSpace
+from cubicnorm.lifting import gan_savin_cns, utilde_cns
 from cubicnorm.presets import cns_preset, second_kind_preset
 from cubicnorm.scalars import DescriptorError, PreconditionError, det, quadratic_field
 
@@ -311,3 +313,100 @@ def test_matrix3_pair_is_the_trace_of_the_product(base):
         assert x != J.transpose(x) or y != J.transpose(y)
         xy = J.mul(x, y).coords
         assert J.pair(x, y) == xy[0] + xy[4] + xy[8]
+
+
+# -- assembly: concat is the inverse of block --------------------------------
+
+
+def _tits_u():
+    sk = second_kind_matrix(-1)
+    return TitsUCNS(sk, sk.J.one(), sk.K.one())
+
+
+def _quotient_u():
+    sk = second_kind_matrix(-1)
+    return utilde_cns(sk, rank4_with_antisym_omega(sk, random.Random(0))).data["U"]
+
+
+def _gan_savin_u():
+    A = cns_preset("fxf")
+    return gan_savin_cns(A, rand_rank4(WSpace(A), random.Random(0), 1)).data["U"]
+
+
+# each structure with its split into blocks and the join that assembles them
+JOINED = {
+    "product": (lambda: ProductCNS(comp_preset("hamilton")),
+                lambda S, x: (S.concat, S._split(x))),
+    "h3": (lambda: H3CNS(comp_preset("hamilton")), lambda S, x: (S.join, S.split(x))),
+    "titsu": (_tits_u, lambda S, x: (S.join, S.split(x))),
+    "cayleyu": (lambda: CayleyUCNS(comp_preset("hamilton"), 2),
+                lambda S, x: (S.join, S.split(x))),
+    "quotient": (_quotient_u, lambda S, x: (S.join, S.split(x))),
+    "gansavin": (_gan_savin_u, lambda S, x: (S.join, S.split(x))),
+}
+
+
+@pytest.mark.parametrize("name, over", [(name, "Q") for name in JOINED]
+                         + [(name, "Q(sqrt 5)") for name in ("product", "h3", "titsu", "cayleyu")])
+def test_join_of_the_split_blocks_is_the_element(name, over, rng):
+    """Every structure's join assembles its split blocks back into the same
+    numerators over the same denominator, over Q with coordinates over
+    different denominators and over a quotient base."""
+    build, parts = JOINED[name]
+    S = build()
+    if over != "Q":
+        S = S.base_change(quadratic_field(5))
+    for _ in range(4):
+        x = S.random(rng, integral=False)
+        join, blocks = parts(S, x)
+        y = join(*blocks)
+        assert type(y) is type(x) and y.space is S
+        assert (y.num, y.den) == (x.num, x.den) and y == x and hash(y) == hash(x)
+
+
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])
+def test_cayley_u_iso_round_trips(over, rng):
+    U = CayleyUCNS(comp_preset("hamilton"), 2)
+    if over != "Q":
+        U = U.base_change(quadratic_field(5))
+    for _ in range(4):
+        x, y = U.random(rng, integral=False), U.doubled.random(rng, integral=False)
+        back, forth = U.iso_from_doubled(U.iso_to_doubled(x)), U.iso_to_doubled(U.iso_from_doubled(y))
+        assert (back.num, back.den) == (x.num, x.den)
+        assert (forth.num, forth.den) == (y.num, y.den)
+
+
+def test_concat_over_different_denominators():
+    """concat brings the parts over the least common denominator, which is
+    lowest terms: the same numerators and denominator as the constructor
+    reads off the coordinates, and block gives the parts back."""
+    C = comp_preset("hamilton")
+    H = H3CNS(C)
+    a1, a2, a3 = C.elem([F(1, 4), 0, 0, 0]), C.zero(), C.elem([0, F(5, 6), 0, 1])
+    x = H.concat(F(1, 2), 3, F(-2, 3), a1, a2, a3)
+    coords = (F(1, 2), 3, F(-2, 3)) + a1.coords + a2.coords + a3.coords
+    assert x.den == 12 and x.coords == coords
+    assert (x.num, x.den) == (CnsElt(H, coords).num, CnsElt(H, coords).den)
+    assert [x.block(C, 3 + 4 * i) for i in range(3)] == [a1, a2, a3]
+    assert H.concat(*x.coords[:3], *(x.block(C, 3 + 4 * i) for i in range(3))) == x
+    # integral parts stay over 1, and a part over 2 that cancels leaves den 2
+    assert H.concat(1, 2, 3, C.one(), C.one(), C.one()).den == 1
+    assert H.concat(0, 0, 0, C.one() * F(1, 2), C.zero(), C.zero()).den == 2
+
+
+def test_concat_over_a_quotient_base_coerces_scalars():
+    """Over a base algebra K an element of K and a rational are each one
+    coordinate, and an element over K gives its coordinates."""
+    E = quadratic_field(5)
+    C = comp_preset("gaussian").base_change(E)
+    H = H3CNS(C)
+    u = C.elem([E.elem([F(1, 2), 1]), F(1, 3)])
+    x = H.concat(E.elem([0, F(2, 3)]), F(1, 2), 2, u, C.zero(), u * 3)
+    assert x == H.elem([E.elem([0, F(2, 3)]), F(1, 2), 2] + list(u.coords) + [0, 0]
+                       + list((u * 3).coords))
+    assert x.den == 1 and all(c.alg is E for c in x.num)
+    # an element over an equal base built apart gives its coordinates too
+    C2 = comp_preset("gaussian").base_change(quadratic_field(5))
+    assert C2.base is not E and C2.base == E
+    assert H.concat(E.one(), 0, 0, C2.one(), C2.zero(), C2.zero()) == H.concat(1, 0, 0, C.one(), C.zero(), C.zero())
+

@@ -1,11 +1,22 @@
 """The Freudenthal space: forms, flat map, rank, operators, the GL_2 action
 over associative coordinates, and the unit-class invariant."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import associative_variants, rand_rank4
+from conftest import (
+    associative_variants,
+    rand_rank4,
+    w_add,
+    w_eq,
+    w_is_zero,
+    w_neg,
+    w_parts,
+    w_scale,
+    w_sub,
+)
 
 from cubicnorm.cns import (
     CnsElt,
@@ -44,7 +55,14 @@ from cubicnorm.freudenthal import _project  # test-only internal
 from cubicnorm.lifting import first_law, utilde_cns
 from cubicnorm.matops import mat_mul, mat_times_col, row_times_mat
 from cubicnorm.presets import CNS_SUITE, cns_preset
-from cubicnorm.scalars import AlgElem, DirectSum, PreconditionError, quadratic_field
+from cubicnorm.scalars import (
+    HALF,
+    AlgElem,
+    DescriptorError,
+    DirectSum,
+    PreconditionError,
+    quadratic_field,
+)
 
 
 def det6_tensor_cube(W, g, side):
@@ -167,6 +185,24 @@ def test_t_vv_basis_matches_polarization(rng):
             assert t == t_vvx_polarized(W, v, x), (name, x)
 
 
+def test_t_vv_basis_costs_four_adjoints_per_direction(rng):
+    """The part of t(v, v, .) that depends on v costs four adjoints and J's
+    basis one each; then a direction along b or c costs four more, reading
+    the adjoint of its basis vector rather than recomputing it, and one
+    along a or d none."""
+    for J in (Matrix3CNS(), H3CNS(comp_preset("hamilton"))):
+        W = WSpace(J)
+        v = W.random(rng)
+        calls = []
+        adjoint = J.adjoint
+        J.adjoint = lambda x: calls.append(x) or adjoint(x)
+        try:
+            list(W.t_vv_basis(v))
+        finally:
+            del J.adjoint
+        assert len(calls) == 4 + J.dim + 8 * J.dim, J.name
+
+
 def test_rank_examples(rng):
     for W in spaces():
         J = W.J
@@ -193,6 +229,8 @@ def test_operator_formulas(rng):
     assert h_apply(HOperator("wj"), v) == W.elem(v.d, -v.c, v.b, -v.a)
     assert h_apply(HOperator("m", (F(2),)), v) == W.elem(4 * v.a, v.b * 2, v.c, v.d * F(1, 2))
     assert h_apply(HOperator("nj", (J.zero(),)), v) == v
+    with pytest.raises(DescriptorError):
+        h_apply(HOperator("bogus"), v)
 
 
 def test_operator_similitudes(rng):
@@ -514,3 +552,97 @@ def test_dead_search_rows_need_both_shrieks_zero():
     flat = tuple(DirectSum(J, J).flatten((e, f)))
     assert flat in zero_row and flat not in zero_col
     assert dead_search_rows(J) == zero_row & zero_col
+
+
+# -- W_J as a coordinate space -----------------------------------------------
+
+
+def _w_spaces():
+    E = quadratic_field(5)
+    Js = [Matrix3CNS(), H3CNS(comp_preset("hamilton")), ProductCNS(comp_preset("hamilton")),
+          CubicRingCNS(split_cubic_algebra())]
+    return [WSpace(J) for J in Js] + [WSpace(J.base_change(E)) for J in Js[:2]]
+
+
+def test_w_arithmetic_matches_the_part_oracle(rng):
+    """+, -, negation and scaling by an int, a Fraction or a base element
+    agree with the same operations on the parts (a, b, c, d), and ==, hash,
+    bool and is_zero with the parts' equality and zero test, over Q with
+    non-integral coordinates and over Q(sqrt 5)."""
+    for W in _w_spaces():
+        base = W.base
+        for _ in range(3):
+            x, y = W.random(rng, integral=False), W.random(rng, integral=False)
+            px, py = w_parts(x), w_parts(y)
+            s = base.random(rng, 3, integral=False)
+            for z, want in ((x + y, w_add(px, py)), (x - y, w_sub(px, py)), (x - x, w_sub(px, px)),
+                            (-x, w_neg(px)), (x * 3, w_scale(px, 3)), (-2 * x, w_scale(px, -2)),
+                            (x * 0, w_scale(px, 0)), (x * F(-2, 3), w_scale(px, F(-2, 3))),
+                            (HALF * x, w_scale(px, HALF)), (x * s, w_scale(px, s)),
+                            (s * x, w_scale(px, s))):
+                assert w_eq(w_parts(z), want)
+                same = W.elem(*want)
+                assert z == same and same == z and hash(z) == hash(same)
+                assert (z == x) == w_eq(want, px) and (z != x) == (not w_eq(want, px))
+                assert bool(z) == (not z.is_zero()) == (not w_is_zero(base, want))
+            assert (x == y) == w_eq(px, py)
+
+
+def test_w_elements_from_parts_over_different_denominators_hash_alike():
+    """Equal elements of W_J built from parts over different denominators,
+    from their coordinates, by scaling and from the basis, have the same
+    numerators and denominator, so they are equal and hash alike."""
+    C = comp_preset("hamilton")
+    J = H3CNS(C)
+    W = WSpace(J)
+    b = J.elem([F(1, 3), 0, 2, F(1, 2)] + [0] * 11)
+    c = J.elem([1, -1, 0] + [0, 2, 0, 0] * 3)
+    x = W.concat(F(1, 2), b, c, F(-5, 4))
+    assert x.den == 12 and x.coords == (F(1, 2),) + b.coords + c.coords + (F(-5, 4),)
+    assert (x.a, x.b, x.c, x.d) == (F(1, 2), b, c, F(-5, 4))
+    ys = [W.elem(F(1, 2), b.coords, c.coords, F(-5, 4)), W.element(W, x.coords),
+          W.concat(1, b * 2, c * 2, F(-5, 2)) * HALF, (x * 6 + x * 6) * F(1, 12),
+          sum((e * t for e, t in zip(W.basis(), x.coords)), W.zero())]
+    for y in ys:
+        assert (y.num, y.den) == (x.num, x.den)
+        assert y == x and x == y and hash(y) == hash(x)
+    assert len({x, *ys}) == 1
+    # over a quotient base the parts are numerators over 1
+    E = quadratic_field(5)
+    WE = WSpace(J.base_change(E))
+    a, d = E.elem([F(1, 2), F(1, 3)]), E.elem([0, F(-5, 4)])
+    bE, cE = WE.J.elem(b.coords), WE.J.elem(c.coords)
+    xE = WE.concat(a, bE, cE, d)
+    for y in (WE.elem(a, b.coords, c.coords, d), WE.concat(a * 2, bE * 2, cE * 2, d * 2) * HALF,
+              WE.element(WE, xE.coords)):
+        assert y == xE and hash(y) == hash(xE)
+
+
+def test_w_concat_inverts_the_parts(rng):
+    """W.concat(a, b, c, d) gives the element back, with the same numerators
+    over the same denominator, and so does concat of its coordinates."""
+    for W in _w_spaces():
+        for _ in range(3):
+            x = W.random(rng, integral=False)
+            for y in (W.concat(x.a, x.b, x.c, x.d), W.concat(*x.coords),
+                      W.concat(x.a, x.block(W.J, 1), x.block(W.J, 1 + W.J.dim), x.d)):
+                assert type(y) is type(x) and (y.num, y.den) == (x.num, x.den)
+
+
+def test_w_zero_basis_and_random_follow_the_parts(rng):
+    """zero, basis and random draws, read part by part: the basis runs along
+    a, then J's basis in b and in c, then d, and a random element draws a,
+    b, c, d in turn from one stream."""
+    for W in _w_spaces():
+        J, z = W.J, W.J.zero()
+        assert w_parts(W.zero()) == (W.base.zero(), z, z, W.base.zero())
+        want = ([(1, z, z, 0)] + [(0, e, z, 0) for e in J.basis()]
+                + [(0, z, e, 0) for e in J.basis()] + [(0, z, z, 1)])
+        assert [w_parts(e) for e in W.basis()] == [tuple(W.base.coerce(p) if i in (0, 3) else p
+                                                        for i, p in enumerate(t)) for t in want]
+        seed = rng.random()
+        r1, r2 = random.Random(seed), random.Random(seed)
+        x = W.random(r1, integral=False)
+        assert w_parts(x) == (W.base.random(r2, 2, False), J.random(r2, 2, False),
+                              J.random(r2, 2, False), W.base.random(r2, 2, False))
+

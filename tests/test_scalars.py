@@ -466,6 +466,19 @@ def test_coordinates_over_a_base_algebra_are_the_numerators():
     assert raw == x and x == raw and raw + raw == x * 2 and raw - x == HE.zero()
 
 
+def test_fraction_scaling_of_rational_coordinates_over_a_base_algebra():
+    """An element over a base algebra built from rational coordinates scales
+    by a Fraction: each coordinate divides in the base as s * 1.  The result
+    equals, and hashes as, the one built through ``elem``."""
+    E = quadratic_field(5)
+    HE, KE = comp_preset("hamilton").base_change(E), quadratic_field(2).base_change(E)
+    for x, want in ((CompElt(HE, (F(1, 2), 0, 0, 0)) * F(2, 3), HE.elem([F(1, 3), 0, 0, 0])),
+                    (AlgElem(KE, (F(1, 2), 0)) * F(2, 3), KE.elem([F(1, 3), 0])),
+                    (CompElt(HE, (1, F(-3, 2), 0, 2)) * F(-4, 3), HE.elem([F(-4, 3), 2, 0, F(-8, 3)])),
+                    (CompElt(HE, (F(1, 2), 0, 0, 0)) + CompElt(HE, (F(1, 2), 0, 0, 0)), HE.elem([1, 0, 0, 0]))):
+        assert x == want and want == x and hash(x) == hash(want)
+
+
 def _trace_algebras():
     """Every quotient algebra the presets build, the cubic rings of the
     cubic presets, and one base change of each kind to Q(sqrt 7); then
