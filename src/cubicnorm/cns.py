@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Optional
 
 from .composition import CheckReport, CompAlgebra, CompElt, cd_double
 from .matops import (
@@ -45,7 +46,10 @@ from .scalars import (
     RationalBase,
     Vec,
     det_fraction,
+    flat_table,
     qq,
+    table_mul,
+    table_rows,
 )
 
 
@@ -202,7 +206,7 @@ class ProductCNS(CNS):
         self.name = f"FxC({','.join(str(g) for g in comp.gammas)})"
 
     def _split(self, x):
-        return x.coords[0], x.block(self.comp, 1)
+        return x.coord(0), x.block(self.comp, 1)
 
     def norm(self, x):
         a, c = self._split(x)
@@ -276,8 +280,27 @@ class CubicRingCNS(CNS):
         return (self.alg.table, self.base)
 
 
+def _mu(a: int, b: int) -> int:
+    """The index of the matrix unit e_ab, indices mod 3."""
+    return 3 * (a % 3) + b % 3
+
+
+# on the matrix units e_3a+b of M_3: the product e_ab e_bd = e_ad, the
+# adjugate adj(x)_ij = x_(j+1)(i+1) x_(j+2)(i+2) - x_(j+1)(i+2) x_(j+2)(i+1)
+# with indices mod 3, and the pairing tr(xy) = sum x_ab y_ba
+_M3_PRODUCT = table_rows(((_mu(a, b), _mu(b, d), _mu(a, d), 1)
+                         for a in range(3) for b in range(3) for d in range(3)), 9)
+_M3_ADJUGATE = table_rows((t for i in range(3) for j in range(3) for t in (
+    (_mu(j + 1, i + 1), _mu(j + 2, i + 2), _mu(i, j), 1),
+    (_mu(j + 1, i + 2), _mu(j + 2, i + 1), _mu(i, j), -1))), 9)
+_M3_TRACE = table_rows(((_mu(a, b), _mu(b, a), 0, 1) for a in range(3) for b in range(3)), 9)
+
+
 class Matrix3CNS(CNS):
-    """M_3 over the base with N = det, # = adjugate, (x, y) = tr(xy)."""
+    """M_3 over the base with N = det, # = adjugate, (x, y) = tr(xy).  The
+    product, the adjugate and the pairing are each one table product on
+    the numerators: a matrix-unit table's Kronecker product with the base's
+    table (``flat_table``)."""
 
     has_mul = True
 
@@ -285,6 +308,9 @@ class Matrix3CNS(CNS):
         self.base = base
         self.dim = 9
         self.name = "matrix3"
+        self._cells, self.table_den = flat_table(_M3_PRODUCT, 1, base)
+        self._adjugate = SimpleNamespace(_cells=flat_table(_M3_ADJUGATE, 1, base)[0], _n=self._n)
+        self._trace = SimpleNamespace(_cells=flat_table(_M3_TRACE, 1, base)[0], _n=base.flat_dim())
 
     def to_matrix(self, x: CnsElt):
         c = x.coords
@@ -300,28 +326,19 @@ class Matrix3CNS(CNS):
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
     def adjoint(self, x):
-        m = self.to_matrix(x)
-
-        def cof(i, j):
-            r = [k for k in range(3) if k != i]
-            c = [k for k in range(3) if k != j]
-            v = m[r[0]][c[0]] * m[r[1]][c[1]] - m[r[0]][c[1]] * m[r[1]][c[0]]
-            return v if (i + j) % 2 == 0 else -v
-
-        adj = [[cof(j, i) for j in range(3)] for i in range(3)]
-        return self.from_matrix(mat(adj))
+        return self.from_num(table_mul(self._adjugate, x.num, x.num),
+                             x.den * x.den * self.table_den)
 
     def pair(self, x, y):
-        """tr(xy) = sum of x_ij y_ji over i, j."""
-        a, b = x.coords, y.coords
-        return sum_prod(a, (b[0], b[3], b[6], b[1], b[4], b[7], b[2], b[5], b[8]))
+        return self.base.from_num(table_mul(self._trace, x.num, y.num),
+                                  x.den * y.den * self.table_den)
 
     def one(self):
         z, o = self.base.zero(), self.base.one()
         return CnsElt(self, (o, z, z, z, o, z, z, z, o))
 
-    def mul(self, x, y):
-        return self.from_matrix(mat_mul(self.to_matrix(x), self.to_matrix(y)))
+    mul_coords = table_mul
+    mul = CoordSpace.mul
 
     def transpose(self, x: CnsElt) -> CnsElt:
         m = self.to_matrix(x)
@@ -355,7 +372,8 @@ class H3CNS(CNS):
 
     def split(self, x: CnsElt):
         C = self.comp
-        return x.coords[:3], (x.block(C, 3), x.block(C, 3 + C.dim), x.block(C, 3 + 2 * C.dim))
+        return ((x.coord(0), x.coord(1), x.coord(2)),
+                (x.block(C, 3), x.block(C, 3 + C.dim), x.block(C, 3 + 2 * C.dim)))
 
     def join(self, cs, As) -> CnsElt:
         return self.concat(*cs, *As)
@@ -398,7 +416,7 @@ class H3CNS(CNS):
         ])
 
     def from_matrix(self, m) -> CnsElt:
-        cs = (m[0][0].coords[0], m[1][1].coords[0], m[2][2].coords[0])
+        cs = (m[0][0].coord(0), m[1][1].coord(0), m[2][2].coord(0))
         return self.join(cs, (m[1][2], m[2][0], m[0][1]))
 
     def is_hermitian_matrix(self, m) -> bool:
@@ -497,11 +515,10 @@ class SecondKind:
     def embed(self, j: CnsElt) -> CnsElt:
         """J into B: the Hermitian picture of j read in M_3(K) for the
         matrix kind, 1 (x) j for the tensor kind."""
-        K = self.K
         if self.kind == "matrix":
             m = self.J.to_matrix(j)
-            return self.B.from_matrix(mat([e.block(K) for e in row] for row in m))
-        return CnsElt(self.B, tuple(K.from_scalar(c) for c in j.coords))
+            return self.B.from_matrix(mat([e.block(self.K) for e in row] for row in m))
+        return self.B.extend(j)
 
     def project(self, b: CnsElt) -> CnsElt:
         """Inverse of embed on star-fixed elements."""
@@ -509,7 +526,7 @@ class SecondKind:
             raise PreconditionError("element is not fixed by the involution")
         if self.kind == "matrix":
             return self.J.from_matrix(self.B.to_matrix(b))
-        return CnsElt(self.J, tuple(c.coords[0] for c in b.coords))
+        return b.component(self.J, 0)
 
     def base_change(self, new_base) -> "SecondKind":
         Knew = self.K.base_change(new_base)
@@ -569,13 +586,10 @@ class TitsUCNS(CNS):
     # coordinate plumbing ----------------------------------------------------
 
     def split(self, x: CnsElt):
-        J, K = self.sk.J, self.sk.K
-        # each K-coordinate of B is the next K.dim base coordinates
-        alpha = CnsElt(self.sk.B, tuple(x.block(K, i) for i in range(J.dim, self.dim, K.dim)))
-        return x.block(J), alpha
+        return x.block(self.sk.J), x.block(self.sk.B, self.sk.J.dim)
 
     def join(self, X: CnsElt, alpha: CnsElt) -> CnsElt:
-        return self.concat(X, *alpha.num)
+        return self.concat(X, alpha)
 
     # the three structure maps ------------------------------------------------
 
@@ -611,12 +625,10 @@ class TitsUCNS(CNS):
 
     def base_change(self, new_base):
         sk2 = self.sk.base_change(new_base)
-        S2 = CnsElt(sk2.J, tuple(new_base.coerce(c) for c in self.S.coords))
-        lam2 = AlgElem(sk2.K, tuple(new_base.coerce(c) for c in self.lam.coords))
-        return TitsUCNS(sk2, S2, lam2)
+        return TitsUCNS(sk2, sk2.J.extend(self.S), sk2.K.extend(self.lam))
 
     def _key(self):
-        return (self.name, self.S.coords, self.lam.coords, self.base, self.sk.K.table)
+        return (self.name, self.sk.J, self.sk.K, self.S.coords, self.lam.coords, self.base)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +672,7 @@ class CayleyUCNS(CNS):
     def _vxv(self, v, X: CnsElt):
         """v X v* as a base scalar."""
         row = row_times_mat(v, self.H.to_matrix(X))
-        return sum_prod(row, tuple(vi.conj() for vi in v)).coords[0]
+        return sum_prod(row, tuple(vi.conj() for vi in v)).coord(0)
 
     def norm(self, x):
         X, v = self.split(x)
@@ -788,31 +800,13 @@ def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def decompose_over_base(JT: CNS, JF: CNS, x: CnsElt) -> list[CnsElt]:
-    """Write x in J (x) T as sum x_alpha (x) t_alpha over the T-basis,
-    returning the list of J-over-F components x_alpha."""
-    alg = JT.base
-    if not isinstance(alg, CommAlgebra):
-        raise DescriptorError("element is not base-changed")
-    comps = []
-    for a in range(alg.dim):
-        comps.append(CnsElt(JF, tuple(c.coords[a] for c in x.coords)))
-    return comps
-
-def compose_over_base(JT: CNS, comps: Sequence[CnsElt]) -> CnsElt:
-    alg = JT.base
-    coords = []
-    for i in range(JT.dim):
-        coords.append(AlgElem(alg, tuple(c.coords[i] for c in comps)))
-    return CnsElt(JT, tuple(coords))
-
-
 def tensor_cross(JT: CNS, JF: CNS, x: CnsElt, y: CnsElt) -> CnsElt:
     """x x_T y: the cross of J paired with the *cross of T* (not the product),
-    i.e. (U (x) s) x_T (V (x) t) = (U x V) (x) (s x t)."""
+    i.e. (U (x) s) x_T (V (x) t) = (U x V) (x) (s x t), summed over the
+    components of x and y along the T-basis (``Vec.component``)."""
     alg = JT.base
-    xs = decompose_over_base(JT, JF, x)
-    ys = decompose_over_base(JT, JF, y)
+    xs = [x.component(JF, a) for a in range(alg.dim)]
+    ys = [y.component(JF, a) for a in range(alg.dim)]
     tb = alg.basis()
     tcross = [[alg.cross(tb[a], tb[b]) for b in range(alg.dim)] for a in range(alg.dim)]
     out = JT.zero()
@@ -821,12 +815,5 @@ def tensor_cross(JT: CNS, JF: CNS, x: CnsElt, y: CnsElt) -> CnsElt:
             jc = JF.cross(xs[a], ys[b])
             if jc.is_zero():
                 continue
-            out = out + _scale_by_alg(JT, jc, tcross[a][b])
+            out = out + JT.extend(jc) * tcross[a][b]
     return out
-
-
-def _scale_by_alg(JT: CNS, x: CnsElt, t: AlgElem) -> CnsElt:
-    """(x over F) tensor (t in T) as an element of J (x) T."""
-    alg = JT.base
-    return CnsElt(JT, tuple(AlgElem(alg, tuple(c * tc for tc in t.coords))
-                            for c in x.coords))

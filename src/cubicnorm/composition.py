@@ -11,19 +11,23 @@ length <= 1 commutative.  Norm, trace, and conjugation come with the doubling:
 Unrolled on the basis, the doubling is a product table: e_i e_j = c_ij e_k
 with k = i xor j and c_ij a signed product of gammas (Schafer, An
 Introduction to Nonassociative Algebras, III.4; Baez, "The Octonions",
-2.2).  The cells c_ij are held as integers over one ``table_den``, so an
+2.2).  The cells c_ij are held as integers over one denominator, so an
 element, numerators over a denominator like every ``Vec``, multiplies
 through ``CoordSpace.mul`` as a quotient-algebra element does.  Conjugation
 negates the coordinates 1..n-1, and the norm is sum n_i a_i^2 with n_i the
 product of -gamma_l over the bits l of i.  The table depends on the chain
-alone, so it is built once per chain and shared by every base change.
+alone, so it is built once per chain; over a base algebra the product runs
+on its Kronecker product with the base's table, built once per (chain,
+base) by ``scalars.flat_table``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 from typing import Sequence
 
 from .scalars import (
@@ -33,8 +37,10 @@ from .scalars import (
     QQ_BASE,
     Vec,
     _reduced,
+    flat_table,
     qq,
     table_mul,
+    table_rows,
 )
 
 
@@ -52,22 +58,22 @@ class CompElt(Vec):
         return _reduced(self.alg, self.alg.conj_coords(self.num), self.den, False)
 
     def norm(self):
-        n, d = self.alg.norm_coords(self.num), self.den
-        return n if d == 1 else self.alg.base.ratio(n, d * d)
+        alg, d = self.alg, self.den
+        return alg.base.from_num(alg.norm_coords(self.num), d * d * alg.norm_den)
 
     def trace(self):
-        t, d = self.num[0] * 2, self.den
-        return t if d == 1 else self.alg.base.ratio(t, d)
+        k = len(self.num) // self.alg.dim     # 2 a_0
+        return self.alg.base.from_num([2 * n for n in self.num[:k]], self.den)
 
     def inv(self) -> "CompElt":
-        n = self.norm()
-        return self.conj() * self.alg.base.inv(n)
+        return self.conj() * self.alg.base.inv(self.norm())
 
 
 class CompAlgebra(CoordSpace):
     """A composition algebra over a base ring, from a Cayley-Dickson chain:
-    its product table ``_cells`` over ``table_den`` and its norm weights,
-    shared by every base change of the chain."""
+    its product table ``_cells`` over ``table_den`` and its norm as a table
+    into the base's coordinates over ``norm_den``, each the chain's table
+    base-changed by ``flat_table``, and its norm weights."""
 
     element = CompElt
 
@@ -83,8 +89,10 @@ class CompAlgebra(CoordSpace):
         self.dim = 2 ** len(gs)
         self.name = f"comp({','.join(str(g) for g in gs)})"
         self.unit_coords = (1,) + (0,) * (self.dim - 1)
-        self._zero = base.zero()
-        self._cells, self.table_den, self.norm_weights = _cd_table(gs)
+        rows, den, self.norm_weights, norm_rows, norm_den = _cd_table(gs)
+        self._cells, self.table_den = flat_table(rows, den, base)
+        cells, self.norm_den = flat_table(norm_rows, norm_den, base)
+        self._norm_table = SimpleNamespace(_cells=cells, _n=base.flat_dim())
 
     @property
     def is_associative(self) -> bool:
@@ -99,13 +107,14 @@ class CompAlgebra(CoordSpace):
     mul_coords = table_mul
 
     def conj_coords(self, a):
-        return a[:1] + tuple(-c for c in a[1:])
+        """The numerators of a*: every coordinate but the first negated."""
+        k = len(a) // self.dim
+        return a[:k] + tuple(-c for c in a[k:])
 
     def norm_coords(self, a):
-        acc = a[0] * a[0]
-        for ai, n in zip(a[1:], self.norm_weights[1:]):
-            acc = acc + ai * ai * n
-        return acc
+        """The numerators of n(a) = sum n_i a_i^2 over norm_den, along the
+        base's flat coordinates: one kernel call on the norm table."""
+        return table_mul(self._norm_table, a, a)
 
     def base_change(self, new_base) -> "CompAlgebra":
         return CompAlgebra(self.gammas, base=new_base)
@@ -121,10 +130,12 @@ class CompAlgebra(CoordSpace):
 @cache
 def _cd_table(gammas: tuple):
     """The product table of the Cayley-Dickson chain ``gammas``: rows i of
-    cells ((k, c),) with e_i e_j = c / den e_k for an int c, the shape
-    ``table_mul`` reads; the one denominator den; and the norm weights
-    n_i.  One doubling step by gamma, with h the old dimension, reads off
-    the doubling formula on basis vectors (e_b* = +-e_b, + for b = 0 only):
+    pairs (j, ((k, c),)) with e_i e_j = c / den e_k for an int c, the shape
+    ``table_mul`` reads; the one denominator den; the norm weights n_i; and
+    the norm as a table into one coordinate, e_i e_i -> n_i, over its own
+    denominator.  One doubling step by gamma, with h the old dimension,
+    reads off the doubling formula on basis vectors (e_b* = +-e_b, + for
+    b = 0 only):
 
         e_a e_(h+b) = e_(h + k(b,a)) * c_ba,
         e_(h+a) e_b = e_(h + k(a,b)) * c_ab * (+-1),
@@ -145,9 +156,11 @@ def _cd_table(gammas: tuple):
         weights += [-g * n for n in weights]
     dim = len(weights)
     den = math.lcm(*(c.denominator for _, c in table.values()))
-    rows = tuple(tuple(((k, qq(c * den)),) for k, c in (table[i, j] for j in range(dim)))
-                 for i in range(dim))
-    return rows, den, tuple(qq(n) for n in weights)
+    rows = table_rows(((i, j, k, qq(c * den)) for (i, j), (k, c) in table.items()), dim)
+    weights = tuple(qq(n) for n in weights)
+    nden = math.lcm(*(Fraction(n).denominator for n in weights))
+    norm_rows = table_rows(((i, i, 0, qq(n * nden)) for i, n in enumerate(weights)), dim)
+    return rows, den, weights, norm_rows, nden
 
 
 def cd_double(desc: CompAlgebra, gamma) -> CompAlgebra:

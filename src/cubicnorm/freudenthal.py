@@ -26,7 +26,6 @@ from .matops import (
 )
 from .scalars import (
     HALF,
-    QQ_BASE,
     THIRD,
     CoordSpace,
     DescriptorError,
@@ -52,7 +51,7 @@ class WElt(Vec):
 
     @property
     def a(self):
-        return self.num[0] if self.den == 1 else QQ_BASE.ratio(self.num[0], self.den)
+        return self.coord(0)
 
     @property
     def b(self) -> CnsElt:
@@ -65,7 +64,7 @@ class WElt(Vec):
 
     @property
     def d(self):
-        return self.num[-1] if self.den == 1 else QQ_BASE.ratio(self.num[-1], self.den)
+        return self.coord(-1)
 
     def __repr__(self) -> str:
         return f"WElt(a={self.a}, b={list(self.b.coords)}, c={list(self.c.coords)}, d={self.d})"

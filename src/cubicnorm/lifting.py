@@ -32,7 +32,6 @@ from .cns import (
     H3CNS,
     SecondKind,
     TitsUCNS,
-    _scale_by_alg,
     cubic_ring_algebra,
     tensor_cross,
 )
@@ -134,7 +133,7 @@ def first_law(W: WSpace, v: WElt) -> LiftResult:
         raise PreconditionError("lift needs q(v) != 0")
     E = quadratic_field(q)
     WE = WSpace(W.J.base_change(E))
-    vE = WE.concat(*v.coords)
+    vE = WE.extend(v)
     omega = E.gen()
     return LiftResult(extension=E, lifted=x_of(WE, vE, omega),
                       data={"omega": omega, "xbar": x_of(WE, vE, -omega), "space": WE,
@@ -327,8 +326,8 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
     pd = pair_cubic(J, A, B)
     T, JT = pd.T, pd.JT
     a, b, c, d = pd.coeffs
-    X = (_scale_by_alg(JT, -A, pd.theta) + _scale_by_alg(JT, B, pd.omega)
-         + _scale_by_alg(JT, J.cross(J.adjoint(A), J.adjoint(B)), T.one()))
+    X = (JT.extend(-A) * pd.theta + JT.extend(B) * pd.omega
+         + JT.extend(J.cross(J.adjoint(A), J.adjoint(B))))
     Y = tensor_cross(JT, J, X, X) * HALF
     res = LiftResult(extension=T, lifted=X, data={"pair": pd, "Y": Y})
     res.require("X# = 0", JT.adjoint(X).is_zero())
@@ -338,9 +337,9 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
     # closed form for Y
     AxB = J.cross(A, B)
     As, Bs = J.adjoint(A), J.adjoint(B)
-    yc = (_scale_by_alg(JT, As, T.elem([-c * c + b * d, -3 * d, c]))
-          + _scale_by_alg(JT, AxB, T.elem([b * c - 3 * a * d, c, -b]))
-          + _scale_by_alg(JT, Bs, T.elem([-b * b + a * c, -b, 3 * a])))
+    yc = (JT.extend(As) * T.elem([-c * c + b * d, -3 * d, c])
+          + JT.extend(AxB) * T.elem([b * c - 3 * a * d, c, -b])
+          + JT.extend(Bs) * T.elem([-b * b + a * c, -b, 3 * a]))
     res.require("Y closed form", Y == yc)
     if cross_checks and isinstance(J, H3CNS) and J.comp.is_associative:
         sr = sr_maps(J, pd, check=False)
@@ -348,12 +347,12 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
         mid = _hermitian_from_matrix(J, mat_sub(
             mat_mul(J.to_matrix(A), sr.images["theta0"]),
             mat_mul(J.to_matrix(B), sr.images["omega0"])))
-        x0form = (_scale_by_alg(JT, mid, T.one()) * (-HALF)
-                  + _scale_by_alg(JT, -A, pd.theta0) + _scale_by_alg(JT, B, pd.omega0))
+        x0form = (JT.extend(mid) * (-HALF)
+                  + JT.extend(-A) * pd.theta0 + JT.extend(B) * pd.omega0)
         res.require("X via trace-zero basis", X == x0form)
         # Y0 = (3(A theta0 - B omega0))# + (3(A theta0 - B omega0)) x (3 mid) = -3Y
-        zt = _scale_by_alg(JT, A, pd.theta0 * 3) - _scale_by_alg(JT, B, pd.omega0 * 3)
-        y0 = JT.adjoint(zt) + JT.cross(zt, _scale_by_alg(JT, mid * 3, T.one()))
+        zt = JT.extend(A) * (pd.theta0 * 3) - JT.extend(B) * (pd.omega0 * 3)
+        y0 = JT.adjoint(zt) + JT.cross(zt, JT.extend(mid * 3))
         res.require("Y0 = -3Y", y0 == Y * (-3))
     return res
 
@@ -487,7 +486,7 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
 
 def _lift_row(space, row):
     """The row (or column) with its entries read in the base-changed ``space``."""
-    return tuple(space.elem(e.coords) for e in row)
+    return tuple(map(space.extend, row))
 
 
 def _lift_to_T(space, m):
@@ -531,10 +530,9 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
     ymat = H3T.to_matrix(Y.block(H3T))
     yv = mat_times_col(ymat, tuple(x.conj() for x in vT))
     vyv = sum_prod(vT, yv)
-    rhs = CnsElt(H3T, tuple(c * vyv.coords[0] for c in X.coords))
+    rhs = X.block(H3T) * vyv.coord(0)
     res = LiftResult(extension=pd.T, lifted=X, data={"pair": pd, "Y": Y, "eps": eps})
-    res.require("Q (v eps)*(v eps) = (v Y v*) X",
-                all(a == b for a, b in zip(lhs.coords, rhs.coords)))
+    res.require("Q (v eps)*(v eps) = (v Y v*) X", lhs == rhs)
     res.require("eigenvector identities", eigen_checks(H3T, pd, X, Y, sr))
     return res
 
@@ -745,24 +743,8 @@ class QuotientTitsU(CNS):
     # -- plumbing ------------------------------------------------------------
 
     def _times_h(self, ell):
-        """The row pair ell h.  Over B = M_3(K) it is read off the rows of
-        h: an entry beta at (i, j) of ell_s adds beta times row j of h_{s,t}
-        to row i of (ell h)_t, so a flat basis row, which has one such entry,
-        costs six products over K."""
-        if self.sk.kind != "matrix":
-            return row_times_mat(ell, self.h)
-        B = self.sk.B
-        out = []
-        for t in range(2):
-            rows = [[B.base.zero()] * 3 for _ in range(3)]
-            for s in range(2):
-                hrows = B.to_matrix(self.h[s][t])
-                for k, beta in enumerate(ell[s].coords):
-                    if not beta.is_zero():
-                        i, j = divmod(k, 3)
-                        rows[i] = [a + beta * b for a, b in zip(rows[i], hrows[j])]
-            out.append(B.from_matrix(mat(rows)))
-        return tuple(out)
+        """The row pair ell h."""
+        return row_times_mat(ell, self.h)
 
     def _lhl(self, e1, e2) -> CnsElt:
         """l1 h l2* in B for row pairs l1, l2."""
@@ -830,7 +812,7 @@ class QuotientTitsU(CNS):
         raise DescriptorError("quotient model is constructed over the ground field")
 
     def _key(self):
-        return (self.name, self.v.coords, self.omega.coords)
+        return (self.name, self.sk.J, self.sk.K, self.v.coords, self.omega.coords)
 
 
 def utilde_cns(sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None) -> LiftResult:
@@ -918,7 +900,7 @@ class GanSavinU(CNS):
         raise DescriptorError("constructed over the ground field")
 
     def _key(self):
-        return (self.name, self.v.coords)
+        return (self.name, self.A, self.v.coords)
 
 
 def gan_savin_cns(A: CNS, v: WElt) -> LiftResult:

@@ -2,14 +2,12 @@
 
 Matrices are tuples of tuples; entries only need +, -, *.  Used for M_3(C),
 M_2(A), M_2(B) and friends, where the entries are composition-algebra or
-cubic-norm-structure elements.  A product whose entries all lie in one
-algebra over Q (M_3(K) for a quadratic or cubic field K) runs as one fused
-integer product, ``CommAlgebra.mat_mul``.
+cubic-norm-structure elements.  Each entry product is its ring's own; M_3
+over a base algebra K is a structure of its own, ``cns.Matrix3CNS``, whose
+product is one table product on integer numerators.
 """
 
 from __future__ import annotations
-
-from .scalars import AlgElem
 
 
 def mat(rows):
@@ -28,25 +26,8 @@ def mat_neg(a):
     return tuple(tuple(-x for x in row) for row in a)
 
 
-def _rational_algebra(a, b):
-    """The algebra over Q that holds every entry of a and b, or None."""
-    x = a[0][0] if a and a[0] else None
-    space = x.space if type(x) is AlgElem else None
-    if space is None or not space.rational:
-        return None
-    for m in (a, b):
-        for row in m:
-            for y in row:
-                if type(y) is not AlgElem or y.space is not space:
-                    return None
-    return space
-
-
 def mat_mul(a, b):
-    """a b; over one algebra over Q, the fused product of that algebra."""
-    space = _rational_algebra(a, b)
-    if space is not None:
-        return space.mat_mul(a, b)
+    """a b, entry by entry, the factor order kept."""
     n, k = len(a), len(b)
     m = len(b[0])
     out = []

@@ -18,10 +18,9 @@ from .cns import (
     CnsElt,
     H3CNS,
     cubic_ring_algebra,
-    decompose_over_base,
     tensor_cross,
 )
-from .composition import CompAlgebra, CompElt
+from .composition import CompAlgebra
 from .freudenthal import (
     WElt,
     WSpace,
@@ -68,7 +67,6 @@ from .scalars import (
     Scalar,
     det,
     det_fraction,
-    is_integral,
     map_solve,
     qq,
     quadratic_field,
@@ -88,7 +86,7 @@ class QuadRing:
     D: Scalar
 
     def __post_init__(self):
-        if not is_integral(self.D):
+        if self.D.denominator != 1:
             raise PreconditionError("quadratic ring needs an integer discriminant")
         if int(self.D) % 4 not in (0, 1):
             raise PreconditionError("D must be a square modulo 4Z")
@@ -157,31 +155,17 @@ class IdealSA:
     beta: AlgElem
 
 
-def _decompose_tau(E: QuotientAlgebra, ring: QuadRing, val: AlgElem):
-    """Write an element of E as p + q tau; returns (p, q)."""
-    x0, x1 = val.coords
-    # val = x0 + x1 w, tau = (D + w)/2  =>  w = 2 tau - D
-    return (x0 - ring.D * x1, 2 * x1)
-
-
-def _w_integral(v: WElt) -> bool:
-    return all(is_integral(c) for c in v.coords)
+def _tau_parts(ring: QuadRing, x, space) -> tuple:
+    """(p, q) with x = p + q tau for x over E and tau = (D + w)/2: x is
+    x0 + x1 w with w = 2 tau - D, so p = x0 - D x1 and q = 2 x1, elements of
+    ``space`` over the ground field read off x's components along (1, w)."""
+    x0, x1 = x.component(space, 0), x.component(space, 1)
+    return x0 - x1 * ring.D, x1 * 2
 
 
 def sa_norm_matrix(ideal: IdealSA):
     """g in M_2(A_F) with (b1, b2) = (tau, 1) g."""
-    E, ring = ideal.E, ideal.ring
-    J = ideal.J
-    cols = []
-    for b in ideal.basis:
-        taus = []
-        ones = []
-        for coord in b.coords:
-            p, q = _decompose_tau(E, ring, coord)
-            ones.append(p)
-            taus.append(q)
-        cols.append((CnsElt(J, tuple(taus)), CnsElt(J, tuple(ones))))
-    return mat_transpose(cols)
+    return mat_transpose([_tau_parts(ideal.ring, b, ideal.J)[::-1] for b in ideal.basis])
 
 
 def ideal_norm_sa(ideal: IdealSA):
@@ -201,14 +185,10 @@ def balanced_check_sa(ideal: IdealSA) -> Certificate:
     """The balanced condition: beta^{-1} (b1, b2)! in W_A (x) S (sufficient
     for all pairs from the ideal), the norm equality, and the
     determinant identity <X, Xbar> = w^3 det_6(g) / N(beta)."""
-    E, ring = ideal.E, ideal.ring
+    E = ideal.E
     X = x_of_ideal_sa(ideal)
-    integral = True
-    for coord in X.coords:
-        p, q = _decompose_tau(E, ring, coord)
-        if not (is_integral(p) and is_integral(q)):
-            integral = False
-            break
+    p, q = _tau_parts(ideal.ring, X, WSpace(ideal.J))
+    integral = p.den == 1 and q.den == 1
     nrm = ideal_norm_sa(ideal)
     nbeta = E.norm(ideal.beta)
     WE = X.W
@@ -241,7 +221,7 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     Returns (QuadRing, IdealSA, LiftResult-certificate)."""
     W = WSpace(J)
     res = first_law(W, v)
-    if not _w_integral(v):
+    if v.den != 1:
         raise PreconditionError("integral correspondence needs integral coordinates")
     E, X, D = res.extension, res.lifted, res.data["q"]
     WE, omega, Xbar = res.data["space"], res.data["omega"], res.data["xbar"]
@@ -250,14 +230,14 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     tau = res.data["tau"] = ring.tau(E)
     # integrality of the tau-form (automatic over Z since x^2 + x in 2Z)
     vprime = (W.flat(v) - v * D) * HALF
-    res.require("X = tau v + (v_flat - Dv)/2 with integral parts", _w_integral(vprime))
+    res.require("X = tau v + (v_flat - Dv)/2 with integral parts", vprime.den == 1)
     Rr = r_right(W, v)
     # eps = (w + R_r(v)) / (2w), entries over A_E
     eps = mat_smul(mat_add(_lift_to_T(JE, Rr), m2_scalar(JE, omega)), E.inv(omega) * HALF)
     # Omega = (D + R_r)/2 integral: the S-action on column vectors
     Omega = mat_smul(mat_add(Rr, m2_scalar(J, D)), HALF)
     res.require("Omega = (D + R_r)/2 integral",
-                all(is_integral(c) for row in Omega for x in row for c in x.coords))
+                all(x.den == 1 for row in Omega for x in row))
 
     def unit_beta(cand):
         beta = WE.pair(shriek_row(WE, _lift_row(JE, cand)), Xbar) * E.inv(omega * omega * omega)
@@ -291,17 +271,10 @@ def balanced_to_cube(ideal: IdealSA, checks: Optional[Certificate] = None) -> tu
         checks = balanced_check_sa(ideal)
     for name in checks.failures:
         raise PreconditionError(f"unbalanced data: {name}")
-    E, ring, J = ideal.E, ideal.ring, ideal.J
     X = x_of_ideal_sa(ideal)
-    W = WSpace(J)
-    vparts = []
-    vprime = []
-    for coord in X.coords:
-        p, q = _decompose_tau(E, ring, coord)
-        vparts.append(q)
-        vprime.append(p)
-    v = W.concat(*vparts)
-    if W.quartic(v) != ring.D:
+    W = WSpace(ideal.J)
+    _, v = _tau_parts(ideal.ring, X, W)
+    if W.quartic(v) != ideal.ring.D:
         raise IdentityError("recovered element has the wrong discriminant")
     return v, X
 
@@ -350,8 +323,7 @@ class IdealTC:
 def tc_norm_matrix(comp: CompAlgebra, row):
     """m in M_3(C_F) with row = (1, w, t) m, for a row over C_T, such as
     the basis (b1, b2, b3) of a T (x) C ideal."""
-    return tuple(tuple(CompElt(comp, tuple(c.coords[alpha] for c in x.coords)) for x in row)
-                 for alpha in range(3))
+    return tuple(tuple(x.component(comp, alpha) for x in row) for alpha in range(3))
 
 
 def n6(J: H3CNS, m) -> Scalar:
@@ -379,17 +351,13 @@ def x_of_ideal_tc(ideal: IdealTC) -> CnsElt:
 def balanced_check_tc(ideal: IdealTC) -> Certificate:
     """The balanced condition: beta^{-1} b* b integral, and N_6(m) = N(beta)."""
     X = x_of_ideal_tc(ideal)
-    integral = all(all(is_integral(t) for t in c.coords) for c in X.coords)
+    integral = X.den == 1
     nrm = ideal_norm_tc(ideal)
     nbeta = ideal.T.norm(ideal.beta)
     cert = Certificate()
     cert.check("integrality (beta^{-1} y* x in C (x) T)", integral)
     cert.check("norm (N_6(m) = N(beta))", nrm == nbeta)
     return cert
-
-
-def _comp_integral(c: CompElt) -> bool:
-    return all(is_integral(x) for x in c.coords)
 
 
 def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
@@ -399,7 +367,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
 
     Returns (CubicRing, IdealTC, certificate)."""
     base_lift = hermitian_pair(J, A, B)
-    if not all(is_integral(c) for x in (A, B) for c in x.coords):
+    if not (A.den == 1 and B.den == 1):
         raise PreconditionError("integral correspondence needs integral coordinates")
     pd: PairData = base_lift.data["pair"]
     X, Y, H3T = base_lift.lifted, base_lift.data["Y"], base_lift.data["H3T"]
@@ -417,8 +385,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     ideal = IdealTC(ring, J.comp, T, tuple(b), beta)
     res = LiftResult(extension=T, lifted=X, data={"ideal": ideal, "v0": v0, "Y": Y,
                                                   "pair": pd})
-    res.require("beta^{-1} b* b = X(A,B)",
-                all(a == bb for a, bb in zip(x_of_ideal_tc(ideal).coords, X.coords)))
+    res.require("beta^{-1} b* b = X(A,B)", x_of_ideal_tc(ideal) == X)
     for e in balanced_check_tc(ideal).certificate:
         res.require(e.name, e.ok)
     # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B
@@ -428,7 +395,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     bsr = row_times_mat(b, srw)
     res.require("w b = b S_r(w) (T-stability with integral action)",
                 all(x == y for x, y in zip(wb, bsr))
-                and all(_comp_integral(e) for row in sr.images["omega"] for e in row))
+                and all(e.den == 1 for row in sr.images["omega"] for e in row))
     return ring, ideal, res
 
 
@@ -449,7 +416,7 @@ def balanced_to_pair(ideal: IdealTC, checks: Optional[Certificate] = None):
     JT = J.base_change(T)
     X = x_of_ideal_tc(ideal)
     XJT = X.block(JT)
-    Dpart, Bpart, Tpart = decompose_over_base(JT, J, XJT)     # X = D + B w + (X_theta) t
+    Dpart, Bpart, Tpart = (XJT.component(J, a) for a in range(3))   # X = D + B w + (X_theta) t
     A = -Tpart
     B = Bpart
     Y = tensor_cross(JT, J, XJT, XJT) * HALF
@@ -467,9 +434,7 @@ def tc_data_equivalent(i1: IdealTC, i2: IdealTC):
     """X-elements agree iff equivalent; solves x b = b' for x in C_L^x."""
     if i1.ring != i2.ring:
         return "not-equivalent"
-    X1 = x_of_ideal_tc(i1)
-    X2 = x_of_ideal_tc(i2)
-    if not all(a == b for a, b in zip(X1.coords, X2.coords)):
+    if not x_of_ideal_tc(i1) == x_of_ideal_tc(i2):
         return "not-equivalent"
     compT = i1.basis[0].alg
     T = i1.T

@@ -5,9 +5,9 @@ Everything in this package is computed over Q or over a finite-dimensional
 commutative Q-algebra given by structure constants.  A rational scalar is an
 ``int`` when it is integral and a ``fractions.Fraction`` otherwise; no floating
 point appears anywhere, and a float offered as a scalar is refused.  Every
-element of every structure is a ``Vec``: numerators over an int denominator
-on every base (integers over one denominator over Q, its coordinates over 1
-over any other base), with one element arithmetic on the numerators.
+element of every structure is a ``Vec``: on every base, integers along its
+Q-flattened coordinates over one denominator, with one element arithmetic
+on the numerators and one product kernel over Kronecker product tables.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -171,20 +172,27 @@ def rational_sqrt(x: Scalar) -> Optional[Scalar]:
     return None
 
 
-def is_integral(x: Scalar) -> bool:
-    return x.denominator == 1
-
-
 # ---------------------------------------------------------------------------
 # Base rings.
 #
 # Every structure in this package (composition algebras, cubic norm
 # structures, Freudenthal spaces) is parametrized by a "base": either Q
-# itself or a CommAlgebra.  Elements of a base support +, -, *, so generic
-# formula code is written once and extends coefficient-wise under base
-# change.  A base also divides exactly by a nonzero int (``ratio``), and
-# its zero, and only its zero, is falsy (``is_zero`` is ``operator.not_``).
+# itself or a CommAlgebra, which may itself lie over a CommAlgebra.  Elements
+# of a base support +, -, *, so generic formula code is written once and
+# extends coefficient-wise under base change.  A base scalar is held, like
+# every element, as integers along its Q-flattened coordinates over one
+# denominator: ``num_den`` reads them off a scalar and ``from_num`` builds the
+# scalar from them.  A base also has a product table on those integers
+# (``_cells`` over ``table_den``) for the Kronecker tables of the structures
+# over it, and its zero, and only its zero, is falsy (``is_zero`` is
+# ``operator.not_``).
 # ---------------------------------------------------------------------------
+
+
+def _rational(n: int, d: int) -> Scalar:
+    """n / d for an int n and a nonzero int d: an int when d divides n."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 class RationalBase:
@@ -194,6 +202,12 @@ class RationalBase:
 
     dim = 1
     name = "QQ"
+    # the bottom of every tower: Q lies over no base
+    base = None
+    # the product of Q as a table on one coordinate
+    _cells = (((0, ((0, 1),)),),)
+    _n = 1
+    table_den = 1
 
     def zero(self) -> int:
         return 0
@@ -206,6 +220,25 @@ class RationalBase:
             raise DescriptorError("cannot coerce an algebra element into QQ")
         return qq(x)
 
+    def num_den(self, x) -> tuple[tuple, int]:
+        """x as ((numerator,), denominator)."""
+        if type(x) is int:
+            return (x,), 1
+        x = self.coerce(x)
+        return (x.numerator,), x.denominator
+
+    @staticmethod
+    def from_num(num: Sequence[int], den: int) -> Scalar:
+        return num[0] if den == 1 else _rational(num[0], den)
+
+    @staticmethod
+    def scalars(num: Sequence[int], den: int) -> Sequence[Scalar]:
+        return num if den == 1 else tuple(_rational(n, den) for n in num)
+
+    @staticmethod
+    def mul_coords(a: Sequence[int], b: Sequence[int]) -> tuple:
+        return (a[0] * b[0],)
+
     # a C-level callable, not a method: a composition product asks it about
     # every coordinate
     is_zero = staticmethod(operator.not_)
@@ -217,12 +250,6 @@ class RationalBase:
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
         return qq(Fraction(x.denominator, x.numerator))
-
-    @staticmethod
-    def ratio(n: int, d: int) -> Scalar:
-        """n / d for a nonzero int d as a rational scalar: an int when d divides n."""
-        q, r = divmod(n, d)
-        return Fraction(n, d) if r else q
 
     def flatten(self, x: Scalar) -> list[Scalar]:
         return [x]
@@ -263,44 +290,50 @@ class Vec:
     """An element of a free module over a base: its structure ``space`` and
     numerators ``num`` over an int denominator ``den`` > 0.
 
-    Over Q ``num`` is a tuple of ints with gcd(den, num) = 1, integers over
-    one denominator (Cohen, GTM 138, 4.2); over any other base ``num`` is
-    the coordinates and ``den`` is 1.  So two elements of one structure are
-    equal exactly when their (num, den) are.  ``coords`` -- over Q an int
-    where integral, a Fraction otherwise -- is read off on first use; an
-    element built from coordinates keeps them as its ``coords``.
+    On every base ``num`` is ``space.flat_dim()`` ints along the element's
+    Q-flattened coordinates, with gcd(den, num) = 1: integers over one
+    denominator (Cohen, GTM 138, 4.2).  Over a base algebra K a coordinate
+    is the run of K.flat_dim() numerators of a K element.  So two elements
+    of one structure are equal exactly when their (num, den) are.
+    ``coords`` -- over Q an int where integral, a Fraction otherwise, over
+    K the K elements -- is read off by the base (``scalars``) on first use.
 
     Sum, difference, negation, scaling by a base scalar, equality, hash and
     the zero test are defined here once, for every element type, on the
     numerators, and ``_reduced`` brings each result back to this form; the
-    product is ``space.mul``, and a subclass adds only its repr and its own
-    maps.  This is the one place that reads a bare operand -- an int, a
-    Fraction or an element of the base algebra -- as a scalar s: ``*``
-    scales by it, and where the structure has unit coordinates, +, - and ==
-    read it as s * 1.  An operand over a structure whose base is this
-    element's structure carries out +, - and * itself, also where Python
-    tries no reflected method (two ``AlgElem``).
+    product is ``space.mul``.  This is the one place that reads a bare
+    operand -- an int, a Fraction or an element of the base algebra -- as a
+    scalar s: ``*`` scales by it, and where the structure has unit
+    coordinates, +, - and == read it as s * 1.  An operand over a structure
+    whose base is this element's structure carries out +, - and * itself,
+    also where Python tries no reflected method (two ``AlgElem``).
     """
 
     __slots__ = ("space", "num", "den", "_coords")
 
     def __init__(self, space, coords: Sequence):
+        coords = tuple(coords)
+        if len(coords) != space.dim:
+            raise DescriptorError(f"{space.name}: expected {space.dim} coordinates, "
+                                  f"got {len(coords)}")
         self.space = space
-        self._coords = coords = tuple(coords)
-        if space.rational and Fraction in map(type, coords):
-            self.num, self.den = _over_one_denominator(coords)
-        else:
-            self.num, self.den = coords, 1
+        self.num, self.den = _over_one_denominator(space.base, coords)
+        self._coords = None
 
     @property
     def coords(self) -> tuple:
-        try:
-            return self._coords
-        except AttributeError:
-            # only an element over Q lacks them: over any other base den is 1
-            ratio, den = QQ_BASE.ratio, self.den
-            self._coords = coords = tuple(ratio(n, den) for n in self.num)
-            return coords
+        coords = self._coords
+        if coords is None:
+            coords = self._coords = self.space.base.scalars(self.num, self.den)
+        return coords
+
+    def coord(self, i: int):
+        """Coordinate i alone, as a base scalar, without reading the rest."""
+        if self._coords is not None:
+            return self._coords[i]
+        k = len(self.num) // self.space.dim
+        i %= self.space.dim
+        return self.space.base.from_num(self.num[i * k:(i + 1) * k], self.den)
 
     def _peer(self, other):
         """``other`` as an element with the (num, den) it has in this
@@ -367,6 +400,10 @@ class Vec:
                         if isinstance(self, AlgElem):
                             return NotImplemented
                         raise
+                    # an element of the base algebra: one kernel call
+                    base = space.base
+                    return _reduced(space, base.scale_coords(self.num, other.num),
+                                    self.den * other.den * base.table_den)
                 elif type(other) is type(self):
                     raise DescriptorError(f"descriptor mismatch: {space!r} and {other.space!r}")
                 else:
@@ -376,7 +413,6 @@ class Vec:
                                 self.den * other.denominator)
             elif not isinstance(other, int):
                 return NotImplemented
-        # an int, or an element of the base algebra (over which den is 1)
         return _reduced(space, tuple(map(operator.mul, self.num, repeat(other))), self.den)
 
     # only a scalar, or an element over another structure, reaches here: a
@@ -411,11 +447,63 @@ class Vec:
         return not any(self.num)
 
     def block(self, space, start: int = 0) -> "Vec":
-        """The element of ``space``, over this element's base, whose
-        coordinates are this element's from ``start`` on: its numerators
-        there over its denominator, so none is read off or scanned again.
+        """The element of ``space`` whose coordinates are this element's
+        from coordinate ``start`` on: its numerators there over its
+        denominator, so none is read off or scanned again.  ``space`` lies
+        over this element's base, or over an algebra over it, such as the
+        B-part of a Tits element over Q with B over K.
         ``CoordSpace.concat`` is its inverse."""
-        return _reduced(space, self.num[start:start + space.dim], self.den)
+        start *= len(self.num) // self.space.dim
+        return _reduced(space, self.num[start:start + space._n], self.den)
+
+    def component(self, space, a: int) -> "Vec":
+        """x_a in x = sum_a x_a (x) t_a over the basis t_a of this element's
+        base T: the element of ``space``, the same structure over T's own
+        base, read off every coordinate's a-th T-coordinate (a stride of the
+        numerators).  ``space.extend(x_a) * t_a`` summed over a gives x."""
+        num = self.num
+        step = len(num) // self.space.dim
+        k = step // self.space.base.dim
+        return _reduced(space, tuple(n for i in range(a * k, len(num), step)
+                                     for n in num[i:i + k]), self.den)
+
+
+def _lies_over(space, base) -> bool:
+    """Whether ``space`` is ``base`` or lies over it, through a tower."""
+    while space is not None and space is not base and space != base:
+        space = space.base
+    return space is not None
+
+
+def _over_one_denominator(base, parts) -> tuple[tuple, int]:
+    """(num, den) of parts in turn, the one way parts are brought over one
+    denominator: an element over ``base`` gives its numerators (an element
+    of ``base`` is one coordinate), any other part is a scalar ``base``
+    coerces.  Each part goes over the least common denominator as it comes,
+    which leaves the numerators in lowest terms with no gcd taken."""
+    num, den = [], 1
+    for p in parts:
+        if isinstance(p, Vec) and (p.space.base is base or _lies_over(p.space, base)):
+            pn, pd = p.num, p.den
+        else:
+            pn, pd = base.num_den(p)
+        if pd != den:
+            g = math.gcd(den, pd)
+            if g != pd:
+                # pd does not divide den: the parts so far go over the lcm
+                k = pd // g
+                num = [n * k for n in num]
+                den *= k
+            k = den // pd
+            pn = [n * k for n in pn]
+        num.extend(pn)
+    return tuple(num), den
+
+
+def _times_unit(num: Sequence[int], k: int, unit: Sequence[int]) -> tuple:
+    """Each run of k numerators times each entry of ``unit`` in turn: the
+    numerators of s (x) 1 for each run s, an outer product."""
+    return tuple([u * n for i in range(0, len(num), k) for u in unit for n in num[i:i + k]])
 
 
 class CoordSpace:
@@ -426,17 +514,18 @@ class CoordSpace:
     A subclass sets ``dim``, ``base``, ``name`` and ``element``, and ``_key``
     for equality.  An algebra given by a product table also sets
     ``unit_coords``, the rational coordinates of 1 (with them a bare scalar
-    s is the element s * 1), and ``mul_coords`` and ``table_den``, its
-    product on numerators and the denominator that product is over.
+    s is the element s * 1), and ``_cells`` and ``table_den`` from
+    ``flat_table``: its product on numerators, ``mul_coords``, over
+    table_den.
     """
 
     unit_coords: Optional[tuple] = None
     random_height = 3
 
     @cached_property
-    def rational(self) -> bool:
-        """Whether the base is Q, so elements hold ints over a denominator."""
-        return isinstance(self.base, RationalBase)
+    def _unit(self) -> tuple[tuple, int]:
+        """The unit coordinates, rationals, as (integer numerators, den)."""
+        return _over_one_denominator(QQ_BASE, self.unit_coords)
 
     @cached_property
     def unit_pivot(self) -> Optional[tuple]:
@@ -452,33 +541,58 @@ class CoordSpace:
                 tuple(j for j, u in enumerate(unit) if u == 0))
 
     def elem(self, coords):
-        cs = tuple(self.base.coerce(c) for c in coords)
-        if len(cs) != self.dim:
-            raise DescriptorError(f"{self.name}: expected {self.dim} coordinates, got {len(cs)}")
-        return self.element(self, cs)
+        return self.element(self, tuple(self.base.coerce(c) for c in coords))
 
     def zero(self):
-        return self.element(self, (self.base.zero(),) * self.dim)
+        return _reduced(self, (0,) * self.flat_dim(), 1)
 
     def one(self):
-        return self.elem(self.unit_coords)
+        return self.from_scalar(1)
+
+    def num_den(self, x) -> tuple[tuple, int]:
+        """x, coerced into this algebra, as (numerators, den)."""
+        x = self.coerce(x)
+        return x.num, x.den
+
+    def from_num(self, num: Sequence[int], den: int):
+        """The element num / den, for flat integer numerators."""
+        return _reduced(self, tuple(num), den)
+
+    def scalars(self, num: Sequence[int], den: int) -> tuple:
+        """The elements over den of each run of flat_dim numerators: the
+        coordinates, as elements of this space, of an element over it."""
+        k = self._n
+        return tuple(_reduced(self, num[i:i + k], den) for i in range(0, len(num), k))
+
+    def scale_coords(self, num: Sequence[int], s: Sequence[int]) -> tuple:
+        """x s over table_den, on the numerators of x over this space and of
+        s in it: one kernel call."""
+        return table_mul(_scale_table(len(num) // self._n, self), num, s)
 
     def from_scalar(self, s):
         """s * 1 for a base scalar s (or an int or a Fraction)."""
-        s = self.base.coerce(s)
-        return self.element(self, tuple(s * u for u in self.unit_coords))
+        sn, sd = self.base.num_den(s)
+        un, ud = self._unit
+        return _reduced(self, _times_unit(sn, len(sn), un), sd * ud)
+
+    def extend(self, x):
+        """x (x) 1: an element x of the same structure over this space's
+        base's own base, each coordinate s read as s * 1 in the base."""
+        un, ud = self.base._unit
+        return _reduced(self, _times_unit(x.num, len(x.num) // self.dim, un), x.den * ud)
 
     def basis(self) -> list:
-        z, o = self.base.zero(), self.base.one()
-        return [self.element(self, tuple(o if k == i else z for k in range(self.dim)))
+        """e_i (x) 1 for each coordinate i."""
+        on, od = self.base.num_den(1)
+        zero = (0,) * len(on)
+        return [_reduced(self, zero * i + on + zero * (self.dim - 1 - i), od)
                 for i in range(self.dim)]
 
     def flat_basis(self) -> list:
-        """The basis that ``flatten`` reads coordinates along: each basis
-        element times each basis element of the base."""
-        z = self.base.zero()
-        return [self.element(self, tuple(b if k == i else z for k in range(self.dim)))
-                for i in range(self.dim) for b in self.base.basis()]
+        """The basis that ``flatten`` reads coordinates along: one
+        numerator 1 at a time."""
+        n = self.flat_dim()
+        return [_reduced(self, (0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in range(n)]
 
     def concat(self, *parts):
         """The element whose coordinates are the parts' in turn, the inverse
@@ -486,40 +600,12 @@ class CoordSpace:
 
         A part is a base scalar, one coordinate (over a base algebra K an
         element of K, or a rational read as one), or an element over the
-        same base, its coordinates.  Over Q the parts are brought over the
-        least common denominator of their denominators as they come, which
-        leaves the numerators in lowest terms, so no coordinate is read off
-        or scanned and no gcd of the numerators is taken."""
-        num = []
-        if self.rational:
-            den = 1
-            for p in parts:
-                if type(p) is int:
-                    num.append(p * den)
-                    continue
-                pn, pd = (p.num, p.den) if isinstance(p, Vec) else ((p.numerator,), p.denominator)
-                if pd != den:
-                    g = math.gcd(den, pd)
-                    if g != pd:
-                        # pd does not divide den: the parts so far go over the lcm
-                        k = pd // g
-                        num = [n * k for n in num]
-                        den *= k
-                    k = den // pd
-                    pn = [n * k for n in pn]
-                num.extend(pn)
-            return _reduced(self, tuple(num), den, False)
-        base = self.base
-        for p in parts:
-            if isinstance(p, Vec):
-                if p.space is base:
-                    num.append(p)
-                    continue
-                if p.space.base is base or p.space.base == base:
-                    num.extend(p.num)
-                    continue
-            num.append(base.coerce(p))
-        return _reduced(self, tuple(num), 1)
+        same base (or over an algebra over it), its coordinates; see
+        ``_over_one_denominator``."""
+        num, den = _over_one_denominator(self.base, parts)
+        if len(num) != self._n:
+            raise DescriptorError(f"{self.name}: parts fill {len(num)} of {self._n} numerators")
+        return _reduced(self, num, den, False)
 
     def mul(self, x, y):
         """The one table product: ``mul_coords`` on the numerators, over
@@ -534,17 +620,20 @@ class CoordSpace:
     # -- flattening to Q (for exact linear algebra) --------------------------
 
     def flat_dim(self) -> int:
+        return self._n
+
+    @cached_property
+    def _n(self) -> int:
+        """The number of numerators, flat_dim, and of ``table_mul``'s outputs."""
         return self.dim * self.base.flat_dim()
 
     def flatten(self, x) -> list[Scalar]:
-        if self.base is QQ_BASE:
-            return list(x.coords)
-        return [f for c in x.coords for f in self.base.flatten(c)]
+        den = x.den
+        return [_rational(n, den) for n in x.num]
 
     def unflatten(self, coords: Sequence[Scalar]):
-        step = self.base.flat_dim()
-        return self.element(self, tuple(self.base.unflatten(coords[i * step:(i + 1) * step])
-                                        for i in range(self.dim)))
+        num, den = _over_one_denominator(QQ_BASE, coords)
+        return _reduced(self, num, den, False)
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._key() == other._key()
@@ -580,25 +669,19 @@ _new = object.__new__
 
 
 def _reduced(space, num: tuple, den: int, reduce: bool = True) -> Vec:
-    """The element num / den of a structure, for an int den > 0.  Over Q it
-    is brought to lowest terms by one gcd unless den is 1 or the caller
-    knows it is (``reduce``); over any other base each numerator is divided
-    by den in the base (``ratio``), so den becomes 1."""
-    if den != 1:
-        if not space.rational:
-            ratio = space.base.ratio
-            num, den = tuple(ratio(n, den) for n in num), 1
-        elif reduce:
-            g = math.gcd(den, *num)
-            if g != 1:
-                num = tuple(n // g for n in num)
-                den //= g
+    """The element num / den of a structure, for an int den > 0, brought to
+    lowest terms by one gcd unless den is 1 or the caller knows it is
+    (``reduce``)."""
+    if reduce and den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple(n // g for n in num)
+            den //= g
     x = _new(space.element)
     x.space = space
     x.num = num
     x.den = den
-    if den == 1:
-        x._coords = num
+    x._coords = None
     return x
 
 
@@ -612,62 +695,74 @@ def _combine(space, op, x: Vec, y: Vec) -> Vec:
                                      map(operator.mul, y.num, repeat(a)))), a * b)
 
 
-def _over_one_denominator(coords: tuple) -> tuple[tuple, int]:
-    """(num, den) for rational coordinates: integers over their least
-    common denominator, which is in lowest terms."""
-    den = math.lcm(*[c.denominator for c in coords])
-    return tuple(c.numerator * (den // c.denominator) for c in coords), den
-
-
-def _matrix_over_one_denominator(m) -> tuple[list, int]:
-    """(rows of numerator tuples, den) for a matrix of elements of one
-    algebra over Q: every entry as integers over the least common
-    denominator of its entries."""
-    den = math.lcm(*[x.den for row in m for x in row])
-    return [[x.num if x.den == den else tuple(n * (den // x.den) for n in x.num) for x in row]
-            for row in m], den
-
-
 def table_mul(space, a, b):
-    """The product kernel of a structure given by a product table: sum
-    a_i b_j c e_k over the cells ``space._cells[i][j]`` of (k, c) pairs,
-    skipping zero coordinates, adding or subtracting a product when
-    c = +-1.  It is the ``mul_coords`` of ``CommAlgebra`` and of
-    ``composition.CompAlgebra``."""
-    out = [space._zero] * space.dim
+    """The one product kernel: sum a_i b_j c e_k over ``space._cells``, whose
+    row i holds the pairs (j, ((k, c), ...)) of its nonzero cells, into
+    ``space._n`` numerators, skipping zero numerators.  It is every table
+    structure's ``mul_coords`` and every base algebra's ``scale_coords``."""
+    out = [0] * space._n
     for ai, row in zip(a, space._cells):
         if not ai:
             continue
-        for bj, cell in zip(b, row):
+        for j, cell in row:
+            bj = b[j]
             if not bj:
                 continue
             prod = ai * bj
             for k, c in cell:
                 if c == 1:
-                    out[k] = out[k] + prod
+                    out[k] += prod
                 elif c == -1:
-                    out[k] = out[k] - prod
+                    out[k] -= prod
                 else:
-                    out[k] = out[k] + prod * c
+                    out[k] += prod * c
     return tuple(out)
+
+
+def table_rows(terms, n: int) -> tuple:
+    """The n rows ``table_mul`` reads, from terms (i, j, k, c): e_i e_j -> c e_k."""
+    rows = [{} for _ in range(n)]
+    for i, j, k, c in terms:
+        rows[i].setdefault(j, []).append((k, c))
+    return tuple(tuple((j, tuple(cell)) for j, cell in sorted(row.items())) for row in rows)
+
+
+@lru_cache(maxsize=8)
+def flat_table(rows: tuple, den: int, base) -> tuple[tuple, int]:
+    """Integer table rows over den, base changed to ``base``: their
+    Kronecker product with the base's table, over den * base.table_den, on
+    Q-flattened numerators.  Built once per (table, base) and shared."""
+    bc, m = base._cells, base._n
+    cells = tuple(
+        tuple((j * m + b, tuple((k * m + kk, c * cc) for k, c in cell for kk, cc in bcell))
+              for j, cell in row for b, bcell in brow)
+        for row in rows for brow in bc)
+    return cells, den * base.table_den
+
+
+@lru_cache(maxsize=8)
+def _scale_table(dim: int, base) -> SimpleNamespace:
+    """The table of x s for x with ``dim`` coordinates over ``base`` and s in
+    it: the base's product on each coordinate's run of numerators."""
+    bc, m = base._cells, base._n
+    cells = tuple(tuple((b, tuple((i * m + k, c) for k, c in cell)) for b, cell in brow)
+                  for i in range(dim) for brow in bc)
+    return SimpleNamespace(_cells=cells, _n=dim * m)
 
 
 class CommAlgebra(CoordSpace):
     """Finite commutative unital algebra over a base, given by rational
     structure constants.
 
-    ``table[i][j]`` holds the coordinates of e_i * e_j as a tuple of
-    rationals; coordinates of elements live in ``base`` (Q by default), so
-    the same table serves the algebra and all of its base changes.  The
-    table is also kept as ``int_table`` over one denominator ``table_den``,
-    and every formula works on an element's ``num`` over its ``den`` and
-    ends in one exact division: ``_reduced`` for an element, the base's
-    ``ratio`` for a base scalar.  As a base, the algebra divides by an int
-    (``ratio``) and has a falsy zero (``is_zero``).  The norm comes from the
-    regular representation.  The trace is linear, so it is a dot product
-    with the trace vector tr(e_i) = sum_k table[i][k][k], computed once.  An
-    element is a unit iff its norm is a unit (correct for the etale
-    instances used here).
+    ``table[i][j]`` holds the coordinates of e_i * e_j, rationals, kept as
+    integers over ``own_den``; their Kronecker product with the base's
+    table (``flat_table``) is the product on numerators.  Every formula
+    works on an element's ``num`` over its ``den`` and ends in one exact
+    division: ``_reduced`` for an element, the base's ``from_num`` for a
+    base scalar.  The norm comes from the regular representation; the
+    trace is a dot product with tr(e_i) = sum_k table[i][k][k] along each
+    of the base's flat coordinates.  An element is a unit iff its norm is a
+    unit (correct for the etale instances used here).
     """
 
     element = AlgElem
@@ -677,21 +772,17 @@ class CommAlgebra(CoordSpace):
         self.table = tuple(tuple(tuple(qq(c) for c in cell) for cell in row) for row in table)
         self.dim = len(self.table)
         self.base = base
-        self._zero = base.zero()
-        if unit_coords is None:
-            unit_coords = (1,) + (0,) * (self.dim - 1)
-        self.unit_coords = tuple(qq(c) for c in unit_coords)
-        self._unit_num, self._unit_den = _over_one_denominator(self.unit_coords)
-        # the structure constants over one denominator: table = int_table / table_den
-        den = self.table_den = math.lcm(*(c.denominator for row in self.table
-                                          for cell in row for c in cell))
-        self.int_table = tuple(tuple(tuple(c.numerator * (den // c.denominator) for c in cell)
-                                     for cell in row) for row in self.table)
-        self._int_trace = tuple(sum(row[k][k] for k in range(self.dim)) for row in self.int_table)
-        # the nonzero constants of each cell as (k, c) pairs, for mul_coords and mat_mul
-        self._cells = tuple(tuple(tuple((k, c) for k, c in enumerate(cell) if c) for cell in row)
-                            for row in self.int_table)
-        self._basis_coords = tuple(c.coords for c in self.basis())
+        self.unit_coords = tuple(qq(c) for c in unit_coords or (1,) + (0,) * (self.dim - 1))
+        # the structure constants, and the trace vector, as integers over own_den
+        den = self.own_den = math.lcm(*(c.denominator for row in self.table
+                                        for cell in row for c in cell))
+        self._int_trace = tuple(qq(sum(row[k][k] for k in range(self.dim)) * den)
+                                for row in self.table)
+        terms = ((i, j, k, qq(c * den)) for i, row in enumerate(self.table)
+                 for j, cell in enumerate(row) for k, c in enumerate(cell) if c)
+        self._cells, self.table_den = flat_table(table_rows(terms, self.dim), den, base)
+        basis = self.basis()
+        self._basis_num, self._basis_den = tuple(b.num for b in basis), basis[0].den
 
     # -- construction -------------------------------------------------------
 
@@ -708,71 +799,38 @@ class CommAlgebra(CoordSpace):
             return self.from_rational(qq(x))
         raise DescriptorError(f"cannot coerce {type(x).__name__} into {self.name}")
 
-    def ratio(self, u: AlgElem, d: int) -> AlgElem:
-        """u / d for a nonzero int d; u itself when d is 1.  A rational u, a
-        coordinate of an element built from rational coordinates, is read
-        as u * 1."""
-        if d == 1:
-            return u
-        if not isinstance(u, AlgElem):
-            u = self.from_scalar(u)
-        return _reduced(self, u.num, u.den * d) if d > 0 else self.ratio(-u, -d)
-
     # -- arithmetic ---------------------------------------------------------
 
-    # the numerators of a b over table_den (``mat_mul`` inlines it for a
-    # matrix product)
+    # the numerators of a b over table_den
     mul_coords = table_mul
-
-    def mat_mul(self, a, b):
-        """The matrix product a b for matrices (tuples of rows) whose entries
-        all lie in this algebra over Q: each operand over one common
-        denominator, the integer numerators of every entry accumulated over
-        ``_cells``, and one reduction per entry of the product."""
-        a, da = _matrix_over_one_denominator(a)
-        b, db = _matrix_over_one_denominator(b)
-        cells, dim, den = self._cells, self.dim, da * db * self.table_den
-        cols = tuple(zip(*b))
-        out = []
-        for arow in a:
-            row = []
-            for col in cols:
-                acc = [0] * dim
-                for x, y in zip(arow, col):
-                    for xi, crow in zip(x, cells):
-                        if not xi:
-                            continue
-                        for yj, cell in zip(y, crow):
-                            if not yj:
-                                continue
-                            prod = xi * yj
-                            for k, c in cell:
-                                acc[k] += prod if c == 1 else prod * c
-                row.append(_reduced(self, tuple(acc), den))
-            out.append(tuple(row))
-        return tuple(out)
 
     def _regular_columns(self, u: AlgElem):
         """The numerators of the images of the basis under multiplication
         by u, and the denominator they are over."""
-        return [self.mul_coords(u.num, b) for b in self._basis_coords], u.den * self.table_den
+        return ([self.mul_coords(u.num, b) for b in self._basis_num],
+                u.den * self._basis_den * self.table_den)
 
     def regular_matrix(self, u: AlgElem) -> list[list]:
         """Matrix of multiplication-by-u on the basis, columns = images."""
         cols, d = self._regular_columns(u)
-        ratio = self.base.ratio
-        return [[ratio(cols[j][i], d) for j in range(self.dim)] for i in range(self.dim)]
+        return [list(row) for row in zip(*(self.base.scalars(c, d) for c in cols))]
 
     def norm(self, u: AlgElem):
         cols, d = self._regular_columns(u)
-        return self.base.ratio(det(cols), d ** self.dim)
+        base = self.base
+        # the determinant on the numerators (of the transpose), then one
+        # division by d^dim
+        n, dn = base.num_den(det([base.scalars(c, 1) for c in cols]))
+        return base.from_num(n, dn * d ** self.dim)
 
-    def _trace_num(self, num):
-        """table_den * tr(num), a dot product with the integer trace vector."""
-        return sum(map(operator.mul, num, self._int_trace), self._zero)
+    def _trace_num(self, num) -> list:
+        """own_den * tr(num) along the base's flat coordinates: dot products
+        with the integer trace vector."""
+        k = len(num) // self.dim
+        return [sum(map(operator.mul, num[c::k], self._int_trace)) for c in range(k)]
 
     def trace(self, u: AlgElem):
-        return self.base.ratio(self._trace_num(u.num), u.den * self.table_den)
+        return self.base.from_num(self._trace_num(u.num), u.den * self.own_den)
 
     def is_unit(self, u: AlgElem) -> bool:
         return self.base.is_unit(self.norm(u))
@@ -791,37 +849,49 @@ class CommAlgebra(CoordSpace):
         """Conjugation on a quadratic algebra: u* = tr(u) - u."""
         if self.dim != 2:
             raise DescriptorError("conjugation is only defined on quadratic algebras")
-        # tr(u) = t / (den * table_den) and 1 = unit_num / unit_den
-        num, t, k = u.num, self._trace_num(u.num), self.table_den * self._unit_den
-        return _reduced(self, tuple(t * e - c * k for e, c in zip(self._unit_num, num)), u.den * k)
+        # tr(u) = t / (den * own_den) and 1 = un / ud
+        num, t = u.num, self._trace_num(u.num)
+        un, ud = self._unit
+        m = self.own_den * ud
+        return _reduced(self, tuple(a - n * m for a, n in zip(_times_unit(t, len(t), un), num)),
+                        u.den * m)
 
-    # -- charpoly helpers (for the adjoint of cubic algebras) ----------------
-
-    def _char(self, u: AlgElem):
-        """(num, d, square, t1, t2): the numerators of u over den and of u^2
-        over den^2 * table_den, d = den * table_den, and t1, t2 with
-        tr(u) = t1 / d and tr(u^2) = t2 / d^2."""
-        num = u.num
-        square = self.mul_coords(num, num)
-        return num, u.den * self.table_den, square, self._trace_num(num), self._trace_num(square)
+    # -- charpoly (for the adjoint of cubic algebras) -------------------------
 
     def char_s1_s2(self, u: AlgElem):
         """s1 = tr(u) and s2 = (tr(u)^2 - tr(u^2))/2, the first two
         coefficients of the characteristic polynomial of u."""
-        _, d, _, t1, t2 = self._char(u)
-        ratio = self.base.ratio
-        return ratio(t1, d), ratio(t1 * t1 - t2, 2 * d * d)
+        num, base = u.num, self.base
+        d = u.den * self.own_den
+        t1 = self._trace_num(num)
+        # tr(u)^2 and tr(u^2) over d^2 * base.table_den
+        s2 = map(operator.sub, base.mul_coords(t1, t1), self._trace_num(self.mul_coords(num, num)))
+        return base.from_num(t1, d), base.from_num(tuple(s2), 2 * d * d * base.table_den)
+
+    @cached_property
+    def _adjoint_table(self):
+        """u^# = u^2 - s1 u + s2 as one table, sum u_i u_j A_ij with
+        A_ij = e_i e_j - tr(e_i) e_j + (tr(e_i) tr(e_j) - tr(e_i e_j)) / 2,
+        read off the structure constants once; its rows and denominator."""
+        tr, unit = [sum(row[k][k] for k in range(self.dim)) for row in self.table], self.unit_coords
+        terms = []
+        for i, row in enumerate(self.table):
+            for j, prod in enumerate(row):
+                s = (tr[i] * tr[j] - sum(map(operator.mul, prod, tr))) * HALF
+                terms += [(i, j, k, c - (tr[i] if k == j else 0) + s * unit[k])
+                          for k, c in enumerate(prod)]
+        den = math.lcm(*(Fraction(c).denominator for *_, c in terms))
+        rows = table_rows(((i, j, k, qq(c * den)) for i, j, k, c in terms if c), self.dim)
+        cells, den = flat_table(rows, den, self.base)
+        return SimpleNamespace(_cells=cells, _n=self._n), den
 
     def adjoint(self, u: AlgElem) -> AlgElem:
-        """u^# with u*u^# = norm(u), for a cubic algebra: u^2 - s1*u + s2."""
+        """u^# with u*u^# = norm(u), for a cubic algebra: one kernel call on
+        the adjoint table."""
         if self.dim != 3:
             raise DescriptorError("algebra adjoint implemented for cubic algebras only")
-        # every term over 2 * d^2 * unit_den
-        num, d, square, t1, t2 = self._char(u)
-        k, s2 = 2 * self.table_den * self._unit_den, t1 * t1 - t2
-        return _reduced(self, tuple((q - c * t1) * k + s2 * e for q, c, e
-                                    in zip(square, num, self._unit_num)),
-                        2 * d * d * self._unit_den)
+        table, den = self._adjoint_table
+        return _reduced(self, table_mul(table, u.num, u.num), u.den * u.den * den)
 
     def cross(self, u: AlgElem, v: AlgElem) -> AlgElem:
         return self.adjoint(u + v) - self.adjoint(u) - self.adjoint(v)
@@ -870,9 +940,7 @@ class QuotientAlgebra(CommAlgebra):
 
     def gen(self) -> AlgElem:
         """The image of x."""
-        coords = [self.base.zero()] * self.dim
-        coords[1] = self.base.one()
-        return AlgElem(self, tuple(coords))
+        return self.basis()[1]
 
     def base_change(self, new_base) -> "QuotientAlgebra":
         return QuotientAlgebra(self.modulus, base=new_base, name=self.name)

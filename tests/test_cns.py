@@ -1,5 +1,6 @@
 """Cubic norm structures: instances, axioms, constructions, base change."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -17,7 +18,6 @@ from cubicnorm.cns import (
     TitsUCNS,
     TrivialCNS,
     cns_axioms_check,
-    compose_over_base,
     cubic_ring_algebra,
     second_kind_matrix,
     second_kind_tensor,
@@ -28,7 +28,7 @@ from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import WSpace
 from cubicnorm.lifting import gan_savin_cns, utilde_cns
 from cubicnorm.presets import cns_preset, second_kind_preset
-from cubicnorm.scalars import DescriptorError, PreconditionError, det, quadratic_field
+from cubicnorm.scalars import QQ_BASE, DescriptorError, PreconditionError, det, quadratic_field
 
 
 def test_matrix3_diag_example():
@@ -263,7 +263,7 @@ def test_tensor_cross_identity_at_rank_one(rng):
     for _ in range(5):
         u = J.random(rng)
         lam = T.random(rng)
-        x = compose_over_base(JT, [u * c for c in lam.coords])
+        x = JT.extend(u) * lam
         lhs = JT.adjoint(tensor_cross(JT, J, x, x))
         rhs = tensor_cross(JT, J, JT.adjoint(x), JT.adjoint(x)) * 4
         assert lhs == rhs
@@ -290,10 +290,62 @@ def test_tensor_cross_identity_fails_generically():
     e1, e2, _ = split_cubic_idempotents(T)
     U = J.elem([1, 2, 0, 0, 1, 0, 3, 0, 1])
     V = J.elem([0, 1, 5, 1, 0, 0, 0, 2, 1])
-    x = compose_over_base(JT, [U * c1 + V * c2 for c1, c2 in zip(e1.coords, e2.coords)])
+    x = JT.extend(U) * e1 + JT.extend(V) * e2
     lhs = JT.adjoint(tensor_cross(JT, J, x, x))
     rhs = tensor_cross(JT, J, JT.adjoint(x), JT.adjoint(x)) * 4
     assert not (lhs == rhs)
+
+
+def test_tits_structures_over_different_j_differ():
+    """Two second Tits constructions with the same S = 1, lambda = 1 and K
+    but different fixed structures J are different structures: they and
+    their elements compare unequal, as the norms of 2 * 1 + e_1 show."""
+    sk1 = second_kind_preset("tensor:-1:cubic-split")
+    sk2 = second_kind_preset("tensor:-1:etale-cubic")
+    U1, U2 = (TitsUCNS(sk, sk.J.one(), sk.K.one()) for sk in (sk1, sk2))
+    assert U1.sk.K == U2.sk.K and U1.S.coords == U2.S.coords
+    assert U1.norm(U1.one() * 2 + U1.basis()[1]) == 4
+    assert U2.norm(U2.one() * 2 + U2.basis()[1]) == 7
+    assert U1 != U2 and not (U1 == U2) and len({U1, U2}) == 2
+    assert U1.basis()[1] != U2.basis()[1] and not (U1.basis()[1] == U2.basis()[1])
+    assert U1 == TitsUCNS(sk1, sk1.J.one(), sk1.K.one())
+
+
+TOWER_PRESETS = ["trivial", "fxf", "fxq", "fxq-split", "cubic-split", "etale-cubic", "matrix3",
+                 "h3-rational", "h3-gaussian", "h3-quaternion", "h3-octonion",
+                 "titsu-matrix:-1", "titsu-tensor:5", "cayleyu:2"]
+
+
+def _assert_flat(S, z):
+    assert z.space == S and len(z.num) == S.flat_dim() and all(type(n) is int for n in z.num)
+    assert type(z.den) is int and z.den > 0 and math.gcd(z.den, *z.num) == 1
+    if S.base != QQ_BASE:
+        assert all(c.space == S.base for c in z.coords)
+
+
+def test_elements_on_every_preset_tower_are_flat_integers(rng):
+    """On every tower the presets build -- each preset over Q and over
+    Q(sqrt 5), the associative ones over a cubic ring T, and the algebras B
+    over K of the second-kind presets -- every element, sum, scaling (by a
+    rational and by an element of the base), adjoint, cross and product is
+    flat_dim ints over one den in lowest terms, read as base elements."""
+    E, T = quadratic_field(5), cubic_ring_algebra(1, -1, 2, 3)
+    spaces = []
+    for name in TOWER_PRESETS:
+        J = cns_preset(name)
+        spaces += [J, J.base_change(E)] + ([J.base_change(T)] if J.has_mul else [])
+    for name in ("matrix", "matrix:5", "tensor", "tensor:-3:etale-cubic"):
+        sk = second_kind_preset(name)
+        spaces += [sk.B, sk.base_change(E).B]
+    for S in spaces:
+        x, y = S.random(rng, integral=False), S.random(rng, integral=False)
+        zs = [x, y, x + y, x - y, x * F(2, 3), S.adjoint(x), S.cross(x, y)]
+        if S.base != QQ_BASE:
+            zs.append(x * S.base.random(rng, integral=False))
+        if S.has_mul:
+            zs.append(S.mul(x, y))
+        for z in zs:
+            _assert_flat(S, z)
 
 
 def test_descriptor_mismatch():
@@ -396,7 +448,8 @@ def test_concat_over_different_denominators():
 
 def test_concat_over_a_quotient_base_coerces_scalars():
     """Over a base algebra K an element of K and a rational are each one
-    coordinate, and an element over K gives its coordinates."""
+    coordinate, and an element over K gives its coordinates; the parts'
+    numerators go over one denominator along the Q-flattened coordinates."""
     E = quadratic_field(5)
     C = comp_preset("gaussian").base_change(E)
     H = H3CNS(C)
@@ -404,7 +457,9 @@ def test_concat_over_a_quotient_base_coerces_scalars():
     x = H.concat(E.elem([0, F(2, 3)]), F(1, 2), 2, u, C.zero(), u * 3)
     assert x == H.elem([E.elem([0, F(2, 3)]), F(1, 2), 2] + list(u.coords) + [0, 0]
                        + list((u * 3).coords))
-    assert x.den == 1 and all(c.alg is E for c in x.num)
+    # the numerators are the ints along the Q-flattened coordinates over one den
+    assert x.den == 6 and x.num == (0, 4, 3, 0, 12, 0, 3, 6, 2, 0, 0, 0, 0, 0, 9, 18, 6, 0)
+    assert all(c.alg is E for c in x.coords)
     # an element over an equal base built apart gives its coordinates too
     C2 = comp_preset("gaussian").base_change(quadratic_field(5))
     assert C2.base is not E and C2.base == E

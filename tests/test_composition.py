@@ -14,7 +14,7 @@ from cubicnorm.composition import (
     comp_preset,
     find_nonassociative_triple,
 )
-from cubicnorm.scalars import DescriptorError, qalg_make, quadratic_field
+from cubicnorm.scalars import QQ_BASE, DescriptorError, qalg_make, quadratic_field
 
 small = st.integers(-6, 6)
 
@@ -27,18 +27,30 @@ gamma_chains = st.one_of(st.sampled_from(NAMED_CHAINS),
                          st.lists(rationals.filter(lambda g: g != 0), max_size=3))
 
 
+def elements(C, draw_scalar):
+    return st.lists(draw_scalar, min_size=C.dim, max_size=C.dim).map(C.elem)
+
+
 def coordinates(C, draw_scalar):
-    return st.lists(draw_scalar, min_size=C.dim, max_size=C.dim).map(
-        lambda cs: C.elem(cs).coords)
+    return elements(C, draw_scalar).map(lambda x: x.coords)
 
 
 def assert_matches_the_recursion(C, data, scalar):
-    a = data.draw(coordinates(C, scalar))
-    b = data.draw(coordinates(C, scalar))
-    # the table holds integers over table_den, so its product is scaled by it
-    assert C.mul_coords(a, b) == tuple(c * C.table_den for c in cd_mul(C.gammas, a, b))
-    assert C.conj_coords(a) == cd_conj(C.gammas, a)
-    assert C.norm_coords(a) == cd_norm(C.gammas, a)
+    x = data.draw(elements(C, scalar))
+    y = data.draw(elements(C, scalar))
+    a, b = x.coords, y.coords
+    # on the numerators: the product over x.den y.den table_den, the
+    # conjugate over x.den, the norm over x.den^2 norm_den
+    assert (C.from_num(C.mul_coords(x.num, y.num), x.den * y.den * C.table_den)
+            == C.elem(cd_mul(C.gammas, a, b)))
+    assert C.from_num(C.conj_coords(x.num), x.den) == C.elem(cd_conj(C.gammas, a))
+    assert C.base.from_num(C.norm_coords(x.num), x.den * x.den * C.norm_den) == cd_norm(C.gammas, a)
+    if C.base is QQ_BASE:
+        # on rational coordinates: the table holds integers over table_den, so
+        # its product is scaled by it, and the norm by norm_den
+        assert C.mul_coords(a, b) == tuple(c * C.table_den for c in cd_mul(C.gammas, a, b))
+        assert C.conj_coords(a) == cd_conj(C.gammas, a)
+        assert C.norm_coords(a) == (cd_norm(C.gammas, a) * C.norm_den,)
 
 
 @given(gamma_chains, st.data())
@@ -54,7 +66,7 @@ def test_integral_inputs_give_int_coordinates(gammas, data):
     a = data.draw(coordinates(C, small))
     b = data.draw(coordinates(C, small))
     assert all(type(c) is int for c in C.mul_coords(a, b) + C.conj_coords(a))
-    assert type(C.norm_coords(a)) is int
+    assert all(type(c) is int for c in C.norm_coords(a))
 
 
 @pytest.mark.parametrize("K", [quadratic_field(5), qalg_make([1, -1, 0, 1])],
@@ -67,8 +79,12 @@ def test_table_matches_the_recursion_over_a_quotient_base(K, gammas, data):
 
 
 def test_table_is_built_once_per_chain():
+    """The chain's table once per chain, its Kronecker product with a base's
+    table once per (chain, base)."""
     H, HE = comp_preset("hamilton"), comp_preset("hamilton").base_change(quadratic_field(5))
-    assert H._cells is HE._cells and H.norm_weights is HE.norm_weights
+    assert H._cells is comp_preset("hamilton")._cells and H.norm_weights is HE.norm_weights
+    assert HE._cells is comp_preset("hamilton").base_change(quadratic_field(5))._cells
+    assert HE._cells is not H._cells and len(HE._cells) == 2 * len(H._cells)
 
 
 def test_double_twice_gives_quaternions():

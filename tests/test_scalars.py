@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cd_conj, cd_mul, cd_norm
-from cubicnorm.cns import H3CNS, Matrix3CNS, TrivialCNS
-from cubicnorm.cns import CnsElt, cubic_ring_table
+import math
+
+from cubicnorm.cns import H3CNS, Matrix3CNS, ProductCNS, TrivialCNS
+from cubicnorm.cns import CnsElt, cubic_ring_algebra, cubic_ring_table
 from cubicnorm.composition import CompAlgebra, CompElt, comp_preset
 from cubicnorm.matops import sum_prod
 from cubicnorm.presets import cns_preset, second_kind_preset
@@ -198,6 +200,11 @@ def test_two_level_base_change(rng):
         assert (u * v).norm() == u.norm() * v.norm()
     z = K.elem([E.elem([1, 1]), E.elem([0, 2])])
     assert z * K.inv(z) == K.one()
+    # depth two: the flat basis has one vector per flattened coordinate
+    L = QuotientAlgebra([1, 0, 1], base=QuotientAlgebra([-2, 0, 1], base=E))
+    assert len(L.flat_basis()) == L.flat_dim() == 8
+    w = L.gen() + 2
+    assert w * L.inv(w) == L.one()
 
 
 small = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -222,9 +229,20 @@ def test_algelem_hash_agrees_with_eq(a, b, q):
                 (H.elem([q, 0, 0, 0]), comp_preset("hamilton").from_scalar(q)),
                 (HE.from_scalar(q), q), (HE.from_scalar(y), x), (HE.elem([y, 0, 0, 0]), E1.elem(b)),
                 (HE.elem([y, x, 0, 0]), y), (HE.from_scalar(E1.from_rational(q)), q)]
+    # s * 1 over the towers the workloads run: Hamilton over a cubic ring T,
+    # and a quadratic algebra over T (depth two), against s in T and in Q
+    T = cubic_ring_algebra(1, -1, 2, 3)
+    HT, KT = H.base_change(T), QuotientAlgebra([1, 0, 1], base=T)
+    sT = T.from_rational(q)
+    towers = [(HT.from_scalar(q), sT), (HT.from_scalar(q), q), (HT.from_scalar(sT), sT),
+              (KT.from_rational(q), sT), (KT.from_rational(q), q), (KT.from_scalar(sT), q),
+              (HT.from_scalar(T.elem(a + (q,))), T.elem(a + (q,)))]
+    checked += towers
     for lhs, rhs in checked:
         if lhs == rhs:
             assert hash(lhs) == hash(rhs)
+    for lhs, rhs in towers:
+        assert lhs == rhs and rhs == lhs and hash(lhs) == hash(rhs) and len({lhs, rhs}) == 1
     assert E1.from_rational(q) == q and K.from_rational(q) == q
     assert K.from_scalar(y) == x
     assert H.from_scalar(q) == q and len({H.from_scalar(q), q}) == 1
@@ -439,15 +457,15 @@ def test_rational_random_draws_are_unchanged():
 
 def test_int_and_fraction_coordinates_agree():
     """An element with int coordinates and one with equal Fraction
-    coordinates (kept as Fractions by the raw constructor) are equal and
-    hash alike."""
+    coordinates are equal and hash alike; the raw constructor keeps only
+    the numerators, so the coordinates of either are read off as ints."""
     E = quadratic_field(5)
     H, M = comp_preset("hamilton"), cns_preset("matrix3")
     for space, coords in ((E, (2, -1)), (H, (1, 0, 3, -2)), (M, tuple(range(9)))):
         ints = space.elem(coords)
         fracs = type(ints)(space, tuple(F(c * 2, 2) for c in coords))
         assert all(type(c) is int for c in ints.coords)
-        assert all(type(c) is F for c in fracs.coords)
+        assert all(type(c) is int for c in fracs.coords) and fracs.num == ints.num
         assert ints == fracs and fracs == ints and hash(ints) == hash(fracs)
         assert len({ints, fracs}) == 1
     # s * 1 equals and hashes as the scalar s in either representation
@@ -457,12 +475,17 @@ def test_int_and_fraction_coordinates_agree():
 
 
 def test_coordinates_over_a_base_algebra_are_the_numerators():
-    """Over a base other than Q the constructor keeps its coordinates, even
-    rational ones, as the numerators over 1; such an element equals and
-    adds like the one with coerced coordinates."""
-    HE = comp_preset("hamilton").base_change(quadratic_field(5))
+    """Over a base other than Q the constructor reads a rational coordinate
+    s as s * 1 in the base: the numerators are the ints along the
+    Q-flattened coordinates over one denominator, and the coordinates are
+    read off them as elements of the base.  Such an element equals and adds
+    like the one with coerced coordinates."""
+    E = quadratic_field(5)
+    HE = comp_preset("hamilton").base_change(E)
     raw, x = CompElt(HE, (F(1, 2), 0, F(-3, 2), 1)), HE.elem([F(1, 2), 0, F(-3, 2), 1])
-    assert raw.den == 1 and raw.num == raw.coords == (F(1, 2), 0, F(-3, 2), 1)
+    assert raw.den == 2 and raw.num == (1, 0, 0, 0, -3, 0, 2, 0)
+    assert raw.coords == (E.elem([F(1, 2), 0]), E.zero(), E.elem([F(-3, 2), 0]), E.one())
+    assert all(c.alg is E for c in raw.coords)
     assert raw == x and x == raw and raw + raw == x * 2 and raw - x == HE.zero()
 
 
@@ -757,6 +780,35 @@ def _non_rational_path_algebras():
 NON_RATIONAL_PATH_ALGEBRAS = _non_rational_path_algebras()
 # the composition algebras of VEC_SPACES_OVER_Q over Q(sqrt 5)
 COMP_OVER_E5 = [S.base_change(NON_RATIONAL_PATH_ALGEBRAS[0]) for S in VEC_SPACES_OVER_Q[:2]]
+# the towers the workloads run: Hamilton quaternions over a cubic ring T,
+# as the orbit maps build them, and a quadratic algebra over T (depth two)
+T_ORBITS = cubic_ring_algebra(1, -1, 2, 3)
+TOWERS = [comp_preset("hamilton").base_change(T_ORBITS),
+          QuotientAlgebra([F(-3, 4), 1, 1], base=T_ORBITS)]
+
+
+def _assert_flat_integers(S, z) -> None:
+    """z holds flat_dim ints over one den in lowest terms."""
+    assert len(z.num) == S.flat_dim() and all(type(n) is int for n in z.num)
+    assert type(z.den) is int and z.den > 0 and math.gcd(z.den, *z.num) == 1
+
+
+def _assert_tower(S, x, y, s) -> None:
+    """Over a tower: flat integer numerators in lowest terms, the product
+    (the Kronecker table) and the scaling by an element s of the base
+    against the oracle, and block/concat around one coordinate."""
+    tx, ty, ts = _tree(x), _tree(y), _tree(s)
+    mul = _o_product(S)
+    scaled = tuple(_o_mul(S.base, c, ts) for c in tx)
+    for z, want in ((x * y, mul(S, tx, ty)), (x * s, scaled), (s * x, scaled)):
+        assert _tree(z) == want
+    for z in (x, y, x * y, x * s, x + y, x - x):
+        _assert_flat_integers(S, z)
+    A = TrivialCNS(S.base)
+    B = TrivialCNS(S.base) if S.dim == 2 else ProductCNS(CompAlgebra((-1,), base=S.base))
+    assert A.dim + B.dim == S.dim
+    assert S.concat(x.block(A), x.block(B, A.dim)) == x
+    assert S.concat(*(x.block(A, i) for i in range(S.dim))) == x
 
 
 @given(st.lists(small, min_size=16, max_size=16), st.lists(small, min_size=16, max_size=16),
@@ -765,36 +817,48 @@ COMP_OVER_E5 = [S.base_change(NON_RATIONAL_PATH_ALGEBRAS[0]) for S in VEC_SPACES
 def test_numerators_over_any_base_match_coordinate_oracle(a, b, q, n, d):
     """Over Q and over a base algebra, +, -, negation, *, scaling by an int
     or a Fraction on either side, ==, hash, bool, is_zero, coords,
-    flatten/unflatten, trace, norm, conj or adjoint, char_s1_s2 and ratio
-    against a coordinatewise oracle on Fraction trees; and the same for
-    composition algebras over Q(sqrt 5), whose product, conj and norm are
-    checked against the Cayley-Dickson recursion."""
-    for S in NON_RATIONAL_PATH_ALGEBRAS:
+    flatten/unflatten, trace, norm, conj or adjoint, char_s1_s2 and division
+    by an int (``from_num``) against a coordinatewise oracle on Fraction
+    trees; and the same for composition algebras over Q(sqrt 5), whose
+    product, conj and norm are checked against the Cayley-Dickson
+    recursion.  Over the towers the workloads run (Hamilton over a cubic
+    ring T, a quadratic algebra over T) every element is flat ints over one
+    den in lowest terms, and the Kronecker product, scaling by an element
+    of T and block/concat match too."""
+    for S in NON_RATIONAL_PATH_ALGEBRAS + TOWERS[1:]:
         x, y = _element(S, a), _element(S, b)
         tx = _tree(x)
         results = _linear_results(S, x, y, q, n) + [
-            (S.ratio(x, d), _o_scale(S, tx, F(1, d))),
-            (S.ratio(x, -d), _o_scale(S, tx, F(-1, d))),
+            (S.from_num(x.num, x.den * d), _o_scale(S, tx, F(1, d))),
+            (S.from_num(tuple(-c for c in x.num), x.den * d), _o_scale(S, tx, F(-1, d))),
             (S.adjoint(x) if S.dim == 3 else S.conj(x), _o_conj_or_adjoint(S, tx))]
         _assert_results(S, x, y, results)
         assert all(z.is_zero() == S.is_zero(z) for z, _ in results)
         assert _tree(S.trace(x)) == _o_trace(S, tx) and _tree(S.norm(x)) == _o_norm(S, tx)
         assert tuple(map(_tree, S.char_s1_s2(x))) == _o_char(S, tx)
-    for S in COMP_OVER_E5:
+    for S in COMP_OVER_E5 + TOWERS[:1]:
         x, y = _element(S, a), _element(S, b)
         _assert_results(S, x, y, _linear_results(S, x, y, q, n))
+    for S in TOWERS:
+        x, y = _element(S, a), _element(S, b)
+        _assert_tower(S, x, y, _element(S.base, b[::-1]))
 
 
 def test_ratio_by_one_is_the_element_itself():
-    """u / 1 is u itself, not a rebuilt copy: over Q for an element with
-    den > 1, and over a quadratic field over Q(sqrt 5)."""
+    """u over its own denominator is u: the base protocol reads an
+    element's numerators and den off as they are (``num_den``) and builds
+    it back from them (``from_num``), over Q for an element with den > 1,
+    and over a quadratic field over Q(sqrt 5)."""
     E = quadratic_field(5)
     L, K = quadratic_field(F(3, 4)), QuotientAlgebra([F(-3, 4), 0, 1], base=E)
     u = L.elem([F(1, 2), F(1, 3)])
     w = K.elem([E.elem([F(1, 2), 1]), E.elem([0, F(1, 3)])])
     assert u.den > 1
     for S, x in ((L, u), (K, w)):
-        assert S.ratio(x, 1) is x
+        num, den = S.num_den(x)
+        assert num is x.num and den == x.den
+        y = S.from_num(num, den)
+        assert y == x and (y.num, y.den) == (x.num, x.den) and hash(y) == hash(x)
 
 
 def test_integral_results_have_int_coordinates():
