@@ -19,8 +19,10 @@ quotient algebra is the same code path with coefficients living upstairs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional
 
@@ -508,9 +510,23 @@ class SecondKind:
 
     def star(self, b: CnsElt) -> CnsElt:
         if self.kind == "matrix":
-            m = self.B.to_matrix(b)
-            return self.B.from_matrix(mat_star(m, lambda e: e.conj()))
+            table, den = self._star_table
+            return self.B.from_num(table_mul(table, b.num, (1,)), b.den * den)
         return CnsElt(self.B, tuple(c.conj() for c in b.coords))
+
+    @cached_property
+    def _star_table(self):
+        """The conjugate transpose on M_3(K) as one linear table on the
+        numerators, run against the right operand (1,), and its
+        denominator: entry (r, s) goes to (s, r) through K's conjugation,
+        read off K's flat basis once."""
+        m = self.K.flat_dim()
+        conj = [self.K.conj(e) for e in self.K.flat_basis()]
+        den = math.lcm(*(c.den for c in conj))
+        terms = [((3 * r + s) * m + a, 0, (3 * s + r) * m + k, n * (den // c.den))
+                 for r in range(3) for s in range(3)
+                 for a, c in enumerate(conj) for k, n in enumerate(c.num) if n]
+        return SimpleNamespace(_cells=table_rows(terms, 9 * m), _n=9 * m), den
 
     def embed(self, j: CnsElt) -> CnsElt:
         """J into B: the Hermitian picture of j read in M_3(K) for the

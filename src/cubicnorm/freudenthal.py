@@ -566,7 +566,7 @@ def iter_search_rows(J: CNS, cap: int, seed: int = 0) -> Iterator[tuple]:
 def dead_search_rows(J: CNS) -> frozenset:
     """The prefix rows of ``iter_search_rows`` over J whose row and column
     shrieks (``shriek_row``, ``shriek_col``) are both zero, each as its
-    flattened coordinates ``DirectSum(J, J).flatten(row)``, a tuple.  Such a
+    numerators and denominator ``DirectSum(J, J).num_den(row)``.  Such a
     row pairs to zero with every element on either side, so it is never a
     witness.  Decided once per structure, on first use, from the basis norms
     and adjoints."""
@@ -583,9 +583,9 @@ def dead_search_rows(J: CNS) -> frozenset:
             return adj[i].is_zero() or (J.mul(adj[i], elems[j]).is_zero()
                                         and J.mul(elems[j], adj[i]).is_zero())
 
-        flatten = DirectSum(J, J).flatten
+        num_den = DirectSum(J, J).num_den
         dead = J._dead_search_rows = frozenset(
-            tuple(flatten((elems[i], elems[j]))) for i, j in _search_prefix(range(n), n)
+            num_den((elems[i], elems[j])) for i, j in _search_prefix(range(n), n)
             if null[i] and null[j] and kills(i, j) and kills(j, i))
     return dead
 
@@ -597,9 +597,9 @@ def skip_dead_rows(J: CNS, test):
     dead = dead_search_rows(J)
     if not dead:
         return test
-    # flattened coordinates hash far faster than elements over a quotient base
-    flatten = DirectSum(J, J).flatten
-    return lambda row: None if tuple(flatten(row)) in dead else test(row)
+    # numerators hash far faster than elements over a quotient base
+    num_den = DirectSum(J, J).num_den
+    return lambda row: None if num_den(row) in dead else test(row)
 
 
 def lambda_invariant(W: WSpace, v: WElt, cap: int = 200, seed: int = 0):

@@ -79,6 +79,7 @@ from .scalars import (
     PreconditionError,
     RationalBase,
     Scalar,
+    _over_one_denominator,
     det_fraction,
     kernel,
     map_matrix,
@@ -729,16 +730,22 @@ class QuotientTitsU(CNS):
         self.h = _tits_h(self.WB, self.vB, omega)
         self.B2 = DirectSum(B, B)
         self._fdim = B.flat_dim()
-        # I(v, omega) = left kernel of h
+        # I(v, omega) = left kernel of h, its reduced pivot rows ints over one den
         ker = kernel(map_matrix(self._times_h, self.B2, self.B2))
         if len(ker) != self._fdim:
             raise IdentityError("I(v, omega) does not have B-corank one")
         self._pivots, reduced, _ = rref(ker)
-        self._reduced = reduced[:len(self._pivots)]
+        num, self._den = _over_one_denominator(QQ_BASE, chain(*reduced[:len(self._pivots)]))
+        self._rows = [num[i:i + 2 * self._fdim] for i in range(0, len(num), 2 * self._fdim)]
         self._free = [j for j in range(2 * self._fdim) if j not in self._pivots]
         self.dim = J.dim + len(self._free)
         self.name = f"utildeQ({sk.kind})"
         self.has_mul = False
+
+    @property
+    def _reduced(self) -> list[list]:
+        """The reduced pivot rows of I(v, omega), rationals, off the int rows."""
+        return [list(QQ_BASE.scalars(row, self._den)) for row in self._rows]
 
     # -- plumbing ------------------------------------------------------------
 
@@ -752,20 +759,21 @@ class QuotientTitsU(CNS):
 
     def split(self, x: CnsElt):
         J = self.sk.J
-        flat = [0] * (2 * self._fdim)
-        for j, c in zip(self._free, x.coords[J.dim:]):
-            flat[j] = c
-        return x.block(J), self.B2.unflatten(flat)
+        num = [0] * (2 * self._fdim)
+        for j, n in zip(self._free, x.num[J.flat_dim():]):
+            num[j] = n
+        return x.block(J), self.B2.from_num(num, x.den)
 
     def join(self, xj: CnsElt, ell) -> CnsElt:
-        """The class of (xj, ell): ell is reduced along the pivot rows of
-        I(v, omega), and its free columns are read off."""
-        flat = self.B2.flatten(ell)
-        for pivot, row in zip(self._pivots, self._reduced):
-            coef = flat[pivot]
-            if coef != 0:
-                flat = [a - coef * b for a, b in zip(flat, row)]
-        return self.concat(xj, *(flat[j] for j in self._free))
+        """The class of (xj, ell): ell's numerators N over e go along all pivot
+        rows R_p over D at once, N D - sum_p N_p R_p over e D, then one gcd."""
+        num, e = self.B2.num_den(ell)
+        red, d = [n * self._den for n in num], e * self._den
+        for p, row in zip(self._pivots, self._rows):
+            if num[p]:
+                red = [a - num[p] * r for a, r in zip(red, row)]
+        return self.from_num([n * d for n in xj.num] + [red[j] * xj.den for j in self._free],
+                             d * xj.den)
 
     def one(self) -> CnsElt:
         return self.join(self.sk.J.one(), (self.sk.B.zero(), self.sk.B.zero()))

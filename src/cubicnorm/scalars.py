@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -41,7 +41,14 @@ class PreconditionError(ValueError):
 
 
 class BoundExceededError(RuntimeError):
-    """A witness search exhausted its height bound.  Raise the bound and retry."""
+    """A witness search exhausted its height bound.  Raise the bound and retry.
+
+    ``tried`` is the number of candidates the search tested, when it counted
+    them (``witness_search`` does), else None."""
+
+    def __init__(self, message: str, tried: Optional[int] = None):
+        super().__init__(message)
+        self.tried = tried
 
 
 class IdentityError(AssertionError):
@@ -101,18 +108,19 @@ def witness_search(candidates, test, message: Optional[str] = None,
     anything else is the witness to report.  Without ``limit`` the search
     stops at the first witness and returns it; with ``limit`` it stops after
     that many and returns them as a list.  When no witness turns up, a
-    ``message`` raises BoundExceededError(message); without one the search
-    is a semi-decision and returns None (or the empty list) for "unknown".
+    ``message`` raises BoundExceededError(message) with the number of
+    candidates tested as ``tried``; without one the search is a
+    semi-decision and returns None (or the empty list) for "unknown".
     """
-    hits = []
-    for cand in candidates:
+    hits, tried = [], 0
+    for tried, cand in enumerate(candidates, 1):
         hit = test(cand)
         if hit is not None:
             hits.append(hit)
             if len(hits) == (limit or 1):
                 break
     if not hits and message is not None:
-        raise BoundExceededError(message)
+        raise BoundExceededError(message, tried)
     if limit is not None:
         return hits
     return hits[0] if hits else None
@@ -250,13 +258,6 @@ class RationalBase:
         if x == 0:
             raise ZeroDivisionError("inverse of 0")
         return qq(Fraction(x.denominator, x.numerator))
-
-    def flatten(self, x: Scalar) -> list[Scalar]:
-        return [x]
-
-    def unflatten(self, coords: Sequence[Scalar]) -> Scalar:
-        (x,) = coords
-        return x
 
     def flat_dim(self) -> int:
         return 1
@@ -550,8 +551,9 @@ class CoordSpace:
         return self.from_scalar(1)
 
     def num_den(self, x) -> tuple[tuple, int]:
-        """x, coerced into this algebra, as (numerators, den)."""
-        x = self.coerce(x)
+        """x, an element or a scalar an algebra coerces, as (numerators, den)."""
+        if not isinstance(x, Vec) or (x.space is not self and x.space != self):
+            x = self.coerce(x)
         return x.num, x.den
 
     def from_num(self, num: Sequence[int], den: int):
@@ -589,10 +591,10 @@ class CoordSpace:
                 for i in range(self.dim)]
 
     def flat_basis(self) -> list:
-        """The basis that ``flatten`` reads coordinates along: one
+        """The basis that ``num_den`` reads numerators along: one
         numerator 1 at a time."""
         n = self.flat_dim()
-        return [_reduced(self, (0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in range(n)]
+        return [self.from_num((0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in range(n)]
 
     def concat(self, *parts):
         """The element whose coordinates are the parts' in turn, the inverse
@@ -627,13 +629,8 @@ class CoordSpace:
         """The number of numerators, flat_dim, and of ``table_mul``'s outputs."""
         return self.dim * self.base.flat_dim()
 
-    def flatten(self, x) -> list[Scalar]:
-        den = x.den
-        return [_rational(n, den) for n in x.num]
-
     def unflatten(self, coords: Sequence[Scalar]):
-        num, den = _over_one_denominator(QQ_BASE, coords)
-        return _reduced(self, num, den, False)
+        return self.from_num(*_over_one_denominator(QQ_BASE, coords))
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._key() == other._key()
@@ -1043,23 +1040,23 @@ def rref(rows: Sequence[Sequence[Scalar]]):
     matrix of full rank.
 
     The work is fraction-free (Bareiss 1968; Cohen, GTM 138, ch. 2): each
-    row is cleared of denominators once and held as integers over a
-    rational scale, a row is cleared as p * row - f * pivot_row and divided
-    by its content, and only the pivots and the reduced rows are divided
-    out at the end.
+    row is cleared of denominators once and held as integers times a scale
+    (int numerator, int denominator), a row is cleared as p * row - f *
+    pivot_row and divided by its content, and a Fraction is built only for
+    a non-integral entry of the result and for the factor, by one gcd.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
     a: list[list[int]] = []
-    scale: list[Fraction] = []        # row i of the matrix is scale[i] * a[i]
+    scale: list[tuple[int, int]] = []   # row i of the matrix is a[i] * sn / sd
     for row in rows:
         den = math.lcm(*(x.denominator for x in row))
         ints = [x.numerator * (den // x.denominator) for x in row]
         g = math.gcd(*ints)
         a.append([x // g for x in ints] if g > 1 else ints)
-        scale.append(Fraction(g, den))
+        scale.append((g, den))
     pivots: list[int] = []
-    factor = Fraction(1)
+    fn, fd = 1, 1                        # the determinant factor fn / fd
     r = 0
     for c in range(n):
         piv = next((i for i in range(r, m) if a[i][c]), None)
@@ -1068,10 +1065,10 @@ def rref(rows: Sequence[Sequence[Scalar]]):
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
             scale[r], scale[piv] = scale[piv], scale[r]
-            factor = -factor
+            fn = -fn
         prow = a[r]
         p = prow[c]
-        factor *= scale[r] * p
+        fn, fd = fn * scale[r][0] * p, fd * scale[r][1]
         for i, row in enumerate(a):
             f = row[c]
             if i == r or not f:
@@ -1082,7 +1079,7 @@ def rref(rows: Sequence[Sequence[Scalar]]):
             content = math.gcd(*new)
             a[i] = [x // content for x in new] if content > 1 else new
             if i > r:   # the scale of a row matters only until it holds a pivot
-                scale[i] = scale[i] * (g * content) / p
+                scale[i] = (scale[i][0] * g * content, scale[i][1] * p)
         pivots.append(c)
         r += 1
         if r == m:
@@ -1093,7 +1090,7 @@ def rref(rows: Sequence[Sequence[Scalar]]):
         p = row[c]
         reduced.append([x // p if x % p == 0 else Fraction(x, p) for x in row])
     reduced += [[0] * n for _ in range(r, m)]
-    return pivots, reduced, qq(factor)
+    return pivots, reduced, _rational(fn, fd)
 
 
 def det_fraction(m: Sequence[Sequence[Scalar]]) -> Scalar:
@@ -1135,51 +1132,53 @@ def kernel(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
 
 class DirectSum:
     """The direct sum of spaces, such as B^2, C^3 or Q^n: an element is a
-    tuple with one entry per slot, and it flattens slot first, then along
-    the slot's Q-basis."""
+    tuple with one entry per slot, read slot first, then along the slot's
+    Q-basis, as numerators over one denominator."""
 
     def __init__(self, *spaces):
         self.spaces = spaces
-
-    def zero(self) -> tuple:
-        return tuple(s.zero() for s in self.spaces)
+        self._at = list(accumulate((s.flat_dim() for s in spaces), initial=0))
 
     def flat_dim(self) -> int:
-        return sum(s.flat_dim() for s in self.spaces)
+        return self._at[-1]
 
-    def flat_basis(self) -> list[tuple]:
-        zero = self.zero()
-        return [zero[:i] + (b,) + zero[i + 1:]
-                for i, s in enumerate(self.spaces) for b in s.flat_basis()]
+    flat_basis = CoordSpace.flat_basis
+    unflatten = CoordSpace.unflatten
 
-    def flatten(self, x) -> list[Scalar]:
-        return [f for s, c in zip(self.spaces, x) for f in s.flatten(c)]
+    def num_den(self, x) -> tuple[tuple, int]:
+        """x as its slots' numerators in turn over their least common denominator."""
+        num, den = _over_one_denominator(QQ_BASE, x)
+        if len(num) != self._at[-1]:
+            raise DescriptorError(f"direct sum: {len(num)} numerators, not {self._at[-1]}")
+        return num, den
 
-    def unflatten(self, coords: Sequence[Scalar]) -> tuple:
-        out, at = [], 0
-        for s in self.spaces:
-            n = s.flat_dim()
-            out.append(s.unflatten(coords[at:at + n]))
-            at += n
-        return tuple(out)
+    def from_num(self, num: Sequence[int], den: int) -> tuple:
+        return tuple(s.from_num(num[i:j], den) for s, i, j in zip(self.spaces, self._at, self._at[1:]))
 
 
-def map_matrix(f, dom, cod) -> list[tuple[Scalar, ...]]:
-    """The rational matrix of a Q-linear map f from dom to cod (each a space
-    with ``flat_basis``, ``flatten`` and ``unflatten``): column j is the
-    flattened image of the j-th element of ``dom.flat_basis()``.  Every
-    solve and kernel over a structure is read off this matrix."""
-    return list(zip(*(cod.flatten(f(e)) for e in dom.flat_basis())))
+def _columns(f, dom, cod, *ys) -> list[Sequence[int]]:
+    """The numerators of f on dom's flat basis, then of each y, over one lcd."""
+    cols = [cod.num_den(f(e)) for e in dom.flat_basis()] + [cod.num_den(y) for y in ys]
+    den = math.lcm(*(d for _, d in cols))
+    return [num if d == den else [n * (den // d) for n in num] for num, d in cols]
+
+
+def map_matrix(f, dom, cod) -> list[tuple[int, ...]]:
+    """The matrix of a Q-linear map f from dom to cod (spaces with ``num_den``)
+    times a positive integer, which no kernel, pivot or solution sees: column
+    j is the numerators of f(dom.flat_basis()[j]) over the columns' least
+    common denominator.  Every solve and kernel over a structure reads it."""
+    return list(zip(*_columns(f, dom, cod)))
 
 
 def map_solve(f, dom, cod, y):
     """One x in dom with f(x) = y, or None when there is none (certified by
-    ``linsolve``).  The answer is re-checked by substitution."""
-    rhs = cod.flatten(y)
-    sol = linsolve(map_matrix(f, dom, cod), rhs)
+    ``linsolve`` on the columns and y over one lcd), re-checked by substitution."""
+    *cols, rhs = _columns(f, dom, cod, y)
+    sol = linsolve(list(zip(*cols)), rhs)
     if sol is None:
         return None
     x = dom.unflatten(sol)
-    if cod.flatten(f(x)) != rhs:
+    if cod.num_den(f(x)) != cod.num_den(y):
         raise IdentityError("linear solve failed its substitution check")
     return x

@@ -27,6 +27,7 @@ from cubicnorm.cns import (
 from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import WSpace
 from cubicnorm.lifting import gan_savin_cns, utilde_cns
+from cubicnorm.matops import mat_star
 from cubicnorm.presets import cns_preset, second_kind_preset
 from cubicnorm.scalars import QQ_BASE, DescriptorError, PreconditionError, det, quadratic_field
 
@@ -197,6 +198,22 @@ def test_second_kind_embed_round_trips(name, over, rng):
         assert sk.project(b) == j
         assert sk.star(b) == b
         assert sk.embed(j + k) == b + sk.embed(k)
+
+
+@pytest.mark.parametrize("D", [-1, 1])
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])
+def test_matrix_star_is_the_conjugate_transpose(D, over, rng):
+    """The matrix kind's star, one table on numerators, is the formula
+    mat_star(m, conj) on the matrix picture, and an involution, for
+    D = -1 and 1, over Q and after a base change to Q(sqrt 5)."""
+    sk = second_kind_matrix(D)
+    if over != "Q":
+        sk = sk.base_change(quadratic_field(5))
+    B = sk.B
+    for _ in range(5):
+        b = B.random(rng, 3, integral=False)
+        want = B.from_matrix(mat_star(B.to_matrix(b), lambda e: e.conj()))
+        assert sk.star(b) == want and sk.star(want) == b
 
 
 def test_tits_precondition():

@@ -58,10 +58,12 @@ from cubicnorm.presets import CNS_SUITE, cns_preset
 from cubicnorm.scalars import (
     HALF,
     AlgElem,
+    BoundExceededError,
     DescriptorError,
     DirectSum,
     PreconditionError,
     quadratic_field,
+    witness_search,
 )
 
 
@@ -509,12 +511,13 @@ def test_lambda_invariant(rng):
 
 
 def zero_shriek_rows(J):
-    """Oracle: the prefix of iter_search_rows (cap 0), and the flattened
-    prefix rows whose row shriek, and whose column shriek, is zero."""
+    """Oracle: the prefix of iter_search_rows (cap 0), and the numerators
+    and denominator of the prefix rows whose row shriek, and whose column
+    shriek, is zero."""
     W = WSpace(J)
-    flatten = DirectSum(J, J).flatten
+    num_den = DirectSum(J, J).num_den
     prefix = list(iter_search_rows(J, 0))
-    return prefix, *({tuple(flatten(ell)) for ell in prefix if shriek(W, ell).is_zero()}
+    return prefix, *({num_den(ell) for ell in prefix if shriek(W, ell).is_zero()}
                      for shriek in (shriek_row, shriek_col))
 
 
@@ -549,9 +552,27 @@ def test_dead_search_rows_need_both_shrieks_zero():
     J = SkewBasis()
     e, f = J.basis()[0], J.basis()[2]
     _, zero_row, zero_col = zero_shriek_rows(J)
-    flat = tuple(DirectSum(J, J).flatten((e, f)))
+    flat = DirectSum(J, J).num_den((e, f))
     assert flat in zero_row and flat not in zero_col
     assert dead_search_rows(J) == zero_row & zero_col
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_bound_exceeded_reports_the_candidates_tried(seed):
+    """A search over iter_search_rows that finds no witness raises with its
+    message unchanged and ``tried`` the prefix length plus the 3 * cap rows
+    drawn for the tail, the same on a second run with the same seed."""
+    J, cap = cns_preset("fxq"), 4
+    prefix = len(list(iter_search_rows(J, 0, seed)))
+    runs = []
+    for _ in range(2):
+        with pytest.raises(BoundExceededError, match="^no row; raise cap$") as exc:
+            witness_search(iter_search_rows(J, cap, seed),
+                           lambda row: None if J.mul(row[0], row[1]) != J.one() else row,
+                           "no row; raise cap")
+        runs.append(exc.value.tried)
+    assert runs == [prefix + 3 * cap] * 2
+    assert str(exc.value) == "no row; raise cap"
 
 
 # -- W_J as a coordinate space -----------------------------------------------

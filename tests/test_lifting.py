@@ -365,6 +365,32 @@ def test_utilde_left_kernel_reads_rows_of_h():
             assert U._pivots == pivots and U._reduced == reduced[:len(pivots)]
 
 
+@pytest.mark.parametrize("D", [-1, 1])
+def test_utilde_join_matches_the_rational_pivot_reduction(D):
+    """join on integer numerators against the oracle it replaced: ell read
+    as Fractions, reduced along the rational pivot rows of I(v, omega) one
+    pivot at a time, its free columns read off; and split inverts join, with
+    zeros at the pivots, on random non-integral row pairs for D = -1 and 1."""
+    sk = second_kind_matrix(D)
+    v = rank4_with_antisym_omega(sk, random.Random(0))
+    U = QuotientTitsU(sk, v, find_antisymmetric_omega(sk, WSpace(sk.J).quartic(v)))
+    J, B = sk.J, sk.B
+    rng = random.Random(30 + D)
+    for _ in range(8):
+        xj = J.random(rng, 2, integral=False)
+        ell = (B.random(rng, 2, integral=False), B.random(rng, 2, integral=False))
+        flat = [F(k, c.den) for c in ell for k in c.num]
+        for pivot, row in zip(U._pivots, U._reduced):
+            coef = flat[pivot]
+            if coef != 0:
+                flat = [a - coef * b for a, b in zip(flat, row)]
+        x = U.join(xj, ell)
+        assert x == U.concat(xj, *(flat[j] for j in U._free))
+        yj, rep = U.split(x)
+        assert yj == xj and [F(k, c.den) for c in rep for k in c.num] == flat
+        assert all(flat[p] == 0 for p in U._pivots)
+
+
 def test_utilde_equivariance(rng):
     A = ProductCNS(CompAlgebra(()))
     W = WSpace(A)

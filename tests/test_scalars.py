@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import cd_conj, cd_mul, cd_norm
 import math
+import random
+
+from test_linalg_oracle import gauss_jordan_fractions
 
 from cubicnorm.cns import H3CNS, Matrix3CNS, ProductCNS, TrivialCNS
 from cubicnorm.cns import CnsElt, cubic_ring_algebra, cubic_ring_table
@@ -35,6 +38,7 @@ from cubicnorm.scalars import (
     quadratic_field,
     rational_sqrt,
     scalar_to_str,
+    Vec,
     witness_search,
 )
 
@@ -146,8 +150,9 @@ def test_linalg_kernels():
 
 
 def test_direct_sum_flat_basis_and_round_trip(rng):
-    """B^2 flattens slot first, then along B's Q-basis, and unflatten
-    inverts flatten."""
+    """B^2 reads numerators slot first, then along B's Q-basis, over one
+    denominator, from_num and unflatten invert num_den, and a part of the
+    wrong size is refused."""
     B = second_kind_preset("matrix:-1").B
     B2 = DirectSum(B, B)
     n = B.flat_dim()
@@ -155,12 +160,110 @@ def test_direct_sum_flat_basis_and_round_trip(rng):
     fb = B2.flat_basis()
     assert fb == [(e, B.zero()) for e in B.flat_basis()] + [(B.zero(), e) for e in B.flat_basis()]
     for k, ell in enumerate(fb):
-        assert B2.flatten(ell) == [1 if j == k else 0 for j in range(2 * n)]
+        assert B2.num_den(ell) == (tuple(1 if j == k else 0 for j in range(2 * n)), 1)
     for _ in range(5):
         ell = (B.random(rng, 3, integral=False), B.random(rng, 3, integral=False))
-        flat = B2.flatten(ell)
-        assert flat == B.flatten(ell[0]) + B.flatten(ell[1])
-        assert B2.unflatten(flat) == ell
+        num, den = B2.num_den(ell)
+        flat = [F(k, den) for k in num]
+        assert flat == ([F(k, ell[0].den) for k in ell[0].num]
+                        + [F(k, ell[1].den) for k in ell[1].num])
+        assert math.gcd(den, *num) == 1
+        assert B2.from_num(num, den) == ell and B2.unflatten(flat) == ell
+    # a rational where a slot wants an element of B fills too few numerators
+    with pytest.raises(DescriptorError):
+        B2.num_den((B.one(), 1))
+
+
+def _fraction_coords(y) -> list:
+    """Oracle: the Q-coordinates of a direct-sum element, each slot read on
+    its own in Fractions."""
+    out = []
+    for c in y:
+        out += [F(k, c.den) for k in c.num] if isinstance(c, Vec) else [F(c)]
+    return out
+
+
+def _oracle_matrix(f, dom, cod) -> list:
+    cols = [_fraction_coords(f(e)) for e in dom.flat_basis()]
+    return [list(row) for row in zip(*cols)]
+
+
+def _oracle_kernel(rows) -> list:
+    """Fraction Gauss-Jordan, then one vector per free column."""
+    pivots, a, _ = gauss_jordan_fractions(rows)
+    basis = []
+    for fc in range(len(rows[0])):
+        if fc not in pivots:
+            v = [F(0)] * len(rows[0])
+            v[fc] = F(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -a[i][fc]
+            basis.append(v)
+    return basis
+
+
+def _oracle_solve(rows, rhs):
+    """Fraction Gauss-Jordan on [rows | rhs]: the solution with zero free
+    variables, or None for a pivot in the right-hand column."""
+    n = len(rows[0])
+    pivots, a, _ = gauss_jordan_fractions([row + [b] for row, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for i, pc in enumerate(pivots):
+        x[pc] = a[i][n]
+    return x
+
+
+def _assert_linear_algebra_matches_oracle(f, dom, cod, ys) -> None:
+    """kernel(map_matrix) and map_solve against the Fraction oracle."""
+    rows = _oracle_matrix(f, dom, cod)
+    assert [list(v) for v in kernel(map_matrix(f, dom, cod))] == _oracle_kernel(rows)
+    for y in ys:
+        want = _oracle_solve(rows, _fraction_coords(y))
+        x = map_solve(f, dom, cod, y)
+        if want is None:
+            assert x is None
+        else:
+            assert _fraction_coords(x) == want and f(x) == y
+
+
+def test_linear_algebra_over_slots_with_different_denominators():
+    """A map from Q + Q(i) + Q(i) to Q(i) + Q + Q whose image slots have
+    different denominators: the third Q slot is twice the second, so a
+    right-hand side off that line has no solution."""
+    E = quadratic_field(-1)
+    c1, c2 = E.elem([F(1, 3), F(-2, 3)]), E.elem([F(3, 2), 1])
+    dom, cod = DirectSum(QQ_BASE, E, E), DirectSum(E, QQ_BASE, QQ_BASE)
+
+    def f(x):
+        r, u, w = x
+        t = E.trace(u) * F(1, 2) + r * F(2, 5)
+        return u * c1 + w * c2 + E.from_rational(r * F(1, 3)), t, 2 * t
+
+    rng = random.Random(11)
+    x0 = (F(-1, 7), E.random(rng, 3, integral=False), E.random(rng, 3, integral=False))
+    y0 = f(x0)
+    assert y0[0].den != F(y0[1]).denominator
+    _assert_linear_algebra_matches_oracle(f, dom, cod, [y0, (y0[0], y0[1], y0[2] + 1)])
+
+
+def test_linear_algebra_over_a_tower():
+    """ell -> ell0 b + ell1 c from B^2 to B for B = M_3(K) over K = Q(i),
+    with b singular, so the kernel is larger than dim B."""
+    B = second_kind_preset("matrix:-1").B
+    rng = random.Random(12)
+    b = B.random(rng, 2, integral=False)
+    b = B.mul(b, B.from_matrix([[B.base.one()] * 3] * 3))      # rank one
+    c = B.random(rng, 2, integral=False)
+    c = B.mul(c, B.from_matrix([[B.base.one()] * 3] * 3))
+    B2, B1 = DirectSum(B, B), DirectSum(B)
+
+    def f(ell):
+        return (B.mul(ell[0], b) + B.mul(ell[1], c),)
+
+    y0 = f((B.random(rng, 2, integral=False), B.random(rng, 2, integral=False)))
+    _assert_linear_algebra_matches_oracle(f, B2, B1, [y0, (B.one(),)])
 
 
 def test_map_solve_rechecks_by_substitution():
@@ -402,10 +505,13 @@ def test_witness_search_policy():
     assert witness_search([2, 3, 5, 7, 9], odd, limit=2) == [3, 5]
     assert witness_search([1, 2], odd, limit=3) == [1]
     assert witness_search([2, 4], odd) is None and witness_search([2, 4], odd, limit=3) == []
-    with pytest.raises(BoundExceededError, match="^none odd; raise cap$"):
+    with pytest.raises(BoundExceededError, match="^none odd; raise cap$") as exc:
         witness_search([2, 4], odd, "none odd; raise cap")
-    with pytest.raises(BoundExceededError):
+    assert exc.value.tried == 2 and exc.value.args == ("none odd; raise cap",)
+    with pytest.raises(BoundExceededError) as exc:
         witness_search([], odd, "empty", limit=2)
+    assert exc.value.tried == 0
+    assert BoundExceededError("raised elsewhere").tried is None
 
 
 def test_certificate_entries_and_failures():
@@ -677,7 +783,7 @@ def _linear_results(S, x, y, q, n) -> list:
 
 def _assert_results(S, x, y, results) -> None:
     """Each result against its tree: coordinates and their types, == and
-    hash with a twin built from the tree, bool, is_zero and the flatten
+    hash with a twin built from the tree, bool, is_zero and the num_den
     round trip; and a composition algebra's norm and trace."""
     tx, ty, zero = _tree(x), _tree(y), _o_zero(S)
     for z, want in results:
@@ -686,7 +792,9 @@ def _assert_results(S, x, y, results) -> None:
         assert z == twin and twin == z and hash(z) == hash(twin)
         assert (z == x) == (want == tx) and (z != y) == (want != ty)
         assert bool(z) == (want != zero) and z.is_zero() == (want == zero)
-        assert S.flatten(z) == _flat(want) and S.unflatten(S.flatten(z)) == z
+        num, den = S.num_den(z)
+        assert [F(k, den) for k in num] == _flat(want) and S.from_num(num, den) == z
+        assert S.unflatten(_flat(want)) == z
     if isinstance(S, CompAlgebra):
         assert _tree(x.norm()) == _o_cd(S, cd_norm, tx)
         assert _tree(x.trace()) == _o_scale(S.base, tx[0], F(2))
@@ -698,7 +806,7 @@ def _assert_results(S, x, y, results) -> None:
 @settings(max_examples=60)
 def test_one_denominator_matches_fraction_loop(a, b, q, n):
     """+, -, negation, *, scaling by an int or a Fraction, ==, hash, bool,
-    is_zero, coords and flatten/unflatten against Fraction arithmetic, over
+    is_zero, coords and num_den/from_num against Fraction arithmetic, over
     quotient algebras, composition algebras (with conj, norm and trace) and
     cubic norm structures; and s * 1 equals and hashes as s."""
     for S in ONE_DEN_ALGEBRAS + VEC_SPACES_OVER_Q:
