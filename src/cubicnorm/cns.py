@@ -19,14 +19,14 @@ quotient algebra is the same code path with coefficients living upstairs.
 
 from __future__ import annotations
 
-import math
+import operator
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from types import SimpleNamespace
+from fractions import Fraction
+from functools import cache, cached_property
 from typing import Optional
 
-from .composition import CheckReport, CompAlgebra, CompElt, cd_double
+from .composition import CheckReport, CompAlgebra, _cd_table, cd_double
 from .matops import (
     mat,
     mat_add,
@@ -46,12 +46,14 @@ from .scalars import (
     QQ_BASE,
     QuotientAlgebra,
     RationalBase,
+    Table,
     Vec,
     det_fraction,
     flat_table,
     qq,
+    rational_table,
+    symmetrized,
     table_mul,
-    table_rows,
 )
 
 
@@ -68,9 +70,6 @@ class CnsElt(Vec):
     def norm(self):
         return self.J.norm(self)
 
-    def adjoint(self) -> "CnsElt":
-        return self.J.adjoint(self)
-
     def conj(self) -> "CnsElt":
         return self.J.star(self)
 
@@ -78,8 +77,8 @@ class CnsElt(Vec):
 class CNS(CoordSpace):
     """Abstract cubic norm structure over a base ring.
 
-    Subclasses provide norm, adjoint, pairing, the unit, and (when the
-    instance is an algebra) multiplication; everything else is derived.
+    Subclasses provide norm, adjoint, pairing, the unit, base change and
+    (for an algebra) multiplication; everything else is derived.
     """
 
     element = CnsElt
@@ -89,28 +88,13 @@ class CNS(CoordSpace):
     dim = 0
     has_mul = False
 
-    # -- subclass surface ----------------------------------------------------
-
-    def norm(self, x: CnsElt):
-        raise NotImplementedError
-
-    def adjoint(self, x: CnsElt) -> CnsElt:
-        raise NotImplementedError
-
-    def pair(self, x: CnsElt, y: CnsElt):
-        raise NotImplementedError
-
-    def one(self) -> CnsElt:
-        raise NotImplementedError
+    # -- subclass surface (norm, adjoint, pair, one, base_change: no default) --
 
     def mul(self, x: CnsElt, y: CnsElt) -> CnsElt:
         raise DescriptorError(f"{self.name} is not an associative algebra")
 
     def star(self, x: CnsElt) -> CnsElt:
         raise DescriptorError(f"{self.name} carries no involution")
-
-    def base_change(self, new_base) -> "CNS":
-        raise NotImplementedError
 
     # -- generic layer -------------------------------------------------------
 
@@ -152,11 +136,51 @@ class CNS(CoordSpace):
 
 
 # ---------------------------------------------------------------------------
-# Instances.
+# Ground instances: every preset and construction is built from these, and
+# their maps are integer tables.
 # ---------------------------------------------------------------------------
 
 
-class TrivialCNS(CNS):
+class TableCNS(CNS):
+    """A ground cubic norm structure: adjoint, cross, pairing and (with
+    ``has_mul``) product are each one ``table_mul`` on the numerators, over
+    ``_sharp`` (x# = sum_ij x_i x_j A_ij), the adjoint table symmetrized
+    (S_ij = A_ij + A_ji), ``_pairing`` and ``_product``: tables a subclass
+    builds once per key in closed form and base changes by ``flat_table``.
+    Each norm keeps its own formula, never (x, x#)/3 or x x#, so the axioms
+    relating N to the tables stay checks."""
+
+    @cached_property
+    def _cross(self) -> Table:
+        return symmetrized(self._sharp)
+
+    def adjoint(self, x):
+        return self._sharp.apply(self, x, x)
+
+    def cross(self, x, y):
+        return self._cross.apply(self, x, y)
+
+    def pair(self, x, y):
+        return self._pairing.apply(self.base, x, y)
+
+    def mul(self, x, y):
+        return self._product.apply(self, x, y) if self.has_mul else super().mul(x, y)
+
+
+def _comp_terms(gammas: tuple):
+    """C's product terms (p, q, k, c), e_p e_q = c e_k, off its Cayley-Dickson
+    table; its norm weights; and the signs s_p of e_p* = s_p e_p."""
+    t, weights, _ = _cd_table(gammas)
+    return ([(p, q, k, Fraction(c, t.den)) for p, row in enumerate(t._cells)
+             for q, cell in row for k, c in cell], weights, (1,) + (-1,) * (len(weights) - 1))
+
+
+# x# = x^2 and (x, y) = 3xy on the trivial structure's one coordinate
+_TRIVIAL_SQUARE = rational_table([(0, 0, 0, 1)], 1)
+_TRIVIAL_PAIRING = rational_table([(0, 0, 0, 3)], 1)
+
+
+class TrivialCNS(TableCNS):
     """J = F with N(x) = x^3, x# = x^2, (x, y) = 3xy."""
 
     has_mul = True
@@ -165,23 +189,15 @@ class TrivialCNS(CNS):
         self.base = base
         self.dim = 1
         self.name = "trivial"
+        self._sharp = self._product = flat_table(_TRIVIAL_SQUARE, base)
+        self._pairing = flat_table(_TRIVIAL_PAIRING, base)
 
     def norm(self, x):
         (a,) = x.coords
         return a * a * a
 
-    def adjoint(self, x):
-        (a,) = x.coords
-        return CnsElt(self, (a * a,))
-
-    def pair(self, x, y):
-        return 3 * (x.coords[0] * y.coords[0])
-
     def one(self):
         return CnsElt(self, (self.base.one(),))
-
-    def mul(self, x, y):
-        return CnsElt(self, (x.coords[0] * y.coords[0],))
 
     def base_change(self, new_base):
         return TrivialCNS(new_base)
@@ -190,10 +206,25 @@ class TrivialCNS(CNS):
         return ("trivial", self.base)
 
 
-class ProductCNS(CNS):
+@cache
+def _fxc_tables(gammas: tuple):
+    """F x C's adjoint, pairing and product rows, with tr(e_p e_q) twice the
+    e_0-coordinate of e_p e_q."""
+    comp, weights, signs = _comp_terms(gammas)
+    n = 1 + len(weights)
+    sharp = ([(1 + p, 1 + p, 0, w) for p, w in enumerate(weights)]
+             + [(0, 1 + p, 1 + p, s) for p, s in enumerate(signs)])
+    pairing = [(0, 0, 0, 1)] + [(1 + p, 1 + q, 0, 2 * c) for p, q, k, c in comp if k == 0]
+    product = [(0, 0, 0, 1)] + [(1 + p, 1 + q, 1 + k, c) for p, q, k, c in comp]
+    return rational_table(sharp, n), rational_table(pairing, n, 1), rational_table(product, n)
+
+
+class ProductCNS(TableCNS):
     """J = F x C for an associative composition algebra C.
 
-    N((a, x)) = a n_C(x), (a, x)# = (n_C(x), a x*), pairing = a b + tr(x y*).
+    N((a, x)) = a n_C(x), (a, x)# = (n_C(x), a x*), pairing = a b + tr(x y),
+    (a, x)(b, y) = (ab, xy); the plain product in the pairing (no conjugate)
+    is what makes (u, u#) = 3N(u) and the norm polarization hold.
     C = F gives the split rank-two structure with N(a, x) = a x^2.
     """
 
@@ -206,6 +237,8 @@ class ProductCNS(CNS):
         self.base = comp.base
         self.dim = 1 + comp.dim
         self.name = f"FxC({','.join(str(g) for g in comp.gammas)})"
+        self._sharp, self._pairing, self._product = (flat_table(t, self.base)
+                                                     for t in _fxc_tables(comp.gammas))
 
     def _split(self, x):
         return x.coord(0), x.block(self.comp, 1)
@@ -214,24 +247,8 @@ class ProductCNS(CNS):
         a, c = self._split(x)
         return a * c.norm()
 
-    def adjoint(self, x):
-        a, c = self._split(x)
-        return self.concat(c.norm(), c.conj() * a)
-
-    def pair(self, x, y):
-        # (a, x), (b, y) -> ab + tr(xy); the plain product (no conjugate)
-        # is what makes (u, u#) = 3N(u) and the norm polarization hold.
-        a, c = self._split(x)
-        b, d = self._split(y)
-        return a * b + (c * d).trace()
-
     def one(self):
         return self.concat(self.base.one(), self.comp.one())
-
-    def mul(self, x, y):
-        a, c = self._split(x)
-        b, d = self._split(y)
-        return self.concat(a * b, c * d)
 
     def base_change(self, new_base):
         return ProductCNS(self.comp.base_change(new_base))
@@ -240,9 +257,11 @@ class ProductCNS(CNS):
         return (self.comp.gammas, self.base)
 
 
-class CubicRingCNS(CNS):
+class CubicRingCNS(TableCNS):
     """A commutative cubic algebra as a cubic norm structure: N is the norm
-    of the regular representation, x# = x^2 - s1 x + s2, (x, y) = tr(xy)."""
+    of the regular representation, x# = x^2 - s1 x + s2, (x, y) = tr(xy).
+    Product, adjoint and cross are the algebra's tables; the pairing is the
+    trace form tr(e_i e_j), read off its structure constants."""
 
     has_mul = True
 
@@ -253,27 +272,18 @@ class CubicRingCNS(CNS):
         self.base = alg.base
         self.dim = 3
         self.name = f"cubicring({alg.name})"
-
-    def _wrap(self, u: AlgElem) -> CnsElt:
-        return u.block(self)
-
-    def _unwrap(self, x: CnsElt) -> AlgElem:
-        return x.block(self.alg)
+        self._product = Table(alg._cells, alg._n, alg.table_den)
+        self._sharp, self._cross = alg._adjoint_table, alg._cross_table
+        tr = [sum(row[k][k] for k in range(3)) for row in alg.table]
+        self._pairing = flat_table(rational_table(
+            ((i, j, 0, sum(map(operator.mul, prod, tr)))
+             for i, row in enumerate(alg.table) for j, prod in enumerate(row)), 3, 1), alg.base)
 
     def norm(self, x):
-        return self.alg.norm(self._unwrap(x))
-
-    def adjoint(self, x):
-        return self._wrap(self.alg.adjoint(self._unwrap(x)))
-
-    def pair(self, x, y):
-        return self.alg.trace(self._unwrap(x) * self._unwrap(y))
+        return self.alg.norm(x.block(self.alg))
 
     def one(self):
-        return self._wrap(self.alg.one())
-
-    def mul(self, x, y):
-        return self._wrap(self._unwrap(x) * self._unwrap(y))
+        return self.alg.one().block(self)
 
     def base_change(self, new_base):
         return CubicRingCNS(self.alg.base_change(new_base))
@@ -290,19 +300,16 @@ def _mu(a: int, b: int) -> int:
 # on the matrix units e_3a+b of M_3: the product e_ab e_bd = e_ad, the
 # adjugate adj(x)_ij = x_(j+1)(i+1) x_(j+2)(i+2) - x_(j+1)(i+2) x_(j+2)(i+1)
 # with indices mod 3, and the pairing tr(xy) = sum x_ab y_ba
-_M3_PRODUCT = table_rows(((_mu(a, b), _mu(b, d), _mu(a, d), 1)
-                         for a in range(3) for b in range(3) for d in range(3)), 9)
-_M3_ADJUGATE = table_rows((t for i in range(3) for j in range(3) for t in (
+_M3_PRODUCT = rational_table(((_mu(a, b), _mu(b, d), _mu(a, d), 1)
+                             for a in range(3) for b in range(3) for d in range(3)), 9)
+_M3_ADJUGATE = rational_table((t for i in range(3) for j in range(3) for t in (
     (_mu(j + 1, i + 1), _mu(j + 2, i + 2), _mu(i, j), 1),
     (_mu(j + 1, i + 2), _mu(j + 2, i + 1), _mu(i, j), -1))), 9)
-_M3_TRACE = table_rows(((_mu(a, b), _mu(b, a), 0, 1) for a in range(3) for b in range(3)), 9)
+_M3_TRACE = rational_table(((_mu(a, b), _mu(b, a), 0, 1) for a in range(3) for b in range(3)), 9, 1)
 
 
-class Matrix3CNS(CNS):
-    """M_3 over the base with N = det, # = adjugate, (x, y) = tr(xy).  The
-    product, the adjugate and the pairing are each one table product on
-    the numerators: a matrix-unit table's Kronecker product with the base's
-    table (``flat_table``)."""
+class Matrix3CNS(TableCNS):
+    """M_3 over the base with N = det, # = adjugate, (x, y) = tr(xy)."""
 
     has_mul = True
 
@@ -310,9 +317,8 @@ class Matrix3CNS(CNS):
         self.base = base
         self.dim = 9
         self.name = "matrix3"
-        self._cells, self.table_den = flat_table(_M3_PRODUCT, 1, base)
-        self._adjugate = SimpleNamespace(_cells=flat_table(_M3_ADJUGATE, 1, base)[0], _n=self._n)
-        self._trace = SimpleNamespace(_cells=flat_table(_M3_TRACE, 1, base)[0], _n=base.flat_dim())
+        self._sharp, self._pairing, self._product = (
+            flat_table(t, base) for t in (_M3_ADJUGATE, _M3_TRACE, _M3_PRODUCT))
 
     def to_matrix(self, x: CnsElt):
         c = x.coords
@@ -327,24 +333,12 @@ class Matrix3CNS(CNS):
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
-    def adjoint(self, x):
-        return self.from_num(table_mul(self._adjugate, x.num, x.num),
-                             x.den * x.den * self.table_den)
-
-    def pair(self, x, y):
-        return self.base.from_num(table_mul(self._trace, x.num, y.num),
-                                  x.den * y.den * self.table_den)
-
     def one(self):
         z, o = self.base.zero(), self.base.one()
         return CnsElt(self, (o, z, z, z, o, z, z, z, o))
 
-    mul_coords = table_mul
-    mul = CoordSpace.mul
-
     def transpose(self, x: CnsElt) -> CnsElt:
-        m = self.to_matrix(x)
-        return self.from_matrix(mat_transpose(m))
+        return self.from_matrix(mat_transpose(self.to_matrix(x)))
 
     def base_change(self, new_base):
         return Matrix3CNS(new_base)
@@ -353,7 +347,26 @@ class Matrix3CNS(CNS):
         return ("matrix3", self.base)
 
 
-class H3CNS(CNS):
+@cache
+def _h3_tables(gammas: tuple):
+    """H_3(C)'s adjoint and pairing rows: for (i, j, k) a cyclic shift of
+    (1, 2, 3), x# has c_j c_k - n(a_i) at c_i and a_k* a_j* - c_i a_i at
+    a_i, and (x, y) = sum_i c_i e_i + tr(a_i* b_i) for y = (e, b)."""
+    comp, weights, signs = _comp_terms(gammas)
+    d = len(weights)
+    sharp, pairing = [], []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        ai, aj, ak = 3 + i * d, 3 + j * d, 3 + k * d
+        sharp += [(j, k, i, 1)] + [(ai + p, ai + p, i, -w) for p, w in enumerate(weights)]
+        sharp += [(ak + p, aj + q, ai + r, signs[p] * signs[q] * c) for p, q, r, c in comp]
+        sharp += [(i, ai + p, ai + p, -1) for p in range(d)]
+        pairing += [(i, i, 0, 1)] + [(ai + p, ai + q, 0, 2 * signs[p] * c)
+                                     for p, q, r, c in comp if r == 0]
+    return rational_table(sharp, 3 + 3 * d), rational_table(pairing, 3 + 3 * d, 1)
+
+
+class H3CNS(TableCNS):
     """Hermitian 3 x 3 matrices over a composition algebra C.
 
     Coordinates are (c1, c2, c3, a1, a2, a3) with the matrix picture
@@ -362,7 +375,8 @@ class H3CNS(CNS):
         [ a3*  c2   a1  ]
         [ a2   a1*  c3  ].
 
-    Special (with ambient M_3(C)) exactly when C is associative.
+    Special (with ambient M_3(C), where its products live) exactly when C
+    is associative.
     """
 
     def __init__(self, comp: CompAlgebra):
@@ -370,7 +384,7 @@ class H3CNS(CNS):
         self.base = comp.base
         self.dim = 3 + 3 * comp.dim
         self.name = f"h3({','.join(str(g) for g in comp.gammas)})"
-        self.has_mul = False
+        self._sharp, self._pairing = (flat_table(t, comp.base) for t in _h3_tables(comp.gammas))
 
     def split(self, x: CnsElt):
         C = self.comp
@@ -382,26 +396,9 @@ class H3CNS(CNS):
 
     def norm(self, x):
         (c1, c2, c3), (a1, a2, a3) = self.split(x)
+        # tr(a1 a2 a3) bracketed (a1 a2) a3, trace-associative either way
         return (c1 * c2 * c3 - c1 * a1.norm() - c2 * a2.norm() - c3 * a3.norm()
-                + _tr_triple(a1, a2, a3))
-
-    def adjoint(self, x):
-        (c1, c2, c3), (a1, a2, a3) = self.split(x)
-        d1 = c2 * c3 - a1.norm()
-        d2 = c1 * c3 - a2.norm()
-        d3 = c1 * c2 - a3.norm()
-        b1 = a3.conj() * a2.conj() - a1 * c1
-        b2 = a1.conj() * a3.conj() - a2 * c2
-        b3 = a2.conj() * a1.conj() - a3 * c3
-        return self.join((d1, d2, d3), (b1, b2, b3))
-
-    def pair(self, x, y):
-        (c1, c2, c3), (a1, a2, a3) = self.split(x)
-        (e1, e2, e3), (b1, b2, b3) = self.split(y)
-        acc = c1 * e1 + c2 * e2 + c3 * e3
-        for a, b in ((a1, b1), (a2, b2), (a3, b3)):
-            acc = acc + (a.conj() * b).trace()
-        return acc
+                + ((a1 * a2) * a3).trace())
 
     def one(self):
         o = self.base.one()
@@ -425,31 +422,17 @@ class H3CNS(CNS):
         return mat_eq(m, mat_star(m, lambda v: v.conj()))
 
     def special_combo(self, x, y, z):
+        """x y z + z y x in M_3(C), for associative C."""
         if not self.comp.is_associative:
             return None
         mx, my, mz = self.to_matrix(x), self.to_matrix(y), self.to_matrix(z)
-        return self.from_matrix(_sym_triple(mx, my, mz))
-
-    def mul(self, x, y):
-        raise DescriptorError("H3 products live in M_3(C); use to_matrix")
+        return self.from_matrix(mat_add(mat_mul(mat_mul(mx, my), mz), mat_mul(mat_mul(mz, my), mx)))
 
     def base_change(self, new_base):
         return H3CNS(self.comp.base_change(new_base))
 
     def _key(self):
         return (self.comp.gammas, self.base)
-
-
-def _sym_triple(mx, my, mz):
-    """x y z + z y x as matrices (Hermitian when x, y, z are)."""
-    a = mat_mul(mat_mul(mx, my), mz)
-    b = mat_mul(mat_mul(mz, my), mx)
-    return mat_add(a, b)
-
-
-def _tr_triple(a1: CompElt, a2: CompElt, a3: CompElt):
-    """tr_C(a1 a2 a3), bracketed (a1 a2) a3 (trace-associative either way)."""
-    return ((a1 * a2) * a3).trace()
 
 
 def cubic_ring_table(a, b, c, d) -> tuple:
@@ -510,23 +493,21 @@ class SecondKind:
 
     def star(self, b: CnsElt) -> CnsElt:
         if self.kind == "matrix":
-            table, den = self._star_table
-            return self.B.from_num(table_mul(table, b.num, (1,)), b.den * den)
+            t = self._star_table
+            return self.B.from_num(table_mul(t, b.num, (1,)), b.den * t.den)
         return CnsElt(self.B, tuple(c.conj() for c in b.coords))
 
     @cached_property
-    def _star_table(self):
+    def _star_table(self) -> Table:
         """The conjugate transpose on M_3(K) as one linear table on the
-        numerators, run against the right operand (1,), and its
-        denominator: entry (r, s) goes to (s, r) through K's conjugation,
-        read off K's flat basis once."""
+        numerators, run against the right operand (1,): entry (r, s) goes
+        to (s, r) through K's conjugation, read off K's flat basis once."""
         m = self.K.flat_dim()
         conj = [self.K.conj(e) for e in self.K.flat_basis()]
-        den = math.lcm(*(c.den for c in conj))
-        terms = [((3 * r + s) * m + a, 0, (3 * s + r) * m + k, n * (den // c.den))
+        terms = [((3 * r + s) * m + a, 0, (3 * s + r) * m + k, Fraction(n, c.den))
                  for r in range(3) for s in range(3)
-                 for a, c in enumerate(conj) for k, n in enumerate(c.num) if n]
-        return SimpleNamespace(_cells=table_rows(terms, 9 * m), _n=9 * m), den
+                 for a, c in enumerate(conj) for k, n in enumerate(c.num)]
+        return rational_table(terms, 9 * m)
 
     def embed(self, j: CnsElt) -> CnsElt:
         """J into B: the Hermitian picture of j read in M_3(K) for the
@@ -820,16 +801,13 @@ def tensor_cross(JT: CNS, JF: CNS, x: CnsElt, y: CnsElt) -> CnsElt:
     """x x_T y: the cross of J paired with the *cross of T* (not the product),
     i.e. (U (x) s) x_T (V (x) t) = (U x V) (x) (s x t), summed over the
     components of x and y along the T-basis (``Vec.component``)."""
-    alg = JT.base
-    xs = [x.component(JF, a) for a in range(alg.dim)]
-    ys = [y.component(JF, a) for a in range(alg.dim)]
-    tb = alg.basis()
-    tcross = [[alg.cross(tb[a], tb[b]) for b in range(alg.dim)] for a in range(alg.dim)]
+    T = JT.base
+    xs, ys = ([z.component(JF, a) for a in range(T.dim)] for z in (x, y))
+    tb = T.basis()
     out = JT.zero()
-    for a in range(alg.dim):
-        for b in range(alg.dim):
+    for a in range(T.dim):
+        for b in range(T.dim):
             jc = JF.cross(xs[a], ys[b])
-            if jc.is_zero():
-                continue
-            out = out + JT.extend(jc) * tcross[a][b]
+            if jc:
+                out = out + JT.extend(jc) * T.cross(tb[a], tb[b])
     return out

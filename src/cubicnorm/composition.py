@@ -23,11 +23,8 @@ base) by ``scalars.flat_table``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache
-from types import SimpleNamespace
 from typing import Sequence
 
 from .scalars import (
@@ -39,8 +36,8 @@ from .scalars import (
     _reduced,
     flat_table,
     qq,
+    rational_table,
     table_mul,
-    table_rows,
 )
 
 
@@ -89,10 +86,10 @@ class CompAlgebra(CoordSpace):
         self.dim = 2 ** len(gs)
         self.name = f"comp({','.join(str(g) for g in gs)})"
         self.unit_coords = (1,) + (0,) * (self.dim - 1)
-        rows, den, self.norm_weights, norm_rows, norm_den = _cd_table(gs)
-        self._cells, self.table_den = flat_table(rows, den, base)
-        cells, self.norm_den = flat_table(norm_rows, norm_den, base)
-        self._norm_table = SimpleNamespace(_cells=cells, _n=base.flat_dim())
+        product, self.norm_weights, norm = _cd_table(gs)
+        product, self._norm_table = flat_table(product, base), flat_table(norm, base)
+        self._cells, self.table_den = product._cells, product.den
+        self.norm_den = self._norm_table.den
 
     @property
     def is_associative(self) -> bool:
@@ -129,13 +126,12 @@ class CompAlgebra(CoordSpace):
 
 @cache
 def _cd_table(gammas: tuple):
-    """The product table of the Cayley-Dickson chain ``gammas``: rows i of
-    pairs (j, ((k, c),)) with e_i e_j = c / den e_k for an int c, the shape
-    ``table_mul`` reads; the one denominator den; the norm weights n_i; and
-    the norm as a table into one coordinate, e_i e_i -> n_i, over its own
-    denominator.  One doubling step by gamma, with h the old dimension,
-    reads off the doubling formula on basis vectors (e_b* = +-e_b, + for
-    b = 0 only):
+    """The product table of the Cayley-Dickson chain ``gammas`` over Q
+    (rows i of pairs (j, ((k, c),)) with e_i e_j = c / den e_k for an int
+    c, the shape ``table_mul`` reads); the norm weights n_i; and the norm
+    as a table into one coordinate, e_i e_i -> n_i.  One doubling step by
+    gamma, with h the old dimension, reads off the doubling formula on
+    basis vectors (e_b* = +-e_b, + for b = 0 only):
 
         e_a e_(h+b) = e_(h + k(b,a)) * c_ba,
         e_(h+a) e_b = e_(h + k(a,b)) * c_ab * (+-1),
@@ -155,12 +151,9 @@ def _cd_table(gammas: tuple):
                 table[h + a, h + b] = (kba, qq(g * cba * star[b]))
         weights += [-g * n for n in weights]
     dim = len(weights)
-    den = math.lcm(*(c.denominator for _, c in table.values()))
-    rows = table_rows(((i, j, k, qq(c * den)) for (i, j), (k, c) in table.items()), dim)
     weights = tuple(qq(n) for n in weights)
-    nden = math.lcm(*(Fraction(n).denominator for n in weights))
-    norm_rows = table_rows(((i, i, 0, qq(n * nden)) for i, n in enumerate(weights)), dim)
-    return rows, den, weights, norm_rows, nden
+    return (rational_table(((i, j, k, c) for (i, j), (k, c) in table.items()), dim), weights,
+            rational_table(((i, i, 0, n) for i, n in enumerate(weights)), dim, 1))
 
 
 def cd_double(desc: CompAlgebra, gamma) -> CompAlgebra:

@@ -87,7 +87,6 @@ from .scalars import (
     qq,
     quadratic_field,
     rational_sqrt,
-    rref,
     search_stream,
     witness_search,
 )
@@ -730,12 +729,16 @@ class QuotientTitsU(CNS):
         self.h = _tits_h(self.WB, self.vB, omega)
         self.B2 = DirectSum(B, B)
         self._fdim = B.flat_dim()
-        # I(v, omega) = left kernel of h, its reduced pivot rows ints over one den
-        ker = kernel(map_matrix(self._times_h, self.B2, self.B2))
+        # I(v, omega) = left kernel of h, its reduced pivot rows ints over one den: with
+        # the columns reversed a null vector ends in its 1, so read back and sorted by
+        # first nonzero entry the null vectors are those rows, off one elimination
+        ker = kernel([row[::-1] for row in map_matrix(self._times_h, self.B2, self.B2)])
         if len(ker) != self._fdim:
             raise IdentityError("I(v, omega) does not have B-corank one")
-        self._pivots, reduced, _ = rref(ker)
-        num, self._den = _over_one_denominator(QQ_BASE, chain(*reduced[:len(self._pivots)]))
+        lead = sorted((next(j for j, c in enumerate(row) if c), row)
+                      for row in (v[::-1] for v in ker))
+        self._pivots = [j for j, _ in lead]
+        num, self._den = _over_one_denominator(QQ_BASE, chain(*(row for _, row in lead)))
         self._rows = [num[i:i + 2 * self._fdim] for i in range(0, len(num), 2 * self._fdim)]
         self._free = [j for j in range(2 * self._fdim) if j not in self._pivots]
         self.dim = J.dim + len(self._free)

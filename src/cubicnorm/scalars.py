@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from types import SimpleNamespace
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -716,35 +715,62 @@ def table_mul(space, a, b):
     return tuple(out)
 
 
-def table_rows(terms, n: int) -> tuple:
-    """The n rows ``table_mul`` reads, from terms (i, j, k, c): e_i e_j -> c e_k."""
+@dataclass(frozen=True, slots=True)
+class Table:
+    """The one table record: the rows ``_cells`` that ``table_mul`` runs
+    into ``_n`` numerators, over the denominator ``den``."""
+
+    _cells: tuple
+    _n: int
+    den: int
+
+    def apply(self, space, x, y):
+        """t(x, y) in ``space``, a structure or a base: one kernel call."""
+        return space.from_num(table_mul(self, x.num, y.num), x.den * y.den * self.den)
+
+
+def rational_table(terms, n: int, out: Optional[int] = None) -> Table:
+    """The table over Q on n coordinates into ``out`` (n if None) of terms
+    (i, j, k, c) for a rational c, e_i e_j -> c e_k: integers over one
+    denominator, the c of equal (i, j, k) summed and a zero sum dropped."""
     rows = [{} for _ in range(n)]
     for i, j, k, c in terms:
-        rows[i].setdefault(j, []).append((k, c))
-    return tuple(tuple((j, tuple(cell)) for j, cell in sorted(row.items())) for row in rows)
+        cell = rows[i].setdefault(j, {})
+        cell[k] = cell.get(k, 0) + c
+    den = math.lcm(*(c.denominator for row in rows for cell in row.values() for c in cell.values()))
+    return Table(tuple(tuple((j, tuple((k, int(c * den)) for k, c in cell.items() if c))
+                             for j, cell in sorted(row.items())) for row in rows),
+                 n if out is None else out, den)
 
 
 @lru_cache(maxsize=8)
-def flat_table(rows: tuple, den: int, base) -> tuple[tuple, int]:
-    """Integer table rows over den, base changed to ``base``: their
-    Kronecker product with the base's table, over den * base.table_den, on
-    Q-flattened numerators.  Built once per (table, base) and shared."""
+def flat_table(t: Table, base) -> Table:
+    """A table over Q base changed to ``base``: its Kronecker product with
+    the base's table, over t.den * base.table_den, on Q-flattened
+    numerators.  Built once per (table, base) and shared."""
     bc, m = base._cells, base._n
     cells = tuple(
         tuple((j * m + b, tuple((k * m + kk, c * cc) for k, c in cell for kk, cc in bcell))
               for j, cell in row for b, bcell in brow)
-        for row in rows for brow in bc)
-    return cells, den * base.table_den
+        for row in t._cells for brow in bc)
+    return Table(cells, t._n * m, t.den * base.table_den)
+
+
+def symmetrized(t: Table) -> Table:
+    """t(x, y) + t(y, x), S_ij = A_ij + A_ji: the polarization of x -> t(x, x)."""
+    terms = [(i, j, k, c) for i, row in enumerate(t._cells) for j, cell in row for k, c in cell]
+    rows = rational_table(terms + [(j, i, k, c) for i, j, k, c in terms], len(t._cells))
+    return Table(rows._cells, t._n, t.den)
 
 
 @lru_cache(maxsize=8)
-def _scale_table(dim: int, base) -> SimpleNamespace:
+def _scale_table(dim: int, base) -> Table:
     """The table of x s for x with ``dim`` coordinates over ``base`` and s in
     it: the base's product on each coordinate's run of numerators."""
     bc, m = base._cells, base._n
     cells = tuple(tuple((b, tuple((i * m + k, c) for k, c in cell)) for b, cell in brow)
                   for i in range(dim) for brow in bc)
-    return SimpleNamespace(_cells=cells, _n=dim * m)
+    return Table(cells, dim * m, base.table_den)
 
 
 class CommAlgebra(CoordSpace):
@@ -771,13 +797,13 @@ class CommAlgebra(CoordSpace):
         self.base = base
         self.unit_coords = tuple(qq(c) for c in unit_coords or (1,) + (0,) * (self.dim - 1))
         # the structure constants, and the trace vector, as integers over own_den
-        den = self.own_den = math.lcm(*(c.denominator for row in self.table
-                                        for cell in row for c in cell))
+        rows = rational_table(((i, j, k, c) for i, row in enumerate(self.table)
+                               for j, cell in enumerate(row) for k, c in enumerate(cell)), self.dim)
+        den = self.own_den = rows.den
         self._int_trace = tuple(qq(sum(row[k][k] for k in range(self.dim)) * den)
                                 for row in self.table)
-        terms = ((i, j, k, qq(c * den)) for i, row in enumerate(self.table)
-                 for j, cell in enumerate(row) for k, c in enumerate(cell) if c)
-        self._cells, self.table_den = flat_table(table_rows(terms, self.dim), den, base)
+        product = flat_table(rows, base)
+        self._cells, self.table_den = product._cells, product.den
         basis = self.basis()
         self._basis_num, self._basis_den = tuple(b.num for b in basis), basis[0].den
 
@@ -866,10 +892,12 @@ class CommAlgebra(CoordSpace):
         return base.from_num(t1, d), base.from_num(tuple(s2), 2 * d * d * base.table_den)
 
     @cached_property
-    def _adjoint_table(self):
+    def _adjoint_table(self) -> Table:
         """u^# = u^2 - s1 u + s2 as one table, sum u_i u_j A_ij with
         A_ij = e_i e_j - tr(e_i) e_j + (tr(e_i) tr(e_j) - tr(e_i e_j)) / 2,
-        read off the structure constants once; its rows and denominator."""
+        read off the structure constants once, for a cubic algebra."""
+        if self.dim != 3:
+            raise DescriptorError("algebra adjoint implemented for cubic algebras only")
         tr, unit = [sum(row[k][k] for k in range(self.dim)) for row in self.table], self.unit_coords
         terms = []
         for i, row in enumerate(self.table):
@@ -877,21 +905,19 @@ class CommAlgebra(CoordSpace):
                 s = (tr[i] * tr[j] - sum(map(operator.mul, prod, tr))) * HALF
                 terms += [(i, j, k, c - (tr[i] if k == j else 0) + s * unit[k])
                           for k, c in enumerate(prod)]
-        den = math.lcm(*(Fraction(c).denominator for *_, c in terms))
-        rows = table_rows(((i, j, k, qq(c * den)) for i, j, k, c in terms if c), self.dim)
-        cells, den = flat_table(rows, den, self.base)
-        return SimpleNamespace(_cells=cells, _n=self._n), den
+        return flat_table(rational_table(terms, self.dim), self.base)
+
+    @cached_property
+    def _cross_table(self) -> Table:
+        """u x v = (u + v)^# - u^# - v^#: the adjoint table symmetrized."""
+        return symmetrized(self._adjoint_table)
 
     def adjoint(self, u: AlgElem) -> AlgElem:
-        """u^# with u*u^# = norm(u), for a cubic algebra: one kernel call on
-        the adjoint table."""
-        if self.dim != 3:
-            raise DescriptorError("algebra adjoint implemented for cubic algebras only")
-        table, den = self._adjoint_table
-        return _reduced(self, table_mul(table, u.num, u.num), u.den * u.den * den)
+        """u^# with u*u^# = norm(u), for a cubic algebra: one kernel call."""
+        return self._adjoint_table.apply(self, u, u)
 
     def cross(self, u: AlgElem, v: AlgElem) -> AlgElem:
-        return self.adjoint(u + v) - self.adjoint(u) - self.adjoint(v)
+        return self._cross_table.apply(self, u, v)
 
     def base_change(self, new_base) -> "CommAlgebra":
         return CommAlgebra(self.name, self.table, base=new_base, unit_coords=self.unit_coords)

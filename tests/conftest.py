@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 from cubicnorm.cns import (
+    CnsElt,
     CubicRingCNS,
     H3CNS,
     ProductCNS,
@@ -75,6 +76,117 @@ def cd_norm(gammas, a):
         return a[0] * a[0]
     h = len(a) // 2
     return cd_norm(gammas[:-1], a[:h]) - gammas[-1] * cd_norm(gammas[:-1], a[h:])
+
+
+# -- oracle: the ground structures' maps as formulas on the coordinates -----
+#
+# The formulas the ground cubic norm structures computed their adjoint,
+# pairing and product with before these became integer tables; the cubic
+# ring's adjoint is u^2 - s1 u + s2 off its characteristic polynomial and
+# M_3's the cofactor formula.  Each takes the structure first.
+
+
+def trivial_adjoint(J, x):
+    (a,) = x.coords
+    return CnsElt(J, (a * a,))
+
+
+def trivial_pair(J, x, y):
+    return 3 * (x.coords[0] * y.coords[0])
+
+
+def trivial_mul(J, x, y):
+    return CnsElt(J, (x.coords[0] * y.coords[0],))
+
+
+def product_adjoint(J, x):
+    a, c = J._split(x)
+    return J.concat(c.norm(), c.conj() * a)
+
+
+def product_pair(J, x, y):
+    a, c = J._split(x)
+    b, d = J._split(y)
+    return a * b + (c * d).trace()
+
+
+def product_mul(J, x, y):
+    a, c = J._split(x)
+    b, d = J._split(y)
+    return J.concat(a * b, c * d)
+
+
+def cubic_ring_adjoint(J, x):
+    u = x.block(J.alg)
+    s1, s2 = J.alg.char_s1_s2(u)
+    return (u * u - u * s1 + s2).block(J)
+
+
+def cubic_ring_pair(J, x, y):
+    return J.alg.trace(x.block(J.alg) * y.block(J.alg))
+
+
+def cubic_ring_mul(J, x, y):
+    return (x.block(J.alg) * y.block(J.alg)).block(J)
+
+
+def matrix3_adjoint(J, x):
+    m = J.to_matrix(x)
+
+    def cofactor(r, c):
+        rows = [i for i in range(3) if i != r]
+        cols = [j for j in range(3) if j != c]
+        minor = (m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
+                 - m[rows[0]][cols[1]] * m[rows[1]][cols[0]])
+        return minor if (r + c) % 2 == 0 else -minor
+
+    return J.from_matrix(tuple(tuple(cofactor(j, i) for j in range(3)) for i in range(3)))
+
+
+def matrix3_pair(J, x, y):
+    mx, my = J.to_matrix(x), J.to_matrix(y)
+    return sum((mx[a][b] * my[b][a] for a in range(3) for b in range(3)), J.base.zero())
+
+
+def matrix3_mul(J, x, y):
+    from cubicnorm.matops import mat_mul
+
+    return J.from_matrix(mat_mul(J.to_matrix(x), J.to_matrix(y)))
+
+
+def h3_adjoint(J, x):
+    (c1, c2, c3), (a1, a2, a3) = J.split(x)
+    d1 = c2 * c3 - a1.norm()
+    d2 = c1 * c3 - a2.norm()
+    d3 = c1 * c2 - a3.norm()
+    b1 = a3.conj() * a2.conj() - a1 * c1
+    b2 = a1.conj() * a3.conj() - a2 * c2
+    b3 = a2.conj() * a1.conj() - a3 * c3
+    return J.join((d1, d2, d3), (b1, b2, b3))
+
+
+def h3_pair(J, x, y):
+    (c1, c2, c3), (a1, a2, a3) = J.split(x)
+    (e1, e2, e3), (b1, b2, b3) = J.split(y)
+    acc = c1 * e1 + c2 * e2 + c3 * e3
+    for a, b in ((a1, b1), (a2, b2), (a3, b3)):
+        acc = acc + (a.conj() * b).trace()
+    return acc
+
+
+# each ground structure's (adjoint, pairing, product) oracles
+GROUND_ORACLES = {
+    TrivialCNS: (trivial_adjoint, trivial_pair, trivial_mul),
+    ProductCNS: (product_adjoint, product_pair, product_mul),
+    CubicRingCNS: (cubic_ring_adjoint, cubic_ring_pair, cubic_ring_mul),
+    Matrix3CNS: (matrix3_adjoint, matrix3_pair, matrix3_mul),
+    H3CNS: (h3_adjoint, h3_pair, None),
+}
+
+
+def polarized(adjoint, x, y):
+    """x x y = (x+y)# - x# - y# for an adjoint map."""
+    return adjoint(x + y) - adjoint(x) - adjoint(y)
 
 
 # -- oracle: W_J arithmetic part by part ------------------------------------

@@ -6,9 +6,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import associative_variants, hermitian_variants, rand_rank4, rank4_with_antisym_omega
+from conftest import (
+    GROUND_ORACLES,
+    associative_variants,
+    hermitian_variants,
+    polarized,
+    rand_rank4,
+    rank4_with_antisym_omega,
+)
 
 from cubicnorm.cns import (
+    CNS,
     CayleyUCNS,
     CnsElt,
     CubicRingCNS,
@@ -29,7 +37,14 @@ from cubicnorm.freudenthal import WSpace
 from cubicnorm.lifting import gan_savin_cns, utilde_cns
 from cubicnorm.matops import mat_star
 from cubicnorm.presets import cns_preset, second_kind_preset
-from cubicnorm.scalars import QQ_BASE, DescriptorError, PreconditionError, det, quadratic_field
+from cubicnorm.scalars import (
+    QQ_BASE,
+    DescriptorError,
+    PreconditionError,
+    QuotientAlgebra,
+    det,
+    quadratic_field,
+)
 
 
 def test_matrix3_diag_example():
@@ -99,7 +114,10 @@ def test_axiom_suites(builder, trials):
 
 
 class WrongAdjointCNS(TrivialCNS):
-    """The trivial structure with x# = 2x^2 in place of x^2: not a CNS."""
+    """The trivial structure with x# = 2x^2 in place of x^2, and the cross
+    its polarization: not a CNS."""
+
+    cross = CNS.cross
 
     def adjoint(self, x):
         (a,) = x.coords
@@ -482,3 +500,101 @@ def test_concat_over_a_quotient_base_coerces_scalars():
     assert C2.base is not E and C2.base == E
     assert H.concat(E.one(), 0, 0, C2.one(), C2.zero(), C2.zero()) == H.concat(1, 0, 0, C.one(), C.zero(), C.zero())
 
+
+# -- ground structures: tables against the formulas they replace -------------
+
+GROUND_PRESETS = ["trivial", "fxf", "fxq", "fxq-split", "etale-cubic", "cubic-split", "matrix3",
+                  "h3-rational", "h3-gaussian", "h3-quaternion", "h3-split-quaternion",
+                  "h3-octonion", "h3-split-octonion"]
+
+
+def _tower():
+    """A depth-two tower: Q(sqrt 5)[y]/(y^2 - y - 3) over Q(sqrt 5) over Q."""
+    return QuotientAlgebra([-3, -1, 1], base=quadratic_field(5))
+
+
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)", "tower"])
+@pytest.mark.parametrize("name", GROUND_PRESETS)
+def test_ground_tables_match_the_formulas(name, over):
+    """Every ground preset's adjoint, pairing, product and cross, each one
+    table product, equal the formulas they replace on non-integral
+    elements, over Q, over Q(sqrt 5) and over a depth-two tower; and the
+    cross is the polarization of the adjoint."""
+    J = cns_preset(name)
+    if over != "Q":
+        J = J.base_change(quadratic_field(5) if over == "Q(sqrt 5)" else _tower())
+    adjoint, pair, mul = GROUND_ORACLES[type(J)]
+    assert (mul is None) == (not J.has_mul)
+    rng = random.Random(f"{name} over {over}")
+    for _ in range(3 if over == "tower" else 5):
+        x, y = J.random(rng, 2, integral=False), J.random(rng, 2, integral=False)
+        assert J.adjoint(x) == adjoint(J, x)
+        assert J.pair(x, y) == pair(J, x, y)
+        assert J.cross(x, y) == polarized(lambda z: adjoint(J, z), x, y)
+        assert J.cross(x, y) == polarized(J.adjoint, x, y) == J.cross(y, x)
+        if mul is not None:
+            assert J.mul(x, y) == mul(J, x, y)
+
+
+def test_ground_h3_has_no_product():
+    J = H3CNS(comp_preset("hamilton"))
+    with pytest.raises(DescriptorError):
+        J.mul(J.one(), J.one())
+
+
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)", "tower"])
+def test_cubic_algebra_cross_is_the_polarized_adjoint(over):
+    """CommAlgebra.cross, the symmetrized adjoint table, is (u+v)# - u# - v#."""
+    T = cubic_ring_algebra(1, -1, 2, 3)
+    if over != "Q":
+        T = T.base_change(quadratic_field(5) if over == "Q(sqrt 5)" else _tower())
+    rng = random.Random(11)
+    for _ in range(5):
+        u, v = T.random(rng, 2, integral=False), T.random(rng, 2, integral=False)
+        assert T.cross(u, v) == polarized(T.adjoint, u, v) == T.cross(v, u)
+        assert u * T.adjoint(u) == T.from_scalar(T.norm(u))
+
+
+def _terms(t):
+    return [c for row in t._cells for _, cell in row for _, c in cell]
+
+
+@pytest.mark.parametrize("name, sharp, cross, pairing", [
+    ("trivial", 1, 1, 1), ("fxf", 2, 3, 2), ("fxq", 8, 12, 5), ("etale-cubic", 9, 9, 3),
+    ("matrix3", 18, 36, 9), ("h3-rational", 12, 21, 6), ("h3-quaternion", 75, 138, 15),
+    ("h3-octonion", 243, 462, 27)])
+def test_ground_tables_are_sparse(name, sharp, cross, pairing):
+    """Each table holds its nonzero terms only, as many as the closed form
+    has (x# of M_3 is 18 products, of H_3 over the octonions 243), and
+    over Q(i) every term meets each of the base's two-by-two cells."""
+    J = cns_preset(name)
+    tables = [J._sharp, J._cross, J._pairing] + ([J._product] if J.has_mul else [])
+    assert all(all(_terms(t)) for t in tables)
+    assert [len(_terms(t)) for t in tables[:3]] == [sharp, cross, pairing]
+    if name == "matrix3":
+        assert len(_terms(J.base_change(quadratic_field(-1))._sharp)) == 4 * sharp
+
+
+def _assert_shape(t, rows, right, out):
+    """t reads one row per left numerator and only the right operand's
+    numerators, and writes only its out numerators: no index is negative,
+    where it would alias the end of an operand."""
+    assert len(t._cells) == rows and t._n == out
+    assert all(0 <= j < right and 0 <= k < out for row in t._cells for j, cell in row for k, _ in cell)
+
+
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])
+def test_tables_index_their_operands(over):
+    """Every ground structure's tables, a composition algebra's norm table
+    and the matrix kind's star table have the shape of their operands."""
+    E = quadratic_field(5)
+    for name in GROUND_PRESETS:
+        J = cns_preset(name) if over == "Q" else cns_preset(name).base_change(E)
+        n, m = J.flat_dim(), J.base.flat_dim()
+        _assert_shape(J._pairing, n, n, m)
+        for t in [J._sharp, J._cross] + ([J._product] if J.has_mul else []):
+            _assert_shape(t, n, n, n)
+    C = comp_preset("octonion") if over == "Q" else comp_preset("octonion").base_change(E)
+    _assert_shape(C._norm_table, C.flat_dim(), C.flat_dim(), C.base.flat_dim())
+    sk = second_kind_matrix(-1) if over == "Q" else second_kind_matrix(-1).base_change(E)
+    _assert_shape(sk._star_table, sk.B.flat_dim(), 1, sk.B.flat_dim())
