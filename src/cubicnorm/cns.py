@@ -19,7 +19,6 @@ quotient algebra is the same code path with coefficients living upstairs.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -144,15 +143,13 @@ class CNS(CoordSpace):
 class TableCNS(CNS):
     """A ground cubic norm structure: adjoint, cross, pairing and (with
     ``has_mul``) product are each one ``table_mul`` on the numerators, over
-    ``_sharp`` (x# = sum_ij x_i x_j A_ij), the adjoint table symmetrized
-    (S_ij = A_ij + A_ji), ``_pairing`` and ``_product``: tables a subclass
-    builds once per key in closed form and base changes by ``flat_table``.
-    Each norm keeps its own formula, never (x, x#)/3 or x x#, so the axioms
-    relating N to the tables stay checks."""
-
-    @cached_property
-    def _cross(self) -> Table:
-        return symmetrized(self._sharp)
+    ``_sharp`` (x# = sum_ij x_i x_j A_ij), ``_cross``, the adjoint table
+    symmetrized (S_ij = A_ij + A_ji), ``_pairing`` and ``_product``: tables
+    a subclass builds once per key in closed form and base changes by
+    ``flat_table``, so every structure with that key and base shares them
+    and their compiled kernels.  Each norm keeps its own formula, never
+    (x, x#)/3 or x x#, so the axioms relating N to the tables stay
+    checks."""
 
     def adjoint(self, x):
         return self._sharp.apply(self, x, x)
@@ -177,6 +174,7 @@ def _comp_terms(gammas: tuple):
 
 # x# = x^2 and (x, y) = 3xy on the trivial structure's one coordinate
 _TRIVIAL_SQUARE = rational_table([(0, 0, 0, 1)], 1)
+_TRIVIAL_CROSS = symmetrized(_TRIVIAL_SQUARE)
 _TRIVIAL_PAIRING = rational_table([(0, 0, 0, 3)], 1)
 
 
@@ -190,7 +188,7 @@ class TrivialCNS(TableCNS):
         self.dim = 1
         self.name = "trivial"
         self._sharp = self._product = flat_table(_TRIVIAL_SQUARE, base)
-        self._pairing = flat_table(_TRIVIAL_PAIRING, base)
+        self._cross, self._pairing = flat_table(_TRIVIAL_CROSS, base), flat_table(_TRIVIAL_PAIRING, base)
 
     def norm(self, x):
         (a,) = x.coords
@@ -208,15 +206,16 @@ class TrivialCNS(TableCNS):
 
 @cache
 def _fxc_tables(gammas: tuple):
-    """F x C's adjoint, pairing and product rows, with tr(e_p e_q) twice the
-    e_0-coordinate of e_p e_q."""
+    """F x C's adjoint, cross, pairing and product rows, with tr(e_p e_q)
+    twice the e_0-coordinate of e_p e_q."""
     comp, weights, signs = _comp_terms(gammas)
     n = 1 + len(weights)
     sharp = ([(1 + p, 1 + p, 0, w) for p, w in enumerate(weights)]
              + [(0, 1 + p, 1 + p, s) for p, s in enumerate(signs)])
     pairing = [(0, 0, 0, 1)] + [(1 + p, 1 + q, 0, 2 * c) for p, q, k, c in comp if k == 0]
     product = [(0, 0, 0, 1)] + [(1 + p, 1 + q, 1 + k, c) for p, q, k, c in comp]
-    return rational_table(sharp, n), rational_table(pairing, n, 1), rational_table(product, n)
+    sharp = rational_table(sharp, n)
+    return sharp, symmetrized(sharp), rational_table(pairing, n, 1), rational_table(product, n)
 
 
 class ProductCNS(TableCNS):
@@ -237,8 +236,8 @@ class ProductCNS(TableCNS):
         self.base = comp.base
         self.dim = 1 + comp.dim
         self.name = f"FxC({','.join(str(g) for g in comp.gammas)})"
-        self._sharp, self._pairing, self._product = (flat_table(t, self.base)
-                                                     for t in _fxc_tables(comp.gammas))
+        self._sharp, self._cross, self._pairing, self._product = (
+            flat_table(t, self.base) for t in _fxc_tables(comp.gammas))
 
     def _split(self, x):
         return x.coord(0), x.block(self.comp, 1)
@@ -272,12 +271,8 @@ class CubicRingCNS(TableCNS):
         self.base = alg.base
         self.dim = 3
         self.name = f"cubicring({alg.name})"
-        self._product = Table(alg._cells, alg._n, alg.table_den)
-        self._sharp, self._cross = alg._adjoint_table, alg._cross_table
-        tr = [sum(row[k][k] for k in range(3)) for row in alg.table]
-        self._pairing = flat_table(rational_table(
-            ((i, j, 0, sum(map(operator.mul, prod, tr)))
-             for i, row in enumerate(alg.table) for j, prod in enumerate(row)), 3, 1), alg.base)
+        self._product = alg._table
+        self._sharp, self._cross, self._pairing = alg._cubic_tables
 
     def norm(self, x):
         return self.alg.norm(x.block(self.alg))
@@ -305,6 +300,7 @@ _M3_PRODUCT = rational_table(((_mu(a, b), _mu(b, d), _mu(a, d), 1)
 _M3_ADJUGATE = rational_table((t for i in range(3) for j in range(3) for t in (
     (_mu(j + 1, i + 1), _mu(j + 2, i + 2), _mu(i, j), 1),
     (_mu(j + 1, i + 2), _mu(j + 2, i + 1), _mu(i, j), -1))), 9)
+_M3_CROSS = symmetrized(_M3_ADJUGATE)
 _M3_TRACE = rational_table(((_mu(a, b), _mu(b, a), 0, 1) for a in range(3) for b in range(3)), 9, 1)
 
 
@@ -317,8 +313,8 @@ class Matrix3CNS(TableCNS):
         self.base = base
         self.dim = 9
         self.name = "matrix3"
-        self._sharp, self._pairing, self._product = (
-            flat_table(t, base) for t in (_M3_ADJUGATE, _M3_TRACE, _M3_PRODUCT))
+        self._sharp, self._cross, self._pairing, self._product = (
+            flat_table(t, base) for t in (_M3_ADJUGATE, _M3_CROSS, _M3_TRACE, _M3_PRODUCT))
 
     def to_matrix(self, x: CnsElt):
         c = x.coords
@@ -349,7 +345,7 @@ class Matrix3CNS(TableCNS):
 
 @cache
 def _h3_tables(gammas: tuple):
-    """H_3(C)'s adjoint and pairing rows: for (i, j, k) a cyclic shift of
+    """H_3(C)'s adjoint, cross and pairing rows: for (i, j, k) a cyclic shift of
     (1, 2, 3), x# has c_j c_k - n(a_i) at c_i and a_k* a_j* - c_i a_i at
     a_i, and (x, y) = sum_i c_i e_i + tr(a_i* b_i) for y = (e, b)."""
     comp, weights, signs = _comp_terms(gammas)
@@ -363,7 +359,8 @@ def _h3_tables(gammas: tuple):
         sharp += [(i, ai + p, ai + p, -1) for p in range(d)]
         pairing += [(i, i, 0, 1)] + [(ai + p, ai + q, 0, 2 * signs[p] * c)
                                      for p, q, r, c in comp if r == 0]
-    return rational_table(sharp, 3 + 3 * d), rational_table(pairing, 3 + 3 * d, 1)
+    sharp = rational_table(sharp, 3 + 3 * d)
+    return sharp, symmetrized(sharp), rational_table(pairing, 3 + 3 * d, 1)
 
 
 class H3CNS(TableCNS):
@@ -384,7 +381,8 @@ class H3CNS(TableCNS):
         self.base = comp.base
         self.dim = 3 + 3 * comp.dim
         self.name = f"h3({','.join(str(g) for g in comp.gammas)})"
-        self._sharp, self._pairing = (flat_table(t, comp.base) for t in _h3_tables(comp.gammas))
+        self._sharp, self._cross, self._pairing = (flat_table(t, comp.base)
+                                                   for t in _h3_tables(comp.gammas))
 
     def split(self, x: CnsElt):
         C = self.comp

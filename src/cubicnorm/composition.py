@@ -68,9 +68,9 @@ class CompElt(Vec):
 
 class CompAlgebra(CoordSpace):
     """A composition algebra over a base ring, from a Cayley-Dickson chain:
-    its product table ``_cells`` over ``table_den`` and its norm as a table
-    into the base's coordinates over ``norm_den``, each the chain's table
-    base-changed by ``flat_table``, and its norm weights."""
+    its product table ``_cells`` over ``table_den`` (``_multiply_by``) and its
+    norm as a table into the base's coordinates over ``norm_den``, each the
+    chain's table base-changed by ``flat_table``, and its norm weights."""
 
     element = CompElt
 
@@ -87,8 +87,8 @@ class CompAlgebra(CoordSpace):
         self.name = f"comp({','.join(str(g) for g in gs)})"
         self.unit_coords = (1,) + (0,) * (self.dim - 1)
         product, self.norm_weights, norm = _cd_table(gs)
-        product, self._norm_table = flat_table(product, base), flat_table(norm, base)
-        self._cells, self.table_den = product._cells, product.den
+        self._multiply_by(flat_table(product, base))
+        self._norm_table = flat_table(norm, base)
         self.norm_den = self._norm_table.den
 
     @property

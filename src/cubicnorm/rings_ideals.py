@@ -67,6 +67,7 @@ from .scalars import (
     Scalar,
     det,
     det_fraction,
+    map_by_columns,
     map_solve,
     qq,
     quadratic_field,
@@ -206,11 +207,12 @@ def iter_ell_candidates(J: CNS, E: QuotientAlgebra, eps, cap: int, seed: int = 0
     """Rows ell in A_F^2: first tr_{E/F}(ell_1 eps) for ell_1 over the
     canonical basis of A_E^2 (the constructive recipe), then plain basis rows
     and seeded random rows."""
-    def tr_twist(ell1):
-        return tuple(CnsElt(J, tuple(E.trace(c) for c in entry.coords))
-                     for entry in row_times_mat(ell1, eps))
-
-    yield from map(tr_twist, iter_search_rows(eps[0][0].J, max(8, cap // 4), seed))
+    JE = eps[0][0].J
+    tr_twist = map_by_columns(
+        lambda ell1: tuple(CnsElt(J, tuple(E.trace(c) for c in entry.coords))
+                           for entry in row_times_mat(ell1, eps)),
+        DirectSum(JE, JE), DirectSum(J, J))
+    yield from map(tr_twist, iter_search_rows(JE, max(8, cap // 4), seed))
     yield from iter_search_rows(J, cap, seed + 1)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -29,6 +29,15 @@ ScalarLike = Union[Fraction, int, str]
 # by an int is written as a product with one of these, never with ``/``
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+# A table's products run through the loop of ``table_mul`` until its
+# COMPILE_AT-th, which compiles the table into a straight-line kernel that
+# serves every later product.  A compile costs 0.3-46 ms and saves 1.5-510 us
+# a product (timeit on dense operands, Python 3.11, from a quadratic field's
+# product to H_3 over the octonions' cross over a cubic ring), so it pays
+# back after 60-320 products; a table that serves fewer than COMPILE_AT, as
+# most tables of a one-shot command do, never pays for one.
+COMPILE_AT = 256
 
 
 class DescriptorError(ValueError):
@@ -514,13 +523,16 @@ class CoordSpace:
     A subclass sets ``dim``, ``base``, ``name`` and ``element``, and ``_key``
     for equality.  An algebra given by a product table also sets
     ``unit_coords``, the rational coordinates of 1 (with them a bare scalar
-    s is the element s * 1), and ``_cells`` and ``table_den`` from
-    ``flat_table``: its product on numerators, ``mul_coords``, over
+    s is the element s * 1), and its product table from ``flat_table``
+    with ``_multiply_by``: its product on numerators, ``mul_coords``, over
     table_den.
     """
 
     unit_coords: Optional[tuple] = None
     random_height = 3
+    # table_mul's state on a structure that multiplies by a table (see Table)
+    _cold = COMPILE_AT - 1
+    _kernel = None
 
     @cached_property
     def _unit(self) -> tuple[tuple, int]:
@@ -607,6 +619,14 @@ class CoordSpace:
         if len(num) != self._n:
             raise DescriptorError(f"{self.name}: parts fill {len(num)} of {self._n} numerators")
         return _reduced(self, num, den, False)
+
+    def _multiply_by(self, t: "Table") -> None:
+        """Make t, a table over Q base changed to this space's base, the
+        product: ``_cells`` over ``table_den``, run by t's kernel from the
+        first product when t already has one."""
+        self._table, self._cells, self.table_den = t, t._cells, t.den
+        if t._kernel is not None:
+            self._cold, self._kernel = 0, t._kernel
 
     def mul(self, x, y):
         """The one table product: ``mul_coords`` on the numerators, over
@@ -695,7 +715,15 @@ def table_mul(space, a, b):
     """The one product kernel: sum a_i b_j c e_k over ``space._cells``, whose
     row i holds the pairs (j, ((k, c), ...)) of its nonzero cells, into
     ``space._n`` numerators, skipping zero numerators.  It is every table
-    structure's ``mul_coords`` and every base algebra's ``scale_coords``."""
+    structure's ``mul_coords`` and every base algebra's ``scale_coords``.
+
+    ``space`` counts its products down in ``_cold``; from the COMPILE_AT-th
+    on they run through its compiled kernel (``_compiled``), which computes
+    the same integers."""
+    cold = space._cold
+    if not cold:
+        return (space._kernel or _compiled(space))(a, b)
+    space._cold = cold - 1
     out = [0] * space._n
     for ai, row in zip(a, space._cells):
         if not ai:
@@ -715,18 +743,93 @@ def table_mul(space, a, b):
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(eq=False, slots=True, weakref_slot=True)
 class Table:
     """The one table record: the rows ``_cells`` that ``table_mul`` runs
-    into ``_n`` numerators, over the denominator ``den``."""
+    into ``_n`` numerators, over the denominator ``den``, and its state in
+    ``table_mul``: the products left to the loop (``_cold``) and the
+    compiled kernel, which every structure that multiplies by the table
+    shares (``CoordSpace._multiply_by``) and which dies with the table.
+    A table is equal only to itself: each is built once per key."""
 
     _cells: tuple
     _n: int
     den: int
+    _cold: int = COMPILE_AT - 1
+    _kernel: Optional[Callable] = None
 
     def apply(self, space, x, y):
         """t(x, y) in ``space``, a structure or a base: one kernel call."""
         return space.from_num(table_mul(self, x.num, y.num), x.den * y.den * self.den)
+
+
+def _compiled(owner) -> Callable:
+    """The kernel of ``owner``, a Table or a structure that multiplies by one
+    (its ``_table``), on its COMPILE_AT-th product: compiled once per Table,
+    kept on it and on ``owner``."""
+    table = owner if isinstance(owner, Table) else owner._table
+    if table._kernel is None:
+        namespace = {"__builtins__": {}}
+        exec(compile(_kernel_source(table._cells, table._n), "<table_mul kernel>", "exec"),
+             namespace)
+        table._kernel, table._cold = namespace.pop("kernel"), 0
+    owner._kernel = table._kernel
+    return owner._kernel
+
+
+# the most terms one sum of a kernel chains: the compiler recurses once per
+# term of a chain, and gives up near 3,000
+_RUN = 100
+
+
+def _sum(terms: list) -> str:
+    """The source of a sum of signed terms (sign, text), bracketed in runs
+    of at most _RUN terms."""
+    while len(terms) > _RUN:
+        terms = [("+", f"({_sum(terms[s:s + _RUN])})") for s in range(0, len(terms), _RUN)]
+    (sign, first), *rest = terms
+    return ("-" if sign == "-" else "") + first + "".join(f" {s} {t}" for s, t in rest)
+
+
+def _signed(c: int, text: str) -> tuple[str, str]:
+    """The term c * text, with c = +-1 inlined and |c| in hex, whose
+    literals have no digit limit."""
+    if c == 1 or c == -1:
+        return ("+" if c == 1 else "-"), text
+    return ("+" if c > 0 else "-"), f"{abs(c):#x}*{text}"
+
+
+def _kernel_source(cells: tuple, n: int) -> str:
+    """``table_mul`` on ``cells`` into n numerators as the source of one
+    straight-line function ``kernel(a, b)``: a unpacked into locals, each
+    b_j it reads bound once, and per output k one expression
+    sum_i a_i (sum_j c b_j).  Only int indices and int constants are
+    formatted into it: any other cell raises DescriptorError before a line
+    is built."""
+    by_out = [{} for _ in range(n)]        # k -> i -> [(j, c)]
+    for i, row in enumerate(cells):
+        for j, cell in row:
+            for k, c in cell:
+                if not (type(j) is int and type(k) is int and type(c) is int
+                        and j >= 0 and 0 <= k < n):
+                    raise DescriptorError(f"table cell ({i}, {j!r}) -> ({k!r}, {c!r}) is not "
+                                          f"an int index pair and an int constant")
+                by_out[k].setdefault(i, []).append((j, c))
+    outs, used = [], set()
+    for terms in by_out:
+        parts = []
+        for i, jcs in terms.items():
+            used.update(j for j, _ in jcs)
+            inner = [_signed(c, f"b{j}") for j, c in jcs]
+            parts.append((inner[0][0], f"a{i}*{inner[0][1]}") if len(inner) == 1
+                         else ("+", f"a{i}*({_sum(inner)})"))
+        outs.append(_sum(parts) if parts else "0")
+    lines = ["def kernel(a, b):"]
+    if cells:
+        lines.append("    " + "".join(f"a{i}, " for i in range(len(cells))) + "= a")
+    lines += [f"    b{j} = b[{j}]" for j in sorted(used)]
+    lines.append("    return (" + "".join(f"{e}, " for e in outs) + ")")
+    return "\n".join(lines) + "\n"
 
 
 def rational_table(terms, n: int, out: Optional[int] = None) -> Table:
@@ -743,11 +846,15 @@ def rational_table(terms, n: int, out: Optional[int] = None) -> Table:
                  n if out is None else out, den)
 
 
-@lru_cache(maxsize=8)
 def flat_table(t: Table, base) -> Table:
     """A table over Q base changed to ``base``: its Kronecker product with
     the base's table, over t.den * base.table_den, on Q-flattened
-    numerators.  Built once per (table, base) and shared."""
+    numerators.  Built once per (table, base) and shared; over Q it is t."""
+    return t if isinstance(base, RationalBase) else _kronecker(t, base)
+
+
+@lru_cache(maxsize=8)
+def _kronecker(t: Table, base) -> Table:
     bc, m = base._cells, base._n
     cells = tuple(
         tuple((j * m + b, tuple((k * m + kk, c * cc) for k, c in cell for kk, cc in bcell))
@@ -796,14 +903,9 @@ class CommAlgebra(CoordSpace):
         self.dim = len(self.table)
         self.base = base
         self.unit_coords = tuple(qq(c) for c in unit_coords or (1,) + (0,) * (self.dim - 1))
-        # the structure constants, and the trace vector, as integers over own_den
-        rows = rational_table(((i, j, k, c) for i, row in enumerate(self.table)
-                               for j, cell in enumerate(row) for k, c in enumerate(cell)), self.dim)
-        den = self.own_den = rows.den
-        self._int_trace = tuple(qq(sum(row[k][k] for k in range(self.dim)) * den)
-                                for row in self.table)
-        product = flat_table(rows, base)
-        self._cells, self.table_den = product._cells, product.den
+        rows, self._int_trace = _algebra_tables(self.table)
+        self.own_den = rows.den
+        self._multiply_by(flat_table(rows, base))
         basis = self.basis()
         self._basis_num, self._basis_den = tuple(b.num for b in basis), basis[0].den
 
@@ -892,32 +994,20 @@ class CommAlgebra(CoordSpace):
         return base.from_num(t1, d), base.from_num(tuple(s2), 2 * d * d * base.table_den)
 
     @cached_property
-    def _adjoint_table(self) -> Table:
-        """u^# = u^2 - s1 u + s2 as one table, sum u_i u_j A_ij with
-        A_ij = e_i e_j - tr(e_i) e_j + (tr(e_i) tr(e_j) - tr(e_i e_j)) / 2,
-        read off the structure constants once, for a cubic algebra."""
+    def _cubic_tables(self) -> tuple[Table, Table, Table]:
+        """The adjoint, cross and trace-form tables over the base, for a
+        cubic algebra (see ``_cubic_tables``)."""
         if self.dim != 3:
             raise DescriptorError("algebra adjoint implemented for cubic algebras only")
-        tr, unit = [sum(row[k][k] for k in range(self.dim)) for row in self.table], self.unit_coords
-        terms = []
-        for i, row in enumerate(self.table):
-            for j, prod in enumerate(row):
-                s = (tr[i] * tr[j] - sum(map(operator.mul, prod, tr))) * HALF
-                terms += [(i, j, k, c - (tr[i] if k == j else 0) + s * unit[k])
-                          for k, c in enumerate(prod)]
-        return flat_table(rational_table(terms, self.dim), self.base)
-
-    @cached_property
-    def _cross_table(self) -> Table:
-        """u x v = (u + v)^# - u^# - v^#: the adjoint table symmetrized."""
-        return symmetrized(self._adjoint_table)
+        return tuple(flat_table(t, self.base) for t in _cubic_tables(self.table, self.unit_coords))
 
     def adjoint(self, u: AlgElem) -> AlgElem:
         """u^# with u*u^# = norm(u), for a cubic algebra: one kernel call."""
-        return self._adjoint_table.apply(self, u, u)
+        return self._cubic_tables[0].apply(self, u, u)
 
     def cross(self, u: AlgElem, v: AlgElem) -> AlgElem:
-        return self._cross_table.apply(self, u, v)
+        """u x v = (u + v)^# - u^# - v^#: one kernel call."""
+        return self._cubic_tables[1].apply(self, u, v)
 
     def base_change(self, new_base) -> "CommAlgebra":
         return CommAlgebra(self.name, self.table, base=new_base, unit_coords=self.unit_coords)
@@ -931,6 +1021,40 @@ class CommAlgebra(CoordSpace):
 
     def __repr__(self) -> str:
         return f"CommAlgebra({self.name}, dim={self.dim}, base={self.base!r})"
+
+
+# the tables of the algebras a run keeps rebuilding, such as a quadratic
+# field per command or the cubic ring of each orbit with its base changes
+@lru_cache(maxsize=8)
+def _algebra_tables(table: tuple) -> tuple[Table, tuple]:
+    """The product of an algebra with structure constants ``table`` as a
+    table over Q, and its trace vector tr(e_i) = sum_k table[i][k][k] as
+    integers over the table's den: read off once per key, and shared by
+    every algebra with these constants and by their base changes."""
+    n = len(table)
+    rows = rational_table(((i, j, k, c) for i, row in enumerate(table)
+                           for j, cell in enumerate(row) for k, c in enumerate(cell)), n)
+    return rows, tuple(qq(sum(row[k][k] for k in range(n)) * rows.den) for row in table)
+
+
+@lru_cache(maxsize=8)
+def _cubic_tables(table: tuple, unit: tuple) -> tuple[Table, Table, Table]:
+    """A cubic algebra's adjoint u^# = u^2 - s1 u + s2 as one table over Q,
+    sum u_i u_j A_ij with A_ij = e_i e_j - tr(e_i) e_j
+    + (tr(e_i) tr(e_j) - tr(e_i e_j)) / 2; its cross, the adjoint table
+    symmetrized; and its trace form tr(e_i e_j) into one coordinate.  Read
+    off the structure constants once per key."""
+    tr = [sum(row[k][k] for k in range(3)) for row in table]
+    adjoint, trace_form = [], []
+    for i, row in enumerate(table):
+        for j, prod in enumerate(row):
+            t = sum(map(operator.mul, prod, tr))
+            s = (tr[i] * tr[j] - t) * HALF
+            adjoint += [(i, j, k, c - (tr[i] if k == j else 0) + s * unit[k])
+                        for k, c in enumerate(prod)]
+            trace_form.append((i, j, 0, t))
+    adjoint = rational_table(adjoint, 3)
+    return adjoint, symmetrized(adjoint), rational_table(trace_form, 3, 1)
 
 
 class QuotientAlgebra(CommAlgebra):
@@ -1195,6 +1319,36 @@ def map_matrix(f, dom, cod) -> list[tuple[int, ...]]:
     j is the numerators of f(dom.flat_basis()[j]) over the columns' least
     common denominator.  Every solve and kernel over a structure reads it."""
     return list(zip(*_columns(f, dom, cod)))
+
+
+def map_by_columns(f, dom, cod):
+    """A Q-linear map f from dom to cod (spaces with ``num_den`` and
+    ``from_num``) read through its columns: x -> sum_i x_i f(e_i) along
+    dom's flat basis, each column f(e_i) computed on its first use and
+    kept.  The same values as f, at a few column sums an argument, for a
+    map applied to many sparse arguments, such as a search's candidates."""
+    cols = {}
+    zero = (0,) * cod.flat_dim()
+
+    def column(i):
+        col = cols.get(i)
+        if col is None:
+            e = dom.from_num((0,) * i + (1,) + (0,) * (dom.flat_dim() - 1 - i), 1)
+            col = cols[i] = cod.num_den(f(e))
+        return col
+
+    def apply(x):
+        num, den = dom.num_den(x)
+        out, d = zero, 1                    # sum_i x_i f(e_i) = out / d
+        for i, n in enumerate(num):
+            if n:
+                cn, cd = column(i)
+                g = math.gcd(d, cd)
+                out = [o * (cd // g) + n * c * (d // g) for o, c in zip(out, cn)]
+                d *= cd // g
+        return cod.from_num(out, den * d)
+
+    return apply
 
 
 def map_solve(f, dom, cod, y):

@@ -1,6 +1,8 @@
 """Exact rationals, quotient algebras, and exact linear algebra."""
 
 from fractions import Fraction as F
+import gc
+import weakref
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +19,9 @@ from cubicnorm.cns import CnsElt, cubic_ring_algebra, cubic_ring_table
 from cubicnorm.composition import CompAlgebra, CompElt, comp_preset
 from cubicnorm.matops import sum_prod
 from cubicnorm.presets import cns_preset, second_kind_preset
+from cubicnorm import scalars
 from cubicnorm.scalars import (
+    COMPILE_AT,
     QQ_BASE,
     AlgElem,
     BoundExceededError,
@@ -38,7 +42,11 @@ from cubicnorm.scalars import (
     quadratic_field,
     rational_sqrt,
     scalar_to_str,
+    Table,
     Vec,
+    _scale_table,
+    rational_table,
+    table_mul,
     witness_search,
 )
 
@@ -989,3 +997,166 @@ def test_integral_results_have_int_coordinates():
                     (m * HALF * 2, tuple(range(9))), (m * HALF + m * HALF, tuple(range(9))),
                     (k * 2, (1, 1, 1, 2, -3) + (0,) * 10), (-k - k, (-1, -1, -1, -2, 3) + (0,) * 10)):
         assert z.coords == want and all(type(c) is int for c in z.coords)
+
+
+# -- table_mul's compiled kernels against its loop ----------------------------
+
+KERNEL_BASES = {"Q": lambda: QQ_BASE, "Q(sqrt 5)": lambda: quadratic_field(5),
+                "tower": lambda: QuotientAlgebra([-3, -1, 1], base=quadratic_field(5))}
+
+
+def _assert_kernel_matches_loop(t, seed):
+    """The compiled kernel equals the loop on zero, basis-vector and dense
+    operands, integers of either sign, large ones included: table_mul on
+    the cells of t, a table or a structure, as a fresh Table that stays
+    cold and as one past COMPILE_AT."""
+    cold, hot = Table(t._cells, t._n, 1, 10 ** 9), Table(t._cells, t._n, 1, 0)
+    n, m = len(t._cells), 1 + max(j for row in t._cells for j, _ in row)
+    rng = random.Random(seed)
+
+    def dense(k):
+        return tuple(rng.choice((0, 1, -1, rng.randint(-9, 9), rng.randint(-10**30, 10**30)))
+                     for _ in range(k))
+
+    def basis(k, i):
+        return tuple(int(j == i) for j in range(k))
+
+    pairs = [((0,) * n, dense(m)), (dense(n), (0,) * m), ((0,) * n, (0,) * m)]
+    pairs += [(dense(n), dense(m)) for _ in range(3)]
+    pairs += [(basis(n, i), dense(m)) for i in range(n)]
+    pairs += [(dense(n), basis(m, j)) for j in range(m)]
+    pairs += [(basis(n, rng.randrange(n)), basis(m, rng.randrange(m))) for _ in range(2 * n)]
+    for a, b in pairs:
+        want = table_mul(cold, a, b)
+        assert table_mul(hot, a, b) == want and len(want) == t._n
+    assert cold._kernel is None and hot._kernel is not None
+
+
+@pytest.mark.parametrize("over", list(KERNEL_BASES))
+@pytest.mark.parametrize("name", ["trivial", "fxf", "fxq", "fxq-split", "etale-cubic", "cubic-split",
+                                  "matrix3", "h3-rational", "h3-gaussian", "h3-quaternion",
+                                  "h3-split-quaternion", "h3-octonion", "h3-split-octonion"])
+def test_compiled_kernel_matches_the_loop_on_ground_tables(name, over):
+    """Every table of the 13 ground presets, over Q, over Q(sqrt 5) and over
+    a depth-two tower: compiled kernel and loop give the same integers."""
+    J = cns_preset(name)
+    if over != "Q":
+        J = J.base_change(KERNEL_BASES[over]())
+    tables = [J._sharp, J._cross, J._pairing] + ([J._product] if J.has_mul else [])
+    if over == "tower" and name == "h3-octonion":
+        tables.remove(J._cross)                 # the largest table has its own test
+    for k, t in enumerate(tables):
+        _assert_kernel_matches_loop(t, f"{name} {over} {k}")
+
+
+@pytest.mark.parametrize("over", list(KERNEL_BASES))
+def test_compiled_kernel_matches_the_loop_on_algebra_tables(over):
+    """The product tables of quotient, cubic and composition algebras, a
+    composition algebra's norm table, every base's scaling table
+    (``_scale_table``) and the matrix kind's star table."""
+    base = KERNEL_BASES[over]()
+    algebras = [quadratic_field(-3), qalg_make([1, -2, 0, 1]),
+                cubic_ring_algebra(1, -1, 2, 3), cubic_ring_algebra(F(1, 2), 1, F(-3, 2), 2)]
+    if over != "Q":
+        algebras = [A.base_change(base) for A in algebras] + [base]
+    comps = [comp_preset(name) for name in ("gaussian", "hamilton", "octonion", "split-octonion")]
+    comps = [C if over == "Q" else C.base_change(base) for C in comps] + [CompAlgebra((F(1, 2), -3))]
+    sk = second_kind_preset("matrix:-1")
+    sk = sk if over == "Q" else sk.base_change(base)
+    tables = [sk._star_table] + algebras + comps
+    tables += [C._norm_table for C in comps]
+    tables += [_scale_table(dim, A) for A in algebras for dim in (1, 3)]
+    tables += [A._cubic_tables[k] for A in algebras if A.dim == 3 for k in range(3)]
+    for k, t in enumerate(tables):
+        _assert_kernel_matches_loop(t, f"{over} {k}")
+
+
+def test_largest_tables_compile_and_match():
+    """The cross of H_3 over the octonions over a cubic field, 6,468 terms,
+    and over a depth-two tower, 9,240 terms, compile (their sums are
+    bracketed below the compiler's recursion limit) and equal the loop."""
+    J = cns_preset("h3-octonion")
+    for base, size in ((qalg_make([-1, 1, 1, 1]), 6468), (KERNEL_BASES["tower"](), 9240)):
+        cross = J.base_change(base)._cross
+        assert sum(len(cell) for row in cross._cells for _, cell in row) == size
+        _assert_kernel_matches_loop(cross, f"h3-octonion cross over {base!r}")
+
+
+def test_long_sums_compile():
+    """An output summed over 3,000 rows, the last of them 3,000 terms long,
+    chains the compiler does not take unbracketed, compiles and equals the
+    loop."""
+    n = 3000
+    cells = tuple(((0, ((0, i + 1),)),) for i in range(n - 1)) + (
+        tuple((j, ((0, -1),)) for j in range(n)),)
+    t = Table(cells, 1, 1)
+    a, b = tuple(range(n)), tuple(range(1, n + 1))
+    want = (sum(i * (i + 1) for i in range(n - 1)) - (n - 1) * sum(b),)
+    assert table_mul(t, a, b) == want
+    assert table_mul(Table(cells, 1, 1, 0), a, b) == want
+
+
+def test_kernel_compiles_once_at_product_n(monkeypatch):
+    """A table runs the loop for its first COMPILE_AT - 1 products, compiles
+    on the COMPILE_AT-th and keeps that kernel; a structure built on a
+    table that has a kernel runs it from its first product."""
+    sources = []
+
+    def counted(cells, n):
+        sources.append(n)
+        return kernel_source(cells, n)
+
+    kernel_source = scalars._kernel_source
+    monkeypatch.setattr(scalars, "_kernel_source", counted)
+    A = cubic_ring_algebra(5, 7, 11, 13)
+    t = A._table
+    a, b = (1, 2, 3), (4, 5, 6)
+    for _ in range(COMPILE_AT - 1):
+        A.mul_coords(a, b)
+    assert A._kernel is None and t._kernel is None and sources == []
+    want = A.mul_coords(a, b)
+    kernel = A._kernel
+    assert kernel is not None and t._kernel is kernel and sources == [3]
+    for _ in range(5):
+        assert A.mul_coords(a, b) == want
+    assert A._kernel is kernel and sources == [3]
+    B = cubic_ring_algebra(5, 7, 11, 13)
+    assert B._table is t and B._kernel is kernel and B.mul_coords(a, b) == want
+    assert sources == [3]
+
+
+def test_dropped_owner_frees_its_kernel():
+    """Nothing outside the owner holds its kernel: a dropped table frees
+    its kernel, and a dropped structure is freed with nothing pinning it."""
+    t = rational_table([(0, 1, 2, 3), (1, 1, 0, -1), (2, 0, 1, 5)], 3)
+    for _ in range(COMPILE_AT):
+        table_mul(t, (1, 2, 3), (3, 2, 1))
+    table_ref, kernel_ref = weakref.ref(t), weakref.ref(t._kernel)
+    del t
+    gc.collect()
+    assert table_ref() is None and kernel_ref() is None
+    A = cubic_ring_algebra(3, 1, 4, 1)
+    for _ in range(COMPILE_AT):
+        A.mul_coords((1, 2, 3), (3, 2, 1))
+    assert A._kernel is not None
+    alg_ref = weakref.ref(A)
+    del A
+    gc.collect()
+    assert alg_ref() is None
+
+
+@pytest.mark.parametrize("cell", [F(1, 2), "1) or __import__('os').system('true'", 2.0, True])
+def test_kernel_source_takes_int_cells_only(cell):
+    """A table holding a cell value other than an int (a Fraction, a string,
+    a float, a bool) raises DescriptorError when it is compiled, before any
+    source is built; so does an index that is no int, negative or past the
+    outputs.  An int constant of any size is formatted."""
+    t = Table((((0, ((0, cell),)),),), 1, 1, 0)
+    with pytest.raises(DescriptorError):
+        table_mul(t, (1,), (1,))
+    assert t._kernel is None
+    for row in (((0, (("0", 1),)),), (("0", ((0, 1),)),), ((0, ((1, 1),)),), ((-1, ((0, 1),)),)):
+        with pytest.raises(DescriptorError):
+            table_mul(Table((row,), 1, 1, 0), (1,), (1,))
+    big = -3 ** 10000            # past the 4,300-digit limit of an int's decimal string
+    assert table_mul(Table((((0, ((0, big),)),),), 1, 1, 0), (2,), (5,)) == (10 * big,)
