@@ -1,6 +1,6 @@
-"""Cubic norm structures: the (norm, adjoint, pairing) interface, its instance
-variants, base change, the axiom suite, and the Tits and Cayley-Dickson style
-constructions that produce new instances from old ones.
+"""Cubic norm structures: the (norm, adjoint, cross, pairing) interface, its
+instance variants, base change, the axiom suite, and the Tits and
+Cayley-Dickson style constructions that produce new instances from old ones.
 
 Instances provided:
 
@@ -15,6 +15,12 @@ Instances provided:
 
 Every instance is parametrized by a base ring, so base change along a
 quotient algebra is the same code path with coefficients living upstairs.
+Every instance takes its own cross, the linearization x x y of its adjoint
+(McCrimmon, A Taste of Jordan Algebras, 2004): the ground instances as a
+table, the two constructions as their adjoint formula polarized.  The
+ground instances' maps, the matrix kind's embed and project and U(gamma)'s
+bilinear maps are integer tables built once per key; per-input data (S,
+lambda, gamma) stays in the formulas.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .composition import CheckReport, CompAlgebra, _cd_table, cd_double
 from .matops import (
@@ -33,8 +39,6 @@ from .matops import (
     mat_mul,
     mat_star,
     mat_transpose,
-    row_times_mat,
-    sum_prod,
 )
 from .scalars import (
     AlgElem,
@@ -47,6 +51,7 @@ from .scalars import (
     RationalBase,
     Table,
     Vec,
+    _cubic_tables,
     det_fraction,
     flat_table,
     qq,
@@ -77,7 +82,10 @@ class CNS(CoordSpace):
     """Abstract cubic norm structure over a base ring.
 
     Subclasses provide norm, adjoint, pairing, the unit, base change and
-    (for an algebra) multiplication; everything else is derived.
+    (for an algebra) multiplication.  ``cross`` defaults to the adjoint
+    polarized, (x + y)# - x# - y#, three adjoints a cross; every instance
+    in this package overrides it with one map of about an adjoint's cost.
+    Everything else is derived.
     """
 
     element = CnsElt
@@ -140,16 +148,26 @@ class CNS(CoordSpace):
 # ---------------------------------------------------------------------------
 
 
+def _over_base(i: int) -> cached_property:
+    """The i-th of a TableCNS's tables over Q (``_rational``), base changed
+    by ``flat_table`` on first use and kept on the instance."""
+    return cached_property(lambda self: flat_table(self._rational[i], self.base))
+
+
 class TableCNS(CNS):
     """A ground cubic norm structure: adjoint, cross, pairing and (with
     ``has_mul``) product are each one ``table_mul`` on the numerators, over
     ``_sharp`` (x# = sum_ij x_i x_j A_ij), ``_cross``, the adjoint table
-    symmetrized (S_ij = A_ij + A_ji), ``_pairing`` and ``_product``: tables
-    a subclass builds once per key in closed form and base changes by
-    ``flat_table``, so every structure with that key and base shares them
-    and their compiled kernels.  Each norm keeps its own formula, never
-    (x, x#)/3 or x x#, so the axioms relating N to the tables stay
-    checks."""
+    symmetrized (S_ij = A_ij + A_ji), ``_pairing`` and ``_product``: the
+    tables over Q in ``_rational``, which a subclass builds once per key in
+    closed form, each base changed by ``flat_table`` on its first use, so
+    every structure with that key and base shares them and their compiled
+    kernels, and a table nothing multiplies by is never built over a tower.
+    Each norm keeps its own formula, never (x, x#)/3 or x x#, so the axioms
+    relating N to the tables stay checks."""
+
+    _rational: tuple
+    _sharp, _cross, _pairing, _product = map(_over_base, range(4))
 
     def adjoint(self, x):
         return self._sharp.apply(self, x, x)
@@ -182,13 +200,12 @@ class TrivialCNS(TableCNS):
     """J = F with N(x) = x^3, x# = x^2, (x, y) = 3xy."""
 
     has_mul = True
+    _rational = (_TRIVIAL_SQUARE, _TRIVIAL_CROSS, _TRIVIAL_PAIRING, _TRIVIAL_SQUARE)
 
     def __init__(self, base=QQ_BASE):
         self.base = base
         self.dim = 1
         self.name = "trivial"
-        self._sharp = self._product = flat_table(_TRIVIAL_SQUARE, base)
-        self._cross, self._pairing = flat_table(_TRIVIAL_CROSS, base), flat_table(_TRIVIAL_PAIRING, base)
 
     def norm(self, x):
         (a,) = x.coords
@@ -236,8 +253,7 @@ class ProductCNS(TableCNS):
         self.base = comp.base
         self.dim = 1 + comp.dim
         self.name = f"FxC({','.join(str(g) for g in comp.gammas)})"
-        self._sharp, self._cross, self._pairing, self._product = (
-            flat_table(t, self.base) for t in _fxc_tables(comp.gammas))
+        self._rational = _fxc_tables(comp.gammas)
 
     def _split(self, x):
         return x.coord(0), x.block(self.comp, 1)
@@ -271,8 +287,9 @@ class CubicRingCNS(TableCNS):
         self.base = alg.base
         self.dim = 3
         self.name = f"cubicring({alg.name})"
+        # the product is the algebra's own table over the base
         self._product = alg._table
-        self._sharp, self._cross, self._pairing = alg._cubic_tables
+        self._rational = _cubic_tables(alg.table, alg.unit_coords)
 
     def norm(self, x):
         return self.alg.norm(x.block(self.alg))
@@ -308,13 +325,12 @@ class Matrix3CNS(TableCNS):
     """M_3 over the base with N = det, # = adjugate, (x, y) = tr(xy)."""
 
     has_mul = True
+    _rational = (_M3_ADJUGATE, _M3_CROSS, _M3_TRACE, _M3_PRODUCT)
 
     def __init__(self, base=QQ_BASE):
         self.base = base
         self.dim = 9
         self.name = "matrix3"
-        self._sharp, self._cross, self._pairing, self._product = (
-            flat_table(t, base) for t in (_M3_ADJUGATE, _M3_CROSS, _M3_TRACE, _M3_PRODUCT))
 
     def to_matrix(self, x: CnsElt):
         c = x.coords
@@ -381,8 +397,7 @@ class H3CNS(TableCNS):
         self.base = comp.base
         self.dim = 3 + 3 * comp.dim
         self.name = f"h3({','.join(str(g) for g in comp.gammas)})"
-        self._sharp, self._cross, self._pairing = (flat_table(t, comp.base)
-                                                   for t in _h3_tables(comp.gammas))
+        self._rational = _h3_tables(comp.gammas)
 
     def split(self, x: CnsElt):
         C = self.comp
@@ -474,6 +489,31 @@ def split_cubic_idempotents(alg: CommAlgebra) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _hermitian_picture(gammas: tuple, m: int) -> tuple[Table, Table]:
+    """The matrix kind's embed of H_3(C) into M_3(K) and its project back,
+    for C = (d) and K = F[x]/(x^2 - d) on one basis (1, e), as linear
+    tables on numerators with m per base coordinate, run against (1,) like
+    the star table: c_i goes to the first K-coordinate of entry (i, i),
+    a_i to entry (j, k) and a_i* = sum_p s_p a_ip e_p to entry (k, j), for
+    (i, j, k) a cyclic shift of (0, 1, 2); project reads c_i and a_i back
+    from those first two places.  Each of a coordinate's m numerators goes
+    alone, so the tables serve every base."""
+    _, weights, signs = _comp_terms(gammas)
+    d = len(weights)
+    # (H_3 coordinate, M_3(K) coordinate over the base, coefficient)
+    direct = [(i, _mu(i, i) * d, 1) for i in range(3)]
+    direct += [(3 + i * d + p, _mu(i + 1, i + 2) * d + p, 1) for i in range(3) for p in range(d)]
+    conjugate = [(3 + i * d + p, _mu(i + 2, i + 1) * d + p, s)
+                 for i in range(3) for p, s in enumerate(signs)]
+    n, nb = (3 + 3 * d) * m, 9 * d * m
+    embed = rational_table([(a * m + t, 0, b * m + t, c)
+                            for a, b, c in direct + conjugate for t in range(m)], n, nb)
+    project = rational_table([(b * m + t, 0, a * m + t, 1) for a, b, _ in direct for t in range(m)],
+                             nb, n)
+    return embed, project
+
+
 @dataclass
 class SecondKind:
     """An associative cubic norm algebra B over an etale quadratic K with an
@@ -491,9 +531,13 @@ class SecondKind:
 
     def star(self, b: CnsElt) -> CnsElt:
         if self.kind == "matrix":
-            t = self._star_table
-            return self.B.from_num(table_mul(t, b.num, (1,)), b.den * t.den)
+            return self._linear(self._star_table, b, self.B)
         return CnsElt(self.B, tuple(c.conj() for c in b.coords))
+
+    @staticmethod
+    def _linear(t: Table, x: CnsElt, space) -> CnsElt:
+        """A linear table t, run against the right operand (1,), on x."""
+        return space.from_num(table_mul(t, x.num, (1,)), x.den * t.den)
 
     @cached_property
     def _star_table(self) -> Table:
@@ -507,12 +551,16 @@ class SecondKind:
                  for a, c in enumerate(conj) for k, n in enumerate(c.num)]
         return rational_table(terms, 9 * m)
 
+    @cached_property
+    def _picture(self) -> tuple[Table, Table]:
+        """The matrix kind's embed and project tables (``_hermitian_picture``)."""
+        return _hermitian_picture(self.J.comp.gammas, self.J.base.flat_dim())
+
     def embed(self, j: CnsElt) -> CnsElt:
-        """J into B: the Hermitian picture of j read in M_3(K) for the
-        matrix kind, 1 (x) j for the tensor kind."""
+        """J into B: the Hermitian picture of j read in M_3(K), one linear
+        table, for the matrix kind, 1 (x) j for the tensor kind."""
         if self.kind == "matrix":
-            m = self.J.to_matrix(j)
-            return self.B.from_matrix(mat([e.block(self.K) for e in row] for row in m))
+            return self._linear(self._picture[0], j, self.B)
         return self.B.extend(j)
 
     def project(self, b: CnsElt) -> CnsElt:
@@ -520,7 +568,7 @@ class SecondKind:
         if not (self.star(b) == b):
             raise PreconditionError("element is not fixed by the involution")
         if self.kind == "matrix":
-            return self.J.from_matrix(self.B.to_matrix(b))
+            return self._linear(self._picture[1], b, self.J)
         return b.component(self.J, 0)
 
     def base_change(self, new_base) -> "SecondKind":
@@ -586,12 +634,18 @@ class TitsUCNS(CNS):
     def join(self, X: CnsElt, alpha: CnsElt) -> CnsElt:
         return self.concat(X, alpha)
 
-    # the three structure maps ------------------------------------------------
+    # the structure maps ------------------------------------------------------
 
     def _asa(self, alpha: CnsElt, beta: CnsElt) -> CnsElt:
         """alpha S beta* computed in B."""
         B = self.sk.B
         return B.mul(B.mul(alpha, self.S_B), self.sk.star(beta))
+
+    def _asa_polar(self, alpha: CnsElt, beta: CnsElt) -> CnsElt:
+        """alpha S beta* + beta S alpha*, the polarization of alpha S alpha*:
+        y + y* for y = alpha S beta*, as S* = S and * reverses products."""
+        y = self._asa(alpha, beta)
+        return y + self.sk.star(y)
 
     def norm(self, x):
         X, alpha = self.split(x)
@@ -608,11 +662,22 @@ class TitsUCNS(CNS):
                   + B.mul(B.adjoint(sk.star(alpha)), self.Ssharp_B) * self.lam_inv)
         return self.join(first, second)
 
+    def cross(self, x, y):
+        """The adjoint polarized: (X x Y - P(alpha S beta* + beta S alpha*),
+        -X beta - Y alpha + (alpha* x beta*) S# / lambda), for P the project."""
+        X, alpha = self.split(x)
+        Y, beta = self.split(y)
+        J, sk, B = self.sk.J, self.sk, self.sk.B
+        first = J.cross(X, Y) - sk.project(self._asa_polar(alpha, beta))
+        second = (-B.mul(sk.embed(X), beta) - B.mul(sk.embed(Y), alpha)
+                  + B.mul(B.cross(sk.star(alpha), sk.star(beta)), self.Ssharp_B) * self.lam_inv)
+        return self.join(first, second)
+
     def pair(self, x, y):
         X, alpha = self.split(x)
         Y, beta = self.split(y)
         J, sk = self.sk.J, self.sk
-        z = sk.project(self._asa(alpha, beta) + self._asa(beta, alpha))
+        z = sk.project(self._asa_polar(alpha, beta))
         return J.pair(X, Y) + J.trace(z)
 
     def one(self):
@@ -631,13 +696,40 @@ class TitsUCNS(CNS):
 # ---------------------------------------------------------------------------
 
 
+@cache
+def _cayley_u_tables(gammas: tuple) -> tuple[Table, Table, Table]:
+    """U(gamma)'s three bilinear maps on rows v, w in C^3, as tables over Q
+    off C's product terms, for (i, j, k) a cyclic shift of (0, 1, 2) and X's
+    Hermitian picture (X_ii = c_i, X_jk = a_i, X_kj = a_i*): the row v X,
+    sum_r v_r X_rs at s; v* w + w* v, the outer product v* v (n(v_i) at c_i,
+    v_j* v_k at a_i) symmetrized, into H_3(C); and sum_i tr(v_i w_i*), twice
+    the e_0-coordinate of each v_i w_i*, into one coordinate."""
+    comp, weights, signs = _comp_terms(gammas)
+    d = len(weights)
+    vx = [(r * d + p, r, r * d + p, 1) for r in range(3) for p in range(d)]
+    outer, trace = [], []
+    for i in range(3):
+        j, k, a = (i + 1) % 3, (i + 2) % 3, 3 + i * d
+        vx += [(j * d + p, a + q, k * d + r, c) for p, q, r, c in comp]
+        vx += [(k * d + p, a + q, j * d + r, signs[q] * c) for p, q, r, c in comp]
+        outer += [(i * d + p, i * d + p, i, w) for p, w in enumerate(weights)]
+        outer += [(j * d + p, k * d + q, a + r, signs[p] * c) for p, q, r, c in comp]
+        trace += [(i * d + p, i * d + q, 0, 2 * signs[q] * c) for p, q, r, c in comp if r == 0]
+    return (rational_table(vx, 3 * d), symmetrized(rational_table(outer, 3 * d, 3 + 3 * d)),
+            rational_table(trace, 3 * d, 1))
+
+
 class CayleyUCNS(CNS):
     """U(gamma) = H_3(C) + V_3(C) for associative C and gamma != 0:
 
-        n((X, v))      = n(X) + gamma v X v*
-        (X, v)#        = (X# + gamma v* v, -v X)
-        <(X,v),(Y,w)>  = (X, Y) - gamma (v, w).
+        n((X, v))       = n(X) + gamma v X v*
+        (X, v)#         = (X# + gamma v* v, -v X)
+        (X, v) x (Y, w) = (X x Y + gamma (v* w + w* v), -v Y - w X)
+        <(X,v),(Y,w)>   = (X, Y) - gamma sum_i tr(v_i w_i*),
 
+    with v X v* = sum_i tr((v X)_i v_i*) / 2.  The maps v X, v* w + w* v
+    and sum_i tr(v_i w_i*) are one table each (``_cayley_u_tables``), run on
+    the slices of the numerators that hold X and v.
     Isomorphic to H_3(C(gamma)) via a_i -> (a_i(X), v_i), available as
     ``iso_to_doubled`` and ``iso_from_doubled``.
     """
@@ -656,6 +748,8 @@ class CayleyUCNS(CNS):
         self.name = f"cayleyU({','.join(str(x) for x in comp.gammas)};{g})"
         self.doubled = H3CNS(cd_double(comp, g))
         self.has_mul = False
+        self._vx, self._vw, self._trace = (flat_table(t, self.base)
+                                           for t in _cayley_u_tables(comp.gammas))
 
     def split(self, x: CnsElt):
         hd, d = self.H.dim, self.comp.dim
@@ -664,38 +758,42 @@ class CayleyUCNS(CNS):
     def join(self, X: CnsElt, v) -> CnsElt:
         return self.concat(X, *v)
 
-    def _vxv(self, v, X: CnsElt):
-        """v X v* as a base scalar."""
-        row = row_times_mat(v, self.H.to_matrix(X))
-        return sum_prod(row, tuple(vi.conj() for vi in v)).coord(0)
+    def _parts(self, x: CnsElt) -> tuple:
+        """The numerators of X and of v in x = (X, v), both over x.den."""
+        n = self.H._n
+        return x.num[:n], x.num[n:]
+
+    def _join_v(self, X: CnsElt, v: Sequence[int], den: int) -> CnsElt:
+        """(X, v) for v's numerators over den."""
+        return self.from_num([n * den for n in X.num] + [n * X.den for n in v], X.den * den)
 
     def norm(self, x):
-        X, v = self.split(x)
-        return self.H.norm(X) + self.gamma * self._vxv(v, X)
+        X, v = self._parts(x)
+        vx, tr, d = self._vx, self._trace, x.den
+        vxv = table_mul(tr, table_mul(vx, v, X), v)
+        return (self.H.norm(x.block(self.H))
+                + self.gamma * self.base.from_num(vxv, 2 * d * d * d * vx.den * tr.den))
 
     def adjoint(self, x):
-        X, v = self.split(x)
-        vstarv = self._outer(v)
-        first = self.H.adjoint(X) + vstarv * self.gamma
-        mv = tuple(-x for x in row_times_mat(v, self.H.to_matrix(X)))
-        return self.join(first, mv)
+        X, v = self._parts(x)
+        d = x.den
+        vv = self.H.from_num(table_mul(self._vw, v, v), 2 * d * d * self._vw.den)
+        return self._join_v(self.H.adjoint(x.block(self.H)) + vv * self.gamma,
+                            [-n for n in table_mul(self._vx, v, X)], d * d * self._vx.den)
 
-    def _outer(self, v) -> CnsElt:
-        """v* v as a Hermitian element (v a row triple)."""
-        cs = (v[0].norm(), v[1].norm(), v[2].norm())
-        a1 = v[1].conj() * v[2]
-        a2 = v[2].conj() * v[0]
-        a3 = v[0].conj() * v[1]
-        return self.H.join(cs, (a1, a2, a3))
+    def cross(self, x, y):
+        X, v = self._parts(x)
+        Y, w = self._parts(y)
+        d = x.den * y.den
+        vw = self.H.from_num(table_mul(self._vw, v, w), d * self._vw.den)
+        vx = [-a - b for a, b in zip(table_mul(self._vx, v, Y), table_mul(self._vx, w, X))]
+        return self._join_v(self.H.cross(x.block(self.H), y.block(self.H)) + vw * self.gamma,
+                            vx, d * self._vx.den)
 
     def pair(self, x, y):
-        X, v = self.split(x)
-        Y, w = self.split(y)
-        acc = self.H.pair(X, Y)
-        dot = self.base.zero()
-        for a, b in zip(v, w):
-            dot = dot + (a * b.conj()).trace()
-        return acc - self.gamma * dot
+        (X, v), (Y, w) = self._parts(x), self._parts(y)
+        dot = self.base.from_num(table_mul(self._trace, v, w), x.den * y.den * self._trace.den)
+        return self.H.pair(x.block(self.H), y.block(self.H)) - self.gamma * dot
 
     def one(self):
         z = self.comp.zero()

@@ -693,6 +693,18 @@ def _delta(A: CNS, v: WElt, ell) -> tuple:
     return delta1, delta2
 
 
+def _delta_cross(A: CNS, v: WElt, ell, ell2) -> tuple:
+    """delta(ell + ell2) - delta(ell) - delta(ell2), the bilinear
+    polarization of ``_delta``, for row pairs ell = (u, w), ell2 = (u2, w2)."""
+    (u, w), (u2, w2) = ell, ell2
+    uu, ww = A.cross(u, u2), A.cross(w, w2)
+    delta1 = (uu * v.a + A.cross(u, A.mul(w2, v.b)) + A.cross(u2, A.mul(w, v.b))
+              + A.mul(v.c, ww))
+    delta2 = (A.mul(v.b, uu) + A.cross(A.mul(u, v.c), w2) + A.cross(A.mul(u2, v.c), w)
+              + ww * v.d)
+    return delta1, delta2
+
+
 def _j2_inv_shriek(W: WSpace, ell) -> WElt:
     """J_2^{-1} ell!, where J_2^{-1} acts on W as (a, b, c, d) -> (-d, c, -b, a)."""
     shr = shriek_row(W, ell)
@@ -760,6 +772,12 @@ class QuotientTitsU(CNS):
         """l1 h l2* in B for row pairs l1, l2."""
         return sum_prod(row_times_mat(e1, self.h), tuple(self.sk.star(x) for x in e2))
 
+    def _lhl_polar(self, e1, e2) -> CnsElt:
+        """l1 h l2* + l2 h l1*, the polarization of l h l*: y + y* for
+        y = l1 h l2*, as h is Hermitian and * reverses products."""
+        y = self._lhl(e1, e2)
+        return y + self.sk.star(y)
+
     def split(self, x: CnsElt):
         J = self.sk.J
         num = [0] * (2 * self._fdim)
@@ -803,7 +821,7 @@ class QuotientTitsU(CNS):
 
     def pair_raw(self, x1: CnsElt, e1, x2: CnsElt, e2):
         sk, J = self.sk, self.sk.J
-        return J.pair(x1, x2) + J.trace(sk.project(self._lhl(e1, e2) + self._lhl(e2, e1)))
+        return J.pair(x1, x2) + J.trace(sk.project(self._lhl_polar(e1, e2)))
 
     def norm(self, x: CnsElt):
         xj, ell = self.split(x)
@@ -812,6 +830,18 @@ class QuotientTitsU(CNS):
     def adjoint(self, x: CnsElt) -> CnsElt:
         xj, ell = self.split(x)
         first, second = self.adjoint_raw(xj, ell)
+        return self.join(first, second)
+
+    def cross(self, x: CnsElt, y: CnsElt) -> CnsElt:
+        """adjoint_raw polarized, on the representatives of x and y."""
+        sk, J, B = self.sk, self.sk.J, self.sk.B
+        x1, e1 = self.split(x)
+        x2, e2 = self.split(y)
+        first = J.cross(x1, x2) - sk.project(self._lhl_polar(e1, e2))
+        delta1, delta2 = _delta_cross(B, self.vB, e1, e2)
+        xb1, xb2 = sk.embed(x1), sk.embed(x2)
+        second = (-B.mul(xb1, e2[0]) - B.mul(xb2, e1[0]) - sk.star(delta2),
+                  -B.mul(xb1, e2[1]) - B.mul(xb2, e1[1]) + sk.star(delta1))
         return self.join(first, second)
 
     def pair(self, x: CnsElt, y: CnsElt):
@@ -850,6 +880,7 @@ class GanSavinU(CNS):
 
         n((x,l))  = n(x) - (x, l S(v) l^t) + <v_flat, J_2^{-1} l!>
         (x,l)#    = (x# - l S(v) l^t, -x l + delta(l; v)^t J_2)
+        cross     = the adjoint polarized, with delta's polarization
         pairing   = (x1,x2) + tr(l1 S(v) l2^t + l2 S(v) l1^t).
     """
 
@@ -899,6 +930,16 @@ class GanSavinU(CNS):
         first = A.adjoint(xa) - self._lsl(ell, ell)
         delta1, delta2 = _delta(A, self.v, ell)
         second = ((-A.mul(xa, ell[0])) - delta2, (-A.mul(xa, ell[1])) + delta1)
+        return self.join(first, second)
+
+    def cross(self, x: CnsElt, y: CnsElt) -> CnsElt:
+        A = self.A
+        xa, e1 = self.split(x)
+        ya, e2 = self.split(y)
+        first = A.cross(xa, ya) - self._lsl(e1, e2) - self._lsl(e2, e1)
+        delta1, delta2 = _delta_cross(A, self.v, e1, e2)
+        second = (-A.mul(xa, e2[0]) - A.mul(ya, e1[0]) - delta2,
+                  -A.mul(xa, e2[1]) - A.mul(ya, e1[1]) + delta1)
         return self.join(first, second)
 
     def pair(self, x: CnsElt, y: CnsElt):

@@ -23,6 +23,7 @@ from cubicnorm.cns import (
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import HOperator, WSpace, h_apply
+from cubicnorm.matops import mat, row_times_mat, sum_prod
 
 
 @pytest.fixture
@@ -187,6 +188,50 @@ GROUND_ORACLES = {
 def polarized(adjoint, x, y):
     """x x y = (x+y)# - x# - y# for an adjoint map."""
     return adjoint(x + y) - adjoint(x) - adjoint(y)
+
+
+# -- oracle: the composite structures' maps on matrix pictures --------------
+#
+# The formulas the matrix kind's embed and project and U(gamma)'s norm,
+# adjoint and pairing computed with before these became tables: J's
+# Hermitian picture read in M_3(K) and back, a row v times X's Hermitian
+# picture, the outer product v* v, and v X v* and sum_i tr(v_i w_i*) as
+# products in C.
+
+
+def second_kind_embed(sk, j):
+    m = sk.J.to_matrix(j)
+    return sk.B.from_matrix(mat([e.block(sk.K) for e in row] for row in m))
+
+
+def second_kind_project(sk, b):
+    return sk.J.from_matrix(sk.B.to_matrix(b))
+
+
+def cayley_u_outer(U, v):
+    """v* v as a Hermitian element, for a row triple v."""
+    cs = (v[0].norm(), v[1].norm(), v[2].norm())
+    return U.H.join(cs, (v[1].conj() * v[2], v[2].conj() * v[0], v[0].conj() * v[1]))
+
+
+def cayley_u_norm(U, x):
+    X, v = U.split(x)
+    row = row_times_mat(v, U.H.to_matrix(X))
+    return U.H.norm(X) + U.gamma * sum_prod(row, tuple(vi.conj() for vi in v)).coord(0)
+
+
+def cayley_u_adjoint(U, x):
+    X, v = U.split(x)
+    first = U.H.adjoint(X) + cayley_u_outer(U, v) * U.gamma
+    return U.join(first, tuple(-c for c in row_times_mat(v, U.H.to_matrix(X))))
+
+
+def cayley_u_pair(U, x, y):
+    (X, v), (Y, w) = U.split(x), U.split(y)
+    dot = U.base.zero()
+    for a, b in zip(v, w):
+        dot = dot + (a * b.conj()).trace()
+    return U.H.pair(X, Y) - U.gamma * dot
 
 
 # -- oracle: W_J arithmetic part by part ------------------------------------

@@ -9,10 +9,16 @@ import pytest
 from conftest import (
     GROUND_ORACLES,
     associative_variants,
+    cayley_u_adjoint,
+    cayley_u_norm,
+    cayley_u_outer,
+    cayley_u_pair,
     hermitian_variants,
     polarized,
     rand_rank4,
     rank4_with_antisym_omega,
+    second_kind_embed,
+    second_kind_project,
 )
 
 from cubicnorm.cns import (
@@ -23,6 +29,7 @@ from cubicnorm.cns import (
     H3CNS,
     Matrix3CNS,
     ProductCNS,
+    SecondKind,
     TitsUCNS,
     TrivialCNS,
     cns_axioms_check,
@@ -234,6 +241,18 @@ def test_matrix_star_is_the_conjugate_transpose(D, over, rng):
         assert sk.star(b) == want and sk.star(want) == b
 
 
+def test_star_table_over_a_quadratic_algebra_with_a_fractional_trace(rng):
+    """The star table reads K's conjugation off its flat basis, so it holds
+    for K = Q[x]/(x^2 + x/2 + 1), where x* = -1/2 - x."""
+    K = QuotientAlgebra([1, F(1, 2), 1])
+    B = Matrix3CNS(K)
+    sk = SecondKind(K, B, H3CNS(comp_preset("gaussian")), "matrix")
+    assert sk._star_table.den == 2
+    for _ in range(3):
+        b = B.random(rng, 3, integral=False)
+        assert sk.star(b) == B.from_matrix(mat_star(B.to_matrix(b), lambda e: e.conj()))
+
+
 def test_tits_precondition():
     sk = second_kind_matrix(-1)
     with pytest.raises(PreconditionError):
@@ -266,7 +285,7 @@ def test_cayley_u_embedding_and_adjoint(rng):
     v = tuple(U.comp.random(rng) for _ in range(3))
     one_v = U.join(U.H.one(), v)
     first, second = U.split(U.adjoint(one_v))
-    assert first == U.H.one() + U._outer(v) * U.gamma
+    assert first == U.H.one() + cayley_u_outer(U, v) * U.gamma
     assert all(a == -b for a, b in zip(second, v))
 
 
@@ -410,13 +429,13 @@ def _tits_u():
     return TitsUCNS(sk, sk.J.one(), sk.K.one())
 
 
-def _quotient_u():
-    sk = second_kind_matrix(-1)
-    return utilde_cns(sk, rank4_with_antisym_omega(sk, random.Random(0))).data["U"]
+def _quotient_matrix_u(D, seed):
+    sk = second_kind_matrix(D)
+    return utilde_cns(sk, rank4_with_antisym_omega(sk, random.Random(seed))).data["U"]
 
 
-def _gan_savin_u():
-    A = cns_preset("fxf")
+def _gan_savin(name):
+    A = cns_preset(name)
     return gan_savin_cns(A, rand_rank4(WSpace(A), random.Random(0), 1)).data["U"]
 
 
@@ -428,8 +447,8 @@ JOINED = {
     "titsu": (_tits_u, lambda S, x: (S.join, S.split(x))),
     "cayleyu": (lambda: CayleyUCNS(comp_preset("hamilton"), 2),
                 lambda S, x: (S.join, S.split(x))),
-    "quotient": (_quotient_u, lambda S, x: (S.join, S.split(x))),
-    "gansavin": (_gan_savin_u, lambda S, x: (S.join, S.split(x))),
+    "quotient": (lambda: _quotient_matrix_u(-1, 0), lambda S, x: (S.join, S.split(x))),
+    "gansavin": (lambda: _gan_savin("fxf"), lambda S, x: (S.join, S.split(x))),
 }
 
 
@@ -585,8 +604,9 @@ def _assert_shape(t, rows, right, out):
 
 @pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])
 def test_tables_index_their_operands(over):
-    """Every ground structure's tables, a composition algebra's norm table
-    and the matrix kind's star table have the shape of their operands."""
+    """Every ground structure's tables, a composition algebra's norm table,
+    the matrix kind's star, embed and project tables and U(gamma)'s tables
+    have the shape of their operands."""
     E = quadratic_field(5)
     for name in GROUND_PRESETS:
         J = cns_preset(name) if over == "Q" else cns_preset(name).base_change(E)
@@ -598,3 +618,142 @@ def test_tables_index_their_operands(over):
     _assert_shape(C._norm_table, C.flat_dim(), C.flat_dim(), C.base.flat_dim())
     sk = second_kind_matrix(-1) if over == "Q" else second_kind_matrix(-1).base_change(E)
     _assert_shape(sk._star_table, sk.B.flat_dim(), 1, sk.B.flat_dim())
+    embed, project = sk._picture
+    _assert_shape(embed, sk.J.flat_dim(), 1, sk.B.flat_dim())
+    _assert_shape(project, sk.B.flat_dim(), 1, sk.J.flat_dim())
+    U = cns_preset("cayleyu:2") if over == "Q" else cns_preset("cayleyu:2").base_change(E)
+    n, h = 3 * U.comp.flat_dim(), U.H.flat_dim()
+    _assert_shape(U._vx, n, h, n)
+    _assert_shape(U._vw, n, n, h)
+    _assert_shape(U._trace, n, n, U.base.flat_dim())
+
+
+# -- composite structures: polarized crosses and per-key tables --------------
+
+
+def _quotient_tensor_u():
+    A = TrivialCNS()
+    v = rand_rank4(WSpace(A), random.Random(2), unit_corner=True)
+    return utilde_cns(second_kind_tensor(A, WSpace(A).quartic(v)), v).data["U"]
+
+
+def _over_q_sqrt5(name):
+    return cns_preset(name).base_change(quadratic_field(5))
+
+
+def _tits_u_off_the_unit():
+    """U(S, lambda) over M_3(Q(i)) with S = diag(2, 1, 1) and lambda = 1 + i,
+    n(S) = 2 = lambda lambda*: S# is not scalar and lambda is not 1."""
+    sk = second_kind_matrix(-1)
+    z = sk.J.comp.zero()
+    return TitsUCNS(sk, sk.J.join((2, 1, 1), (z, z, z)), sk.K.elem([1, 1]))
+
+
+COMPOSITES = {
+    "titsu-matrix:-1 off the unit": _tits_u_off_the_unit,
+    **{name: (lambda name=name: cns_preset(name))
+       for name in ("titsu-matrix:-1", "titsu-matrix:1", "titsu-tensor", "cayleyu:2",
+                    "cayleyu-comm:3")},
+    **{f"{name} over Q(sqrt 5)": (lambda name=name: _over_q_sqrt5(name))
+       for name in ("titsu-matrix:-1", "titsu-tensor", "cayleyu:2", "cayleyu-comm:3")},
+    "cayleyu over a fractional chain": lambda: _cayley_u_over_a_fractional_chain(),
+    "quotient matrix:-1": lambda: _quotient_matrix_u(-1, 0),
+    # over the split K of D = 1 this v leaves the first B-slot of the row
+    # pair free in the canonical representatives, as no field case does
+    "quotient matrix:1": lambda: _quotient_matrix_u(1, 2),
+    "quotient tensor": _quotient_tensor_u,
+    **{f"gan-savin {name}": (lambda name=name: _gan_savin(name))
+       for name in ("fxf", "etale-cubic", "trivial")},
+}
+
+
+@pytest.mark.parametrize("name", list(COMPOSITES))
+def test_composite_cross_is_the_polarized_adjoint(name, monkeypatch):
+    """Each composite structure's own cross, its adjoint formula polarized,
+    equals the three-adjoint default CNS.cross on non-integral elements,
+    is symmetric, and makes no call to the structure's adjoint."""
+    U = COMPOSITES[name]()
+    rng = random.Random(name)
+    pairs = [(U.random(rng, 2, integral=False), U.random(rng, 2, integral=False))
+             for _ in range(2)]
+    want = [CNS.cross(U, x, y) for x, y in pairs]
+
+    def no_adjoint(x):
+        raise AssertionError("cross called the adjoint")
+
+    monkeypatch.setattr(U, "adjoint", no_adjoint)
+    for (x, y), w in zip(pairs, want):
+        assert U.cross(x, y) == w == U.cross(y, x)
+
+
+@pytest.mark.parametrize("D", [-1, 1])
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])
+def test_embed_and_project_tables_match_the_matrix_picture(D, over, rng):
+    """The matrix kind's embed and project, one linear table each, are the
+    Hermitian picture read in M_3(K) and read back, also after a base
+    change; project still rejects an element the involution does not fix."""
+    sk = second_kind_matrix(D)
+    if over != "Q":
+        sk = sk.base_change(quadratic_field(5))
+    J, B = sk.J, sk.B
+    for _ in range(3):
+        j = J.random(rng, 2, integral=False)
+        b = B.random(rng, 2, integral=False)
+        fixed = b + sk.star(b)
+        assert sk.embed(j) == second_kind_embed(sk, j)
+        assert sk.project(fixed) == second_kind_project(sk, fixed)
+        assert sk.project(sk.embed(j)) == j
+        with pytest.raises(PreconditionError):
+            sk.project(b)
+
+
+def _cayley_u_over_a_fractional_chain():
+    """U(2/3) over the quaternions (1/3, -3/2), whose tables are over
+    denominators 6, 6 and 3."""
+    return CayleyUCNS(CompAlgebra((F(1, 3), F(-3, 2))), F(2, 3))
+
+
+@pytest.mark.parametrize("name", ["cayleyu:2", "cayleyu-comm:3", "fractional chain"])
+@pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])
+def test_cayley_u_tables_match_the_formulas(name, over):
+    """U(gamma)'s norm, adjoint and pairing, through its tables v X,
+    v* w + w* v and sum_i tr(v_i w_i*), equal the matrix-picture formulas
+    they replace on non-integral elements, also after a base change and
+    over a chain whose tables have a denominator."""
+    U = _cayley_u_over_a_fractional_chain() if name == "fractional chain" else cns_preset(name)
+    if over != "Q":
+        U = U.base_change(quadratic_field(5))
+    rng = random.Random(f"{name} {over}")
+    for _ in range(4):
+        x, y = U.random(rng, 2, integral=False), U.random(rng, 2, integral=False)
+        assert U.norm(x) == cayley_u_norm(U, x)
+        assert U.adjoint(x) == cayley_u_adjoint(U, x)
+        assert U.pair(x, y) == cayley_u_pair(U, x, y)
+
+
+def test_composite_tables_are_built_once_per_key():
+    """Two structures of one key share their tables: the matrix kind's
+    embed and project per (C, base), U(gamma)'s per Cayley-Dickson chain,
+    whatever gamma, and over Q(sqrt 5) too."""
+    E = quadratic_field(5)
+    sk1, sk2 = second_kind_matrix(-1), second_kind_matrix(-1)
+    assert all(a is b for a, b in zip(sk1._picture, sk2._picture))
+    assert all(a is b for a, b in zip(sk1.base_change(E)._picture, sk2.base_change(E)._picture))
+    U1, U2 = CayleyUCNS(comp_preset("hamilton"), 2), CayleyUCNS(comp_preset("hamilton"), 3)
+    for V1, V2 in ((U1, U2), (U1.base_change(E), U2.base_change(E))):
+        assert V1._vx is V2._vx and V1._vw is V2._vw and V1._trace is V2._trace
+
+
+def test_ground_tables_over_a_tower_are_built_on_first_use():
+    """A ground structure base changes each of its tables on the first
+    product that needs it: H_3 over a cubic ring builds no cross table until
+    a cross is taken, and two structures of one key share what they build."""
+    T = cubic_ring_algebra(1, -1, 2, 3)
+    J = H3CNS(comp_preset("hamilton").base_change(T))
+    x = J.random(random.Random(5))
+    assert not {"_sharp", "_cross", "_pairing"} & set(vars(J))
+    J.adjoint(x)
+    assert "_sharp" in vars(J) and "_cross" not in vars(J)
+    J2 = H3CNS(comp_preset("hamilton").base_change(T))
+    assert J2.cross(x, x) == J.adjoint(x) * 2
+    assert J2._cross is J._cross and J2._sharp is J._sharp

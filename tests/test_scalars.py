@@ -1053,7 +1053,8 @@ def test_compiled_kernel_matches_the_loop_on_ground_tables(name, over):
 def test_compiled_kernel_matches_the_loop_on_algebra_tables(over):
     """The product tables of quotient, cubic and composition algebras, a
     composition algebra's norm table, every base's scaling table
-    (``_scale_table``) and the matrix kind's star table."""
+    (``_scale_table``), the matrix kind's star, embed and project tables
+    and U(gamma)'s three tables."""
     base = KERNEL_BASES[over]()
     algebras = [quadratic_field(-3), qalg_make([1, -2, 0, 1]),
                 cubic_ring_algebra(1, -1, 2, 3), cubic_ring_algebra(F(1, 2), 1, F(-3, 2), 2)]
@@ -1063,7 +1064,8 @@ def test_compiled_kernel_matches_the_loop_on_algebra_tables(over):
     comps = [C if over == "Q" else C.base_change(base) for C in comps] + [CompAlgebra((F(1, 2), -3))]
     sk = second_kind_preset("matrix:-1")
     sk = sk if over == "Q" else sk.base_change(base)
-    tables = [sk._star_table] + algebras + comps
+    U = cns_preset("cayleyu:2") if over == "Q" else cns_preset("cayleyu:2").base_change(base)
+    tables = [sk._star_table, *sk._picture, U._vx, U._vw, U._trace] + algebras + comps
     tables += [C._norm_table for C in comps]
     tables += [_scale_table(dim, A) for A in algebras for dim in (1, 3)]
     tables += [A._cubic_tables[k] for A in algebras if A.dim == 3 for k in range(3)]
