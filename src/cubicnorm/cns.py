@@ -32,14 +32,7 @@ from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .composition import CheckReport, CompAlgebra, _cd_table, cd_double
-from .matops import (
-    mat,
-    mat_add,
-    mat_eq,
-    mat_mul,
-    mat_star,
-    mat_transpose,
-)
+from .matops import mat, mat_add, mat_mul, mat_transpose
 from .scalars import (
     AlgElem,
     CommAlgebra,
@@ -52,6 +45,7 @@ from .scalars import (
     Table,
     Vec,
     _cubic_tables,
+    det,
     det_fraction,
     flat_table,
     qq,
@@ -108,8 +102,10 @@ class CNS(CoordSpace):
     def cross(self, x: CnsElt, y: CnsElt) -> CnsElt:
         return self.adjoint(x + y) - self.adjoint(x) - self.adjoint(y)
 
+    _one = cached_property(lambda self: self.one())
+
     def trace(self, x: CnsElt):
-        return self.pair(self.one(), x)
+        return self.pair(self._one, x)
 
     def trilinear(self, x: CnsElt, y: CnsElt, z: CnsElt):
         """The symmetric trilinear form (x, y, z) with (x, x, x) = 6 N(x)."""
@@ -340,10 +336,7 @@ class Matrix3CNS(TableCNS):
         return CnsElt(self, m[0] + m[1] + m[2])
 
     def norm(self, x):
-        m = self.to_matrix(x)
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return det(self.to_matrix(x))
 
     def one(self):
         z, o = self.base.zero(), self.base.one()
@@ -430,9 +423,6 @@ class H3CNS(TableCNS):
     def from_matrix(self, m) -> CnsElt:
         cs = (m[0][0].coord(0), m[1][1].coord(0), m[2][2].coord(0))
         return self.join(cs, (m[1][2], m[2][0], m[0][1]))
-
-    def is_hermitian_matrix(self, m) -> bool:
-        return mat_eq(m, mat_star(m, lambda v: v.conj()))
 
     def special_combo(self, x, y, z):
         """x y z + z y x in M_3(C), for associative C."""

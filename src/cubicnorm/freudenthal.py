@@ -16,12 +16,14 @@ from typing import Iterator, Optional
 
 from .cns import CNS, CnsElt, H3CNS
 from .matops import (
+    mat_block,
+    mat_inverse,
     mat_mul,
+    mat_scalar,
     mat_smul,
     mat_star,
     mat_sub,
     mat_times_col,
-    mat_transpose,
     row_times_mat,
 )
 from .scalars import (
@@ -32,7 +34,6 @@ from .scalars import (
     DirectSum,
     PreconditionError,
     Vec,
-    map_solve,
     search_stream,
     witness_search,
 )
@@ -337,12 +338,12 @@ def _mgen_maps(W: WSpace, payload):
         if not isinstance(J, H3CNS) or not J.comp.is_associative:
             raise PreconditionError("(mu, m) payload needs a Hermitian instance "
                                     "with associative coordinates")
-        mstar = mat_star(m, lambda e: e.conj())
+        mstar = mat_star(m)
         nm = J.norm(J.from_matrix(mat_mul(m, mstar)))
         if not W.base.is_unit(nm):
             raise PreconditionError("m must be invertible")
-        minv = m3c_inverse(J, m)
-        minv_star = mat_star(minv, lambda e: e.conj())
+        minv = mat_inverse(m, J.comp)
+        minv_star = mat_star(minv)
         nm_inv = W.base.inv(nm)
         mu_q = W.base.coerce(mu)
 
@@ -354,21 +355,6 @@ def _mgen_maps(W: WSpace, payload):
 
         return mu_q * nm, t, t_dual, mu_q * nm_inv
     raise DescriptorError(f"unknown mgen payload {shape!r}")
-
-
-def m3c_inverse(J: H3CNS, m):
-    """Inverse of a 3x3 matrix over the associative composition algebra of J:
-    column t of the inverse solves m x = e_t over Q.  The unknowns are the
-    rational coordinates of x along the products of the C-basis with the
-    base's Q-basis, so base-changed coordinates solve too."""
-    comp = J.comp
-    C3 = DirectSum(comp, comp, comp)
-    cols = [map_solve(partial(mat_times_col, m), C3, C3,
-                      tuple(comp.one() if i == t else comp.zero() for i in range(3)))
-            for t in range(3)]
-    if None in cols:
-        raise PreconditionError("matrix is not invertible")
-    return mat_transpose(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -416,19 +402,12 @@ def s_of_h3(W: WSpace, v: WElt):
     a, b, c, d = v.a, v.b, v.c, v.d
     comp = J.comp
     mb, mc = J.to_matrix(b), J.to_matrix(c)
-    pbc = J.pair(b, c)
-    sc = comp.from_scalar(pbc * HALF - (a * d) * HALF)
-    off = [[sc if i == j else comp.zero() for j in range(3)] for i in range(3)]
+    off = mat_scalar(3, comp.from_scalar((J.pair(b, c) - a * d) * HALF), comp.zero())
     s11 = mat_sub(J.to_matrix(J.adjoint(b)), mat_smul(mc, a))
     s22 = mat_sub(J.to_matrix(J.adjoint(c)), mat_smul(mb, d))
     s12 = mat_sub(off, mat_mul(mc, mb))
     s21 = mat_sub(off, mat_mul(mb, mc))
-    rows = []
-    for i in range(3):
-        rows.append(tuple(s11[i]) + tuple(s12[i]))
-    for i in range(3):
-        rows.append(tuple(s21[i]) + tuple(s22[i]))
-    return tuple(rows)
+    return mat_block(((s11, s12), (s21, s22)))
 
 
 def shriek_row(W: WSpace, ell) -> WElt:
@@ -525,8 +504,7 @@ def det6(W: WSpace, g, side: str = "left"):
 
 
 def m2_identity(J: CNS):
-    one, zero = J.one(), J.zero()
-    return ((one, zero), (zero, one))
+    return mat_scalar(2, J.one(), J.zero())
 
 
 def m2_mul(J: CNS, g, h):
@@ -540,8 +518,7 @@ def m2_j2(J: CNS):
 
 
 def m2_scalar(J: CNS, s):
-    z = J.zero()
-    return ((J.one() * s, z), (z, J.one() * s))
+    return mat_scalar(2, J.one() * s, J.zero())
 
 
 # -- the unit-class invariant of rank-one elements ---------------------------

@@ -53,16 +53,19 @@ from .freudenthal import (
     skip_dead_rows,
 )
 from .matops import (
-    mat,
+    column,
+    is_hermitian,
     mat_add,
     mat_eq,
+    mat_map,
     mat_mul,
     mat_neg,
+    mat_scalar,
     mat_smul,
     mat_star,
     mat_sub,
     mat_times_col,
-    mat_transpose,
+    outer,
     row_times_mat,
     sum_prod,
 )
@@ -344,9 +347,11 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
     if cross_checks and isinstance(J, H3CNS) and J.comp.is_associative:
         sr = sr_maps(J, pd, check=False)
         # X = -(1/2)(A S(theta0) - B S(omega0)) - A theta0 + B omega0
-        mid = _hermitian_from_matrix(J, mat_sub(
-            mat_mul(J.to_matrix(A), sr.images["theta0"]),
-            mat_mul(J.to_matrix(B), sr.images["omega0"])))
+        m = mat_sub(mat_mul(J.to_matrix(A), sr.images["theta0"]),
+                    mat_mul(J.to_matrix(B), sr.images["omega0"]))
+        if not is_hermitian(m):
+            raise IdentityError("expected a Hermitian matrix")
+        mid = J.from_matrix(m)
         x0form = (JT.extend(mid) * (-HALF)
                   + JT.extend(-A) * pd.theta0 + JT.extend(B) * pd.omega0)
         res.require("X via trace-zero basis", X == x0form)
@@ -355,12 +360,6 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
         y0 = JT.adjoint(zt) + JT.cross(zt, JT.extend(mid * 3))
         res.require("Y0 = -3Y", y0 == Y * (-3))
     return res
-
-
-def _hermitian_from_matrix(J: H3CNS, m) -> CnsElt:
-    if not J.is_hermitian_matrix(m):
-        raise IdentityError("expected a Hermitian matrix")
-    return J.from_matrix(m)
 
 
 @dataclass
@@ -380,7 +379,7 @@ class SrMaps:
         return mat_add(mat_add(mat_smul(one, c0), mat_smul(w, c1)), mat_smul(t, c2))
 
     def s_l(self, lam: AlgElem):
-        return mat_star(self.s_r(lam), lambda e: e.conj())
+        return mat_star(self.s_r(lam))
 
 
 def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
@@ -393,8 +392,7 @@ def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
     mAs, mBs = J.to_matrix(J.adjoint(A)), J.to_matrix(J.adjoint(B))
     Sw = mat_neg(mat_mul(mAs, mB))
     St = mat_mul(mBs, mA)
-    eye = tuple(tuple(comp.one() if i == j else comp.zero() for j in range(3))
-                for i in range(3))
+    eye = mat_scalar(3, comp.one(), comp.zero())
     images = {
         "one": eye,
         "omega": Sw,
@@ -424,24 +422,13 @@ def eigen_checks(H3T: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> 
     """S_l(lam) X = lam X = X S_r(lam) and S_r(lam) Y = lam Y = Y S_l(lam),
     with H3T = H_3(C (x) T)."""
     compT = H3T.comp
-
-    def as_mat(z: CnsElt):
-        return H3T.to_matrix(z.block(H3T))
-
+    mx, my = (H3T.to_matrix(z.block(H3T)) for z in (X, Y))
     for lam in (pd.omega, pd.theta):
-        srm = _lift_to_T(compT, sr.s_r(lam))
-        slm = _lift_to_T(compT, sr.s_l(lam))
-        mx = as_mat(X)
-        my = as_mat(Y)
-        lam_mx = mat_smul(mx, lam)
-        lam_my = mat_smul(my, lam)
-        if not mat_eq(mat_mul(slm, mx), lam_mx):
-            return False
-        if not mat_eq(mat_mul(mx, srm), lam_mx):
-            return False
-        if not mat_eq(mat_mul(srm, my), lam_my):
-            return False
-        if not mat_eq(mat_mul(my, slm), lam_my):
+        srm = mat_map(compT.extend, sr.s_r(lam))
+        slm = mat_map(compT.extend, sr.s_l(lam))
+        lam_mx, lam_my = mat_smul(mx, lam), mat_smul(my, lam)
+        if not (mat_eq(mat_mul(slm, mx), lam_mx) and mat_eq(mat_mul(mx, srm), lam_mx)
+                and mat_eq(mat_mul(srm, my), lam_my) and mat_eq(mat_mul(my, slm), lam_my)):
             return False
     return True
 
@@ -465,9 +452,10 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
 
         duals = [map_solve(traces, T, Qn, tuple(1 if k == i else 0 for k in range(n)))
                  for i in range(n)]
-        eps = tuple(tuple(compT.zero() for _ in range(3)) for _ in range(3))
+        zero = compT.zero()
+        eps = mat_scalar(3, zero, zero)
         for v_a, w_a in zip(basis, duals):
-            eps = mat_add(eps, mat_smul(_lift_to_T(compT, sr.s_r(v_a)), w_a))
+            eps = mat_add(eps, mat_smul(mat_map(compT.extend, sr.s_r(v_a)), w_a))
         return eps
 
     basis1 = T.basis()
@@ -477,21 +465,11 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
         raise IdentityError("eps depends on the basis")
     # S_r(x) eps = eps x
     for lam in (pd.omega, pd.theta):
-        lam_m = _lift_to_T(compT, sr.s_r(lam))
+        lam_m = mat_map(compT.extend, sr.s_r(lam))
         lhs = mat_mul(lam_m, eps)
         if not mat_eq(lhs, mat_smul(eps, lam)):
             raise IdentityError("S_r(x) eps != eps x")
     return eps
-
-
-def _lift_row(space, row):
-    """The row (or column) with its entries read in the base-changed ``space``."""
-    return tuple(map(space.extend, row))
-
-
-def _lift_to_T(space, m):
-    """The matrix m with its entries read in the base-changed ``space``."""
-    return tuple(_lift_row(space, row) for row in m)
 
 
 def hermitian_pair(J: CNS, A: CnsElt, B: CnsElt) -> LiftResult:
@@ -522,10 +500,9 @@ def pair_lift_refined(J: H3CNS, A: CnsElt, B: CnsElt, v=None,
         rng = random.Random(0)
     if v is None:
         v = tuple(J.comp.random(rng) for _ in range(3))
-    vT = _lift_row(compT, v)
+    vT = tuple(map(compT.extend, v))
     veps = row_times_mat(vT, eps)
-    outer = mat_mul(mat_star((veps,), lambda e: e.conj()), (veps,))
-    lhs = H3T.from_matrix(outer) * pd.Q
+    lhs = H3T.from_matrix(outer(veps, veps)) * pd.Q
     # (v Y v*) as a T-scalar
     ymat = H3T.to_matrix(Y.block(H3T))
     yv = mat_times_col(ymat, tuple(x.conj() for x in vT))
@@ -644,7 +621,7 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
 
 def _eta_s_eta_star(sk: SecondKind, eta, S_B: CnsElt):
     """eta S eta* in M_2(B) for a column pair eta over B and S in B."""
-    col = mat_transpose((eta,))
+    col = column(eta)
     return mat_mul(mat_smul(col, S_B), mat_star(col, sk.star))
 
 
@@ -1023,8 +1000,7 @@ def unit_scalar_row(comp: CompAlgebra, m, rows, message: str, lift=None):
         mu_inv = base.inv(mu)
         v0 = tuple(c * mu_inv for c in mw)
         # m = mu v0 v0*, where mu v0 = m w*
-        if not mat_eq(mat_mul(mat_transpose((mw,)),
-                              mat_star(mat_transpose((v0,)), lambda e: e.conj())), m):
+        if not mat_eq(mat_mul(column(mw), mat_star(column(v0))), m):
             raise IdentityError("rank-one decomposition failed to verify")
         if not (sum_prod(w, v0) == comp.one()):
             raise IdentityError("primitivity witness failed")
@@ -1087,8 +1063,7 @@ def rank2_w_lift(W: WSpace, x: WElt, cap: int = 300, seed: int = 0) -> LiftResul
     res = LiftResult(extension=None, lifted=lifted,
                      data={"gamma": gamma, "u": u, "U": U})
     res.require("<u, u>_C = 0", herm.is_zero())
-    ustar_u = mat_mul(mat_star((u,), lambda e: e.conj()), (u,))
-    res.require("-S(x) = gamma u* u", mat_eq(mat_neg(S6), mat_smul(ustar_u, gamma)))
+    res.require("-S(x) = gamma u* u", mat_eq(mat_neg(S6), mat_smul(outer(u, u), gamma)))
     res.require("x + u rank one in W_U(gamma)", rank_one)
     return res
 

@@ -1,17 +1,44 @@
-"""Tiny matrix helpers over arbitrary (possibly noncommutative) entry rings.
-
-Matrices are tuples of tuples; entries only need +, -, *.  Used for M_3(C),
-M_2(A), M_2(B) and friends, where the entries are composition-algebra or
-cubic-norm-structure elements.  Each entry product is its ring's own; M_3
-over a base algebra K is a structure of its own, ``cns.Matrix3CNS``, whose
-product is one table product on integer numerators.
+"""The one home of the matrix format: a matrix is a tuple of row tuples, and
+a row or a column a plain tuple, over any entry ring with +, -, *
+(noncommutative ones included), each entry product the ring's own.  The
+other layers keep only their own pictures (``to_matrix``/``from_matrix``,
+S(v), the GL_2 action); M_3 over a base algebra K is ``cns.Matrix3CNS``,
+whose product is one table product on integer numerators.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
+from operator import methodcaller
+
+from .scalars import DirectSum, PreconditionError, map_solve
+
+_conj = methodcaller("conj")
+
 
 def mat(rows):
     return tuple(tuple(row) for row in rows)
+
+
+def mat_scalar(n: int, s, zero):
+    """The n x n scalar matrix s 1: s on the diagonal, ``zero`` elsewhere."""
+    return tuple(tuple(s if i == j else zero for j in range(n)) for i in range(n))
+
+
+def mat_map(f, a):
+    """f applied to every entry, such as a base change ``space.extend``."""
+    return tuple(tuple(map(f, row)) for row in a)
+
+
+def mat_block(blocks):
+    """The matrix assembled from a grid of blocks, each block row of one height."""
+    return tuple(tuple(chain.from_iterable(rows)) for brow in blocks for rows in zip(*brow))
+
+
+def column(row):
+    """The row read as a one-column matrix."""
+    return tuple((x,) for x in row)
 
 
 def mat_add(a, b):
@@ -51,13 +78,23 @@ def mat_transpose(a):
     return tuple(tuple(a[j][i] for j in range(len(a))) for i in range(len(a[0])))
 
 
-def mat_star(a, star):
-    """Conjugate transpose with an entrywise involution."""
+def mat_star(a, star=_conj):
+    """Conjugate transpose with an entrywise involution, conjugation unless
+    another is given; a row's is a column."""
     return tuple(tuple(star(a[j][i]) for j in range(len(a))) for i in range(len(a[0])))
+
+
+def outer(u, v):
+    """The outer product u* v of two rows, a len(u) x len(v) matrix."""
+    return mat_mul(mat_star((u,)), (v,))
 
 
 def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def is_hermitian(a) -> bool:
+    return mat_eq(a, mat_star(a))
 
 
 def row_times_mat(row, a):
@@ -77,3 +114,16 @@ def sum_prod(xs, ys):
         if x:
             acc = x * y if acc is None else acc + x * y
     return xs[0] * ys[0] if acc is None else acc
+
+
+def mat_inverse(a, comp):
+    """Inverse of a square matrix over an associative composition algebra:
+    column t solves a x = e_t over Q in the rational coordinates of x, so
+    base-changed coordinates solve too."""
+    n = len(a)
+    space = DirectSum(*[comp] * n)
+    cols = [map_solve(partial(mat_times_col, a), space, space, e)
+            for e in mat_scalar(n, comp.one(), comp.zero())]
+    if None in cols:
+        raise PreconditionError("matrix is not invertible")
+    return mat_transpose(cols)

@@ -37,8 +37,6 @@ from .freudenthal import (
 from .lifting import (
     LiftResult,
     PairData,
-    _lift_row,
-    _lift_to_T,
     comp_norm_class_witness,
     disc_binary_cubic,
     epsilon_element,
@@ -52,7 +50,7 @@ from .lifting import (
     u_apply,
     unit_scalar_row,
 )
-from .matops import mat_add, mat_mul, mat_smul, mat_star, mat_transpose, row_times_mat
+from .matops import mat_add, mat_map, mat_mul, mat_smul, mat_star, mat_transpose, row_times_mat
 from .scalars import (
     HALF,
     QQ_BASE,
@@ -235,20 +233,21 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     res.require("X = tau v + (v_flat - Dv)/2 with integral parts", vprime.den == 1)
     Rr = r_right(W, v)
     # eps = (w + R_r(v)) / (2w), entries over A_E
-    eps = mat_smul(mat_add(_lift_to_T(JE, Rr), m2_scalar(JE, omega)), E.inv(omega) * HALF)
+    eps = mat_smul(mat_add(mat_map(JE.extend, Rr), m2_scalar(JE, omega)), E.inv(omega) * HALF)
     # Omega = (D + R_r)/2 integral: the S-action on column vectors
     Omega = mat_smul(mat_add(Rr, m2_scalar(J, D)), HALF)
     res.require("Omega = (D + R_r)/2 integral",
                 all(x.den == 1 for row in Omega for x in row))
 
     def unit_beta(cand):
-        beta = WE.pair(shriek_row(WE, _lift_row(JE, cand)), Xbar) * E.inv(omega * omega * omega)
+        row = tuple(map(JE.extend, cand))
+        beta = WE.pair(shriek_row(WE, row), Xbar) * E.inv(omega * omega * omega)
         return (cand, beta) if E.is_unit(beta) else None
 
     candidates = [ell] if ell is not None else iter_ell_candidates(J, E, eps, cap, seed)
     ell, beta = witness_search(candidates, skip_dead_rows(J, unit_beta),
                                "ell search bound exceeded; raise cap")
-    b = row_times_mat(_lift_row(JE, ell), eps)
+    b = row_times_mat(tuple(map(JE.extend, ell)), eps)
     ideal = IdealSA(ring, J, E, tuple(b), beta)
     res.data["ideal"] = ideal
     res.data["ell"] = ell
@@ -259,7 +258,7 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
         res.require(e.name, e.ok)
     # S-stability: tau b = b Omega_tau with integral Omega_tau = (Omega as tau-action)
     tau_b = tuple(x * tau for x in b)
-    b_Om = row_times_mat(b, _lift_to_T(JE, Omega))
+    b_Om = row_times_mat(b, mat_map(JE.extend, Omega))
     res.require("tau b = b Omega (S-stability with integral action)",
                 all(x == y for x, y in zip(tau_b, b_Om)))
     return ring, ideal, res
@@ -330,7 +329,7 @@ def tc_norm_matrix(comp: CompAlgebra, row):
 
 def n6(J: H3CNS, m) -> Scalar:
     """The degree-6 norm N_6(m) = n(m m*) on M_3(C)."""
-    mm = mat_mul(m, mat_star(m, lambda e: e.conj()))
+    mm = mat_mul(m, mat_star(m))
     return J.norm(J.from_matrix(mm))
 
 
@@ -380,9 +379,9 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
 
     rows = [v0] if v0 is not None else iter_comp_rows(J.comp, 3, cap, seed)
     vyv, _, v0 = unit_scalar_row(compT, ymat, rows, "v0 search bound exceeded; raise cap",
-                                 lift=lambda row: _lift_row(compT, row))
+                                 lift=lambda row: tuple(map(compT.extend, row)))
     beta = vyv * QQ_BASE.inv(pd.Q)
-    b = row_times_mat(_lift_row(compT, v0), eps)
+    b = row_times_mat(tuple(map(compT.extend, v0)), eps)
     ring = CubicRing(pd.coeffs)
     ideal = IdealTC(ring, J.comp, T, tuple(b), beta)
     res = LiftResult(extension=T, lifted=X, data={"ideal": ideal, "v0": v0, "Y": Y,
@@ -393,7 +392,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B
     omega = pd.omega
     wb = tuple(x * omega for x in b)
-    srw = _lift_to_T(compT, sr.images["omega"])
+    srw = mat_map(compT.extend, sr.images["omega"])
     bsr = row_times_mat(b, srw)
     res.require("w b = b S_r(w) (T-stability with integral action)",
                 all(x == y for x, y in zip(wb, bsr))
@@ -462,7 +461,7 @@ def lambda_value_set(J: CNS, WE: WSpace, X: WElt, cap: int = 60, seed: int = 0):
     JE = WE.J
 
     def unit_value(ell):
-        val = WE.pair(shriek_row(WE, _lift_row(JE, ell)), X)
+        val = WE.pair(shriek_row(WE, tuple(map(JE.extend, ell))), X)
         return (ell, val) if WE.base.is_unit(val) else None
 
     return witness_search(iter_search_rows(J, cap, seed), skip_dead_rows(J, unit_value), limit=24)
@@ -484,7 +483,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     rows = lambda_value_set(J, WE, X, cap, seed)
 
     def unit_value(eta):
-        eta_E = _lift_row(JE, eta)
+        eta_E = tuple(map(JE.extend, eta))
         val = WE.pair(X, shriek_col(WE, eta_E))
         return (eta_E, val) if E.is_unit(val) else None
 
@@ -495,7 +494,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     (ell, nu), (eta, lam) = witness_search([p for p in pairs if p[0][1] == p[1][1]] + pairs,
                                            lambda p: p, "witness search bound exceeded")
     exact = nu == lam
-    ell_E = _lift_row(JE, ell)
+    ell_E = tuple(map(JE.extend, ell))
     mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
     ueta = u_apply(r_of(WE, vE), omega, eta)
     s, t = ell_E

@@ -43,7 +43,7 @@ from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import WSpace
 from cubicnorm.lifting import gan_savin_cns, utilde_cns
 from cubicnorm.matops import mat_star
-from cubicnorm.presets import cns_preset, second_kind_preset
+from cubicnorm.presets import CNS_SUITE, cns_preset, second_kind_preset
 from cubicnorm.scalars import (
     QQ_BASE,
     DescriptorError,
@@ -91,6 +91,22 @@ def test_unit_axioms_all_variants():
         one = J.one()
         assert J.norm(one) == 1
         assert J.adjoint(one) == one
+
+
+@pytest.mark.parametrize("name", CNS_SUITE)
+def test_trace_builds_the_unit_once_per_structure(name, monkeypatch):
+    """tr(x) = (1, x), with the unit built on the first trace and kept."""
+    J = cns_preset(name)
+    one = J.one()
+    calls = []
+    monkeypatch.setattr(J, "one", lambda: calls.append(1) or one)
+    rng = random.Random(7)
+    for _ in range(4):
+        x = J.random(rng)
+        assert J.trace(x) == J.pair(one, x)
+    assert J.trace(one) == 3
+    assert len(calls) == 1
+    assert cns_preset(name).trace(one) == 3
 
 
 def test_trivial_structure_symbolic():

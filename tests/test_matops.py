@@ -1,8 +1,9 @@
 """The matrix helpers: the sparse sum of products against a dense oracle,
-over rationals and over quaternions, where the factor order matters, and
-the matrix product over an algebra over Q -- ``mat_mul`` and the table
-product of ``Matrix3CNS`` over the algebra -- against the entrywise
-product."""
+over rationals and over quaternions, where the factor order matters; the
+matrix product over an algebra over Q -- ``mat_mul`` and the table product
+of ``Matrix3CNS`` over the algebra -- against the entrywise product; and
+the builders, conjugate transpose, outer product, Hermitian test and
+inverse against entrywise oracles, on square and non-square shapes."""
 
 import math
 import random
@@ -14,8 +15,24 @@ import pytest
 
 from cubicnorm.cns import Matrix3CNS
 from cubicnorm.composition import comp_preset
-from cubicnorm.matops import mat_mul, mat_times_col, row_times_mat, sum_prod
-from cubicnorm.scalars import qalg_make, quadratic_field
+from cubicnorm.freudenthal import WSpace, gl2_act, m2_identity, m2_scalar
+from cubicnorm.matops import (
+    column,
+    is_hermitian,
+    mat_block,
+    mat_inverse,
+    mat_map,
+    mat_mul,
+    mat_scalar,
+    mat_smul,
+    mat_star,
+    mat_times_col,
+    outer,
+    row_times_mat,
+    sum_prod,
+)
+from cubicnorm.presets import cns_preset
+from cubicnorm.scalars import PreconditionError, qalg_make, quadratic_field
 
 
 def dense_sum_prod(xs, ys):
@@ -141,3 +158,157 @@ def test_products_outside_one_rational_algebra_take_the_entrywise_loop():
     # an equal algebra held as another object is one algebra to M_3(K)
     (a, b), want = cases[2], wants[2]
     assert_same_entries(matrix3_mul(K, a, b), want)
+
+
+# -- builders, conjugate transpose, outer product, Hermitian test, inverse -----
+
+
+def quaternion_matrix(rng, rows, cols, height=2):
+    H = comp_preset("hamilton")
+    return tuple(tuple(H.random(rng, height) for _ in range(cols)) for _ in range(rows))
+
+
+def test_conjugate_transpose_of_rows_columns_and_non_square_matrices():
+    rng = random.Random(41)
+    H = comp_preset("hamilton")
+    a = quaternion_matrix(rng, 2, 3)
+    star = mat_star(a)
+    assert len(star) == 3 and all(len(row) == 2 for row in star)
+    assert all(star[j][i] == a[i][j].conj() for i in range(2) for j in range(3))
+    assert mat_star(a, lambda e: e.conj()) == star and mat_star(star) == a
+    # a row's conjugate transpose is a column, and the column of a row is a column
+    row = a[0]
+    assert mat_star((row,)) == column(tuple(e.conj() for e in row))
+    assert column(row) == ((row[0],), (row[1],), (row[2],))
+    assert mat_star(column(row)) == (tuple(e.conj() for e in row),)
+    # (a b)* = b* a* over the quaternions, where the factor order matters
+    b = quaternion_matrix(rng, 3, 2)
+    assert mat_star(mat_mul(a, b)) == mat_mul(mat_star(b), mat_star(a))
+    assert mat_star(mat_mul(a, b)) != mat_mul(mat_star(a), mat_star(b))
+    # another involution: the identity on rationals is the transpose
+    r = ((1, F(1, 2), 3), (4, 5, 6))
+    assert mat_star(r, lambda e: e) == ((1, 4), (F(1, 2), 5), (3, 6))
+    assert mat_star(((H.basis()[1],),)) == ((-H.basis()[1],),)
+
+
+def test_outer_product_is_the_conjugate_column_times_the_row():
+    rng = random.Random(43)
+    H = comp_preset("hamilton")
+    i, j = H.basis()[1], H.basis()[2]
+    assert outer((i,), (j,)) == ((-(i * j),),)
+    assert outer((j,), (i,)) == ((-(j * i),),) != outer((i,), (j,))
+    for n, m in ((3, 3), (2, 4), (1, 3)):
+        u = quaternion_matrix(rng, 1, n)[0]
+        v = quaternion_matrix(rng, 1, m)[0]
+        got = outer(u, v)
+        assert got == tuple(tuple(ui.conj() * vj for vj in v) for ui in u)
+        assert got == mat_mul(column(tuple(e.conj() for e in u)), (v,))
+        # u* u is Hermitian, u* v is not in general
+        assert is_hermitian(outer(u, u))
+        if n == m:
+            assert not is_hermitian(got)
+
+
+def test_hermitian_test():
+    rng = random.Random(47)
+    J = cns_preset("h3-quaternion")
+    m = J.to_matrix(J.random(rng))
+    assert is_hermitian(m)
+    i = J.comp.basis()[1]
+    bumped = ((m[0][0], m[0][1] + i, m[0][2]), m[1], m[2])
+    assert not is_hermitian(bumped)
+    # a diagonal quaternion entry must be real
+    assert not is_hermitian(((i,),))
+
+
+@pytest.mark.parametrize("kind", ["cns", "composition"])
+def test_scalar_matrix_builder(kind):
+    rng = random.Random(53)
+    if kind == "cns":
+        J = cns_preset("matrix3")
+        one, zero = J.one(), J.zero()
+        assert mat_scalar(2, one, zero) == ((one, zero), (zero, one)) == m2_identity(J)
+        assert mat_scalar(2, one * F(2, 3), zero) == m2_scalar(J, F(2, 3))
+        assert mat_scalar(1, zero, zero) == ((zero,),)
+        W = WSpace(J)
+        v = W.random(rng)
+        for side in ("left", "right"):
+            assert gl2_act(W, mat_scalar(2, one, zero), v, side) == v
+        return
+    H = comp_preset("hamilton")
+    one, zero = H.one(), H.zero()
+    eye = mat_scalar(3, one, zero)
+    assert all(eye[i][j] == (one if i == j else zero) for i in range(3) for j in range(3))
+    a = quaternion_matrix(rng, 3, 3)
+    assert mat_mul(eye, a) == a == mat_mul(a, eye)
+    # a non-central scalar s: s 1 times a scales on the left, a times s 1 on the right
+    s = H.basis()[1] + H.basis()[2] * 2
+    sm = mat_scalar(3, s, zero)
+    assert mat_mul(sm, a) == tuple(tuple(s * e for e in row) for row in a)
+    assert mat_mul(a, sm) == mat_smul(a, s)
+    assert mat_mul(sm, a) != mat_mul(a, sm)
+
+
+def test_entrywise_map_lifts_non_square_matrices():
+    rng = random.Random(59)
+    E = quadratic_field(7)
+    H = comp_preset("hamilton")
+    HE = H.base_change(E)
+    a = quaternion_matrix(rng, 2, 3)
+    lifted = mat_map(HE.extend, a)
+    assert len(lifted) == 2 and all(len(row) == 3 for row in lifted)
+    assert all(lifted[i][j] == HE.extend(a[i][j]) for i in range(2) for j in range(3))
+    # the lift is a ring map: it commutes with products and conjugate transposes
+    b = quaternion_matrix(rng, 3, 2)
+    assert mat_mul(lifted, mat_map(HE.extend, b)) == mat_map(HE.extend, mat_mul(a, b))
+    assert mat_star(lifted) == mat_map(HE.extend, mat_star(a))
+    assert mat_map(str, ((1, 2),)) == (("1", "2"),)
+
+
+def test_block_assembly():
+    a = ((1, 2), (3, 4))
+    b = ((5,), (6,))
+    c = ((7, 8, 9),)
+    assert mat_block(((a, b), (c,))) == ((1, 2, 5), (3, 4, 6), (7, 8, 9))
+    assert mat_block(((a,),)) == a
+    # the 6 x 6 S(v) layout over the quaternions keeps each block in place
+    rng = random.Random(61)
+    blocks = [[quaternion_matrix(rng, 3, 3) for _ in range(2)] for _ in range(2)]
+    m = mat_block(blocks)
+    assert all(m[3 * p + i][3 * q + j] == blocks[p][q][i][j]
+               for p in range(2) for q in range(2) for i in range(3) for j in range(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_inverse_over_the_quaternions(n):
+    rng = random.Random(67 + n)
+    H = comp_preset("hamilton")
+    one, zero = H.one(), H.zero()
+    eye = mat_scalar(n, one, zero)
+    m = tuple(tuple(H.random(rng, 1) + (one * 4 if i == j else zero) for j in range(n))
+              for i in range(n))
+    inv = mat_inverse(m, H)
+    assert mat_mul(m, inv) == eye and mat_mul(inv, m) == eye
+    # a 1 x 1 inverse is x* / n(x)
+    if n == 1:
+        assert inv == ((m[0][0].conj() * (1 / F(m[0][0].norm())),),)
+    # the inverse of a conjugate transpose is the conjugate transpose of the inverse
+    assert mat_inverse(mat_star(m), H) == mat_star(inv)
+    # singular: a zero row, and a row that is a left combination of the others
+    with pytest.raises(PreconditionError):
+        mat_inverse(((zero,) * n,) + m[1:], H)
+    if n > 1:
+        s = H.basis()[2]
+        with pytest.raises(PreconditionError):
+            mat_inverse(m[:-1] + (tuple(s * e for e in m[0]),), H)
+
+
+def test_inverse_over_a_base_changed_algebra():
+    E = quadratic_field(5)
+    HE = comp_preset("hamilton").base_change(E)
+    one, zero = HE.one(), HE.zero()
+    root = HE.from_scalar(E.gen())
+    u = ((one, root * HE.basis()[1]), (zero, one))
+    inv = mat_inverse(u, HE)
+    assert inv == ((one, -(root * HE.basis()[1])), (zero, one))
+    assert mat_mul(u, inv) == mat_scalar(2, one, zero)

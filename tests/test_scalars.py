@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import cd_conj, cd_mul, cd_norm
 import math
 import random
+import re
 
 from test_linalg_oracle import gauss_jordan_fractions
 
@@ -1098,6 +1099,24 @@ def test_long_sums_compile():
     assert table_mul(Table(cells, 1, 1, 0), a, b) == want
 
 
+def test_kernel_source_inlines_unit_constants():
+    """c = +-1 is a sign on its term, any other c a hex factor; a row with
+    one term per output is a bare product, and an output no cell reaches
+    is 0."""
+    cells = (((0, ((0, 1), (1, -1), (2, 3), (3, -10))),), ((1, ((0, 1),)), (2, ((0, -1),))))
+    src = scalars._kernel_source(cells, 5)
+    assert "0x1*" not in src
+    assert "return (a0*b0 + a1*(b1 - b2), -a0*b0, a0*0x3*b0, -a0*0xa*b0, 0, )" in src
+    assert table_mul(Table(cells, 5, 1, 0), (2, 3), (5, 7, 11)) == (10 - 12, -10, 30, -100, 0)
+
+
+def test_a_table_without_rows_compiles_to_zeros():
+    """No rows, so no operand to unpack: the kernel returns n zeros, as the
+    loop does."""
+    for cold in (10 ** 9, 0):
+        assert table_mul(Table((), 2, 1, cold), (), ()) == (0, 0)
+
+
 def test_kernel_compiles_once_at_product_n(monkeypatch):
     """A table runs the loop for its first COMPILE_AT - 1 products, compiles
     on the COMPILE_AT-th and keeps that kernel; a structure built on a
@@ -1111,6 +1130,7 @@ def test_kernel_compiles_once_at_product_n(monkeypatch):
     kernel_source = scalars._kernel_source
     monkeypatch.setattr(scalars, "_kernel_source", counted)
     A = cubic_ring_algebra(5, 7, 11, 13)
+    early = cubic_ring_algebra(5, 7, 11, 13)
     t = A._table
     a, b = (1, 2, 3), (4, 5, 6)
     for _ in range(COMPILE_AT - 1):
@@ -1119,11 +1139,18 @@ def test_kernel_compiles_once_at_product_n(monkeypatch):
     want = A.mul_coords(a, b)
     kernel = A._kernel
     assert kernel is not None and t._kernel is kernel and sources == [3]
+    # the table itself is hot too: a direct product runs the kernel
+    assert t._cold == 0 and table_mul(t, a, b) == want
     for _ in range(5):
         assert A.mul_coords(a, b) == want
     assert A._kernel is kernel and sources == [3]
     B = cubic_ring_algebra(5, 7, 11, 13)
     assert B._table is t and B._kernel is kernel and B.mul_coords(a, b) == want
+    # a structure built before the table compiled counts down on its own,
+    # then takes the table's kernel without compiling again
+    for _ in range(COMPILE_AT):
+        assert early.mul_coords(a, b) == want
+    assert early._table is t and early._kernel is kernel
     assert sources == [3]
 
 
@@ -1157,6 +1184,9 @@ def test_kernel_source_takes_int_cells_only(cell):
     with pytest.raises(DescriptorError):
         table_mul(t, (1,), (1,))
     assert t._kernel is None
+    # the message names the cell: row i = 1, column j = 2, output k = 0
+    with pytest.raises(DescriptorError, match=re.escape(f"table cell (1, 2) -> (0, {cell!r})")):
+        table_mul(Table(((), ((2, ((0, cell),)),)), 1, 1, 0), (1, 1), (1, 1, 1))
     for row in (((0, (("0", 1),)),), (("0", ((0, 1),)),), ((0, ((1, 1),)),), ((-1, ((0, 1),)),)):
         with pytest.raises(DescriptorError):
             table_mul(Table((row,), 1, 1, 0), (1,), (1,))
