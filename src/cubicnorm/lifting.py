@@ -84,9 +84,9 @@ from .scalars import (
     Scalar,
     _over_one_denominator,
     det_fraction,
+    inverse_fraction,
     kernel,
     map_matrix,
-    map_solve,
     qq,
     quadratic_field,
     rational_sqrt,
@@ -444,14 +444,9 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
     compT = J.comp.base_change(T)
 
     def build(basis):
-        n = len(basis)
-        Qn = DirectSum(*[QQ_BASE] * n)
-
-        def traces(x):
-            return tuple(T.trace(x * b) for b in basis)
-
-        duals = [map_solve(traces, T, Qn, tuple(1 if k == i else 0 for k in range(n)))
-                 for i in range(n)]
+        # the trace-dual w_a = sum_k c_k v_k has tr(v_i w_a) = delta_ia, so
+        # its coordinates c are column a of the inverse Gram matrix
+        duals = [sum_prod(basis, c) for c in zip(*inverse_fraction(gram_of_basis(T, basis)))]
         zero = compT.zero()
         eps = mat_scalar(3, zero, zero)
         for v_a, w_a in zip(basis, duals):

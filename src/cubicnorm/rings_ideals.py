@@ -10,6 +10,7 @@ denominator-tracked so the field-level statements run on the same code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional
 
@@ -50,7 +51,8 @@ from .lifting import (
     u_apply,
     unit_scalar_row,
 )
-from .matops import mat_add, mat_map, mat_mul, mat_smul, mat_star, mat_transpose, row_times_mat
+from .matops import (mat_add, mat_map, mat_mul, mat_smul, mat_star, mat_transpose, outer,
+                     row_times_mat)
 from .scalars import (
     HALF,
     QQ_BASE,
@@ -142,7 +144,7 @@ def det_gram(T: CommAlgebra) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealSA:
     """A based fractional S (x) A ideal: basis (b1, b2) over A_E, the ring
     S_D, and the scalar beta in E^x."""
@@ -152,6 +154,11 @@ class IdealSA:
     E: QuotientAlgebra
     basis: tuple      # pair of CnsElt over A_E
     beta: AlgElem
+
+    @cached_property
+    def X(self) -> WElt:
+        """X_{I,b,beta} = beta^{-1} (b1, b2)! in W_A (x) E, built once."""
+        return shriek_row(WSpace(self.basis[0].J), self.basis) * self.E.inv(self.beta)
 
 
 def _tau_parts(ring: QuadRing, x, space) -> tuple:
@@ -173,19 +180,11 @@ def ideal_norm_sa(ideal: IdealSA):
     return det6(W, sa_norm_matrix(ideal))
 
 
-def x_of_ideal_sa(ideal: IdealSA) -> WElt:
-    JE = ideal.basis[0].J
-    WE = WSpace(JE)
-    binv = ideal.E.inv(ideal.beta)
-    return shriek_row(WE, ideal.basis) * binv
-
-
 def balanced_check_sa(ideal: IdealSA) -> Certificate:
     """The balanced condition: beta^{-1} (b1, b2)! in W_A (x) S (sufficient
     for all pairs from the ideal), the norm equality, and the
     determinant identity <X, Xbar> = w^3 det_6(g) / N(beta)."""
-    E = ideal.E
-    X = x_of_ideal_sa(ideal)
+    E, X = ideal.E, ideal.X
     p, q = _tau_parts(ideal.ring, X, WSpace(ideal.J))
     integral = p.den == 1 and q.den == 1
     nrm = ideal_norm_sa(ideal)
@@ -251,7 +250,7 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     ideal = IdealSA(ring, J, E, tuple(b), beta)
     res.data["ideal"] = ideal
     res.data["ell"] = ell
-    res.require("beta^{-1} b! = X(v)", x_of_ideal_sa(ideal) == X)
+    res.require("beta^{-1} b! = X(v)", ideal.X == X)
     res.require("<X, Xbar> = w^3",
                 WE.pair(X, Xbar) == omega * omega * omega)
     for e in balanced_check_sa(ideal).certificate:
@@ -272,36 +271,11 @@ def balanced_to_cube(ideal: IdealSA, checks: Optional[Certificate] = None) -> tu
         checks = balanced_check_sa(ideal)
     for name in checks.failures:
         raise PreconditionError(f"unbalanced data: {name}")
-    X = x_of_ideal_sa(ideal)
     W = WSpace(ideal.J)
-    _, v = _tau_parts(ideal.ring, X, W)
+    _, v = _tau_parts(ideal.ring, ideal.X, W)
     if W.quartic(v) != ideal.ring.D:
         raise IdentityError("recovered element has the wrong discriminant")
-    return v, X
-
-
-def sa_data_equivalent(i1: IdealSA, i2: IdealSA):
-    """Equivalence test: X-elements agree iff there is x in A_E^x with
-    b' = x b, beta' = n(x) beta.  Returns the witness, "not-equivalent",
-    or "unknown" (solver found no unit witness)."""
-    if i1.ring != i2.ring:
-        return "not-equivalent"
-    X1 = x_of_ideal_sa(i1)
-    X2 = x_of_ideal_sa(i2)
-    if not (X1 == X2):
-        return "not-equivalent"
-    JE = i1.basis[0].J
-    E = i1.E
-    # solve x b = b' over A_E, coordinates over Q
-    x = map_solve(lambda y: tuple(JE.mul(y, b) for b in i1.basis), JE, DirectSum(JE, JE),
-                  i2.basis)
-    if x is None:
-        return "unknown"
-    if not E.is_unit(JE.norm(x)):
-        return "unknown"
-    if not (JE.norm(x) * i1.beta == i2.beta):
-        return "not-equivalent"
-    return x
+    return v, ideal.X
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +283,26 @@ def sa_data_equivalent(i1: IdealSA, i2: IdealSA):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class IdealTC:
     """A based fractional T (x) C ideal: basis (b1, b2, b3) over C_L, the
-    good-based cubic ring, and beta in L^x."""
+    good-based cubic ring, and beta in L^x; C is associative."""
 
     ring: CubicRing
     comp: CompAlgebra
     T: CommAlgebra
     basis: tuple      # triple of CompElt over C_T
     beta: AlgElem
+
+    def __post_init__(self):
+        if not self.comp.is_associative:
+            raise PreconditionError("needs Hermitian associative coordinates")
+
+    @cached_property
+    def X(self) -> CnsElt:
+        """X_{I,b,beta} = beta^{-1} b* b in H_3(C (x) T), built once."""
+        b = self.basis
+        return H3CNS(b[0].space).from_matrix(mat_smul(outer(b, b), self.T.inv(self.beta)))
 
 
 def tc_norm_matrix(comp: CompAlgebra, row):
@@ -338,21 +322,9 @@ def ideal_norm_tc(ideal: IdealTC) -> Scalar:
     return n6(J, tc_norm_matrix(ideal.comp, ideal.basis))
 
 
-def x_of_ideal_tc(ideal: IdealTC) -> CnsElt:
-    """X_{I,b,beta} = beta^{-1} b* b in H_3(C (x) T)."""
-    compT = ideal.basis[0].alg
-    T = ideal.T
-    H3T = H3CNS(compT)
-    b = ideal.basis
-    binv = T.inv(ideal.beta)
-    outer = tuple(tuple(b[i].conj() * b[j] * binv for j in range(3)) for i in range(3))
-    return H3T.from_matrix(outer)
-
-
 def balanced_check_tc(ideal: IdealTC) -> Certificate:
     """The balanced condition: beta^{-1} b* b integral, and N_6(m) = N(beta)."""
-    X = x_of_ideal_tc(ideal)
-    integral = X.den == 1
+    integral = ideal.X.den == 1
     nrm = ideal_norm_tc(ideal)
     nbeta = ideal.T.norm(ideal.beta)
     cert = Certificate()
@@ -386,7 +358,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     ideal = IdealTC(ring, J.comp, T, tuple(b), beta)
     res = LiftResult(extension=T, lifted=X, data={"ideal": ideal, "v0": v0, "Y": Y,
                                                   "pair": pd})
-    res.require("beta^{-1} b* b = X(A,B)", x_of_ideal_tc(ideal) == X)
+    res.require("beta^{-1} b* b = X(A,B)", ideal.X == X)
     for e in balanced_check_tc(ideal).certificate:
         res.require(e.name, e.ok)
     # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B
@@ -415,8 +387,7 @@ def balanced_to_pair(ideal: IdealTC, checks: Optional[Certificate] = None):
     comp = ideal.comp
     J = H3CNS(comp)
     JT = J.base_change(T)
-    X = x_of_ideal_tc(ideal)
-    XJT = X.block(JT)
+    XJT = ideal.X.block(JT)
     Dpart, Bpart, Tpart = (XJT.component(J, a) for a in range(3))   # X = D + B w + (X_theta) t
     A = -Tpart
     B = Bpart
@@ -431,21 +402,23 @@ def balanced_to_pair(ideal: IdealTC, checks: Optional[Certificate] = None):
     return A, B
 
 
-def tc_data_equivalent(i1: IdealTC, i2: IdealTC):
-    """X-elements agree iff equivalent; solves x b = b' for x in C_L^x."""
-    if i1.ring != i2.ring:
+def data_equivalent(i1, i2):
+    """Equivalence test for two based ideals of one kind, S (x) A or
+    T (x) C: their X-elements agree iff there is a unit x of A_E or C_T
+    with b' = x b and beta' = n(x) beta.  Returns the witness x,
+    "not-equivalent", or "unknown" (the solver found no unit witness)."""
+    if i1.ring != i2.ring or not i1.X == i2.X:
         return "not-equivalent"
-    if not x_of_ideal_tc(i1) == x_of_ideal_tc(i2):
-        return "not-equivalent"
-    compT = i1.basis[0].alg
-    T = i1.T
-    x = map_solve(lambda y: tuple(y * b for b in i1.basis), compT,
-                  DirectSum(compT, compT, compT), i2.basis)
+    space = i1.basis[0].space
+    # solve x b = b' over A_E or C_T, coordinates over Q
+    x = map_solve(lambda y: tuple(space.mul(y, b) for b in i1.basis), space,
+                  DirectSum(*[space] * len(i1.basis)), i2.basis)
     if x is None:
         return "unknown"
-    if not T.is_unit(x.norm()):
+    nx = x.norm()
+    if not i1.beta.space.is_unit(nx):
         return "unknown"
-    if not (i1.beta * x.norm() == i2.beta):
+    if not nx * i1.beta == i2.beta:
         return "not-equivalent"
     return x
 

@@ -1263,6 +1263,19 @@ def linsolve(mat: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional
     return x
 
 
+def inverse_fraction(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Inverse of a square rational matrix: column t is ``linsolve``'s
+    solution of mat*c = e_t, and the product mat * inverse is re-checked
+    against the identity."""
+    eye = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
+    cols = [linsolve(mat, e) for e in eye]
+    if None in cols:
+        raise PreconditionError("matrix is not invertible")
+    if [[sum(x * y for x, y in zip(row, c)) for c in cols] for row in mat] != eye:
+        raise IdentityError("matrix inverse failed its substitution check")
+    return [list(row) for row in zip(*cols)]
+
+
 def kernel(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Basis of the right kernel of a rational matrix, one vector per free
     column of ``rref``."""

@@ -310,6 +310,25 @@ def rand_nondeg_pair(J, rng, height=1):
             return A, B
 
 
+def epsilon_oracle(J, pd, sr):
+    """eps = sum_a S_r(v_a) (x) w_a on T's own basis, each trace-dual w_a
+    solved from tr(x v_b) = delta_ab by ``map_solve`` over the trace map."""
+    from cubicnorm.matops import mat_add, mat_map, mat_scalar, mat_smul
+    from cubicnorm.scalars import QQ_BASE, DirectSum, map_solve
+
+    T = pd.T
+    compT = J.comp.base_change(T)
+    basis = T.basis()
+    n = len(basis)
+    duals = [map_solve(lambda x: tuple(T.trace(x * b) for b in basis), T,
+                       DirectSum(*[QQ_BASE] * n), tuple(int(k == i) for k in range(n)))
+             for i in range(n)]
+    eps = mat_scalar(3, compT.zero(), compT.zero())
+    for v_a, w_a in zip(basis, duals):
+        eps = mat_add(eps, mat_smul(mat_map(compT.extend, sr.s_r(v_a)), w_a))
+    return eps
+
+
 def rand_rank2_h3(J, rng, words=3):
     """Random rank-2 Hermitian element: conjugate diag(c1, c2, 0)."""
     from cubicnorm.matops import mat_mul, mat_star

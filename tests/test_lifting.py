@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     associative_variants,
+    epsilon_oracle,
     rand_nondeg_pair,
     rand_rank2_h3,
     rand_rank2_w,
@@ -55,7 +56,7 @@ from cubicnorm.lifting import (
     w_hermitian_K,
     w_star,
 )
-from cubicnorm.matops import row_times_mat
+from cubicnorm.matops import mat_eq, row_times_mat
 from cubicnorm.presets import bhargava_pair, cns_preset, thm_diag_pair
 from cubicnorm.scalars import (IdentityError, PreconditionError, kernel, map_matrix,
                                rational_sqrt, rref)
@@ -236,6 +237,18 @@ def test_epsilon_split():
         for j in range(3):
             if i != j:
                 assert eps[i][j].is_zero()
+
+
+def test_epsilon_matches_the_trace_map_oracle(rng):
+    """eps from the inverse Gram matrix equals eps from duals solved over
+    the trace map, on random nondegenerate pairs over Q, Q(i) and the
+    Hamilton quaternions."""
+    for C in [CompAlgebra(()), comp_preset("gaussian"), comp_preset("hamilton")]:
+        J = H3CNS(C)
+        for _ in range(2):
+            pd = pair_cubic(J, *rand_nondeg_pair(J, rng))
+            sr = sr_maps(J, pd, check=False)
+            assert mat_eq(epsilon_element(J, pd, sr), epsilon_oracle(J, pd, sr))
 
 
 def test_pair_lift_refined(rng):

@@ -1,7 +1,7 @@
-"""The elimination layer (rref, linsolve, kernel, det_fraction) against
-sympy's exact Matrix on small random rational matrices, including
-rank-deficient matrices and inconsistent systems, and ``rref`` against a
-Gauss-Jordan elimination in Fraction arithmetic."""
+"""The elimination layer (rref, linsolve, kernel, det_fraction,
+inverse_fraction) against sympy's exact Matrix on small random rational
+matrices, including rank-deficient matrices and inconsistent systems, and
+``rref`` against a Gauss-Jordan elimination in Fraction arithmetic."""
 
 import random
 from fractions import Fraction as F
@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicnorm.scalars import det_fraction, kernel, linsolve, qq, rref
+from cubicnorm.scalars import (PreconditionError, det_fraction, inverse_fraction, kernel,
+                               linsolve, qq, rref)
 
 sympy = pytest.importorskip("sympy")
 
@@ -92,6 +93,22 @@ def test_linsolve_matches_sympy():
         if x is not None:
             assert M * to_sympy([[c] for c in x]) == to_sympy([[b] for b in rhs])
     assert outcomes == {True, False}
+
+
+def test_inverse_fraction_matches_sympy():
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        rows = random_matrix(rng, n, n)
+        M = to_sympy(rows)
+        if M.det() == 0:
+            singular += 1
+            with pytest.raises(PreconditionError):
+                inverse_fraction(rows)
+            continue
+        assert to_sympy(inverse_fraction(rows)) == M.inv()
+    assert singular > 0
 
 
 def gauss_jordan_fractions(rows):

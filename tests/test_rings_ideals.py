@@ -1,5 +1,6 @@
 """Rings, balanced ideals, round trips, equivariance, and field invariants."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -27,13 +28,12 @@ from cubicnorm.rings_ideals import (
     balanced_to_pair,
     cube_to_balanced,
     cubic_ring,
+    data_equivalent,
     field_invariant_b1,
     field_invariant_b2,
     ideal_norm_sa,
     pair_to_balanced,
     quad_ring,
-    sa_data_equivalent,
-    tc_data_equivalent,
 )
 from cubicnorm.scalars import PreconditionError
 
@@ -105,18 +105,66 @@ def test_sa_equivalence(rng):
     v = rand_integral_rank4(W, rng)
     _, ideal, _ = cube_to_balanced(A, v)
     JE = ideal.basis[0].J
-    assert sa_data_equivalent(ideal, ideal) != "not-equivalent"
+    assert data_equivalent(ideal, ideal) != "not-equivalent"
     x0 = JE.one() * 3
     scaled = IdealSA(ideal.ring, ideal.J, ideal.E,
                      tuple(JE.mul(x0, b) for b in ideal.basis),
                      ideal.beta * JE.norm(x0))
-    w = sa_data_equivalent(ideal, scaled)
+    w = data_equivalent(ideal, scaled)
     assert w not in ("not-equivalent", "unknown")
     v2, _ = balanced_to_cube(scaled)
     assert v2 == v
     # different beta -> X differs -> not equivalent
     other = IdealSA(ideal.ring, ideal.J, ideal.E, ideal.basis, ideal.beta * 4)
-    assert sa_data_equivalent(ideal, other) == "not-equivalent"
+    assert data_equivalent(ideal, other) == "not-equivalent"
+    # the same basis and beta over another quadratic ring
+    moved = IdealSA(quad_ring(ideal.ring.D + 4), ideal.J, ideal.E, ideal.basis, ideal.beta)
+    assert data_equivalent(ideal, moved) == "not-equivalent"
+
+
+def sa_x_oracle(ideal):
+    """beta^{-1} (b1, b2)! from the shriek's formula, written out."""
+    JE = ideal.basis[0].J
+    s, t = ideal.basis
+    binv = ideal.E.inv(ideal.beta)
+    return WSpace(JE).concat(JE.norm(s) * binv, JE.mul(JE.adjoint(s), t) * binv,
+                             JE.mul(JE.adjoint(t), s) * binv, JE.norm(t) * binv)
+
+
+def tc_x_oracle(ideal):
+    """beta^{-1} b* b, entry by entry."""
+    b, binv = ideal.basis, ideal.T.inv(ideal.beta)
+    return H3CNS(b[0].alg).from_matrix(
+        tuple(tuple(b[i].conj() * b[j] * binv for j in range(3)) for i in range(3)))
+
+
+def assert_frozen_value(ideal):
+    """An ideal equals and hashes as a copy of its fields, and is frozen."""
+    copy = type(ideal)(*(getattr(ideal, f.name) for f in dataclasses.fields(ideal)))
+    assert copy == ideal and hash(copy) == hash(ideal)
+    assert copy.X is copy.X
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ideal.beta = ideal.beta * 2
+
+
+def test_ideal_sa_is_a_frozen_value_with_x(rng):
+    A = CubicRingCNS(split_cubic_algebra())
+    v = rand_integral_rank4(WSpace(A), rng)
+    _, ideal, _ = cube_to_balanced(A, v)
+    assert_frozen_value(ideal)
+    assert ideal.X == sa_x_oracle(ideal)
+    scaled = dataclasses.replace(ideal, beta=ideal.beta * 4)
+    assert scaled != ideal and scaled.X == sa_x_oracle(scaled)
+
+
+def test_ideal_tc_is_a_frozen_value_with_x(rng):
+    for C in [CompAlgebra(()), comp_preset("hamilton")]:
+        J = H3CNS(C)
+        _, ideal, _ = pair_to_balanced(J, *rand_nondeg_pair(J, rng))
+        assert_frozen_value(ideal)
+        assert ideal.X == tc_x_oracle(ideal)
+        scaled = dataclasses.replace(ideal, beta=ideal.beta * 2)
+        assert scaled != ideal and scaled.X == tc_x_oracle(scaled)
 
 
 def test_cube_equivariance(rng):
@@ -185,8 +233,11 @@ def test_pair_v0_change_equivalent(rng):
     _, i1, _ = pair_to_balanced(J, A, B, v0=(J.comp.one(), J.comp.one(), J.comp.one()))
     _, i2, _ = pair_to_balanced(J, A, B,
                                 v0=(J.comp.one(), J.comp.one(), J.comp.elem([2])))
-    w = tc_data_equivalent(i1, i2)
+    w = data_equivalent(i1, i2)
     assert w not in ("not-equivalent", "unknown")
+    # the same basis and beta over another cubic ring
+    moved = dataclasses.replace(i2, ring=cubic_ring(1, 2, 3, 4))
+    assert data_equivalent(i1, moved) == "not-equivalent"
 
 
 def test_principal_tc_ideal():

@@ -315,6 +315,21 @@ def test_cli_quaternion_preset_needs_two_gammas(preset, capsys):
         f"error: bad composition preset {preset!r}: expected quaternion:a,b\n")
 
 
+def test_cli_pair_back_direction_rejects_octonions(capsys):
+    """--to pair takes ideals over associative C only: e1 (x) 1, e2 (x) w,
+    e4 (x) t over the octonions generate a non-associative C, and over the
+    ring (1, 0, -1, 0) every balance check would pass."""
+    def unit(k, coords):
+        return [[str(c) for c in coords] if i == k else ["0"] * 3 for i in range(8)]
+
+    ideal = {"ring": {"cubic": {"coeffs": ["1", "0", "-1", "0"]}},
+             "comp": {"gammas": ["-1", "-1", "-1"]},
+             "basis": [unit(1, (1, 0, 0)), unit(2, (0, 1, 0)), unit(4, (0, 0, 1))],
+             "beta": ["1", "0", "0"]}
+    assert run_cli(["pair", "--to", "pair", "--input", json.dumps(ideal)]) == (2, "")
+    assert capsys.readouterr().err == "error: needs Hermitian associative coordinates\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify"], "--structure is required"),
     (["lift", "--structure", "preset:fxf"], "--input is required"),
