@@ -48,6 +48,7 @@ from .scalars import (
     det,
     det_fraction,
     flat_table,
+    over_lcd,
     qq,
     rational_table,
     symmetrized,
@@ -111,6 +112,22 @@ class CNS(CoordSpace):
         """The symmetric trilinear form (x, y, z) with (x, x, x) = 6 N(x)."""
         return self.pair(self.cross(x, y), z)
 
+    # -- the linear maps y -> x x y and y -> (x, y), column by column ----------
+
+    def cross_columns(self, x: CnsElt) -> tuple[list, int]:
+        """The columns x x e along ``basis()``, numerators over one den: one
+        cross per basis vector (one contraction on a ``TableCNS``)."""
+        basis = self.basis()
+        return self.crosses(x, [e.num for e in basis], basis[0].den)
+
+    def crosses(self, x: CnsElt, cols: Sequence[Sequence[int]], den: int) -> tuple[list, int]:
+        """x x (col / den) for each numerator column, over one den."""
+        return over_lcd(self.num_den(self.cross(x, self.from_num(col, den))) for col in cols)
+
+    def pair_columns(self, x: CnsElt) -> tuple[list, int]:
+        """The base scalars (x, e) along ``basis()``, numerators over one den."""
+        return over_lcd(self.base.num_den(self.pair(x, e)) for e in self.basis())
+
     def u_op(self, x: CnsElt, y: CnsElt) -> CnsElt:
         """U_x y = -x# x y + (x, y) x."""
         return -self.cross(self.adjoint(x), y) + x * self.pair(x, y)
@@ -160,7 +177,8 @@ class TableCNS(CNS):
     every structure with that key and base shares them and their compiled
     kernels, and a table nothing multiplies by is never built over a tower.
     Each norm keeps its own formula, never (x, x#)/3 or x x#, so the axioms
-    relating N to the tables stay checks."""
+    relating N to the tables stay checks.  The columns of y -> x x y and
+    y -> (x, y) are the cross and pairing tables contracted with x."""
 
     _rational: tuple
     _sharp, _cross, _pairing, _product = map(_over_base, range(4))
@@ -176,6 +194,16 @@ class TableCNS(CNS):
 
     def mul(self, x, y):
         return self._product.apply(self, x, y) if self.has_mul else super().mul(x, y)
+
+    def cross_columns(self, x):
+        return self.basis_columns(self._cross.contract(x), x.den * self._cross.den)
+
+    def crosses(self, x, cols, den):
+        cross = self._cross
+        return [table_mul(cross, x.num, col) for col in cols], x.den * den * cross.den
+
+    def pair_columns(self, x):
+        return self.basis_columns(self._pairing.contract(x), x.den * self._pairing.den)
 
 
 def _comp_terms(gammas: tuple):

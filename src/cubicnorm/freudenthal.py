@@ -8,11 +8,12 @@ the degree-6 determinant, and the unit-class invariant of rank-one elements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, islice, product, repeat
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .cns import CNS, CnsElt, H3CNS
 from .matops import (
@@ -28,7 +29,6 @@ from .matops import (
 )
 from .scalars import (
     HALF,
-    THIRD,
     CoordSpace,
     DescriptorError,
     DirectSum,
@@ -69,27 +69,6 @@ class WElt(Vec):
 
     def __repr__(self) -> str:
         return f"WElt(a={self.a}, b={list(self.b.coords)}, c={list(self.c.coords)}, d={self.d})"
-
-
-class _VvPart:
-    """The part of x -> t(v, v, x) that depends on v alone: b#, c#, (b, c),
-    s = ad - (b, c), b## and c##."""
-
-    __slots__ = ("J", "bs", "cs", "bss", "css", "pbc", "s")
-
-    def __init__(self, J: CNS, v: WElt):
-        self.J = J
-        b, c = v.b, v.c
-        self.bs, self.cs = J.adjoint(b), J.adjoint(c)
-        self.bss, self.css = J.adjoint(self.bs), J.adjoint(self.cs)
-        self.pbc = J.pair(b, c)
-        self.s = v.a * v.d - self.pbc
-
-    def cross(self, y: CnsElt, ys: CnsElt, z: CnsElt, zs: Optional[CnsElt] = None) -> CnsElt:
-        """y x z = (y + z)# - y# - z# from the known y# (and z#, computed
-        when not given): one adjoint, or two."""
-        J = self.J
-        return J.adjoint(y + z) - ys - (J.adjoint(z) if zs is None else zs)
 
 
 class WSpace(CoordSpace):
@@ -149,61 +128,84 @@ class WSpace(CoordSpace):
         acc = f(x + y + z) - f(x + y) - f(x + z) - f(y + z) + f(x) + f(y) + f(z)
         return acc * SIXTH
 
-    def t_vvx(self, v: WElt, x: WElt, part: Optional[_VvPart] = None,
-              adjoints: tuple = (None, None)) -> WElt:
-        """t(v, v, x) = d flat(v)[x] / 3, by the product rule on the four
-        components of flat with d(b#)[b'] = b x b' and dN(b)[b'] = (b#, b').
-        The terms of a zero component of x are skipped, so a basis vector
-        costs one of the four branches.  Every cross is (y + z)# - y# - z#
-        with the adjoints that depend on v alone read off ``part`` (built
-        here when not given; ``t_vv_basis`` builds it once per v), and
-        ``adjoints`` may hold x.b# and x.c# where they are known."""
-        J = self.J
+    def t_vv_matrix(self, v: WElt) -> tuple[list[list[int]], int]:
+        """The columns t(v, v, e) along ``basis()``, integers over one den.
+
+        3 t(v, v, .) is the derivative of the flat map at v, by the product
+        rule with d(b#)[y] = b x y and dN(b)[y] = (b#, y) (McCrimmon, A Taste
+        of Jordan Algebras, 2004).  With s = ad - (b, c), its columns along
+        b (y) and c (z) are
+
+            ((ac - 2b#, y), -2 c x (b x y) + (c, y) b - s y,
+             (2c# - 2db) x y - (c, y) c, -d (c, y)),
+            ((ab, z), (2ac - 2b#) x z + (b, z) b,
+             2 b x (c x z) - (b, z) c + s z, (2c# - db, z)):
+
+        J's cross and pairing read as columns at fixed elements
+        (``CNS.cross_columns``, ``pair_columns``), the two compositions
+        taken column by column (``CNS.crosses``), and each outer product
+        one column scaled by a base scalar.  The columns along a and d are
+        two elements."""
+        J, base = self.J, self.base
+        P, L = J.pair_columns, J.cross_columns
         a, b, c, d = v.a, v.b, v.c, v.d
-        vv = _VvPart(J, v) if part is None else part
-        bs, cs, pbc, s = vv.bs, vv.cs, vv.pbc, vv.s
-        ta, td = self.base.zero(), self.base.zero()
-        tb, tc = J.zero(), J.zero()
+        bs, cs = J.adjoint(b), J.adjoint(c)
+        pbc, ad = J.pair(b, c), a * d
+        sn, sd = base.num_den(ad - pbc)
+        ends = (self.concat(pbc - 2 * ad, cs * 2 - b * d, c * d, d * d),
+                self.concat(-(a * a), -(b * a), c * a - bs * 2, 2 * ad - pbc))
+        pb, pc = P(b), P(c)
+        scale, te, n, m = base.scale_coords, base.table_den, J.dim, len(sn)
+
+        def outer(x, p):
+            # x (e, .) along the basis: x scaled by each entry of a pairing row
+            return [scale(x.num, pi) for pi in p[0]], x.den * p[1] * te
+
+        s_e = ([(0,) * (i * m) + sn + (0,) * ((n - 1 - i) * m) for i in range(n)], sd)
+        # the terms (factor, (columns, den)) of the a, b, c and d parts of the
+        # columns along b, then along c
+        along = (([(1, P(c * a - bs * 2))],
+                  [(-2, J.crosses(c, *L(b))), (1, outer(b, pc)), (-1, s_e)],
+                  [(1, L(cs * 2 - b * (2 * d))), (-1, outer(c, pc))],
+                  [(1, P(-(c * d)))]),
+                 ([(1, P(b * a))],
+                  [(1, L(c * (2 * a) - bs * 2)), (1, outer(b, pb))],
+                  [(2, J.crosses(b, *L(c))), (-1, outer(c, pb)), (1, s_e)],
+                  [(1, P(cs * 2 - b * d))]))
+        den = math.lcm(*(e.den for e in ends),
+                       *(d for parts in along for terms in parts for _, (_, d) in terms))
+
+        def summed(terms):
+            # sum f columns over den, column by column
+            scaled = [[[f * (den // d) * x for x in col] for col in cols] for f, (cols, d) in terms]
+            return [list(map(sum, zip(*col, strict=True))) for col in zip(*scaled, strict=True)]
+
+        cols = [[den // ends[0].den * x for x in ends[0].num]]
+        for parts in along:
+            cols += [sum(column, []) for column in zip(*map(summed, parts))]
+        cols.append([den // ends[1].den * x for x in ends[1].num])
+        return cols, 3 * den
+
+    def t_vvx(self, v: WElt, x: WElt) -> WElt:
+        """t(v, v, x) = d flat(v)[x] / 3: sum_i x_i t(v, v, e_i) over the
+        columns of ``t_vv_matrix``."""
+        cols, den = self.t_vv_matrix(v)
         is0 = self.base.is_zero
-        p, y, z, q = x.a, x.b, x.c, x.d
-        if not is0(p):
-            ta = ta + p * (pbc - 2 * (a * d))
-            tb = tb + cs * (2 * p) - b * (p * d)
-            tc = tc + c * (p * d)
-            td = td + p * d * d
-        if not y.is_zero():
-            ys = J.adjoint(y) if adjoints[0] is None else adjoints[0]
-            dp = J.pair(y, c)
-            bxy = vv.cross(b, bs, y, ys)
-            ta = ta + a * dp - 2 * J.pair(bs, y)
-            tb = tb + b * dp - vv.cross(c, cs, bxy) * 2 - y * s
-            tc = tc + vv.cross(y, ys, cs, vv.css) * 2 - bxy * (2 * d) - c * dp
-            td = td - d * dp
-        if not z.is_zero():
-            zs = J.adjoint(z) if adjoints[1] is None else adjoints[1]
-            dp = J.pair(b, z)
-            cxz = vv.cross(c, cs, z, zs)
-            ta = ta + a * dp
-            tb = tb + b * dp - vv.cross(z, zs, bs, vv.bss) * 2 + cxz * (2 * a)
-            tc = tc + vv.cross(b, bs, cxz) * 2 - c * dp + z * s
-            td = td + 2 * J.pair(cs, z) - d * dp
-        if not is0(q):
-            ta = ta - a * a * q
-            tb = tb - b * (a * q)
-            tc = tc + c * (a * q) - bs * (2 * q)
-            td = td + q * (2 * (a * d) - pbc)
-        return self.concat(ta, tb, tc, td) * THIRD
+        return sum((self.from_num(col, den) * xi for col, xi in zip(cols, x.coords)
+                    if not is0(xi)), self.zero())
 
     def t_vv_basis(self, v: WElt) -> Iterator[tuple[WElt, WElt]]:
-        """(x, t(v, v, x)) for x along ``basis()``, lazily.  The part of t
-        that depends on v alone and the adjoints of J's basis are built
-        once, so a direction along J costs four adjoints."""
-        part = _VvPart(self.J, v)
-        adj = [self.J.adjoint(e) for e in self.J.basis()]
-        known = ([(None, None)] + [(es, None) for es in adj]
-                 + [(None, es) for es in adj] + [(None, None)])
-        for x, adjoints in zip(self.basis(), known):
-            yield x, self.t_vvx(v, x, part, adjoints)
+        """(x, t(v, v, x)) for x along ``basis()``, off one ``t_vv_matrix``."""
+        cols, den = self.t_vv_matrix(v)
+        return zip(self.basis(), (self.from_num(col, den) for col in cols))
+
+    def pair_row(self, v: WElt) -> list:
+        """<e, v> along ``basis()``: d, then -(e, c) and (e, b) along J's
+        basis off J's pairing read as columns, then -a."""
+        base = self.base
+        (pc, dc), (pb, db) = self.J.pair_columns(v.c), self.J.pair_columns(v.b)
+        return ([v.d] + [-base.from_num(p, dc) for p in pc]
+                + [base.from_num(p, db) for p in pb] + [-v.a])
 
     # -- rank ------------------------------------------------------------------
 
@@ -232,8 +234,9 @@ class WSpace(CoordSpace):
             return False
         if self.base.is_unit(a) or self.base.is_unit(d):
             return True
+        cols, den = self.t_vv_matrix(v)
         vc = v.coords
-        return all(_proportional(self.base, t.coords, vc) for _, t in self.t_vv_basis(v))
+        return all(_proportional(self.base, self.base.scalars(col, den), vc) for col in cols)
 
     def __repr__(self) -> str:
         return f"WSpace({self.J.name})"

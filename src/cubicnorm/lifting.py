@@ -20,6 +20,7 @@ Contents:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from itertools import chain, combinations, repeat
@@ -82,14 +83,14 @@ from .scalars import (
     PreconditionError,
     RationalBase,
     Scalar,
-    _over_one_denominator,
     det_fraction,
     inverse_fraction,
     kernel,
-    map_matrix,
+    over_lcd,
     qq,
     quadratic_field,
     rational_sqrt,
+    row_over_lcd,
     search_stream,
     witness_search,
 )
@@ -162,10 +163,9 @@ def lift_wj(W: WSpace, v: WElt) -> LiftResult:
     basis vector x, plus <X, Xbar> = w q(v)."""
     res = first_law(W, v)
     X, WE, omega = res.lifted, res.data["space"], res.data["omega"]
-    for x, t in WE.t_vv_basis(X):
-        lhs = t * 3
-        rhs = X * WE.pair(x, X)
-        res.require("3t(X,X,x) = <x,X>X", lhs == rhs)
+    cols, den = WE.t_vv_matrix(X)
+    for col, p in zip(cols, WE.pair_row(X), strict=True):
+        res.require("3t(X,X,x) = <x,X>X", WE.from_num(col, den) * 3 == X * p)
     res.require("rank(X) = 1", not X.is_zero())
     res.require("<X, Xbar> = w q(v)",
                 WE.pair(X, res.data["xbar"]) == omega * res.extension.from_rational(res.data["q"]))
@@ -292,8 +292,13 @@ def disc_binary_cubic(a, b, c, d) -> Scalar:
 
 
 def gram_of_basis(T: CommAlgebra, basis=None) -> list[list[Scalar]]:
+    """tr(x_i x_j) over a basis: T commutes, so i <= j and the mirror."""
     bs = basis if basis is not None else T.basis()
-    return [[T.trace(x * y) for y in bs] for x in bs]
+    gram = [[None] * len(bs) for _ in bs]
+    for i, x in enumerate(bs):
+        for j in range(i, len(bs)):
+            gram[i][j] = gram[j][i] = T.trace(x * bs[j])
+    return gram
 
 
 def pair_cubic(J: CNS, A: CnsElt, B: CnsElt) -> PairData:
@@ -716,14 +721,13 @@ class QuotientTitsU(CNS):
         # I(v, omega) = left kernel of h, its reduced pivot rows ints over one den: with
         # the columns reversed a null vector ends in its 1, so read back and sorted by
         # first nonzero entry the null vectors are those rows, off one elimination
-        ker = kernel([row[::-1] for row in map_matrix(self._times_h, self.B2, self.B2)])
+        ker = kernel([row[::-1] for row in self._h_matrix()])
         if len(ker) != self._fdim:
             raise IdentityError("I(v, omega) does not have B-corank one")
         lead = sorted((next(j for j, c in enumerate(row) if c), row)
                       for row in (v[::-1] for v in ker))
         self._pivots = [j for j, _ in lead]
-        num, self._den = _over_one_denominator(QQ_BASE, chain(*(row for _, row in lead)))
-        self._rows = [num[i:i + 2 * self._fdim] for i in range(0, len(num), 2 * self._fdim)]
+        self._rows, self._den = over_lcd(row_over_lcd(row) for _, row in lead)
         self._free = [j for j in range(2 * self._fdim) if j not in self._pivots]
         self.dim = J.dim + len(self._free)
         self.name = f"utildeQ({sk.kind})"
@@ -739,6 +743,21 @@ class QuotientTitsU(CNS):
     def _times_h(self, ell):
         """The row pair ell h."""
         return row_times_mat(ell, self.h)
+
+    def _h_matrix(self) -> list[list[int]]:
+        """The matrix of ell -> ell h on B^2 times a positive integer: the
+        rows of l0 h00 + l1 h10, then of l0 h01 + l1 h11, each y -> y h_ij
+        B's product table contracted on the right with h_ij."""
+        t = self.sk.B._product
+        (h00, h01), (h10, h11) = self.h
+        den = math.lcm(h00.den, h01.den, h10.den, h11.den)
+
+        def times(h):
+            k = den // h.den
+            return [[k * x for x in row] for row in t.contract(h, "right")]
+
+        return ([p + q for p, q in zip(times(h00), times(h10))]
+                + [p + q for p, q in zip(times(h01), times(h11))])
 
     def _lhl(self, e1, e2) -> CnsElt:
         """l1 h l2* in B for row pairs l1, l2."""

@@ -255,6 +255,11 @@ class RationalBase:
     def mul_coords(a: Sequence[int], b: Sequence[int]) -> tuple:
         return (a[0] * b[0],)
 
+    @staticmethod
+    def scale_coords(num: Sequence[int], s: Sequence[int]) -> tuple:
+        """x s on the numerators of x and of s, over table_den (1)."""
+        return tuple([n * s[0] for n in num])
+
     # a C-level callable, not a method: a composition product asks it about
     # every coordinate
     is_zero = staticmethod(operator.not_)
@@ -607,6 +612,25 @@ class CoordSpace:
         n = self.flat_dim()
         return [self.from_num((0,) * i + (1,) + (0,) * (n - 1 - i), 1) for i in range(n)]
 
+    def basis_columns(self, rows: Sequence[Sequence[int]], den: int) -> tuple[list, int]:
+        """The columns at ``basis()`` of a matrix over den on this space's
+        numerators, rows as ``Table.contract`` gives them: column i is
+        sum_k u_k M[., i m + k] for the numerators u of 1 in the base (over
+        their den), so it is one column of M where 1 is a flat basis vector."""
+        on, od = self.base.num_den(1)
+        m = len(on)
+        cols = list(zip(*rows))
+        if od == 1 and on[0] == 1 and not any(on[1:]):
+            return cols[::m], den
+        picked = []
+        for i in range(0, len(cols), m):
+            acc = [0] * len(rows)
+            for u, col in zip(on, cols[i:i + m]):
+                if u:
+                    acc = [a + u * c for a, c in zip(acc, col)]
+            picked.append(tuple(acc))
+        return picked, den * od
+
     def concat(self, *parts):
         """The element whose coordinates are the parts' in turn, the inverse
         of ``Vec.block``: S.concat(x.block(A), x.block(B, A.dim)) == x.
@@ -761,6 +785,32 @@ class Table:
     def apply(self, space, x, y):
         """t(x, y) in ``space``, a structure or a base: one kernel call."""
         return space.from_num(table_mul(self, x.num, y.num), x.den * y.den * self.den)
+
+    def contract(self, x, side: str = "left") -> list[list[int]]:
+        """The matrix of y -> t(x, y) (``side`` "left") or y -> t(y, x)
+        ("right") on numerators, integers over x.den * den: its rows
+        M[k][j] = sum_i x_i c_ijk, in one pass over the cells, with no kernel
+        and no probe.  y has as many numerators as the table has rows, as
+        for every cross, pairing and product table."""
+        n = len(self._cells)
+        m = [[0] * n for _ in range(self._n)]
+        xs = x.num
+        if side == "left":
+            for xi, row in zip(xs, self._cells):
+                if xi:
+                    for j, cell in row:
+                        for k, c in cell:
+                            m[k][j] += xi * c
+        elif side == "right":
+            for i, row in enumerate(self._cells):
+                for j, cell in row:
+                    xj = xs[j]
+                    if xj:
+                        for k, c in cell:
+                            m[k][i] += xj * c
+        else:
+            raise DescriptorError("side must be 'left' or 'right'")
+        return m
 
 
 def _compiled(owner) -> Callable:
@@ -1016,8 +1066,12 @@ class CommAlgebra(CoordSpace):
         return (isinstance(other, CommAlgebra) and self.table == other.table
                 and self.base == other.base and self.unit_coords == other.unit_coords)
 
+    # hashed by every lookup of its per-base tables (``_scale_table`` on each
+    # scaling by one of its elements), so hashed once
+    _hash = cached_property(lambda self: hash((self.table, self.unit_coords)))
+
     def __hash__(self) -> int:
-        return hash((self.table, self.unit_coords))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"CommAlgebra({self.name}, dim={self.dim}, base={self.base!r})"
@@ -1178,6 +1232,12 @@ def det(m: Sequence[Sequence]) -> object:
     return total
 
 
+def row_over_lcd(row: Sequence[Scalar]) -> tuple[list[int], int]:
+    """A row of rationals as integers over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def rref(rows: Sequence[Sequence[Scalar]]):
     """Gauss-Jordan elimination over Q, the one elimination routine.
 
@@ -1200,8 +1260,7 @@ def rref(rows: Sequence[Sequence[Scalar]]):
     a: list[list[int]] = []
     scale: list[tuple[int, int]] = []   # row i of the matrix is a[i] * sn / sd
     for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints, den = row_over_lcd(row)
         g = math.gcd(*ints)
         a.append([x // g for x in ints] if g > 1 else ints)
         scale.append((g, den))
@@ -1319,11 +1378,18 @@ class DirectSum:
         return tuple(s.from_num(num[i:j], den) for s, i, j in zip(self.spaces, self._at, self._at[1:]))
 
 
+def over_lcd(parts: Iterable[tuple[Sequence[int], int]]) -> tuple[list, int]:
+    """Numerator vectors (num, den) brought over their least common
+    denominator: (the numerators, lcd)."""
+    parts = list(parts)
+    den = math.lcm(*(d for _, d in parts))
+    return [num if d == den else [n * (den // d) for n in num] for num, d in parts], den
+
+
 def _columns(f, dom, cod, *ys) -> list[Sequence[int]]:
     """The numerators of f on dom's flat basis, then of each y, over one lcd."""
-    cols = [cod.num_den(f(e)) for e in dom.flat_basis()] + [cod.num_den(y) for y in ys]
-    den = math.lcm(*(d for _, d in cols))
-    return [num if d == den else [n * (den // d) for n in num] for num, d in cols]
+    return over_lcd([cod.num_den(f(e)) for e in dom.flat_basis()]
+                    + [cod.num_den(y) for y in ys])[0]
 
 
 def map_matrix(f, dom, cod) -> list[tuple[int, ...]]:

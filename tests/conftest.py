@@ -272,6 +272,74 @@ def w_is_zero(base, x):
     return base.is_zero(a) and b.is_zero() and c.is_zero() and base.is_zero(d)
 
 
+# -- oracle: t(v, v, x) by the product rule, branch by branch ---------------
+#
+# The four-branch formula ``WSpace.t_vvx`` computed with before t(v, v, .)
+# became one matrix: the derivative of flat at v in the direction x, term by
+# term, with d(b#)[y] = b x y and dN(b)[y] = (b#, y), and every cross taken
+# as (y + z)# - y# - z# from adjoints that depend on v alone.
+
+
+class VvPart:
+    """The part of x -> t(v, v, x) that depends on v alone: b#, c#, (b, c),
+    s = ad - (b, c), b## and c##."""
+
+    __slots__ = ("J", "bs", "cs", "bss", "css", "pbc", "s")
+
+    def __init__(self, J, v):
+        self.J = J
+        b, c = v.b, v.c
+        self.bs, self.cs = J.adjoint(b), J.adjoint(c)
+        self.bss, self.css = J.adjoint(self.bs), J.adjoint(self.cs)
+        self.pbc = J.pair(b, c)
+        self.s = v.a * v.d - self.pbc
+
+    def cross(self, y, ys, z, zs=None):
+        """y x z = (y + z)# - y# - z# from the known y# (and z#, computed
+        when not given)."""
+        J = self.J
+        return J.adjoint(y + z) - ys - (J.adjoint(z) if zs is None else zs)
+
+
+def t_vvx_product_rule(W, v, x):
+    """t(v, v, x) = d flat(v)[x] / 3, one branch per nonzero component of x."""
+    J = W.J
+    a, b, c, d = v.a, v.b, v.c, v.d
+    vv = VvPart(J, v)
+    bs, cs, pbc, s = vv.bs, vv.cs, vv.pbc, vv.s
+    ta, td = W.base.zero(), W.base.zero()
+    tb, tc = J.zero(), J.zero()
+    is0 = W.base.is_zero
+    p, y, z, q = x.a, x.b, x.c, x.d
+    if not is0(p):
+        ta = ta + p * (pbc - 2 * (a * d))
+        tb = tb + cs * (2 * p) - b * (p * d)
+        tc = tc + c * (p * d)
+        td = td + p * d * d
+    if not y.is_zero():
+        ys = J.adjoint(y)
+        dp = J.pair(y, c)
+        bxy = vv.cross(b, bs, y, ys)
+        ta = ta + a * dp - 2 * J.pair(bs, y)
+        tb = tb + b * dp - vv.cross(c, cs, bxy) * 2 - y * s
+        tc = tc + vv.cross(y, ys, cs, vv.css) * 2 - bxy * (2 * d) - c * dp
+        td = td - d * dp
+    if not z.is_zero():
+        zs = J.adjoint(z)
+        dp = J.pair(b, z)
+        cxz = vv.cross(c, cs, z, zs)
+        ta = ta + a * dp
+        tb = tb + b * dp - vv.cross(z, zs, bs, vv.bss) * 2 + cxz * (2 * a)
+        tc = tc + vv.cross(b, bs, cxz) * 2 - c * dp + z * s
+        td = td + 2 * J.pair(cs, z) - d * dp
+    if not is0(q):
+        ta = ta - a * a * q
+        tb = tb - b * (a * q)
+        tc = tc + c * (a * q) - bs * (2 * q)
+        td = td + q * (2 * (a * d) - pbc)
+    return W.concat(ta, tb, tc, td) * F(1, 3)
+
+
 def rand_rank4(W, rng, height=2, integral=True, unit_corner=False):
     for _ in range(2000):
         v = W.random(rng, height, integral)

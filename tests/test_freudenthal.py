@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     associative_variants,
     rand_rank4,
+    t_vvx_product_rule,
     w_add,
     w_eq,
     w_is_zero,
@@ -51,7 +52,7 @@ from cubicnorm.freudenthal import (
     shriek_row,
 )
 from cubicnorm.freudenthal import _project  # test-only internal
-from cubicnorm.lifting import first_law, utilde_cns
+from cubicnorm.lifting import first_law, gan_savin_cns, utilde_cns
 from cubicnorm.matops import mat_inverse, mat_mul, mat_times_col, row_times_mat
 from cubicnorm.presets import CNS_SUITE, cns_preset
 from cubicnorm.scalars import (
@@ -186,22 +187,98 @@ def test_t_vv_basis_matches_polarization(rng):
             assert t == t_vvx_polarized(W, v, x), (name, x)
 
 
-def test_t_vv_basis_costs_four_adjoints_per_direction(rng):
-    """The part of t(v, v, .) that depends on v costs four adjoints and J's
-    basis one each; then a direction along b or c costs four more, reading
-    the adjoint of its basis vector rather than recomputing it, and one
-    along a or d none."""
+def _t_vv_cases(rng):
+    """(name, W, v): every preset at a random v, J (x) E at a first-law lift
+    (presets up to dimension 9), and the composite structures without
+    tables: the second Tits construction, its quotient model, the
+    commutative model and U(gamma)."""
+    cases = []
+    for name in ALL_PRESETS:
+        W = WSpace(cns_preset(name))
+        cases.append((name, W, W.random(rng, 1, integral=False)))
+        if W.J.dim <= 9 and name in ("trivial", "fxq", "matrix3", "h3-gaussian"):
+            res = first_law(W, rand_rank4(W, rng, height=1, integral=False))
+            cases.append((name + " (x) E", res.data["space"], res.lifted))
+    A = TrivialCNS()
+    va = rand_rank4(WSpace(A), rng, unit_corner=True)
+    U = utilde_cns(second_kind_tensor(A, WSpace(A).quartic(va)), va).data["U"]
+    C = CubicRingCNS(split_cubic_algebra())
+    G = gan_savin_cns(C, rand_rank4(WSpace(C), rng, 1)).data["U"]
+    for name, J in (("quotient", U), ("gan-savin", G)):
+        W = WSpace(J)
+        cases.append((name, W, W.random(rng, 1)))
+    return cases
+
+
+ALL_PRESETS = ["trivial", "fxf", "fxq", "fxq-split", "etale-cubic", "cubic-split", "matrix3",
+               "h3-rational", "h3-gaussian", "h3-quaternion", "h3-split-quaternion",
+               "h3-octonion", "h3-split-octonion", "titsu-matrix:-1", "titsu-tensor",
+               "cayleyu-comm", "cayleyu:2"]
+
+
+def test_t_vv_matrix_matches_polarization_and_the_product_rule(rng):
+    """The columns of t(v, v, .) along basis(), over one den, equal the
+    polarized flat and the four-branch product rule on every basis vector;
+    t_vvx on a dense x is the sum of x_i times column i; and <e, v> along
+    the basis (``pair_row``) is the pairing with each basis vector."""
+    for name, W, v in _t_vv_cases(rng):
+        cols, den = W.t_vv_matrix(v)
+        basis = W.basis()
+        assert len(cols) == len(basis) and all(len(c) == W.flat_dim() for c in cols), name
+        for x, col in zip(basis, cols):
+            t = W.from_num(col, den)
+            assert t == t_vvx_polarized(W, v, x), (name, x)
+            if W.J.dim <= 9:
+                assert t == t_vvx_product_rule(W, v, x), (name, x)
+        x = W.random(rng, 1, integral=False)
+        assert W.t_vvx(v, x) == t_vvx_product_rule(W, v, x), name
+        assert W.pair_row(v) == [W.pair(e, v) for e in basis], name
+
+
+def test_columns_on_a_base_whose_unit_is_no_flat_basis_vector(rng):
+    """A table structure's cross and pairing read by contraction equal the
+    probes of ``CNS`` when 1 of the base is not a flat basis vector: Q with
+    e e = 2e (1 = e/2) and Q x Q on its idempotents (1 = e1 + e2)."""
+    from cubicnorm.cns import CNS
+    from cubicnorm.scalars import CommAlgebra
+
+    bases = [CommAlgebra("Q/2", [[[2]]], unit_coords=(F(1, 2),)),
+             CommAlgebra("QxQ", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], unit_coords=(1, 1))]
+    for base in bases:
+        for J in (Matrix3CNS(base), H3CNS(comp_preset("gaussian").base_change(base))):
+            x = J.random(rng, 2, integral=False)
+            for kind in ("cross_columns", "pair_columns"):
+                (got, dg), (want, dw) = getattr(J, kind)(x), getattr(CNS, kind)(J, x)
+                assert [[F(n, dg) for n in c] for c in got] == \
+                    [[F(n, dw) for n in c] for c in want], (base, kind)
+            cols, den = J.cross_columns(x)
+            y, yd = J.crosses(J.one(), cols, den)
+            assert [J.from_num(c, yd) for c in y] == [J.cross(J.one(), J.cross(x, e))
+                                                       for e in J.basis()]
+            W = WSpace(J)
+            v = W.random(rng, 1)
+            cols, den = W.t_vv_matrix(v)
+            assert [W.from_num(c, den) for c in cols] == \
+                [t_vvx_polarized(W, v, e) for e in W.basis()], base
+
+
+def test_t_vv_matrix_costs_two_adjoints_per_v(rng):
+    """t(v, v, .) costs two adjoints, b# and c#, and one pairing, (b, c),
+    per v, and none per direction: on a table structure J's cross and
+    pairing are read as columns by contraction, with no cross and no pairing
+    probing a basis vector."""
     for J in (Matrix3CNS(), H3CNS(comp_preset("hamilton"))):
         W = WSpace(J)
         v = W.random(rng)
-        calls = []
-        adjoint = J.adjoint
-        J.adjoint = lambda x: calls.append(x) or adjoint(x)
+        calls = {"adjoint": [], "cross": [], "pair": []}
+        for name, seen in calls.items():
+            setattr(J, name, lambda *x, f=getattr(J, name), seen=seen: seen.append(x) or f(*x))
         try:
             list(W.t_vv_basis(v))
         finally:
-            del J.adjoint
-        assert len(calls) == 4 + J.dim + 8 * J.dim, J.name
+            for name in calls:
+                delattr(J, name)
+        assert {k: len(v) for k, v in calls.items()} == {"adjoint": 2, "cross": 0, "pair": 1}, J.name
 
 
 def test_rank_examples(rng):

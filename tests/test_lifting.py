@@ -1,5 +1,6 @@
 """Lifting constructions and their certificates."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -24,6 +25,7 @@ from cubicnorm.cns import (
     ProductCNS,
     TrivialCNS,
     cns_axioms_check,
+    cubic_ring_algebra,
     second_kind_matrix,
     second_kind_tensor,
     split_cubic_algebra,
@@ -40,6 +42,7 @@ from cubicnorm.lifting import (
     epsilon_element,
     find_antisymmetric_omega,
     gan_savin_cns,
+    gram_of_basis,
     hermitian_rank1_decompose,
     lift_wa_refined,
     lift_wj,
@@ -94,6 +97,28 @@ def test_lift_wj_variants(rng):
         v = rand_rank4(W, rng)
         res = lift_wj(W, v)
         assert res.ok(), (J.name, [e.name for e in res.certificate if not e.ok])
+
+
+def test_lift_wj_certificate_names(rng, monkeypatch):
+    """lift_wj's certificate: one "3t(X,X,x) = <x,X>X" entry per basis
+    vector x of W_{J (x) E}, in basis order, then the rank and the <X, Xbar>
+    entries; and a column of t(X, X, .) that is off by one unit fails its
+    entry."""
+    for J in (TrivialCNS(), Matrix3CNS(), cns_preset("titsu-tensor")):
+        W = WSpace(J)
+        res = lift_wj(W, rand_rank4(W, rng))
+        assert [e.name for e in res.certificate] == (
+            ["3t(X,X,x) = <x,X>X"] * (2 + 2 * J.dim) + ["rank(X) = 1", "<X, Xbar> = w q(v)"])
+        assert res.ok()
+    matrix = WSpace.t_vv_matrix
+
+    def off_by_one(WE, X):
+        cols, den = matrix(WE, X)
+        return [cols[0], [cols[1][0] + 1] + cols[1][1:]] + cols[2:], den
+
+    monkeypatch.setattr(WSpace, "t_vv_matrix", off_by_one)
+    with pytest.raises(IdentityError, match="3t"):
+        lift_wj(W, rand_rank4(W, rng))
 
 
 def test_lift_wj_precondition(rng):
@@ -376,6 +401,51 @@ def test_utilde_left_kernel_reads_rows_of_h():
             assert map_matrix(U._times_h, U.B2, U.B2) == dense
             pivots, reduced, _ = rref(kernel(dense))
             assert U._pivots == pivots and U._reduced == reduced[:len(pivots)]
+
+
+def test_utilde_h_matrix_is_the_contracted_product(rng):
+    """ell -> ell h as four right contractions of B's product table is a
+    positive multiple of the probed matrix of ``_times_h``, with the same
+    kernel; and the pivot rows of I(v, omega), each read over its lcd, are
+    the rref rows over their lcd.  Over M_3(K) for D = -1 and 1 and over
+    the tensor kind A (x) K."""
+    cases = []
+    for D in (-1, 1):
+        sk = second_kind_matrix(D)
+        for k in range(2):
+            v = rank4_with_antisym_omega(sk, random.Random(k))
+            cases.append(QuotientTitsU(sk, v, find_antisymmetric_omega(sk, WSpace(sk.J).quartic(v))))
+    for A in (TrivialCNS(), CubicRingCNS(split_cubic_algebra())):
+        v = rand_rank4(WSpace(A), rng, unit_corner=True)
+        cases.append(utilde_cns(second_kind_tensor(A, WSpace(A).quartic(v)), v).data["U"])
+    for U in cases:
+        got, want = U._h_matrix(), map_matrix(U._times_h, U.B2, U.B2)
+        j, k = next((j, k) for j, row in enumerate(want) for k, w in enumerate(row) if w)
+        ratio = F(got[j][k], want[j][k])
+        assert ratio > 0 and [[F(g) for g in row] for row in got] == \
+            [[ratio * w for w in row] for row in want], U.name
+        assert kernel(got) == kernel(want)
+        pivots, reduced, _ = rref(kernel(want))
+        den = math.lcm(*(F(x).denominator for row in reduced[:len(pivots)] for x in row))
+        assert U._pivots == pivots and U._den == den
+        assert U._rows == [[int(x * den) for x in row] for row in reduced[:len(pivots)]]
+
+
+def test_gram_of_basis_takes_each_pair_once(rng):
+    """The Gram matrix tr(x_i x_j) is symmetric and takes one product per
+    pair i <= j, on the ring's own basis and on a non-integral basis."""
+    T = cubic_ring_algebra(1, -1, 2, 3)
+    for basis in (None, [T.random(rng, 2, integral=False) for _ in range(3)]):
+        bs = T.basis() if basis is None else basis
+        traces = []
+        trace = T.trace
+        T.trace = lambda u: traces.append(u) or trace(u)
+        try:
+            gram = gram_of_basis(T, basis)
+        finally:
+            del T.trace
+        assert gram == [[trace(x * y) for y in bs] for x in bs]
+        assert len(traces) == 6
 
 
 @pytest.mark.parametrize("D", [-1, 1])
