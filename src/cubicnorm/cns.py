@@ -117,8 +117,7 @@ class CNS(CoordSpace):
     def cross_columns(self, x: CnsElt) -> tuple[list, int]:
         """The columns x x e along ``basis()``, numerators over one den: one
         cross per basis vector (one contraction on a ``TableCNS``)."""
-        basis = self.basis()
-        return self.crosses(x, [e.num for e in basis], basis[0].den)
+        return self.crosses(x, *over_lcd((e.num, e.den) for e in self.basis()))
 
     def crosses(self, x: CnsElt, cols: Sequence[Sequence[int]], den: int) -> tuple[list, int]:
         """x x (col / den) for each numerator column, over one den."""
