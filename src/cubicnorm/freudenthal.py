@@ -173,11 +173,11 @@ class WSpace(CoordSpace):
                   [(2, J.crosses(b, *L(c))), (-1, outer(c, pb)), (1, s_e)],
                   [(1, P(cs * 2 - b * d))]))
         den = math.lcm(*(e.den for e in ends),
-                       *(d for parts in along for terms in parts for _, (_, d) in terms))
+                       *(pd for parts in along for terms in parts for _, (_, pd) in terms))
 
         def summed(terms):
             # sum f columns over den, column by column
-            scaled = [[[f * (den // d) * x for x in col] for col in cols] for f, (cols, d) in terms]
+            scaled = [[[f * (den // pd) * x for x in col] for col in cols] for f, (cols, pd) in terms]
             return [list(map(sum, zip(*col, strict=True))) for col in zip(*scaled, strict=True)]
 
         cols = [[den // ends[0].den * x for x in ends[0].num]]
