@@ -177,7 +177,8 @@ class TableCNS(CNS):
     kernels, and a table nothing multiplies by is never built over a tower.
     Each norm keeps its own formula, never (x, x#)/3 or x x#, so the axioms
     relating N to the tables stay checks.  The columns of y -> x x y and
-    y -> (x, y) are the cross and pairing tables contracted with x."""
+    y -> (x, y) are the cross and pairing tables contracted with x: both
+    tables are symmetric, so t(y, x) is t(x, y)."""
 
     _rational: tuple
     _sharp, _cross, _pairing, _product = map(_over_base, range(4))

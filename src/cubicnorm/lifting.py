@@ -754,7 +754,7 @@ class QuotientTitsU(CNS):
 
         def times(h):
             k = den // h.den
-            return [[k * x for x in row] for row in t.contract(h, "right")]
+            return [[k * x for x in row] for row in t.contract(h)]
 
         return ([p + q for p, q in zip(times(h00), times(h10))]
                 + [p + q for p, q in zip(times(h01), times(h11))])

@@ -620,8 +620,6 @@ class CoordSpace:
         on, od = self.base.num_den(1)
         m = len(on)
         cols = list(zip(*rows))
-        if od == 1 and on[0] == 1 and not any(on[1:]):
-            return cols[::m], den
         picked = []
         for i in range(0, len(cols), m):
             acc = [0] * len(rows)
@@ -786,30 +784,19 @@ class Table:
         """t(x, y) in ``space``, a structure or a base: one kernel call."""
         return space.from_num(table_mul(self, x.num, y.num), x.den * y.den * self.den)
 
-    def contract(self, x, side: str = "left") -> list[list[int]]:
-        """The matrix of y -> t(x, y) (``side`` "left") or y -> t(y, x)
-        ("right") on numerators, integers over x.den * den: its rows
-        M[k][j] = sum_i x_i c_ijk, in one pass over the cells, with no kernel
-        and no probe.  y has as many numerators as the table has rows, as
-        for every cross, pairing and product table."""
-        n = len(self._cells)
-        m = [[0] * n for _ in range(self._n)]
+    def contract(self, x) -> list[list[int]]:
+        """The matrix of y -> t(y, x) on numerators, integers over
+        x.den * den: its rows M[k][i] = sum_j x_j c_ijk, in one pass over the
+        cells, with no kernel and no probe.  y has as many numerators as the
+        table has rows, as for every cross, pairing and product table."""
+        m = [[0] * len(self._cells) for _ in range(self._n)]
         xs = x.num
-        if side == "left":
-            for xi, row in zip(xs, self._cells):
-                if xi:
-                    for j, cell in row:
-                        for k, c in cell:
-                            m[k][j] += xi * c
-        elif side == "right":
-            for i, row in enumerate(self._cells):
-                for j, cell in row:
-                    xj = xs[j]
-                    if xj:
-                        for k, c in cell:
-                            m[k][i] += xj * c
-        else:
-            raise DescriptorError("side must be 'left' or 'right'")
+        for i, row in enumerate(self._cells):
+            for j, cell in row:
+                xj = xs[j]
+                if xj:
+                    for k, c in cell:
+                        m[k][i] += xj * c
         return m
 
 
@@ -1066,12 +1053,8 @@ class CommAlgebra(CoordSpace):
         return (isinstance(other, CommAlgebra) and self.table == other.table
                 and self.base == other.base and self.unit_coords == other.unit_coords)
 
-    # hashed by every lookup of its per-base tables (``_scale_table`` on each
-    # scaling by one of its elements), so hashed once
-    _hash = cached_property(lambda self: hash((self.table, self.unit_coords)))
-
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.table, self.unit_coords))
 
     def __repr__(self) -> str:
         return f"CommAlgebra({self.name}, dim={self.dim}, base={self.base!r})"

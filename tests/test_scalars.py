@@ -1051,17 +1051,16 @@ def test_compiled_kernel_matches_the_loop_on_ground_tables(name, over):
 
 
 def _assert_contract_matches_probes(t, dom, cod, x):
-    """Table.contract with x on both sides equals, entry by entry as
-    rationals, ``map_matrix`` of the probe y -> t(x, y) or t(y, x) along
-    dom's flat basis, over the lcd of the probe's columns."""
-    for side, probe in (("left", lambda y: t.apply(cod, x, y)),
-                        ("right", lambda y: t.apply(cod, y, x))):
-        got = t.contract(x, side)
-        lcd = math.lcm(*(cod.num_den(probe(e))[1] for e in dom.flat_basis()))
-        want = map_matrix(probe, dom, cod)
-        assert len(got) == len(want) == t._n and all(len(row) == dom.flat_dim() for row in got)
-        assert [[F(g, x.den * t.den) for g in row] for row in got] == \
-            [[F(w, lcd) for w in row] for row in want], side
+    """Table.contract with x equals, entry by entry as rationals,
+    ``map_matrix`` of the probe y -> t(y, x) along dom's flat basis, over the
+    lcd of the probe's columns."""
+    probe = lambda y: t.apply(cod, y, x)
+    got = t.contract(x)
+    lcd = math.lcm(*(cod.num_den(probe(e))[1] for e in dom.flat_basis()))
+    want = map_matrix(probe, dom, cod)
+    assert len(got) == len(want) == t._n and all(len(row) == dom.flat_dim() for row in got)
+    assert [[F(g, x.den * t.den) for g in row] for row in got] == \
+        [[F(w, lcd) for w in row] for row in want]
 
 
 @pytest.mark.parametrize("over", list(KERNEL_BASES))
@@ -1070,8 +1069,8 @@ def _assert_contract_matches_probes(t, dom, cod, x):
                                   "h3-split-quaternion", "h3-octonion", "h3-split-octonion"])
 def test_contract_matches_the_probes_on_ground_tables(name, over):
     """Every table of the 13 ground presets, over Q, over Q(sqrt 5) and over
-    a depth-two tower, contracted on either side with zero, a basis vector
-    and a dense non-integral x, is the matrix the probes read."""
+    a depth-two tower, contracted with zero, a basis vector and a dense
+    non-integral x, is the matrix the probes read."""
     J = cns_preset(name)
     if over != "Q":
         J = J.base_change(KERNEL_BASES[over]())
@@ -1082,12 +1081,8 @@ def test_contract_matches_the_probes_on_ground_tables(name, over):
     for t, cod in tables:
         for x in xs:
             _assert_contract_matches_probes(t, J, cod, x)
-        assert t.contract(xs[1]) == t.contract(xs[1], "left")
         # zero, whose probes are all zero
-        for side in ("left", "right"):
-            assert t.contract(J.zero(), side) == [[0] * J.flat_dim() for _ in range(t._n)]
-    with pytest.raises(DescriptorError):
-        J._cross.contract(xs[1], "middle")
+        assert t.contract(J.zero()) == [[0] * J.flat_dim() for _ in range(t._n)]
 
 
 @pytest.mark.parametrize("over", list(KERNEL_BASES))
