@@ -391,9 +391,9 @@ def r_of(W: WSpace, v: WElt):
     return ((s12 * (-2), s11 * 2), (s22 * (-2), s21 * 2))
 
 
-def r_right(W: WSpace, v: WElt):
-    """R_r(v) = J_2 R(v) J_2^{-1} (the row-action counterpart)."""
-    (r11, r12), (r21, r22) = r_of(W, v)
+def r_right(R):
+    """R_r(v) = J_2 R(v) J_2^{-1} (the row-action counterpart), off R = R(v)."""
+    (r11, r12), (r21, r22) = R
     return ((r22, -r21), (-r12, r11))
 
 

@@ -113,9 +113,9 @@ class LiftResult(Certificate):
                 **super().to_json()}
 
 
-def x_of(WE: WSpace, vE: WElt, omega) -> WElt:
-    """X(v, omega) = (omega v + v_flat) / 2."""
-    return (vE * omega + WE.flat(vE)) * HALF
+def x_of(vT: WElt, fT: WElt, omega) -> WElt:
+    """X(v, omega) = (omega v + v_flat) / 2, from v and v_flat read in W_T."""
+    return (vT * omega + fT) * HALF
 
 
 def u_apply(R, omega, x, side: str = "left"):
@@ -129,7 +129,7 @@ def first_law(W: WSpace, v: WElt) -> LiftResult:
     """The first lifting law, uncertified: over E = F[w]/(w^2 - q(v)) the
     lift X(v) = (w v + v_flat)/2 of a rank-4 v over the ground field, with
     data ``omega`` (w), ``xbar`` (X(v, -w)), ``space`` (W_{J (x) E}),
-    ``vE`` (v read in that space) and ``q`` (q(v))."""
+    ``flat`` (v_flat, taken once over F and read into E) and ``q`` (q(v))."""
     if not isinstance(W.base, RationalBase):
         raise PreconditionError("lift starts from the ground field")
     q = W.quartic(v)
@@ -137,11 +137,12 @@ def first_law(W: WSpace, v: WElt) -> LiftResult:
         raise PreconditionError("lift needs q(v) != 0")
     E = quadratic_field(q)
     WE = WSpace(W.J.base_change(E))
-    vE = WE.extend(v)
+    f = W.flat(v)
+    vE, fE = WE.extend(v), WE.extend(f)
     omega = E.gen()
-    return LiftResult(extension=E, lifted=x_of(WE, vE, omega),
-                      data={"omega": omega, "xbar": x_of(WE, vE, -omega), "space": WE,
-                            "vE": vE, "q": q})
+    return LiftResult(extension=E, lifted=x_of(vE, fE, omega),
+                      data={"omega": omega, "xbar": x_of(vE, fE, -omega), "space": WE,
+                            "flat": f, "q": q})
 
 
 def w_u_lift(U: CNS, v: WElt, ell) -> tuple[WElt, bool]:
@@ -186,10 +187,10 @@ def lift_wa_refined(W: WSpace, v: WElt, eta=None, ell=None,
         raise PreconditionError("refined law needs associative coordinates")
     res = first_law(W, v)
     X, Xbar, omega = res.lifted, res.data["xbar"], res.data["omega"]
-    WE, vE = res.data["space"], res.data["vE"]
+    WE = res.data["space"]
     JE = WE.J
-    R = res.data["R"] = r_of(WE, vE)
-    Rr = r_right(WE, vE)
+    R = res.data["R"] = mat_map(JE.extend, r_of(W, v))
+    Rr = r_right(R)
     if rng is None:
         rng = random.Random(0)
     if eta is None:
@@ -586,9 +587,8 @@ def second_lift(sk: SecondKind, v: WElt, cap: int = 300, seed: int = 0) -> Secon
     omega = find_antisymmetric_omega(sk, qv)
     K, B = sk.K, sk.B
     WB = WSpace(B)
-    vB = embed_w(sk, WB, v)
-    X = x_of(WB, vB, omega)
-    Xbar = x_of(WB, vB, -omega)
+    vB, fB = embed_w(sk, WB, v), embed_w(sk, WB, W.flat(v))
+    X, Xbar = x_of(vB, fB, omega), x_of(vB, fB, -omega)
     R = r_of(WB, vB)
 
     def unit_value(cand):
@@ -705,7 +705,7 @@ class QuotientTitsU(CNS):
         self.omega = omega
         J, B, K = sk.J, sk.B, sk.K
         self.base = J.base
-        q = WSpace(J).quartic(v)
+        q = v.W.quartic(v)
         if not J.base.is_unit(q):
             raise PreconditionError("quotient model needs a rank-4 element")
         if not (omega * omega == K.from_rational(q)):
@@ -714,7 +714,7 @@ class QuotientTitsU(CNS):
             raise PreconditionError("omega must be *-antisymmetric")
         self.WB = WSpace(B)
         self.vB = embed_w(sk, self.WB, v)
-        self.Xbar = x_of(self.WB, self.vB, -omega)
+        self.Xbar = x_of(self.vB, embed_w(sk, self.WB, v.W.flat(v)), -omega)
         self.h = _tits_h(self.WB, self.vB, omega)
         self.B2 = DirectSum(B, B)
         self._fdim = B.flat_dim()

@@ -228,9 +228,9 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     ring = quad_ring(D)
     tau = res.data["tau"] = ring.tau(E)
     # integrality of the tau-form (automatic over Z since x^2 + x in 2Z)
-    vprime = (W.flat(v) - v * D) * HALF
+    vprime = (res.data["flat"] - v * D) * HALF
     res.require("X = tau v + (v_flat - Dv)/2 with integral parts", vprime.den == 1)
-    Rr = r_right(W, v)
+    Rr = r_right(r_of(W, v))
     # eps = (w + R_r(v)) / (2w), entries over A_E
     eps = mat_smul(mat_add(mat_map(JE.extend, Rr), m2_scalar(JE, omega)), E.inv(omega) * HALF)
     # Omega = (D + R_r)/2 integral: the S-action on column vectors
@@ -451,7 +451,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
         raise PreconditionError("invariant needs associative coordinates")
     first = first_law(v.W, v)
     E, X, omega, Xbar = first.extension, first.lifted, first.data["omega"], first.data["xbar"]
-    WE, vE = first.data["space"], first.data["vE"]
+    WE = first.data["space"]
     JE = WE.J
     rows = lambda_value_set(J, WE, X, cap, seed)
 
@@ -469,7 +469,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     exact = nu == lam
     ell_E = tuple(map(JE.extend, ell))
     mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
-    ueta = u_apply(r_of(WE, vE), omega, eta)
+    ueta = u_apply(mat_map(JE.extend, r_of(v.W, v)), omega, eta)
     s, t = ell_E
     x_wit = JE.mul(s, ueta[1]) - JE.mul(t, ueta[0])
     witness_ok = JE.norm(x_wit) == mu * lam

@@ -23,6 +23,7 @@ from cubicnorm.cns import (
     CnsElt,
     second_kind_matrix,
     CubicRingCNS,
+    cubic_ring_algebra,
     H3CNS,
     Matrix3CNS,
     ProductCNS,
@@ -46,6 +47,7 @@ from cubicnorm.freudenthal import (
     m2_scalar,
     norm_class_witness,
     r_of,
+    r_right,
     s_of,
     s_of_h3,
     shriek_col,
@@ -53,8 +55,8 @@ from cubicnorm.freudenthal import (
 )
 from cubicnorm.freudenthal import _project  # test-only internal
 from cubicnorm.lifting import first_law, gan_savin_cns, utilde_cns
-from cubicnorm.matops import mat_inverse, mat_mul, mat_times_col, row_times_mat
-from cubicnorm.presets import CNS_SUITE, cns_preset
+from cubicnorm.matops import mat_inverse, mat_map, mat_mul, mat_neg, mat_times_col, row_times_mat
+from cubicnorm.presets import ASSOCIATIVE_SUITE, CNS_SUITE, cns_preset
 from cubicnorm.scalars import (
     HALF,
     AlgElem,
@@ -364,6 +366,43 @@ def test_r_matrix_examples(rng):
             R = r_of(W, v)
             q = W.quartic(v)
             assert mat_mul(R, R) == m2_scalar(J, q)
+
+
+def extensions():
+    """A quadratic field and the cubic ring of the binary cubic (1, 2, 3, 4)."""
+    return [quadratic_field(5), cubic_ring_algebra(1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("name", ASSOCIATIVE_SUITE + ["h3-quaternion", "h3-octonion"])
+def test_flat_is_read_into_an_extension(name, rng):
+    """v_flat is a polynomial in v with rational structure constants, so
+    taken over F and read into W_T it is the flat of v read into W_T."""
+    J = cns_preset(name)
+    W = WSpace(J)
+    for T in extensions():
+        WT = WSpace(J.base_change(T))
+        for v in (W.random(rng, 1, False), W.random(rng)):
+            assert WT.extend(W.flat(v)) == WT.flat(WT.extend(v))
+
+
+@pytest.mark.parametrize("name", ASSOCIATIVE_SUITE)
+def test_r_of_is_read_into_an_extension(name, rng):
+    """R(v) taken over F and read entrywise into J_T is R of v read into W_T."""
+    J = cns_preset(name)
+    W = WSpace(J)
+    for T in extensions():
+        JT = J.base_change(T)
+        WT = WSpace(JT)
+        for v in (W.random(rng, 1, False), W.random(rng)):
+            assert mat_map(JT.extend, r_of(W, v)) == r_of(WT, WT.extend(v))
+
+
+def test_r_right_conjugates_by_j2(rng):
+    """R_r = J_2 R J_2^{-1}, with J_2^{-1} = -J_2, read off any given 2x2 R."""
+    for J in associative_variants():
+        j2 = m2_j2(J)
+        R = tuple(tuple(J.random(rng) for _ in range(2)) for _ in range(2))
+        assert r_right(R) == mat_mul(mat_mul(j2, R), mat_neg(j2))
 
 
 def test_s_matrix_examples(rng):

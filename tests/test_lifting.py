@@ -32,15 +32,17 @@ from cubicnorm.cns import (
 )
 from cubicnorm import lifting
 from cubicnorm.composition import CompAlgebra, comp_preset
-from cubicnorm.freudenthal import HALF, HOperator, WSpace, h_apply
+from cubicnorm.freudenthal import HALF, HOperator, WSpace, h_apply, r_of
 from cubicnorm.lifting import (
     LiftResult,
     NoLiftError,
     QuotientTitsU,
     admissible_scale,
     disc_binary_cubic,
+    embed_w,
     epsilon_element,
     find_antisymmetric_omega,
+    first_law,
     gan_savin_cns,
     gram_of_basis,
     hermitian_rank1_decompose,
@@ -60,7 +62,7 @@ from cubicnorm.lifting import (
     w_star,
 )
 from cubicnorm.matops import mat_eq, row_times_mat
-from cubicnorm.presets import bhargava_pair, cns_preset, thm_diag_pair
+from cubicnorm.presets import ASSOCIATIVE_SUITE, bhargava_pair, cns_preset, thm_diag_pair
 from cubicnorm.scalars import (IdentityError, PreconditionError, kernel, map_matrix,
                                rational_sqrt, rref)
 
@@ -146,6 +148,36 @@ def test_lift_wa_eta_zero(rng):
     JE = J.base_change(E)
     res = lift_wa_refined(W, v, eta=(JE.zero(), JE.zero()), ell=(JE.zero(), JE.zero()))
     assert res.ok()
+
+
+def x_oracle(WT, vT, omega):
+    """X(v, omega) = (omega v_T + (v_T)_flat) / 2, the flat taken over T."""
+    return (vT * omega + WT.flat(vT)) * HALF
+
+
+def test_first_law_takes_the_flat_once_over_the_ground_field(rng):
+    """first_law records v_flat over F as data["flat"], and its X and Xbar
+    are (+-w v_E + (v_E)_flat)/2 with the flat taken over E."""
+    for name in ASSOCIATIVE_SUITE + ["h3-quaternion", "h3-octonion"]:
+        W = WSpace(cns_preset(name))
+        v = rand_rank4(W, rng, height=1, integral=False)
+        res = first_law(W, v)
+        assert res.data["flat"].W == W and res.data["flat"] == W.flat(v)
+        WE, w = res.data["space"], res.data["omega"]
+        vE = WE.extend(v)
+        assert res.lifted == x_oracle(WE, vE, w), name
+        assert res.data["xbar"] == x_oracle(WE, vE, -w), name
+
+
+def test_lift_wa_refined_reads_r_into_E(rng):
+    """lift_wa_refined's R is R(v) over F read into J_E, which is R of v
+    read into W_E."""
+    for J in associative_variants():
+        W = WSpace(J)
+        v = rand_rank4(W, rng, height=1, integral=False)
+        res = lift_wa_refined(W, v, rng=rng)
+        WE = res.data["space"]
+        assert res.data["R"] == r_of(WE, WE.extend(v)), J.name
 
 
 def test_unique_lift_recover(rng):
@@ -339,6 +371,45 @@ def test_second_lift_no_lift(rng):
                 second_lift(sk, v)
             return
     pytest.skip("no negative instance found")
+
+
+def second_kinds():
+    """The two matrix kinds, non-split and split, and one tensor kind."""
+    return [second_kind_matrix(-1), second_kind_matrix(1),
+            second_kind_tensor(CubicRingCNS(split_cubic_algebra()), 5)]
+
+
+def test_embed_w_reads_the_flat_into_B(rng):
+    """embed_w is a map of W_J into W_B that commutes with the flat."""
+    for sk in second_kinds():
+        W, WB = WSpace(sk.J), WSpace(sk.B)
+        for v in (W.random(rng, 1, False), W.random(rng)):
+            assert embed_w(sk, WB, W.flat(v)) == WB.flat(embed_w(sk, WB, v)), sk.kind
+
+
+def test_second_law_set_ups_read_the_ground_flat_into_B(rng, monkeypatch):
+    """second_lift's X and Xbar and QuotientTitsU's Xbar are
+    (+-omega v_B + (v_B)_flat)/2 with the flat taken over B."""
+    A = TrivialCNS()
+    va = rand_rank4(WSpace(A), rng, unit_corner=True)
+    cases = [(sk, rank4_with_antisym_omega(sk, random.Random(0))) for sk in second_kinds()[:2]]
+    cases.append((second_kind_tensor(A, WSpace(A).quartic(va)), va))
+    made = []
+    x_of = lifting.x_of
+
+    def recorded(*args):
+        made.append(x_of(*args))
+        return made[-1]
+
+    monkeypatch.setattr(lifting, "x_of", recorded)
+    for sk, v in cases:
+        WB = WSpace(sk.B)
+        vB = embed_w(sk, WB, v)
+        omega = find_antisymmetric_omega(sk, WSpace(sk.J).quartic(v))
+        made.clear()
+        assert second_lift(sk, v).ok()
+        assert made == [x_oracle(WB, vB, omega), x_oracle(WB, vB, -omega)], sk.kind
+        assert QuotientTitsU(sk, v, omega).Xbar == x_oracle(WB, vB, -omega), sk.kind
 
 
 def test_hermitian_form_identity(rng):

@@ -11,6 +11,7 @@ from cubicnorm.cns import (
     CnsElt,
     CubicRingCNS,
     H3CNS,
+    Matrix3CNS,
     ProductCNS,
     TrivialCNS,
     split_cubic_algebra,
@@ -19,6 +20,7 @@ from cubicnorm.composition import CompAlgebra, CompElt, comp_preset
 from cubicnorm.freudenthal import WSpace, gl2_act, det6, m2_identity, m2_j2
 from cubicnorm.matops import mat_mul, mat_star
 from cubicnorm.presets import bhargava_pair
+from cubicnorm import rings_ideals
 from cubicnorm.rings_ideals import (
     IdealSA,
     IdealTC,
@@ -35,7 +37,7 @@ from cubicnorm.rings_ideals import (
     pair_to_balanced,
     quad_ring,
 )
-from cubicnorm.scalars import PreconditionError
+from cubicnorm.scalars import IdentityError, PreconditionError
 
 
 def test_quad_ring():
@@ -75,6 +77,23 @@ def test_cube_round_trip_all_variants(rng):
         assert cert.ok(), (A.name, [e.name for e in cert.certificate if not e.ok])
         v2, X = balanced_to_cube(ideal)
         assert v2 == v
+
+
+def test_cube_to_balanced_reads_the_set_up_flat(rng, monkeypatch):
+    """The entry "X = tau v + (v_flat - Dv)/2 with integral parts" reads the
+    ground v_flat that first_law recorded: moved by one unit in one
+    coordinate, (v_flat - Dv)/2 is no longer integral and the entry fails."""
+    first_law = rings_ideals.first_law
+
+    def moved_flat(W, v):
+        res = first_law(W, v)
+        res.data["flat"] = res.data["flat"] + W.basis()[0]
+        return res
+
+    monkeypatch.setattr(rings_ideals, "first_law", moved_flat)
+    A = TrivialCNS()
+    with pytest.raises(IdentityError, match="integral parts"):
+        cube_to_balanced(A, rand_integral_rank4(WSpace(A), rng))
 
 
 def test_cube_identity_example(rng):
@@ -304,6 +323,21 @@ def test_field_invariant_b1(rng):
         assert out["norm_class_witness"] is not None
     with pytest.raises(PreconditionError):
         field_invariant_b1(TrivialCNS(), WSpace(TrivialCNS()).zero())
+
+
+def test_field_invariant_b1_witness_off_an_exact_coincidence():
+    """On this input no row value meets a column value, so the witness pairs
+    the first row value nu with lambda, and mu lambda = conj(nu) lambda is not
+    fixed by conjugation: the witness identity n(ell J_2 U eta) = mu lambda
+    then pins the sign of w in U = (w + R(v))/2."""
+    J = Matrix3CNS()
+    W = WSpace(J)
+    v = W.elem(-1, [0, 0, 1, 0, 0, 2, 0, -1, 2], [-2, -2, 2, 2, 0, -1, 1, -1, -1], -1)
+    out = field_invariant_b1(J, v)
+    E, lam, nu = out["E"], out["lambda"], out["value_set"][0]
+    assert lam not in out["value_set"]
+    assert not (E.conj(nu) * lam).coords[1] == 0
+    assert out["witness_identity"]
 
 
 def test_field_invariant_b1_translate(rng):
