@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from typing import Optional, Sequence
 
-from .composition import CheckReport, CompAlgebra, _cd_table, cd_double
+from .composition import CheckReport, CompAlgebra, _comp_terms, cd_double
 from .matops import mat, mat_add, mat_mul, mat_transpose
 from .scalars import (
     AlgElem,
@@ -204,14 +204,6 @@ class TableCNS(CNS):
 
     def pair_columns(self, x):
         return self.basis_columns(self._pairing.contract(x), x.den * self._pairing.den)
-
-
-def _comp_terms(gammas: tuple):
-    """C's product terms (p, q, k, c), e_p e_q = c e_k, off its Cayley-Dickson
-    table; its norm weights; and the signs s_p of e_p* = s_p e_p."""
-    t, weights, _ = _cd_table(gammas)
-    return ([(p, q, k, Fraction(c, t.den)) for p, row in enumerate(t._cells)
-             for q, cell in row for k, c in cell], weights, (1,) + (-1,) * (len(weights) - 1))
 
 
 # x# = x^2 and (x, y) = 3xy on the trivial structure's one coordinate

@@ -24,6 +24,7 @@ base) by ``scalars.flat_table``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
@@ -154,6 +155,14 @@ def _cd_table(gammas: tuple):
     weights = tuple(qq(n) for n in weights)
     return (rational_table(((i, j, k, c) for (i, j), (k, c) in table.items()), dim), weights,
             rational_table(((i, i, 0, n) for i, n in enumerate(weights)), dim, 1))
+
+
+def _comp_terms(gammas: tuple):
+    """C's product terms (p, q, k, c), e_p e_q = c e_k, off its Cayley-Dickson
+    table; its norm weights; and the signs s_p of e_p* = s_p e_p."""
+    t, weights, _ = _cd_table(gammas)
+    return ([(p, q, k, Fraction(c, t.den)) for p, row in enumerate(t._cells)
+             for q, cell in row for k, c in cell], weights, (1,) + (-1,) * (len(weights) - 1))
 
 
 def cd_double(desc: CompAlgebra, gamma) -> CompAlgebra:

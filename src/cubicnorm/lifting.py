@@ -54,14 +54,12 @@ from .freudenthal import (
     skip_dead_rows,
 )
 from .matops import (
+    MatrixSpace,
     column,
-    is_hermitian,
-    mat_add,
     mat_eq,
     mat_map,
     mat_mul,
     mat_neg,
-    mat_scalar,
     mat_smul,
     mat_star,
     mat_sub,
@@ -352,12 +350,13 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
     res.require("Y closed form", Y == yc)
     if cross_checks and isinstance(J, H3CNS) and J.comp.is_associative:
         sr = sr_maps(J, pd, check=False)
+        M = sr.space
         # X = -(1/2)(A S(theta0) - B S(omega0)) - A theta0 + B omega0
-        m = mat_sub(mat_mul(J.to_matrix(A), sr.images["theta0"]),
-                    mat_mul(J.to_matrix(B), sr.images["omega0"]))
-        if not is_hermitian(m):
+        m = (M.from_rows(J.to_matrix(A)) * sr.images["theta0"]
+             - M.from_rows(J.to_matrix(B)) * sr.images["omega0"])
+        if not m == M.star(m):
             raise IdentityError("expected a Hermitian matrix")
-        mid = J.from_matrix(m)
+        mid = J.from_matrix(M.rows(m))
         x0form = (JT.extend(mid) * (-HALF)
                   + JT.extend(-A) * pd.theta0 + JT.extend(B) * pd.omega0)
         res.require("X via trace-zero basis", X == x0form)
@@ -371,106 +370,101 @@ def pair_lift(J: CNS, A: CnsElt, B: CnsElt, cross_checks: bool = True) -> LiftRe
 @dataclass
 class SrMaps:
     """The coordinate ring maps T -> M_3(C): S_r(w) = -A# B, S_r(t) = B# A,
-    S_l = S_r conjugate-transposed; images on the good and trace-zero bases."""
+    S_l = S_r conjugate-transposed; images on the good and trace-zero bases,
+    elements of ``space`` = M_3(C)."""
 
-    J: H3CNS
-    pd: PairData
     images: dict
+
+    @property
+    def space(self) -> MatrixSpace:
+        return self.images["one"].space
 
     def s_r(self, lam: AlgElem):
         """S_r(lam) in M_3(C) for lam in T (rational coordinates)."""
-        one = self.images["one"]
-        w, t = self.images["omega"], self.images["theta"]
         c0, c1, c2 = lam.coords
-        return mat_add(mat_add(mat_smul(one, c0), mat_smul(w, c1)), mat_smul(t, c2))
+        im = self.images
+        return im["one"] * c0 + im["omega"] * c1 + im["theta"] * c2
 
     def s_l(self, lam: AlgElem):
-        return mat_star(self.s_r(lam))
+        return self.space.star(self.s_r(lam))
 
 
 def sr_maps(J: H3CNS, pd: PairData, check: bool = True) -> SrMaps:
     if not (isinstance(J, H3CNS) and J.comp.is_associative):
         raise PreconditionError("coordinate ring maps need Hermitian associative J")
-    comp = J.comp
+    M = MatrixSpace(J.comp)
     A, B = pd.A, pd.B
     a, b, c, d = pd.coeffs
-    mA, mB = J.to_matrix(A), J.to_matrix(B)
-    mAs, mBs = J.to_matrix(J.adjoint(A)), J.to_matrix(J.adjoint(B))
-    Sw = mat_neg(mat_mul(mAs, mB))
-    St = mat_mul(mBs, mA)
-    eye = mat_scalar(3, comp.one(), comp.zero())
+    mA, mB = (M.from_rows(J.to_matrix(x)) for x in (A, B))
+    mAs, mBs = (M.from_rows(J.to_matrix(J.adjoint(x))) for x in (A, B))
+    Sw = -(mAs * mB)
+    St = mBs * mA
     images = {
-        "one": eye,
+        "one": M.one(),
         "omega": Sw,
         "theta": St,
-        "omega0": mat_add(Sw, mat_smul(eye, qq(b) * THIRD)),
-        "theta0": mat_add(St, mat_smul(eye, -qq(c) * THIRD)),
+        "omega0": Sw + qq(b) * THIRD,
+        "theta0": St - qq(c) * THIRD,
     }
-    sr = SrMaps(J, pd, images)
+    sr = SrMaps(images)
     if check:
         T = pd.T
         w, t = pd.omega, pd.theta
         for lam, mu in ((w, w), (w, t), (t, t)):
             prod = T.coerce(lam * mu)
-            if not mat_eq(mat_mul(sr.s_r(lam), sr.s_r(mu)), sr.s_r(prod)):
+            if not sr.s_r(lam) * sr.s_r(mu) == sr.s_r(prod):
                 raise IdentityError("S_r is not a ring map")
         # adjoint through the table: S_r(w#) = S_r(w)^2 - s1 S_r(w) + s2
         for lam in (w, t):
             s1, s2 = T.char_s1_s2(lam)
-            viaring = mat_sub(mat_mul(sr.s_r(lam), sr.s_r(lam)),
-                              mat_add(mat_smul(sr.s_r(lam), s1), mat_smul(eye, -s2)))
-            if not mat_eq(sr.s_r(T.adjoint(lam)), viaring):
+            m = sr.s_r(lam)
+            if not sr.s_r(T.adjoint(lam)) == m * m - (m * s1 - s2):
                 raise IdentityError("S_r does not match the adjoint through the table")
     return sr
 
 
 def eigen_checks(H3T: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> bool:
     """S_l(lam) X = lam X = X S_r(lam) and S_r(lam) Y = lam Y = Y S_l(lam),
-    with H3T = H_3(C (x) T)."""
-    compT = H3T.comp
-    mx, my = (H3T.to_matrix(z.block(H3T)) for z in (X, Y))
+    with H3T = H_3(C (x) T), each product with S_r(lam) or S_l(lam) over Q
+    taken along T's components."""
+    MT = MatrixSpace(H3T.comp)
+    mx, my = (MT.from_rows(H3T.to_matrix(z.block(H3T))) for z in (X, Y))
     for lam in (pd.omega, pd.theta):
-        srm = mat_map(compT.extend, sr.s_r(lam))
-        slm = mat_map(compT.extend, sr.s_l(lam))
-        lam_mx, lam_my = mat_smul(mx, lam), mat_smul(my, lam)
-        if not (mat_eq(mat_mul(slm, mx), lam_mx) and mat_eq(mat_mul(mx, srm), lam_mx)
-                and mat_eq(mat_mul(srm, my), lam_my) and mat_eq(mat_mul(my, slm), lam_my)):
+        srm, slm = sr.s_r(lam), sr.s_l(lam)
+        lam_mx, lam_my = MT.times(mx, lam), MT.times(my, lam)
+        if not (MT.mul(slm, mx) == lam_mx and MT.mul(mx, srm) == lam_mx
+                and MT.mul(srm, my) == lam_my and MT.mul(my, slm) == lam_my):
             return False
     return True
 
 
 def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
     """The separability element eps = sum S_r(v_a) (x) w_a in M_3(C) (x) L,
-    for a basis {v_a} of T and its trace-dual {w_a}; independent of the
-    basis (checked against a second basis), and S_r(x) eps = eps x for
-    every x."""
+    for a basis {v_a} of T and its trace-dual {w_a}, returned as rows over
+    C (x) T; independent of the basis (checked against a second basis), and
+    S_r(x) eps = eps x for every x.  eps is built by its T-components,
+    eps_t = sum_a S_r(v_a) (w_a)_t, all over Q."""
     T = pd.T
     if pd.Q == 0:
         raise PreconditionError("eps needs disc(1, w, t) != 0")
-    compT = J.comp.base_change(T)
 
     def build(basis):
         # the trace-dual w_a = sum_k c_k v_k has tr(v_i w_a) = delta_ia, so
         # its coordinates c are column a of the inverse Gram matrix
         duals = [sum_prod(basis, c) for c in zip(*inverse_fraction(gram_of_basis(T, basis)))]
-        zero = compT.zero()
-        eps = mat_scalar(3, zero, zero)
-        for v_a, w_a in zip(basis, duals):
-            eps = mat_add(eps, mat_smul(mat_map(compT.extend, sr.s_r(v_a)), w_a))
-        return eps
+        images = [sr.s_r(v_a) for v_a in basis]
+        return [sum_prod([w_a.coord(t) for w_a in duals], images) for t in range(T.dim)]
 
-    basis1 = T.basis()
-    eps = build(basis1)
-    basis2 = [T.one(), pd.omega + T.one(), pd.theta + pd.omega]
-    if not mat_eq(eps, build(basis2)):
+    parts = build(T.basis())
+    if parts != build([T.one(), pd.omega + T.one(), pd.theta + pd.omega]):
         raise IdentityError("eps depends on the basis")
-    # S_r(x) eps = eps x
+    MT = MatrixSpace(J.comp.base_change(T))
+    eps = MT.from_components(parts)
+    # S_r(x) eps = eps x, along T's components
     for lam in (pd.omega, pd.theta):
-        lam_m = mat_map(compT.extend, sr.s_r(lam))
-        lhs = mat_mul(lam_m, eps)
-        if not mat_eq(lhs, mat_smul(eps, lam)):
+        if not MT.mul(sr.s_r(lam), eps) == MT.times(eps, lam):
             raise IdentityError("S_r(x) eps != eps x")
-    return eps
+    return MT.rows(eps)
 
 
 def hermitian_pair(J: CNS, A: CnsElt, B: CnsElt) -> LiftResult:
@@ -690,7 +684,8 @@ def _j2_inv_shriek(W: WSpace, ell) -> WElt:
 
 class QuotientTitsU(CNS):
     """The cubic norm structure on (J + B^2) / I(v, omega) for a rank-4
-    v in W_J and omega in K with omega* = -omega, omega^2 = q(v).
+    v in W_J and omega in K with omega* = -omega, omega^2 = q(v); without
+    an omega it is found from the q(v) taken here (``find_antisymmetric_omega``).
 
     Coordinates are J's coordinates, then the canonical representative of
     the row pair ell in B^2 read off the free (non-pivot) columns of
@@ -699,15 +694,17 @@ class QuotientTitsU(CNS):
     elements is equality of coordinates.
     """
 
-    def __init__(self, sk: SecondKind, v: WElt, omega: AlgElem):
+    def __init__(self, sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None):
         self.sk = sk
         self.v = v
-        self.omega = omega
         J, B, K = sk.J, sk.B, sk.K
         self.base = J.base
         q = v.W.quartic(v)
         if not J.base.is_unit(q):
             raise PreconditionError("quotient model needs a rank-4 element")
+        if omega is None:
+            omega = find_antisymmetric_omega(sk, q)
+        self.omega = omega
         if not (omega * omega == K.from_rational(q)):
             raise PreconditionError("omega^2 must equal q(v)")
         if not (K.conj(omega) == -omega):
@@ -851,10 +848,8 @@ def utilde_cns(sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None) -> Lift
     """The quotient model U = (J + B^2)/I(v, omega), with the rank-one image
     of v + 1_2 certified."""
     J = sk.J
-    W = WSpace(J)
-    if omega is None:
-        omega = find_antisymmetric_omega(sk, W.quartic(v))
     U = QuotientTitsU(sk, v, omega)
+    omega = U.omega
     one, zero = sk.B.one(), sk.B.zero()
     lifted, rank_one = w_u_lift(U, v, ((-one, zero), (zero, one)))
     res = LiftResult(extension=None, lifted=lifted, data={"U": U, "omega": omega})
@@ -999,23 +994,33 @@ def unit_scalar_row(comp: CompAlgebra, m, rows, message: str, lift=None):
     Returns (mu, v0, w) with m = mu v0 v0* and w v0 = 1, where w is the row
     as drawn; the search raises BoundExceededError with ``message`` when the
     rows run out.  A unit mu whose w m w* is not scalar, or whose
-    decomposition does not verify, raises IdentityError."""
+    decomposition does not verify, raises IdentityError.
+
+    w m w* is read in M_n(comp): with W the matrix whose first row is the
+    row as drawn (over comp's ground when ``lift`` is given), column 0 of
+    m W* is m w* and entry (0, 0) of W m W* is w m w*."""
     base = comp.base
+    n = len(m)
+    space = MatrixSpace(comp, n)
+    M = space.from_rows(m)
+    drawn = space.ground if lift else space
 
     def test(row):
-        w = lift(row) if lift else row
-        mw = mat_times_col(m, tuple(x.conj() for x in w))
-        val = sum_prod(w, mw)
+        W = drawn.row_matrix(row)
+        mws = space.mul(M, drawn.star(W))
+        val = space.entry(space.mul(W, mws), 0, 0)
         mu = val.coords[0]
         if not base.is_unit(mu):
             return None
         if not (val == comp.from_scalar(mu)):
             raise IdentityError("w Y w* is not scalar")
-        mu_inv = base.inv(mu)
-        v0 = tuple(c * mu_inv for c in mw)
-        # m = mu v0 v0*, where mu v0 = m w*
-        if not mat_eq(mat_mul(column(mw), mat_star(column(v0))), m):
+        # m = mu v0 v0*, where mu v0 = m w*, read as column 0 of m W* and
+        # of its multiple by 1/mu
+        v0s = space.times(mws, base.inv(mu))
+        if not space.mul(mws, space.star(v0s)) == M:
             raise IdentityError("rank-one decomposition failed to verify")
+        w = lift(row) if lift else row
+        v0 = tuple(space.entry(v0s, i, 0) for i in range(n))
         if not (sum_prod(w, v0) == comp.one()):
             raise IdentityError("primitivity witness failed")
         return mu, v0, row

@@ -4,15 +4,34 @@ a row or a column a plain tuple, over any entry ring with +, -, *
 other layers keep only their own pictures (``to_matrix``/``from_matrix``,
 S(v), the GL_2 action); M_3 over a base algebra K is ``cns.Matrix3CNS``,
 whose product is one table product on integer numerators.
+
+M_n(C) over a composition algebra C is ``MatrixSpace``: a coordinate space
+whose product over Q is one table product, and which ``from_rows`` and
+``rows`` convert to and from the tuple format at the edges.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from operator import methodcaller
 
-from .scalars import DirectSum, PreconditionError, map_solve
+from .composition import CompAlgebra, _comp_terms
+from .scalars import (
+    QQ_BASE,
+    CoordSpace,
+    DescriptorError,
+    DirectSum,
+    PreconditionError,
+    RationalBase,
+    Table,
+    Vec,
+    _reduced,
+    map_solve,
+    over_lcd,
+    rational_table,
+    table_mul,
+)
 
 _conj = methodcaller("conj")
 
@@ -127,3 +146,157 @@ def mat_inverse(a, comp):
     if None in cols:
         raise PreconditionError("matrix is not invertible")
     return mat_transpose(cols)
+
+
+# -- M_n(C) as a coordinate space --------------------------------------------
+
+
+@cache
+def _matrix_table(n: int, gammas: tuple) -> Table:
+    """M_n(C)'s product over Q, on entry (a, b) as the block a n + b of C's
+    coordinates: e_ab (x) e_p times e_bd (x) e_q is e_ad (x) e_p e_q, the
+    Kronecker product of the matrix units' table with C's, factor order
+    kept (Van Loan, "The ubiquitous Kronecker product", 2000).  Built once
+    per (n, C's chain), so every space with that key shares its kernel."""
+    terms, weights, _ = _comp_terms(gammas)
+    d = len(weights)
+    return rational_table((((a * n + b) * d + p, (b * n + e) * d + q, (a * n + e) * d + k, c)
+                           for a in range(n) for b in range(n) for e in range(n)
+                           for p, q, k, c in terms), n * n * d)
+
+
+def _split(num, m: int) -> list:
+    """The numerators of each T-component x_a of x = sum_a x_a (x) t_a, for
+    m = dim T numerators per coordinate."""
+    return [num[a::m] for a in range(m)]
+
+
+def _join(parts) -> tuple:
+    """The inverse of ``_split``: sum_a parts[a] (x) t_a, on numerators."""
+    return tuple(chain.from_iterable(zip(*parts)))
+
+
+def _along(T, xs, ys, prod, size: int) -> list:
+    """The numerators of each t_k of sum_ab prod(x_a, y_b) (x) t_a t_b, over
+    T.table_den, read off T's own cells, so no table over T is built; a
+    zero x_a or y_b is skipped."""
+    outs = [[0] * size for _ in range(T.dim)]
+    for xa, row in zip(xs, T._cells):
+        if not any(xa):
+            continue
+        for b, cell in row:
+            yb = ys[b]
+            if any(yb):
+                p = prod(xa, yb)
+                for k, c in cell:
+                    outs[k] = [o + c * v for o, v in zip(outs[k], p)]
+    return outs
+
+
+class MatrixSpace(CoordSpace):
+    """M_n(C) for a composition algebra C over Q or over a commutative
+    algebra T over Q: n^2 C-blocks of flat integers over one denominator,
+    entry (i, j) the block i n + j.
+
+    Over Q the product is one ``table_mul`` over ``_matrix_table``, on the
+    table itself, so that every space with its key counts down to and runs
+    one compiled kernel.  Over T the space holds no product table: each
+    pair brings its own T, and a table over T would be rebuilt per T.  A
+    product there goes along T's components, x y = sum_ab x_a y_b (x)
+    t_a t_b, each x_a y_b a product in ``ground``, the same space over Q;
+    a factor in ``ground`` is one component, x (x) 1."""
+
+    element = Vec
+
+    def __init__(self, comp: CompAlgebra, n: int = 3):
+        self.comp, self.n = comp, n
+        self.base = comp.base
+        self.dim = n * n * comp.dim
+        self.name = f"M{n}({comp.name})"
+        self.unit_coords = tuple(int(i == j and p == 0) for i in range(n) for j in range(n)
+                                 for p in range(comp.dim))
+        if isinstance(self.base, RationalBase):
+            self.ground = self
+            self._table = _matrix_table(n, comp.gammas)
+            self.table_den = self._table.den
+        elif isinstance(self.base.base, RationalBase):
+            self.ground = MatrixSpace(comp.base_change(QQ_BASE), n)
+        else:
+            raise DescriptorError(f"{self.name}: the base must be Q or an algebra over Q")
+
+    def _parts(self, x):
+        """x's T-components as numerators, or None for x in ``ground``."""
+        g = self.ground
+        return None if x.space is g or x.space == g else _split(x.num, self.base._n)
+
+    def mul_coords(self, a, b):
+        """The numerators of a b over table_den, over Q: one kernel call."""
+        return table_mul(self._table, a, b)
+
+    def mul(self, x, y):
+        """x y, each factor in this space or in ``ground``."""
+        g = self.ground
+        if g is self:
+            return super().mul(x, y)
+        xs, ys = self._parts(x), self._parts(y)
+        den = x.den * y.den * g.table_den
+        if xs is None:
+            outs = [g.mul_coords(x.num, yb) for yb in ys]
+        elif ys is None:
+            outs = [g.mul_coords(xa, y.num) for xa in xs]
+        else:
+            outs = _along(self.base, xs, ys, g.mul_coords, g._n)
+            den *= self.base.table_den
+        return _reduced(self, _join(outs), den)
+
+    def times(self, x, lam):
+        """x lam for lam in the base: over T along T's components, with T's
+        own cells."""
+        if self.ground is self:
+            return x * lam
+        outs = _along(self.base, _split(x.num, self.base._n), [(s,) for s in lam.num],
+                      lambda xa, s: [s[0] * v for v in xa], self.ground._n)
+        return _reduced(self, _join(outs), x.den * lam.den * self.base.table_den)
+
+    def from_components(self, parts):
+        """sum_a parts[a] (x) t_a for elements of ``ground``, the inverse of
+        ``Vec.component``."""
+        nums, den = over_lcd((p.num, p.den) for p in parts)
+        return _reduced(self, _join(nums), den)
+
+    def star(self, x):
+        """The conjugate transpose: entry (j, i) conjugated at (i, j), one
+        pass on the numerators, C's conjugation negating all of an entry's
+        numerators but those of its first coordinate."""
+        n, num = self.n, x.num
+        k = len(num) // (n * n)
+        m = k // self.comp.dim
+        out = []
+        for i in range(n):
+            for j in range(n):
+                s = (j * n + i) * k
+                out += num[s:s + m]
+                out += [-c for c in num[s + m:s + k]]
+        return _reduced(self, tuple(out), x.den, False)
+
+    def entry(self, x, i: int, j: int):
+        """Entry (i, j) of x, an element of C."""
+        return x.block(self.comp, (i * self.n + j) * self.comp.dim)
+
+    def from_rows(self, rows):
+        """The element with the rows of C elements ``rows``."""
+        return self.concat(*chain.from_iterable(rows))
+
+    def row_matrix(self, row):
+        """The matrix with first row ``row`` and zeros below, whose products
+        with a matrix on the right are that row's in their first row."""
+        zero = (self.comp.zero(),) * self.n
+        return self.from_rows((row,) + (zero,) * (self.n - 1))
+
+    def rows(self, x) -> tuple:
+        """x in the tuple format, n rows of C elements."""
+        es, n = self.comp.scalars(x.num, x.den), self.n
+        return tuple(es[i:i + n] for i in range(0, n * n, n))
+
+    def _key(self):
+        return (self.n, self.comp)

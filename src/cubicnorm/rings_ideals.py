@@ -51,8 +51,7 @@ from .lifting import (
     u_apply,
     unit_scalar_row,
 )
-from .matops import (mat_add, mat_map, mat_mul, mat_smul, mat_star, mat_transpose, outer,
-                     row_times_mat)
+from .matops import MatrixSpace, mat_add, mat_map, mat_smul, mat_transpose, row_times_mat
 from .scalars import (
     HALF,
     QQ_BASE,
@@ -300,9 +299,13 @@ class IdealTC:
 
     @cached_property
     def X(self) -> CnsElt:
-        """X_{I,b,beta} = beta^{-1} b* b in H_3(C (x) T), built once."""
+        """X_{I,b,beta} = beta^{-1} b* b in H_3(C (x) T), built once: b* b is
+        B* B for the matrix B with first row b."""
         b = self.basis
-        return H3CNS(b[0].space).from_matrix(mat_smul(outer(b, b), self.T.inv(self.beta)))
+        MT = MatrixSpace(b[0].space)
+        B = MT.row_matrix(b)
+        X = MT.times(MT.mul(MT.star(B), B), self.T.inv(self.beta))
+        return H3CNS(MT.comp).from_matrix(MT.rows(X))
 
 
 def tc_norm_matrix(comp: CompAlgebra, row):
@@ -312,9 +315,10 @@ def tc_norm_matrix(comp: CompAlgebra, row):
 
 
 def n6(J: H3CNS, m) -> Scalar:
-    """The degree-6 norm N_6(m) = n(m m*) on M_3(C)."""
-    mm = mat_mul(m, mat_star(m))
-    return J.norm(J.from_matrix(mm))
+    """The degree-6 norm N_6(m) = n(m m*) on M_3(C), for m in rows."""
+    M = MatrixSpace(J.comp)
+    x = M.from_rows(m)
+    return J.norm(J.from_matrix(M.rows(x * M.star(x))))
 
 
 def ideal_norm_tc(ideal: IdealTC) -> Scalar:
@@ -353,7 +357,10 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     vyv, _, v0 = unit_scalar_row(compT, ymat, rows, "v0 search bound exceeded; raise cap",
                                  lift=lambda row: tuple(map(compT.extend, row)))
     beta = vyv * QQ_BASE.inv(pd.Q)
-    b = row_times_mat(tuple(map(compT.extend, v0)), eps)
+    # b = v0 eps, the first row of V0 eps for V0 with first row v0
+    MT = MatrixSpace(compT)
+    Bm = MT.mul(sr.space.row_matrix(v0), MT.from_rows(eps))
+    b = MT.rows(Bm)[0]
     ring = CubicRing(pd.coeffs)
     ideal = IdealTC(ring, J.comp, T, tuple(b), beta)
     res = LiftResult(extension=T, lifted=X, data={"ideal": ideal, "v0": v0, "Y": Y,
@@ -361,14 +368,11 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     res.require("beta^{-1} b* b = X(A,B)", ideal.X == X)
     for e in balanced_check_tc(ideal).certificate:
         res.require(e.name, e.ok)
-    # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B
-    omega = pd.omega
-    wb = tuple(x * omega for x in b)
-    srw = mat_map(compT.extend, sr.images["omega"])
-    bsr = row_times_mat(b, srw)
+    # T-stability: w b = b S_r(w) with integral S_r(w) = -A# B, on the
+    # matrix with first row b
+    srw = sr.images["omega"]
     res.require("w b = b S_r(w) (T-stability with integral action)",
-                all(x == y for x, y in zip(wb, bsr))
-                and all(e.den == 1 for row in sr.images["omega"] for e in row))
+                MT.times(Bm, pd.omega) == MT.mul(Bm, srw) and srw.den == 1)
     return ring, ideal, res
 
 

@@ -1306,16 +1306,24 @@ def linsolve(mat: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Optional
 
 
 def inverse_fraction(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
-    """Inverse of a square rational matrix: column t is ``linsolve``'s
-    solution of mat*c = e_t, and the product mat * inverse is re-checked
-    against the identity."""
-    eye = [[int(i == j) for j in range(len(mat))] for i in range(len(mat))]
-    cols = [linsolve(mat, e) for e in eye]
-    if None in cols:
+    """Inverse of a square rational matrix: one ``rref`` of mat augmented
+    with the identity, whose reduced right half is the inverse when the
+    left half holds every pivot, and the product mat * inverse is
+    re-checked against the identity on integers: row i of mat over its lcd
+    d_i times the inverse over its lcd d is d_i d e_i."""
+    n = len(mat)
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    pivots, a, _ = rref([list(row) + e for row, e in zip(mat, eye)])
+    if pivots[:n] != list(range(n)):
         raise PreconditionError("matrix is not invertible")
-    if [[sum(x * y for x, y in zip(row, c)) for c in cols] for row in mat] != eye:
-        raise IdentityError("matrix inverse failed its substitution check")
-    return [list(row) for row in zip(*cols)]
+    inv = [row[n:] for row in a[:n]]
+    num, d = row_over_lcd([x for row in inv for x in row])
+    cols = [num[j::n] for j in range(n)]
+    for row, e in zip(mat, eye):
+        ints, di = row_over_lcd(row)
+        if [sum(map(operator.mul, ints, c)) for c in cols] != [di * d * x for x in e]:
+            raise IdentityError("matrix inverse failed its substitution check")
+    return inv
 
 
 def kernel(mat: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

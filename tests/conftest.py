@@ -393,7 +393,7 @@ def epsilon_oracle(J, pd, sr):
              for i in range(n)]
     eps = mat_scalar(3, compT.zero(), compT.zero())
     for v_a, w_a in zip(basis, duals):
-        eps = mat_add(eps, mat_smul(mat_map(compT.extend, sr.s_r(v_a)), w_a))
+        eps = mat_add(eps, mat_smul(mat_map(compT.extend, sr.space.rows(sr.s_r(v_a))), w_a))
     return eps
 
 

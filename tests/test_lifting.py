@@ -1,5 +1,6 @@
 """Lifting constructions and their certificates."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -49,6 +50,8 @@ from cubicnorm.lifting import (
     lift_wa_refined,
     lift_wj,
     pair_cubic,
+    eigen_checks,
+    hermitian_pair,
     pair_lift,
     pair_lift_refined,
     rank2_h3_lift,
@@ -57,11 +60,12 @@ from cubicnorm.lifting import (
     second_lift,
     sr_maps,
     unique_lift_recover,
+    unit_scalar_row,
     utilde_cns,
     w_hermitian_K,
     w_star,
 )
-from cubicnorm.matops import mat_eq, row_times_mat
+from cubicnorm.matops import mat_eq, mat_smul, outer, row_times_mat
 from cubicnorm.presets import ASSOCIATIVE_SUITE, bhargava_pair, cns_preset, thm_diag_pair
 from cubicnorm.scalars import (IdentityError, PreconditionError, kernel, map_matrix,
                                rational_sqrt, rref)
@@ -268,9 +272,10 @@ def test_sr_maps_diag():
         return tuple(tuple(c.from_scalar(vals[i]) if i == j else c.zero()
                            for j in range(3)) for i in range(3))
 
-    assert sr.images["omega"] == diagm(-2, 2, 0)
-    assert sr.images["theta"] == diagm(0, 0, -4)
-    assert sr.images["one"] == diagm(1, 1, 1)
+    rows = sr.space.rows
+    assert rows(sr.images["omega"]) == diagm(-2, 2, 0)
+    assert rows(sr.images["theta"]) == diagm(0, 0, -4)
+    assert rows(sr.images["one"]) == diagm(1, 1, 1)
 
 
 def test_epsilon_split():
@@ -306,6 +311,116 @@ def test_epsilon_matches_the_trace_map_oracle(rng):
             pd = pair_cubic(J, *rand_nondeg_pair(J, rng))
             sr = sr_maps(J, pd, check=False)
             assert mat_eq(epsilon_element(J, pd, sr), epsilon_oracle(J, pd, sr))
+
+
+def test_pair_side_checks_raise_on_a_corrupted_pair():
+    """The identities sr_maps and epsilon_element check are certificates: a
+    pair whose S_r is built from another A fails the ring map, an s_r that
+    is not linear makes eps depend on the basis, a linear S_r that is not a
+    ring map fails S_r(x) eps = eps x, and a wrong s1, s2 fails the adjoint
+    through the table."""
+    J = H3CNS(comp_preset("hamilton"))
+    rng = random.Random(5)
+    A, B = rand_nondeg_pair(J, rng)
+    pd = pair_cubic(J, A, B)
+    bad = dataclasses.replace(pd, A=A + J.one())
+    with pytest.raises(IdentityError, match="ring map"):
+        sr_maps(J, bad)
+    with pytest.raises(IdentityError, match="S_r\\(x\\) eps"):
+        epsilon_element(J, pd, sr_maps(J, bad, check=False))
+    sr = sr_maps(J, pd)
+    linear = sr.s_r
+    sr.s_r = lambda lam: linear(lam) + 1
+    with pytest.raises(IdentityError, match="depends on the basis"):
+        epsilon_element(J, pd, sr)
+    T = pd.T
+    T.char_s1_s2 = lambda lam: (0, 0)
+    try:
+        with pytest.raises(IdentityError, match="adjoint through the table"):
+            sr_maps(J, pd)
+    finally:
+        del T.char_s1_s2
+
+
+def test_pair_side_preconditions():
+    """S_r needs associative Hermitian coordinates, and eps a nonzero
+    discriminant."""
+    for J in (H3CNS(comp_preset("octonion")), Matrix3CNS()):
+        A, B = J.one(), J.basis()[1]
+        with pytest.raises(PreconditionError):
+            sr_maps(J, dataclasses.replace(pair_cubic(H3CNS(CompAlgebra(())), *thm_diag_pair(
+                H3CNS(CompAlgebra(())), 1)), A=A, B=B))
+    J = H3CNS(comp_preset("gaussian"))
+    pd = pair_cubic(J, J.one(), J.one())
+    assert pd.Q == 0
+    sr = sr_maps(J, pd)
+    with pytest.raises(PreconditionError, match="disc"):
+        epsilon_element(J, pd, sr)
+    # only Q = 0 is rejected: eps reads Q for that test alone
+    pd1 = pair_cubic(J, *thm_diag_pair(J, 1))
+    eps = epsilon_element(J, pd1, sr_maps(J, pd1))
+    for q in (1, -1):
+        assert epsilon_element(J, dataclasses.replace(pd1, Q=q), sr_maps(J, pd1)) == eps
+
+
+def test_eigen_checks_reject_a_wrong_element(rng):
+    """S_l(lam) X = lam X = X S_r(lam) and S_r(lam) Y = lam Y = Y S_l(lam)
+    hold for the pair's (X, Y) and not for (X, X), where the first two
+    still hold."""
+    J = H3CNS(comp_preset("hamilton"))
+    res = hermitian_pair(J, *rand_nondeg_pair(J, rng))
+    pd, X, Y, H3T = res.data["pair"], res.lifted, res.data["Y"], res.data["H3T"]
+    sr = sr_maps(J, pd)
+    assert eigen_checks(H3T, pd, X, Y, sr)
+    assert not eigen_checks(H3T, pd, X, X, sr)
+    assert not eigen_checks(H3T, pd, Y, Y, sr)
+
+
+def test_pair_lift_cross_checks(rng, monkeypatch):
+    """Over associative Hermitian coordinates the pair lift certifies X and
+    Y through the trace-zero basis too; an S(theta0) that breaks the
+    Hermitian middle term raises."""
+    J = H3CNS(comp_preset("gaussian"))
+    A, B = rand_nondeg_pair(J, rng)
+    names = [e.name for e in pair_lift(J, A, B).certificate]
+    assert names == ["X# = 0", "Y# = 0", "(X, Y) = Q((A,B))", "Y closed form",
+                     "X via trace-zero basis", "Y0 = -3Y"]
+    assert [e.name for e in pair_lift(J, A, B, cross_checks=False).certificate] == names[:4]
+    sr_maps_ = lifting.sr_maps
+
+    def skewed(J, pd, check=True):
+        sr = sr_maps_(J, pd, check)
+        sr.images["theta0"] = sr.images["theta0"] + sr.space.basis()[1]
+        return sr
+
+    monkeypatch.setattr(lifting, "sr_maps", skewed)
+    with pytest.raises(IdentityError, match="Hermitian"):
+        pair_lift(J, A, B)
+
+
+def test_unit_scalar_row_on_a_dense_quaternion_row():
+    """m = mu v v* over the Hamilton quaternions and a dense row w: w m w*
+    is the unit mu n(w v), m = mu' v0 v0* and w v0 = 1 (not v0 w, which
+    differs for quaternions); a non-Hermitian m whose w m w* is not scalar
+    raises, and so does an m of rank three."""
+    H = comp_preset("hamilton")
+    rng = random.Random(3)
+    v = tuple(H.random(rng, 2) for _ in range(3))
+    m = mat_smul(outer(v, v), 2)
+    w = tuple(H.random(rng, 2) for _ in range(3))
+    mu, v0, row = unit_scalar_row(H, m, [w], "no row")
+    assert row == w and mu == 2 * sum(a * b.conj() for a, b in zip(w, v)).norm()
+    assert mat_smul(outer(tuple(c.conj() for c in v0), tuple(c.conj() for c in v0)), mu) == m
+    assert sum(a * b for a, b in zip(w, v0)) == H.one()
+    assert sum(b * a for a, b in zip(w, v0)) != H.one()
+    i = H.basis()[1]
+    skew = tuple(tuple(e * i for e in r) for r in m[:1]) + m[1:]
+    with pytest.raises(IdentityError, match="not scalar"):
+        unit_scalar_row(H, skew, [w], "no row")
+    # the identity is Hermitian with e_1 1 e_1* = 1 a unit, but not rank one
+    eye = tuple(tuple(H.one() if i == j else H.zero() for j in range(3)) for i in range(3))
+    with pytest.raises(IdentityError, match="rank-one"):
+        unit_scalar_row(H, eye, [(H.one(), H.zero(), H.zero())], "no row")
 
 
 def test_pair_lift_refined(rng):
@@ -434,6 +549,26 @@ def test_utilde(rng):
     assert r.ok(), r.failures
     # corank check: dim I = dim_F B
     assert U.dim == sk.J.dim + U._fdim
+
+
+def test_utilde_cns_takes_q_of_v_once(monkeypatch):
+    """utilde_cns finds omega from the q(v) that the quotient model takes
+    to check omega^2 = q(v): one quartic per call, with or without omega."""
+    skm = second_kind_matrix(-1)
+    v = rank4_with_antisym_omega(skm, random.Random(0))
+    calls = []
+    quartic = WSpace.quartic
+    monkeypatch.setattr(WSpace, "quartic", lambda W, x: calls.append(x) or quartic(W, x))
+    res = utilde_cns(skm, v)
+    assert res.ok() and len(calls) == 1
+    omega = res.data["omega"]
+    assert omega * omega == skm.K.from_rational(quartic(v.W, v))
+    assert skm.K.conj(omega) == -omega
+    calls.clear()
+    assert utilde_cns(skm, v, omega).data["U"].omega == omega
+    assert len(calls) == 1
+    # a given omega is kept, the other square root included
+    assert QuotientTitsU(skm, v, -omega).omega == -omega
 
 
 def test_utilde_is_a_coordinate_space(rng):

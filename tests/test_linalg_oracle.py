@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicnorm.scalars import (PreconditionError, det_fraction, inverse_fraction, kernel,
-                               linsolve, qq, rref)
+from cubicnorm import scalars
+from cubicnorm.scalars import (IdentityError, PreconditionError, det_fraction, inverse_fraction,
+                               kernel, linsolve, qq, rref)
 
 sympy = pytest.importorskip("sympy")
 
@@ -109,6 +110,24 @@ def test_inverse_fraction_matches_sympy():
             continue
         assert to_sympy(inverse_fraction(rows)) == M.inv()
     assert singular > 0
+
+
+def test_inverse_fraction_rechecks_the_elimination(monkeypatch):
+    """The inverse read off rref is substituted back: an elimination that
+    returns a wrong right half raises."""
+    rows = [[F(2), F(1, 3)], [F(-1), F(5)]]
+    assert [[sum(a * b for a, b in zip(r, c)) for c in zip(*inverse_fraction(rows))]
+            for r in rows] == [[1, 0], [0, 1]]
+    exact = scalars.rref
+
+    def off_by_one(m):
+        pivots, reduced, factor = exact(m)
+        reduced[0][-1] += 1
+        return pivots, reduced, factor
+
+    monkeypatch.setattr(scalars, "rref", off_by_one)
+    with pytest.raises(IdentityError, match="substitution"):
+        inverse_fraction(rows)
 
 
 def gauss_jordan_fractions(rows):

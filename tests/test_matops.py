@@ -1,22 +1,25 @@
 """The matrix helpers: the sparse sum of products against a dense oracle,
 over rationals and over quaternions, where the factor order matters; the
 matrix product over an algebra over Q -- ``mat_mul`` and the table product
-of ``Matrix3CNS`` over the algebra -- against the entrywise product; and
-the builders, conjugate transpose, outer product, Hermitian test and
-inverse against entrywise oracles, on square and non-square shapes."""
+of ``Matrix3CNS`` over the algebra -- against the entrywise product; the
+builders, conjugate transpose, outer product, Hermitian test and inverse
+against entrywise oracles, on square and non-square shapes; and
+``MatrixSpace``, M_n(C) as a coordinate space, against ``mat_mul``,
+``mat_star`` and the entrywise product over a cubic ring."""
 
 import math
 import random
 from fractions import Fraction as F
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import pytest
 
-from cubicnorm.cns import Matrix3CNS
-from cubicnorm.composition import comp_preset
+from cubicnorm.cns import Matrix3CNS, cubic_ring_algebra
+from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import WSpace, gl2_act, m2_identity, m2_scalar
 from cubicnorm.matops import (
+    MatrixSpace,
     column,
     is_hermitian,
     mat_block,
@@ -32,7 +35,8 @@ from cubicnorm.matops import (
     sum_prod,
 )
 from cubicnorm.presets import cns_preset
-from cubicnorm.scalars import PreconditionError, qalg_make, quadratic_field
+from cubicnorm.scalars import (DescriptorError, PreconditionError, QuotientAlgebra, qalg_make,
+                               quadratic_field)
 
 
 def dense_sum_prod(xs, ys):
@@ -312,3 +316,119 @@ def test_inverse_over_a_base_changed_algebra():
     inv = mat_inverse(u, HE)
     assert inv == ((one, -(root * HE.basis()[1])), (zero, one))
     assert mat_mul(u, inv) == mat_scalar(2, one, zero)
+
+
+# -- MatrixSpace: M_n(C) as a coordinate space -------------------------------
+
+# a gamma of 1/2 gives C a table denominator of 2
+SPACE_COMPS = ["rational", "gaussian", "hamilton", "split-quaternion", "quaternion:1/2,-3",
+               "octonion"]
+
+
+def comp_matrix(C, rng, n, height=3):
+    """Random rows over C, rational coordinates and zero entries included."""
+    return tuple(tuple(C.zero() if rng.random() < 0.2 else C.random(rng, height, False)
+                       for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("name", SPACE_COMPS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_space_product_matches_mat_mul(name, n):
+    """The table product equals mat_mul entry by entry, the factor order kept
+    (octonions included: the table is the entrywise product, not a law)."""
+    C = comp_preset(name)
+    M = MatrixSpace(C, n)
+    rng = random.Random(31 + n)
+    for _ in range(6):
+        a, b = comp_matrix(C, rng, n), comp_matrix(C, rng, n)
+        x, y = M.from_rows(a), M.from_rows(b)
+        assert M.rows(x) == a and M.from_rows(M.rows(x)) == x
+        assert M.rows(M.row_matrix(a[-1])) == (a[-1],) + ((C.zero(),) * n,) * (n - 1)
+        assert M.rows(M.row_matrix(a[0]) * y)[0] == row_times_mat(a[0], b)
+        got, want = M.rows(x * y), mat_mul(a, b)
+        for i in range(n):
+            for j in range(n):
+                assert got[i][j] == want[i][j]
+                assert M.entry(x * y, i, j) == want[i][j]
+        assert M.rows(M.star(x)) == mat_star(a)
+        assert M.star(M.star(x)) == x
+        assert M.one() * x == x == x * M.one()
+        assert M.rows(x * F(2, 3) + y) == tuple(
+            tuple(e * F(2, 3) + f for e, f in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+@pytest.mark.parametrize("name", SPACE_COMPS)
+def test_space_one_is_the_scalar_matrix(name):
+    C = comp_preset(name)
+    for n in (1, 2, 3):
+        M = MatrixSpace(C, n)
+        assert M.rows(M.one()) == mat_scalar(n, C.one(), C.zero())
+        assert M.one() == 1 and M.zero() == 0
+        assert M.rows(M.one() * F(5, 2) - 1) == mat_scalar(n, C.from_scalar(F(3, 2)), C.zero())
+        assert M.dim == n * n * C.dim and M.ground is M
+
+
+@pytest.mark.parametrize("name", ["rational", "gaussian", "hamilton", "split-quaternion",
+                                  "quaternion:1/2,-3"])
+@pytest.mark.parametrize("coeffs", [(2, -3, 5, 7), (F(1, 2), -3, F(5, 3), 7)])
+def test_component_products_over_a_cubic_ring(name, coeffs):
+    """Over T the product goes along T's components: a factor over Q, a
+    factor over T and two factors over T each equal the entrywise product,
+    as do x lam for lam in T, the conjugate transpose and the components;
+    the second T has a table denominator of 6."""
+    T = cubic_ring_algebra(*coeffs)
+    C = comp_preset(name)
+    CT = C.base_change(T)
+    M, MT = MatrixSpace(C), MatrixSpace(CT)
+    assert MT.ground == M and MT.dim == M.dim
+    rng = random.Random(7)
+    lift = partial(mat_map, CT.extend)
+    for _ in range(4):
+        a, b = comp_matrix(C, rng, 3), comp_matrix(C, rng, 3)
+        at, bt = comp_matrix(CT, rng, 3, 2), comp_matrix(CT, rng, 3, 2)
+        x, y = M.from_rows(a), M.from_rows(b)
+        xt, yt = MT.from_rows(at), MT.from_rows(bt)
+        assert MT.rows(xt) == at and MT.rows(MT.star(xt)) == mat_star(at)
+        assert MT.rows(MT.mul(x, yt)) == mat_mul(lift(a), bt)
+        assert MT.rows(MT.mul(xt, y)) == mat_mul(at, lift(b))
+        assert MT.rows(xt * yt) == MT.rows(MT.mul(xt, yt)) == mat_mul(at, bt)
+        lam = T.random(rng, 3, False)
+        assert MT.rows(MT.times(xt, lam)) == tuple(tuple(e * lam for e in r) for r in at)
+        assert M.times(x, 3) == x * 3 and M.times(x, F(1, 2)) == x * F(1, 2)
+        parts = [xt.component(M, a) for a in range(3)]
+        assert MT.from_components(parts) == xt
+        assert parts == [M.from_rows(tuple(tuple(e.component(C, a) for e in r) for r in at))
+                         for a in range(3)]
+        assert MT.from_rows(lift(a)) == MT.from_components([x, M.zero(), M.zero()])
+        assert MT.one() * xt == xt == xt * MT.one()
+
+
+def test_spaces_compare_and_hash_by_size_and_algebra():
+    H = comp_preset("hamilton")
+    T = cubic_ring_algebra(1, 2, 3, 4)
+    assert MatrixSpace(H) == MatrixSpace(comp_preset("hamilton"), 3)
+    assert hash(MatrixSpace(H)) == hash(MatrixSpace(CompAlgebra((-1, -1))))
+    T2 = cubic_ring_algebra(1, 2, 3, 4)
+    assert T2 is not T and MatrixSpace(H.base_change(T)) == MatrixSpace(H.base_change(T2))
+    assert hash(MatrixSpace(H.base_change(T))) == hash(MatrixSpace(H.base_change(T)))
+    assert MatrixSpace(H, 2) != MatrixSpace(H, 3)
+    assert MatrixSpace(H) != MatrixSpace(comp_preset("split-quaternion"))
+    assert MatrixSpace(H) != MatrixSpace(H.base_change(T))
+    x = MatrixSpace(H).one()
+    assert x == MatrixSpace(CompAlgebra((-1, -1))).one()
+
+
+def test_only_the_rational_space_holds_a_product_table():
+    """Each cubic ring brings its own table, so a space over T builds none:
+    its products run on the table over Q, shared by every space of its key."""
+    H = comp_preset("hamilton")
+    M = MatrixSpace(H)
+    assert M._table is MatrixSpace(comp_preset("hamilton"))._table
+    assert len(M._table._cells) == 36 and sum(len(cell) for row in M._table._cells
+                                               for _, cell in row) == 27 * 16
+    for base in (cubic_ring_algebra(1, 0, -2, 1), quadratic_field(-1)):
+        MT = MatrixSpace(H.base_change(base))
+        assert not hasattr(MT, "_table") and "_cells" not in vars(MT)
+        assert MT.ground._table is M._table
+    with pytest.raises(DescriptorError):
+        MatrixSpace(H.base_change(QuotientAlgebra([1, 0, 1], base=quadratic_field(5))))

@@ -396,6 +396,26 @@ def test_field_invariant_b2_translate(rng):
     assert o2["ring"] == o1["ring"]
 
 
+def test_pair_to_balanced_certifies_t_stability(rng, monkeypatch):
+    """w b = b S_r(w) is checked on the ideal's basis: an S_r(w) moved by an
+    integral matrix after eps is built keeps S_r(w) integral and breaks the
+    identity, which raises."""
+    J = H3CNS(comp_preset("gaussian"))
+    A, B = rand_nondeg_pair(J, rng)
+    *_, cert = pair_to_balanced(J, A, B)
+    assert "w b = b S_r(w) (T-stability with integral action)" in [e.name for e in cert.certificate]
+    epsilon = rings_ideals.epsilon_element
+
+    def then_move(J, pd, sr):
+        eps = epsilon(J, pd, sr)
+        sr.images["omega"] = sr.images["omega"] + 1
+        return eps
+
+    monkeypatch.setattr(rings_ideals, "epsilon_element", then_move)
+    with pytest.raises(IdentityError, match="T-stability"):
+        pair_to_balanced(J, A, B)
+
+
 def test_n6_multiplicative(rng):
     from cubicnorm.rings_ideals import n6
 
