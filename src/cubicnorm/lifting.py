@@ -431,7 +431,7 @@ def eigen_checks(H3T: H3CNS, pd: PairData, X: CnsElt, Y: CnsElt, sr: SrMaps) -> 
     mx, my = (MT.from_rows(H3T.to_matrix(z.block(H3T))) for z in (X, Y))
     for lam in (pd.omega, pd.theta):
         srm, slm = sr.s_r(lam), sr.s_l(lam)
-        lam_mx, lam_my = MT.times(mx, lam), MT.times(my, lam)
+        lam_mx, lam_my = mx * lam, my * lam
         if not (MT.mul(slm, mx) == lam_mx and MT.mul(mx, srm) == lam_mx
                 and MT.mul(srm, my) == lam_my and MT.mul(my, slm) == lam_my):
             return False
@@ -462,7 +462,7 @@ def epsilon_element(J: H3CNS, pd: PairData, sr: SrMaps):
     eps = MT.from_components(parts)
     # S_r(x) eps = eps x, along T's components
     for lam in (pd.omega, pd.theta):
-        if not MT.mul(sr.s_r(lam), eps) == MT.times(eps, lam):
+        if not MT.mul(sr.s_r(lam), eps) == eps * lam:
             raise IdentityError("S_r(x) eps != eps x")
     return MT.rows(eps)
 
@@ -987,40 +987,31 @@ def hermitian_rank1_decompose(J: H3CNS, Y: CnsElt, cap: int = 300, seed: int = 0
                            "rank-one decomposition search exhausted; raise cap")
 
 
-def unit_scalar_row(comp: CompAlgebra, m, rows, message: str, lift=None):
-    """The first of ``rows`` (mapped into comp^n by ``lift``, when given)
-    with w m w* = mu a unit scalar, for a Hermitian m of rank one over comp.
+def unit_scalar_row(comp: CompAlgebra, m, rows, message: str, over_ground: bool = False):
+    """The first of ``rows`` with w m w* = mu a unit scalar, for a Hermitian
+    m of rank one over comp; with ``over_ground`` the rows are drawn over
+    comp's ground field and w is their extension into comp.
 
     Returns (mu, v0, w) with m = mu v0 v0* and w v0 = 1, where w is the row
     as drawn; the search raises BoundExceededError with ``message`` when the
     rows run out.  A unit mu whose w m w* is not scalar, or whose
-    decomposition does not verify, raises IdentityError.
-
-    w m w* is read in M_n(comp): with W the matrix whose first row is the
-    row as drawn (over comp's ground when ``lift`` is given), column 0 of
-    m W* is m w* and entry (0, 0) of W m W* is w m w*."""
+    decomposition does not verify, raises IdentityError."""
     base = comp.base
-    n = len(m)
-    space = MatrixSpace(comp, n)
-    M = space.from_rows(m)
-    drawn = space.ground if lift else space
 
     def test(row):
-        W = drawn.row_matrix(row)
-        mws = space.mul(M, drawn.star(W))
-        val = space.entry(space.mul(W, mws), 0, 0)
+        w = tuple(map(comp.extend, row)) if over_ground else row
+        mw = mat_times_col(m, tuple(x.conj() for x in w))
+        val = sum_prod(w, mw)
         mu = val.coords[0]
         if not base.is_unit(mu):
             return None
         if not (val == comp.from_scalar(mu)):
             raise IdentityError("w Y w* is not scalar")
-        # m = mu v0 v0*, where mu v0 = m w*, read as column 0 of m W* and
-        # of its multiple by 1/mu
-        v0s = space.times(mws, base.inv(mu))
-        if not space.mul(mws, space.star(v0s)) == M:
+        mu_inv = base.inv(mu)
+        v0 = tuple(c * mu_inv for c in mw)
+        # m = mu v0 v0*, where mu v0 = m w*
+        if not mat_eq(mat_mul(column(mw), mat_star(column(v0))), m):
             raise IdentityError("rank-one decomposition failed to verify")
-        w = lift(row) if lift else row
-        v0 = tuple(space.entry(v0s, i, 0) for i in range(n))
         if not (sum_prod(w, v0) == comp.one()):
             raise IdentityError("primitivity witness failed")
         return mu, v0, row

@@ -112,10 +112,6 @@ def mat_eq(a, b) -> bool:
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def is_hermitian(a) -> bool:
-    return mat_eq(a, mat_star(a))
-
-
 def row_times_mat(row, a):
     return tuple(sum_prod(row, tuple(a[t][j] for t in range(len(a)))) for j in range(len(a[0])))
 
@@ -249,15 +245,6 @@ class MatrixSpace(CoordSpace):
             den *= self.base.table_den
         return _reduced(self, _join(outs), den)
 
-    def times(self, x, lam):
-        """x lam for lam in the base: over T along T's components, with T's
-        own cells."""
-        if self.ground is self:
-            return x * lam
-        outs = _along(self.base, _split(x.num, self.base._n), [(s,) for s in lam.num],
-                      lambda xa, s: [s[0] * v for v in xa], self.ground._n)
-        return _reduced(self, _join(outs), x.den * lam.den * self.base.table_den)
-
     def from_components(self, parts):
         """sum_a parts[a] (x) t_a for elements of ``ground``, the inverse of
         ``Vec.component``."""
@@ -278,10 +265,6 @@ class MatrixSpace(CoordSpace):
                 out += num[s:s + m]
                 out += [-c for c in num[s + m:s + k]]
         return _reduced(self, tuple(out), x.den, False)
-
-    def entry(self, x, i: int, j: int):
-        """Entry (i, j) of x, an element of C."""
-        return x.block(self.comp, (i * self.n + j) * self.comp.dim)
 
     def from_rows(self, rows):
         """The element with the rows of C elements ``rows``."""

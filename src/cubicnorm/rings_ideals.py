@@ -304,7 +304,7 @@ class IdealTC:
         b = self.basis
         MT = MatrixSpace(b[0].space)
         B = MT.row_matrix(b)
-        X = MT.times(MT.mul(MT.star(B), B), self.T.inv(self.beta))
+        X = MT.mul(MT.star(B), B) * self.T.inv(self.beta)
         return H3CNS(MT.comp).from_matrix(MT.rows(X))
 
 
@@ -355,7 +355,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
 
     rows = [v0] if v0 is not None else iter_comp_rows(J.comp, 3, cap, seed)
     vyv, _, v0 = unit_scalar_row(compT, ymat, rows, "v0 search bound exceeded; raise cap",
-                                 lift=lambda row: tuple(map(compT.extend, row)))
+                                 over_ground=True)
     beta = vyv * QQ_BASE.inv(pd.Q)
     # b = v0 eps, the first row of V0 eps for V0 with first row v0
     MT = MatrixSpace(compT)
@@ -372,7 +372,7 @@ def pair_to_balanced(J: H3CNS, A: CnsElt, B: CnsElt, v0=None,
     # matrix with first row b
     srw = sr.images["omega"]
     res.require("w b = b S_r(w) (T-stability with integral action)",
-                MT.times(Bm, pd.omega) == MT.mul(Bm, srw) and srw.den == 1)
+                Bm * pd.omega == MT.mul(Bm, srw) and srw.den == 1)
     return ring, ideal, res
 
 
