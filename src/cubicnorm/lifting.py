@@ -656,24 +656,48 @@ def w_star(sk: SecondKind, x: WElt) -> WElt:
 
 def _delta(A: CNS, v: WElt, ell) -> tuple:
     """delta(ell; v) over A for a row pair ell = (u, w) and v with
-    coordinates in A."""
+    coordinates in A, without the terms that have a zero block of ell as a
+    factor: the quotient model's canonical representatives often have u = 0."""
     u, w = ell
-    us, ws = A.adjoint(u), A.adjoint(w)
-    delta1 = us * v.a + A.cross(u, A.mul(w, v.b)) + A.mul(v.c, ws)
-    delta2 = A.mul(v.b, us) + A.cross(A.mul(u, v.c), w) + ws * v.d
+    delta1 = delta2 = A.zero()
+    if u:
+        us = A.adjoint(u)
+        delta1, delta2 = us * v.a, A.mul(v.b, us)
+        if w:
+            delta1 += A.cross(u, A.mul(w, v.b))
+            delta2 += A.cross(A.mul(u, v.c), w)
+    if w:
+        ws = A.adjoint(w)
+        delta1 += A.mul(v.c, ws)
+        delta2 += ws * v.d
     return delta1, delta2
 
 
 def _delta_cross(A: CNS, v: WElt, ell, ell2) -> tuple:
     """delta(ell + ell2) - delta(ell) - delta(ell2), the bilinear
-    polarization of ``_delta``, for row pairs ell = (u, w), ell2 = (u2, w2)."""
+    polarization of ``_delta``, for row pairs ell = (u, w), ell2 = (u2, w2),
+    without the terms that have a zero block as a factor."""
     (u, w), (u2, w2) = ell, ell2
-    uu, ww = A.cross(u, u2), A.cross(w, w2)
-    delta1 = (uu * v.a + A.cross(u, A.mul(w2, v.b)) + A.cross(u2, A.mul(w, v.b))
-              + A.mul(v.c, ww))
-    delta2 = (A.mul(v.b, uu) + A.cross(A.mul(u, v.c), w2) + A.cross(A.mul(u2, v.c), w)
-              + ww * v.d)
+    delta1 = delta2 = A.zero()
+    if u and u2:
+        uu = A.cross(u, u2)
+        delta1, delta2 = uu * v.a, A.mul(v.b, uu)
+    if u and w2:
+        delta1 += A.cross(u, A.mul(w2, v.b))
+        delta2 += A.cross(A.mul(u, v.c), w2)
+    if u2 and w:
+        delta1 += A.cross(u2, A.mul(w, v.b))
+        delta2 += A.cross(A.mul(u2, v.c), w)
+    if w and w2:
+        ww = A.cross(w, w2)
+        delta1 += A.mul(v.c, ww)
+        delta2 += ww * v.d
     return delta1, delta2
+
+
+def _times_block(B: CNS, xb: CnsElt, y: CnsElt) -> CnsElt:
+    """xb y in B for a block y of a row pair, with no product when a factor is 0."""
+    return B.mul(xb, y) if xb and y else B.zero()
 
 
 def _j2_inv_shriek(W: WSpace, ell) -> WElt:
@@ -692,6 +716,13 @@ class QuotientTitsU(CNS):
     I(v, omega): ell reduced by the pivot rows has zero pivot coordinates,
     which are not stored.  So dim = dim J + dim_F B, and equality of
     elements is equality of coordinates.
+
+    I(v, omega) is the left kernel of ell -> ell h.  Where h11 is a unit of
+    B it is the graph ell1 = ell0 M of M = -h01 h11^-1, certified by
+    M h11 = -h01 and by the vanishing Schur complement h00 + M h10 (h has
+    B-rank one); its pivots are ell0's flat columns, so every canonical
+    representative has ell0 = 0.  Otherwise (a split K) it is read off one
+    elimination of the matrix of ell -> ell h.
     """
 
     def __init__(self, sk: SecondKind, v: WElt, omega: Optional[AlgElem] = None):
@@ -714,18 +745,39 @@ class QuotientTitsU(CNS):
         self.Xbar = x_of(self.vB, embed_w(sk, self.WB, v.W.flat(v)), -omega)
         self.h = _tits_h(self.WB, self.vB, omega)
         self.B2 = DirectSum(B, B)
-        self._fdim = B.flat_dim()
-        # I(v, omega) = left kernel of h, its reduced pivot rows ints over one den: with
-        # the columns reversed a null vector ends in its 1, so read back and sorted by
-        # first nonzero entry the null vectors are those rows, off one elimination
-        ker = kernel([row[::-1] for row in self._h_matrix()])
-        if len(ker) != self._fdim:
-            raise IdentityError("I(v, omega) does not have B-corank one")
-        lead = sorted((next(j for j, c in enumerate(row) if c), row)
-                      for row in (v[::-1] for v in ker))
-        self._pivots = [j for j, _ in lead]
-        self._rows, self._den = over_lcd(row_over_lcd(row) for _, row in lead)
-        self._free = [j for j in range(2 * self._fdim) if j not in self._pivots]
+        n = self._fdim = B.flat_dim()
+        (h00, h01), (h10, h11) = self.h
+        n11 = B.norm(h11)
+        if B.base.is_unit(n11):
+            # I(v, omega) is the graph ell1 = ell0 M of M = -h01 h11^-1 = -h01 h11# / n(h11):
+            # M h11 = -h01 solves ell0 h01 + ell1 h11 = 0, and the Schur complement
+            # h00 + M h10 = 0 makes ell0 h00 + ell1 h10 = 0 hold on it; its reduced pivot
+            # rows are (e_i, e_i M), e_i M column i of y -> y M over M.den * table.den
+            M = -B.mul(h01, B.adjoint(h11)) * B.base.inv(n11)
+            if not (B.mul(M, h11) == -h01) or h00 + B.mul(M, h10):
+                raise IdentityError("I(v, omega) does not have B-corank one")
+            t = B._product
+            cols, d = t.contract(M), M.den * t.den
+            rows = []
+            for i in range(n):
+                row = [0] * n + [c[i] for c in cols]
+                row[i] = d
+                g = math.gcd(*row)
+                rows.append(([x // g for x in row], d // g))
+            self._pivots = list(range(n))
+        else:
+            # otherwise (split K) by one elimination of ell -> ell h: with the columns
+            # reversed a null vector ends in its 1, so read back and sorted by first
+            # nonzero entry the null vectors are the reduced pivot rows
+            ker = kernel([row[::-1] for row in self._h_matrix()])
+            if len(ker) != n:
+                raise IdentityError("I(v, omega) does not have B-corank one")
+            lead = sorted((next(j for j, c in enumerate(row) if c), row)
+                          for row in (v[::-1] for v in ker))
+            self._pivots = [j for j, _ in lead]
+            rows = [row_over_lcd(row) for _, row in lead]
+        self._rows, self._den = over_lcd(rows)
+        self._free = [j for j in range(2 * n) if j not in self._pivots]
         self.dim = J.dim + len(self._free)
         self.name = f"utildeQ({sk.kind})"
         self.has_mul = False
@@ -757,8 +809,14 @@ class QuotientTitsU(CNS):
                 + [p + q for p, q in zip(times(h01), times(h11))])
 
     def _lhl(self, e1, e2) -> CnsElt:
-        """l1 h l2* in B for row pairs l1, l2."""
-        return sum_prod(row_times_mat(e1, self.h), tuple(self.sk.star(x) for x in e2))
+        """l1 h l2* in B for row pairs l1, l2: (l1 h)_j l2_j* summed over the
+        nonzero blocks l2_j, each (l1 h)_j over the nonzero blocks of l1."""
+        star, acc = self.sk.star, self.sk.B.zero()
+        if any(e1):
+            for j, y in enumerate(e2):
+                if y:
+                    acc += sum_prod(e1, (self.h[0][j], self.h[1][j])) * star(y)
+        return acc
 
     def _lhl_polar(self, e1, e2) -> CnsElt:
         """l1 h l2* + l2 h l1*, the polarization of l h l*: y + y* for
@@ -804,7 +862,8 @@ class QuotientTitsU(CNS):
         first = J.adjoint(xj) - sk.project(self._lhl(ell, ell))
         delta1, delta2 = _delta(B, self.vB, ell)
         xb = sk.embed(xj)
-        second = ((-B.mul(xb, ell[0])) - sk.star(delta2), (-B.mul(xb, ell[1])) + sk.star(delta1))
+        second = (-_times_block(B, xb, ell[0]) - sk.star(delta2),
+                  -_times_block(B, xb, ell[1]) + sk.star(delta1))
         return first, second
 
     def pair_raw(self, x1: CnsElt, e1, x2: CnsElt, e2):
@@ -828,8 +887,8 @@ class QuotientTitsU(CNS):
         first = J.cross(x1, x2) - sk.project(self._lhl_polar(e1, e2))
         delta1, delta2 = _delta_cross(B, self.vB, e1, e2)
         xb1, xb2 = sk.embed(x1), sk.embed(x2)
-        second = (-B.mul(xb1, e2[0]) - B.mul(xb2, e1[0]) - sk.star(delta2),
-                  -B.mul(xb1, e2[1]) - B.mul(xb2, e1[1]) + sk.star(delta1))
+        second = (-_times_block(B, xb1, e2[0]) - _times_block(B, xb2, e1[0]) - sk.star(delta2),
+                  -_times_block(B, xb1, e2[1]) - _times_block(B, xb2, e1[1]) + sk.star(delta1))
         return self.join(first, second)
 
     def pair(self, x: CnsElt, y: CnsElt):

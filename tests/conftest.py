@@ -23,12 +23,42 @@ from cubicnorm.cns import (
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import HOperator, WSpace, h_apply
+from cubicnorm.lifting import QuotientTitsU
 from cubicnorm.matops import mat, row_times_mat, sum_prod
+from cubicnorm.scalars import kernel, over_lcd, row_over_lcd
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+# -- oracle: I(v, omega) by one elimination of ell -> ell h -------------------
+
+
+def elimination_rows(U):
+    """(pivots, rows, den) of I(v, omega), the left kernel of ell -> ell h,
+    off one elimination of U._h_matrix(): with the columns reversed a null
+    vector ends in its 1, so read back and sorted by first nonzero entry the
+    null vectors are the reduced pivot rows, brought over one lcd."""
+    ker = kernel([row[::-1] for row in U._h_matrix()])
+    lead = sorted((next(j for j, c in enumerate(row) if c), row)
+                  for row in (v[::-1] for v in ker))
+    rows, den = over_lcd(row_over_lcd(row) for _, row in lead)
+    return [j for j, _ in lead], rows, den
+
+
+@pytest.fixture(autouse=True)
+def quotient_models_match_the_elimination(monkeypatch):
+    """Every QuotientTitsU a test builds has the pivots, integer rows and
+    denominator of the elimination oracle, whichever path built them."""
+    init = QuotientTitsU.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        assert (self._pivots, self._rows, self._den) == elimination_rows(self), self.name
+
+    monkeypatch.setattr(QuotientTitsU, "__init__", checked)
 
 
 def associative_variants():

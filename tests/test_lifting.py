@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     associative_variants,
+    elimination_rows,
     epsilon_oracle,
     rand_nondeg_pair,
     rand_rank2_h3,
@@ -20,6 +21,7 @@ from conftest import (
 )
 
 from cubicnorm.cns import (
+    CNS,
     CubicRingCNS,
     H3CNS,
     Matrix3CNS,
@@ -65,7 +67,7 @@ from cubicnorm.lifting import (
     w_hermitian_K,
     w_star,
 )
-from cubicnorm.matops import mat_eq, mat_smul, outer, row_times_mat
+from cubicnorm.matops import mat_eq, mat_smul, outer, row_times_mat, sum_prod
 from cubicnorm.presets import ASSOCIATIVE_SUITE, bhargava_pair, cns_preset, thm_diag_pair
 from cubicnorm.scalars import (IdentityError, PreconditionError, kernel, map_matrix,
                                rational_sqrt, rref)
@@ -678,6 +680,177 @@ def test_utilde_join_matches_the_rational_pivot_reduction(D):
         yj, rep = U.split(x)
         assert yj == xj and [F(k, c.den) for c in rep for k in c.num] == flat
         assert all(flat[p] == 0 for p in U._pivots)
+
+
+def _quotient_u(D, seed):
+    sk = second_kind_matrix(D)
+    return QuotientTitsU(sk, rank4_with_antisym_omega(sk, random.Random(seed)))
+
+
+def test_utilde_pivot_rows_match_the_elimination():
+    """I(v, omega)'s pivots, integer rows and den are the elimination's on
+    the second-law inputs of seeds 0-4 over M_3(K) for D = -1 and 1, and of
+    seeds 0-1 for D = 1/2, whose product table has denominator 2."""
+    assert second_kind_matrix(F(1, 2)).B._product.den == 2
+    for D, seeds in ((-1, range(5)), (1, range(5)), (F(1, 2), range(2))):
+        for seed in seeds:
+            U = _quotient_u(D, seed)
+            assert (U._pivots, U._rows, U._den) == elimination_rows(U), (D, seed)
+
+
+def test_utilde_reads_a_unit_h11_as_a_graph_and_eliminates_otherwise(monkeypatch):
+    """Where h11 is a unit of B, I(v, omega) is the graph ell1 = ell0 M of
+    M = -h01 h11^-1: no elimination runs, its pivot rows are (e_i, e_i M) on
+    ell0's flat columns, and every canonical representative has ell0 = 0.
+    Over the split K of D = 1, seed 2 gives an h11 that is not a unit: there
+    the one elimination runs, and its rows agree with the oracle's."""
+    calls = []
+    monkeypatch.setattr(lifting, "kernel", lambda m: calls.append(m) or kernel(m))
+    rng = random.Random(31)
+    for D, seed, graph in ((-1, 0, True), (-1, 3, True), (1, 0, True), (1, 2, False)):
+        calls.clear()
+        U = _quotient_u(D, seed)
+        B = U.sk.B
+        (_, h01), (_, h11) = U.h
+        n = B.flat_dim()
+        assert B.base.is_unit(B.norm(h11)) == graph and len(calls) == (not graph)
+        assert (U._pivots, U._rows, U._den) == elimination_rows(U), (D, seed)
+        if not graph:
+            assert U._pivots != list(range(n))
+            continue
+        assert U._pivots == list(range(n)) and U._free == list(range(n, 2 * n))
+        M = -B.mul(h01, lifting._b_inverse(B, h11))
+        assert [U.B2.unflatten(row) for row in U._reduced] == [(e, B.mul(e, M)) for e in B.flat_basis()]
+        for x in (U.random(rng, 2, integral=False), U.one()):
+            assert not U.split(x)[1][0]
+
+
+def _patched_h(monkeypatch, f):
+    """QuotientTitsU's h replaced by f(h00, h01, h10, h11)."""
+    tits_h = lifting._tits_h
+
+    def patched(*args):
+        (h00, h01), (h10, h11) = tits_h(*args)
+        return f(h00, h01, h10, h11)
+
+    monkeypatch.setattr(lifting, "_tits_h", patched)
+
+
+@pytest.mark.parametrize("D, seed", [(-1, 0), (1, 2)])
+def test_utilde_rejects_an_h_whose_schur_complement_does_not_vanish(D, seed, monkeypatch):
+    """With h00 + 1 in place of h00, h no longer has B-rank one: on the graph
+    path (D = -1) h00 + M h10 = 0 fails, and on the fallback (D = 1, seed 2)
+    the elimination's kernel is too small; either way the construction
+    raises."""
+    sk = second_kind_matrix(D)
+    v = rank4_with_antisym_omega(sk, random.Random(seed))
+    _patched_h(monkeypatch, lambda h00, h01, h10, h11: ((h00 + sk.B.one(), h01), (h10, h11)))
+    with pytest.raises(IdentityError, match=r"^I\(v, omega\) does not have B-corank one$"):
+        QuotientTitsU(sk, v)
+
+
+def test_utilde_checks_that_m_solves_the_second_equation(monkeypatch):
+    """M h11 = -h01 is checked.  With h00 = h10 = 0 every M has a zero Schur
+    complement, and I(v, omega) is the graph of M = -h01 h11^-1, as the
+    elimination agrees; an inverse of n(h11) off by a factor 2 then fails
+    that check alone."""
+    sk = second_kind_matrix(-1)
+    v = rank4_with_antisym_omega(sk, random.Random(0))
+    omega = find_antisymmetric_omega(sk, WSpace(sk.J).quartic(v))
+    _patched_h(monkeypatch, lambda h00, h01, h10, h11: ((h00 * 0, h01), (h10 * 0, h11)))
+    U = QuotientTitsU(sk, v, omega)
+    assert U._pivots == list(range(sk.B.flat_dim())) and U.h[0][1]
+    inv = sk.K.inv
+    monkeypatch.setattr(sk.K, "inv", lambda u: inv(u) * 2)
+    with pytest.raises(IdentityError, match=r"^I\(v, omega\) does not have B-corank one$"):
+        QuotientTitsU(sk, v, omega)
+
+
+def _row_pairs(B, rng):
+    """Row pairs over B with every pattern of zero blocks."""
+    def block(nonzero):
+        return B.random(rng, 2, integral=False) if nonzero else B.zero()
+    return [(block(a), block(b)) for a in (0, 1) for b in (0, 1)]
+
+
+def _no_zero_factors(monkeypatch, B):
+    """From here on a product, cross or adjoint in B with a zero factor fails."""
+    def nonzero_operands(f):
+        def checked(*args):
+            assert all(args), f"{f.__name__} of a zero block"
+            return f(*args)
+        return checked
+
+    for name in ("mul", "cross", "adjoint"):
+        monkeypatch.setattr(B, name, nonzero_operands(getattr(B, name)))
+
+
+def test_delta_skips_zero_blocks_and_its_cross_polarizes_it(monkeypatch):
+    """_delta and _delta_cross match the full formulas on row pairs with
+    every pattern of zero blocks, _delta of a sum being _delta of each plus
+    _delta_cross, and take no product, cross or adjoint of a zero block."""
+    U = _quotient_u(-1, 0)
+    B, vB = U.sk.B, U.vB
+    assert vB.b and vB.c
+
+    def full(ell):
+        (u, w) = ell
+        us, ws = B.adjoint(u), B.adjoint(w)
+        return (us * vB.a + B.cross(u, B.mul(w, vB.b)) + B.mul(vB.c, ws),
+                B.mul(vB.b, us) + B.cross(B.mul(u, vB.c), w) + ws * vB.d)
+
+    rows = _row_pairs(B, random.Random(32))
+    pairs = [(ell, ell2) for ell in rows for ell2 in rows]
+    want = [full(ell) for ell in rows]
+    want_cross = [[s - a - b for s, a, b in zip(full((ell[0] + ell2[0], ell[1] + ell2[1])),
+                                                 full(ell), full(ell2))] for ell, ell2 in pairs]
+    _no_zero_factors(monkeypatch, B)
+    assert [lifting._delta(B, vB, ell) for ell in rows] == want
+    assert [list(lifting._delta_cross(B, vB, *pair)) for pair in pairs] == want_cross
+
+
+def test_lhl_skips_zero_blocks(monkeypatch):
+    """l1 h l2* is the dense row product on row pairs with every pattern of
+    zero blocks, with no product of a zero block."""
+    U = _quotient_u(1, 2)
+    B, star = U.sk.B, U.sk.star
+    rows = _row_pairs(B, random.Random(33))
+    pairs = [(e1, e2) for e1 in rows for e2 in rows]
+    want = [sum_prod(row_times_mat(e1, U.h), tuple(star(x) for x in e2)) for e1, e2 in pairs]
+    _no_zero_factors(monkeypatch, B)
+    assert [U._lhl(e1, e2) for e1, e2 in pairs] == want
+
+
+@pytest.mark.parametrize("D, seed", [(-1, 0), (1, 2)])
+def test_utilde_adjoint_and_cross_skip_zero_blocks(D, seed, monkeypatch):
+    """adjoint and cross run no product, cross or adjoint in B with a zero
+    factor, and stay right: the adjoint of a class equals adjoint_raw on a
+    representative moved by a row of I(v, omega), with dense blocks,
+    and the cross equals the three-adjoint default CNS.cross.  On the graph
+    path (D = -1) every canonical ell0 is zero; on the fallback (D = 1,
+    seed 2) it is not, and an element on ell0's free columns alone has
+    ell1 = 0; elements whose J-part or whole row pair is zero are taken on
+    both."""
+    U = _quotient_u(D, seed)
+    J, B = U.sk.J, U.sk.B
+    rng = random.Random(35)
+    # a dense row of I(v, omega): a combination of all its pivot rows
+    row = U.B2.unflatten([sum(k * x for k, x in enumerate(col, 1)) for col in zip(*U._reduced)])
+    xs = [U.random(rng, 2, integral=False) for _ in range(2)]
+    xs.append(U.join(J.random(rng, 2, integral=False), (B.zero(), B.zero())))
+    xs.append(U.join(J.zero(), (B.random(rng, 2), B.random(rng, 2))))
+    xj = J.random(rng, 2)
+    xs.append(U.from_num(list(xj.num) + [rng.randint(1, 3) * (j < B.flat_dim()) for j in U._free],
+                         xj.den))
+    assert bool(U.split(xs[0])[1][0]) == (D == 1) and U.vB.b and U.vB.c
+    assert bool(U.split(xs[-1])[1][0]) == (D == 1) and not U.split(xs[-1])[1][1]
+    moved = []
+    for x in xs:
+        xj, (l0, l1) = U.split(x)
+        moved.append(U.join(*U.adjoint_raw(xj, (l0 + row[0] * 3, l1 + row[1] * 3))))
+    _no_zero_factors(monkeypatch, B)
+    assert [U.adjoint(x) for x in xs] == moved
+    assert [U.cross(x, y) for x in xs for y in xs] == [CNS.cross(U, x, y) for x in xs for y in xs]
 
 
 def test_utilde_equivariance(rng):
