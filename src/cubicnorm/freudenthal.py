@@ -413,10 +413,21 @@ def s_of_h3(W: WSpace, v: WElt):
     return mat_block(((s11, s12), (s21, s22)))
 
 
+def _zero_slot_shriek(W: WSpace, x, y) -> WElt:
+    """(x, y)! of a row or a column pair with x = 0 or y = 0: every product
+    of the two slots vanishes, so it is (n(x), 0, 0, n(y)), with n(0) = 0
+    not taken."""
+    J = W.J
+    z = J.zero()
+    return W.concat(J.norm(x) if x else 0, z, z, J.norm(y) if y else 0)
+
+
 def shriek_row(W: WSpace, ell) -> WElt:
     """(s, t)! = (n(s), s# t, t# s, n(t)) for a row pair over associative A."""
     J = W.J
     s, t = ell
+    if not (s and t):
+        return _zero_slot_shriek(W, s, t)
     return W.concat(J.norm(s), J.mul(J.adjoint(s), t), J.mul(J.adjoint(t), s), J.norm(t))
 
 
@@ -424,6 +435,8 @@ def shriek_col(W: WSpace, eta) -> WElt:
     """(u, v)^t ! = (n(u), v u#, u v#, n(v)) for a column pair."""
     J = W.J
     u, v = eta
+    if not (u and v):
+        return _zero_slot_shriek(W, u, v)
     return W.concat(J.norm(u), J.mul(v, J.adjoint(u)), J.mul(u, J.adjoint(v)), J.norm(v))
 
 
@@ -533,14 +546,19 @@ def _search_prefix(basis, z):
     return chain((row for e in basis for row in ((e, z), (z, e))), product(basis, repeat=2))
 
 
+def _search_tail(J: CNS, cap: int, seed: int) -> Iterator[tuple]:
+    """The seeded random tail of ``iter_search_rows``: small row pairs over
+    J, cap of them at each height 1, 2 and 3."""
+    return search_stream((), lambda rng, h: (J.random(rng, h), J.random(rng, h)),
+                         (h for h in (1, 2, 3) for _ in range(cap)), seed)
+
+
 def iter_search_rows(J: CNS, cap: int, seed: int = 0) -> Iterator[tuple]:
     """Deterministic height-ordered stream of candidate row pairs over J:
     basis singletons first, then basis pairs, then seeded random small rows,
     cap of them at each height 1, 2 and 3."""
-    yield from search_stream(
-        _search_prefix(J.basis(), J.zero()),
-        lambda rng, h: (J.random(rng, h), J.random(rng, h)),
-        (h for h in (1, 2, 3) for _ in range(cap)), seed)
+    yield from _search_prefix(J.basis(), J.zero())
+    yield from _search_tail(J, cap, seed)
 
 
 def dead_search_rows(J: CNS) -> frozenset:

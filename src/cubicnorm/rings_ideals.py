@@ -9,9 +9,11 @@ denominator-tracked so the field-level statements run on the same code.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Optional
 
 from .cns import (
@@ -25,6 +27,8 @@ from .composition import CompAlgebra
 from .freudenthal import (
     WElt,
     WSpace,
+    _search_prefix,
+    _search_tail,
     det6,
     iter_search_rows,
     m2_scalar,
@@ -66,8 +70,8 @@ from .scalars import (
     Scalar,
     det,
     det_fraction,
-    map_by_columns,
     map_solve,
+    over_lcd,
     qq,
     quadratic_field,
     witness_search,
@@ -199,16 +203,54 @@ def balanced_check_sa(ideal: IdealSA) -> Certificate:
     return cert
 
 
-def iter_ell_candidates(J: CNS, E: QuotientAlgebra, eps, cap: int, seed: int = 0):
+def _twist_matrix(E: QuotientAlgebra, eps) -> tuple[list, int]:
+    """The matrix of ell_1 -> tr_{E/F}(ell_1 eps) from the numerators of
+    A_E^2 to those of A_F^2, rows over one den: ell_1 eps is
+    (y0 eps00 + y1 eps10, y0 eps01 + y1 eps11), so each block is JE's
+    product table contracted with an entry of eps, folded along E's trace."""
+    prod = eps[0][0].J._product
+    blocks = [(E.trace_rows(prod.contract(x)), x.den * prod.den * E.own_den)
+              for row in eps for x in row]
+    den = math.lcm(*(d for _, d in blocks))
+    t00, t01, t10, t11 = ([[c * (den // d) for c in r] for r in t] for t, d in blocks)
+    return [r0 + r1 for r0, r1 in chain(zip(t00, t10), zip(t01, t11))], den
+
+
+def _shriek_pairing(W: WSpace, WE: WSpace, Y: WElt):
+    """ell -> <ell!, Y> for a row ell over W's J, with Y over E: ell! is
+    taken over the ground field, so the value is one dot product of its
+    numerators with the row <e_i, Y> along the basis, read once."""
+    E = WE.base
+    rows, den = over_lcd(E.num_den(p) for p in WE.pair_row(Y))
+    cols = tuple(zip(*rows))
+
+    def value(ell):
+        s = shriek_row(W, ell)
+        return E.from_num([sum(map(operator.mul, s.num, c)) for c in cols], s.den * den)
+
+    return value
+
+
+def iter_ell_candidates(J: CNS, E: QuotientAlgebra, eps, cap: int, seed: int):
     """Rows ell in A_F^2: first tr_{E/F}(ell_1 eps) for ell_1 over the
-    canonical basis of A_E^2 (the constructive recipe), then plain basis rows
-    and seeded random rows."""
+    stream of ``iter_search_rows`` over A_E (the constructive recipe), then
+    plain basis rows and seeded random rows.  The twist is read on
+    numerators (``_twist_matrix``): a prefix row of basis vectors maps to a
+    sum of at most two basis columns, a random row to its numerators times
+    the matrix."""
     JE = eps[0][0].J
-    tr_twist = map_by_columns(
-        lambda ell1: tuple(CnsElt(J, tuple(E.trace(c) for c in entry.coords))
-                           for entry in row_times_mat(ell1, eps)),
-        DirectSum(JE, JE), DirectSum(J, J))
-    yield from map(tr_twist, iter_search_rows(JE, max(8, cap // 4), seed))
+    rows, den = _twist_matrix(E, eps)
+    out = DirectSum(J, J)
+    # the columns at each slot's basis() in turn, and a zero column for index n
+    cols, bden = JE.basis_columns(rows, den)
+    n, zero = JE.dim, (0,) * len(rows)
+    first, second = cols[:n] + [zero], cols[n:] + [zero]
+    for i, j in _search_prefix(range(n), n):
+        yield out.from_num(tuple(map(operator.add, first[i], second[j])), bden)
+    num_den = DirectSum(JE, JE).num_den
+    for row in _search_tail(JE, max(8, cap // 4), seed):
+        num, d = num_den(row)
+        yield out.from_num(tuple(sum(map(operator.mul, num, r)) for r in rows), den * d)
     yield from iter_search_rows(J, cap, seed + 1)
 
 
@@ -237,14 +279,17 @@ def cube_to_balanced(J: CNS, v: WElt, cap: int = 200, seed: int = 0, ell=None):
     res.require("Omega = (D + R_r)/2 integral",
                 all(x.den == 1 for row in Omega for x in row))
 
-    def unit_beta(cand):
-        row = tuple(map(JE.extend, cand))
-        beta = WE.pair(shriek_row(WE, row), Xbar) * E.inv(omega * omega * omega)
-        return (cand, beta) if E.is_unit(beta) else None
+    pair_xbar = _shriek_pairing(W, WE, Xbar)
+
+    def unit_pairing(cand):
+        # beta = <ell!, Xbar> / w^3 is a unit iff <ell!, Xbar> is
+        val = pair_xbar(cand)
+        return (cand, val) if E.is_unit(val) else None
 
     candidates = [ell] if ell is not None else iter_ell_candidates(J, E, eps, cap, seed)
-    ell, beta = witness_search(candidates, skip_dead_rows(J, unit_beta),
-                               "ell search bound exceeded; raise cap")
+    ell, val = witness_search(candidates, skip_dead_rows(J, unit_pairing),
+                              "ell search bound exceeded; raise cap")
+    beta = val * E.inv(omega * omega * omega)
     b = row_times_mat(tuple(map(JE.extend, ell)), eps)
     ideal = IdealSA(ring, J, E, tuple(b), beta)
     res.data["ideal"] = ideal
@@ -432,13 +477,13 @@ def data_equivalent(i1, i2):
 # ---------------------------------------------------------------------------
 
 
-def lambda_value_set(J: CNS, WE: WSpace, X: WElt, cap: int = 60, seed: int = 0):
+def lambda_value_set(J: CNS, WE: WSpace, X: WElt, cap: int, seed: int):
     """Unit values <ell!, X> over rational rows ell, with the rows; all of
     them represent the same class in E^x / n(A_E^x)."""
-    JE = WE.J
+    pair_x = _shriek_pairing(WSpace(J), WE, X)
 
     def unit_value(ell):
-        val = WE.pair(shriek_row(WE, tuple(map(JE.extend, ell))), X)
+        val = pair_x(ell)
         return (ell, val) if WE.base.is_unit(val) else None
 
     return witness_search(iter_search_rows(J, cap, seed), skip_dead_rows(J, unit_value), limit=24)
@@ -460,9 +505,8 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
     rows = lambda_value_set(J, WE, X, cap, seed)
 
     def unit_value(eta):
-        eta_E = tuple(map(JE.extend, eta))
-        val = WE.pair(X, shriek_col(WE, eta_E))
-        return (eta_E, val) if E.is_unit(val) else None
+        val = WE.pair(X, WE.extend(shriek_col(v.W, eta)))
+        return (tuple(map(JE.extend, eta)), val) if E.is_unit(val) else None
 
     cols = witness_search(iter_search_rows(J, cap, seed + 1), skip_dead_rows(J, unit_value),
                           limit=24)
@@ -472,7 +516,7 @@ def field_invariant_b1(J: CNS, v: WElt, cap: int = 300, seed: int = 0) -> dict:
                                            lambda p: p, "witness search bound exceeded")
     exact = nu == lam
     ell_E = tuple(map(JE.extend, ell))
-    mu = WE.pair(shriek_row(WE, ell_E), Xbar)   # = conj(<ell!, X>) for rational ell
+    mu = WE.pair(WE.extend(shriek_row(v.W, ell)), Xbar)   # = conj(<ell!, X>) for rational ell
     ueta = u_apply(mat_map(JE.extend, r_of(v.W, v)), omega, eta)
     s, t = ell_E
     x_wit = JE.mul(s, ueta[1]) - JE.mul(t, ueta[0])

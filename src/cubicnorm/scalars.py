@@ -994,6 +994,17 @@ class CommAlgebra(CoordSpace):
     def trace(self, u: AlgElem):
         return self.base.from_num(self._trace_num(u.num), u.den * self.own_den)
 
+    def trace_rows(self, rows: Sequence[Sequence[int]]) -> list[list[int]]:
+        """own_den * tr of a matrix into coordinates over this algebra, on
+        numerators: each coordinate's run of flat_dim rows, as
+        ``Table.contract`` gives them, folded along the integer trace vector
+        into one row per numerator of the base."""
+        k = self.base.flat_dim()
+        m = self.dim * k
+        t = self._int_trace
+        return [[sum(map(operator.mul, col, t)) for col in zip(*rows[i + c:i + m:k])]
+                for i in range(0, len(rows), m) for c in range(k)]
+
     def is_unit(self, u: AlgElem) -> bool:
         return self.base.is_unit(self.norm(u))
 
@@ -1389,36 +1400,6 @@ def map_matrix(f, dom, cod) -> list[tuple[int, ...]]:
     j is the numerators of f(dom.flat_basis()[j]) over the columns' least
     common denominator.  Every solve and kernel over a structure reads it."""
     return list(zip(*_columns(f, dom, cod)))
-
-
-def map_by_columns(f, dom, cod):
-    """A Q-linear map f from dom to cod (spaces with ``num_den`` and
-    ``from_num``) read through its columns: x -> sum_i x_i f(e_i) along
-    dom's flat basis, each column f(e_i) computed on its first use and
-    kept.  The same values as f, at a few column sums an argument, for a
-    map applied to many sparse arguments, such as a search's candidates."""
-    cols = {}
-    zero = (0,) * cod.flat_dim()
-
-    def column(i):
-        col = cols.get(i)
-        if col is None:
-            e = dom.from_num((0,) * i + (1,) + (0,) * (dom.flat_dim() - 1 - i), 1)
-            col = cols[i] = cod.num_den(f(e))
-        return col
-
-    def apply(x):
-        num, den = dom.num_den(x)
-        out, d = zero, 1                    # sum_i x_i f(e_i) = out / d
-        for i, n in enumerate(num):
-            if n:
-                cn, cd = column(i)
-                g = math.gcd(d, cd)
-                out = [o * (cd // g) + n * c * (d // g) for o, c in zip(out, cn)]
-                d *= cd // g
-        return cod.from_num(out, den * d)
-
-    return apply
 
 
 def map_solve(f, dom, cod, y):

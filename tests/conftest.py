@@ -5,6 +5,7 @@ Everything is seeded; heights stay small so exact arithmetic stays fast.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -22,10 +23,10 @@ from cubicnorm.cns import (
     split_cubic_idempotents,
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
-from cubicnorm.freudenthal import HOperator, WSpace, h_apply
+from cubicnorm.freudenthal import HOperator, WSpace, h_apply, iter_search_rows
 from cubicnorm.lifting import QuotientTitsU
 from cubicnorm.matops import mat, row_times_mat, sum_prod
-from cubicnorm.scalars import kernel, over_lcd, row_over_lcd
+from cubicnorm.scalars import DirectSum, kernel, over_lcd, row_over_lcd
 
 
 @pytest.fixture
@@ -300,6 +301,52 @@ def w_eq(x, y):
 def w_is_zero(base, x):
     a, b, c, d = x
     return base.is_zero(a) and b.is_zero() and c.is_zero() and base.is_zero(d)
+
+
+# -- oracle: the ell search's twist ell_1 -> tr_{E/F}(ell_1 eps) -------------
+
+
+def map_by_columns(f, dom, cod):
+    """A Q-linear map f from dom to cod (spaces with ``num_den`` and
+    ``from_num``) read through its columns: x -> sum_i x_i f(e_i) along
+    dom's flat basis, each column f(e_i) computed on its first use and
+    kept."""
+    cols = {}
+    zero = (0,) * cod.flat_dim()
+
+    def column(i):
+        col = cols.get(i)
+        if col is None:
+            e = dom.from_num((0,) * i + (1,) + (0,) * (dom.flat_dim() - 1 - i), 1)
+            col = cols[i] = cod.num_den(f(e))
+        return col
+
+    def apply(x):
+        num, den = dom.num_den(x)
+        out, d = zero, 1                    # sum_i x_i f(e_i) = out / d
+        for i, n in enumerate(num):
+            if n:
+                cn, cd = column(i)
+                g = math.gcd(d, cd)
+                out = [o * (cd // g) + n * c * (d // g) for o, c in zip(out, cn)]
+                d *= cd // g
+        return cod.from_num(out, den * d)
+
+    return apply
+
+
+def ell_candidates_by_columns(J, E, eps, cap, seed=0):
+    """The stream of ``iter_ell_candidates`` off elements: tr_{E/F}(ell_1
+    eps) taken coordinate by coordinate of ``row_times_mat(ell_1, eps)``,
+    through ``map_by_columns``, for ell_1 over ``iter_search_rows`` over
+    A_E; then ``iter_search_rows`` over A_F."""
+    JE = eps[0][0].J
+    tr_twist = map_by_columns(
+        lambda ell1: tuple(CnsElt(J, tuple(E.trace(c) for c in entry.coords))
+                           for entry in row_times_mat(ell1, eps)),
+        DirectSum(JE, JE), DirectSum(J, J))
+    yield from map(tr_twist, iter_search_rows(JE, max(8, cap // 4), seed))
+    yield from iter_search_rows(J, cap, seed + 1)
 
 
 # -- oracle: t(v, v, x) by the product rule, branch by branch ---------------

@@ -53,7 +53,7 @@ from cubicnorm.freudenthal import (
     shriek_col,
     shriek_row,
 )
-from cubicnorm.freudenthal import _project  # test-only internal
+from cubicnorm.freudenthal import _project, _search_prefix, _search_tail  # test-only internals
 from cubicnorm.lifting import first_law, gan_savin_cns, utilde_cns
 from cubicnorm.matops import mat_inverse, mat_map, mat_mul, mat_neg, mat_times_col, row_times_mat
 from cubicnorm.presets import ASSOCIATIVE_SUITE, CNS_SUITE, cns_preset
@@ -240,12 +240,15 @@ def test_t_vv_matrix_matches_polarization_and_the_product_rule(rng):
 def test_columns_on_a_base_whose_unit_is_no_flat_basis_vector(rng):
     """A table structure's cross and pairing read by contraction equal the
     probes of ``CNS`` when 1 of the base is not a flat basis vector: Q with
-    e e = 2e (1 = e/2) and Q x Q on its idempotents (1 = e1 + e2)."""
+    e e = 2e (1 = e/2), Q x Q on its idempotents (1 = e1 + e2) and on
+    e1, e2/2 (1 = e1 + 2 e2)."""
     from cubicnorm.cns import CNS
     from cubicnorm.scalars import CommAlgebra
 
     bases = [CommAlgebra("Q/2", [[[2]]], unit_coords=(F(1, 2),)),
-             CommAlgebra("QxQ", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], unit_coords=(1, 1))]
+             CommAlgebra("QxQ", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], unit_coords=(1, 1)),
+             CommAlgebra("QxQ on (e1, e2/2)", [[[1, 0], [0, 0]], [[0, 0], [0, F(1, 2)]]],
+                         unit_coords=(1, 2))]
     for base in bases:
         for J in (Matrix3CNS(base), H3CNS(comp_preset("gaussian").base_change(base))):
             x = J.random(rng, 2, integral=False)
@@ -465,6 +468,54 @@ def test_shriek_examples(rng):
             Jx.norm(Jx.mul(s0, v0) - Jx.mul(t0, u0))
 
 
+def _full_shrieks(W):
+    """The shriek formulas with every norm, adjoint and product taken."""
+    J = W.J
+
+    def row(ell):
+        s, t = ell
+        return W.concat(J.norm(s), J.mul(J.adjoint(s), t), J.mul(J.adjoint(t), s), J.norm(t))
+
+    def col(eta):
+        u, v = eta
+        return W.concat(J.norm(u), J.mul(v, J.adjoint(u)), J.mul(u, J.adjoint(v)), J.norm(v))
+
+    return row, col
+
+
+@pytest.mark.parametrize("D", [None, 5], ids=["Q", "Q(sqrt5)"])
+def test_shrieks_of_a_zero_slot_take_no_norm_or_product_of_it(D, monkeypatch):
+    """(0, t)! = (0, 0, 0, n(t)), (s, 0)! = (n(s), 0, 0, 0) and (0, 0)! = 0
+    for rows and columns: equal to the full formulas, with no norm, adjoint
+    or product of a zero slot, over F and over E.  A row with both slots
+    nonzero still takes every term."""
+    rng = random.Random(32)
+    for J in associative_variants():
+        if D is not None:
+            J = J.base_change(quadratic_field(D))
+        W = WSpace(J)
+        full_row, full_col = _full_shrieks(W)
+        x, y, z = J.random(rng, 2, integral=False), J.random(rng, 2), J.zero()
+        pairs = [(z, y), (x, z), (z, z), (x, y), (y, x)]
+        want = [(full_row(p), full_col(p)) for p in pairs]
+        assert want[0][0] == W.concat(0, z, z, J.norm(y)) and want[1][0] == W.concat(J.norm(x), z, z, 0)
+        calls = []
+        for name in ("norm", "adjoint", "mul"):
+            def checked(*args, f=getattr(J, name), name=name):
+                assert all(args), f"{name} of a zero slot"
+                calls.append(name)
+                return f(*args)
+            monkeypatch.setattr(J, name, checked)
+        for p, (row, col) in zip(pairs[:3], want):
+            assert shriek_row(W, p) == row and shriek_col(W, p) == col, J.name
+        assert want[2] == (W.zero(), W.zero()) and calls == ["norm"] * 4, J.name
+        for p, (row, col) in zip(pairs[3:], want[3:]):
+            del calls[:]
+            assert shriek_row(W, p) == row and shriek_col(W, p) == col, J.name
+            assert sorted(calls) == ["adjoint"] * 4 + ["mul"] * 4 + ["norm"] * 4, J.name
+        monkeypatch.undo()
+
+
 def test_gl2_action(rng):
     for J in associative_variants():
         W = WSpace(J)
@@ -670,6 +721,16 @@ def test_dead_search_rows_need_both_shrieks_zero():
     flat = DirectSum(J, J).num_den((e, f))
     assert flat in zero_row and flat not in zero_col
     assert dead_search_rows(J) == zero_row & zero_col
+
+
+def test_search_rows_are_the_prefix_then_the_seeded_tail():
+    """iter_search_rows is the basis prefix, then ``_search_tail``'s draws,
+    the ones of seed 0 when no seed is given."""
+    J = cns_preset("fxq")
+    prefix = list(_search_prefix(J.basis(), J.zero()))
+    assert list(iter_search_rows(J, 2)) == prefix + list(_search_tail(J, 2, 0))
+    assert list(iter_search_rows(J, 2, 5)) == prefix + list(_search_tail(J, 2, 5))
+    assert list(_search_tail(J, 2, 0)) != list(_search_tail(J, 2, 5))
 
 
 @pytest.mark.parametrize("seed", [0, 5])

@@ -853,6 +853,23 @@ def test_utilde_adjoint_and_cross_skip_zero_blocks(D, seed, monkeypatch):
     assert [U.cross(x, y) for x in xs for y in xs] == [CNS.cross(U, x, y) for x in xs for y in xs]
 
 
+def test_utilde_norm_takes_no_norm_of_the_zero_block(monkeypatch):
+    """On the graph path every canonical ell0 is zero, and U.norm's shriek
+    of (0, ell1) takes no norm, product, cross or adjoint in B of a zero
+    block; the norm still satisfies (x, x#) = 3 N(x)."""
+    U = _quotient_u(-1, 0)
+    J, B = U.sk.J, U.sk.B
+    rng = random.Random(32)
+    xs = [U.random(rng, 2, integral=False) for _ in range(3)]
+    xs.append(U.join(J.random(rng, 2), (B.zero(), B.zero())))
+    assert not any(U.split(x)[1][0] for x in xs)
+    want = [U.pair(x, U.adjoint(x)) for x in xs]
+    _no_zero_factors(monkeypatch, B)
+    norm = B.norm
+    monkeypatch.setattr(B, "norm", lambda x: norm(x) if x else pytest.fail("n(0) in B"))
+    assert [U.norm(x) * 3 for x in xs] == want
+
+
 def test_utilde_equivariance(rng):
     A = ProductCNS(CompAlgebra(()))
     W = WSpace(A)

@@ -1,11 +1,17 @@
 """Rings, balanced ideals, round trips, equivariance, and field invariants."""
 
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import associative_variants, rand_nondeg_pair, rand_rank4
+from conftest import (
+    associative_variants,
+    ell_candidates_by_columns,
+    rand_nondeg_pair,
+    rand_rank4,
+)
 
 from cubicnorm.cns import (
     CnsElt,
@@ -17,9 +23,10 @@ from cubicnorm.cns import (
     split_cubic_algebra,
 )
 from cubicnorm.composition import CompAlgebra, CompElt, comp_preset
-from cubicnorm.freudenthal import WSpace, gl2_act, det6, m2_identity, m2_j2
+from cubicnorm.freudenthal import WSpace, gl2_act, det6, m2_identity, m2_j2, shriek_row
+from cubicnorm.lifting import first_law
 from cubicnorm.matops import mat_mul, mat_star
-from cubicnorm.presets import bhargava_pair
+from cubicnorm.presets import bhargava_pair, cns_preset
 from cubicnorm import rings_ideals
 from cubicnorm.rings_ideals import (
     IdealSA,
@@ -34,10 +41,12 @@ from cubicnorm.rings_ideals import (
     field_invariant_b1,
     field_invariant_b2,
     ideal_norm_sa,
+    iter_ell_candidates,
+    lambda_value_set,
     pair_to_balanced,
     quad_ring,
 )
-from cubicnorm.scalars import IdentityError, PreconditionError
+from cubicnorm.scalars import CommAlgebra, IdentityError, PreconditionError, quadratic_field
 
 
 def test_quad_ring():
@@ -94,6 +103,84 @@ def test_cube_to_balanced_reads_the_set_up_flat(rng, monkeypatch):
     A = TrivialCNS()
     with pytest.raises(IdentityError, match="integral parts"):
         cube_to_balanced(A, rand_integral_rank4(WSpace(A), rng))
+
+
+ASSOCIATIVE = ["trivial", "fxf", "etale-cubic", "fxq", "matrix3"]
+# Q(sqrt 5), Q(sqrt -3), the split Q[x]/(x^2 - 1), and Q x Q on the basis
+# 2e_1, 2e_2, whose 1 = (1/2, 1/2) is no flat basis vector
+TWIST_FIELDS = [5, -3, 1, "QxQ/2"]
+
+
+def _twist_field(D):
+    if D == "QxQ/2":
+        return CommAlgebra("QxQ on 2e_i", [[(2, 0), (0, 0)], [(0, 0), (0, 2)]],
+                           unit_coords=(F(1, 2), F(1, 2)))
+    return quadratic_field(D)
+
+
+def _random_eps(JE, rng):
+    """A 2 x 2 matrix over A_E with non-integral entries."""
+    while True:
+        eps = tuple(tuple(JE.random(rng, 2, integral=False) for _ in range(2)) for _ in range(2))
+        if all(x.den != 1 for row in eps for x in row):
+            return eps
+
+
+@pytest.mark.parametrize("D", TWIST_FIELDS)
+@pytest.mark.parametrize("name", ASSOCIATIVE)
+def test_ell_candidates_match_the_column_recipe(name, D):
+    """iter_ell_candidates, read on numerators off contracted product
+    tables, yields row for row what the recipe on elements does:
+    tr_{E/F}(ell_1 eps) for ell_1 over the prefix and the random tail of
+    the rows over A_E, then the rows over A_F, each slot in lowest terms."""
+    J, E = cns_preset(name), _twist_field(D)
+    JE = J.base_change(E)
+    rng = random.Random(f"{name}:{D}")
+    for seed in (0, 3):
+        eps = _random_eps(JE, rng)
+        got = list(iter_ell_candidates(J, E, eps, 8, seed))
+        want = list(ell_candidates_by_columns(J, E, eps, 8, seed))
+        prefix = 2 * J.dim + J.dim ** 2
+        assert len(got) == len(want) == 2 * (prefix + 24)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert [(x.J, x.num, x.den) for x in g] == [(x.J, x.num, x.den) for x in w], i
+        # the twisted tail is not the zero map on every row
+        assert any(not x.is_zero() for row in got[prefix:prefix + 24] for x in row)
+
+
+@pytest.mark.parametrize("D", TWIST_FIELDS)
+@pytest.mark.parametrize("name", ASSOCIATIVE)
+def test_shriek_pairing_takes_ell_shriek_over_the_ground_field(name, D):
+    """<ell!, Y> for a row over A_F, with ell! over F dotted with the row
+    <e_i, Y>, is the pairing over E of ell's shriek taken over E, on rows
+    with zero and non-integral slots and Y with non-integral coordinates."""
+    J, E = cns_preset(name), _twist_field(D)
+    W, WE = WSpace(J), WSpace(J.base_change(E))
+    rng = random.Random(f"pairing:{name}:{D}")
+    Y = WE.random(rng, 2, integral=False)
+    value = rings_ideals._shriek_pairing(W, WE, Y)
+    rows = [(J.random(rng, 2, integral=False), J.random(rng, 2)) for _ in range(4)]
+    rows += [(J.zero(), J.random(rng, 2)), (J.random(rng, 2, integral=False), J.zero())]
+    rows += [(e, J.zero()) for e in J.basis()]
+    for ell in rows:
+        assert value(ell) == WE.pair(shriek_row(WE, tuple(map(WE.J.extend, ell))), Y)
+
+
+def test_cube_beta_is_the_pairing_over_omega_cubed(rng):
+    """beta = <ell!, Xbar> / w^3 with ell! taken over E, for a searched row
+    and for a given one (three times it, so beta is 27 times as large)."""
+    for A in associative_variants():
+        W = WSpace(A)
+        v = rand_integral_rank4(W, rng, 1 if A.dim > 5 else 2)
+        _, searched, cert = cube_to_balanced(A, v)
+        ell = cert.data["ell"]
+        _, given, cert3 = cube_to_balanced(A, v, ell=(ell[0] * 3, ell[1] * 3))
+        assert given.beta == searched.beta * 27, A.name
+        for ideal, res in ((searched, cert), (given, cert3)):
+            WE, omega = res.data["space"], res.data["omega"]
+            ell_E = tuple(map(WE.J.extend, res.data["ell"]))
+            pairing = WE.pair(shriek_row(WE, ell_E), res.data["xbar"])
+            assert ideal.beta * (omega * omega * omega) == pairing, A.name
 
 
 def test_cube_identity_example(rng):
@@ -313,6 +400,21 @@ def test_pair_equivariance_m_only(rng):
         assert ideal2.beta == ideal.beta
 
 
+def test_lambda_value_set_pairs_ell_shriek_over_the_ground_field(rng):
+    """lambda_value_set returns 24 rows over A_F, more than the three prefix
+    rows of a one-dimensional J, each with the unit value <ell!, X> of ell's
+    shriek taken over E."""
+    J = TrivialCNS()
+    W = WSpace(J)
+    res = first_law(W, rand_rank4(W, rng))
+    WE, X = res.data["space"], res.lifted
+    got = lambda_value_set(J, WE, X, 60, 0)
+    assert len(got) == 24
+    for ell, val in got:
+        assert WE.base.is_unit(val)
+        assert val == WE.pair(shriek_row(WE, tuple(map(WE.J.extend, ell))), X)
+
+
 def test_field_invariant_b1(rng):
     for J in [ProductCNS(CompAlgebra(())), TrivialCNS(),
               ProductCNS(comp_preset("hamilton"))]:
@@ -323,6 +425,19 @@ def test_field_invariant_b1(rng):
         assert out["norm_class_witness"] is not None
     with pytest.raises(PreconditionError):
         field_invariant_b1(TrivialCNS(), WSpace(TrivialCNS()).zero())
+
+
+def test_field_invariant_b1_skips_non_unit_columns_over_a_split_e():
+    """Over the split E of q(v) = 4, most columns eta give a non-unit
+    <X, eta!> (zero or a zero divisor), which the column search skips;
+    among the 24 unit column values is the first row value, so lambda is
+    that value."""
+    J = ProductCNS(CompAlgebra(()))
+    W = WSpace(J)
+    v = W.elem(-1, [1, 1], [-1, -1], -1)
+    assert W.quartic(v) == 4
+    out = field_invariant_b1(J, v)
+    assert out["E"].is_unit(out["lambda"]) and out["lambda"] == out["value_set"][0]
 
 
 def test_field_invariant_b1_witness_off_an_exact_coincidence():

@@ -652,6 +652,21 @@ def test_cached_trace_matches_regular_matrix(rng):
                 assert u * alg.adjoint(u) == alg.from_scalar(alg.norm(u))
 
 
+def test_trace_rows_fold_each_coordinate_along_the_trace(rng):
+    """trace_rows of a matrix whose columns hold the numerators of two
+    elements each reads own_den * tr of every one, on numerators, over Q and
+    over Q(sqrt 7)."""
+    for alg in _trace_algebras():
+        n, k = alg.flat_dim(), alg.base.flat_dim()
+        cols = [[rng.randint(-9, 9) for _ in range(2 * n)] for _ in range(3)]
+        got = alg.trace_rows([list(r) for r in zip(*cols)])
+        assert len(got) == 2 * k
+        for j, col in enumerate(cols):
+            for s in range(2):
+                tr = alg.trace(alg.from_num(col[s * n:(s + 1) * n], 1)) * alg.own_den
+                assert alg.base.from_num([got[s * k + c][j] for c in range(k)], 1) == tr, alg
+
+
 # -- integers over one denominator, against the Fraction loop they replace ---
 
 
