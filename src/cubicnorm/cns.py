@@ -53,6 +53,7 @@ from .scalars import (
     rational_table,
     symmetrized,
     table_mul,
+    table_over,
 )
 
 
@@ -906,14 +907,6 @@ def cns_axioms_check(J: CNS, trials: int = 100, seed: int = 0,
 def tensor_cross(JT: CNS, JF: CNS, x: CnsElt, y: CnsElt) -> CnsElt:
     """x x_T y: the cross of J paired with the *cross of T* (not the product),
     i.e. (U (x) s) x_T (V (x) t) = (U x V) (x) (s x t), summed over the
-    components of x and y along the T-basis (``Vec.component``)."""
-    T = JT.base
-    xs, ys = ([z.component(JF, a) for a in range(T.dim)] for z in (x, y))
-    tb = T.basis()
-    out = JT.zero()
-    for a in range(T.dim):
-        for b in range(T.dim):
-            jc = JF.cross(xs[a], ys[b])
-            if jc:
-                out = out + JT.extend(jc) * T.cross(tb[a], tb[b])
-    return out
+    components of x and y along the T-basis: one kernel call on the record
+    of JF's cross table, over Q, with T's cross table."""
+    return table_over(JF._cross, JT.base._cubic_tables[1]).apply(JT, x, y)

@@ -17,8 +17,8 @@ through ``CoordSpace.mul`` as a quotient-algebra element does.  Conjugation
 negates the coordinates 1..n-1, and the norm is sum n_i a_i^2 with n_i the
 product of -gamma_l over the bits l of i.  The table depends on the chain
 alone, so it is built once per chain; over a base algebra the product runs
-on its Kronecker product with the base's table, built once per (chain,
-base) by ``scalars.flat_table``.
+on its record with the base's table, their Kronecker product with no cells
+of its own, once per (chain, base) by ``scalars.flat_table``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class CompElt(Vec):
 
 class CompAlgebra(CoordSpace):
     """A composition algebra over a base ring, from a Cayley-Dickson chain:
-    its product table ``_cells`` over ``table_den`` (``_multiply_by``) and its
+    its product table ``_table`` over ``table_den`` (``_multiply_by``) and its
     norm as a table into the base's coordinates over ``norm_den``, each the
     chain's table base-changed by ``flat_table``, and its norm weights."""
 

@@ -567,7 +567,7 @@ def dead_search_rows(J: CNS) -> frozenset:
     numerators and denominator ``DirectSum(J, J).num_den(row)``.  Such a
     row pairs to zero with every element on either side, so it is never a
     witness.  Decided once per structure, on first use, from the basis norms
-    and adjoints."""
+    and adjoints; ``dead_rows_by_key`` holds the rows themselves."""
     dead = getattr(J, "_dead_search_rows", None)
     if dead is None:
         basis = J.basis()
@@ -582,10 +582,19 @@ def dead_search_rows(J: CNS) -> frozenset:
                                         and J.mul(elems[j], adj[i]).is_zero())
 
         num_den = DirectSum(J, J).num_den
-        dead = J._dead_search_rows = frozenset(
-            num_den((elems[i], elems[j])) for i, j in _search_prefix(range(n), n)
-            if null[i] and null[j] and kills(i, j) and kills(j, i))
+        J._dead_rows = {num_den(row): row for row in (
+            (elems[i], elems[j]) for i, j in _search_prefix(range(n), n)
+            if null[i] and null[j] and kills(i, j) and kills(j, i))}
+        dead = J._dead_search_rows = frozenset(J._dead_rows)
     return dead
+
+
+def dead_rows_by_key(J: CNS) -> dict:
+    """The rows of ``dead_search_rows(J)``, each a pair of elements of J,
+    by their numerators and denominator: a stream that draws a dead row
+    as numerators yields it without building it."""
+    dead_search_rows(J)
+    return J._dead_rows
 
 
 def skip_dead_rows(J: CNS, test):

@@ -27,6 +27,7 @@ from .scalars import (
     Table,
     Vec,
     _reduced,
+    flat_table,
     map_solve,
     over_lcd,
     rational_table,
@@ -161,32 +162,10 @@ def _matrix_table(n: int, gammas: tuple) -> Table:
                            for p, q, k, c in terms), n * n * d)
 
 
-def _split(num, m: int) -> list:
-    """The numerators of each T-component x_a of x = sum_a x_a (x) t_a, for
-    m = dim T numerators per coordinate."""
-    return [num[a::m] for a in range(m)]
-
-
 def _join(parts) -> tuple:
-    """The inverse of ``_split``: sum_a parts[a] (x) t_a, on numerators."""
+    """sum_a parts[a] (x) t_a, on numerators: the inverse of reading each
+    T-component x_a of x = sum_a x_a (x) t_a off every m-th numerator."""
     return tuple(chain.from_iterable(zip(*parts)))
-
-
-def _along(T, xs, ys, prod, size: int) -> list:
-    """The numerators of each t_k of sum_ab prod(x_a, y_b) (x) t_a t_b, over
-    T.table_den, read off T's own cells, so no table over T is built; a
-    zero x_a or y_b is skipped."""
-    outs = [[0] * size for _ in range(T.dim)]
-    for xa, row in zip(xs, T._cells):
-        if not any(xa):
-            continue
-        for b, cell in row:
-            yb = ys[b]
-            if any(yb):
-                p = prod(xa, yb)
-                for k, c in cell:
-                    outs[k] = [o + c * v for o, v in zip(outs[k], p)]
-    return outs
 
 
 class MatrixSpace(CoordSpace):
@@ -194,13 +173,12 @@ class MatrixSpace(CoordSpace):
     algebra T over Q: n^2 C-blocks of flat integers over one denominator,
     entry (i, j) the block i n + j.
 
-    Over Q the product is one ``table_mul`` over ``_matrix_table``, on the
-    table itself, so that every space with its key counts down to and runs
-    one compiled kernel.  Over T the space holds no product table: each
-    pair brings its own T, and a table over T would be rebuilt per T.  A
-    product there goes along T's components, x y = sum_ab x_a y_b (x)
-    t_a t_b, each x_a y_b a product in ``ground``, the same space over Q;
-    a factor in ``ground`` is one component, x (x) 1."""
+    The product is one ``table_mul`` over ``_matrix_table``, over Q the
+    table itself and over T its record with T's table (``flat_table``),
+    which builds no cells: every space over a T of one shape shares its
+    kernel.  A factor in ``ground``, the same space over Q, is one
+    component, x (x) 1: its product with y = sum_a y_a (x) t_a is the m
+    ground products x y_a."""
 
     element = Vec
 
@@ -213,37 +191,28 @@ class MatrixSpace(CoordSpace):
                                  for p in range(comp.dim))
         if isinstance(self.base, RationalBase):
             self.ground = self
-            self._table = _matrix_table(n, comp.gammas)
-            self.table_den = self._table.den
         elif isinstance(self.base.base, RationalBase):
             self.ground = MatrixSpace(comp.base_change(QQ_BASE), n)
         else:
             raise DescriptorError(f"{self.name}: the base must be Q or an algebra over Q")
+        self._multiply_by(flat_table(_matrix_table(n, comp.gammas), self.base))
 
-    def _parts(self, x):
-        """x's T-components as numerators, or None for x in ``ground``."""
-        g = self.ground
-        return None if x.space is g or x.space == g else _split(x.num, self.base._n)
-
-    def mul_coords(self, a, b):
-        """The numerators of a b over table_den, over Q: one kernel call."""
-        return table_mul(self._table, a, b)
+    # the numerators of a b over table_den: one kernel call
+    mul_coords = table_mul
 
     def mul(self, x, y):
         """x y, each factor in this space or in ``ground``."""
         g = self.ground
-        if g is self:
+        if g is self or (x.space is self and y.space is self):
             return super().mul(x, y)
-        xs, ys = self._parts(x), self._parts(y)
-        den = x.den * y.den * g.table_den
-        if xs is None:
-            outs = [g.mul_coords(x.num, yb) for yb in ys]
-        elif ys is None:
-            outs = [g.mul_coords(xa, y.num) for xa in xs]
+        m = self.base._n
+        if x.space is g or x.space == g:
+            outs = [g.mul_coords(x.num, y.num[a::m]) for a in range(m)]
+        elif y.space is g or y.space == g:
+            outs = [g.mul_coords(x.num[a::m], y.num) for a in range(m)]
         else:
-            outs = _along(self.base, xs, ys, g.mul_coords, g._n)
-            den *= self.base.table_den
-        return _reduced(self, _join(outs), den)
+            return super().mul(x, y)
+        return _reduced(self, _join(outs), x.den * y.den * g.table_den)
 
     def from_components(self, parts):
         """sum_a parts[a] (x) t_a for elements of ``ground``, the inverse of

@@ -29,6 +29,7 @@ from .freudenthal import (
     WSpace,
     _search_prefix,
     _search_tail,
+    dead_rows_by_key,
     det6,
     iter_search_rows,
     m2_scalar,
@@ -240,17 +241,25 @@ def iter_ell_candidates(J: CNS, E: QuotientAlgebra, eps, cap: int, seed: int):
     the matrix."""
     JE = eps[0][0].J
     rows, den = _twist_matrix(E, eps)
-    out = DirectSum(J, J)
+    out, dead = DirectSum(J, J), dead_rows_by_key(J)
+
+    def row(num, d):
+        # most twisted rows are dead: in lowest terms, the form dead rows are
+        # kept in, one is looked up, not built
+        g = math.gcd(d, *num)
+        dead_row = dead.get((tuple(x // g for x in num), d // g))
+        return out.from_num(num, d) if dead_row is None else dead_row
+
     # the columns at each slot's basis() in turn, and a zero column for index n
     cols, bden = JE.basis_columns(rows, den)
     n, zero = JE.dim, (0,) * len(rows)
     first, second = cols[:n] + [zero], cols[n:] + [zero]
     for i, j in _search_prefix(range(n), n):
-        yield out.from_num(tuple(map(operator.add, first[i], second[j])), bden)
+        yield row(tuple(map(operator.add, first[i], second[j])), bden)
     num_den = DirectSum(JE, JE).num_den
-    for row in _search_tail(JE, max(8, cap // 4), seed):
-        num, d = num_den(row)
-        yield out.from_num(tuple(sum(map(operator.mul, num, r)) for r in rows), den * d)
+    for r in _search_tail(JE, max(8, cap // 4), seed):
+        num, d = num_den(r)
+        yield row(tuple(sum(map(operator.mul, num, c)) for c in rows), den * d)
     yield from iter_search_rows(J, cap, seed + 1)
 
 

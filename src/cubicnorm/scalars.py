@@ -7,7 +7,8 @@ commutative Q-algebra given by structure constants.  A rational scalar is an
 point appears anywhere, and a float offered as a scalar is refused.  Every
 element of every structure is a ``Vec``: on every base, integers along its
 Q-flattened coordinates over one denominator, with one element arithmetic
-on the numerators and one product kernel over Kronecker product tables.
+on the numerators and one product kernel over tables over Q and their
+records over a base.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 import math
 import operator
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property
 from itertools import accumulate, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -32,11 +34,14 @@ THIRD = Fraction(1, 3)
 
 # A table's products run through the loop of ``table_mul`` until its
 # COMPILE_AT-th, which compiles the table into a straight-line kernel that
-# serves every later product.  A compile costs 0.3-46 ms and saves 1.5-510 us
+# serves every later product.  A table over a base counts on its (ground
+# table, base shape) key instead: every Q(sqrt D), or every cubic ring, over
+# which one ground table is taken counts one countdown down and shares the
+# one kernel (see TableOver).  A compile costs 0.3-46 ms and saves 1.5-510 us
 # a product (timeit on dense operands, Python 3.11, from a quadratic field's
 # product to H_3 over the octonions' cross over a cubic ring), so it pays
-# back after 60-320 products; a table that serves fewer than COMPILE_AT, as
-# most tables of a one-shot command do, never pays for one.
+# back after 60-320 products; a key that serves fewer than COMPILE_AT, as
+# most keys of a one-shot command do, never pays for one.
 COMPILE_AT = 256
 
 
@@ -198,10 +203,10 @@ def rational_sqrt(x: Scalar) -> Optional[Scalar]:
 # extends coefficient-wise under base change.  A base scalar is held, like
 # every element, as integers along its Q-flattened coordinates over one
 # denominator: ``num_den`` reads them off a scalar and ``from_num`` builds the
-# scalar from them.  A base also has a product table on those integers
-# (``_cells`` over ``table_den``) for the Kronecker tables of the structures
-# over it, and its zero, and only its zero, is falsy (``is_zero`` is
-# ``operator.not_``).
+# scalar from them.  A base algebra also has a product table on those
+# integers (``_table`` over ``table_den``), which the tables of the
+# structures over it are recorded with (``TableOver``), and its zero, and
+# only its zero, is falsy (``is_zero`` is ``operator.not_``).
 # ---------------------------------------------------------------------------
 
 
@@ -220,8 +225,6 @@ class RationalBase:
     name = "QQ"
     # the bottom of every tower: Q lies over no base
     base = None
-    # the product of Q as a table on one coordinate
-    _cells = (((0, ((0, 1),)),),)
     _n = 1
     table_den = 1
 
@@ -535,8 +538,8 @@ class CoordSpace:
 
     unit_coords: Optional[tuple] = None
     random_height = 3
-    # table_mul's state on a structure that multiplies by a table (see Table)
-    _cold = COMPILE_AT - 1
+    # the kernel of a structure that multiplies by a table, once it is hot
+    # (see table_mul)
     _kernel = None
 
     @cached_property
@@ -584,8 +587,9 @@ class CoordSpace:
 
     def scale_coords(self, num: Sequence[int], s: Sequence[int]) -> tuple:
         """x s over table_den, on the numerators of x over this space and of
-        s in it: one kernel call."""
-        return table_mul(_scale_table(len(num) // self._n, self), num, s)
+        s in it: one kernel call, on the record of the identity on x's
+        coordinates with this space's table."""
+        return table_mul(table_over(_identity(len(num) // self._n), self._table), num, s)
 
     def from_scalar(self, s):
         """s * 1 for a base scalar s (or an int or a Fraction)."""
@@ -642,13 +646,11 @@ class CoordSpace:
             raise DescriptorError(f"{self.name}: parts fill {len(num)} of {self._n} numerators")
         return _reduced(self, num, den, False)
 
-    def _multiply_by(self, t: "Table") -> None:
+    def _multiply_by(self, t) -> None:
         """Make t, a table over Q base changed to this space's base, the
-        product: ``_cells`` over ``table_den``, run by t's kernel from the
-        first product when t already has one."""
-        self._table, self._cells, self.table_den = t, t._cells, t.den
-        if t._kernel is not None:
-            self._cold, self._kernel = 0, t._kernel
+        product over ``table_den``, run by t's kernel from the first product
+        when t already has one."""
+        self._table, self.table_den, self._kernel = t, t.den, t._kernel
 
     def mul(self, x, y):
         """The one table product: ``mul_coords`` on the numerators, over
@@ -734,51 +736,88 @@ def _combine(space, op, x: Vec, y: Vec) -> Vec:
 
 
 def table_mul(space, a, b):
-    """The one product kernel: sum a_i b_j c e_k over ``space._cells``, whose
-    row i holds the pairs (j, ((k, c), ...)) of its nonzero cells, into
-    ``space._n`` numerators, skipping zero numerators.  It is every table
-    structure's ``mul_coords`` and every base algebra's ``scale_coords``.
+    """The one product kernel: sum a_i b_j c e_k over the cells of
+    ``space``'s table, into ``space._n`` numerators.  ``space`` is a
+    ``Table``, a ``TableOver`` or a structure that multiplies by one (its
+    ``_table``).  It is every table structure's ``mul_coords`` and every
+    base algebra's ``scale_coords``.
 
-    ``space`` counts its products down in ``_cold``; from the COMPILE_AT-th
-    on they run through its compiled kernel (``_compiled``), which computes
-    the same integers."""
-    cold = space._cold
-    if not cold:
-        return (space._kernel or _compiled(space))(a, b)
-    space._cold = cold - 1
-    out = [0] * space._n
-    for ai, row in zip(a, space._cells):
-        if not ai:
-            continue
-        for j, cell in row:
-            bj = b[j]
-            if not bj:
-                continue
-            prod = ai * bj
-            for k, c in cell:
-                if c == 1:
-                    out[k] += prod
-                elif c == -1:
-                    out[k] -= prod
-                else:
-                    out[k] += prod * c
-    return tuple(out)
+    Until its table's kernel compiles (``_warm``), a product runs the
+    table's loop, which skips zero numerators; from then on the compiled
+    kernel, which computes the same integers, kept on ``space``."""
+    kernel = space._kernel
+    if kernel is None:
+        t = space._table
+        kernel = t._kernel or t._warm()
+        if kernel is None:
+            return t._loop(a, b)
+        space._kernel = kernel
+    return kernel(a, b)
+
+
+def _run(source: str, name: str, **names) -> Callable:
+    """The function ``name`` defined by generated ``source``, run in a
+    namespace with no builtins and only ``names``."""
+    namespace = {"__builtins__": {}, **names}
+    exec(compile(source, "<table_mul kernel>", "exec"), namespace)
+    return namespace[name]
 
 
 @dataclass(eq=False, slots=True, weakref_slot=True)
 class Table:
-    """The one table record: the rows ``_cells`` that ``table_mul`` runs
-    into ``_n`` numerators, over the denominator ``den``, and its state in
-    ``table_mul``: the products left to the loop (``_cold``) and the
-    compiled kernel, which every structure that multiplies by the table
-    shares (``CoordSpace._multiply_by``) and which dies with the table.
-    A table is equal only to itself: each is built once per key."""
+    """The one table record over Q: the rows ``_cells`` that ``table_mul``
+    runs into ``_n`` numerators, over the denominator ``den``, and its
+    state in ``table_mul``: the products left to the loop (``_cold``) and
+    the compiled kernel, which every structure that multiplies by the
+    table shares (``CoordSpace._multiply_by``) and which dies with the
+    table.  ``_kernels`` holds the kernel of each base shape the table is
+    base changed to, ``_as_base`` what the tables over this one as a base
+    read off it (``table_over``).  A table is equal only to itself: each
+    is built once per key."""
 
     _cells: tuple
     _n: int
     den: int
     _cold: int = COMPILE_AT - 1
     _kernel: Optional[Callable] = None
+    _kernels: dict = field(default_factory=dict)
+    _as_base: Optional[tuple] = None
+
+    @property
+    def _table(self) -> "Table":
+        return self
+
+    def _warm(self) -> Optional[Callable]:
+        """Count one cold product down; on the COMPILE_AT-th, compile the
+        kernel and keep it.  The kernel, or None while the table is cold."""
+        if self._cold:
+            self._cold -= 1
+            return None
+        return self._compile()
+
+    def _compile(self) -> Callable:
+        self._kernel = _run(_kernel_source(self._cells, self._n), "kernel")
+        return self._kernel
+
+    def _loop(self, a, b) -> tuple:
+        """``table_mul`` before the kernel: the cells run one by one."""
+        out = [0] * self._n
+        for ai, row in zip(a, self._cells):
+            if not ai:
+                continue
+            for j, cell in row:
+                bj = b[j]
+                if not bj:
+                    continue
+                prod = ai * bj
+                for k, c in cell:
+                    if c == 1:
+                        out[k] += prod
+                    elif c == -1:
+                        out[k] -= prod
+                    else:
+                        out[k] += prod * c
+        return tuple(out)
 
     def apply(self, space, x, y):
         """t(x, y) in ``space``, a structure or a base: one kernel call."""
@@ -789,34 +828,217 @@ class Table:
         x.den * den: its rows M[k][i] = sum_j x_j c_ijk, in one pass over the
         cells, with no kernel and no probe.  y has as many numerators as the
         table has rows, as for every cross, pairing and product table."""
-        m = [[0] * len(self._cells) for _ in range(self._n)]
-        xs = x.num
-        for i, row in enumerate(self._cells):
+        return _contract(self._cells, self._n, x.num)
+
+
+def _contract(cells: tuple, n: int, xs) -> list[list[int]]:
+    """``Table.contract`` on the cells into n numerators and x's numerators."""
+    m = [[0] * len(cells) for _ in range(n)]
+    for i, row in enumerate(cells):
+        for j, cell in row:
+            xj = xs[j]
+            if xj:
+                for k, c in cell:
+                    m[k][i] += xj * c
+    return m
+
+
+class _Shared:
+    """The kernel of one (ground table, base shape) key: its countdown and,
+    once compiled, ``make``, which binds a base's constants into a kernel.
+    Every table over a base of that shape shares it."""
+
+    __slots__ = ("shape", "cold", "make")
+
+    def __init__(self, shape: tuple):
+        self.shape, self.cold, self.make = shape, COMPILE_AT - 1, None
+
+
+class TableOver:
+    """A table over Q base changed to a base: the record of the ``ground``
+    table and the base's own product table, their Kronecker product (Van
+    Loan, "The ubiquitous Kronecker product", 2000) on numerators i m + s
+    for a ground index i and a base index s < m, over the product of the
+    two dens.  Built once per (ground, base table) by ``table_over``.
+
+    It holds no cells.  Its kernel is generated once per (ground table,
+    base shape) key and shared, with its countdown, by every base of that
+    shape: the base's cell positions with constants +-1 inlined and the
+    others, such as D of Q(sqrt D) or the a, b, c, d of a cubic ring, bound
+    as arguments (a kernel specialized to a shape, Futamura 1971;
+    ``_as_base`` says which).  Until the key compiles, ``_loop`` runs the
+    ground cells against the base cells ``_bcells``."""
+
+    __slots__ = ("ground", "_n", "den", "_m", "_bcells", "_args", "_shared", "_kernel",
+                 "_as_base")
+
+    def __init__(self, ground: Table, base):
+        self.ground = ground
+        self._m = m = base._n
+        self._n, self.den = ground._n * m, ground.den * base.den
+        self._bcells, shape, self._args, _ = _as_base(base)
+        shared = ground._kernels.get(shape)
+        if shared is None:
+            shared = ground._kernels[shape] = _Shared(shape)
+        self._shared, self._kernel, self._as_base = shared, None, None
+
+    @property
+    def _table(self) -> "TableOver":
+        return self
+
+    def _warm(self) -> Optional[Callable]:
+        """Count one cold product of the key down; on its COMPILE_AT-th,
+        compile the key's kernel.  Once the key has one, bind this base's
+        constants into it and keep the result; None while the key is cold."""
+        shared = self._shared
+        if shared.make is None:
+            if shared.cold:
+                shared.cold -= 1
+                return None
+            g, shape = self.ground, shared.shape
+            sliced = _terms(g._cells) * sum(map(len, shape)) > _FUSED
+            shared.make = _run(_kernel_source(g._cells, g._n, shape, sliced), "make",
+                               g=(g._kernel or g._compile()) if sliced else None)
+        self._kernel = shared.make(*self._args)
+        return self._kernel
+
+    def _loop(self, a, b) -> tuple:
+        """``table_mul`` before the key's kernel, in the kernel's order: per
+        base cell (s, t) -> (u, c), the ground cells run on the runs a_s and
+        b_t of numerators along base index s and t, skipping zero
+        numerators, and their sum goes c times into the outputs k m + u."""
+        m, cells, n = self._m, self.ground._cells, self.ground._n
+        out = [0] * self._n
+        bs = [b[t::m] for t in range(m)]
+        for s, brow in enumerate(self._bcells):
+            a_s = a[s::m]
+            if not any(a_s):
+                continue
+            for t, bcell in brow:
+                b_t, p = bs[t], [0] * n
+                for ai, row in zip(a_s, cells):
+                    if ai:
+                        for j, cell in row:
+                            bj = b_t[j]
+                            if bj:
+                                prod = ai * bj
+                                for k, c in cell:
+                                    p[k] += prod * c
+                for u, c in bcell:
+                    for k, pk in enumerate(p):
+                        if pk:
+                            out[k * m + u] += c * pk
+        return tuple(out)
+
+    apply = Table.apply
+
+    def contract(self, x) -> list[list[int]]:
+        """``Table.contract``: M[k m + u][i m + s] = sum_jt x_(j m + t)
+        c_ijk d_stu.  Per nonzero run x_j of m numerators, the base's own
+        contraction with it, added as a block at each ground cell
+        (i, j) -> (k, c)."""
+        m, xs, cells = self._m, x.num, self.ground._cells
+        blocks = {}
+        for j in range(len(xs) // m):
+            xj = xs[j * m:(j + 1) * m]
+            if any(xj):
+                blocks[j] = _contract(self._bcells, m, xj)
+        out = [[0] * (len(cells) * m) for _ in range(self._n)]
+        for i, row in enumerate(cells):
+            at = i * m
             for j, cell in row:
-                xj = xs[j]
-                if xj:
-                    for k, c in cell:
-                        m[k][i] += xj * c
-        return m
+                block = blocks.get(j)
+                if block is None:
+                    continue
+                for k, c in cell:
+                    for u, src in enumerate(block):
+                        dst = out[k * m + u]
+                        for s, v in enumerate(src):
+                            if v:
+                                dst[at + s] += c * v
+        return out
 
 
-def _compiled(owner) -> Callable:
-    """The kernel of ``owner``, a Table or a structure that multiplies by one
-    (its ``_table``), on its COMPILE_AT-th product: compiled once per Table,
-    kept on it and on ``owner``."""
-    table = owner if isinstance(owner, Table) else owner._table
-    if table._kernel is None:
-        namespace = {"__builtins__": {}}
-        exec(compile(_kernel_source(table._cells, table._n), "<table_mul kernel>", "exec"),
-             namespace)
-        table._kernel, table._cold = namespace.pop("kernel"), 0
-    owner._kernel = table._kernel
-    return owner._kernel
+def table_over(ground: Table, base) -> TableOver:
+    """The record of ``ground`` over the base table ``base`` (a ``Table``,
+    or a ``TableOver`` for a tower), built once per pair and kept on
+    ``base``: every structure over one base shares it and its kernel."""
+    records = _as_base(base)[3]
+    t = records.get(ground)
+    if t is None:
+        t = records[ground] = TableOver(ground, base)
+    return t
+
+
+def _cells_of(t) -> tuple:
+    """The cells of t: a table's own, or a tower's Kronecker product of its
+    ground's and its base's, read off once for a base's loop and shape."""
+    if isinstance(t, Table):
+        return t._cells
+    m = t._m
+    return tuple(tuple((j * m + v, tuple((k * m + u, c * cc) for k, c in cell for u, cc in bcell))
+                       for j, cell in row for v, bcell in brow)
+                 for row in t.ground._cells for brow in t._bcells)
+
+
+def _as_base(t) -> tuple:
+    """What the tables over t read off t as their base, once per t: its
+    cells; its shape; the kernels' arguments; and the records over t
+    (``table_over``).
+
+    The shape keeps the base's cells with each constant +-1 inlined and
+    every other one an argument, in order, except past the first row and
+    column (the products with e_0, the unit of every base algebra here) of
+    a base of dimension over 2.  There every cell (s, t) -> (u, c) is in
+    the shape for every u, its constant an argument, zero included: so the
+    a, b, c, d of a cubic ring, +-1, zero or not, never split a shape, and
+    every cubic ring over Q with its unit e_0 and integral constants
+    shares one.  A quadratic base keeps its +-1: Q(i) and the split
+    Q[x]/(x^2 - 1) get their own shapes, and every other Q(sqrt D) shares
+    one, D its argument."""
+    if t._as_base is None:
+        cells, args = _cells_of(t), []
+
+        def mark(c):
+            if c == 1 or c == -1:
+                return c
+            args.append(c)
+            return None
+
+        def arg(c):
+            args.append(c)
+            return None
+
+        m, shape = len(cells), []
+        for s, row in enumerate(cells):
+            dense, at = s and m > 2, dict(row)
+            cols = [(j, tuple((k, mark(c)) for k, c in cell)) for j, cell in row
+                    if not (dense and j)]
+            if dense:
+                cols += [(j, tuple((k, arg(dict(at.get(j, ())).get(k, 0))) for k in range(m)))
+                         for j in range(1, m)]
+            shape.append(tuple(cols))
+        t._as_base = (cells, tuple(shape), tuple(args), {})
+    return t._as_base
 
 
 # the most terms one sum of a kernel chains: the compiler recurses once per
 # term of a chain, and gives up near 3,000
 _RUN = 100
+
+# the most ground terms times base cells (s, t) a kernel over a base runs in
+# one straight line; past it the kernel calls the ground's own kernel once
+# per base cell.  Compiling takes about 1.4 KiB per term at its peak, which
+# stays in the process's peak RSS: M_3 over the Hamilton quaternions over a
+# cubic ring, 3,888 terms, peaks at 5.3 MiB in one line against 0.8 MiB by
+# calls, which run 11 % slower (H_3's cross there, 1,242 terms: 1.7 against
+# 0.4 MiB, 14 % slower; the matrix3 sharp over Q(i), 72 terms, runs 90 %
+# slower by calls).  Python 3.11, tracemalloc and timeit.
+_FUSED = 1024
+
+
+def _terms(cells: tuple) -> int:
+    return sum(len(cell) for row in cells for _, cell in row)
 
 
 def _sum(terms: list) -> str:
@@ -836,14 +1058,11 @@ def _signed(c: int, text: str) -> tuple[str, str]:
     return ("+" if c > 0 else "-"), f"{abs(c):#x}*{text}"
 
 
-def _kernel_source(cells: tuple, n: int) -> str:
-    """``table_mul`` on ``cells`` into n numerators as the source of one
-    straight-line function ``kernel(a, b)``: a unpacked into locals, each
-    b_j it reads bound once, and per output k one expression
-    sum_i a_i (sum_j c b_j).  Only int indices and int constants are
-    formatted into it: any other cell raises DescriptorError before a line
-    is built."""
-    by_out = [{} for _ in range(n)]        # k -> i -> [(j, c)]
+def _by_out(cells: tuple, n: int) -> list[dict]:
+    """For each of n outputs k, its terms i -> [(j, c)] off the cells, which
+    must hold int index pairs and int constants: any other cell raises
+    DescriptorError before a line of source is built."""
+    by_out = [{} for _ in range(n)]
     for i, row in enumerate(cells):
         for j, cell in row:
             for k, c in cell:
@@ -852,20 +1071,94 @@ def _kernel_source(cells: tuple, n: int) -> str:
                     raise DescriptorError(f"table cell ({i}, {j!r}) -> ({k!r}, {c!r}) is not "
                                           f"an int index pair and an int constant")
                 by_out[k].setdefault(i, []).append((j, c))
-    outs, used = [], set()
-    for terms in by_out:
-        parts = []
-        for i, jcs in terms.items():
-            used.update(j for j, _ in jcs)
-            inner = [_signed(c, f"b{j}") for j, c in jcs]
-            parts.append((inner[0][0], f"a{i}*{inner[0][1]}") if len(inner) == 1
-                         else ("+", f"a{i}*({_sum(inner)})"))
-        outs.append(_sum(parts) if parts else "0")
-    lines = ["def kernel(a, b):"]
-    if cells:
-        lines.append("    " + "".join(f"a{i}, " for i in range(len(cells))) + "= a")
-    lines += [f"    b{j} = b[{j}]" for j in sorted(used)]
-    lines.append("    return (" + "".join(f"{e}, " for e in outs) + ")")
+    return by_out
+
+
+def _product_sum(terms: dict, a: Callable, b: Callable, used: set) -> str:
+    """sum_i a(i) (sum_j c b(j)) for the terms i -> [(j, c)] of one output,
+    recording each b index it reads in ``used``."""
+    parts = []
+    for i, jcs in terms.items():
+        used.update(j for j, _ in jcs)
+        inner = [_signed(c, b(j)) for j, c in jcs]
+        parts.append((inner[0][0], f"{a(i)}*{inner[0][1]}") if len(inner) == 1
+                     else ("+", f"{a(i)}*({_sum(inner)})"))
+    return _sum(parts) if parts else "0"
+
+
+def _kernel_source(cells: tuple, n: int, shape: Optional[tuple] = None,
+                   sliced: bool = False) -> str:
+    """``table_mul`` on ``cells`` into n numerators as the source of one
+    straight-line function ``kernel(a, b)``: a unpacked into locals, each
+    b_j it reads bound once, and per output k one expression
+    sum_i a_i (sum_j c b_j).
+
+    With a base ``shape`` (see ``TableOver``) it is the source of
+    ``make(c0, c1, ...)``, which binds the base's other constants and
+    returns the kernel over a base of that shape: per base cell (s, t) and
+    ground output k, the ground sub-product p_s_t_k of the runs a_s and b_t
+    of numerators along base index s and t, once; then per output k m + u
+    the sum of c p_s_t_k over the base's cells (s, t) -> (u, c), a
+    sub-product that one base cell alone reads written in line.  ``sliced``
+    takes each run's sub-products by one call of the ground's kernel ``g``,
+    a name of the namespace, instead of in line (see ``_FUSED``).  Only int
+    indices and int constants are formatted into it."""
+    by_out = _by_out(cells, n)
+    if shape is None:
+        used = set()
+        outs = [_product_sum(terms, "a{}".format, "b{}".format, used) for terms in by_out]
+        lines = ["def kernel(a, b):"]
+        if cells:
+            lines.append("    " + "".join(f"a{i}, " for i in range(len(cells))) + "= a")
+        lines += [f"    b{j} = b[{j}]" for j in sorted(used)]
+        lines.append("    return (" + "".join(f"{e}, " for e in outs) + ")")
+        return "\n".join(lines) + "\n"
+    m = len(shape)
+    marks, nargs = [], 0      # per base cell (s, t) -> (u, mark): (s, t, u, signed term text)
+    for s, row in enumerate(shape):
+        for t, cell in row:
+            for u, mark in cell:
+                if not (type(t) is int and type(u) is int and 0 <= t < m and 0 <= u < m
+                        and (mark is None or type(mark) is int and mark in (1, -1))):
+                    raise DescriptorError(f"base cell ({s}, {t!r}) -> ({u!r}, {mark!r}) is not "
+                                          f"an int index pair and +-1 or an argument")
+                if mark is None:
+                    marks.append((s, t, u, "+", f"c{nargs}*"))
+                    nargs += 1
+                else:
+                    marks.append((s, t, u, "+" if mark == 1 else "-", ""))
+    lines = ["def make(" + "".join(f"c{r}, " for r in range(nargs)) + "):",
+             "    def kernel(a, b):"]
+    pairs = {}
+    for s, t, *_ in marks:
+        pairs[s, t] = pairs.get((s, t), 0) + 1
+    # a sub-product is a local, or in line where one base cell reads it
+    sub = {(s, t, k): f"p{s}_{t}_{k}" for s, t in pairs for k in range(n)}
+    if sliced:
+        lines += ["        " + "".join(f"p{s}_{t}_{k}, " if terms else "_, "
+                                       for k, terms in enumerate(by_out))
+                  + f"= g(a[{s}::{m}], b[{t}::{m}])" for s, t in pairs]
+    else:
+        if cells:
+            lines.append("        " + "".join(f"a{i}_{s}, " for i in range(len(cells))
+                                              for s in range(m)) + "= a")
+        used, body = set(), []
+        for (s, t), uses in pairs.items():
+            bs = set()
+            for k, terms in enumerate(by_out):
+                if terms:
+                    text = _product_sum(terms, f"a{{}}_{s}".format, f"b{{}}_{t}".format, bs)
+                    if uses == 1:
+                        sub[s, t, k] = f"({text})"
+                    else:
+                        body.append(f"        p{s}_{t}_{k} = {text}")
+            used.update((j, t) for j in bs)
+        lines += [f"        b{j}_{t} = b[{j * m + t}]" for j, t in sorted(used)] + body
+    outs = [_sum([(sign, f"{c}{sub[s, t, k]}") for s, t, v, sign, c in marks if v == u])
+            if terms and any(v == u for _, _, v, _, _ in marks) else "0"
+            for k, terms in enumerate(by_out) for u in range(m)]
+    lines.append("        return (" + "".join(f"{e}, " for e in outs) + ")")
+    lines.append("    return kernel")
     return "\n".join(lines) + "\n"
 
 
@@ -883,21 +1176,11 @@ def rational_table(terms, n: int, out: Optional[int] = None) -> Table:
                  n if out is None else out, den)
 
 
-def flat_table(t: Table, base) -> Table:
-    """A table over Q base changed to ``base``: its Kronecker product with
-    the base's table, over t.den * base.table_den, on Q-flattened
-    numerators.  Built once per (table, base) and shared; over Q it is t."""
-    return t if isinstance(base, RationalBase) else _kronecker(t, base)
-
-
-@lru_cache(maxsize=8)
-def _kronecker(t: Table, base) -> Table:
-    bc, m = base._cells, base._n
-    cells = tuple(
-        tuple((j * m + b, tuple((k * m + kk, c * cc) for k, c in cell for kk, cc in bcell))
-              for j, cell in row for b, bcell in brow)
-        for row in t._cells for brow in bc)
-    return Table(cells, t._n * m, t.den * base.table_den)
+def flat_table(t: Table, base):
+    """A table over Q base changed to ``base``: over Q t itself, otherwise
+    the record of t and the base's table (``table_over``), which builds no
+    cells."""
+    return t if isinstance(base, RationalBase) else table_over(t, base._table)
 
 
 def symmetrized(t: Table) -> Table:
@@ -907,14 +1190,11 @@ def symmetrized(t: Table) -> Table:
     return Table(rows._cells, t._n, t.den)
 
 
-@lru_cache(maxsize=8)
-def _scale_table(dim: int, base) -> Table:
-    """The table of x s for x with ``dim`` coordinates over ``base`` and s in
-    it: the base's product on each coordinate's run of numerators."""
-    bc, m = base._cells, base._n
-    cells = tuple(tuple((b, tuple((i * m + k, c) for k, c in cell)) for b, cell in brow)
-                  for i in range(dim) for brow in bc)
-    return Table(cells, dim * m, base.table_den)
+@cache
+def _identity(dim: int) -> Table:
+    """x -> x s on ``dim`` coordinates and one scalar, over Q: base changed,
+    the product of each coordinate's run of numerators with s."""
+    return rational_table(((i, 0, i, 1) for i in range(dim)), dim)
 
 
 class CommAlgebra(CoordSpace):
@@ -922,8 +1202,8 @@ class CommAlgebra(CoordSpace):
     structure constants.
 
     ``table[i][j]`` holds the coordinates of e_i * e_j, rationals, kept as
-    integers over ``own_den``; their Kronecker product with the base's
-    table (``flat_table``) is the product on numerators.  Every formula
+    integers over ``own_den``; their record with the base's table
+    (``flat_table``) is the product on numerators.  Every formula
     works on an element's ``num`` over its ``den`` and ends in one exact
     division: ``_reduced`` for an element, the base's ``from_num`` for a
     base scalar.  The norm comes from the regular representation; the
@@ -1071,38 +1351,52 @@ class CommAlgebra(CoordSpace):
         return f"CommAlgebra({self.name}, dim={self.dim}, base={self.base!r})"
 
 
-# the tables of the algebras a run keeps rebuilding, such as a quadratic
-# field per command or the cubic ring of each orbit with its base changes
-@lru_cache(maxsize=8)
+# the ground tables of the algebras a run keeps rebuilding, such as a
+# quadratic field per command or the cubic ring of each orbit with its base
+# changes, by key: each lives while a structure holds it, so every algebra
+# with these constants, and every table over one, shares it and its kernels
+_GROUND: "weakref.WeakValueDictionary[tuple, Table]" = weakref.WeakValueDictionary()
+
+
+def _ground(key: tuple, build: Callable[[], Table]) -> Table:
+    """The ground table of ``key``, built by ``build`` unless one lives."""
+    t = _GROUND.get(key)
+    if t is None:
+        t = _GROUND[key] = build()
+    return t
+
+
 def _algebra_tables(table: tuple) -> tuple[Table, tuple]:
     """The product of an algebra with structure constants ``table`` as a
-    table over Q, and its trace vector tr(e_i) = sum_k table[i][k][k] as
-    integers over the table's den: read off once per key, and shared by
-    every algebra with these constants and by their base changes."""
+    table over Q, shared by every algebra with these constants and by their
+    base changes, and its trace vector tr(e_i) = sum_k table[i][k][k] as
+    integers over the table's den."""
     n = len(table)
-    rows = rational_table(((i, j, k, c) for i, row in enumerate(table)
-                           for j, cell in enumerate(row) for k, c in enumerate(cell)), n)
+    rows = _ground(("product", table), lambda: rational_table(
+        ((i, j, k, c) for i, row in enumerate(table)
+         for j, cell in enumerate(row) for k, c in enumerate(cell)), n))
     return rows, tuple(qq(sum(row[k][k] for k in range(n)) * rows.den) for row in table)
 
 
-@lru_cache(maxsize=8)
 def _cubic_tables(table: tuple, unit: tuple) -> tuple[Table, Table, Table]:
     """A cubic algebra's adjoint u^# = u^2 - s1 u + s2 as one table over Q,
     sum u_i u_j A_ij with A_ij = e_i e_j - tr(e_i) e_j
     + (tr(e_i) tr(e_j) - tr(e_i e_j)) / 2; its cross, the adjoint table
     symmetrized; and its trace form tr(e_i e_j) into one coordinate.  Read
-    off the structure constants once per key."""
+    off the structure constants once per key (``_ground``)."""
     tr = [sum(row[k][k] for k in range(3)) for row in table]
-    adjoint, trace_form = [], []
-    for i, row in enumerate(table):
-        for j, prod in enumerate(row):
-            t = sum(map(operator.mul, prod, tr))
-            s = (tr[i] * tr[j] - t) * HALF
-            adjoint += [(i, j, k, c - (tr[i] if k == j else 0) + s * unit[k])
-                        for k, c in enumerate(prod)]
-            trace_form.append((i, j, 0, t))
-    adjoint = rational_table(adjoint, 3)
-    return adjoint, symmetrized(adjoint), rational_table(trace_form, 3, 1)
+    traces = [[sum(map(operator.mul, prod, tr)) for prod in row] for row in table]
+
+    def adjoint_table():
+        return rational_table(((i, j, k, c - (tr[i] if k == j else 0)
+                                + (tr[i] * tr[j] - traces[i][j]) * HALF * unit[k])
+                               for i, row in enumerate(table) for j, prod in enumerate(row)
+                               for k, c in enumerate(prod)), 3)
+
+    adjoint = _ground(("adjoint", table, unit), adjoint_table)
+    return (adjoint, _ground(("cross", table, unit), lambda: symmetrized(adjoint)),
+            _ground(("trace form", table), lambda: rational_table(
+                ((i, j, 0, t) for i, row in enumerate(traces) for j, t in enumerate(row)), 3, 1)))
 
 
 class QuotientAlgebra(CommAlgebra):

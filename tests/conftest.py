@@ -8,9 +8,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 
+from cubicnorm import scalars
 from cubicnorm.cns import (
     CnsElt,
     CubicRingCNS,
@@ -26,12 +28,84 @@ from cubicnorm.composition import CompAlgebra, comp_preset
 from cubicnorm.freudenthal import HOperator, WSpace, h_apply, iter_search_rows
 from cubicnorm.lifting import QuotientTitsU
 from cubicnorm.matops import mat, row_times_mat, sum_prod
-from cubicnorm.scalars import DirectSum, kernel, over_lcd, row_over_lcd
+from cubicnorm.scalars import DirectSum, Table, kernel, over_lcd, row_over_lcd
 
 
 @pytest.fixture
 def rng():
     return random.Random(20260808)
+
+
+# -- oracle: a table over a base, materialized --------------------------------
+
+
+def kron_cells(t, base=None) -> tuple:
+    """The cells of t over ``base``, a base algebra: t's Kronecker product
+    with the base's table built cell by cell, e_i (x) e_s times e_j (x) e_t
+    -> c d e_k (x) e_u at i m + s, j m + t, k m + u, the materialized table
+    a record over the base stands for.  Without ``base``, a table's own
+    cells, or a record's over the base cells it read."""
+    if base is None:
+        if isinstance(t, Table):
+            return t._cells
+        t, bcells, m = t.ground, t._bcells, t._m
+    else:
+        bcells, m = kron_cells(base._table), base._n
+    return tuple(tuple((j * m + v, tuple((k * m + u, c * cc) for k, c in cell for u, cc in bcell))
+                       for j, cell in row for v, bcell in brow)
+                 for row in kron_cells(t) for brow in bcells)
+
+
+@cache
+def _make(ground: Table, shape: tuple, sliced: bool):
+    kernel = scalars._run(scalars._kernel_source(ground._cells, ground._n), "kernel")
+    return scalars._run(scalars._kernel_source(ground._cells, ground._n, shape, sliced), "make",
+                        g=kernel)
+
+
+def record_kernels(t) -> list:
+    """A record's kernel in line and by slices of its ground's kernel,
+    compiled from its key's source apart from the shared countdown, once
+    per key, and bound to the record's base, so no countdown moves."""
+    return [_make(t.ground, t._shared.shape, sliced)(*t._args) for sliced in (False, True)]
+
+
+def kron_table(t, base=None, cold: int = 10 ** 9) -> Table:
+    """t over ``base`` materialized (``kron_cells``) as a table that stays
+    cold, so that ``table_mul`` runs its loop over the cells one by one."""
+    m, den = (1, 1) if base is None else (base._n, base.table_den)
+    return Table(kron_cells(t, base), t._n * m, t.den * den, cold)
+
+
+def scale_oracle(base, num, s) -> tuple:
+    """x s over base.table_den on numerators: each coordinate's run of
+    numerators times s through the base's materialized table."""
+    cells, m = kron_cells(base._table), base._n
+    out = []
+    for i in range(0, len(num), m):
+        run = [0] * m
+        for a, row in zip(num[i:i + m], cells):
+            for j, cell in row:
+                for k, c in cell:
+                    run[k] += a * s[j] * c
+        out += run
+    return tuple(out)
+
+
+def tensor_cross_loop(JT, JF, x, y):
+    """x x_T y summed over the components of x and y along T's basis:
+    (U (x) s) x_T (V (x) t) = (U x V) (x) (s x t), one J-cross and one
+    T-cross per pair of components."""
+    T = JT.base
+    xs, ys = ([z.component(JF, a) for a in range(T.dim)] for z in (x, y))
+    tb = T.basis()
+    out = JT.zero()
+    for a in range(T.dim):
+        for b in range(T.dim):
+            jc = JF.cross(xs[a], ys[b])
+            if jc:
+                out = out + JT.extend(jc) * T.cross(tb[a], tb[b])
+    return out
 
 
 # -- oracle: I(v, omega) by one elimination of ell -> ell h -------------------

@@ -14,6 +14,7 @@ from conftest import (
     cayley_u_outer,
     cayley_u_pair,
     hermitian_variants,
+    kron_cells,
     polarized,
     rand_rank4,
     rank4_with_antisym_omega,
@@ -591,7 +592,7 @@ def test_cubic_algebra_cross_is_the_polarized_adjoint(over):
 
 
 def _terms(t):
-    return [c for row in t._cells for _, cell in row for _, c in cell]
+    return [c for row in kron_cells(t) for _, cell in row for _, c in cell]
 
 
 @pytest.mark.parametrize("name, sharp, cross, pairing", [
@@ -613,9 +614,11 @@ def test_ground_tables_are_sparse(name, sharp, cross, pairing):
 def _assert_shape(t, rows, right, out):
     """t reads one row per left numerator and only the right operand's
     numerators, and writes only its out numerators: no index is negative,
-    where it would alias the end of an operand."""
-    assert len(t._cells) == rows and t._n == out
-    assert all(0 <= j < right and 0 <= k < out for row in t._cells for j, cell in row for k, _ in cell)
+    where it would alias the end of an operand.  A table over a base is
+    read through its cells materialized (``kron_cells``)."""
+    cells = kron_cells(t)
+    assert len(cells) == rows and t._n == out
+    assert all(0 <= j < right and 0 <= k < out for row in cells for j, cell in row for k, _ in cell)
 
 
 @pytest.mark.parametrize("over", ["Q", "Q(sqrt 5)"])

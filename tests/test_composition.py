@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cd_conj, cd_mul, cd_norm
+from conftest import cd_conj, cd_mul, cd_norm, kron_cells
 from cubicnorm.composition import (
     CompAlgebra,
     cd_double,
@@ -79,12 +79,17 @@ def test_table_matches_the_recursion_over_a_quotient_base(K, gammas, data):
 
 
 def test_table_is_built_once_per_chain():
-    """The chain's table once per chain, its Kronecker product with a base's
-    table once per (chain, base)."""
+    """The chain's table once per chain; over a base its record with the
+    base's table once per (chain, base), which holds no cells, and the
+    record's kernel once per (chain, base shape): Q(sqrt 7) shares Q(sqrt
+    5)'s."""
     H, HE = comp_preset("hamilton"), comp_preset("hamilton").base_change(quadratic_field(5))
-    assert H._cells is comp_preset("hamilton")._cells and H.norm_weights is HE.norm_weights
-    assert HE._cells is comp_preset("hamilton").base_change(quadratic_field(5))._cells
-    assert HE._cells is not H._cells and len(HE._cells) == 2 * len(H._cells)
+    assert H._table is comp_preset("hamilton")._table and H.norm_weights is HE.norm_weights
+    assert HE._table is comp_preset("hamilton").base_change(quadratic_field(5))._table
+    assert HE._table is not H._table and len(kron_cells(HE._table)) == 2 * len(H._table._cells)
+    assert HE._table.ground is H._table and not hasattr(HE._table, "_cells")
+    H7 = comp_preset("hamilton").base_change(quadratic_field(7))
+    assert H7._table is not HE._table and H7._table._shared is HE._table._shared
 
 
 def test_double_twice_gives_quaternions():

@@ -425,15 +425,19 @@ def test_spaces_compare_and_hash_by_size_and_algebra():
 
 def test_only_the_rational_space_holds_a_product_table():
     """Each cubic ring brings its own table, so a space over T builds none:
-    its products run on the table over Q, shared by every space of its key."""
+    its product is the record of the table over Q, shared by every space of
+    its key, with T's table, which holds no cells, and its kernel is shared
+    by every T of one shape."""
     H = comp_preset("hamilton")
     M = MatrixSpace(H)
     assert M._table is MatrixSpace(comp_preset("hamilton"))._table
     assert len(M._table._cells) == 36 and sum(len(cell) for row in M._table._cells
                                                for _, cell in row) == 27 * 16
-    for base in (cubic_ring_algebra(1, 0, -2, 1), quadratic_field(-1)):
+    for base, other in ((cubic_ring_algebra(1, 0, -2, 1), cubic_ring_algebra(2, 1, 1, -3)),
+                        (quadratic_field(-1), quadratic_field(-1))):
         MT = MatrixSpace(H.base_change(base))
-        assert not hasattr(MT, "_table") and "_cells" not in vars(MT)
-        assert MT.ground._table is M._table
+        assert not hasattr(MT._table, "_cells") and "_cells" not in vars(MT)
+        assert MT.ground._table is M._table and MT._table.ground is M._table
+        assert MatrixSpace(H.base_change(other))._table._shared is MT._table._shared
     with pytest.raises(DescriptorError):
         MatrixSpace(H.base_change(QuotientAlgebra([1, 0, 1], base=quadratic_field(5))))

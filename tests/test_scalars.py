@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cd_conj, cd_mul, cd_norm
+from conftest import cd_conj, cd_mul, cd_norm, kron_cells, record_kernels
 import math
 import random
 import re
@@ -45,9 +45,9 @@ from cubicnorm.scalars import (
     scalar_to_str,
     Table,
     Vec,
-    _scale_table,
     rational_table,
     table_mul,
+    table_over,
     witness_search,
 )
 
@@ -1024,10 +1024,16 @@ KERNEL_BASES = {"Q": lambda: QQ_BASE, "Q(sqrt 5)": lambda: quadratic_field(5),
 def _assert_kernel_matches_loop(t, seed):
     """The compiled kernel equals the loop on zero, basis-vector and dense
     operands, integers of either sign, large ones included: table_mul on
-    the cells of t, a table or a structure, as a fresh Table that stays
-    cold and as one past COMPILE_AT."""
-    cold, hot = Table(t._cells, t._n, 1, 10 ** 9), Table(t._cells, t._n, 1, 0)
-    n, m = len(t._cells), 1 + max(j for row in t._cells for j, _ in row)
+    the cells of t, a table or a structure (its ``_table``), as a fresh
+    Table that stays cold and as one past COMPILE_AT.  A record over a base
+    has no cells: its own loop and its kernels, in line and by slices,
+    equal the loop on its cells materialized (``kron_cells``)."""
+    t = t._table
+    cells = kron_cells(t)
+    cold, hot = Table(cells, t._n, 1, 10 ** 9), Table(cells, t._n, 1, 0)
+    products = ([lambda a, b: table_mul(hot, a, b)] if isinstance(t, Table)
+                else [t._loop, *record_kernels(t)])
+    n, m = len(cells), 1 + max(j for row in cells for j, _ in row)
     rng = random.Random(seed)
 
     def dense(k):
@@ -1044,8 +1050,8 @@ def _assert_kernel_matches_loop(t, seed):
     pairs += [(basis(n, rng.randrange(n)), basis(m, rng.randrange(m))) for _ in range(2 * n)]
     for a, b in pairs:
         want = table_mul(cold, a, b)
-        assert table_mul(hot, a, b) == want and len(want) == t._n
-    assert cold._kernel is None and hot._kernel is not None
+        assert all(product(a, b) == want for product in products) and len(want) == t._n
+    assert cold._kernel is None and (hot._kernel is not None or not isinstance(t, Table))
 
 
 @pytest.mark.parametrize("over", list(KERNEL_BASES))
@@ -1103,9 +1109,9 @@ def test_contract_matches_the_probes_on_ground_tables(name, over):
 @pytest.mark.parametrize("over", list(KERNEL_BASES))
 def test_compiled_kernel_matches_the_loop_on_algebra_tables(over):
     """The product tables of quotient, cubic and composition algebras, a
-    composition algebra's norm table, every base's scaling table
-    (``_scale_table``), the matrix kind's star, embed and project tables
-    and U(gamma)'s three tables."""
+    composition algebra's norm table, every base's scaling table (the
+    identity's record with the base's table), the matrix kind's star, embed
+    and project tables and U(gamma)'s three tables."""
     base = KERNEL_BASES[over]()
     algebras = [quadratic_field(-3), qalg_make([1, -2, 0, 1]),
                 cubic_ring_algebra(1, -1, 2, 3), cubic_ring_algebra(F(1, 2), 1, F(-3, 2), 2)]
@@ -1118,7 +1124,7 @@ def test_compiled_kernel_matches_the_loop_on_algebra_tables(over):
     U = cns_preset("cayleyu:2") if over == "Q" else cns_preset("cayleyu:2").base_change(base)
     tables = [sk._star_table, *sk._picture, U._vx, U._vw, U._trace] + algebras + comps
     tables += [C._norm_table for C in comps]
-    tables += [_scale_table(dim, A) for A in algebras for dim in (1, 3)]
+    tables += [table_over(scalars._identity(dim), A._table) for A in algebras for dim in (1, 3)]
     tables += [A._cubic_tables[k] for A in algebras if A.dim == 3 for k in range(3)]
     for k, t in enumerate(tables):
         _assert_kernel_matches_loop(t, f"{over} {k}")
@@ -1131,7 +1137,7 @@ def test_largest_tables_compile_and_match():
     J = cns_preset("h3-octonion")
     for base, size in ((qalg_make([-1, 1, 1, 1]), 6468), (KERNEL_BASES["tower"](), 9240)):
         cross = J.base_change(base)._cross
-        assert sum(len(cell) for row in cross._cells for _, cell in row) == size
+        assert sum(len(cell) for row in kron_cells(cross) for _, cell in row) == size
         _assert_kernel_matches_loop(cross, f"h3-octonion cross over {base!r}")
 
 
