@@ -20,7 +20,10 @@ Every instance takes its own cross, the linearization x x y of its adjoint
 table, the two constructions as their adjoint formula polarized.  The
 ground instances' maps, the matrix kind's embed and project and U(gamma)'s
 bilinear maps are integer tables built once per key; per-input data (S,
-lambda, gamma) stays in the formulas.
+lambda, gamma) stays in the two constructions' formulas, and each of their
+cross, adjoint and pairing becomes the table read off its formula once the
+structure has called it as often as the read would (``_read_when_hot``).
+Every norm stays a formula; M_3's is the first row of its adjugate.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial, wraps
 from typing import Optional, Sequence
 
 from .composition import CheckReport, CompAlgebra, _comp_terms, cd_double
@@ -38,6 +41,7 @@ from .scalars import (
     CommAlgebra,
     CoordSpace,
     DescriptorError,
+    IdentityError,
     PreconditionError,
     QQ_BASE,
     QuotientAlgebra,
@@ -45,12 +49,13 @@ from .scalars import (
     Table,
     Vec,
     _cubic_tables,
-    det,
+    _ground,
     det_fraction,
     flat_table,
     over_lcd,
     qq,
     rational_table,
+    read_table,
     symmetrized,
     table_mul,
     table_over,
@@ -107,6 +112,7 @@ class CNS(CoordSpace):
     _one = cached_property(lambda self: self.one())
 
     def trace(self, x: CnsElt):
+        """tr(x) = (1, x), with the unit built once per structure."""
         return self.pair(self._one, x)
 
     def trilinear(self, x: CnsElt, y: CnsElt, z: CnsElt):
@@ -357,7 +363,19 @@ class Matrix3CNS(TableCNS):
         return CnsElt(self, m[0] + m[1] + m[2])
 
     def norm(self, x):
-        return det(self.to_matrix(x))
+        """det x as the first row of its adjugate, N(x) = sum_j x_0j (x#)_j0:
+        one ``_sharp`` kernel call and three products of base runs on the
+        numerators.  So "(x, x#) = 3N(x)" and "x x# = N(x)" still check the
+        adjugate's other two rows."""
+        base, num, sharp, d = self.base, x.num, self._sharp, x.den
+        adj = table_mul(sharp, num, num)
+        m, mul = len(num) // 9, base.mul_coords
+        # x_0j is coordinate j, (x#)_j0 coordinate 3j
+        p = mul(num[:m], adj[:m])
+        q = mul(num[m:2 * m], adj[3 * m:4 * m])
+        r = mul(num[2 * m:3 * m], adj[6 * m:7 * m])
+        return base.from_num([a + b + c for a, b, c in zip(p, q, r)],
+                             d * d * d * sharp.den * base.table_den)
 
     def one(self):
         z, o = self.base.zero(), self.base.one()
@@ -496,6 +514,50 @@ def split_cubic_idempotents(alg: CommAlgebra) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Composite structures: each bilinear map a formula until hot, then the table
+# read off that formula.
+# ---------------------------------------------------------------------------
+
+
+def _read_when_hot(quadratic: bool = False, into_base: bool = False):
+    """Decorate a composite structure's formula for its cross or pairing (a
+    bilinear map; into the base with ``into_base``) or its adjoint (a
+    quadratic map, ``quadratic``).  The formula runs until the structure has
+    called it as often as reading its table would, n^2 times for a bilinear
+    map and n(n + 1)/2 for a quadratic one, for n = ``flat_dim``.  On that
+    call the table is read off the formula (``read_table``), once per key
+    (``_ground``), and checked against the formula's value there: a mismatch
+    raises ``IdentityError``.  Every later call is one ``table_mul``."""
+
+    def wrap(formula):
+        name = formula.__name__
+        slot = f"_{name}_hot"
+
+        @wraps(formula)
+        def read_when_hot(self, *xs):
+            state = self.__dict__.get(slot, 0)
+            cod = self.base if into_base else self
+            if type(state) is not int:
+                return state.apply(cod, xs[0], xs[-1])
+            value = formula(self, *xs)
+            n = self._n
+            if state + 1 < (n * (n + 1) // 2 if quadratic else n * n):
+                self.__dict__[slot] = state + 1
+                return value
+            t = _ground((type(self).__name__, name, self._key()),
+                        lambda: read_table(partial(formula, self), self, cod, quadratic))
+            if t.apply(cod, xs[0], xs[-1]) != value:
+                raise IdentityError(f"{self.name}: the {name} table read off its formula "
+                                    "disagrees with it")
+            self.__dict__[slot] = t
+            return value
+
+        return read_when_hot
+
+    return wrap
+
+
+# ---------------------------------------------------------------------------
 # Second Tits construction.
 # ---------------------------------------------------------------------------
 
@@ -575,7 +637,9 @@ class SecondKind:
         return self.B.extend(j)
 
     def project(self, b: CnsElt) -> CnsElt:
-        """Inverse of embed on star-fixed elements."""
+        """Inverse of embed on star-fixed elements, after checking that b is
+        one: one linear table for the matrix kind, the component along
+        1 (x) 1 for the tensor kind."""
         if not (self.star(b) == b):
             raise PreconditionError("element is not fixed by the involution")
         if self.kind == "matrix":
@@ -616,7 +680,10 @@ class TitsUCNS(CNS):
     S in J, lambda in K with n_J(S) = lambda lambda*.
 
     Coordinates: J-coordinates followed by flattened B-coordinates (each
-    K-coordinate contributes K.dim base coordinates).
+    K-coordinate contributes K.dim base coordinates); the B-part splits and
+    joins as one block.  The cross, adjoint and pairing are formulas until
+    hot, then tables read off them (``_read_when_hot``); the norm stays a
+    formula.
     """
 
     def __init__(self, sk: SecondKind, S: CnsElt, lam: AlgElem):
@@ -665,6 +732,7 @@ class TitsUCNS(CNS):
         return (J.norm(X) - J.pair(X, aSa)
                 + sk.K.trace(self.lam * sk.B.norm(alpha)))
 
+    @_read_when_hot(quadratic=True)
     def adjoint(self, x):
         X, alpha = self.split(x)
         J, sk, B = self.sk.J, self.sk, self.sk.B
@@ -673,6 +741,7 @@ class TitsUCNS(CNS):
                   + B.mul(B.adjoint(sk.star(alpha)), self.Ssharp_B) * self.lam_inv)
         return self.join(first, second)
 
+    @_read_when_hot()
     def cross(self, x, y):
         """The adjoint polarized: (X x Y - P(alpha S beta* + beta S alpha*),
         -X beta - Y alpha + (alpha* x beta*) S# / lambda), for P the project."""
@@ -684,6 +753,7 @@ class TitsUCNS(CNS):
                   + B.mul(B.cross(sk.star(alpha), sk.star(beta)), self.Ssharp_B) * self.lam_inv)
         return self.join(first, second)
 
+    @_read_when_hot(into_base=True)
     def pair(self, x, y):
         X, alpha = self.split(x)
         Y, beta = self.split(y)
@@ -740,7 +810,9 @@ class CayleyUCNS(CNS):
 
     with v X v* = sum_i tr((v X)_i v_i*) / 2.  The maps v X, v* w + w* v
     and sum_i tr(v_i w_i*) are one table each (``_cayley_u_tables``), run on
-    the slices of the numerators that hold X and v.
+    the slices of the numerators that hold X and v; the cross, adjoint and
+    pairing are these formulas until hot, then tables read off them
+    (``_read_when_hot``).
     Isomorphic to H_3(C(gamma)) via a_i -> (a_i(X), v_i), available as
     ``iso_to_doubled`` and ``iso_from_doubled``.
     """
@@ -785,6 +857,7 @@ class CayleyUCNS(CNS):
         return (self.H.norm(x.block(self.H))
                 + self.gamma * self.base.from_num(vxv, 2 * d * d * d * vx.den * tr.den))
 
+    @_read_when_hot(quadratic=True)
     def adjoint(self, x):
         X, v = self._parts(x)
         d = x.den
@@ -792,6 +865,7 @@ class CayleyUCNS(CNS):
         return self._join_v(self.H.adjoint(x.block(self.H)) + vv * self.gamma,
                             [-n for n in table_mul(self._vx, v, X)], d * d * self._vx.den)
 
+    @_read_when_hot()
     def cross(self, x, y):
         X, v = self._parts(x)
         Y, w = self._parts(y)
@@ -801,6 +875,7 @@ class CayleyUCNS(CNS):
         return self._join_v(self.H.cross(x.block(self.H), y.block(self.H)) + vw * self.gamma,
                             vx, d * self._vx.den)
 
+    @_read_when_hot(into_base=True)
     def pair(self, x, y):
         (X, v), (Y, w) = self._parts(x), self._parts(y)
         dot = self.base.from_num(table_mul(self._trace, v, w), x.den * y.den * self._trace.den)

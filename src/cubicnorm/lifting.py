@@ -41,7 +41,6 @@ from .freudenthal import (
     HOperator,
     WElt,
     WSpace,
-    _terms,
     h_apply,
     iter_search_rows,
     m2_j2,
@@ -624,33 +623,6 @@ def _tits_h(WB: WSpace, vB: WElt, omega: AlgElem):
     return mat_sub(s_of(WB, vB), mat_smul(m2_j2(WB.J), omega * HALF))
 
 
-def w_hermitian_K(sk: SecondKind, x: WElt, y: WElt) -> AlgElem:
-    """The K-valued skew-Hermitian form h on W_B, h(y, x) = -h(x, y)*,
-    induced from the skew pairing ``herm_pair_B`` on columns, through the
-    symmetrized tensor-cube model."""
-    B, K = sk.B, sk.K
-    acc = K.zero()
-    for coef1, t1 in _terms(x.W, x):
-        for coef2, t2 in _terms(y.W, y):
-            p1 = herm_pair_B(sk, t1[0], t2[0])
-            p2 = herm_pair_B(sk, t1[1], t2[1])
-            p3 = herm_pair_B(sk, t1[2], t2[2])
-            val = B.pair(B.cross(p1, p2), p3)
-            if coef1 is not None:
-                val = val * K.conj(coef1)
-            if coef2 is not None:
-                val = val * coef2
-            acc = acc + val
-    return acc
-
-
-def w_star(sk: SecondKind, x: WElt) -> WElt:
-    """The involution on W_B: conjugate every component."""
-    WB = x.W
-    conj = sk.K.conj
-    return WB.concat(conj(x.a), sk.star(x.b), sk.star(x.c), conj(x.d))
-
-
 # -- the choice-free quotient model U = Utilde / I(v, omega) -----------------
 
 
@@ -788,10 +760,6 @@ class QuotientTitsU(CNS):
         return [list(QQ_BASE.scalars(row, self._den)) for row in self._rows]
 
     # -- plumbing ------------------------------------------------------------
-
-    def _times_h(self, ell):
-        """The row pair ell h."""
-        return row_times_mat(ell, self.h)
 
     def _h_matrix(self) -> list[list[int]]:
         """The matrix of ell -> ell h on B^2 times a positive integer: the

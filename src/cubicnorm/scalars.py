@@ -1696,6 +1696,30 @@ def map_matrix(f, dom, cod) -> list[tuple[int, ...]]:
     return list(zip(*_columns(f, dom, cod)))
 
 
+def read_table(f, dom, cod, quadratic: bool = False) -> Table:
+    """The table over Q of a Q-bilinear map f from dom x dom to cod (spaces
+    with ``num_den``), read off f on every ordered pair of dom's flat basis
+    vectors as ``map_matrix`` reads a linear map: f(e_i, e_j) in cell
+    (i, j), nothing mirrored.  For a quadratic map f(x), the triangular
+    table by polarization: f(e_i) in cell (i, i) and f(e_i + e_j) - f(e_i)
+    - f(e_j) in cell (i, j) for i < j.  A map of neither kind reads as a
+    table all the same, which its caller checks against f."""
+    basis = dom.flat_basis()
+    n = len(basis)
+    if quadratic:
+        diag = [f(e) for e in basis]
+        cells = [(i, i, q) for i, q in enumerate(diag)]
+        cells += [(i, j, f(basis[i] + basis[j]) - diag[i] - diag[j])
+                  for i in range(n) for j in range(i + 1, n)]
+    else:
+        cells = [(i, j, f(a, b)) for i, a in enumerate(basis) for j, b in enumerate(basis)]
+    terms = []
+    for i, j, value in cells:
+        num, den = cod.num_den(value)
+        terms += [(i, j, k, Fraction(c, den)) for k, c in enumerate(num) if c]
+    return rational_table(terms, n, cod.flat_dim())
+
+
 def map_solve(f, dom, cod, y):
     """One x in dom with f(x) = y, or None when there is none (certified by
     ``linsolve`` on the columns and y over one lcd), re-checked by substitution."""

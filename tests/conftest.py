@@ -25,10 +25,10 @@ from cubicnorm.cns import (
     split_cubic_idempotents,
 )
 from cubicnorm.composition import CompAlgebra, comp_preset
-from cubicnorm.freudenthal import HOperator, WSpace, h_apply, iter_search_rows
-from cubicnorm.lifting import QuotientTitsU
+from cubicnorm.freudenthal import HOperator, WSpace, _terms, h_apply, iter_search_rows
+from cubicnorm.lifting import QuotientTitsU, herm_pair_B
 from cubicnorm.matops import mat, row_times_mat, sum_prod
-from cubicnorm.scalars import DirectSum, Table, kernel, over_lcd, row_over_lcd
+from cubicnorm.scalars import DirectSum, Table, det, kernel, over_lcd, row_over_lcd
 
 
 @pytest.fixture
@@ -109,6 +109,12 @@ def tensor_cross_loop(JT, JF, x, y):
 
 
 # -- oracle: I(v, omega) by one elimination of ell -> ell h -------------------
+
+
+def times_h(U, ell):
+    """The row pair ell h, densely: the map whose matrix ``_h_matrix``
+    reads by contraction."""
+    return row_times_mat(ell, U.h)
 
 
 def elimination_rows(U):
@@ -249,6 +255,11 @@ def matrix3_adjoint(J, x):
     return J.from_matrix(tuple(tuple(cofactor(j, i) for j in range(3)) for i in range(3)))
 
 
+def matrix3_norm(J, x):
+    """det x on the matrix picture."""
+    return det(J.to_matrix(x))
+
+
 def matrix3_pair(J, x, y):
     mx, my = J.to_matrix(x), J.to_matrix(y)
     return sum((mx[a][b] * my[b][a] for a in range(3) for b in range(3)), J.base.zero())
@@ -337,6 +348,36 @@ def cayley_u_pair(U, x, y):
     for a, b in zip(v, w):
         dot = dot + (a * b.conj()).trace()
     return U.H.pair(X, Y) - U.gamma * dot
+
+
+# -- oracle: the involution and the K-valued Hermitian form on W_B ---------
+
+
+def w_star(sk, x):
+    """The involution on W_B: conjugate every component."""
+    WB = x.W
+    conj = sk.K.conj
+    return WB.concat(conj(x.a), sk.star(x.b), sk.star(x.c), conj(x.d))
+
+
+def w_hermitian_K(sk, x, y):
+    """The K-valued skew-Hermitian form h on W_B, h(y, x) = -h(x, y)*,
+    induced from the skew pairing ``herm_pair_B`` on columns, through the
+    symmetrized tensor-cube model."""
+    B, K = sk.B, sk.K
+    acc = K.zero()
+    for coef1, t1 in _terms(x.W, x):
+        for coef2, t2 in _terms(y.W, y):
+            p1 = herm_pair_B(sk, t1[0], t2[0])
+            p2 = herm_pair_B(sk, t1[1], t2[1])
+            p3 = herm_pair_B(sk, t1[2], t2[2])
+            val = B.pair(B.cross(p1, p2), p3)
+            if coef1 is not None:
+                val = val * K.conj(coef1)
+            if coef2 is not None:
+                val = val * coef2
+            acc = acc + val
+    return acc
 
 
 # -- oracle: W_J arithmetic part by part ------------------------------------

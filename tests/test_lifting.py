@@ -18,6 +18,9 @@ from conftest import (
     rand_rank3_w_commutative,
     rand_rank4,
     rank4_with_antisym_omega,
+    times_h,
+    w_hermitian_K,
+    w_star,
 )
 
 from cubicnorm.cns import (
@@ -64,8 +67,6 @@ from cubicnorm.lifting import (
     unique_lift_recover,
     unit_scalar_row,
     utilde_cns,
-    w_hermitian_K,
-    w_star,
 )
 from cubicnorm.matops import mat_eq, mat_smul, outer, row_times_mat, sum_prod
 from cubicnorm.presets import ASSOCIATIVE_SUITE, bhargava_pair, cns_preset, thm_diag_pair
@@ -606,14 +607,14 @@ def test_utilde_left_kernel_reads_rows_of_h():
             v = rank4_with_antisym_omega(sk, random.Random(k))
             U = QuotientTitsU(sk, v, find_antisymmetric_omega(sk, WSpace(sk.J).quartic(v)))
             dense = map_matrix(lambda ell: row_times_mat(ell, U.h), U.B2, U.B2)
-            assert map_matrix(U._times_h, U.B2, U.B2) == dense
+            assert map_matrix(lambda ell: times_h(U, ell), U.B2, U.B2) == dense
             pivots, reduced, _ = rref(kernel(dense))
             assert U._pivots == pivots and U._reduced == reduced[:len(pivots)]
 
 
 def test_utilde_h_matrix_is_the_contracted_product(rng):
     """ell -> ell h as four right contractions of B's product table is a
-    positive multiple of the probed matrix of ``_times_h``, with the same
+    positive multiple of the probed matrix of ``times_h``, with the same
     kernel; and the pivot rows of I(v, omega), each read over its lcd, are
     the rref rows over their lcd.  Over M_3(K) for D = -1 and 1 and over
     the tensor kind A (x) K."""
@@ -627,7 +628,7 @@ def test_utilde_h_matrix_is_the_contracted_product(rng):
         v = rand_rank4(WSpace(A), rng, unit_corner=True)
         cases.append(utilde_cns(second_kind_tensor(A, WSpace(A).quartic(v)), v).data["U"])
     for U in cases:
-        got, want = U._h_matrix(), map_matrix(U._times_h, U.B2, U.B2)
+        got, want = U._h_matrix(), map_matrix(lambda ell: times_h(U, ell), U.B2, U.B2)
         j, k = next((j, k) for j, row in enumerate(want) for k, w in enumerate(row) if w)
         ratio = F(got[j][k], want[j][k])
         assert ratio > 0 and [[F(g) for g in row] for row in got] == \
