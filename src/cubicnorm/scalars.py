@@ -3,12 +3,17 @@ quotient algebras F[x]/(f), and small dense exact linear algebra.
 
 Everything in this package is computed over Q or over a finite-dimensional
 commutative Q-algebra given by structure constants.  A rational scalar is an
-``int`` when it is integral and a ``fractions.Fraction`` otherwise; no floating
-point appears anywhere, and a float offered as a scalar is refused.  Every
-element of every structure is a ``Vec``: on every base, integers along its
-Q-flattened coordinates over one denominator, with one element arithmetic
-on the numerators and one product kernel over tables over Q and their
-records over a base.
+``int`` when it is integral and a ``fractions.Fraction`` otherwise (``qq``);
+no floating point appears anywhere, and a float offered as a scalar is
+refused.  Every element of every structure is a ``Vec``: on every base,
+integers along its Q-flattened coordinates over one denominator, with one
+element arithmetic on the numerators and one product kernel, ``table_mul``,
+over tables over Q and their records over a base.  Q (``QQ_BASE``) and every
+quotient algebra answer one base-ring protocol (``num_den``, ``from_num``,
+``inv``, ``mul_coords``, ``scale_coords``, ...), so no other module tests
+whether a scalar is a Fraction.  Linear algebra runs one fraction-free
+elimination, ``rref``, and ``map_matrix`` and ``map_solve`` read Q-linear
+maps between structures on numerators.
 """
 
 from __future__ import annotations
@@ -31,18 +36,6 @@ ScalarLike = Union[Fraction, int, str]
 # by an int is written as a product with one of these, never with ``/``
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
-
-# A table's products run through the loop of ``table_mul`` until its
-# COMPILE_AT-th, which compiles the table into a straight-line kernel that
-# serves every later product.  A table over a base counts on its (ground
-# table, base shape) key instead: every Q(sqrt D), or every cubic ring, over
-# which one ground table is taken counts one countdown down and shares the
-# one kernel (see TableOver).  A compile costs 0.3-46 ms and saves 1.5-510 us
-# a product (timeit on dense operands, Python 3.11, from a quadratic field's
-# product to H_3 over the octonions' cross over a cubic ring), so it pays
-# back after 60-320 products; a key that serves fewer than COMPILE_AT, as
-# most keys of a one-shot command do, never pays for one.
-COMPILE_AT = 256
 
 
 class DescriptorError(ValueError):
@@ -538,8 +531,8 @@ class CoordSpace:
 
     unit_coords: Optional[tuple] = None
     random_height = 3
-    # the kernel of a structure that multiplies by a table, once it is hot
-    # (see table_mul)
+    # the kernel of a structure that multiplies by a table, from its first
+    # product (see table_mul)
     _kernel = None
 
     @cached_property
@@ -648,8 +641,8 @@ class CoordSpace:
 
     def _multiply_by(self, t) -> None:
         """Make t, a table over Q base changed to this space's base, the
-        product over ``table_den``, run by t's kernel from the first product
-        when t already has one."""
+        product over ``table_den``, run by t's kernel, which t compiles on
+        its first product over any structure."""
         self._table, self.table_den, self._kernel = t, t.den, t._kernel
 
     def mul(self, x, y):
@@ -740,18 +733,17 @@ def table_mul(space, a, b):
     ``space``'s table, into ``space._n`` numerators.  ``space`` is a
     ``Table``, a ``TableOver`` or a structure that multiplies by one (its
     ``_table``).  It is every table structure's ``mul_coords`` and every
-    base algebra's ``scale_coords``.
+    base algebra's ``scale_coords``, so a product over a tower is one
+    kernel call on integers, and so is scaling by a base scalar.
 
-    Until its table's kernel compiles (``_warm``), a product runs the
-    table's loop, which skips zero numerators; from then on the compiled
-    kernel, which computes the same integers, kept on ``space``."""
+    Every product runs the table's generated straight-line kernel
+    (``_kernel_source``), which the first product compiles (``_compile``,
+    0.3-46 ms on Python 3.11) and ``space`` keeps; a table that nothing
+    multiplies by never compiles.  A cell that is not an int index pair and
+    an int constant raises DescriptorError before a line is built."""
     kernel = space._kernel
     if kernel is None:
-        t = space._table
-        kernel = t._kernel or t._warm()
-        if kernel is None:
-            return t._loop(a, b)
-        space._kernel = kernel
+        kernel = space._kernel = space._table._compile()
     return kernel(a, b)
 
 
@@ -766,19 +758,20 @@ def _run(source: str, name: str, **names) -> Callable:
 @dataclass(eq=False, slots=True, weakref_slot=True)
 class Table:
     """The one table record over Q: the rows ``_cells`` that ``table_mul``
-    runs into ``_n`` numerators, over the denominator ``den``, and its
-    state in ``table_mul``: the products left to the loop (``_cold``) and
-    the compiled kernel, which every structure that multiplies by the
-    table shares (``CoordSpace._multiply_by``) and which dies with the
-    table.  ``_kernels`` holds the kernel of each base shape the table is
-    base changed to, ``_as_base`` what the tables over this one as a base
-    read off it (``table_over``).  A table is equal only to itself: each
-    is built once per key."""
+    runs into ``_n`` numerators, over the denominator ``den``, a cell
+    (j, ((k, c), ...)) of row i the terms e_i e_j -> c e_k, every c an int
+    (``rational_table``, ``symmetrized``, ``read_table``).  ``_kernel`` is
+    the kernel ``table_mul`` compiles on its first product, which every
+    structure that multiplies by the table shares (``CoordSpace._multiply_by``)
+    and which dies with the table.  ``_kernels`` holds the ``make`` of each
+    base shape the table is base changed to (``TableOver``), ``_as_base``
+    what the tables over this one as a base read off it (``table_over``).  A
+    table is equal only to itself: each is built once per key, so a rebuilt
+    structure shares its tables and their kernels."""
 
     _cells: tuple
     _n: int
     den: int
-    _cold: int = COMPILE_AT - 1
     _kernel: Optional[Callable] = None
     _kernels: dict = field(default_factory=dict)
     _as_base: Optional[tuple] = None
@@ -787,37 +780,11 @@ class Table:
     def _table(self) -> "Table":
         return self
 
-    def _warm(self) -> Optional[Callable]:
-        """Count one cold product down; on the COMPILE_AT-th, compile the
-        kernel and keep it.  The kernel, or None while the table is cold."""
-        if self._cold:
-            self._cold -= 1
-            return None
-        return self._compile()
-
     def _compile(self) -> Callable:
-        self._kernel = _run(_kernel_source(self._cells, self._n), "kernel")
+        """The table's kernel, compiled on the first call and kept."""
+        if self._kernel is None:
+            self._kernel = _run(_kernel_source(self._cells, self._n), "kernel")
         return self._kernel
-
-    def _loop(self, a, b) -> tuple:
-        """``table_mul`` before the kernel: the cells run one by one."""
-        out = [0] * self._n
-        for ai, row in zip(a, self._cells):
-            if not ai:
-                continue
-            for j, cell in row:
-                bj = b[j]
-                if not bj:
-                    continue
-                prod = ai * bj
-                for k, c in cell:
-                    if c == 1:
-                        out[k] += prod
-                    elif c == -1:
-                        out[k] -= prod
-                    else:
-                        out[k] += prod * c
-        return tuple(out)
 
     def apply(self, space, x, y):
         """t(x, y) in ``space``, a structure or a base: one kernel call."""
@@ -843,17 +810,6 @@ def _contract(cells: tuple, n: int, xs) -> list[list[int]]:
     return m
 
 
-class _Shared:
-    """The kernel of one (ground table, base shape) key: its countdown and,
-    once compiled, ``make``, which binds a base's constants into a kernel.
-    Every table over a base of that shape shares it."""
-
-    __slots__ = ("shape", "cold", "make")
-
-    def __init__(self, shape: tuple):
-        self.shape, self.cold, self.make = shape, COMPILE_AT - 1, None
-
-
 class TableOver:
     """A table over Q base changed to a base: the record of the ``ground``
     table and the base's own product table, their Kronecker product (Van
@@ -861,74 +817,40 @@ class TableOver:
     for a ground index i and a base index s < m, over the product of the
     two dens.  Built once per (ground, base table) by ``table_over``.
 
-    It holds no cells.  Its kernel is generated once per (ground table,
-    base shape) key and shared, with its countdown, by every base of that
-    shape: the base's cell positions with constants +-1 inlined and the
-    others, such as D of Q(sqrt D) or the a, b, c, d of a cubic ring, bound
-    as arguments (a kernel specialized to a shape, Futamura 1971;
-    ``_as_base`` says which).  Until the key compiles, ``_loop`` runs the
-    ground cells against the base cells ``_bcells``."""
+    It holds no cells.  Its kernel is made by one ``make`` per (ground
+    table, base shape) key, kept in ``ground._kernels[shape]`` and shared
+    by every base of that shape: the base's cell positions with constants
+    +-1 inlined and the others, such as D of Q(sqrt D) or the a, b, c, d of
+    a cubic ring, bound as arguments (a kernel specialized to a shape,
+    Futamura 1971; ``_as_base`` says which).  ``contract`` reads the base's
+    cells ``_bcells``."""
 
-    __slots__ = ("ground", "_n", "den", "_m", "_bcells", "_args", "_shared", "_kernel",
+    __slots__ = ("ground", "_n", "den", "_m", "_bcells", "_args", "_shape", "_kernel",
                  "_as_base")
 
     def __init__(self, ground: Table, base):
         self.ground = ground
         self._m = m = base._n
         self._n, self.den = ground._n * m, ground.den * base.den
-        self._bcells, shape, self._args, _ = _as_base(base)
-        shared = ground._kernels.get(shape)
-        if shared is None:
-            shared = ground._kernels[shape] = _Shared(shape)
-        self._shared, self._kernel, self._as_base = shared, None, None
+        self._bcells, self._shape, self._args, _ = _as_base(base)
+        self._kernel, self._as_base = None, None
 
     @property
     def _table(self) -> "TableOver":
         return self
 
-    def _warm(self) -> Optional[Callable]:
-        """Count one cold product of the key down; on its COMPILE_AT-th,
-        compile the key's kernel.  Once the key has one, bind this base's
-        constants into it and keep the result; None while the key is cold."""
-        shared = self._shared
-        if shared.make is None:
-            if shared.cold:
-                shared.cold -= 1
-                return None
-            g, shape = self.ground, shared.shape
-            sliced = _terms(g._cells) * sum(map(len, shape)) > _FUSED
-            shared.make = _run(_kernel_source(g._cells, g._n, shape, sliced), "make",
-                               g=(g._kernel or g._compile()) if sliced else None)
-        self._kernel = shared.make(*self._args)
+    def _compile(self) -> Callable:
+        """The record's kernel, bound on the first call and kept: its key's
+        ``make``, compiled once, with this base's constants."""
+        if self._kernel is None:
+            g, shape = self.ground, self._shape
+            make = g._kernels.get(shape)
+            if make is None:
+                sliced = _terms(g._cells) * sum(map(len, shape)) > _FUSED
+                make = g._kernels[shape] = _run(_kernel_source(g._cells, g._n, shape, sliced),
+                                                "make", g=g._compile() if sliced else None)
+            self._kernel = make(*self._args)
         return self._kernel
-
-    def _loop(self, a, b) -> tuple:
-        """``table_mul`` before the key's kernel, in the kernel's order: per
-        base cell (s, t) -> (u, c), the ground cells run on the runs a_s and
-        b_t of numerators along base index s and t, skipping zero
-        numerators, and their sum goes c times into the outputs k m + u."""
-        m, cells, n = self._m, self.ground._cells, self.ground._n
-        out = [0] * self._n
-        bs = [b[t::m] for t in range(m)]
-        for s, brow in enumerate(self._bcells):
-            a_s = a[s::m]
-            if not any(a_s):
-                continue
-            for t, bcell in brow:
-                b_t, p = bs[t], [0] * n
-                for ai, row in zip(a_s, cells):
-                    if ai:
-                        for j, cell in row:
-                            bj = b_t[j]
-                            if bj:
-                                prod = ai * bj
-                                for k, c in cell:
-                                    p[k] += prod * c
-                for u, c in bcell:
-                    for k, pk in enumerate(p):
-                        if pk:
-                            out[k * m + u] += c * pk
-        return tuple(out)
 
     apply = Table.apply
 
@@ -972,7 +894,7 @@ def table_over(ground: Table, base) -> TableOver:
 
 def _cells_of(t) -> tuple:
     """The cells of t: a table's own, or a tower's Kronecker product of its
-    ground's and its base's, read off once for a base's loop and shape."""
+    ground's and its base's, read off once when t is a base (``_as_base``)."""
     if isinstance(t, Table):
         return t._cells
     m = t._m
@@ -1251,11 +1173,6 @@ class CommAlgebra(CoordSpace):
         by u, and the denominator they are over."""
         return ([self.mul_coords(u.num, b) for b in self._basis_num],
                 u.den * self._basis_den * self.table_den)
-
-    def regular_matrix(self, u: AlgElem) -> list[list]:
-        """Matrix of multiplication-by-u on the basis, columns = images."""
-        cols, d = self._regular_columns(u)
-        return [list(row) for row in zip(*(self.base.scalars(c, d) for c in cols))]
 
     def norm(self, u: AlgElem):
         cols, d = self._regular_columns(u)

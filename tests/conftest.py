@@ -65,16 +65,77 @@ def _make(ground: Table, shape: tuple, sliced: bool):
 
 def record_kernels(t) -> list:
     """A record's kernel in line and by slices of its ground's kernel,
-    compiled from its key's source apart from the shared countdown, once
-    per key, and bound to the record's base, so no countdown moves."""
-    return [_make(t.ground, t._shared.shape, sliced)(*t._args) for sliced in (False, True)]
+    compiled from its key's source apart from the key's shared ``make``,
+    once per key, and bound to the record's base, so both forms run
+    whichever one the record itself compiles."""
+    return [_make(t.ground, t._shape, sliced)(*t._args) for sliced in (False, True)]
 
 
-def kron_table(t, base=None, cold: int = 10 ** 9) -> Table:
-    """t over ``base`` materialized (``kron_cells``) as a table that stays
-    cold, so that ``table_mul`` runs its loop over the cells one by one."""
+def kron_table(t, base=None) -> Table:
+    """t over ``base`` materialized (``kron_cells``) as a table, for
+    ``table_loop`` to run over the cells one by one."""
     m, den = (1, 1) if base is None else (base._n, base.table_den)
-    return Table(kron_cells(t, base), t._n * m, t.den * den, cold)
+    return Table(kron_cells(t, base), t._n * m, t.den * den)
+
+
+# -- oracle: table_mul as loops over the cells ---------------------------------
+
+
+def table_loop(t, a, b) -> tuple:
+    """``table_mul`` on a table's cells run one by one."""
+    out = [0] * t._n
+    for ai, row in zip(a, t._cells):
+        if not ai:
+            continue
+        for j, cell in row:
+            bj = b[j]
+            if not bj:
+                continue
+            prod = ai * bj
+            for k, c in cell:
+                if c == 1:
+                    out[k] += prod
+                elif c == -1:
+                    out[k] -= prod
+                else:
+                    out[k] += prod * c
+    return tuple(out)
+
+
+def record_loop(rec, a, b) -> tuple:
+    """``table_mul`` on a record over a base, in its kernel's order: per
+    base cell (s, t) -> (u, c), the ground cells run on the runs a_s and
+    b_t of numerators along base index s and t, skipping zero numerators,
+    and their sum goes c times into the outputs k m + u."""
+    m, cells, n = rec._m, rec.ground._cells, rec.ground._n
+    out = [0] * rec._n
+    bs = [b[t::m] for t in range(m)]
+    for s, brow in enumerate(rec._bcells):
+        a_s = a[s::m]
+        if not any(a_s):
+            continue
+        for t, bcell in brow:
+            b_t, p = bs[t], [0] * n
+            for ai, row in zip(a_s, cells):
+                if ai:
+                    for j, cell in row:
+                        bj = b_t[j]
+                        if bj:
+                            prod = ai * bj
+                            for k, c in cell:
+                                p[k] += prod * c
+            for u, c in bcell:
+                for k, pk in enumerate(p):
+                    if pk:
+                        out[k * m + u] += c * pk
+    return tuple(out)
+
+
+def regular_matrix(alg, u) -> list[list]:
+    """Matrix of multiplication-by-u on the basis of ``alg``, columns =
+    images."""
+    cols, d = alg._regular_columns(u)
+    return [list(row) for row in zip(*(alg.base.scalars(c, d) for c in cols))]
 
 
 def scale_oracle(base, num, s) -> tuple:

@@ -89,7 +89,12 @@ def test_table_is_built_once_per_chain():
     assert HE._table is not H._table and len(kron_cells(HE._table)) == 2 * len(H._table._cells)
     assert HE._table.ground is H._table and not hasattr(HE._table, "_cells")
     H7 = comp_preset("hamilton").base_change(quadratic_field(7))
-    assert H7._table is not HE._table and H7._table._shared is HE._table._shared
+    t7, t5 = H7._table, HE._table
+    assert t7 is not t5 and t7.ground is t5.ground and t7._shape == t5._shape
+    for A in (H7, HE):
+        i = A.basis()[1]
+        assert i * i == -A.one()
+    assert t7._kernel.__code__ is t5._kernel.__code__ and t7._shape in H._table._kernels
 
 
 def test_double_twice_gives_quaternions():

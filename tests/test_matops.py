@@ -438,6 +438,12 @@ def test_only_the_rational_space_holds_a_product_table():
         MT = MatrixSpace(H.base_change(base))
         assert not hasattr(MT._table, "_cells") and "_cells" not in vars(MT)
         assert MT.ground._table is M._table and MT._table.ground is M._table
-        assert MatrixSpace(H.base_change(other))._table._shared is MT._table._shared
+        MO = MatrixSpace(H.base_change(other))
+        assert MO._table.ground is M._table and MO._table._shape == MT._table._shape
+        for S in (MT, MO):
+            x = S.one()
+            assert x * x == x
+        assert MO._table._kernel.__code__ is MT._table._kernel.__code__
+        assert MT._table._shape in M._table._kernels
     with pytest.raises(DescriptorError):
         MatrixSpace(H.base_change(QuotientAlgebra([1, 0, 1], base=quadratic_field(5))))

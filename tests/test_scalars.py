@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cd_conj, cd_mul, cd_norm, kron_cells, record_kernels
+from conftest import (cd_conj, cd_mul, cd_norm, kron_cells, record_kernels, record_loop,
+                      regular_matrix, table_loop)
 import math
 import random
 import re
@@ -22,7 +23,6 @@ from cubicnorm.matops import sum_prod
 from cubicnorm.presets import cns_preset, second_kind_preset
 from cubicnorm import scalars
 from cubicnorm.scalars import (
-    COMPILE_AT,
     QQ_BASE,
     AlgElem,
     BoundExceededError,
@@ -640,7 +640,7 @@ def test_cached_trace_matches_regular_matrix(rng):
         zero = alg.base.zero()
         for _ in range(20):
             u = alg.random(rng, 3, integral=False)
-            m = alg.regular_matrix(u)
+            m = regular_matrix(alg, u)
             n = alg.dim
             tr = sum((m[i][i] for i in range(n)), zero)
             assert alg.trace(u) == tr
@@ -1023,16 +1023,17 @@ KERNEL_BASES = {"Q": lambda: QQ_BASE, "Q(sqrt 5)": lambda: quadratic_field(5),
 
 def _assert_kernel_matches_loop(t, seed):
     """The compiled kernel equals the loop on zero, basis-vector and dense
-    operands, integers of either sign, large ones included: table_mul on
-    the cells of t, a table or a structure (its ``_table``), as a fresh
-    Table that stays cold and as one past COMPILE_AT.  A record over a base
-    has no cells: its own loop and its kernels, in line and by slices,
+    operands, integers of either sign, large ones included: on the cells of
+    t, a table or a structure (its ``_table``), table_mul on a fresh Table
+    against ``table_loop``.  A record over a base has no cells: the record
+    loop, table_mul on the record and its kernels, in line and by slices,
     equal the loop on its cells materialized (``kron_cells``)."""
     t = t._table
     cells = kron_cells(t)
-    cold, hot = Table(cells, t._n, 1, 10 ** 9), Table(cells, t._n, 1, 0)
+    loop, hot = Table(cells, t._n, 1), Table(cells, t._n, 1)
     products = ([lambda a, b: table_mul(hot, a, b)] if isinstance(t, Table)
-                else [t._loop, *record_kernels(t)])
+                else [lambda a, b: record_loop(t, a, b), lambda a, b: table_mul(t, a, b),
+                      *record_kernels(t)])
     n, m = len(cells), 1 + max(j for row in cells for j, _ in row)
     rng = random.Random(seed)
 
@@ -1049,9 +1050,9 @@ def _assert_kernel_matches_loop(t, seed):
     pairs += [(dense(n), basis(m, j)) for j in range(m)]
     pairs += [(basis(n, rng.randrange(n)), basis(m, rng.randrange(m))) for _ in range(2 * n)]
     for a, b in pairs:
-        want = table_mul(cold, a, b)
+        want = table_loop(loop, a, b)
         assert all(product(a, b) == want for product in products) and len(want) == t._n
-    assert cold._kernel is None and (hot._kernel is not None or not isinstance(t, Table))
+    assert loop._kernel is None and (hot if isinstance(t, Table) else t)._kernel is not None
 
 
 @pytest.mark.parametrize("over", list(KERNEL_BASES))
@@ -1151,8 +1152,8 @@ def test_long_sums_compile():
     t = Table(cells, 1, 1)
     a, b = tuple(range(n)), tuple(range(1, n + 1))
     want = (sum(i * (i + 1) for i in range(n - 1)) - (n - 1) * sum(b),)
+    assert table_loop(t, a, b) == want
     assert table_mul(t, a, b) == want
-    assert table_mul(Table(cells, 1, 1, 0), a, b) == want
 
 
 def test_kernel_source_inlines_unit_constants():
@@ -1163,66 +1164,70 @@ def test_kernel_source_inlines_unit_constants():
     src = scalars._kernel_source(cells, 5)
     assert "0x1*" not in src
     assert "return (a0*b0 + a1*(b1 - b2), -a0*b0, a0*0x3*b0, -a0*0xa*b0, 0, )" in src
-    assert table_mul(Table(cells, 5, 1, 0), (2, 3), (5, 7, 11)) == (10 - 12, -10, 30, -100, 0)
+    assert table_mul(Table(cells, 5, 1), (2, 3), (5, 7, 11)) == (10 - 12, -10, 30, -100, 0)
 
 
 def test_a_table_without_rows_compiles_to_zeros():
     """No rows, so no operand to unpack: the kernel returns n zeros, as the
     loop does."""
-    for cold in (10 ** 9, 0):
-        assert table_mul(Table((), 2, 1, cold), (), ()) == (0, 0)
+    assert table_loop(Table((), 2, 1), (), ()) == (0, 0)
+    assert table_mul(Table((), 2, 1), (), ()) == (0, 0)
 
 
-def test_kernel_compiles_once_at_product_n(monkeypatch):
-    """A table runs the loop for its first COMPILE_AT - 1 products, compiles
-    on the COMPILE_AT-th and keeps that kernel; a structure built on a
-    table that has a kernel runs it from its first product."""
-    sources = []
+def test_a_table_compiles_on_its_first_product(monkeypatch):
+    """A table compiles on its first product and keeps that one kernel; a
+    structure built on a table that has a kernel runs it from its first
+    product; a table that nothing multiplies by never compiles.  Only a
+    space's first product asks its table for the kernel."""
+    sources, asked = [], []
 
     def counted(cells, n):
         sources.append(n)
         return kernel_source(cells, n)
 
-    kernel_source = scalars._kernel_source
+    kernel_source, compile_ = scalars._kernel_source, Table._compile
     monkeypatch.setattr(scalars, "_kernel_source", counted)
+    monkeypatch.setattr(Table, "_compile", lambda t: asked.append(t) or compile_(t))
     A = cubic_ring_algebra(5, 7, 11, 13)
     early = cubic_ring_algebra(5, 7, 11, 13)
     t = A._table
     a, b = (1, 2, 3), (4, 5, 6)
-    for _ in range(COMPILE_AT - 1):
-        A.mul_coords(a, b)
     assert A._kernel is None and t._kernel is None and sources == []
     want = A.mul_coords(a, b)
     kernel = A._kernel
     assert kernel is not None and t._kernel is kernel and sources == [3]
-    # the table itself is hot too: a direct product runs the kernel
-    assert t._cold == 0 and table_mul(t, a, b) == want
+    assert want == table_loop(t, a, b)
+    # the table itself has the kernel too: a direct product runs it
+    assert table_mul(t, a, b) == want
     for _ in range(5):
         assert A.mul_coords(a, b) == want
     assert A._kernel is kernel and sources == [3]
     B = cubic_ring_algebra(5, 7, 11, 13)
     assert B._table is t and B._kernel is kernel and B.mul_coords(a, b) == want
-    # a structure built before the table compiled counts down on its own,
-    # then takes the table's kernel without compiling again
-    for _ in range(COMPILE_AT):
-        assert early.mul_coords(a, b) == want
+    # a structure built before the table compiled takes the table's kernel
+    # on its first product without compiling again
+    assert early._kernel is None and early.mul_coords(a, b) == want
     assert early._table is t and early._kernel is kernel
     assert sources == [3]
+    # a table or a record that nothing multiplies by never compiles
+    idle = rational_table([(0, 1, 2, 3), (1, 1, 0, -1)], 3)
+    over = table_over(idle, quadratic_field(5)._table)
+    assert table_loop(idle, (1, 2), (3, 2)) == (-4, 0, 6)
+    assert idle._kernel is None and idle._kernels == {} and over._kernel is None
+    assert sources == [3] and asked == [t, t]
 
 
 def test_dropped_owner_frees_its_kernel():
     """Nothing outside the owner holds its kernel: a dropped table frees
     its kernel, and a dropped structure is freed with nothing pinning it."""
     t = rational_table([(0, 1, 2, 3), (1, 1, 0, -1), (2, 0, 1, 5)], 3)
-    for _ in range(COMPILE_AT):
-        table_mul(t, (1, 2, 3), (3, 2, 1))
+    table_mul(t, (1, 2, 3), (3, 2, 1))
     table_ref, kernel_ref = weakref.ref(t), weakref.ref(t._kernel)
     del t
     gc.collect()
     assert table_ref() is None and kernel_ref() is None
     A = cubic_ring_algebra(3, 1, 4, 1)
-    for _ in range(COMPILE_AT):
-        A.mul_coords((1, 2, 3), (3, 2, 1))
+    A.mul_coords((1, 2, 3), (3, 2, 1))
     assert A._kernel is not None
     alg_ref = weakref.ref(A)
     del A
@@ -1236,15 +1241,15 @@ def test_kernel_source_takes_int_cells_only(cell):
     a float, a bool) raises DescriptorError when it is compiled, before any
     source is built; so does an index that is no int, negative or past the
     outputs.  An int constant of any size is formatted."""
-    t = Table((((0, ((0, cell),)),),), 1, 1, 0)
+    t = Table((((0, ((0, cell),)),),), 1, 1)
     with pytest.raises(DescriptorError):
         table_mul(t, (1,), (1,))
     assert t._kernel is None
     # the message names the cell: row i = 1, column j = 2, output k = 0
     with pytest.raises(DescriptorError, match=re.escape(f"table cell (1, 2) -> (0, {cell!r})")):
-        table_mul(Table(((), ((2, ((0, cell),)),)), 1, 1, 0), (1, 1), (1, 1, 1))
+        table_mul(Table(((), ((2, ((0, cell),)),)), 1, 1), (1, 1), (1, 1, 1))
     for row in (((0, (("0", 1),)),), (("0", ((0, 1),)),), ((0, ((1, 1),)),), ((-1, ((0, 1),)),)):
         with pytest.raises(DescriptorError):
-            table_mul(Table((row,), 1, 1, 0), (1,), (1,))
+            table_mul(Table((row,), 1, 1), (1,), (1,))
     big = -3 ** 10000            # past the 4,300-digit limit of an int's decimal string
-    assert table_mul(Table((((0, ((0, big),)),),), 1, 1, 0), (2,), (5,)) == (10 * big,)
+    assert table_mul(Table((((0, ((0, big),)),),), 1, 1), (2,), (5,)) == (10 * big,)

@@ -9,14 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import kron_cells, kron_table, record_kernels, scale_oracle, tensor_cross_loop
+from conftest import (kron_cells, kron_table, record_kernels, record_loop, scale_oracle,
+                      table_loop, tensor_cross_loop)
 from cubicnorm import scalars
 from cubicnorm.cns import H3CNS, Matrix3CNS, cubic_ring_algebra, tensor_cross
 from cubicnorm.composition import _cd_table, comp_preset
 from cubicnorm.matops import MatrixSpace, _matrix_table
 from cubicnorm.presets import cns_preset
 from cubicnorm.scalars import (
-    COMPILE_AT,
     DescriptorError,
     QuotientAlgebra,
     Table,
@@ -65,9 +65,10 @@ def operand(rng, n: int, m: int) -> tuple:
 
 @pytest.mark.parametrize("over", list(BASES))
 def test_records_are_their_tables_materialized(over):
-    """Over each base, every ground table's record multiplies, in its loop
-    and in both kernel forms, contracts and scales as the Kronecker product
-    of the ground table with the base's table, built cell by cell."""
+    """Over each base, every ground table's record multiplies, in the record
+    loop, through table_mul and in both kernel forms, contracts and scales
+    as the Kronecker product of the ground table with the base's table,
+    built cell by cell."""
     base = BASES[over]()
     m, rng = base._n, random.Random(over)
     for g in ground_tables():
@@ -78,8 +79,8 @@ def test_records_are_their_tables_materialized(over):
         rows, cols = len(g._cells), 1 + max(j for row in g._cells for j, _ in row)
         for _ in range(3):
             a, b = operand(rng, rows, m), operand(rng, cols, m)
-            expected = table_mul(want, a, b)
-            assert t._loop(a, b) == expected
+            expected = table_loop(want, a, b)
+            assert record_loop(t, a, b) == expected and table_mul(t, a, b) == expected
             assert all(k(a, b) == expected for k in record_kernels(t))
             x = SimpleNamespace(num=b)
             assert t.contract(x) == want.contract(x)
@@ -104,11 +105,11 @@ def test_tensor_cross_is_the_loop(c, rng):
         assert tensor_cross(JT, J, e, x) == tensor_cross_loop(JT, J, e, x)
 
 
-def test_two_quadratic_fields_share_one_kernel_and_one_countdown(monkeypatch):
+def test_two_quadratic_fields_share_one_kernel(monkeypatch):
     """Records of one ground table over Q(sqrt 7) and Q(sqrt -3) are two
-    records of one key: products over either count one countdown down, the
-    COMPILE_AT-th compiles the key's kernel once, and both run it, each
-    with its own D bound."""
+    records of one key: the first product over either compiles the key's
+    ``make`` once, kept on the ground table, and both run it, each with its
+    own D bound."""
     sources = []
     kernel_source = scalars._kernel_source
     monkeypatch.setattr(scalars, "_kernel_source",
@@ -116,16 +117,44 @@ def test_two_quadratic_fields_share_one_kernel_and_one_countdown(monkeypatch):
     g = rational_table([(0, 1, 2, 3), (1, 1, 0, -1), (2, 0, 1, 5), (2, 2, 2, 1)], 3)
     E7, E3 = quadratic_field(7), quadratic_field(-3)
     t7, t3 = table_over(g, E7._table), table_over(g, E3._table)
-    assert t7 is not t3 and t7._shared is t3._shared and t7._args != t3._args
+    shape = t7._shape
+    assert t7 is not t3 and t3._shape == shape and t7._args != t3._args
+    assert g._kernels == {} and t7._kernel is None and t3._kernel is None and sources == []
     a, b = (1, 2, 0, -1, 3, 5), (2, -1, 4, 0, 1, 1)
-    want7, want3 = table_mul(kron_table(g, E7), a, b), table_mul(kron_table(g, E3), a, b)
-    for k in range(COMPILE_AT - 1):
-        assert table_mul(t7 if k % 2 else t3, a, b) == (want7 if k % 2 else want3)
-    assert t7._shared.cold == 0 and t7._shared.make is None and sources == []
+    want7, want3 = table_loop(kron_table(g, E7), a, b), table_loop(kron_table(g, E3), a, b)
     assert table_mul(t7, a, b) == want7
-    assert len(sources) == 1 and t7._shared.make is not None and t3._kernel is None
-    assert table_mul(t3, a, b) == want3 and len(sources) == 1
+    make = g._kernels[shape]
+    assert len(sources) == 1 and list(g._kernels) == [shape] and t3._kernel is None
+    assert table_mul(t3, a, b) == want3 and len(sources) == 1 and g._kernels[shape] is make
     assert t3._kernel.__code__ is t7._kernel.__code__ and t3._kernel is not t7._kernel
+    for k in range(4):
+        assert table_mul(t7 if k % 2 else t3, a, b) == (want7 if k % 2 else want3)
+    kernel7 = t7._kernel
+    assert t7._compile() is kernel7 and len(sources) == 1 and g._kernel is None
+
+
+def test_a_record_past_fused_calls_its_grounds_kernel(monkeypatch):
+    """A record whose ground terms times base cells pass _FUSED compiles
+    sliced: its key's make calls the ground table's own kernel, compiled
+    once and kept on the ground table.  At _FUSED and below it runs in one
+    line, and the ground compiles nothing."""
+    sources = []
+    kernel_source = scalars._kernel_source
+    monkeypatch.setattr(scalars, "_kernel_source",
+                        lambda *args: sources.append(args[2:]) or kernel_source(*args))
+    rng = random.Random(11)
+    for n, base, sliced in ((12, quadratic_field(5), False), (16, quadratic_field(5), False),
+                            (12, cubic_ring_algebra(1, 1, 1, 1), True)):
+        g = rational_table([(i, j, (i + j) % n, 1 + i * j % 3) for i in range(n) for j in range(n)], n)
+        t = table_over(g, base._table)
+        terms, cells = scalars._terms(g._cells), sum(map(len, t._shape))
+        assert (terms * cells > scalars._FUSED) == sliced and terms + cells < scalars._FUSED
+        a, b = operand(rng, n, base._n), operand(rng, n, base._n)
+        sources.clear()
+        assert table_mul(t, a, b) == table_loop(kron_table(g, base), a, b)
+        assert sources == ([(t._shape, True), ()] if sliced else [(t._shape, False)])
+        assert (g._kernel is not None) == sliced
+        assert table_mul(t, a, b) == table_loop(kron_table(g, base), a, b) and len(sources) == 1 + sliced
 
 
 def test_bases_of_a_kind_share_a_shape():
@@ -144,16 +173,17 @@ def test_records_over_odd_tables_are_their_tables_materialized():
     """A ground table with an output no cell reaches, over Q(sqrt 5) and
     over a base table that is no unital algebra's (e_1 e_1 = 3 e_0 alone,
     so no cell reaches e_1 and row 0 is empty): the record's loop, both
-    kernel forms and its contraction still equal the materialized table."""
+    kernel forms, table_mul on it and its contraction still equal the
+    materialized table."""
     g = rational_table([(0, 1, 0, 2), (1, 1, 2, -1), (1, 0, 0, 1)], 2, 3)
     rng = random.Random(7)
     for base in (quadratic_field(5)._table, Table(((), ((1, ((0, 3),)),)), 2, 1)):
         t = table_over(g, base)
-        want = Table(kron_cells(g, SimpleNamespace(_table=base, _n=2)), 6, g.den * base.den, 10 ** 9)
+        want = Table(kron_cells(g, SimpleNamespace(_table=base, _n=2)), 6, g.den * base.den)
         for _ in range(4):
             a, b = operand(rng, 2, 2), operand(rng, 2, 2)
-            expected = table_mul(want, a, b)
-            assert t._loop(a, b) == expected
+            expected = table_loop(want, a, b)
+            assert record_loop(t, a, b) == expected and table_mul(t, a, b) == expected
             assert all(k(a, b) == expected for k in record_kernels(t))
             assert t.contract(SimpleNamespace(num=b)) == want.contract(SimpleNamespace(num=b))
 
